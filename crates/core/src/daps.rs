@@ -42,14 +42,17 @@ impl Daps {
     /// The DAPS rule with full provenance; `select` and `select_explained`
     /// both run through here.
     fn decide(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {
-        let usable: Vec<_> = input.paths.iter().filter(|p| p.usable).collect();
-        if usable.is_empty() || !usable.iter().any(|p| p.has_space()) {
+        // A fresh filter per pass instead of a collected `Vec`: this runs per
+        // segment and must not allocate. Every pass visits paths in input
+        // order, which fixes the f64 summation order.
+        let usable = || input.paths.iter().filter(|p| p.usable);
+        if !usable().any(|p| p.has_space()) {
             return (Decision::Blocked, crate::Why::NoCapacity);
         }
 
         // Deposit one segment of credit, split ∝ 1/RTT over usable paths.
-        let total_w: f64 = usable.iter().map(|p| 1.0 / secs(p.srtt).max(1e-6)).sum();
-        for p in &usable {
+        let total_w: f64 = usable().map(|p| 1.0 / secs(p.srtt).max(1e-6)).sum();
+        for p in usable() {
             let w = (1.0 / secs(p.srtt).max(1e-6)) / total_w;
             *self.credit(p.id.0) += w;
         }
@@ -59,19 +62,18 @@ impl Daps {
         // window space the segment waits for it rather than diverting — the
         // head-of-line behaviour that makes DAPS fragile on heterogeneous
         // paths (and that the paper measures as the weakest scheduler).
-        let chosen = usable
-            .iter()
+        let chosen = usable()
             .max_by(|a, b| {
                 let ca = self.credits[a.id.0];
                 let cb = self.credits[b.id.0];
                 ca.partial_cmp(&cb).expect("credits are finite").then(b.id.cmp(&a.id))
             })
-            .expect("usable is non-empty");
+            .expect("a usable path has space");
         if !chosen.has_space() {
             let id = chosen.id;
             // Roll back this call's deposit so waiting does not inflate the
             // designated path's debt.
-            for p in &usable {
+            for p in usable() {
                 let w = (1.0 / secs(p.srtt).max(1e-6)) / total_w;
                 *self.credit(p.id.0) -= w;
             }

@@ -562,23 +562,26 @@ pub(crate) fn build_shard(
 /// Extract per-unit reports from a (finished) shard engine.
 pub(crate) fn extract_reports(run: &ShardRun) -> Vec<UnitReport> {
     let world = run.tb.world();
-    run.unit_idxs
-        .iter()
-        .zip(&run.conn_ranges)
+    let app = run.tb.app();
+    // One pass over the recorder (ReqId order), each request filed under
+    // the unit owning its connection: every bucket keeps the order a
+    // per-unit filter would give, at O(requests) not O(units × requests).
+    let mut requests = vec![Vec::new(); run.unit_idxs.len()];
+    for r in &world.recorder.requests {
+        let slot = app.owner[r.conn];
+        requests[slot].push(ReqSummary::from_record(r, r.conn - run.conn_ranges[slot].0));
+    }
+    requests
+        .into_iter()
         .enumerate()
-        .map(|(slot, (&u, &(base, n)))| {
-            let app = &run.tb.app().units[slot];
+        .map(|(slot, requests)| {
+            let (base, n) = run.conn_ranges[slot];
+            let unit_app = &app.units[slot];
             UnitReport {
-                unit: u,
-                objects: app.objects.clone(),
-                page_load: app.page_load_time,
-                requests: world
-                    .recorder
-                    .requests
-                    .iter()
-                    .filter(|r| (base..base + n).contains(&r.conn))
-                    .map(|r| ReqSummary::from_record(r, r.conn - base))
-                    .collect(),
+                unit: run.unit_idxs[slot],
+                objects: unit_app.objects.clone(),
+                page_load: unit_app.page_load_time,
+                requests,
                 ooo_us_per_conn: (base..base + n)
                     .map(|c| {
                         world.recorder.ooo_delays_us_per_conn.get(c).cloned().unwrap_or_default()

@@ -15,8 +15,7 @@
 //! the recorder's OOO-delay trace off (it appends one entry per delivered
 //! segment by design).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod support;
 
 use ecf_core::SchedulerKind;
 use experiments::{browse_coupled_population, CoupledRun, SweepOptions};
@@ -24,28 +23,8 @@ use mptcp::RecorderConfig;
 use simnet::Time;
 use webload::PageModel;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+static COUNTER: support::CountingAlloc = support::CountingAlloc;
 
 #[test]
 fn steady_state_lockstep_loop_allocates_nothing() {
@@ -53,13 +32,22 @@ fn steady_state_lockstep_loop_allocates_nothing() {
     // shared 50 Mbps bottleneck. One giant fixed-size object per unit
     // keeps both engines in full flight well past t = 30 s, so the
     // measurement window sees only the hot loop: every request (the sole
-    // per-request allocation) is issued during warm-up.
+    // per-request allocation) is issued during warm-up. The connections
+    // are window-limited (64-segment meta buffers) so that every
+    // occupancy-sized ring reaches its high-water mark inside the warm-up
+    // too — the last doubling lands at t = 6 s; the 1 Mbps WiFi leg opens
+    // slowly, and at 128 segments it is still doubling at t = 16 s.
+    // `tests/alloc.rs` bounds what an opening window may allocate.
     let mut pop = browse_coupled_population(3, 2, 1, 1.0, 50.0, SchedulerKind::Ecf);
     pop.recorder = RecorderConfig { ooo_delays: false, ..RecorderConfig::default() };
     pop.horizon = Time::from_secs(40);
     for (u, unit) in pop.units.iter_mut().enumerate() {
         unit.page =
             PageModel::lognormal(3 ^ u as u64, 1, 2e8, 0.0, 200_000_000, 200_000_000);
+        for conn in &mut unit.conns {
+            conn.cfg.sndbuf_segs = 64;
+            conn.cfg.rwnd_segs = 64;
+        }
     }
 
     let mut run = CoupledRun::new(
@@ -71,14 +59,14 @@ fn steady_state_lockstep_loop_allocates_nothing() {
     while run.now() < Time::from_secs(10) {
         assert!(run.step(), "run drained during warm-up; workload mis-sized");
     }
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = support::snapshot().0;
     let events_before = run.events_total();
 
     while run.now() < Time::from_secs(30) {
         assert!(run.step(), "run drained mid-measurement; workload mis-sized");
     }
 
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let allocs = support::snapshot().0 - allocs_before;
     let events = run.events_total() - events_before;
     assert!(
         events > 20_000,

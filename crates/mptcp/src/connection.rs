@@ -120,8 +120,7 @@ impl Connection {
     ) -> Self {
         assert!(!subflow_paths.is_empty(), "a connection needs at least one subflow");
         // A subflow can never hold more unacked segments than the meta
-        // buffers admit outstanding; reserving that bound up front keeps the
-        // inflight deque from ever reallocating mid-run.
+        // buffers admit outstanding.
         let inflight_cap = cfg.sndbuf_segs.min(cfg.rwnd_segs) as usize;
         let subflows = subflow_paths
             .iter()

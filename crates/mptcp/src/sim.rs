@@ -313,10 +313,8 @@ impl World {
             conns,
             recorder,
             path_up: vec![true; n_paths],
-            // A window's worth of MSS packets fits comfortably in 512
-            // slots; pre-sizing keeps the steady state reallocation-free.
-            fwd_inflight: (0..n_paths).map(|_| DeliveryQueue::with_capacity(512)).collect(),
-            rev_inflight: (0..n_paths).map(|_| DeliveryQueue::with_capacity(512)).collect(),
+            fwd_inflight: (0..n_paths).map(|_| DeliveryQueue::new()).collect(),
+            rev_inflight: (0..n_paths).map(|_| DeliveryQueue::new()).collect(),
             controls: cfg.scenario.compile(),
             plan_buf: Vec::with_capacity(64),
             delivered_buf: Vec::with_capacity(64),

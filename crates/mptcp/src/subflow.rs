@@ -16,6 +16,8 @@ use crate::segment::{AckInfo, InflightSeg, Segment};
 
 /// Duplicate ACKs that trigger fast retransmit.
 const DUPACK_THRESHOLD: u32 = 3;
+/// Initial slots of the inflight deque; it doubles to its high-water mark.
+const INFLIGHT_INIT: usize = 16;
 
 /// Lifetime counters for one subflow.
 #[derive(Debug, Clone, Copy, Default)]
@@ -79,8 +81,9 @@ impl Subflow {
     /// Create a subflow on `path`. `handshake_rtt` seeds the RTT estimator,
     /// standing in for the SYN/SYN-ACK measurement a real connection gets.
     /// `inflight_cap` is the most unacked segments the connection's meta
-    /// buffers will ever let this subflow hold — reserved up front so the
-    /// inflight deque never grows on the hot path.
+    /// buffers will ever let this subflow hold; it caps the inflight deque's
+    /// *initial* capacity only — a ring cycles through every slot it owns,
+    /// so reserving the bound would keep all of it resident (DESIGN.md §9).
     pub fn new(path: usize, tcp: TcpConfig, handshake_rtt: Duration, inflight_cap: usize) -> Self {
         let mut cc = TcpCc::new(tcp);
         cc.rtt.on_sample(handshake_rtt);
@@ -89,7 +92,7 @@ impl Subflow {
             cc,
             next_ssn: 0,
             snd_una: 0,
-            inflight: VecDeque::with_capacity(inflight_cap),
+            inflight: VecDeque::with_capacity(inflight_cap.min(INFLIGHT_INIT)),
             dupacks: 0,
             recovery_high: None,
             rto_deadline: Time::MAX,

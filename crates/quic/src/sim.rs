@@ -201,8 +201,8 @@ impl QuicWorld {
             receiver: QuicReceiver::new(cfg.conn.rwnd_chunks),
             recorder: Recorder::new(cfg.recorder, &[n_paths]),
             path_up: vec![true; n_paths],
-            fwd_inflight: (0..n_paths).map(|_| DeliveryQueue::with_capacity(512)).collect(),
-            rev_inflight: (0..n_paths).map(|_| DeliveryQueue::with_capacity(512)).collect(),
+            fwd_inflight: (0..n_paths).map(|_| DeliveryQueue::new()).collect(),
+            rev_inflight: (0..n_paths).map(|_| DeliveryQueue::new()).collect(),
             controls: cfg.scenario.compile(),
             plan_buf: Vec::with_capacity(64),
             delivered_buf: Vec::with_capacity(64),

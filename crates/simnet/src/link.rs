@@ -117,6 +117,8 @@ pub struct LinkStats {
     pub dropped_random: u64,
 }
 
+/// Initial slots of `Link::in_queue`; it doubles to its high-water mark.
+const QUEUE_INIT: usize = 16;
 /// Fractional bits of the serialization reciprocal (Q32 fixed point).
 const RECIP_SHIFT: u32 = 32;
 /// Nanoseconds of serialization per byte, numerator: 8 bits × 1e9 ns.
@@ -192,17 +194,10 @@ impl Link {
             LossModel::None
         };
         let deterministic = loss.is_none() && cfg.jitter_max == Duration::ZERO;
-        // Reserve the droptail bound up front (in full-size ~1448 B packets,
-        // capped for the generous reverse-path queues) so steady-state
-        // enqueues never grow the deque: the drop check keeps occupancy under
-        // `queue_limit_bytes`, so this capacity is never exceeded by MSS
-        // traffic, and sub-MSS traffic rides line-rate links that drain too
-        // fast to build comparable depth.
-        let queue_cap = (cfg.queue_limit_bytes / 1448).clamp(64, 16_384) as usize;
         Link {
             cfg,
             busy_until: Time::ZERO,
-            in_queue: VecDeque::with_capacity(queue_cap),
+            in_queue: VecDeque::with_capacity(QUEUE_INIT),
             queued_bytes: 0,
             last_arrival: Time::ZERO,
             recip_q32,

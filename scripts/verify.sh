@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Standard pre-PR gate: the tier-1 verify plus lint, a smoke run of every
-# bench harness, and a shape-check of the machine-readable bench output —
-# all fully offline (the hermetic-build policy in DESIGN.md — no crates.io
+# bench harness, a shape-check of the machine-readable bench output, the
+# experiment smokes and the benchmark of record's quick bodies — all fully
+# offline (the hermetic-build policy in DESIGN.md — no crates.io
 # dependency anywhere, so --offline must always succeed).
 #
 # Usage: scripts/verify.sh
@@ -237,5 +238,13 @@ grep -q "0 misses (0 invalid), executed 0" "$warm_err" \
 cmp -s "$cold_out" "$warm_out" \
     || { echo "verify.sh: warm matrix output differs from cold run" >&2; exit 1; }
 echo "verify.sh: matrix smoke ok (warm run: 100% hits, output unchanged)"
+
+echo "== benchmark of record: quick bodies (digests, completeness, cross-mode equality) =="
+# Seconds, not a measurement: each workload's quick body must reproduce its
+# digest pinned in benchmark/expected.json, complete every cell/unit/page,
+# and agree across modes (sharded == one engine, coupled == its monolith);
+# the harness exits non-zero otherwise. An engine change that moves a
+# benchmark digest therefore fails here, before the driver finds it.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --quick > /dev/null
 
 echo "verify.sh: all green"
