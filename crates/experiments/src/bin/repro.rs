@@ -36,89 +36,127 @@ use std::io::Write;
 use experiments::{find, registry, run_traced, Effort};
 use scenario::Scenario;
 
+const USAGE: &str = "usage: repro <id>|all|list [--quick] [--no-save] \
+| repro matrix <spec.json> [--quick] [--no-save] [--force] [--dry-run] [--cache-dir DIR] \
+| repro sweep [--coupled] [--quick] [--units N] [--shards N] [--workers N] [--seed N] \
+| repro --trace <out.jsonl> [--quick] [--scenario dyn.json] [--seed N]";
+
+const SWITCHES: [&str; 5] = ["--quick", "--no-save", "--force", "--dry-run", "--coupled"];
+const VALUED: [&str; 7] =
+    ["--trace", "--scenario", "--seed", "--cache-dir", "--units", "--shards", "--workers"];
+
+/// The command line, split once: a value-taking flag consumes the word after
+/// it, so what remains in `words` is the target followed by its operand.
+#[derive(Debug, Default)]
+struct Cli {
+    words: Vec<String>,
+    switches: Vec<String>,
+    values: Vec<(String, String)>,
+}
+
+impl Cli {
+    fn parse(args: &[String]) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if VALUED.contains(&arg.as_str()) {
+                match it.next().filter(|v| !v.starts_with("--")) {
+                    Some(v) => cli.values.push((arg.clone(), v.clone())),
+                    None => return Err(format!("{arg} needs a value")),
+                }
+            } else if SWITCHES.contains(&arg.as_str()) {
+                cli.switches.push(arg.clone());
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown flag '{arg}'"));
+            } else {
+                cli.words.push(arg.clone());
+            }
+        }
+        let matrix = cli.target() == Some("matrix");
+        if matrix && cli.words.len() < 2 {
+            return Err("matrix needs a spec file".to_string());
+        }
+        match cli.words.get(1 + usize::from(matrix)) {
+            Some(extra) => Err(format!("unexpected argument '{extra}'")),
+            None => Ok(cli),
+        }
+    }
+
+    fn target(&self) -> Option<&str> {
+        self.words.first().map(String::as_str)
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.iter().any(|s| s == switch)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values.iter().find(|(f, _)| f == flag).map(|(_, v)| v.as_str())
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let save = !args.iter().any(|a| a == "--no-save");
+    let cli = Cli::parse(&args).unwrap_or_else(|err| {
+        eprintln!("{err}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let quick = cli.has("--quick");
+    let save = !cli.has("--no-save");
     let effort = if quick { Effort::Quick } else { Effort::Full };
 
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter().position(|a| a == name).map(|i| {
-            args.get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .unwrap_or_else(|| {
-                    eprintln!("{name} needs a value");
-                    std::process::exit(2);
-                })
-                .clone()
+    let num = |name: &str, default: usize| -> usize {
+        cli.value(name).map_or(default, |s| {
+            s.parse().unwrap_or_else(|_| {
+                eprintln!("{name} needs an integer, got '{s}'");
+                std::process::exit(2);
+            })
         })
     };
 
-    if let Some(trace_path) = flag_value("--trace") {
-        let scenario = flag_value("--scenario").map(|file| {
-            Scenario::from_json_file(&file).unwrap_or_else(|err| {
+    if let Some(trace_path) = cli.value("--trace") {
+        let scenario = cli.value("--scenario").map(|file| {
+            Scenario::from_json_file(file).unwrap_or_else(|err| {
                 eprintln!("bad scenario: {err}");
                 std::process::exit(2);
             })
         });
-        let seed = flag_value("--seed").map_or(1, |s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("--seed needs an integer, got '{s}'");
-                std::process::exit(2);
-            })
-        });
-        run_trace(&trace_path, effort, scenario, seed);
+        run_trace(trace_path, effort, scenario, num("--seed", 1) as u64);
         return;
     }
 
-    let target = args.iter().find(|a| !a.starts_with("--")).cloned();
+    let target = cli.target();
 
-    if target.as_deref() == Some("matrix") {
-        let spec_path = args
-            .iter()
-            .skip_while(|a| a.as_str() != "matrix")
-            .skip(1)
-            .find(|a| !a.starts_with("--"))
-            .unwrap_or_else(|| {
-                eprintln!("usage: repro matrix <spec.json> [--quick] [--force] [--dry-run]");
-                std::process::exit(2);
-            });
+    if target == Some("matrix") {
+        let spec_path = &cli.words[1];
         let mut opts = experiments::MatrixOptions::new(
-            flag_value("--cache-dir").unwrap_or_else(|| ".expcache".to_string()),
+            cli.value("--cache-dir").unwrap_or(".expcache"),
         );
         opts.effort = effort;
-        opts.force = args.iter().any(|a| a == "--force");
-        opts.dry_run = args.iter().any(|a| a == "--dry-run");
+        opts.force = cli.has("--force");
+        opts.dry_run = cli.has("--dry-run");
         run_matrix_cmd(spec_path, opts, save);
         return;
     }
 
-    if target.as_deref() == Some("sweep") {
-        let num = |name: &str, default: usize| -> usize {
-            flag_value(name).map_or(default, |s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("{name} needs an integer, got '{s}'");
-                    std::process::exit(2);
-                })
-            })
-        };
+    if target == Some("sweep") {
         run_sweep_cmd(
             num("--units", if quick { 20 } else { 167 }),
             num("--shards", 0),
-            flag_value("--workers").map(|_| num("--workers", 1)).filter(|&w| w > 0),
+            cli.value("--workers").map(|_| num("--workers", 1)).filter(|&w| w > 0),
             num("--seed", 1) as u64,
-            args.iter().any(|a| a == "--coupled"),
+            cli.has("--coupled"),
         );
         return;
     }
 
-    match target.as_deref() {
+    match target {
         None | Some("list") => {
             println!("available experiments:\n");
             for e in registry() {
                 println!("  {:<22} {}", e.id, e.title);
             }
-            println!("\nusage: repro <id>|all [--quick] | repro --trace <out.jsonl>");
+            println!("\n{USAGE}");
         }
         Some("all") => {
             // Dedup aliases (fig7/fig10 etc. share a generator).
@@ -212,7 +250,7 @@ fn run_sweep_cmd(
     // Always enabled: the wheel flushes its fast-forward / batching
     // counters into this handle at testbed teardown, and seeing them is
     // half the point of this command. The ring-emit overhead taints the
-    // events/s line slightly; BENCH.json is the perf source of truth.
+    // events/s line slightly.
     let tel = telemetry::TelemetryHandle::enabled();
     let started = std::time::Instant::now();
     let report = run_sweep(&pop, &SweepOptions { max_shards, workers, telemetry: tel.clone() });
@@ -269,4 +307,50 @@ fn run_trace(path: &str, effort: Effort, scenario: Option<Scenario>, seed: u64) 
         t.captured,
         started.elapsed().as_secs_f64()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Cli;
+
+    fn parse(line: &str) -> Result<Cli, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Cli::parse(&args)
+    }
+
+    #[test]
+    fn flag_values_are_not_positionals() {
+        let cli = parse("matrix --cache-dir /tmp/c specs/smoke.json").unwrap();
+        assert_eq!(cli.words, ["matrix", "specs/smoke.json"]);
+        assert_eq!(cli.value("--cache-dir"), Some("/tmp/c"));
+
+        let cli = parse("--seed 5 sweep --quick").unwrap();
+        assert_eq!(cli.target(), Some("sweep"));
+        assert_eq!(cli.value("--seed"), Some("5"));
+        assert!(cli.has("--quick"));
+    }
+
+    #[test]
+    fn unknown_flags_missing_values_and_extra_words_are_errors() {
+        assert_eq!(parse("fig9 --quik").unwrap_err(), "unknown flag '--quik'");
+        assert_eq!(parse("sweep --units").unwrap_err(), "--units needs a value");
+        assert_eq!(parse("--trace --quick").unwrap_err(), "--trace needs a value");
+        assert_eq!(parse("fig9 fig5").unwrap_err(), "unexpected argument 'fig5'");
+        assert_eq!(parse("matrix --quick").unwrap_err(), "matrix needs a spec file");
+    }
+
+    #[test]
+    fn every_documented_form_parses() {
+        for line in [
+            "",
+            "fig9 --quick --no-save",
+            "all --quick --no-save",
+            "list",
+            "matrix spec.json --quick --no-save --force --dry-run --cache-dir DIR",
+            "sweep --coupled --units 9 --shards 3 --workers 2 --seed 7",
+            "--trace out.jsonl --quick --scenario dyn.json --seed 3",
+        ] {
+            parse(line).unwrap_or_else(|err| panic!("`repro {line}`: {err}"));
+        }
+    }
 }

@@ -443,7 +443,7 @@ fn median_us(mut v: Vec<u64>) -> u64 {
 }
 
 /// Engine-group count measured in the `coupled_browse` experiment and the
-/// `sharded/browse_coupled` bench. Groups this coarse amortize the
+/// benchmark's `browse_coupled` workload. Groups this coarse amortize the
 /// per-window barrier (one `run_until` entry per group per round) while
 /// each group's working set stays cache-resident; per-unit groups
 /// (`max_shards = 0`) pay the barrier ~200× as often for the same events.

@@ -48,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod delivery;
 mod engine;
 mod link;
@@ -57,7 +56,6 @@ mod path;
 mod time;
 mod wheel;
 
-pub use arena::{Arena, ArenaIdx};
 pub use delivery::DeliveryQueue;
 pub use engine::{Engine, Model, RunOutcome};
 pub use wheel::EventQueue;

@@ -1,16 +1,14 @@
 //! Minimal JSON reader plus a canonical writer.
 //!
-//! Just enough of RFC 8259 to validate and inspect the machine-readable
-//! benchmark results (`BENCH.json`) and experiment-matrix artifacts
-//! without a registry dependency: the full value grammar is parsed
-//! (objects, arrays, strings with escapes, numbers, booleans, null),
-//! numbers are read as `f64`, and trailing garbage after the document is
-//! an error. [`canonical`] is the inverse direction: a deterministic
+//! Just enough of RFC 8259 to load experiment specs and scenarios and to
+//! inspect experiment-matrix artifacts without a registry dependency: the
+//! full value grammar is parsed (objects, arrays, strings with escapes,
+//! numbers, booleans, null), numbers are read as `f64`, and trailing garbage
+//! after the document is an error. [`canonical`] is the inverse direction: a deterministic
 //! serialization (sorted keys, no whitespace, shortest round-tripping
 //! number form) such that any two documents that parse to the same value
 //! serialize to the same bytes — the property the experiment matrix's
-//! content-addressed cache keys rely on. The human-facing writer side for
-//! benches lives in [`crate::bench::write_json_results`].
+//! content-addressed cache keys rely on.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -1,0 +1,81 @@
+#!/usr/bin/env bash
+# Paired A/B of two committed revisions on the benchmark of record: export
+# and build each one's benchmark/ in a temp dir, run N pairs in the
+# BENCHMARK.json driver form (one seed per pair, first side alternating) and
+# print, per workload x end-to-end metric, both medians, the delta, how many
+# pairs <rev-b> won and <rev-a>'s inter-quartile range. `resolved` needs
+# >= 10 pairs, one side winning >= 9/10 of them and a median gap wider than
+# that IQR; `equal` means every pair tied (simulated-time metrics);
+# everything else is `unresolved` — the box drifts 10-20 % in 10-60 s
+# phases. Exits non-zero if any run is incorrect or has failures. Writes
+# nothing into the repo. 2 x N x workloads x ~27 s (~36 min at defaults).
+#
+# Usage: scripts/ab.sh <rev-a> <rev-b> [--pairs N] [--workload W]...
+set -euo pipefail
+cd "$(dirname "$0")/.."
+usage() { echo "usage: scripts/ab.sh <rev-a> <rev-b> [--pairs N] [--workload W]..." >&2; exit 2; }
+[ $# -ge 2 ] || usage
+revs=("$1" "$2"); shift 2
+pairs=10 workloads=""
+while [ $# -gt 0 ]; do
+    case "$1" in
+        --pairs) pairs="${2:?--pairs needs a number}"; shift 2 ;;
+        --workload) workloads+=" ${2:?--workload needs a name}"; shift 2 ;;
+        *) usage ;;
+    esac
+done
+
+tmp="$(mktemp -d /tmp/ab.XXXXXX)"
+trap 'rm -rf "$tmp"' EXIT
+for i in 0 1; do
+    mkdir "$tmp/src$i"
+    git archive "${revs[$i]}" | tar -x -C "$tmp/src$i"
+    (cd "$tmp/src$i" && cargo build --release --offline --manifest-path benchmark/Cargo.toml)
+    cp "$tmp/src$i/benchmark/target/release/benchmark" "$tmp/bench$i"
+done
+
+python3 - "$tmp" "$pairs" $workloads <<'PY'
+import json, statistics, subprocess, sys
+tmp, pairs, names = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+spec = json.load(open("BENCHMARK.json"))
+names = names or [w["name"] for w in spec["workloads"]]
+verb = spec["command"][spec["command"].index("--") + 1:]
+got = {}  # (workload, metric) -> ([a values], [b values])
+bad = False
+for w in names:
+    for pair in range(pairs):
+        for side in ((0, 1), (1, 0))[pair % 2]:
+            print(f"ab.sh: {w} pair {pair + 1}/{pairs} side {'ab'[side]}", file=sys.stderr)
+            out = subprocess.run(
+                [f"{tmp}/bench{side}", *verb, "--workload", w, "--seed", str(101 + pair),
+                 "--seconds", str(spec["run_seconds"])],
+                cwd=tmp, stdout=subprocess.PIPE, text=True).stdout
+            res = json.loads(out.splitlines()[-1])
+            if not res["correct"] or res["failed"] > 0:
+                print(f"ab.sh: BAD RUN {w} side {'ab'[side]}: correct={res['correct']} "
+                      f"failed={res['failed']}/{res['attempted']}", file=sys.stderr)
+                bad = True
+            for m in spec["end_to_end"]:
+                got.setdefault((w, m["name"]), ([], []))[side].append(
+                    res["metrics"][m["name"]]["value"])
+lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+print(f"{'workload':<15} {'metric':<13} {'median a':>12} {'median b':>12} {'delta':>8} "
+      f"{'b wins':>7} {'IQR a':>10}  verdict")
+for (w, m), (a, b) in got.items():
+    med_a, med_b = statistics.median(a), statistics.median(b)
+    q = statistics.quantiles(a, n=4) if len(a) > 1 else [med_a] * 3
+    iqr = q[2] - q[0]
+    wins = sum((y < x) if lower[m] else (y > x) for x, y in zip(a, b))
+    ties = sum(x == y for x, y in zip(a, b))
+    if ties == pairs:
+        verdict = "equal"
+    elif (pairs >= 10 and max(wins, pairs - ties - wins) >= 0.9 * pairs
+          and abs(med_b - med_a) > iqr):
+        verdict = "resolved"
+    else:
+        verdict = "unresolved"
+    delta = (med_b - med_a) / med_a * 100 if med_a else 0.0
+    print(f"{w:<15} {m:<13} {med_a:>12.6g} {med_b:>12.6g} {delta:>+7.1f}% "
+          f"{wins:>4}/{pairs:<2} {iqr:>10.3g}  {verdict}")
+sys.exit(1 if bad else 0)
+PY

@@ -1,5 +1,5 @@
-//! Smoke tests over the experiment harness: every registry entry resolves,
-//! and the cheap reports generate with their expected structure.
+//! Smoke tests over the experiment harness: every registry entry resolves
+//! and runs, and the cheap reports generate with their expected structure.
 
 use experiments::{find, registry, Effort};
 
@@ -12,6 +12,18 @@ fn registry_is_complete_and_unique() {
     let before = ids.len();
     ids.dedup();
     assert_eq!(before, ids.len(), "duplicate experiment ids");
+}
+
+#[test]
+fn every_registered_experiment_runs_at_quick_effort() {
+    // Aliases (fig7/fig10 etc.) share a generator; run each once.
+    let mut seen = std::collections::HashSet::new();
+    for e in registry() {
+        if seen.insert(e.run as usize) {
+            let report = (e.run)(Effort::Quick);
+            assert!(!report.trim().is_empty(), "{} produced an empty report", e.id);
+        }
+    }
 }
 
 #[test]
