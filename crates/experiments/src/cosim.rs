@@ -392,13 +392,16 @@ impl CoupledRun {
         let mut units: Vec<Option<UnitReport>> = (0..self.n_units).map(|_| None).collect();
         let mut shard_events = Vec::with_capacity(self.groups.len());
         let mut shard_wall_ns = Vec::with_capacity(self.groups.len());
-        for g in &self.groups {
-            shard_events.push(g.run.tb.events_processed());
+        // Each group's engine is freed as soon as its reports are out, so
+        // the merge peaks at the reports plus one group, not plus all.
+        for g in std::mem::take(&mut self.groups) {
+            let (out, queue) = extract_reports(g.run);
+            shard_events.push(out.events);
             shard_wall_ns.push(g.wall_ns);
             // Group engines carry shard-local telemetry (off); their wheel
             // diagnostics surface through the sweep-level handle here.
-            flush_wheel_stats(&self.telemetry, g.run.tb.queue());
-            for r in extract_reports(&g.run) {
+            flush_wheel_stats(&self.telemetry, &queue);
+            for r in out.reports {
                 let slot = r.unit;
                 assert!(units[slot].is_none(), "unit {slot} reported twice");
                 units[slot] = Some(r);

@@ -33,7 +33,9 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use ecf_core::SchedulerKind;
-use mptcp::{ConnConfig, ConnSpec, Event, RecorderConfig, RequestRecord, Testbed, TestbedConfig};
+use mptcp::{
+    ConnConfig, ConnSpec, Event, PerSub, RecorderConfig, RequestRecord, Testbed, TestbedConfig,
+};
 use scenario::Scenario;
 use simnet::{EventQueue, PathConfig, Time};
 use telemetry::{Counter, TelemetryHandle};
@@ -331,13 +333,13 @@ pub struct ReqSummary {
     /// Completion, if delivered in order.
     pub completed: Option<Time>,
     /// Per subflow: last data arrival for this response.
-    pub last_arrival_per_sub: Vec<Option<Time>>,
+    pub last_arrival_per_sub: PerSub<Option<Time>>,
     /// Per subflow: data segments of this response that arrived on it.
-    pub arrivals_per_sub: Vec<u64>,
+    pub arrivals_per_sub: PerSub<u64>,
 }
 
 impl ReqSummary {
-    fn from_record(r: &RequestRecord, conn_local: usize) -> Self {
+    fn from_record(r: RequestRecord, conn_local: usize) -> Self {
         ReqSummary {
             conn: conn_local,
             bytes: r.bytes,
@@ -347,8 +349,8 @@ impl ReqSummary {
             issued: r.issued,
             server_arrival: r.server_arrival,
             completed: r.completed,
-            last_arrival_per_sub: r.last_arrival_per_sub.clone(),
-            arrivals_per_sub: r.arrivals_per_sub.clone(),
+            last_arrival_per_sub: r.last_arrival_per_sub,
+            arrivals_per_sub: r.arrivals_per_sub,
         }
     }
 }
@@ -465,9 +467,9 @@ impl mptcp::Application for PopulationApp {
 // ---------------------------------------------------------------------------
 
 /// What one shard run produced.
-struct ShardOutcome {
-    reports: Vec<UnitReport>,
-    events: u64,
+pub(crate) struct ShardOutcome {
+    pub(crate) reports: Vec<UnitReport>,
+    pub(crate) events: u64,
 }
 
 /// One shard's engine plus the metadata needed to extract per-unit
@@ -559,37 +561,62 @@ pub(crate) fn build_shard(
     ShardRun { tb, unit_idxs: unit_idxs.to_vec(), conn_ranges, globals }
 }
 
-/// Extract per-unit reports from a (finished) shard engine.
-pub(crate) fn extract_reports(run: &ShardRun) -> Vec<UnitReport> {
-    let world = run.tb.world();
-    let app = run.tb.app();
+/// Tear a (finished) shard down into its per-unit reports, event count and
+/// recyclable queue. Everything a report holds is *moved* out of the engine
+/// — request vectors, OOO pools, object records — and the engine is dropped
+/// here, so a run's results never exist twice and a merge over many shards
+/// holds one dead engine at a time, not all of them.
+pub(crate) fn extract_reports(mut run: ShardRun) -> (ShardOutcome, EventQueue<Event>) {
+    let events = run.tb.events_processed();
+    let rec = &mut run.tb.world_mut().recorder;
+    let records = std::mem::take(&mut rec.requests);
+    let mut pools = std::mem::take(&mut rec.ooo_delays_us_per_conn);
+    let PopulationApp { units, owner } = run.tb.app_mut();
+
     // One pass over the recorder (ReqId order), each request filed under
     // the unit owning its connection: every bucket keeps the order a
     // per-unit filter would give, at O(requests) not O(units × requests).
-    let mut requests = vec![Vec::new(); run.unit_idxs.len()];
-    for r in &world.recorder.requests {
-        let slot = app.owner[r.conn];
-        requests[slot].push(ReqSummary::from_record(r, r.conn - run.conn_ranges[slot].0));
+    // Counted first, so each bucket is allocated once at its exact size.
+    let mut counts = vec![0usize; run.unit_idxs.len()];
+    for r in &records {
+        counts[owner[r.conn]] += 1;
     }
-    requests
+    let mut requests: Vec<Vec<ReqSummary>> =
+        counts.into_iter().map(Vec::with_capacity).collect();
+    for r in records {
+        let slot = owner[r.conn];
+        let conn_local = r.conn - run.conn_ranges[slot].0;
+        requests[slot].push(ReqSummary::from_record(r, conn_local));
+    }
+
+    // Each pool is moved out from under its connection's own index, so a
+    // unit gets its connections' samples whatever order units come in. A
+    // recorder without per-connection pools yields empty ones.
+    let reports = requests
         .into_iter()
         .enumerate()
         .map(|(slot, requests)| {
-            let (base, n) = run.conn_ranges[slot];
-            let unit_app = &app.units[slot];
+            let unit_app = &mut units[slot];
             UnitReport {
                 unit: run.unit_idxs[slot],
-                objects: unit_app.objects.clone(),
+                objects: std::mem::take(&mut unit_app.objects),
                 page_load: unit_app.page_load_time,
                 requests,
-                ooo_us_per_conn: (base..base + n)
-                    .map(|c| {
-                        world.recorder.ooo_delays_us_per_conn.get(c).cloned().unwrap_or_default()
-                    })
-                    .collect(),
+                ooo_us_per_conn: {
+                    let (base, n) = run.conn_ranges[slot];
+                    (base..base + n)
+                        .map(|c| {
+                            let mut pool =
+                                pools.get_mut(c).map(std::mem::take).unwrap_or_default();
+                            pool.shrink_to_fit();
+                            pool
+                        })
+                        .collect()
+                },
             }
         })
-        .collect()
+        .collect();
+    (ShardOutcome { reports, events }, run.tb.into_queue())
 }
 
 /// Run the units in `unit_idxs` (ascending global indices) as one engine,
@@ -601,9 +628,7 @@ fn run_shard(
 ) -> (ShardOutcome, EventQueue<Event>) {
     let mut run = build_shard(pop, unit_idxs, queue);
     run.tb.run_until(pop.horizon);
-    let reports = extract_reports(&run);
-    let events = run.tb.events_processed();
-    (ShardOutcome { reports, events }, run.tb.into_queue())
+    extract_reports(run)
 }
 
 // ---------------------------------------------------------------------------
@@ -863,6 +888,26 @@ mod tests {
         // Every unit finished its page inside the horizon.
         assert!(mono.units.iter().all(|u| u.page_load.is_some()));
         assert!(!mono.units.is_empty());
+    }
+
+    #[test]
+    fn report_vectors_are_exact_sized() {
+        let pop = tiny_pop(5, 3);
+        let report = run_sweep(&pop, &SweepOptions { max_shards: 2, ..Default::default() });
+        for u in &report.units {
+            assert_eq!(u.requests.len(), 8);
+            assert_eq!(u.requests.capacity(), u.requests.len(), "unit {}", u.unit);
+            assert_eq!(u.objects.capacity(), u.objects.len(), "unit {}", u.unit);
+            assert_eq!(u.ooo_us_per_conn.len(), 2);
+            for pool in &u.ooo_us_per_conn {
+                assert!(!pool.is_empty());
+                assert_eq!(pool.capacity(), pool.len(), "unit {}", u.unit);
+            }
+        }
+        // No wider than the two-`Vec` layout it replaces plus its two
+        // malloc chunks (128 + 48 + 32 B), with nothing on the heap for up
+        // to two subflows.
+        assert!(std::mem::size_of::<ReqSummary>() <= 208);
     }
 
     #[test]

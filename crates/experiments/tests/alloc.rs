@@ -22,6 +22,20 @@
 //!
 //! A per-event allocation anywhere in the loop fails both.
 //!
+//! * **handover** — the same window-limited download with the LTE path
+//!   blacked out for a second every ten: two outages inside the warm-up
+//!   (the reinjection queue grows to its working set there), seven inside
+//!   the measured window. Taking a subflow down and up, reinjecting its
+//!   unacknowledged data and recovering through RTOs must allocate nothing
+//!   either — `World::on_path_state` once collected a `Vec` per connection
+//!   per path event, `Connection::on_subflow_down` one per outage.
+//!
+//! * **four subflows** — the Fig 15 shape (two subflows per interface, each
+//!   path at half rate), past the two entries `mptcp::PerSub` holds inline.
+//!   Per-subflow state lives on the heap there, but it is sized at
+//!   construction: coupled congestion avoidance overwrites its `CcView`
+//!   scratch in place and must not collect a fresh one per ACK.
+//!
 //! The recorder's OOO-delay trace is switched off: it appends one entry per
 //! delivered segment by design (a measurement buffer, not hot-loop state),
 //! which is exactly the kind of unbounded growth this audit must exclude.
@@ -29,7 +43,8 @@
 mod support;
 
 use mptcp::{RecorderConfig, Testbed, TestbedConfig};
-use simnet::Time;
+use scenario::Scenario;
+use simnet::{PathConfig, Time};
 use webload::WgetApp;
 
 #[global_allocator]
@@ -131,5 +146,35 @@ fn steady_state_deliver_loop_allocates_nothing() {
         warm_allocs < cold_allocs,
         "recycled-queue run allocated {warm_allocs} times, \
          not cheaper than the cold run's {cold_allocs}"
+    );
+
+    // Handover: LTE (path 1) down during [3, 4), [6, 7), then [13, 14),
+    // [23, 24), ... [73, 74) — the first two inside the warm-up.
+    let (mut cfg, app) = wget(128);
+    cfg.scenario = [3, 6, 13, 23, 33, 43, 53, 63, 73].into_iter().fold(Scenario::new(), |s, t| {
+        s.outage(1, Time::from_secs(t), Time::from_secs(t + 1))
+    });
+    let mut tb = Testbed::new(cfg, app);
+    assert_steady_state_allocates_nothing(&mut tb, "handover run");
+    let reinjected: u64 =
+        tb.world().sender(0).subflows.iter().map(|sf| sf.stats().reinjections).sum();
+    assert!(reinjected > 0, "handover run reinjected nothing; the outages did not bite");
+
+    // Four subflows, two per interface (Fig 15): past `PerSub`'s inline width.
+    let (mut cfg, app) = wget(128);
+    cfg.paths = vec![
+        PathConfig::wifi(4.3),
+        PathConfig::wifi(4.3),
+        PathConfig::lte(4.8),
+        PathConfig::lte(4.8),
+    ];
+    cfg.conns[0].subflow_paths = vec![0, 1, 2, 3];
+    let mut tb = Testbed::new(cfg, app);
+    assert_steady_state_allocates_nothing(&mut tb, "four-subflow run");
+    let sender = tb.world().sender(0);
+    assert_eq!(sender.subflows.len(), 4);
+    assert!(
+        sender.subflows.iter().all(|sf| sf.stats().segs_sent > 0),
+        "four-subflow run left a subflow idle"
     );
 }

@@ -11,6 +11,7 @@ use tcp_model::TcpConfig;
 use telemetry::{Counter, EventKind, TelemetryHandle};
 
 use crate::cc::{ca_increase, CcKind, CcView};
+use crate::persub::PerSub;
 use crate::segment::{AckInfo, ReqId, Segment, SubId};
 use crate::subflow::Subflow;
 use crate::transport::SchedDriver;
@@ -80,8 +81,10 @@ pub struct Connection {
     /// Scheduler invocation + decision telemetry, the transport seam shared
     /// with the quic transport (see [`crate::transport`]).
     pub driver: SchedDriver,
-    /// The subflows, index == `SubId` == `ecf_core::PathId.0`.
-    pub subflows: Vec<Subflow>,
+    /// The subflows, index == `SubId` == `ecf_core::PathId.0`. Held in
+    /// place for the two-subflow shape, so an ACK reaches congestion state
+    /// without leaving the connection's own memory.
+    pub subflows: PerSub<Subflow>,
     /// Next data sequence number to assign to a subflow.
     next_dsn: u64,
     /// End of the dsn range admitted into the send buffer.
@@ -101,8 +104,9 @@ pub struct Connection {
     /// testbed as deliveries complete.
     pub response_bounds: VecDeque<(ReqId, u64)>,
     stats: ConnStats,
-    /// Scratch for coupled-CC views (avoids an allocation per CA ACK).
-    cc_views: Vec<CcView>,
+    /// Scratch for coupled-CC views, one per subflow: sized once here and
+    /// overwritten in place, so a CA ACK allocates nothing at any width.
+    cc_views: PerSub<CcView>,
     /// Telemetry sink for lifecycle events (off by default; see
     /// [`Connection::set_telemetry`]). Decision events ride `driver`.
     tel: TelemetryHandle,
@@ -139,7 +143,7 @@ impl Connection {
             last_reinject: None,
             response_bounds: VecDeque::new(),
             stats: ConnStats::default(),
-            cc_views: Vec::with_capacity(subflow_paths.len()),
+            cc_views: PerSub::from_elem(CcView { cwnd: 0.0, srtt: 0.0 }, subflow_paths.len()),
             tel: TelemetryHandle::off(),
             tel_conn: 0,
         }
@@ -245,11 +249,9 @@ impl Connection {
             if self.subflows[sub].cc.in_slow_start() {
                 self.subflows[sub].cc.on_ack_slow_start(out.newly_acked);
             } else {
-                self.cc_views.clear();
-                self.cc_views.extend(self.subflows.iter().map(|s| CcView {
-                    cwnd: s.cc.cwnd(),
-                    srtt: s.cc.rtt.srtt().as_secs_f64(),
-                }));
+                for (v, s) in self.cc_views.iter_mut().zip(self.subflows.iter()) {
+                    *v = CcView { cwnd: s.cc.cwnd(), srtt: s.cc.rtt.srtt().as_secs_f64() };
+                }
                 let inc =
                     ca_increase(self.cfg.cc, &self.cc_views, sub) * f64::from(out.newly_acked);
                 self.subflows[sub].cc.apply_ca_increase(inc);

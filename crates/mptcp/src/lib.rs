@@ -41,6 +41,7 @@
 
 mod cc;
 mod connection;
+mod persub;
 mod receiver;
 mod segment;
 mod sim;
@@ -50,6 +51,7 @@ pub mod transport;
 
 pub use cc::{ca_increase, CcKind, CcView};
 pub use connection::{ConnConfig, ConnStats, Connection, Transmission};
+pub use persub::PerSub;
 pub use receiver::{Delivered, Receiver, ReceiverStats, RxOutcome};
 pub use segment::{segs_for_bytes, AckInfo, ConnId, InflightSeg, ReqId, Segment, SubId};
 pub use sim::{Api, Application, ConnSpec, Event, Sim, Testbed, TestbedConfig, World};

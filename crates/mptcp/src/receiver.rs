@@ -21,6 +21,7 @@ use std::time::Duration;
 
 use simnet::Time;
 
+use crate::persub::PerSub;
 use crate::segment::{AckInfo, Segment, SubId};
 
 /// Per-segment delivery record produced when the in-order prefix advances.
@@ -36,10 +37,13 @@ pub struct Delivered {
 #[derive(Debug, Clone)]
 pub struct RxOutcome {
     /// The ACK to send back on the arrival subflow now, if one is due.
-    /// `None` when the ACK is delayed (RFC 1122): the caller must ensure a
-    /// delayed-ACK timer is armed and later call [`Receiver::take_delayed_ack`].
+    /// `None` when the ACK is delayed (RFC 1122) and rides the subflow's
+    /// delayed-ACK timer.
     pub ack: Option<AckInfo>,
-    /// True when a delayed-ACK timer should be armed for this subflow.
+    /// True when the caller must start a delayed-ACK timer for this subflow:
+    /// the ACK was delayed and no timer is outstanding. The receiver counts
+    /// the timer as running from here until the caller reports it fired by
+    /// calling [`Receiver::take_delayed_ack`].
     pub arm_delack: bool,
     /// Segments that became deliverable, in order.
     pub delivered: Vec<Delivered>,
@@ -196,13 +200,25 @@ impl SubBuffer {
     }
 }
 
+/// Receive state of one subflow, kept together so an arrival touches one
+/// run of memory instead of one heap chunk per field.
+#[derive(Debug, Clone, Default)]
+struct SubRx {
+    /// Next expected ssn.
+    next: u64,
+    /// Out-of-order buffer (ssn-keyed sparse ring).
+    buf: SubBuffer,
+    /// In-order segments not yet acknowledged (delayed-ACK state).
+    pending_ack: u32,
+    /// Whether the caller has a delayed-ACK timer outstanding.
+    delack_armed: bool,
+}
+
 /// The connection receiver.
 pub struct Receiver {
     rwnd_cap: u64,
-    /// Per-subflow next expected ssn.
-    sub_next: Vec<u64>,
-    /// Per-subflow out-of-order buffer (ssn-keyed sparse ring).
-    sub_buf: Vec<SubBuffer>,
+    /// Per-subflow receive state.
+    subs: PerSub<SubRx>,
     /// Total segments held across all subflow buffers, so the advertised
     /// window is O(1) to compute (it rides on every ACK).
     sub_held: u64,
@@ -210,9 +226,6 @@ pub struct Receiver {
     meta_next: u64,
     /// Meta reorder buffer (dsn → earliest arrival, keyed by offset).
     meta_buf: MetaBuffer,
-    /// Per-subflow count of in-order segments not yet acknowledged
-    /// (delayed-ACK state).
-    pending_ack: Vec<u32>,
     stats: ReceiverStats,
 }
 
@@ -222,12 +235,10 @@ impl Receiver {
     pub fn new(n_subflows: usize, rwnd_cap: u64) -> Self {
         Receiver {
             rwnd_cap,
-            sub_next: vec![0; n_subflows],
-            sub_buf: vec![SubBuffer::default(); n_subflows],
+            subs: PerSub::from_elem(SubRx::default(), n_subflows),
             sub_held: 0,
             meta_next: 0,
             meta_buf: MetaBuffer::default(),
-            pending_ack: vec![0; n_subflows],
             stats: ReceiverStats::default(),
         }
     }
@@ -243,7 +254,7 @@ impl Receiver {
     pub fn rwnd_free(&self) -> u64 {
         debug_assert_eq!(
             self.sub_held,
-            self.sub_buf.iter().map(SubBuffer::len).sum::<u64>(),
+            self.subs.iter().map(|s| s.buf.len()).sum::<u64>(),
             "sub_held out of sync with the subflow rings"
         );
         self.rwnd_cap.saturating_sub(self.meta_buf.len() + self.sub_held)
@@ -283,17 +294,18 @@ impl Receiver {
         seg: Segment,
         delivered: &mut Vec<Delivered>,
     ) -> RxSignal {
-        debug_assert!(sub < self.sub_next.len(), "unknown subflow {sub}");
+        debug_assert!(sub < self.subs.len(), "unknown subflow {sub}");
         let mut duplicate = false;
         // Out-of-order, gap-filling and duplicate segments must be
         // acknowledged immediately (they feed dupack counting and recovery);
         // only the clean in-order case may be delayed.
         let mut ack_now = true;
 
-        if seg.ssn == self.sub_next[sub] {
-            let filled_gap = !self.sub_buf[sub].is_empty();
-            self.sub_next[sub] += 1;
-            self.sub_buf[sub].advance_empty_head();
+        if seg.ssn == self.subs[sub].next {
+            let rx = &mut self.subs[sub];
+            let filled_gap = !rx.buf.is_empty();
+            rx.next += 1;
+            rx.buf.advance_empty_head();
             if seg.dsn == self.meta_next {
                 // Fast path: in order at both levels. Deliver directly,
                 // sparing the reorder buffer an insert/remove round trip.
@@ -311,21 +323,22 @@ impl Receiver {
                 duplicate |= !self.admit_meta(seg.dsn, now);
             }
             // Drain any subflow-level buffered continuation.
-            while let Some((dsn, arrival)) = self.sub_buf[sub].take_head() {
+            while let Some((dsn, arrival)) = self.subs[sub].buf.take_head() {
                 self.sub_held -= 1;
-                self.sub_next[sub] += 1;
+                self.subs[sub].next += 1;
                 self.admit_meta(dsn, arrival);
             }
             if !filled_gap && !duplicate {
-                self.pending_ack[sub] += 1;
-                ack_now = self.pending_ack[sub] >= Self::DELACK_SEGS;
+                let rx = &mut self.subs[sub];
+                rx.pending_ack += 1;
+                ack_now = rx.pending_ack >= Self::DELACK_SEGS;
             }
-        } else if seg.ssn > self.sub_next[sub] {
+        } else if seg.ssn > self.subs[sub].next {
             // Hole on this subflow (a drop): buffer and dup-ack. A second
             // copy of an already-buffered ssn keeps the first arrival, as
             // the map `or_insert` this replaces did.
-            let offset = seg.ssn - self.sub_next[sub];
-            if self.sub_buf[sub].insert(offset, seg.dsn, now) {
+            let rx = &mut self.subs[sub];
+            if rx.buf.insert(seg.ssn - rx.next, seg.dsn, now) {
                 self.sub_held += 1;
             }
         } else {
@@ -344,10 +357,13 @@ impl Receiver {
             self.stats.duplicate_segs += 1;
         }
         let (ack, arm_delack) = if ack_now {
-            self.pending_ack[sub] = 0;
+            self.subs[sub].pending_ack = 0;
             (Some(self.ack_info(sub)), false)
         } else {
-            (None, true)
+            // A timer started for an earlier segment stays outstanding even
+            // if that segment has since been acknowledged; it covers this
+            // one too.
+            (None, !std::mem::replace(&mut self.subs[sub].delack_armed, true))
         };
         RxSignal { ack, arm_delack, duplicate }
     }
@@ -355,17 +371,20 @@ impl Receiver {
     /// Current cumulative ACK for `sub`.
     fn ack_info(&self, sub: SubId) -> AckInfo {
         AckInfo {
-            sub_next_ssn: self.sub_next[sub],
+            sub_next_ssn: self.subs[sub].next,
             data_next_dsn: self.meta_next,
             rwnd_free: self.rwnd_free(),
         }
     }
 
-    /// The delayed-ACK timer for `sub` fired: emit the pending cumulative
-    /// ACK if any segments are still unacknowledged.
+    /// The delayed-ACK timer for `sub` fired (it is no longer outstanding):
+    /// emit the pending cumulative ACK if any segments are still
+    /// unacknowledged.
     pub fn take_delayed_ack(&mut self, sub: SubId) -> Option<AckInfo> {
-        if self.pending_ack[sub] > 0 {
-            self.pending_ack[sub] = 0;
+        let rx = &mut self.subs[sub];
+        rx.delack_armed = false;
+        if rx.pending_ack > 0 {
+            rx.pending_ack = 0;
             Some(self.ack_info(sub))
         } else {
             None
@@ -416,6 +435,22 @@ mod tests {
         assert_eq!(ack.sub_next_ssn, 1);
         // Nothing pending afterwards.
         assert!(rx.take_delayed_ack(0).is_none());
+    }
+
+    #[test]
+    fn one_delayed_ack_timer_outstanding_per_subflow() {
+        let mut rx = Receiver::new(2, 100);
+        assert!(rx.on_segment(Time::from_millis(0), 0, seg(0, 0)).arm_delack);
+        // The second segment is acknowledged at once; the timer started for
+        // the first keeps running and covers the third.
+        assert!(rx.on_segment(Time::from_millis(1), 0, seg(1, 1)).ack.is_some());
+        let out = rx.on_segment(Time::from_millis(2), 0, seg(2, 2));
+        assert!(out.ack.is_none() && !out.arm_delack);
+        // The other subflow has its own timer.
+        assert!(rx.on_segment(Time::from_millis(3), 1, seg(3, 0)).arm_delack);
+        // Once it fires, the next delayed ACK needs a new one.
+        assert!(rx.take_delayed_ack(0).is_some());
+        assert!(rx.on_segment(Time::from_millis(4), 0, seg(4, 3)).arm_delack);
     }
 
     #[test]

@@ -201,8 +201,6 @@ struct ConnState {
     receiver: Receiver,
     /// Path carrying requests (the primary subflow's path).
     primary_path: usize,
-    /// Per-subflow: whether a delayed-ACK timer is outstanding.
-    delack_armed: Vec<bool>,
 }
 
 /// Mutable simulation state (everything except the application).
@@ -300,7 +298,6 @@ impl World {
                     sender,
                     receiver: Receiver::new(spec.subflow_paths.len(), spec.cfg.rwnd_segs),
                     primary_path: spec.subflow_paths[0],
-                    delack_armed: vec![false; spec.subflow_paths.len()],
                 }
             })
             .collect();
@@ -544,8 +541,7 @@ impl World {
         // ACK back on the same path's reverse link (possibly delayed).
         if let Some(ack) = out.ack {
             self.send_ack(now, conn, sub, ack, q);
-        } else if out.arm_delack && !self.conns[conn].delack_armed[sub] {
-            self.conns[conn].delack_armed[sub] = true;
+        } else if out.arm_delack {
             q.schedule(
                 now + DELACK_TIMEOUT,
                 Event::DelAck { conn: conn as u32, sub: sub as u16 },
@@ -574,7 +570,6 @@ impl World {
     }
 
     fn on_delack(&mut self, now: Time, conn: ConnId, sub: SubId, q: &mut EventQueue<Event>) {
-        self.conns[conn].delack_armed[sub] = false;
         if let Some(ack) = self.conns[conn].receiver.take_delayed_ack(sub) {
             self.send_ack(now, conn, sub, ack, q);
         }
@@ -647,22 +642,12 @@ impl World {
     fn on_path_state(&mut self, now: Time, path: usize, up: bool, q: &mut EventQueue<Event>) {
         self.path_up[path] = up;
         for c in 0..self.conns.len() {
-            let subs: Vec<SubId> = self.conns[c]
-                .sender
-                .subflows
-                .iter()
-                .enumerate()
-                .filter(|(_, sf)| sf.path == path)
-                .map(|(i, _)| i)
-                .collect();
-            // Connections with no subflow on this path are untouched — no
-            // capacity of theirs changed, so they get no extra send poll.
-            // (Sharded populations rely on this: a path event is then a
-            // no-op for every unit not on the path, wherever it runs.)
-            if subs.is_empty() {
-                continue;
-            }
-            for sub in subs {
+            let mut on_path = false;
+            for sub in 0..self.conns[c].sender.subflows.len() {
+                if self.conns[c].sender.subflows[sub].path != path {
+                    continue;
+                }
+                on_path = true;
                 if up {
                     self.conns[c].sender.on_subflow_up(sub);
                     self.tel.emit(
@@ -679,7 +664,13 @@ impl World {
                 self.tel.incr(Counter::SubflowTransitions);
             }
             // Reinjections (down) or fresh capacity (up) may unblock sends.
-            self.pump_send(now, c, q);
+            // Connections with no subflow on this path are untouched — no
+            // capacity of theirs changed, so they get no extra send poll.
+            // (Sharded populations rely on this: a path event is then a
+            // no-op for every unit not on the path, wherever it runs.)
+            if on_path {
+                self.pump_send(now, c, q);
+            }
         }
     }
 
@@ -888,9 +879,9 @@ impl<A: Application> Testbed<A> {
         self.eng().queue().batch_deliveries()
     }
 
-    /// Read-only view of the event queue, for drivers that aggregate its
-    /// diagnostics across engines (the coupled sweep flushes fast-forward /
-    /// batching counters from live groups at teardown).
+    /// Read-only view of the event queue, for callers that read its
+    /// diagnostics (cascades, fast-forward and batching totals) off a live
+    /// testbed.
     pub fn queue(&self) -> &EventQueue<Event> {
         self.eng().queue()
     }
@@ -910,6 +901,12 @@ impl<A: Application> Testbed<A> {
     /// The application.
     pub fn app(&self) -> &A {
         &self.eng().model.app
+    }
+
+    /// Mutable application access, for drivers that move results out of a
+    /// finished run instead of cloning them.
+    pub fn app_mut(&mut self) -> &mut A {
+        &mut self.eng_mut().model.app
     }
 
     /// Tear the testbed down, recovering the event queue for a later

@@ -116,8 +116,8 @@ impl Subflow {
 
     /// All data sequence numbers currently unacknowledged here (drained for
     /// reinjection when the path dies).
-    pub fn inflight_dsns(&self) -> Vec<u64> {
-        self.inflight.iter().map(|s| s.seg.dsn).collect()
+    pub fn inflight_dsns(&self) -> impl Iterator<Item = u64> + '_ {
+        self.inflight.iter().map(|s| s.seg.dsn)
     }
 
     /// True while in NewReno loss recovery.

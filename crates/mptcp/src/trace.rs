@@ -8,6 +8,7 @@ use std::time::Duration;
 use metrics::TimeSeries;
 use simnet::Time;
 
+use crate::persub::PerSub;
 use crate::segment::{ConnId, ReqId, SubId};
 
 /// What to collect during a run. Per-segment OOO delays are cheap; the
@@ -25,6 +26,13 @@ pub struct RecorderConfig {
     /// how other connections interleave, so shard and monolith runs produce
     /// identical pools per connection even though the global arrival order
     /// differs.
+    ///
+    /// Exactly one of the two pools is filled: [`Recorder::ooo_delays_us`]
+    /// when this is off, [`Recorder::ooo_delays_us_per_conn`] when it is on
+    /// (a population run holds millions of samples; keeping each twice was
+    /// a tenth of its peak memory). [`Recorder::ooo_delays_secs`] serves
+    /// whichever pool the run filled; a reader of the raw fields must pick
+    /// the one this flag selects.
     pub ooo_per_conn: bool,
     /// Sampling period for the periodic traces.
     pub sample_every: Duration,
@@ -63,9 +71,9 @@ pub struct RequestRecord {
     pub completed: Option<Time>,
     /// Per subflow: arrival time of the last data segment of this response
     /// seen on that subflow (Fig 5's "time difference of last packets").
-    pub last_arrival_per_sub: Vec<Option<Time>>,
+    pub last_arrival_per_sub: PerSub<Option<Time>>,
     /// Per subflow: data segments of this response that arrived on it.
-    pub arrivals_per_sub: Vec<u64>,
+    pub arrivals_per_sub: PerSub<u64>,
 }
 
 impl RequestRecord {
@@ -98,7 +106,9 @@ pub struct Recorder {
     pub cfg: RecorderConfig,
     /// Request lifecycles, indexed by `ReqId`.
     pub requests: Vec<RequestRecord>,
-    /// Out-of-order delays, microseconds, all connections pooled.
+    /// Out-of-order delays, microseconds, all connections pooled in arrival
+    /// order. Empty when [`RecorderConfig::ooo_per_conn`] is set — the
+    /// samples are in `ooo_delays_us_per_conn` then, and only there.
     pub ooo_delays_us: Vec<u64>,
     /// Out-of-order delays split per connection (only filled when
     /// [`RecorderConfig::ooo_per_conn`] is set; empty otherwise).
@@ -124,7 +134,11 @@ impl Recorder {
             // Sized for a long DASH session (hundreds of chunk requests) and
             // its reordering tail; avoids doubling-reallocs on the hot path.
             requests: Vec::with_capacity(256),
-            ooo_delays_us: Vec::with_capacity(if cfg.ooo_delays { 4096 } else { 0 }),
+            ooo_delays_us: Vec::with_capacity(if cfg.ooo_delays && !cfg.ooo_per_conn {
+                4096
+            } else {
+                0
+            }),
             ooo_delays_us_per_conn: if cfg.ooo_delays && cfg.ooo_per_conn {
                 vec![Vec::new(); subflow_counts.len()]
             } else {
@@ -154,8 +168,8 @@ impl Recorder {
             issued,
             server_arrival: None,
             completed: None,
-            last_arrival_per_sub: vec![None; n_subflows],
-            arrivals_per_sub: vec![0; n_subflows],
+            last_arrival_per_sub: PerSub::from_elem(None, n_subflows),
+            arrivals_per_sub: PerSub::from_elem(0, n_subflows),
         });
         id
     }
@@ -171,9 +185,10 @@ impl Recorder {
     pub fn note_ooo(&mut self, conn: ConnId, delay: Duration) {
         if self.cfg.ooo_delays {
             let us = u64::try_from(delay.as_micros()).unwrap_or(u64::MAX);
-            self.ooo_delays_us.push(us);
-            if let Some(pool) = self.ooo_delays_us_per_conn.get_mut(conn) {
-                pool.push(us);
+            if self.cfg.ooo_per_conn {
+                self.ooo_delays_us_per_conn[conn].push(us);
+            } else {
+                self.ooo_delays_us.push(us);
             }
         }
     }
@@ -183,9 +198,16 @@ impl Recorder {
         self.requests.iter().filter(|r| r.completed.is_some())
     }
 
-    /// OOO delays as seconds, for CDF construction.
+    /// OOO delays as seconds, for CDF construction, from whichever pool the
+    /// run filled: the shared pool in arrival order, or — with
+    /// [`RecorderConfig::ooo_per_conn`] — the per-connection pools chained
+    /// in connection order. The same multiset either way.
     pub fn ooo_delays_secs(&self) -> Vec<f64> {
-        self.ooo_delays_us.iter().map(|&us| us as f64 / 1e6).collect()
+        self.ooo_delays_us
+            .iter()
+            .chain(self.ooo_delays_us_per_conn.iter().flatten())
+            .map(|&us| us as f64 / 1e6)
+            .collect()
     }
 }
 
@@ -241,12 +263,33 @@ mod tests {
         rec.note_ooo(1, Duration::from_micros(10));
         rec.note_ooo(0, Duration::from_micros(20));
         rec.note_ooo(1, Duration::from_micros(30));
-        // Global pool sees arrival order; per-conn pools see their own
-        // streams regardless of how other connections interleave.
-        assert_eq!(rec.ooo_delays_us, vec![10, 20, 30]);
+        // Per-conn pools see their own streams regardless of how other
+        // connections interleave.
         assert_eq!(rec.ooo_delays_us_per_conn[0], vec![20]);
         assert_eq!(rec.ooo_delays_us_per_conn[1], vec![10, 30]);
         assert!(rec.ooo_delays_us_per_conn[2].is_empty());
+        // Exactly one pool is filled: no second push, no reservation.
+        assert!(rec.ooo_delays_us.is_empty());
+        assert_eq!(rec.ooo_delays_us.capacity(), 0);
+        // ... and the reader serves it, chained in connection order, so a
+        // per-connection run never reads as "no reordering".
+        assert_eq!(rec.ooo_delays_secs(), vec![20e-6, 10e-6, 30e-6]);
+
+        // The shared pool is the mirror image.
+        let mut rec = Recorder::new(RecorderConfig::default(), &[2, 2, 2]);
+        rec.note_ooo(1, Duration::from_micros(10));
+        rec.note_ooo(0, Duration::from_micros(20));
+        assert_eq!(rec.ooo_delays_us, vec![10, 20]);
+        assert!(rec.ooo_delays_us_per_conn.is_empty());
+        assert_eq!(rec.ooo_delays_secs(), vec![10e-6, 20e-6]);
+    }
+
+    #[test]
+    fn request_record_is_smaller_than_the_two_vec_layout() {
+        // The two per-subflow `Vec`s cost 128 B of struct plus 48 + 32 B of
+        // malloc chunks per request; inline storage must not exceed that
+        // (a wider container raised `browse_sharded` RSS, DESIGN.md §9).
+        assert!(std::mem::size_of::<RequestRecord>() <= 208);
     }
 
     #[test]

@@ -6,8 +6,48 @@ use ecf_core::SchedulerKind;
 use mptcp::{Api, Application, ConnConfig, ConnSpec, Testbed, TestbedConfig};
 use scenario::Scenario;
 use simnet::{PathConfig, Time};
+use testkit::digest::Fnv1a;
 
 use mptcp::RecorderConfig;
+
+/// Digest everything a run recorded — event count, request lifecycles with
+/// their per-subflow arrival vectors, the OOO-delay pool and per-subflow
+/// send counters — so the 1- and 4-subflow shapes are pinned bit for bit,
+/// not just by shape assertions (the goldens only run two subflows).
+fn recorder_digest<A: Application>(tb: &Testbed<A>) -> u64 {
+    let mut d = Fnv1a::new();
+    d.write_u64(tb.events_processed());
+    let w = tb.world();
+    for r in &w.recorder.requests {
+        d.write_u64(r.conn as u64);
+        d.write_u64(r.bytes);
+        d.write_u64(r.segs);
+        d.write_u64(r.first_dsn);
+        d.write_u64(r.last_dsn);
+        d.write_u64(r.issued.as_nanos());
+        d.write_u64(r.server_arrival.map_or(u64::MAX, |t| t.as_nanos()));
+        d.write_u64(r.completed.map_or(u64::MAX, |t| t.as_nanos()));
+        d.write_u64(r.last_arrival_per_sub.len() as u64);
+        for a in &r.last_arrival_per_sub {
+            d.write_u64(a.map_or(u64::MAX, |t| t.as_nanos()));
+        }
+        d.write_u64(r.arrivals_per_sub.len() as u64);
+        for &n in &r.arrivals_per_sub {
+            d.write_u64(n);
+        }
+    }
+    d.write_u64(w.recorder.ooo_delays_us.len() as u64);
+    for &us in &w.recorder.ooo_delays_us {
+        d.write_u64(us);
+    }
+    for c in 0..w.conn_count() {
+        for sf in &w.sender(c).subflows {
+            d.write_u64(sf.stats().segs_sent);
+            d.write_u64(sf.stats().retransmits);
+        }
+    }
+    d.finish()
+}
 
 /// Downloads a fixed list of object sizes sequentially on connection 0.
 struct SequentialDownloads {
@@ -102,6 +142,8 @@ fn single_path_baseline_matches_link_rate() {
     let mbps = bytes as f64 * 8.0 / t / 1e6;
     // Within (slow start + header overhead) of the 4 Mbps shaped rate.
     assert!((2.8..=4.0).contains(&mbps), "got {mbps} Mbps");
+    // Pinned on the commit before per-subflow state moved inline.
+    assert_eq!(recorder_digest(&tb), 0xb194_7f6d_04d9_6034, "1-subflow run moved");
 }
 
 #[test]
@@ -195,6 +237,8 @@ fn four_subflows_two_per_interface() {
     let slow: u64 = sent[0] + sent[1];
     let fast: u64 = sent[2] + sent[3];
     assert!(fast > slow * 3, "fast {fast} vs slow {slow}");
+    // Pinned on the commit before per-subflow state moved inline.
+    assert_eq!(recorder_digest(&tb), 0xcdcc_821a_e430_a67e, "4-subflow run moved");
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Property tests for the MPTCP receiver and coupled congestion control:
-//! reordering invariants must hold for *any* arrival interleaving.
+//! reordering invariants must hold for *any* arrival interleaving. Also
+//! the per-subflow container against its `Vec` model.
 //!
 //! Run under `testkit::prop`; replay a failure with `TESTKIT_SEED=<n>`.
 
 use std::time::Duration;
 
-use mptcp::{ca_increase, CcKind, CcView, Receiver, Segment};
+use mptcp::{ca_increase, CcKind, CcView, PerSub, Receiver, Segment};
 use simnet::Time;
 use testkit::prop::{any_u64, bools, check, vec_of};
 
@@ -128,5 +129,54 @@ fn ooo_delay_bounded_by_blocking_span() {
         );
         assert_eq!(out.delivered.len(), 2);
         assert_eq!(out.delivered[1].ooo_delay, Duration::from_millis(gap_ms));
+    });
+}
+
+/// `PerSub` is a `Vec` to every reader: push, index (read and write), both
+/// iteration forms, clone and equality agree with the model at every
+/// length 0..=6 — below, at and past the two-entry inline boundary.
+#[test]
+fn persub_matches_a_vec_model() {
+    check(256, (vec_of(any_u64(), 0..7), any_u64()), |(model, poke)| {
+        let mut v = PerSub::new();
+        for (i, &x) in model.iter().enumerate() {
+            assert_eq!(v.len(), i);
+            v.push(x);
+            assert_eq!(v[i], x);
+        }
+        assert_eq!(&*v, model.as_slice());
+        assert_eq!(v.iter().copied().collect::<Vec<_>>(), model);
+        let mut by_ref = Vec::new();
+        for x in &v {
+            by_ref.push(*x);
+        }
+        assert_eq!(by_ref, model);
+        assert_eq!(model.iter().copied().collect::<PerSub<_>>(), v);
+        assert_eq!(format!("{v:?}"), format!("{model:?}"));
+
+        // A clone is equal and independent; a write through the index (and
+        // through `&mut` iteration) lands where the model's does.
+        let before = v.clone();
+        assert_eq!(before, v);
+        let mut model = model;
+        if !model.is_empty() {
+            let at = (poke % model.len() as u64) as usize;
+            model[at] ^= 1;
+            v[at] ^= 1;
+            assert_ne!(before, v);
+            assert_eq!(before[at] ^ 1, v[at]);
+        }
+        for x in &mut v {
+            *x ^= poke;
+        }
+        model.iter_mut().for_each(|x| *x ^= poke);
+        assert_eq!(&*v, model.as_slice());
+
+        // Equality is by contents: one entry more or fewer differs, also
+        // across the spill boundary.
+        let mut longer = v.clone();
+        longer.push(poke);
+        assert_ne!(longer, v);
+        assert_eq!(&*PerSub::from_elem(poke, model.len()), vec![poke; model.len()].as_slice());
     });
 }

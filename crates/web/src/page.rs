@@ -107,12 +107,14 @@ impl BrowserApp {
     pub fn with_conn_base(page: PageModel, n_conns: usize, conn_base: usize) -> Self {
         assert!(n_conns >= 1);
         BrowserApp {
+            // One record per object, known up front: a population sweep
+            // moves this vector into the unit's report as it is.
+            objects: Vec::with_capacity(page.object_sizes.len()),
             page,
             n_conns,
             conn_base,
             next_object: 0,
             pending: Vec::new(),
-            objects: Vec::new(),
             page_load_time: None,
         }
     }

@@ -134,4 +134,10 @@ echo "== benchmark of record: quick bodies (digests, completeness, cross-mode eq
 # benchmark digest therefore fails here, before the driver finds it.
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --quick > /dev/null
 
+echo "== benchmark of record: lib and tests still compile against these crates =="
+# benchmark/ is frozen to a PR that claims a gain and the run above builds
+# only its bin; a crate change that breaks what its lib or tests use (a
+# struct literal, a field's type) must fail here, not in the pipeline.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml --no-run
+
 echo "verify.sh: all green"
