@@ -557,27 +557,54 @@ pub(crate) fn build_shard(
         // counters are flushed by `run_sweep` instead.
         telemetry: TelemetryHandle::off(),
     };
-    let tb = Testbed::new_with_queue(cfg, PopulationApp { units: apps, owner }, queue);
+    let mut tb = Testbed::new_with_queue(cfg, PopulationApp { units: apps, owner }, queue);
+    // A browser issues one request per page object, so the shard's request
+    // count is known here; the recorder itself reserves nothing.
+    let n_requests: usize = unit_idxs.iter().map(|&u| pop.units[u].page.object_sizes.len()).sum();
+    tb.world_mut().recorder.requests.reserve_exact(n_requests);
     ShardRun { tb, unit_idxs: unit_idxs.to_vec(), conn_ranges, globals }
 }
 
+/// `v` at capacity == length. A vector that grew by doubling is copied into
+/// a fresh exact-size allocation and the slack original freed — not shrunk
+/// in place: `realloc` keeps the block where the (now dead) engine's
+/// allocations left it.
+fn exact_sized<T: Clone>(v: Vec<T>) -> Vec<T> {
+    if v.capacity() == v.len() {
+        v
+    } else {
+        v.to_vec()
+    }
+}
+
 /// Tear a (finished) shard down into its per-unit reports, event count and
-/// recyclable queue. Everything a report holds is *moved* out of the engine
-/// — request vectors, OOO pools, object records — and the engine is dropped
-/// here, so a run's results never exist twice and a merge over many shards
-/// holds one dead engine at a time, not all of them.
-pub(crate) fn extract_reports(mut run: ShardRun) -> (ShardOutcome, EventQueue<Event>) {
-    let events = run.tb.events_processed();
-    let rec = &mut run.tb.world_mut().recorder;
+/// recyclable queue, in that order: the raw outputs are *moved* out of the
+/// engine (request records, OOO pools, object records — pointer moves), the
+/// engine is dropped, and only then are the long-lived report vectors
+/// allocated. A vector that is allocated — or shrunk in place — among a
+/// live engine's rings and scratch pins the hole they leave: a sweep of
+/// 1667 one-unit engines peaked 7 MiB of RSS higher that way (DESIGN.md §9,
+/// `tests/rss.rs`). So a run's results never exist twice, and a merge over
+/// many shards holds one dead engine at a time, not all of them.
+pub(crate) fn extract_reports(run: ShardRun) -> (ShardOutcome, EventQueue<Event>) {
+    let ShardRun { mut tb, unit_idxs, conn_ranges, .. } = run;
+    let events = tb.events_processed();
+    let rec = &mut tb.world_mut().recorder;
     let records = std::mem::take(&mut rec.requests);
     let mut pools = std::mem::take(&mut rec.ooo_delays_us_per_conn);
-    let PopulationApp { units, owner } = run.tb.app_mut();
+    let PopulationApp { units, owner } = tb.app_mut();
+    let owner = std::mem::take(owner);
+    let outputs: Vec<(Vec<ObjectRecord>, Option<Time>)> = units
+        .iter_mut()
+        .map(|app| (std::mem::take(&mut app.objects), app.page_load_time))
+        .collect();
+    let queue = tb.into_queue();
 
     // One pass over the recorder (ReqId order), each request filed under
     // the unit owning its connection: every bucket keeps the order a
     // per-unit filter would give, at O(requests) not O(units × requests).
     // Counted first, so each bucket is allocated once at its exact size.
-    let mut counts = vec![0usize; run.unit_idxs.len()];
+    let mut counts = vec![0usize; unit_idxs.len()];
     for r in &records {
         counts[owner[r.conn]] += 1;
     }
@@ -585,7 +612,7 @@ pub(crate) fn extract_reports(mut run: ShardRun) -> (ShardOutcome, EventQueue<Ev
         counts.into_iter().map(Vec::with_capacity).collect();
     for r in records {
         let slot = owner[r.conn];
-        let conn_local = r.conn - run.conn_ranges[slot].0;
+        let conn_local = r.conn - conn_ranges[slot].0;
         requests[slot].push(ReqSummary::from_record(r, conn_local));
     }
 
@@ -594,29 +621,22 @@ pub(crate) fn extract_reports(mut run: ShardRun) -> (ShardOutcome, EventQueue<Ev
     // recorder without per-connection pools yields empty ones.
     let reports = requests
         .into_iter()
+        .zip(outputs)
         .enumerate()
-        .map(|(slot, requests)| {
-            let unit_app = &mut units[slot];
+        .map(|(slot, (requests, (objects, page_load)))| {
+            let (base, n) = conn_ranges[slot];
             UnitReport {
-                unit: run.unit_idxs[slot],
-                objects: std::mem::take(&mut unit_app.objects),
-                page_load: unit_app.page_load_time,
+                unit: unit_idxs[slot],
+                objects: exact_sized(objects),
+                page_load,
                 requests,
-                ooo_us_per_conn: {
-                    let (base, n) = run.conn_ranges[slot];
-                    (base..base + n)
-                        .map(|c| {
-                            let mut pool =
-                                pools.get_mut(c).map(std::mem::take).unwrap_or_default();
-                            pool.shrink_to_fit();
-                            pool
-                        })
-                        .collect()
-                },
+                ooo_us_per_conn: (base..base + n)
+                    .map(|c| exact_sized(pools.get_mut(c).map(std::mem::take).unwrap_or_default()))
+                    .collect(),
             }
         })
         .collect();
-    (ShardOutcome { reports, events }, run.tb.into_queue())
+    (ShardOutcome { reports, events }, queue)
 }
 
 /// Run the units in `unit_idxs` (ascending global indices) as one engine,

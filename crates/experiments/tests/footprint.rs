@@ -1,5 +1,6 @@
 //! Footprint regression guard: bytes requested, and bytes live at the peak,
-//! per connection.
+//! per connection — and bytes requested per unit when every unit has its own
+//! engine.
 //!
 //! **Requested.** A ring buffer used as a FIFO cycles through every slot it
 //! owns, so a per-connection or per-link deque reserved to its protocol
@@ -20,26 +21,41 @@
 //! back the second pool alone reads 19.8 KB, clone-based extraction alone
 //! 20.5 KB — the bound fails either.
 //!
-//! Requested and live bytes are a pure function of the population, so both
-//! checks are exact, not timings.
+//! **Requested per unit, one engine each.** A sharded sweep builds and tears
+//! down an engine per unit, so anything an engine reserves on a guess is
+//! paid once per unit: the recorder's 256 request records "for a long DASH
+//! session" were 35 KB of every 107-request browse unit's 205 KB. The shard
+//! now reserves the request count its pages announce (14.5 KB): 185 KB.
+//!
+//! Requested and live bytes are a pure function of the population, so all
+//! three checks are exact, not timings.
 
 mod support;
 
 use ecf_core::SchedulerKind;
-use experiments::{browse_coupled_population, run_coupled, SweepOptions, COUPLED_BENCH_GROUPS};
+use experiments::{
+    browse_coupled_population, browse_population, run_coupled, run_sweep, SweepOptions,
+    COUPLED_BENCH_GROUPS,
+};
 
 #[global_allocator]
 static COUNTER: support::CountingAlloc = support::CountingAlloc;
 
 /// Requested bytes per connection over build + run + report extraction
-/// (28 450 when written; 37 733 with the second OOO pool back).
+/// (28 450 when written, 26 280 with the request records reserved once;
+/// 37 733 with the second OOO pool back).
 const BYTES_PER_CONN_BOUND: u64 = 35_000;
 /// Most bytes live at once per connection, population and merged report
-/// included (15 178 when written).
+/// included (15 178 when written, 13 798 with reports built after their
+/// engine is dropped).
 const PEAK_LIVE_PER_CONN_BOUND: u64 = 17_500;
 
+/// Requested bytes per unit of a sharded sweep, one engine per unit
+/// (185 115 when written; 205 339 with the recorder reserving 256 records).
+const BYTES_PER_SHARDED_UNIT_BOUND: u64 = 195_000;
+
 #[test]
-fn coupled_population_footprint_per_connection() {
+fn population_footprint_per_connection_and_per_unit() {
     const UNITS: usize = 20;
     const CONNS_PER_UNIT: usize = 6;
 
@@ -75,5 +91,25 @@ fn coupled_population_footprint_per_connection() {
         "the run peaked at {live_per_conn} live bytes per connection (bound \
          {PEAK_LIVE_PER_CONN_BOUND}): does the merge hold a result twice — a second \
          OOO pool, reports cloned out of engines that are still alive?"
+    );
+
+    // The benchmark's quick `browse_sharded` body: the same 20 units on
+    // private paths, one engine per unit, one worker.
+    let bytes_before = support::snapshot().1;
+    let pop = browse_population(1, UNITS, CONNS_PER_UNIT, 1.0, 10.0, SchedulerKind::Ecf);
+    let report = run_sweep(
+        &pop,
+        &SweepOptions { max_shards: 0, workers: Some(1), ..Default::default() },
+    );
+    let per_unit = (support::snapshot().1 - bytes_before) / UNITS as u64;
+
+    assert_eq!(report.shard_events.len(), UNITS, "one engine per unit");
+    assert!(report.units.iter().all(|u| u.page_load.is_some()));
+    println!("sharded: requested {per_unit} B/unit");
+    assert!(
+        per_unit < BYTES_PER_SHARDED_UNIT_BOUND,
+        "a one-unit engine requested {per_unit} bytes (bound \
+         {BYTES_PER_SHARDED_UNIT_BOUND}): does the recorder, or anything else built per \
+         engine, reserve on a guess again?"
     );
 }

@@ -1,5 +1,5 @@
 //! The counting `#[global_allocator]` shared by the allocation audits
-//! (`alloc.rs`, `alloc_cosim.rs`, `footprint.rs`).
+//! (`alloc.rs`, `alloc_cosim.rs`, `footprint.rs`, `rss.rs`).
 //!
 //! The counters are process-wide, so each audit is its own integration-test
 //! binary holding exactly one `#[test]`: a sibling test — or libtest
@@ -58,6 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 /// `(allocator calls, bytes requested)` since process start.
+#[allow(dead_code)] // `rss.rs` measures live bytes only
 pub fn snapshot() -> (u64, u64) {
     (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
 }
@@ -65,7 +66,7 @@ pub fn snapshot() -> (u64, u64) {
 /// `(bytes live now, most bytes ever live at once)`. A run's peak live
 /// footprint is the second value after it minus the first value before it,
 /// provided the run raised the high-water mark at all.
-#[allow(dead_code)] // only `footprint.rs` measures live bytes
+#[allow(dead_code)] // only `footprint.rs` and `rss.rs` measure live bytes
 pub fn live_and_peak() -> (u64, u64) {
     (LIVE.load(Ordering::Relaxed), PEAK.load(Ordering::Relaxed))
 }

@@ -21,6 +21,7 @@ use telemetry::{Counter, EventKind, LinkDir, TelemetryHandle};
 use crate::connection::{ConnConfig, Connection, Transmission};
 use crate::receiver::Receiver;
 use crate::segment::{segs_for_bytes, AckInfo, ConnId, ReqId, Segment, SubId};
+use crate::subflow::Subflow;
 use crate::trace::{Recorder, RecorderConfig};
 
 /// Wire size of an HTTP GET (request line + headers, single packet).
@@ -324,15 +325,17 @@ impl World {
 
     /// Park a forward-direction (data) delivery and, when the link was
     /// idle, schedule its wakeup under the seq reserved for this packet.
+    /// Takes the delivery queues rather than the world, so a handler can
+    /// keep its connection's subflows borrowed across the call.
     fn park_fwd(
-        &mut self,
+        fwd_inflight: &mut [DeliveryQueue<LinkPayload>],
         arrival: Time,
         path: usize,
         payload: LinkPayload,
         q: &mut EventQueue<Event>,
     ) {
         let seq = q.reserve_seq();
-        if let Some((at, s)) = self.fwd_inflight[path].push(arrival, seq, payload) {
+        if let Some((at, s)) = fwd_inflight[path].push(arrival, seq, payload) {
             q.schedule_reserved(at, s, Event::FwdDeliver { path: path as u32 });
         }
     }
@@ -420,28 +423,31 @@ impl World {
             // add (a no-op of value 0) and the loop setup entirely.
             return;
         }
+        // The subflows are borrowed once for the whole plan: `PerSub`
+        // resolves its representation on every index.
+        let World { conns, paths, path_up, fwd_inflight, .. } = self;
+        let subflows = &mut conns[conn].sender.subflows[..];
         for t in plan {
-            let path_idx = self.conns[conn].sender.subflows[t.sub].path;
+            let sf = &mut subflows[t.sub];
             // A down path swallows everything (radio gone); recovery runs
             // through RTO and reinjection exactly as for tail loss.
-            if self.path_up[path_idx] {
+            if path_up[sf.path] {
                 if let Verdict::Deliver { arrival } =
-                    self.paths[path_idx].fwd.enqueue(now, wire_size(MSS))
+                    paths[sf.path].fwd.enqueue(now, wire_size(MSS))
                 {
                     let payload =
                         LinkPayload::Data { conn: conn as u32, sub: t.sub as u16, seg: t.seg };
-                    self.park_fwd(arrival, path_idx, payload, q);
+                    Self::park_fwd(fwd_inflight, arrival, sf.path, payload, q);
                 }
             }
             // Dropped segments stay in the retransmission queue; dupacks or
             // the RTO recover them.
-            self.arm_rto(conn, t.sub, q);
+            Self::arm_rto(sf, conn, t.sub, q);
         }
         self.tel.add(Counter::SegsSent, plan.len() as u64);
     }
 
-    fn arm_rto(&mut self, conn: ConnId, sub: SubId, q: &mut EventQueue<Event>) {
-        let sf = &mut self.conns[conn].sender.subflows[sub];
+    fn arm_rto(sf: &mut Subflow, conn: ConnId, sub: SubId, q: &mut EventQueue<Event>) {
         if !sf.rto_scheduled && sf.rto_deadline != Time::MAX {
             sf.rto_scheduled = true;
             q.schedule(sf.rto_deadline, Event::Rto { conn: conn as u32, sub: sub as u16 });
@@ -460,20 +466,19 @@ impl World {
         // scheduler select, which never runs with zero unassigned segments
         // (reinjection reads srtt/cwnd only), so a stale sample is unread
         // and the deferred expiry is performed by the next enqueue anyway.
-        if self.conns[conn].sender.unassigned_segs() > 0 {
-            for si in 0..self.conns[conn].sender.subflows.len() {
-                let path_idx = self.conns[conn].sender.subflows[si].path;
-                let qb = if self.path_up[path_idx] {
-                    self.paths[path_idx].fwd.queued_bytes(now)
+        let sender = &mut self.conns[conn].sender;
+        if sender.unassigned_segs() > 0 {
+            for sf in sender.subflows.iter_mut() {
+                sf.link_queue_bytes = if self.path_up[sf.path] {
+                    self.paths[sf.path].fwd.queued_bytes(now)
                 } else {
                     0
                 };
-                self.conns[conn].sender.subflows[si].link_queue_bytes = qb;
             }
         }
         let mut plan = std::mem::take(&mut self.plan_buf);
         plan.clear();
-        self.conns[conn].sender.try_send_into(now, &mut plan);
+        sender.try_send_into(now, &mut plan);
         self.transmit(now, conn, &plan, q);
         self.plan_buf = plan;
     }
@@ -576,41 +581,41 @@ impl World {
     }
 
     fn on_ack(&mut self, now: Time, conn: ConnId, sub: SubId, ack: AckInfo, q: &mut EventQueue<Event>) {
-        let fast_retx = self.conns[conn].sender.on_ack(now, sub, &ack);
-        if let Some(seg) = fast_retx {
-            let path_idx = self.conns[conn].sender.subflows[sub].path;
+        let sender = &mut self.conns[conn].sender;
+        if let Some(seg) = sender.on_ack(now, sub, &ack) {
+            let path_idx = sender.subflows[sub].path;
             if self.path_up[path_idx] {
                 if let Verdict::Deliver { arrival } =
                     self.paths[path_idx].fwd.enqueue(now, wire_size(MSS))
                 {
                     let payload =
                         LinkPayload::Data { conn: conn as u32, sub: sub as u16, seg };
-                    self.park_fwd(arrival, path_idx, payload, q);
+                    Self::park_fwd(&mut self.fwd_inflight, arrival, path_idx, payload, q);
                 }
             }
         }
         self.pump_send(now, conn, q);
-        self.arm_rto(conn, sub, q);
+        Self::arm_rto(&mut self.conns[conn].sender.subflows[sub], conn, sub, q);
     }
 
     fn on_rto(&mut self, now: Time, conn: ConnId, sub: SubId, q: &mut EventQueue<Event>) {
-        self.conns[conn].sender.subflows[sub].rto_scheduled = false;
-        if let Some(seg) = self.conns[conn].sender.subflows[sub].on_rto_fire(now) {
+        let sf = &mut self.conns[conn].sender.subflows[sub];
+        sf.rto_scheduled = false;
+        if let Some(seg) = sf.on_rto_fire(now) {
             self.tel
                 .emit(now.as_nanos(), EventKind::Rto { conn: conn as u32, path: sub as u16 });
             self.tel.incr(Counter::Rtos);
-            let path_idx = self.conns[conn].sender.subflows[sub].path;
-            if self.path_up[path_idx] {
+            if self.path_up[sf.path] {
                 if let Verdict::Deliver { arrival } =
-                    self.paths[path_idx].fwd.enqueue(now, wire_size(MSS))
+                    self.paths[sf.path].fwd.enqueue(now, wire_size(MSS))
                 {
                     let payload =
                         LinkPayload::Data { conn: conn as u32, sub: sub as u16, seg };
-                    self.park_fwd(arrival, path_idx, payload, q);
+                    Self::park_fwd(&mut self.fwd_inflight, arrival, sf.path, payload, q);
                 }
             }
         }
-        self.arm_rto(conn, sub, q);
+        Self::arm_rto(sf, conn, sub, q);
     }
 
     /// Apply a compiled scenario event: rate and delay changes act on the

@@ -131,9 +131,10 @@ impl Recorder {
         };
         Recorder {
             cfg,
-            // Sized for a long DASH session (hundreds of chunk requests) and
-            // its reordering tail; avoids doubling-reallocs on the hot path.
-            requests: Vec::with_capacity(256),
+            // Not reserved: a caller that knows its request count reserves
+            // it; a guess here was paid by every engine of a population
+            // (DESIGN.md §9).
+            requests: Vec::new(),
             ooo_delays_us: Vec::with_capacity(if cfg.ooo_delays && !cfg.ooo_per_conn {
                 4096
             } else {
@@ -301,5 +302,7 @@ mod tests {
         assert_eq!(rec.cwnd.len(), 2);
         assert_eq!(rec.cwnd[1].len(), 3);
         assert!(rec.sndbuf.is_empty());
+        // Request records are the caller's to reserve, if it knows the count.
+        assert_eq!(rec.requests.capacity(), 0);
     }
 }

@@ -165,6 +165,11 @@ pub struct QuicConn {
     /// Per-path packet-number spaces, indexed like the testbed's paths.
     pub paths: Vec<PathSpace>,
     streams: Vec<StreamTx>,
+    /// One bit per stream (word `i / 64`, bit `i % 64`), set while the
+    /// stream has a retransmission queued or fresh chunks left. The chunk
+    /// picker reads the next set bit instead of visiting streams: at the
+    /// tail of a 107-stream page nearly every stream is finished.
+    sendable: Vec<u64>,
     /// Scheduler invocation + decision provenance (shared with MPTCP).
     pub driver: SchedDriver,
     /// Latest connection-level receive window advertised by the peer.
@@ -195,6 +200,7 @@ impl QuicConn {
             cfg,
             paths,
             streams: Vec::new(),
+            sendable: Vec::new(),
             driver: SchedDriver::new(scheduler, n),
             rwnd_adv: cfg.rwnd_chunks,
             rr_cursor: 0,
@@ -214,11 +220,24 @@ impl QuicConn {
         let i = stream as usize;
         if self.streams.len() <= i {
             self.streams.resize_with(i + 1, StreamTx::default);
+            self.sendable.resize(i / 64 + 1, 0);
         }
         let s = &mut self.streams[i];
         assert_eq!(s.total, 0, "stream {stream} opened twice");
         s.total = total_chunks;
         self.pending_total += total_chunks;
+        if total_chunks > 0 {
+            self.sendable[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    /// Queue `chunk` of `stream` for retransmission (its packet was lost or
+    /// its path died); it goes back through the scheduler on any path.
+    fn requeue(&mut self, stream: u32, chunk: u64) {
+        let i = stream as usize;
+        self.streams[i].retx.push_back(chunk);
+        self.sendable[i / 64] |= 1 << (i % 64);
+        self.pending_total += 1;
     }
 
     /// Chunks not yet (re)transmitted, across all streams.
@@ -242,8 +261,7 @@ impl QuicConn {
         self.paths[path].up = false;
         while let Some(s) = self.paths[path].inflight.pop_front() {
             self.inflight_total -= 1;
-            self.streams[s.stream as usize].retx.push_back(s.chunk);
-            self.pending_total += 1;
+            self.requeue(s.stream, s.chunk);
         }
         self.paths[path].rto_deadline = Time::MAX;
     }
@@ -253,27 +271,44 @@ impl QuicConn {
         self.paths[path].up = true;
     }
 
-    /// Pick the next chunk to place: round-robin over streams, stream-local
-    /// retransmissions first. Caller guarantees `pending_total > 0`.
-    fn take_next_chunk(&mut self) -> (u32, u64) {
-        let n = self.streams.len();
-        for k in 0..n {
-            let i = (self.rr_cursor + k) % n;
-            let s = &mut self.streams[i];
-            if let Some(chunk) = s.retx.pop_front() {
-                self.rr_cursor = (i + 1) % n;
-                self.pending_total -= 1;
-                return (i as u32, chunk);
-            }
-            if s.next_fresh < s.total {
-                let chunk = s.next_fresh;
-                s.next_fresh += 1;
-                self.rr_cursor = (i + 1) % n;
-                self.pending_total -= 1;
-                return (i as u32, chunk);
-            }
+    /// The first sendable stream at or after `rr_cursor`, wrapping around.
+    /// Caller guarantees `pending_total > 0`, so a bit is set.
+    fn next_sendable(&self) -> usize {
+        let (w0, b0) = (self.rr_cursor / 64, self.rr_cursor % 64);
+        let at = |w: usize, bits: u64| w * 64 + bits.trailing_zeros() as usize;
+        let head = self.sendable[w0] & (!0 << b0);
+        if head != 0 {
+            return at(w0, head);
         }
-        unreachable!("take_next_chunk with pending_total == 0")
+        // Then the words after the cursor's, then around to the cursor's
+        // own word for the bits below it (those at or above are clear).
+        let n = self.sendable.len();
+        (w0 + 1..n)
+            .chain(0..=w0)
+            .find(|&w| self.sendable[w] != 0)
+            .map(|w| at(w, self.sendable[w]))
+            .expect("take_next_chunk with pending_total == 0")
+    }
+
+    /// Pick the next chunk to place: round-robin over the streams that have
+    /// one, stream-local retransmissions first. Caller guarantees
+    /// `pending_total > 0`.
+    fn take_next_chunk(&mut self) -> (u32, u64) {
+        let i = self.next_sendable();
+        let s = &mut self.streams[i];
+        let chunk = match s.retx.pop_front() {
+            Some(chunk) => chunk,
+            None => {
+                s.next_fresh += 1;
+                s.next_fresh - 1
+            }
+        };
+        if s.retx.is_empty() && s.next_fresh == s.total {
+            self.sendable[i / 64] &= !(1 << (i % 64));
+        }
+        self.rr_cursor = if i + 1 == self.streams.len() { 0 } else { i + 1 };
+        self.pending_total -= 1;
+        (i as u32, chunk)
     }
 
     fn rebuild_snapshots(&mut self) {
@@ -355,8 +390,7 @@ impl QuicConn {
             if first_lost_pn.is_none() {
                 first_lost_pn = Some(s.pn);
             }
-            self.streams[s.stream as usize].retx.push_back(s.chunk);
-            self.pending_total += 1;
+            self.requeue(s.stream, s.chunk);
             out.lost += 1;
         }
         self.stats.lost_packets += out.lost;
@@ -402,8 +436,7 @@ impl QuicConn {
             return false;
         };
         self.inflight_total -= 1;
-        self.streams[s.stream as usize].retx.push_back(s.chunk);
-        self.pending_total += 1;
+        self.requeue(s.stream, s.chunk);
         let p = &mut self.paths[path];
         p.cc.on_rto();
         p.recovery_until = p.next_pn;
@@ -509,5 +542,117 @@ mod tests {
         c.try_send_into(Time::ZERO, &mut out);
         assert_eq!(out.len(), 5, "window of 5 chunks caps the burst");
         assert_eq!(c.stats.rwnd_blocked, 1);
+    }
+
+    /// The picker the bitmap replaced, as the reference: visit every stream
+    /// round-robin from the cursor until one has a chunk. Inflight packets
+    /// are mirrored per path so the model requeues what the connection
+    /// requeues, in the same order.
+    #[derive(Default)]
+    struct ScanModel {
+        streams: Vec<StreamTx>,
+        rr_cursor: usize,
+        inflight: Vec<VecDeque<(u64, u32, u64)>>,
+    }
+
+    impl ScanModel {
+        fn open_stream(&mut self, stream: usize, total: u64) {
+            if self.streams.len() <= stream {
+                self.streams.resize_with(stream + 1, StreamTx::default);
+            }
+            self.streams[stream].total = total;
+        }
+
+        fn take_next_chunk(&mut self) -> (u32, u64) {
+            let n = self.streams.len();
+            for k in 0..n {
+                let i = (self.rr_cursor + k) % n;
+                let s = &mut self.streams[i];
+                if let Some(chunk) = s.retx.pop_front() {
+                    self.rr_cursor = (i + 1) % n;
+                    return (i as u32, chunk);
+                }
+                if s.next_fresh < s.total {
+                    let chunk = s.next_fresh;
+                    s.next_fresh += 1;
+                    self.rr_cursor = (i + 1) % n;
+                    return (i as u32, chunk);
+                }
+            }
+            unreachable!("the connection sent a chunk the model does not have")
+        }
+
+        /// Requeue the oldest `n` inflight packets of `path`.
+        fn lose(&mut self, path: usize, n: usize) {
+            for (_, stream, chunk) in self.inflight[path].drain(..n) {
+                self.streams[stream as usize].retx.push_back(chunk);
+            }
+        }
+    }
+
+    #[test]
+    fn bitmap_picker_matches_the_round_robin_scan() {
+        use testkit::prop::{check, vec_of};
+
+        // (op selector, stream-size / path / ack-depth draw)
+        check(256, vec_of((0u32..100, 0u64..200), 1..300), |ops| {
+            let mut c = conn(2);
+            let mut model = ScanModel { inflight: vec![VecDeque::new(); 2], ..Default::default() };
+            let mut now = Time::ZERO;
+            let mut next_stream = 0usize;
+            let mut out = Vec::new();
+            for (op, draw) in ops {
+                now += Duration::from_millis(1);
+                let path = (draw % 2) as usize;
+                match op {
+                    // Open a stream: mostly the next id, sometimes past a
+                    // gap (ids the client skipped), sometimes empty.
+                    0..=24 => {
+                        next_stream += if draw % 7 == 0 { 1 + (draw % 70) as usize } else { 0 };
+                        let total = if draw % 11 == 0 { 0 } else { 1 + draw % 9 };
+                        c.open_stream(next_stream as u32, total);
+                        model.open_stream(next_stream, total);
+                        next_stream += 1;
+                    }
+                    // A send opportunity: every packet must carry the chunk
+                    // the scan would have picked.
+                    25..=59 => {
+                        out.clear();
+                        c.try_send_into(now, &mut out);
+                        for tx in &out {
+                            assert_eq!((tx.stream, tx.chunk), model.take_next_chunk());
+                            model.inflight[tx.path].push_back((tx.pn, tx.stream, tx.chunk));
+                        }
+                    }
+                    // ACK the packet `depth` into the path's inflight queue:
+                    // everything older is lost by packet-number gap.
+                    60..=84 => {
+                        let depth = (draw / 2 % 4) as usize;
+                        if let Some(&(pn, ..)) = model.inflight[path].get(depth) {
+                            c.on_ack(now, path, pn, 1024);
+                            model.lose(path, depth);
+                            model.inflight[path].pop_front();
+                        }
+                    }
+                    85..=94 => {
+                        if c.on_pto(path) {
+                            model.lose(path, 1);
+                        }
+                    }
+                    _ => {
+                        c.on_path_down(path);
+                        let n = model.inflight[path].len();
+                        model.lose(path, n);
+                        c.on_path_up(path);
+                    }
+                }
+                let model_pending: u64 = model
+                    .streams
+                    .iter()
+                    .map(|s| s.retx.len() as u64 + s.total - s.next_fresh)
+                    .sum();
+                assert_eq!(c.pending_chunks(), model_pending);
+            }
+        });
     }
 }

@@ -3,7 +3,9 @@
 # and build each one's benchmark/ in a temp dir, run N pairs in the
 # BENCHMARK.json driver form (one seed per pair, first side alternating) and
 # print, per workload x end-to-end metric, both medians, the delta, how many
-# pairs <rev-b> won and <rev-a>'s inter-quartile range. `resolved` needs
+# pairs <rev-b> won, <rev-a>'s inter-quartile range and each side's best run
+# (a side's fastest run repeats far better than its median on a box whose
+# medians drift between sessions; it informs, it decides nothing). `resolved` needs
 # >= 10 pairs, one side winning >= 9/10 of them and a median gap wider than
 # that IQR; `equal` means every pair tied (simulated-time metrics);
 # everything else is `unresolved` — the box drifts 10-20 % in 10-60 s
@@ -60,7 +62,7 @@ for w in names:
                     res["metrics"][m["name"]]["value"])
 lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
 print(f"{'workload':<15} {'metric':<13} {'median a':>12} {'median b':>12} {'delta':>8} "
-      f"{'b wins':>7} {'IQR a':>10}  verdict")
+      f"{'b wins':>7} {'IQR a':>10} {'best a':>12} {'best b':>12}  verdict")
 for (w, m), (a, b) in got.items():
     med_a, med_b = statistics.median(a), statistics.median(b)
     q = statistics.quantiles(a, n=4) if len(a) > 1 else [med_a] * 3
@@ -75,7 +77,8 @@ for (w, m), (a, b) in got.items():
     else:
         verdict = "unresolved"
     delta = (med_b - med_a) / med_a * 100 if med_a else 0.0
+    best = min if lower[m] else max
     print(f"{w:<15} {m:<13} {med_a:>12.6g} {med_b:>12.6g} {delta:>+7.1f}% "
-          f"{wins:>4}/{pairs:<2} {iqr:>10.3g}  {verdict}")
+          f"{wins:>4}/{pairs:<2} {iqr:>10.3g} {best(a):>12.6g} {best(b):>12.6g}  {verdict}")
 sys.exit(1 if bad else 0)
 PY

@@ -19,6 +19,14 @@ cargo test -q --offline --workspace
 echo "== lint: clippy, warnings are errors (offline) =="
 cargo clippy --offline --workspace -- -D warnings
 
+echo "== fragmentation guard: sharded-sweep RSS growth over live bytes (release) =="
+# Passes or fails in the workspace tests above too (debug); the release run
+# is the allocator pattern the benchmark of record sees, and its ratio is
+# printed so a drift towards the bound shows before it trips.
+rss_out="$(cargo test --release --offline -p experiments --test rss -- --nocapture 2>&1)" \
+    || { echo "$rss_out" >&2; exit 1; }
+echo "$rss_out" | grep "rss growth" || true
+
 echo "== every registered experiment, quick, through the CLI =="
 # --no-save: results/*.txt are the committed full-effort runs.
 cargo run --offline --release -p experiments --bin repro -- all --quick --no-save > /dev/null
