@@ -447,9 +447,12 @@ fn median_us(mut v: Vec<u64>) -> u64 {
 
 /// Engine-group count measured in the `coupled_browse` experiment and the
 /// benchmark's `browse_coupled` workload. Groups this coarse amortize the
-/// per-window barrier (one `run_until` entry per group per round) while
-/// each group's working set stays cache-resident; per-unit groups
-/// (`max_shards = 0`) pay the barrier ~200× as often for the same events.
+/// per-window barrier (one `run_until` entry per group per round); per-unit
+/// groups (`max_shards = 0`) enter it once per unit per round for the same
+/// events and measure slower (472 → 560 ns/event at 500 units). No group
+/// count makes the working set cache-resident — a 500-unit population
+/// costs 2–2.5× as much per event as a 20-unit one — and 4, 16 and 64
+/// groups are indistinguishable from 8 (DESIGN.md §9, §13).
 pub const COUPLED_BENCH_GROUPS: usize = 8;
 
 /// `coupled_browse`: the shared-bottleneck browse population that PR 7
@@ -534,4 +537,42 @@ pub fn coupled_browse(effort: Effort) -> String {
     ));
     assert_eq!(mono.digest, cosim.digest, "coupled co-sim diverged from the monolith");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use ecf_core::SchedulerKind;
+
+    use super::*;
+    use crate::sharding::browse_coupled_population;
+
+    #[test]
+    fn recorder_pools_hold_bounded_slack() {
+        // The 20-unit coupled body of `tests/footprint.rs`, stopped before
+        // extraction (which copies the pools exact-size). A coupled sweep
+        // peaks with every engine group alive, so what the recorders' pools
+        // reserve beyond their samples is resident: `Vec` doubling read
+        // 1.39 × here (63 232 slots for 45 345 samples), growing by the
+        // announced response or a quarter of capacity reads 1.09 ×.
+        let pop = browse_coupled_population(1, 20, 6, 1.0, 6.0, SchedulerKind::Ecf);
+        let opts = SweepOptions {
+            max_shards: COUPLED_BENCH_GROUPS,
+            workers: Some(1),
+            ..Default::default()
+        };
+        let mut run = CoupledRun::new(&pop, &opts);
+        while run.step() {}
+        let (mut len, mut cap) = (0, 0);
+        for g in &run.groups {
+            for pool in &g.run.tb.world().recorder.ooo_delays_us_per_conn {
+                len += pool.len();
+                cap += pool.capacity();
+            }
+        }
+        assert!(len > 0, "the body recorded no OOO samples");
+        assert!(
+            cap as f64 <= 1.20 * len as f64,
+            "per-connection OOO pools hold {cap} slots for {len} samples"
+        );
+    }
 }

@@ -317,11 +317,11 @@ pub fn plan_shards(pop: &Population, max_shards: usize) -> Vec<Vec<usize>> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReqSummary {
     /// Connection index *within the unit* (0-based).
-    pub conn: usize,
+    pub conn: u32,
     /// Requested bytes.
     pub bytes: u64,
     /// Response size in segments.
-    pub segs: u64,
+    pub segs: u32,
     /// First/last dsn of the response (per-connection dsn space).
     pub first_dsn: u64,
     /// See `first_dsn`.
@@ -339,7 +339,7 @@ pub struct ReqSummary {
 }
 
 impl ReqSummary {
-    fn from_record(r: RequestRecord, conn_local: usize) -> Self {
+    fn from_record(r: RequestRecord, conn_local: u32) -> Self {
         ReqSummary {
             conn: conn_local,
             bytes: r.bytes,
@@ -395,9 +395,9 @@ pub fn fold_unit(h: &mut Fnv1a, r: &UnitReport) {
     fold_opt_time(h, r.page_load);
     h.write_u64(r.requests.len() as u64);
     for q in &r.requests {
-        h.write_u64(q.conn as u64);
+        h.write_u64(u64::from(q.conn));
         h.write_u64(q.bytes);
-        h.write_u64(q.segs);
+        h.write_u64(u64::from(q.segs));
         h.write_u64(q.first_dsn);
         h.write_u64(q.last_dsn);
         h.write_u64(q.issued.as_nanos());
@@ -606,13 +606,14 @@ pub(crate) fn extract_reports(run: ShardRun) -> (ShardOutcome, EventQueue<Event>
     // Counted first, so each bucket is allocated once at its exact size.
     let mut counts = vec![0usize; unit_idxs.len()];
     for r in &records {
-        counts[owner[r.conn]] += 1;
+        counts[owner[r.conn as usize]] += 1;
     }
     let mut requests: Vec<Vec<ReqSummary>> =
         counts.into_iter().map(Vec::with_capacity).collect();
     for r in records {
-        let slot = owner[r.conn];
-        let conn_local = r.conn - conn_ranges[slot].0;
+        let slot = owner[r.conn as usize];
+        // The unit's first connection is no later than `r.conn`: it fits.
+        let conn_local = r.conn - conn_ranges[slot].0 as u32;
         requests[slot].push(ReqSummary::from_record(r, conn_local));
     }
 
@@ -924,10 +925,10 @@ mod tests {
                 assert_eq!(pool.capacity(), pool.len(), "unit {}", u.unit);
             }
         }
-        // No wider than the two-`Vec` layout it replaces plus its two
-        // malloc chunks (128 + 48 + 32 B), with nothing on the heap for up
-        // to two subflows.
-        assert!(std::mem::size_of::<ReqSummary>() <= 208);
+        // A `RequestRecord`'s width (8-byte optional timestamps, 32-bit
+        // `conn` and `segs`), with nothing on the heap for up to two
+        // subflows: a sweep's resident set is mostly these.
+        assert!(std::mem::size_of::<ReqSummary>() <= 104);
     }
 
     #[test]

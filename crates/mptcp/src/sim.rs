@@ -33,12 +33,15 @@ const DELACK_TIMEOUT: Duration = Duration::from_millis(40);
 
 /// Events of the testbed model.
 ///
-/// Deliberately slim (≤ 24 bytes): these sit in the engine's binary heap,
-/// so every byte is copied on each sift. Per-packet payloads (data
-/// segments, ACKs, requests) do *not* ride in the heap at all — they wait
-/// in per-link [`DeliveryQueue`]s and the heap only carries the one-per-
-/// link-direction [`Event::FwdDeliver`]/[`Event::RevDeliver`] wakeups
-/// (see DESIGN.md, "Event coalescing on FIFO links").
+/// Deliberately slim (≤ 24 bytes): each pending event is one slab node of
+/// the engine's calendar wheel (`simnet::wheel`), moved once into the
+/// wheel's sorted ready queue when its quantum comes up and once out on
+/// pop, so its width is the wheel's footprint per pending event. Per-packet
+/// payloads (data segments, ACKs, requests) do *not* ride in the wheel at
+/// all — they wait in per-link [`DeliveryQueue`]s and the wheel only
+/// carries the one-per-link-direction
+/// [`Event::FwdDeliver`]/[`Event::RevDeliver`] wakeups (see DESIGN.md,
+/// "Event coalescing on FIFO links").
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
     /// Kick the application's `on_start` at t=0.

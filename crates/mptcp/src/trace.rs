@@ -53,12 +53,13 @@ impl Default for RecorderConfig {
 /// Lifecycle record of one application request (HTTP GET → response).
 #[derive(Debug, Clone)]
 pub struct RequestRecord {
-    /// Connection the request rode on.
-    pub conn: ConnId,
+    /// Connection the request rode on (a [`ConnId`]; 32 bits hold any
+    /// population and a sweep keeps one record per request).
+    pub conn: u32,
     /// Response payload size the application asked for, in bytes.
     pub bytes: u64,
     /// Response size in segments.
-    pub segs: u64,
+    pub segs: u32,
     /// First dsn of the response (set when the server writes it).
     pub first_dsn: u64,
     /// Last dsn of the response, inclusive.
@@ -151,6 +152,11 @@ impl Recorder {
     }
 
     /// Register a freshly issued request; returns its id.
+    ///
+    /// Every segment of the response will leave one OOO sample, so a
+    /// per-connection pool that cannot take `segs` more grows here, by the
+    /// response or a quarter of its capacity, whichever is larger — `Vec`
+    /// doubling left a quarter of a population's pools empty (DESIGN.md §9).
     pub fn new_request(
         &mut self,
         conn: ConnId,
@@ -160,8 +166,15 @@ impl Recorder {
         n_subflows: usize,
     ) -> ReqId {
         let id = self.requests.len() as ReqId;
+        let segs = u32::try_from(segs).expect("a response is under 2^32 segments");
+        if let Some(pool) = self.ooo_delays_us_per_conn.get_mut(conn) {
+            let need = segs as usize;
+            if pool.capacity() - pool.len() < need {
+                pool.reserve_exact(need.max(pool.capacity() / 4));
+            }
+        }
         self.requests.push(RequestRecord {
-            conn,
+            conn: u32::try_from(conn).expect("a run has under 2^32 connections"),
             bytes,
             segs,
             first_dsn: 0,
@@ -288,9 +301,10 @@ mod tests {
     #[test]
     fn request_record_is_smaller_than_the_two_vec_layout() {
         // The two per-subflow `Vec`s cost 128 B of struct plus 48 + 32 B of
-        // malloc chunks per request; inline storage must not exceed that
-        // (a wider container raised `browse_sharded` RSS, DESIGN.md §9).
-        assert!(std::mem::size_of::<RequestRecord>() <= 208);
+        // malloc chunks per request. Inline, with 8-byte optional timestamps
+        // and 32-bit `conn`/`segs`, the record is 104 B and nothing on the
+        // heap (a wider container raised `browse_sharded` RSS, DESIGN.md §9).
+        assert!(std::mem::size_of::<RequestRecord>() <= 104);
     }
 
     #[test]

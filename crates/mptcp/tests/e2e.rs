@@ -21,7 +21,7 @@ fn recorder_digest<A: Application>(tb: &Testbed<A>) -> u64 {
     for r in &w.recorder.requests {
         d.write_u64(r.conn as u64);
         d.write_u64(r.bytes);
-        d.write_u64(r.segs);
+        d.write_u64(u64::from(r.segs));
         d.write_u64(r.first_dsn);
         d.write_u64(r.last_dsn);
         d.write_u64(r.issued.as_nanos());

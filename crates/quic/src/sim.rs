@@ -34,7 +34,8 @@ const REQUEST_WIRE_BYTES: u32 = 300;
 /// Wire size of a pure ACK packet.
 const ACK_WIRE_BYTES: u32 = 72;
 
-/// Events of the quic testbed model (slim: these ride the engine heap).
+/// Events of the quic testbed model (slim: each pending one is a slab node
+/// of the engine's calendar wheel).
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
     /// Kick the application's `on_start` at t=0.

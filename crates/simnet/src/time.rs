@@ -4,79 +4,97 @@
 //! from the start of the run. Durations are `std::time::Duration`, which keeps
 //! the API familiar while arithmetic stays exact: there is no floating point
 //! anywhere on the clock path, so runs are bit-for-bit reproducible.
+//!
+//! Arithmetic that would pass the end of time saturates at [`Time::MAX`]:
+//! "never" plus anything is never. Differences saturate at zero.
 
 use std::fmt;
+use std::num::NonZeroU64;
 use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
 
 /// An absolute instant on the simulation clock, in nanoseconds since t=0.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Time(u64);
+///
+/// Stored as `nanos + 1` in a [`NonZeroU64`], so `Option<Time>` is 8 bytes:
+/// a population run keeps millions of optional timestamps (request records,
+/// reorder-ring slots). Adding one preserves order, so the derived
+/// comparisons are those of the nanoseconds.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Time(NonZeroU64);
 
 impl Time {
     /// The start of the simulation.
-    pub const ZERO: Time = Time(0);
-    /// The largest representable instant; used as "never" for inactive timers.
-    pub const MAX: Time = Time(u64::MAX);
+    pub const ZERO: Time = Time(NonZeroU64::MIN);
+    /// The largest representable instant, `u64::MAX - 1` ns; used as "never"
+    /// for inactive timers.
+    pub const MAX: Time = Time(NonZeroU64::MAX);
 
-    /// Construct from raw nanoseconds.
+    /// Construct from raw nanoseconds; `u64::MAX` clamps to [`Time::MAX`].
     #[inline]
     pub const fn from_nanos(nanos: u64) -> Self {
-        Time(nanos)
+        Time(NonZeroU64::MIN.saturating_add(nanos))
     }
 
-    /// Construct from integer microseconds.
+    /// Construct from integer microseconds, saturating at [`Time::MAX`].
     #[inline]
     pub const fn from_micros(micros: u64) -> Self {
-        Time(micros * 1_000)
+        Time::from_nanos(micros.saturating_mul(1_000))
     }
 
-    /// Construct from integer milliseconds.
+    /// Construct from integer milliseconds, saturating at [`Time::MAX`].
     #[inline]
     pub const fn from_millis(millis: u64) -> Self {
-        Time(millis * 1_000_000)
+        Time::from_nanos(millis.saturating_mul(1_000_000))
     }
 
-    /// Construct from integer seconds.
+    /// Construct from integer seconds, saturating at [`Time::MAX`].
     #[inline]
     pub const fn from_secs(secs: u64) -> Self {
-        Time(secs * 1_000_000_000)
+        Time::from_nanos(secs.saturating_mul(1_000_000_000))
     }
 
     /// Raw nanoseconds since t=0.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
-        self.0
+        self.0.get() - 1
     }
 
     /// Whole microseconds since t=0 (truncated).
     #[inline]
     pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
+        self.as_nanos() / 1_000
     }
 
     /// Whole milliseconds since t=0 (truncated).
     #[inline]
     pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
+        self.as_nanos() / 1_000_000
     }
 
     /// Seconds since t=0 as a float, for reporting only.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
+        self.as_nanos() as f64 / 1e9
     }
 
     /// Elapsed duration since an earlier instant, saturating at zero.
     #[inline]
     pub fn since(self, earlier: Time) -> Duration {
-        Duration::from_nanos(self.0.saturating_sub(earlier.0))
+        Duration::from_nanos(self.0.get().saturating_sub(earlier.0.get()))
     }
 
-    /// Saturating addition of a duration.
+    /// Addition of a duration, saturating at [`Time::MAX`] (what `+` does).
     #[inline]
     pub fn saturating_add(self, d: Duration) -> Time {
         Time(self.0.saturating_add(dur_nanos(d)))
+    }
+}
+
+impl Default for Time {
+    /// [`Time::ZERO`].
+    #[inline]
+    fn default() -> Self {
+        Time::ZERO
     }
 }
 
@@ -89,16 +107,18 @@ pub fn dur_nanos(d: Duration) -> u64 {
 
 impl Add<Duration> for Time {
     type Output = Time;
+    /// Saturates at [`Time::MAX`]: "never" plus anything is never.
     #[inline]
     fn add(self, d: Duration) -> Time {
-        Time(self.0 + dur_nanos(d))
+        self.saturating_add(d)
     }
 }
 
 impl AddAssign<Duration> for Time {
+    /// Saturates at [`Time::MAX`], like `+`.
     #[inline]
     fn add_assign(&mut self, d: Duration) {
-        self.0 += dur_nanos(d);
+        *self = *self + d;
     }
 }
 
@@ -108,8 +128,8 @@ impl Sub<Time> for Time {
     /// [`Time::since`] when the ordering is not guaranteed.
     #[inline]
     fn sub(self, rhs: Time) -> Duration {
-        debug_assert!(self.0 >= rhs.0, "time went backwards: {self:?} - {rhs:?}");
-        Duration::from_nanos(self.0.saturating_sub(rhs.0))
+        debug_assert!(self >= rhs, "time went backwards: {self:?} - {rhs:?}");
+        self.since(rhs)
     }
 }
 
@@ -155,6 +175,78 @@ mod tests {
     fn ordering() {
         assert!(Time::from_millis(1) < Time::from_millis(2));
         assert!(Time::MAX > Time::from_secs(1_000_000));
+    }
+
+    #[test]
+    fn addition_saturates_at_never() {
+        let d = Duration::from_secs(1);
+        assert_eq!(Time::MAX + d, Time::MAX);
+        assert_eq!(Time::MAX + Duration::MAX, Time::MAX);
+        assert_eq!(Time::from_nanos(u64::MAX - 5) + d, Time::MAX);
+        let mut t = Time::from_nanos(u64::MAX - 5);
+        t += d;
+        assert_eq!(t, Time::MAX);
+        // One nanosecond short of the end of time still adds exactly.
+        assert_eq!(
+            Time::from_nanos(u64::MAX - 3) + Duration::from_nanos(2),
+            Time::from_nanos(u64::MAX - 1)
+        );
+    }
+
+    #[test]
+    fn constructors_saturate_at_never() {
+        assert_eq!(Time::from_micros(u64::MAX), Time::MAX);
+        assert_eq!(Time::from_millis(u64::MAX / 1_000), Time::MAX);
+        assert_eq!(Time::from_secs(u64::MAX / 1_000_000), Time::MAX);
+        // In a const context too: no overflow error at compile time.
+        const NEVER: Time = Time::from_secs(u64::MAX);
+        assert_eq!(NEVER, Time::MAX);
+        // The largest second count that fits is exact.
+        let secs = u64::MAX / 1_000_000_000;
+        assert_eq!(Time::from_secs(secs).as_nanos(), secs * 1_000_000_000);
+    }
+
+    #[test]
+    fn subtraction_still_saturates_at_zero() {
+        assert_eq!(Time::ZERO.since(Time::MAX), Duration::ZERO);
+        assert_eq!(Time::MAX.since(Time::ZERO), Duration::from_nanos(u64::MAX - 1));
+        assert_eq!(Time::MAX - Time::MAX, Duration::ZERO);
+    }
+
+    #[test]
+    fn encoding_is_invisible_and_option_is_free() {
+        assert_eq!(std::mem::size_of::<Time>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Time>>(), 8);
+        assert_eq!(Time::default(), Time::ZERO);
+        assert_eq!(Time::ZERO.as_nanos(), 0);
+        assert_eq!(Time::MAX.as_nanos(), u64::MAX - 1);
+    }
+
+    #[test]
+    fn encoded_time_orders_and_round_trips_as_its_nanoseconds() {
+        use testkit::prop::{any_u64, check, choice};
+        fn pair(a: u64, b: u64) {
+            let (ta, tb) = (Time::from_nanos(a), Time::from_nanos(b));
+            // `u64::MAX` clamps to `MAX`; everything else is kept exactly.
+            let (ca, cb) = (a.min(u64::MAX - 1), b.min(u64::MAX - 1));
+            assert_eq!(ta.as_nanos(), ca);
+            assert_eq!(Time::from_nanos(ta.as_nanos()), ta);
+            assert_eq!(ta.cmp(&tb), ca.cmp(&cb));
+            assert_eq!(ta == tb, ca == cb);
+            assert!(Time::ZERO <= ta && ta <= Time::MAX);
+        }
+        const EDGES: [u64; 4] = [0, 1, u64::MAX - 1, u64::MAX];
+        for a in EDGES {
+            for b in EDGES {
+                pair(a, b);
+            }
+        }
+        check(512, (any_u64(), any_u64(), choice(&EDGES)), |(a, b, edge)| {
+            pair(a, b);
+            pair(a, a.wrapping_add(1));
+            pair(a, edge);
+            pair(edge, b);
+        });
     }
 
     #[test]

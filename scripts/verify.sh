@@ -19,13 +19,14 @@ cargo test -q --offline --workspace
 echo "== lint: clippy, warnings are errors (offline) =="
 cargo clippy --offline --workspace -- -D warnings
 
-echo "== fragmentation guard: sharded-sweep RSS growth over live bytes (release) =="
-# Passes or fails in the workspace tests above too (debug); the release run
-# is the allocator pattern the benchmark of record sees, and its ratio is
-# printed so a drift towards the bound shows before it trips.
-rss_out="$(cargo test --release --offline -p experiments --test rss -- --nocapture 2>&1)" \
-    || { echo "$rss_out" >&2; exit 1; }
-echo "$rss_out" | grep "rss growth" || true
+echo "== memory guards: RSS growth over live bytes, bytes requested and live (release) =="
+# Both pass or fail in the workspace tests above too (debug); the release
+# run is the allocator pattern the benchmark of record sees, and the ratio
+# and the three footprint readings are printed so a drift towards a bound
+# shows before it trips.
+mem_out="$(cargo test --release --offline -p experiments --test rss --test footprint \
+    -- --nocapture 2>&1)" || { echo "$mem_out" >&2; exit 1; }
+echo "$mem_out" | grep -E "rss growth|requested" || true
 
 echo "== every registered experiment, quick, through the CLI =="
 # --no-save: results/*.txt are the committed full-effort runs.
