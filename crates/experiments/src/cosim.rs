@@ -60,6 +60,7 @@
 
 use std::time::{Duration, Instant};
 
+use mptcp::harness::flush_queue_stats;
 use mptcp::Event;
 use simnet::{dur_nanos, serialization_nanos, EventQueue, RunOutcome, Time};
 use tcp_model::{wire_size, MSS};
@@ -68,7 +69,7 @@ use telemetry::{Counter, TelemetryHandle};
 use crate::common::{default_workers, Effort, ENV_WORKERS};
 use crate::sharding::{
     browse_coupled_population, build_shard, digest_units, extract_reports, flush_load_balance,
-    flush_wheel_stats, plan_shards, Population, ShardRun, SweepOptions, SweepReport, UnitReport,
+    plan_shards, Population, ShardRun, SweepOptions, SweepReport, UnitReport,
 };
 
 /// An explicit cross-shard coupling: `members` are *global* path indices
@@ -400,7 +401,7 @@ impl CoupledRun {
             shard_wall_ns.push(g.wall_ns);
             // Group engines carry shard-local telemetry (off); their wheel
             // diagnostics surface through the sweep-level handle here.
-            flush_wheel_stats(&self.telemetry, &queue);
+            flush_queue_stats(&self.telemetry, &queue);
             for r in out.reports {
                 let slot = r.unit;
                 assert!(units[slot].is_none(), "unit {slot} reported twice");

@@ -33,6 +33,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use ecf_core::SchedulerKind;
+use mptcp::harness::flush_queue_stats;
 use mptcp::{
     ConnConfig, ConnSpec, Event, PerSub, RecorderConfig, RequestRecord, Testbed, TestbedConfig,
 };
@@ -699,19 +700,6 @@ impl SweepReport {
     }
 }
 
-/// Flush one shard queue's fast-forward / batch-delivery totals into the
-/// sweep-level telemetry sink. Sums across shards except `batch_max_len`,
-/// which is a high-water mark.
-pub(crate) fn flush_wheel_stats(tel: &TelemetryHandle, queue: &EventQueue<Event>) {
-    if !tel.is_enabled() {
-        return;
-    }
-    tel.add(Counter::FfJumps, queue.ff_jumps());
-    tel.add(Counter::FfSkippedNs, queue.ff_skipped_ns());
-    tel.add(Counter::BatchDeliveries, queue.batch_deliveries());
-    tel.set_max(Counter::BatchMaxLen, queue.batch_max_len());
-}
-
 /// Flush per-sweep load-balance counters: totals summed, imbalance ratios
 /// (max/min, permille) kept as running maxima across sweeps.
 pub(crate) fn flush_load_balance(tel: &TelemetryHandle, events: &[u64], wall_ns: &[u64]) {
@@ -777,11 +765,11 @@ pub fn run_sweep(pop: &Population, opts: &SweepOptions) -> SweepReport {
         let (out, queue) = run_shard(pop, &unit_idxs, queue);
         let wall_ns = started.elapsed().as_nanos() as u64;
         // The shard's own telemetry handle is off (ids are shard-local),
-        // but the wheel's fast-forward / batching totals are id-free, so
-        // they aggregate meaningfully at the sweep level. The recovered
+        // but the wheel's diagnostics are id-free, so they aggregate
+        // meaningfully at the sweep level. The recovered
         // queue still carries this shard's counters — `new_with_queue`
         // resets them on reuse, so there is no double counting.
-        flush_wheel_stats(&opts.telemetry, &queue);
+        flush_queue_stats(&opts.telemetry, &queue);
         pool.lock().expect("queue pool").push(queue);
         (out, wall_ns)
     };
@@ -959,6 +947,8 @@ mod tests {
         assert_eq!(tel.counter(Counter::ShardEvents), report.events_total());
         assert!(tel.counter(Counter::ShardWallNs) > 0);
         assert!(tel.counter(Counter::ShardEventsImbalancePermille) >= 1000);
+        // The shards' own handles are off; their wheel diagnostics surface here.
+        assert!(tel.counter(Counter::QueuePeakDepth) > 0);
     }
 
     #[test]

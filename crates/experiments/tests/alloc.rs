@@ -72,14 +72,14 @@ fn wget(window_segs: u64) -> (TestbedConfig, WgetApp) {
 fn assert_steady_state_allocates_nothing(tb: &mut Testbed<WgetApp>, what: &str) {
     tb.run_until(Time::from_secs(10));
     let events_before = tb.events_processed();
-    let batched_before = tb.batched_deliveries();
+    let batched_before = tb.queue().batch_deliveries();
     let allocs_before = allocs();
 
     tb.run_until(Time::from_secs(80));
 
     let allocs = allocs() - allocs_before;
     let events = tb.events_processed() - events_before;
-    let batched = tb.batched_deliveries() - batched_before;
+    let batched = tb.queue().batch_deliveries() - batched_before;
 
     // Make sure the window actually exercised the hot loop: seventy seconds
     // of a window-limited two-path download is well over a hundred thousand

@@ -111,6 +111,8 @@ fn cosim_counters_flush_at_teardown() {
     assert_eq!(tel.counter(Counter::ShardRuns), 4);
     assert_eq!(tel.counter(Counter::ShardEvents), run.events_total());
     assert!(tel.counter(Counter::ShardWallNs) > 0);
+    // ... and so do the group engines' wheel diagnostics.
+    assert!(tel.counter(Counter::QueuePeakDepth) > 0);
 
     // The monolithic reference exchanges nothing across boundaries.
     let tel_mono = TelemetryHandle::enabled();

@@ -11,8 +11,11 @@
 
 use ecf_core::SchedulerKind;
 use experiments::expmatrix::{self, MatrixOptions, Spec};
-use experiments::{run_quic_web, Effort};
+use experiments::{run_quic_web, Effort, OpenAllApp};
+use quic::{QuicTestbed, QuicTestbedConfig};
+use simnet::Time;
 use testkit::digest::Fnv1a;
+use webload::PageModel;
 
 /// Expected digests of the quic browse run at 0.3/8.6 Mbps with ECF —
 /// the heterogeneous-path shape every other golden uses.
@@ -26,7 +29,10 @@ const QUIC_WEB_GOLDEN: [(u64, u64); 3] = [
 /// event count, full request lifecycles (with per-path arrival stats), and
 /// the pooled out-of-order delays.
 fn quic_web_digest(seed: u64) -> u64 {
-    let tb = run_quic_web(0.3, 8.6, SchedulerKind::Ecf, seed);
+    digest(&run_quic_web(0.3, 8.6, SchedulerKind::Ecf, seed))
+}
+
+fn digest(tb: &QuicTestbed<OpenAllApp>) -> u64 {
     let mut d = Fnv1a::new();
     d.write_u64(tb.events_processed());
     let rec = &tb.world().recorder;
@@ -75,6 +81,19 @@ fn quic_web_seed_2014_is_bit_identical() {
     let d = quic_web_digest(2014);
     println!("quic_web seed 2014 digest: {d:#018x}");
     assert_eq!(d, golden(2014));
+}
+
+/// A testbed built on a queue recovered from a finished run (the shard
+/// worker's reuse path, `into_queue` → `new_with_queue`) is the same
+/// simulation as one on a fresh queue.
+#[test]
+fn quic_web_on_a_recycled_queue_is_bit_identical() {
+    let used = run_quic_web(1.0, 5.0, SchedulerKind::Default, 9).into_queue();
+    let cfg = QuicTestbedConfig::wifi_lte(0.3, 8.6, SchedulerKind::Ecf, 1);
+    let app = OpenAllApp::new(&PageModel::cnn_like(2014));
+    let mut tb = QuicTestbed::new_with_queue(cfg, app, used);
+    tb.run_until(Time::from_secs(600));
+    assert_eq!(digest(&tb), golden(1));
 }
 
 /// The `quic_web` matrix spec must be byte-identical between a cold run

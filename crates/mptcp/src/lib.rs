@@ -41,6 +41,7 @@
 
 mod cc;
 mod connection;
+pub mod harness;
 mod persub;
 mod receiver;
 mod segment;
@@ -54,7 +55,7 @@ pub use connection::{ConnConfig, ConnStats, Connection, Transmission};
 pub use persub::PerSub;
 pub use receiver::{Delivered, Receiver, ReceiverStats, RxOutcome};
 pub use segment::{segs_for_bytes, AckInfo, ConnId, InflightSeg, ReqId, Segment, SubId};
-pub use sim::{Api, Application, ConnSpec, Event, Sim, Testbed, TestbedConfig, World};
+pub use sim::{Api, Application, ConnSpec, Event, Mptcp, Testbed, TestbedConfig, World};
 pub use subflow::{AckOutcome, Subflow, SubflowStats};
 pub use trace::{Recorder, RecorderConfig, RequestRecord};
-pub use transport::{GenericApp, SchedDriver, TransportApi, TransportApp};
+pub use transport::{Drive, SchedDriver, Transport, TransportApi, TransportApp};

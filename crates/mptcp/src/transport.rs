@@ -13,10 +13,14 @@
 //!   [`SchedDriver::decide`] once per segment/packet it wants to place; the
 //!   emitted events are byte-identical across transports, so the exporters
 //!   and figure tooling need no per-transport code.
+//! * [`Transport`] / [`Drive`] — what a transport implements to run under
+//!   the one generic testbed harness ([`crate::harness`]), which owns
+//!   everything around it: links, delivery queues, scenario controls, the
+//!   recorder, the event loop and queue recycling.
 //! * [`TransportApi`] / [`TransportApp`] — the application byte-stream
 //!   seam: a workload driver written against these traits (issue a request,
-//!   arm a timer, react to completions) runs unmodified on either
-//!   transport's testbed.
+//!   arm a timer, react to completions) sees only the API handle, not the
+//!   transport behind it.
 //!
 //! The extraction is value-neutral by construction: the MPTCP golden
 //! digests (`experiments/tests/golden.rs`, the same constants the expmatrix
@@ -27,7 +31,9 @@ use ecf_core::{Decision, PathSnapshot, SchedInput, Scheduler, Why};
 use simnet::Time;
 use telemetry::{Counter, EventKind, PathObs, SchedDecision, TelemetryHandle, MAX_PATHS};
 
+use crate::harness::{Api, Ctx, Net};
 use crate::segment::{ConnId, ReqId};
+use crate::trace::Recorder;
 
 /// Scheduler invocation + decision provenance, shared by every transport.
 ///
@@ -153,10 +159,56 @@ impl Drop for SchedDriver {
     }
 }
 
+/// A multipath transport under the testbed harness ([`crate::harness`]):
+/// the protocol state of every connection plus the handlers the harness
+/// calls, each with a [`Ctx`] through which packets are put on the wire and
+/// timers armed.
+///
+/// **Call-order rule.** Every `Ctx::send_*` that reaches a link and every
+/// `Ctx::set_timer` takes the next event sequence number; `(time, seq)` is
+/// the engine's total order and feeds every golden digest. Reordering those
+/// calls within a handler is a behaviour change, not a refactor.
+pub trait Transport: Sized {
+    /// The flat testbed configuration this transport is built from.
+    type Config;
+    /// A packet parked on a link (data, ACK or request).
+    type Payload: Copy;
+    /// A protocol timer (RTO, delayed ACK, PTO) riding the event wheel.
+    type Timer: Copy;
+
+    /// Build the protocol state from `cfg`, handing back the part of the
+    /// configuration the harness owns.
+    fn build(cfg: Self::Config) -> (Self, Net);
+    /// The client application asks for `bytes` on connection `conn`:
+    /// record the request and send it through [`Ctx::send_request`].
+    fn issue_request(&mut self, conn: ConnId, bytes: u64, cx: &mut Ctx<'_, Self>) -> ReqId;
+    /// `payload` came off `path` (either direction) at `cx.now`.
+    fn on_payload(&mut self, path: usize, payload: Self::Payload, cx: &mut Ctx<'_, Self>);
+    /// `timer` fired at `cx.now`.
+    fn on_timer(&mut self, timer: Self::Timer, cx: &mut Ctx<'_, Self>);
+    /// `path` went up or down (`cx` already knows): run the subflow
+    /// machinery, reporting each affected subflow to [`Ctx::subflow_state`].
+    fn on_path_state(&mut self, path: usize, up: bool, cx: &mut Ctx<'_, Self>);
+    /// True when everything written has been delivered and acknowledged.
+    fn all_drained(&self) -> bool;
+    /// Periodic tick, scheduled when the recorder wants cwnd/sndbuf traces.
+    fn sample(&self, _now: Time, _recorder: &mut Recorder) {}
+}
+
+/// Bridges a crate's own application trait to the harness: implemented
+/// once per transport, for every `A` implementing that trait.
+pub trait Drive<A>: Transport {
+    /// Deliver the t=0 start callback.
+    fn start(app: &mut A, now: Time, api: &mut Api<'_, Self>);
+    /// Deliver a response-complete callback.
+    fn response_complete(app: &mut A, now: Time, conn: ConnId, req: ReqId, api: &mut Api<'_, Self>);
+    /// Deliver an application-timer callback.
+    fn timer(app: &mut A, now: Time, token: u64, api: &mut Api<'_, Self>);
+}
+
 /// What a workload driver may ask of any multipath transport testbed:
-/// issue an application request and arm a timer. Both the MPTCP testbed's
-/// [`crate::Api`] and the quic testbed's API implement this, so one
-/// generic application runs on either transport.
+/// issue an application request and arm a timer. The harness's [`Api`]
+/// implements this for every transport.
 pub trait TransportApi {
     /// Issue a request for `bytes` of response payload on connection
     /// `conn`. On MPTCP this is an HTTP GET on one of several connections;
@@ -167,8 +219,8 @@ pub trait TransportApi {
 }
 
 /// A transport-agnostic workload driver: [`crate::Application`] generalized
-/// over the API handle. Implementations written against this trait drive
-/// the MPTCP testbed (via [`GenericApp`]) and the quic testbed unchanged.
+/// over the API handle. The quic testbed drives these; MPTCP workloads
+/// implement [`crate::Application`].
 pub trait TransportApp {
     /// Called once at t=0.
     fn on_start(&mut self, now: Time, api: &mut dyn TransportApi);
@@ -184,33 +236,12 @@ pub trait TransportApp {
     fn on_timer(&mut self, _now: Time, _token: u64, _api: &mut dyn TransportApi) {}
 }
 
-impl TransportApi for crate::sim::Api<'_> {
+impl<T: Transport> TransportApi for Api<'_, T> {
     fn request(&mut self, conn: ConnId, bytes: u64) -> ReqId {
-        crate::sim::Api::request(self, conn, bytes)
+        Api::request(self, conn, bytes)
     }
     fn set_timer(&mut self, at: Time, token: u64) {
-        crate::sim::Api::set_timer(self, at, token)
-    }
-}
-
-/// Adapter running any [`TransportApp`] on the MPTCP testbed.
-pub struct GenericApp<A: TransportApp>(pub A);
-
-impl<A: TransportApp> crate::sim::Application for GenericApp<A> {
-    fn on_start(&mut self, now: Time, api: &mut crate::sim::Api<'_>) {
-        self.0.on_start(now, api);
-    }
-    fn on_response_complete(
-        &mut self,
-        now: Time,
-        conn: ConnId,
-        req: ReqId,
-        api: &mut crate::sim::Api<'_>,
-    ) {
-        self.0.on_response_complete(now, conn, req, api);
-    }
-    fn on_timer(&mut self, now: Time, token: u64, api: &mut crate::sim::Api<'_>) {
-        self.0.on_timer(now, token, api);
+        Api::set_timer(self, at, token)
     }
 }
 

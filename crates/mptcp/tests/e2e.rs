@@ -3,7 +3,7 @@
 //! and conservation invariants.
 
 use ecf_core::SchedulerKind;
-use mptcp::{Api, Application, ConnConfig, ConnSpec, Testbed, TestbedConfig};
+use mptcp::{Api, Application, ConnConfig, ConnSpec, Testbed, TestbedConfig, Transport};
 use scenario::Scenario;
 use simnet::{PathConfig, Time};
 use testkit::digest::Fnv1a;

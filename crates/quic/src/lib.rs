@@ -8,9 +8,10 @@
 //!
 //! The crate shares the transport seam from `mptcp::transport`: packets are
 //! placed by [`mptcp::SchedDriver`] (so scheduler decision telemetry is
-//! byte-identical across transports), workloads implement
-//! [`mptcp::TransportApp`] and run unchanged on either testbed, and results
-//! land in the same [`mptcp::Recorder`]. See DESIGN.md §12 for how this
+//! byte-identical across transports), [`Quic`] runs under the same generic
+//! testbed harness as MPTCP ([`QuicTestbed`] is `mptcp::harness::Testbed`
+//! over it), workloads implement [`mptcp::TransportApp`], and results land
+//! in the same [`mptcp::Recorder`]. See DESIGN.md §12 for how this
 //! model simplifies RFC 9000 and why those simplifications don't touch the
 //! scheduling story.
 //!
@@ -49,4 +50,4 @@ mod sim;
 
 pub use connection::{AckOutcome, PathSpace, QuicConfig, QuicConn, QuicStats, QuicTx};
 pub use receiver::{DeliveredChunk, QuicReceiver};
-pub use sim::{Event, QuicApi, QuicSim, QuicTestbed, QuicTestbedConfig, QuicWorld};
+pub use sim::{Event, Quic, QuicTestbed, QuicTestbedConfig, QuicWorld};

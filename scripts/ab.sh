@@ -27,7 +27,7 @@ while [ $# -gt 0 ]; do
     esac
 done
 
-tmp="$(mktemp -d /tmp/ab.XXXXXX)"
+tmp="$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")"
 trap 'rm -rf "$tmp"' EXIT
 for i in 0 1; do
     mkdir "$tmp/src$i"

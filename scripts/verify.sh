@@ -19,6 +19,16 @@ cargo test -q --offline --workspace
 echo "== lint: clippy, warnings are errors (offline) =="
 cargo clippy --offline --workspace -- -D warnings
 
+echo "== one testbed skeleton: the drain loop and apply_control live in one file =="
+# Two transports, one harness (DESIGN.md §12). A second file matching either
+# marker is a second copy of the skeleton growing back. (`Action::RateBps`
+# would also match the scenario rewriter in experiments/src/common.rs.)
+for marker in 'claim_dispatch' 'Action::PathUp'; do
+    n="$(grep -rl "$marker" crates/mptcp/src crates/quic/src crates/experiments/src | wc -l)"
+    [ "$n" -eq 1 ] || { echo "verify.sh: '$marker' matches $n files under" \
+        "crates/{mptcp,quic,experiments}/src, expected exactly 1" >&2; exit 1; }
+done
+
 echo "== memory guards: RSS growth over live bytes, bytes requested and live (release) =="
 # Both pass or fail in the workspace tests above too (debug); the release
 # run is the allocator pattern the benchmark of record sees, and the ratio
@@ -33,7 +43,7 @@ echo "== every registered experiment, quick, through the CLI =="
 cargo run --offline --release -p experiments --bin repro -- all --quick --no-save > /dev/null
 
 echo "== telemetry trace smoke (repro --trace, quick) =="
-tmp_trace="$(mktemp /tmp/trace-smoke.XXXXXX.jsonl)"
+tmp_trace="$(mktemp "${TMPDIR:-/tmp}"/trace-smoke.XXXXXX.jsonl)"
 trap 'rm -f "$tmp_trace"' EXIT
 cargo run --offline --release -p experiments --bin repro -- \
     --trace "$tmp_trace" --quick > /dev/null
@@ -115,12 +125,12 @@ echo "== experiment-matrix smoke (repro matrix, quick, twice) =="
 # Cold run into a throwaway cache, then a warm re-run: the second pass must
 # be 100% cache hits (0 executed) and byte-identical — the determinism +
 # caching contract of crates/experiments/src/expmatrix.
-matrix_cache="$(mktemp -d /tmp/matrix-smoke.XXXXXX)"
+matrix_cache="$(mktemp -d "${TMPDIR:-/tmp}"/matrix-smoke.XXXXXX)"
 trap 'rm -f "$tmp_trace"; rm -rf "$matrix_cache"' EXIT
 matrix_spec="crates/experiments/specs/smoke.json"
-cold_out="$(mktemp /tmp/matrix-cold.XXXXXX.txt)"
-warm_out="$(mktemp /tmp/matrix-warm.XXXXXX.txt)"
-warm_err="$(mktemp /tmp/matrix-warm.XXXXXX.err)"
+cold_out="$(mktemp "${TMPDIR:-/tmp}"/matrix-cold.XXXXXX.txt)"
+warm_out="$(mktemp "${TMPDIR:-/tmp}"/matrix-warm.XXXXXX.txt)"
+warm_err="$(mktemp "${TMPDIR:-/tmp}"/matrix-warm.XXXXXX.err)"
 trap 'rm -f "$tmp_trace" "$cold_out" "$warm_out" "$warm_err"; rm -rf "$matrix_cache"' EXIT
 cargo run --offline --release -p experiments --bin repro -- \
     matrix "$matrix_spec" --quick --no-save --cache-dir "$matrix_cache" \
