@@ -1,19 +1,26 @@
 //! `repro` — regenerate any table or figure of the paper.
 //!
 //! ```text
-//! repro <id> [--quick] [--no-save]   one experiment (fig9, tab3, ...)
-//! repro all [--quick] [--no-save]    everything, in paper order
+//! repro <id> [--quick] [--no-save]   one experiment (fig9, tab3, ...); a
+//!                                    spec-backed id (fig3, quic_web, ...)
+//!                                    also takes --force --dry-run
+//!                                    --cache-dir, exactly as `matrix`
+//! repro all [--quick] [--no-save] [--force] [--cache-dir DIR]
+//!                                    everything, in paper order
 //! repro list                         show available ids
 //! repro matrix <spec.json> [--quick] [--no-save] [--force] [--dry-run]
 //!              [--cache-dir DIR]     declarative experiment matrix
-//! repro sweep [--coupled] [--units N] [--shards N] [--workers N] [--seed N]
-//!                                    sharded browse population sweep;
+//! repro sweep [--coupled] [--quick] [--units N] [--shards N] [--workers N]
+//!             [--seed N]             sharded browse population sweep;
 //!                                    --coupled adds a shared LTE bottleneck
 //!                                    (lockstep co-sim) and prints its
 //!                                    window/round/boundary telemetry
 //! repro --trace out.jsonl [--quick] [--scenario dyn.json] [--seed N]
 //!                                    traced canonical run (0.3/8.6, ECF)
 //! ```
+//!
+//! Each target reads only the flags [`Target::flags`] lists for it; any
+//! other flag is an error, never silently ignored.
 //!
 //! Reports go to stdout and `results/<id>.txt`; `--no-save` skips the
 //! file so smoke runs don't overwrite committed full-effort results.
@@ -23,7 +30,9 @@
 //! `.expcache/`), executes only the rest, and assembles the figure in a
 //! fixed merge order — output is byte-identical whatever the cache state.
 //! `--force` re-executes everything (refreshing the cache); `--dry-run`
-//! reports cell counts and cache hits without running anything.
+//! reports cell counts and cache hits without running anything. A
+//! spec-backed `repro <id>` is `matrix` on the spec embedded in the
+//! registry.
 //!
 //! `--trace` runs the paper's most heterogeneous streaming pair with
 //! telemetry enabled and writes every scheduler decision (with its inputs
@@ -31,12 +40,12 @@
 //! `--scenario` layers network dynamics from a JSON file (schema:
 //! `scenario::Scenario::from_json`) onto the traced run.
 
-use std::io::Write;
-
-use experiments::{find, registry, run_traced, Effort};
+use experiments::expmatrix::Spec;
+use experiments::{find, registry, run_traced, Effort, Experiment, MatrixOptions, Source};
 use scenario::Scenario;
 
-const USAGE: &str = "usage: repro <id>|all|list [--quick] [--no-save] \
+const USAGE: &str = "usage: repro <id>|all|list [--quick] [--no-save] [--force] [--dry-run] \
+[--cache-dir DIR] \
 | repro matrix <spec.json> [--quick] [--no-save] [--force] [--dry-run] [--cache-dir DIR] \
 | repro sweep [--coupled] [--quick] [--units N] [--shards N] [--workers N] [--seed N] \
 | repro --trace <out.jsonl> [--quick] [--scenario dyn.json] [--seed N]";
@@ -45,10 +54,51 @@ const SWITCHES: [&str; 5] = ["--quick", "--no-save", "--force", "--dry-run", "--
 const VALUED: [&str; 7] =
     ["--trace", "--scenario", "--seed", "--cache-dir", "--units", "--shards", "--workers"];
 
+/// What a command line runs.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    List,
+    All,
+    One(Experiment),
+    Matrix,
+    Sweep,
+    Trace,
+}
+
+impl Target {
+    /// The flags each target reads — the one table the parser checks.
+    fn flags(self) -> &'static [&'static str] {
+        const MATRIX: &[&str] = &["--quick", "--no-save", "--force", "--dry-run", "--cache-dir"];
+        match self {
+            Target::List => &[],
+            Target::One(Experiment { source: Source::Code(_), .. }) => &["--quick", "--no-save"],
+            Target::One(Experiment { source: Source::Spec(_), .. }) | Target::Matrix => MATRIX,
+            // No --dry-run: the code entries would still execute.
+            Target::All => &["--quick", "--no-save", "--force", "--cache-dir"],
+            Target::Sweep => {
+                &["--quick", "--coupled", "--units", "--shards", "--workers", "--seed"]
+            }
+            Target::Trace => &["--trace", "--quick", "--scenario", "--seed"],
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Target::List => "list",
+            Target::All => "all",
+            Target::One(e) => e.id,
+            Target::Matrix => "matrix",
+            Target::Sweep => "sweep",
+            Target::Trace => "--trace",
+        }
+    }
+}
+
 /// The command line, split once: a value-taking flag consumes the word after
 /// it, so what remains in `words` is the target followed by its operand.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Cli {
+    target: Target,
     words: Vec<String>,
     switches: Vec<String>,
     values: Vec<(String, String)>,
@@ -56,34 +106,55 @@ struct Cli {
 
 impl Cli {
     fn parse(args: &[String]) -> Result<Cli, String> {
-        let mut cli = Cli::default();
+        let (mut words, mut switches, mut values) = (Vec::new(), Vec::new(), Vec::new());
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             if VALUED.contains(&arg.as_str()) {
                 match it.next().filter(|v| !v.starts_with("--")) {
-                    Some(v) => cli.values.push((arg.clone(), v.clone())),
+                    Some(v) => values.push((arg.clone(), v.clone())),
                     None => return Err(format!("{arg} needs a value")),
                 }
             } else if SWITCHES.contains(&arg.as_str()) {
-                cli.switches.push(arg.clone());
+                switches.push(arg.clone());
             } else if arg.starts_with("--") {
                 return Err(format!("unknown flag '{arg}'"));
             } else {
-                cli.words.push(arg.clone());
+                words.push(arg.clone());
             }
         }
-        let matrix = cli.target() == Some("matrix");
-        if matrix && cli.words.len() < 2 {
-            return Err("matrix needs a spec file".to_string());
+        let target = if values.iter().any(|(f, _)| f == "--trace") {
+            Target::Trace
+        } else {
+            match words.first().map(String::as_str) {
+                None | Some("list") => Target::List,
+                Some("all") => Target::All,
+                Some("matrix") => Target::Matrix,
+                Some("sweep") => Target::Sweep,
+                Some(id) => Target::One(
+                    find(id)
+                        .ok_or_else(|| format!("unknown experiment '{id}'; try `repro list`"))?,
+                ),
+            }
+        };
+        let operands = match target {
+            Target::Trace => 0,
+            Target::Matrix if words.len() < 2 => return Err("matrix needs a spec file".into()),
+            Target::Matrix => 2,
+            _ => 1,
+        };
+        if let Some(extra) = words.get(operands) {
+            return Err(format!("unexpected argument '{extra}'"));
         }
-        match cli.words.get(1 + usize::from(matrix)) {
-            Some(extra) => Err(format!("unexpected argument '{extra}'")),
-            None => Ok(cli),
+        let accepted = target.flags();
+        let flags = switches.iter().chain(values.iter().map(|(f, _)| f));
+        if let Some(flag) = flags.into_iter().find(|f| !accepted.contains(&f.as_str())) {
+            return Err(format!(
+                "`repro {}` does not read {flag} (it reads: {})",
+                target.name(),
+                if accepted.is_empty() { "no flags".to_string() } else { accepted.join(" ") }
+            ));
         }
-    }
-
-    fn target(&self) -> Option<&str> {
-        self.words.first().map(String::as_str)
+        Ok(Cli { target, words, switches, values })
     }
 
     fn has(&self, switch: &str) -> bool {
@@ -92,6 +163,14 @@ impl Cli {
 
     fn value(&self, flag: &str) -> Option<&str> {
         self.values.iter().find(|(f, _)| f == flag).map(|(_, v)| v.as_str())
+    }
+
+    fn matrix_options(&self, effort: Effort) -> MatrixOptions {
+        let mut opts = MatrixOptions::new(self.value("--cache-dir").unwrap_or(".expcache"));
+        opts.effort = effort;
+        opts.force = self.has("--force");
+        opts.dry_run = self.has("--dry-run");
+        opts
     }
 }
 
@@ -114,94 +193,74 @@ fn main() {
         })
     };
 
-    if let Some(trace_path) = cli.value("--trace") {
-        let scenario = cli.value("--scenario").map(|file| {
-            Scenario::from_json_file(file).unwrap_or_else(|err| {
-                eprintln!("bad scenario: {err}");
-                std::process::exit(2);
-            })
-        });
-        run_trace(trace_path, effort, scenario, num("--seed", 1) as u64);
-        return;
-    }
-
-    let target = cli.target();
-
-    if target == Some("matrix") {
-        let spec_path = &cli.words[1];
-        let mut opts = experiments::MatrixOptions::new(
-            cli.value("--cache-dir").unwrap_or(".expcache"),
-        );
-        opts.effort = effort;
-        opts.force = cli.has("--force");
-        opts.dry_run = cli.has("--dry-run");
-        run_matrix_cmd(spec_path, opts, save);
-        return;
-    }
-
-    if target == Some("sweep") {
-        run_sweep_cmd(
+    match cli.target {
+        Target::Trace => {
+            let scenario = cli.value("--scenario").map(|file| {
+                Scenario::from_json_file(file).unwrap_or_else(|err| {
+                    eprintln!("bad scenario: {err}");
+                    std::process::exit(2);
+                })
+            });
+            let path = cli.value("--trace").unwrap_or_default();
+            run_trace(path, effort, scenario, num("--seed", 1) as u64);
+        }
+        Target::Matrix => {
+            let path = &cli.words[1];
+            run_matrix_cmd(Spec::from_file(path), path, cli.matrix_options(effort), save);
+        }
+        Target::Sweep => run_sweep_cmd(
             num("--units", if quick { 20 } else { 167 }),
             num("--shards", 0),
             cli.value("--workers").map(|_| num("--workers", 1)).filter(|&w| w > 0),
             num("--seed", 1) as u64,
             cli.has("--coupled"),
-        );
-        return;
-    }
-
-    match target {
-        None | Some("list") => {
+        ),
+        Target::List => {
             println!("available experiments:\n");
             for e in registry() {
                 println!("  {:<22} {}", e.id, e.title);
             }
             println!("\n{USAGE}");
         }
-        Some("all") => {
-            // Dedup aliases (fig7/fig10 etc. share a generator).
+        Target::All => {
+            // Aliases (fig7/fig10 etc.) share a title and a generator.
             let mut seen = std::collections::HashSet::new();
             for e in registry() {
-                if !seen.insert(e.run as usize) {
-                    continue;
+                if seen.insert(e.title) {
+                    run_one(&e, cli.matrix_options(effort), save);
                 }
-                run_one(&e, effort, save);
             }
         }
-        Some(id) => match find(id) {
-            Some(e) => run_one(&e, effort, save),
-            None => {
-                eprintln!("unknown experiment '{id}'; try `repro list`");
-                std::process::exit(1);
-            }
-        },
+        Target::One(e) => run_one(&e, cli.matrix_options(effort), save),
     }
 }
 
-fn run_one(e: &experiments::Experiment, effort: Effort, save: bool) {
+/// Run one registry entry: a spec-backed one is `repro matrix` on its spec.
+fn run_one(e: &Experiment, opts: MatrixOptions, save: bool) {
+    let generate = match e.source {
+        Source::Code(generate) => generate,
+        Source::Spec(json) => {
+            let origin = format!("specs/{}.json, embedded", e.id);
+            return run_matrix_cmd(Spec::from_json(json), &origin, opts, save);
+        }
+    };
     let started = std::time::Instant::now();
     eprintln!("== running {} ({}) ==", e.id, e.title);
-    let report = (e.run)(effort);
+    let report = generate(opts.effort);
     println!("{report}");
     eprintln!("== {} done in {:.1}s ==\n", e.id, started.elapsed().as_secs_f64());
-    if !save {
-        return;
-    }
-    if let Err(err) = std::fs::create_dir_all("results")
-        .and_then(|_| std::fs::File::create(format!("results/{}.txt", e.id)))
-        .and_then(|mut f| f.write_all(report.as_bytes()))
-    {
-        eprintln!("warning: could not write results/{}.txt: {err}", e.id);
+    if save {
+        save_report(e.id, &report);
     }
 }
 
-fn run_matrix_cmd(spec_path: &str, opts: experiments::MatrixOptions, save: bool) {
+fn run_matrix_cmd(spec: Result<Spec, String>, origin: &str, opts: MatrixOptions, save: bool) {
     let started = std::time::Instant::now();
-    let spec = experiments::expmatrix::Spec::from_file(spec_path).unwrap_or_else(|err| {
+    let spec = spec.unwrap_or_else(|err| {
         eprintln!("bad spec: {err}");
         std::process::exit(2);
     });
-    eprintln!("== matrix {} ({}) ==", spec.name, spec_path);
+    eprintln!("== matrix {} ({origin}) ==", spec.name);
     let outcome = experiments::run_matrix(&spec, &opts).unwrap_or_else(|err| {
         eprintln!("matrix failed: {err}");
         std::process::exit(1);
@@ -217,13 +276,17 @@ fn run_matrix_cmd(spec_path: &str, opts: experiments::MatrixOptions, save: bool)
         spec.name,
         started.elapsed().as_secs_f64()
     );
-    if !save {
-        return;
+    if save {
+        save_report(&spec.name, &outcome.report);
     }
-    if let Err(err) = std::fs::create_dir_all("results").and_then(|_| {
-        std::fs::write(format!("results/{}.txt", spec.name), outcome.report.as_bytes())
-    }) {
-        eprintln!("warning: could not write results/{}.txt: {err}", spec.name);
+}
+
+/// Write `results/<name>.txt` relative to the working directory.
+fn save_report(name: &str, report: &str) {
+    if let Err(err) = std::fs::create_dir_all("results")
+        .and_then(|_| std::fs::write(format!("results/{name}.txt"), report))
+    {
+        eprintln!("warning: could not write results/{name}.txt: {err}");
     }
 }
 
@@ -318,6 +381,19 @@ mod tests {
         Cli::parse(&args)
     }
 
+    /// `accepted` parses; each line of `refused` is an error naming the
+    /// target and the flag it does not read.
+    fn check(target: &str, accepted: &str, refused: &[(&str, &str)]) {
+        parse(accepted).unwrap_or_else(|err| panic!("`repro {accepted}`: {err}"));
+        for &(line, flag) in refused {
+            let err = parse(line).expect_err(line);
+            assert!(
+                err.starts_with(&format!("`repro {target}` does not read {flag}")),
+                "`repro {line}`: {err}"
+            );
+        }
+    }
+
     #[test]
     fn flag_values_are_not_positionals() {
         let cli = parse("matrix --cache-dir /tmp/c specs/smoke.json").unwrap();
@@ -325,7 +401,7 @@ mod tests {
         assert_eq!(cli.value("--cache-dir"), Some("/tmp/c"));
 
         let cli = parse("--seed 5 sweep --quick").unwrap();
-        assert_eq!(cli.target(), Some("sweep"));
+        assert_eq!(cli.target.name(), "sweep");
         assert_eq!(cli.value("--seed"), Some("5"));
         assert!(cli.has("--quick"));
     }
@@ -337,18 +413,79 @@ mod tests {
         assert_eq!(parse("--trace --quick").unwrap_err(), "--trace needs a value");
         assert_eq!(parse("fig9 fig5").unwrap_err(), "unexpected argument 'fig5'");
         assert_eq!(parse("matrix --quick").unwrap_err(), "matrix needs a spec file");
+        assert_eq!(parse("fig9 --trace t.jsonl").unwrap_err(), "unexpected argument 'fig9'");
+        assert!(parse("fig99 --quick").unwrap_err().starts_with("unknown experiment 'fig99'"));
     }
 
     #[test]
-    fn every_documented_form_parses() {
-        for line in [
-            "",
+    fn list_reads_no_flags() {
+        parse("").unwrap();
+        check("list", "list", &[("list --quick", "--quick"), ("--seed 3", "--seed")]);
+    }
+
+    #[test]
+    fn a_code_entry_reads_effort_and_saving_only() {
+        check(
+            "fig9",
             "fig9 --quick --no-save",
-            "all --quick --no-save",
-            "list",
-            "matrix spec.json --quick --no-save --force --dry-run --cache-dir DIR",
-            "sweep --coupled --units 9 --shards 3 --workers 2 --seed 7",
+            &[("fig9 --force", "--force"), ("fig9 --units 5", "--units"), ("fig9 --dry-run", "--dry-run")],
+        );
+    }
+
+    #[test]
+    fn a_spec_entry_reads_the_matrix_flags() {
+        check(
+            "quic_web",
+            "quic_web --quick --no-save --force --dry-run --cache-dir DIR",
+            &[("quic_web --coupled", "--coupled"), ("quic_web --seed 2", "--seed")],
+        );
+    }
+
+    #[test]
+    fn all_reads_the_matrix_flags_but_dry_run() {
+        check(
+            "all",
+            "all --quick --no-save --force --cache-dir DIR",
+            &[("all --dry-run", "--dry-run"), ("all --units 5", "--units")],
+        );
+    }
+
+    #[test]
+    fn matrix_reads_the_matrix_flags() {
+        check(
+            "matrix",
+            "matrix s.json --quick --no-save --force --dry-run --cache-dir DIR",
+            &[("matrix s.json --coupled", "--coupled"), ("matrix s.json --workers 2", "--workers")],
+        );
+    }
+
+    #[test]
+    fn sweep_reads_population_flags() {
+        check(
+            "sweep",
+            "sweep --coupled --quick --units 9 --shards 3 --workers 2 --seed 7",
+            &[("sweep --no-save", "--no-save"), ("sweep --cache-dir DIR", "--cache-dir")],
+        );
+    }
+
+    #[test]
+    fn trace_reads_its_run_flags() {
+        check(
+            "--trace",
             "--trace out.jsonl --quick --scenario dyn.json --seed 3",
+            &[("--trace out.jsonl --no-save", "--no-save"), ("--trace t --units 5", "--units")],
+        );
+    }
+
+    #[test]
+    fn every_verify_sh_command_line_parses() {
+        for line in [
+            "all --quick --no-save --cache-dir DIR",
+            "--trace out.jsonl --quick",
+            "dyn_handover --quick --no-save --cache-dir DIR",
+            "quic_web --quick --no-save --cache-dir DIR",
+            "sweep --coupled --quick",
+            "matrix spec.json --quick --no-save --cache-dir DIR",
         ] {
             parse(line).unwrap_or_else(|err| panic!("`repro {line}`: {err}"));
         }

@@ -6,21 +6,20 @@
 //! scenario kinds, or workloads are errors, not silent defaults — a typo'd
 //! spec must fail loudly instead of caching a wrong-but-plausible result.
 //!
-//! The scenario construction reproduces the legacy figure code exactly
-//! (same horizon formulas, same lossy-path index, same seed wiring); the
-//! equivalence suite in `tests/matrix.rs` holds this bridge to
-//! byte-identical figure output against the pre-matrix code paths.
+//! Each scenario kind fixes its horizon formula, lossy-path index and seed
+//! wiring here; `tests/matrix.rs` pins the reports they produce by digest.
 
 use std::collections::BTreeMap;
 
 use ecf_core::SchedulerKind;
+use metrics::Cdf;
 use mptcp::{CcKind, RecorderConfig};
 use scenario::{GilbertElliott, LossModel, Scenario};
 use simnet::Time;
 use testkit::json::Value;
 
-use crate::common::{run_streaming, secs, StreamingConfig, VARIABLE_BW_SET};
-use crate::dynamics::handover_scenario;
+use crate::common::{run_browse, run_streaming, secs, StreamingConfig, VARIABLE_BW_SET};
+use crate::quicweb::run_quic_web;
 
 /// Execute one cell, returning its result document:
 ///
@@ -41,7 +40,7 @@ pub fn execute(cfg: &Value) -> Result<Value, String> {
 /// One `quic_web` cell: the cnn-like page on *both* transports (one MPQUIC
 /// connection with 107 streams vs six MPTCP connections) for one
 /// scheduler/bandwidth/seed point, so every cached result is already a
-/// paired comparison.
+/// paired comparison. Scalars are `<transport>_<observable>`.
 fn quic_web_cell(cfg: &Value) -> Result<Value, String> {
     let wifi = num_field(cfg, "wifi_mbps")?;
     let lte = num_field(cfg, "lte_mbps")?;
@@ -49,51 +48,63 @@ fn quic_web_cell(cfg: &Value) -> Result<Value, String> {
     let scheduler = parse_scheduler(str_field(cfg, "scheduler")?)?;
 
     let mut scalars = BTreeMap::new();
-    {
-        let tb = crate::common::run_browse(wifi, lte, scheduler, seed);
-        if !tb.app().done() {
-            return Err("mptcp page load did not complete".to_string());
-        }
-        let cdf = metrics::Cdf::from_samples(tb.app().completion_times_secs());
-        let ooo = metrics::Cdf::from_samples(tb.world().recorder.ooo_delays_secs());
-        let plt = tb.app().page_load_time.expect("page done").as_secs_f64();
-        scalars.insert("mptcp_obj_mean_s".to_string(), Value::Number(cdf.mean()));
-        scalars.insert("mptcp_obj_p99_s".to_string(), Value::Number(cdf.quantile(0.99)));
-        scalars.insert("mptcp_plt_s".to_string(), Value::Number(plt));
-        scalars.insert("mptcp_ooo_p99_s".to_string(), Value::Number(ooo.quantile(0.99)));
-        scalars.insert(
-            "mptcp_events".to_string(),
-            Value::Number(tb.events_processed() as f64),
-        );
-    }
-    {
-        let tb = crate::quicweb::run_quic_web(wifi, lte, scheduler, seed);
-        if !tb.app().done() {
-            return Err("quic page load did not complete".to_string());
-        }
-        let completions: Vec<f64> = tb
-            .world()
-            .recorder
-            .completed_requests()
-            .map(|r| r.completion_time().expect("completed").as_secs_f64())
-            .collect();
-        let cdf = metrics::Cdf::from_samples(completions);
-        let ooo = metrics::Cdf::from_samples(tb.world().recorder.ooo_delays_secs());
-        let plt = tb.app().page_load_time.expect("page done").as_secs_f64();
-        scalars.insert("quic_obj_mean_s".to_string(), Value::Number(cdf.mean()));
-        scalars.insert("quic_obj_p99_s".to_string(), Value::Number(cdf.quantile(0.99)));
-        scalars.insert("quic_plt_s".to_string(), Value::Number(plt));
-        scalars.insert("quic_ooo_p99_s".to_string(), Value::Number(ooo.quantile(0.99)));
-        scalars.insert(
-            "quic_events".to_string(),
-            Value::Number(tb.events_processed() as f64),
-        );
-    }
+    let tb = run_browse(wifi, lte, scheduler, seed);
+    let plt = tb.app().page_load_time.filter(|_| tb.app().done());
+    let plt = plt.ok_or("mptcp page load did not complete")?;
+    let page = PageLoad {
+        completions: tb.app().completion_times_secs(),
+        ooo: tb.world().recorder.ooo_delays_secs(),
+        plt,
+        events: tb.events_processed(),
+    };
+    page.put("mptcp", &mut scalars);
+
+    let tb = run_quic_web(wifi, lte, scheduler, seed);
+    let plt = tb.app().page_load_time.filter(|_| tb.app().done());
+    let plt = plt.ok_or("quic page load did not complete")?;
+    let rec = &tb.world().recorder;
+    let page = PageLoad {
+        completions: rec
+            .requests
+            .iter()
+            .filter_map(|r| Some(r.completion_time()?.as_secs_f64()))
+            .collect(),
+        ooo: rec.ooo_delays_secs(),
+        plt,
+        events: tb.events_processed(),
+    };
+    page.put("quic", &mut scalars);
 
     let mut result = BTreeMap::new();
     result.insert("scalars".to_string(), Value::Object(scalars));
     result.insert("series".to_string(), Value::Object(BTreeMap::new()));
     Ok(Value::Object(result))
+}
+
+/// One transport's finished page load.
+struct PageLoad {
+    completions: Vec<f64>,
+    ooo: Vec<f64>,
+    plt: Time,
+    events: u64,
+}
+
+impl PageLoad {
+    fn put(self, transport: &str, scalars: &mut BTreeMap<String, Value>) {
+        let obj = Cdf::from_samples(self.completions);
+        let ooo = Cdf::from_samples(self.ooo);
+        for (name, v) in [
+            ("obj_mean_s", obj.mean()),
+            ("obj_median_s", obj.median()),
+            ("obj_p99_s", obj.quantile(0.99)),
+            ("plt_s", self.plt.as_secs_f64()),
+            ("ooo_mean_s", ooo.mean()),
+            ("ooo_p99_s", ooo.quantile(0.99)),
+            ("events", self.events as f64),
+        ] {
+            scalars.insert(format!("{transport}_{name}"), Value::Number(v));
+        }
+    }
 }
 
 fn streaming_cell(cfg: &Value) -> Result<Value, String> {
@@ -176,10 +187,26 @@ fn streaming_cell(cfg: &Value) -> Result<Value, String> {
     Ok(Value::Object(result))
 }
 
+/// Periodic LTE blackouts: every 60 s starting at t=30 s the LTE
+/// interface goes dark for `outage_secs`, modelling repeated cell-edge
+/// dropouts over a long session. `0` means no outages (static baseline).
+fn handover_scenario(outage_secs: u64, wall_horizon_secs: u64) -> Scenario {
+    let mut s = Scenario::new();
+    if outage_secs == 0 {
+        return s;
+    }
+    let mut t = 30u64;
+    while t + outage_secs < wall_horizon_secs {
+        s = s.outage(1, Time::from_secs(t), Time::from_secs(t + outage_secs));
+        t += 60;
+    }
+    s
+}
+
 /// Build the run's scenario. `None` when the config names neither a
-/// scenario nor a loss process (matching the legacy static runs); an
-/// explicit `{"kind": "static"}` yields `Some(empty)` exactly like the
-/// legacy ladder code's zero rung.
+/// scenario nor a loss process (a plain static run); an explicit
+/// `{"kind": "static"}` or a zero-average loss yields `Some(empty)`, which
+/// runs identically.
 fn build_scenario(cfg: &Value, video_secs: f64) -> Result<Option<Scenario>, String> {
     let scenario_doc = cfg.get("scenario");
     let loss_doc = cfg.get("loss");
@@ -192,8 +219,9 @@ fn build_scenario(cfg: &Value, video_secs: f64) -> Result<Option<Scenario>, Stri
         Some(doc) => match str_field(doc, "kind")? {
             "static" => Scenario::new(),
             "handover" => {
-                // Same cycle generation as dyn_handover: outages every
-                // 60 s from t=30 s up to the run_streaming wall horizon.
+                // Outage cycles across the whole possible run, up to the
+                // run_streaming wall horizon; late events on a finished run
+                // are harmless.
                 let outage = num_field(doc, "outage_secs")? as u64;
                 let wall_horizon = (video_secs * 30.0) as u64 + 300;
                 handover_scenario(outage, wall_horizon)
@@ -323,8 +351,16 @@ mod tests {
         let loss = json::parse(r#"{"loss": {"avg": 0.01, "mean_burst": 8}}"#).unwrap();
         let s = build_scenario(&loss, 30.0).unwrap().unwrap();
         assert!(!s.is_static());
-        // Zero average loss: Some(empty), exactly the legacy zero rung.
+        // Zero average loss: Some(empty), the static rung of the ladder.
         let zero = json::parse(r#"{"loss": {"avg": 0.0, "mean_burst": 8}}"#).unwrap();
         assert!(build_scenario(&zero, 30.0).unwrap().unwrap().is_static());
+    }
+
+    #[test]
+    fn handover_scenario_cycles_until_horizon() {
+        let s = handover_scenario(10, 200);
+        // Cycles at 30, 90, 150 (210 would overrun): 3 outages = 6 events.
+        assert_eq!(s.compile().len(), 6);
+        assert!(handover_scenario(0, 200).is_static());
     }
 }

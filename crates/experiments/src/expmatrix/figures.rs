@@ -3,10 +3,9 @@
 //! Renderers consume results by cell index in the fixed expansion order
 //! (never by completion order) and read grid coordinates from the spec's
 //! [`BlockShape`]s, so the same renderer serves any ladder size the spec
-//! resolves to. The ported figures (`fig3`, `fig16`, `fig17`,
-//! `dyn_handover`, `dyn_burstloss`) keep the legacy headers, column
-//! formats, and float summation order verbatim — the equivalence tests
-//! compare their output byte-for-byte against the pre-matrix code paths.
+//! resolves to. This is the only code that renders the spec-backed
+//! figures; `tests/matrix.rs` pins each one's Quick report by digest.
+//! Seeds aggregate as the mean of per-seed values.
 
 use metrics::render_table;
 use testkit::json::Value;
@@ -252,16 +251,28 @@ fn dyn_burstloss(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     Ok(s)
 }
 
-/// quic_web: bandwidth-config × scheduler grid; every cell already carries
-/// both transports, so each grid point renders as a paired row.
+/// quic_web: one table per bandwidth config with a row per (scheduler,
+/// transport); every cell carries both transports, so the rows of one
+/// scheduler are a paired comparison.
 fn quic_web(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    /// Column name (the `<transport>_<column>` scalar) and its precision.
+    const COLUMNS: [(&str, usize); 6] = [
+        ("obj_mean_s", 3),
+        ("obj_median_s", 3),
+        ("obj_p99_s", 3),
+        ("plt_s", 3),
+        ("ooo_mean_s", 4),
+        ("ooo_p99_s", 4),
+    ];
     let block = sole_block(exp, "quic_web", 2)?;
     let (n_cfg, n_k, per_cell) = (block.axis_lens[0], block.axis_lens[1], block.seeds);
+    let mut header = vec!["transport", "scheduler"];
+    header.extend(COLUMNS.map(|(name, _)| name));
     let mut s = String::from(
-        "quic_web: 107-object page, 1 MPQUIC connection (107 streams) vs\n\
-         6 MPTCP connections, same packet scheduler on both transports\n\
-         (page-load time and per-object p99 in seconds; OOO p99 is the\n\
-          reordering tail — per-stream reassembly should shrink it)\n",
+        "quic_web: 107-object page — 1 MPQUIC connection (107 streams) vs\n\
+         6 MPTCP connections, same packet schedulers on both transports\n\
+         (expectation: QUIC's per-stream reassembly shrinks the OOO tail;\n\
+         ECF narrows the heterogeneous-path completion gap on both)\n",
     );
     for ci in 0..n_cfg {
         let first = block.start + ci * n_k * per_cell;
@@ -271,40 +282,20 @@ fn quic_web(exp: &Expansion, results: &[Value]) -> Result<String, String> {
         let mut rows = Vec::new();
         for ki in 0..n_k {
             let base = block.start + (ci * n_k + ki) * per_cell;
-            let sched = exp.cells[base]
-                .config
-                .get("scheduler")
-                .and_then(Value::as_str)
-                .unwrap_or("-")
-                .to_string();
-            let mean_of = |key: &str| -> Result<f64, String> {
-                let vals: Vec<f64> = (0..per_cell)
-                    .map(|si| scalar(results, base + si, key))
-                    .collect::<Result<_, _>>()?;
-                Ok(metrics::mean(&vals))
-            };
-            rows.push(vec![
-                sched,
-                format!("{:.3}", mean_of("mptcp_plt_s")?),
-                format!("{:.3}", mean_of("quic_plt_s")?),
-                format!("{:.3}", mean_of("mptcp_obj_p99_s")?),
-                format!("{:.3}", mean_of("quic_obj_p99_s")?),
-                format!("{:.4}", mean_of("mptcp_ooo_p99_s")?),
-                format!("{:.4}", mean_of("quic_ooo_p99_s")?),
-            ]);
+            let sched = exp.cells[base].config.get("scheduler").and_then(Value::as_str);
+            for transport in ["mptcp", "quic"] {
+                let mut row = vec![transport.to_string(), sched.unwrap_or("-").to_string()];
+                for (name, precision) in COLUMNS {
+                    let key = format!("{transport}_{name}");
+                    let vals: Vec<f64> = (0..per_cell)
+                        .map(|si| scalar(results, base + si, &key))
+                        .collect::<Result<_, _>>()?;
+                    row.push(format!("{:.precision$}", metrics::mean(&vals)));
+                }
+                rows.push(row);
+            }
         }
-        s.push_str(&render_table(
-            &[
-                "scheduler",
-                "mptcp_plt_s",
-                "quic_plt_s",
-                "mptcp_p99_s",
-                "quic_p99_s",
-                "mptcp_ooo_p99",
-                "quic_ooo_p99",
-            ],
-            &rows,
-        ));
+        s.push_str(&render_table(&header, &rows));
     }
     Ok(s)
 }

@@ -24,15 +24,16 @@
 //! ## Cache key contract
 //!
 //! `digest = FNV-1a64(canonical_json({"cell": config, "contract": C}))`
-//! where `C` names the cache/result schema versions and the engine's
-//! golden digests ([`ENGINE_CONTRACT`] — the same constants the golden
-//! regression tests pin). Canonical JSON (sorted keys, no whitespace,
-//! shortest round-tripping numbers) makes the digest invariant under spec
-//! reformatting while any value-level change — one seed, one rate, one
-//! scheduler — produces a new key. Changing the simulator's seeded
+//! where `C` names the cache/result schema versions and the golden digests
+//! of the code the cell runs: [`ENGINE_CONTRACT`] for every cell, plus
+//! [`QUIC_CONTRACT`] for cells whose workload runs the quic transport —
+//! the same constants the golden regression tests pin. Canonical JSON
+//! (sorted keys, no whitespace, shortest round-tripping numbers) makes the
+//! digest invariant under spec reformatting while any value-level change —
+//! one seed, one rate, one scheduler — produces a new key. Changing seeded
 //! behavior forces the golden constants to be regenerated, which rolls the
-//! contract and invalidates every cached cell at once: the cache can never
-//! serve results from a different engine.
+//! contract and invalidates every cached cell that ran that code: the
+//! cache can never serve results from a different engine or transport.
 //!
 //! Entries are verified on load (entry schema, full key comparison, and a
 //! digest re-check over the stored result); corrupt or truncated entries
@@ -74,23 +75,46 @@ pub const ENGINE_CONTRACT: [(&str, u64); 4] = [
     ("browse_seed_1", 0x0087_b015_cafe_1e60),
 ];
 
-/// The code-relevant contract object folded into every cache key.
-pub fn contract() -> Value {
-    let mut engine = std::collections::BTreeMap::new();
-    for (name, d) in ENGINE_CONTRACT {
-        engine.insert(name.to_string(), Value::String(digest::hex16(d)));
-    }
+/// The multipath-QUIC transport's behavioral contract: the golden digests
+/// of the quic page load at 0.3/8.6 Mbps with ECF, asserted by
+/// `tests/quic_golden.rs`. Folded only into the keys of cells that run the
+/// quic transport, so re-tuning it rolls those cells and leaves every
+/// MPTCP-only cell cached.
+pub const QUIC_CONTRACT: [(&str, u64); 3] = [
+    ("quic_web_seed_1", 0xb7f9_ea63_e85e_1127),
+    ("quic_web_seed_2", 0x8c81_a219_39d4_ec30),
+    ("quic_web_seed_2014", 0x9de2_0bea_5f14_b9b5),
+];
+
+/// The contract object folded into the cache key of a cell running
+/// `workload`.
+pub fn contract(workload: &str) -> Value {
+    contract_with(workload, &QUIC_CONTRACT)
+}
+
+fn contract_with(workload: &str, quic: &[(&str, u64)]) -> Value {
+    let goldens = |table: &[(&str, u64)]| {
+        Value::Object(
+            table
+                .iter()
+                .map(|&(name, d)| (name.to_string(), Value::String(digest::hex16(d))))
+                .collect(),
+        )
+    };
     let mut m = std::collections::BTreeMap::new();
     m.insert("cache_schema".to_string(), Value::Number(CACHE_SCHEMA));
     m.insert("result_schema".to_string(), Value::Number(RESULT_SCHEMA));
-    m.insert("engine".to_string(), Value::Object(engine));
+    m.insert("engine".to_string(), goldens(&ENGINE_CONTRACT));
+    if workload == "quic_web" {
+        m.insert("quic".to_string(), goldens(quic));
+    }
     Value::Object(m)
 }
 
 /// How to run a matrix.
 #[derive(Debug, Clone)]
 pub struct MatrixOptions {
-    /// Sizing of each cell's run (same semantics as the legacy harness).
+    /// Which branch of the spec's effort switches to expand.
     pub effort: Effort,
     /// Cache directory (created on first store).
     pub cache_dir: PathBuf,
@@ -234,13 +258,34 @@ mod tests {
     fn contract_is_stable_and_canonical() {
         // The contract must serialize identically across calls (it is part
         // of every cache key).
-        let a = testkit::json::canonical(&contract());
-        let b = testkit::json::canonical(&contract());
+        let a = testkit::json::canonical(&contract("streaming"));
+        let b = testkit::json::canonical(&contract("streaming"));
         assert_eq!(a, b);
         for (name, _) in ENGINE_CONTRACT {
             assert!(a.contains(name), "contract lacks {name}");
         }
         assert!(a.contains("result_schema"));
+        assert!(!a.contains("quic"), "a streaming cell runs no quic code: {a}");
+    }
+
+    #[test]
+    fn quic_goldens_key_the_quic_web_cells() {
+        let spec = match crate::find("quic_web").map(|e| e.source) {
+            Some(crate::Source::Spec(json)) => Spec::from_json(json).unwrap(),
+            _ => panic!("quic_web is a spec-backed entry"),
+        };
+        let cell = expand(&spec, Effort::Quick).unwrap().cells.swap_remove(0);
+        let digest_with = |quic: &[(&str, u64)]| {
+            let mut key = cell.key.clone();
+            if let Value::Object(m) = &mut key {
+                m.insert("contract".to_string(), contract_with("quic_web", quic));
+            }
+            testkit::digest::canonical_digest(&key)
+        };
+        assert_eq!(digest_with(&QUIC_CONTRACT), cell.digest);
+        let mut retuned = QUIC_CONTRACT;
+        retuned[0].1 ^= 1;
+        assert_ne!(digest_with(&retuned), cell.digest, "a quic change must roll quic_web cells");
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //!   resolved during expansion, so one spec serves both report and smoke
 //!   sizing while the digested cell configs contain only concrete values.
 //! * A block expands as nested loops over its axes in declaration order
-//!   (first axis outermost) with the seed loop innermost — exactly the
-//!   iteration order of the legacy sweep code it replaces.
+//!   (first axis outermost) with the seed loop innermost.
 //! * An axis value that is an object is merged into the cell config
 //!   (letting one axis set several keys, e.g. a scenario with its seeds);
 //!   any other value is stored under the axis `key`.
@@ -162,7 +161,6 @@ fn merge(into: &mut BTreeMap<String, Value>, frag: &Value) -> Result<(), String>
 
 /// Expand a spec at the given effort into its deterministic cell list.
 pub fn expand(spec: &Spec, effort: Effort) -> Result<Expansion, String> {
-    let contract = contract();
     let base = match spec.doc.get("base") {
         Some(b) => resolve(b, effort),
         None => Value::Object(BTreeMap::new()),
@@ -257,10 +255,11 @@ pub fn expand(spec: &Spec, effort: Effort) -> Result<Expansion, String> {
                         "cell has no \"seed\" (add a seeds block or seed-bearing axis)".into(),
                     ));
                 }
+                let contract = contract(cfg.get("workload").and_then(Value::as_str).unwrap_or(""));
                 let config = Value::Object(cfg);
                 let mut key = BTreeMap::new();
                 key.insert("cell".to_string(), config.clone());
-                key.insert("contract".to_string(), contract.clone());
+                key.insert("contract".to_string(), contract);
                 let key = Value::Object(key);
                 let digest = canonical_digest(&key);
                 cells.push(Cell { config, key, digest });

@@ -10,16 +10,16 @@
 //! identical scheduler seam, so the comparison isolates the transport
 //! architecture: completion times, page-load time, and the reordering
 //! (OOO-delay) tail for ECF vs minRTT (default) vs BLEST on both.
+//!
+//! The report is the `quic_web` spec (`specs/quic_web.json`), executed by
+//! `expmatrix::cells` and rendered by `expmatrix::figures`; this module
+//! holds the QUIC side's app and runner.
 
 use ecf_core::SchedulerKind;
-use metrics::{render_table, Cdf};
 use mptcp::{ReqId, TransportApi, TransportApp};
 use quic::{QuicTestbed, QuicTestbedConfig};
 use simnet::Time;
 use webload::PageModel;
-
-use crate::common::{fmt_bw, parallel_map, run_browse, Effort};
-use crate::web::CONFIGS;
 
 /// The schedulers the comparison runs (minRTT is `Default`).
 pub const QUIC_WEB_SCHEDULERS: [SchedulerKind; 3] =
@@ -68,7 +68,7 @@ impl TransportApp for OpenAllApp {
     }
 }
 
-/// Run the quic browse workload: the same cnn-like page as [`run_browse`]
+/// Run the quic browse workload: the same cnn-like page as [`crate::run_browse`]
 /// (page seed 2014), all 107 objects as streams on one connection.
 pub fn run_quic_web(
     wifi: f64,
@@ -81,104 +81,6 @@ pub fn run_quic_web(
     let mut tb = QuicTestbed::new(cfg, OpenAllApp::new(&page));
     tb.run_until(Time::from_secs(600));
     tb
-}
-
-fn runs_for(effort: Effort) -> u64 {
-    match effort {
-        Effort::Full => 3,
-        Effort::Quick => 1,
-    }
-}
-
-/// Per-(transport, scheduler) sample set for one bandwidth config.
-struct TransportSamples {
-    completions: Vec<f64>,
-    ooo: Vec<f64>,
-    plt: Vec<f64>,
-}
-
-fn mptcp_samples(wifi: f64, lte: f64, kind: SchedulerKind, effort: Effort) -> TransportSamples {
-    let mut out = TransportSamples { completions: Vec::new(), ooo: Vec::new(), plt: Vec::new() };
-    for seed in 0..runs_for(effort) {
-        let tb = run_browse(wifi, lte, kind, 300 + seed);
-        assert!(tb.app().done(), "mptcp page load must complete");
-        out.completions.extend(tb.app().completion_times_secs());
-        out.ooo.extend(tb.world().recorder.ooo_delays_secs());
-        out.plt.push(tb.app().page_load_time.expect("page done").as_secs_f64());
-    }
-    out
-}
-
-fn quic_samples(wifi: f64, lte: f64, kind: SchedulerKind, effort: Effort) -> TransportSamples {
-    let mut out = TransportSamples { completions: Vec::new(), ooo: Vec::new(), plt: Vec::new() };
-    for seed in 0..runs_for(effort) {
-        let tb = run_quic_web(wifi, lte, kind, 300 + seed);
-        assert!(tb.app().done(), "quic page load must complete");
-        out.completions.extend(
-            tb.world()
-                .recorder
-                .completed_requests()
-                .map(|r| r.completion_time().expect("completed").as_secs_f64()),
-        );
-        out.ooo.extend(tb.world().recorder.ooo_delays_secs());
-        out.plt.push(tb.app().page_load_time.expect("page done").as_secs_f64());
-    }
-    out
-}
-
-/// The `quic_web` report: completion/OOO/page-load comparison of both
-/// transports across the Fig 20/21 bandwidth configs.
-pub fn quic_web(effort: Effort) -> String {
-    let mut s = String::from(
-        "quic_web: 107-object page — 1 MPQUIC connection (107 streams) vs\n\
-         6 MPTCP connections, same packet schedulers on both transports\n\
-         (expectation: QUIC's per-stream reassembly shrinks the OOO tail;\n\
-         ECF narrows the heterogeneous-path completion gap on both)\n",
-    );
-    for &(w, l) in &CONFIGS {
-        s.push_str(&format!("\n--- {} Mbps WiFi / {} Mbps LTE ---\n", fmt_bw(w), fmt_bw(l)));
-        // One parallel job per (transport, scheduler) cell.
-        let jobs: Vec<(bool, SchedulerKind)> = QUIC_WEB_SCHEDULERS
-            .iter()
-            .flat_map(|&k| [(false, k), (true, k)])
-            .collect();
-        let samples = parallel_map(jobs.clone(), |(is_quic, kind)| {
-            if is_quic {
-                quic_samples(w, l, kind, effort)
-            } else {
-                mptcp_samples(w, l, kind, effort)
-            }
-        });
-        let mut rows = Vec::new();
-        for ((is_quic, kind), sm) in jobs.iter().zip(&samples) {
-            let cdf = Cdf::from_samples(sm.completions.clone());
-            let ooo = Cdf::from_samples(sm.ooo.clone());
-            rows.push(vec![
-                if *is_quic { "quic" } else { "mptcp" }.to_string(),
-                kind.label().to_string(),
-                format!("{:.3}", cdf.mean()),
-                format!("{:.3}", cdf.median()),
-                format!("{:.3}", cdf.quantile(0.99)),
-                format!("{:.3}", metrics::mean(&sm.plt)),
-                format!("{:.4}", ooo.mean()),
-                format!("{:.4}", ooo.quantile(0.99)),
-            ]);
-        }
-        s.push_str(&render_table(
-            &[
-                "transport",
-                "scheduler",
-                "obj_mean_s",
-                "obj_median_s",
-                "obj_p99_s",
-                "plt_s",
-                "ooo_mean_s",
-                "ooo_p99_s",
-            ],
-            &rows,
-        ));
-    }
-    s
 }
 
 #[cfg(test)]

@@ -1,15 +1,14 @@
 //! Streaming experiments: §3's motivation figures and §5.2/5.3's evaluation
-//! — Figs 1–3, 5–7, 9–17 and Tables 1–3.
+//! — Figs 1, 2, 5–7, 9–15 and Tables 1–3. Figs 3, 16 and 17 are expmatrix
+//! specs (`specs/fig{3,16,17}.json`).
 
 use ecf_core::SchedulerKind;
 use metrics::{render_table, Cdf, Heatmap};
 use mptcp::RecorderConfig;
-use scenario::Scenario;
 use simnet::Time;
 
 use crate::common::{
-    fmt_bw, parallel_map, run_streaming, secs, Effort, StreamingConfig, StreamingOutcome, BW_SET,
-    VARIABLE_BW_SET,
+    fmt_bw, parallel_map, run_streaming, Effort, StreamingConfig, StreamingOutcome, BW_SET,
 };
 
 /// Average the bitrate-vs-ideal ratio over seeds for one grid cell.
@@ -93,28 +92,6 @@ pub fn fig1(effort: Effort) -> String {
     );
     for (t, mb) in &out.download_progress {
         s.push_str(&format!("{t:.2}\t{mb:.2}\n"));
-    }
-    s
-}
-
-/// Fig 3: per-subflow send-buffer occupancy trace at 0.3/8.6 Mbps.
-pub fn fig3(effort: Effort) -> String {
-    let cfg = StreamingConfig {
-        video_secs: effort.video_secs(),
-        recorder: RecorderConfig { sndbuf_traces: true, ..RecorderConfig::default() },
-        ..StreamingConfig::new(0.3, 8.6, SchedulerKind::Default, 7)
-    };
-    let out = run_streaming(&cfg);
-    let mut s = String::from(
-        "Fig 3: Send-buffer occupancy (KB, incl. in-flight), 0.3 Mbps WiFi / 8.6 Mbps LTE\n\
-         (paper: LTE empties quickly and sits idle while WiFi stays occupied)\n\n\
-         time_s\twifi_KB\tlte_KB\n",
-    );
-    let wifi = out.sndbuf_traces[0].thin(200);
-    let lte = &out.sndbuf_traces[1];
-    for &(t, w) in &wifi.points {
-        let l = lte.value_at(t).unwrap_or(0.0);
-        s.push_str(&format!("{t:.1}\t{w:.1}\t{l:.1}\n"));
     }
     s
 }
@@ -389,77 +366,6 @@ pub fn fig15(effort: Effort) -> String {
     let ticks: Vec<String> = BW_SET.iter().map(|&b| fmt_bw(b)).collect();
     header.extend(ticks.iter().map(String::as_str));
     s.push_str(&render_table(&header, &rows));
-    s
-}
-
-/// Fig 16: average throughput under random bandwidth changes, 10 scenarios.
-pub fn fig16(effort: Effort) -> String {
-    let mut s = String::from(
-        "Fig 16: Streaming throughput under random bandwidth changes (mean interval 40 s)\n\
-         (paper: ECF highest in every scenario; BLEST ~default)\n\n",
-    );
-    let kinds = [SchedulerKind::Default, SchedulerKind::Blest, SchedulerKind::Ecf];
-    let horizon = Time::from_secs((effort.video_secs() * 4.0) as u64 + 300);
-    let work: Vec<(u64, SchedulerKind)> =
-        (1..=10u64).flat_map(|sc| kinds.iter().map(move |&k| (sc, k))).collect();
-    let tps = parallel_map(work.clone(), |(scenario, kind)| {
-        // Interface-space scenario: WiFi (0) and LTE (1) each walk the
-        // §5.3 random-rate process under their historical seeds.
-        let dynamics = Scenario::new()
-            .random_rates(0, scenario * 2, secs(40), &VARIABLE_BW_SET, horizon)
-            .random_rates(1, scenario * 2 + 1, secs(40), &VARIABLE_BW_SET, horizon);
-        let out = run_streaming(&StreamingConfig {
-            video_secs: effort.video_secs(),
-            scenario: Some(dynamics),
-            // Start mid-range; the schedules take over immediately.
-            ..StreamingConfig::new(1.7, 1.7, kind, scenario)
-        });
-        out.avg_throughput
-    });
-    let mut rows = Vec::new();
-    for sc in 0..10 {
-        rows.push(vec![
-            format!("{}", sc + 1),
-            format!("{:.2}", tps[sc * 3]),
-            format!("{:.2}", tps[sc * 3 + 1]),
-            format!("{:.2}", tps[sc * 3 + 2]),
-        ]);
-    }
-    s.push_str(&render_table(&["scenario", "default", "blest", "ecf"], &rows));
-    let mean = |k: usize| {
-        metrics::mean(&(0..10).map(|sc| tps[sc * 3 + k]).collect::<Vec<_>>())
-    };
-    s.push_str(&format!(
-        "\nmeans: default={:.2}  blest={:.2}  ecf={:.2} Mbps\n",
-        mean(0),
-        mean(1),
-        mean(2)
-    ));
-    s
-}
-
-/// Fig 17: per-chunk throughput trace for one random scenario (#6).
-pub fn fig17(effort: Effort) -> String {
-    let horizon = Time::from_secs((effort.video_secs() * 4.0) as u64 + 300);
-    let traces = parallel_map(vec![SchedulerKind::Default, SchedulerKind::Ecf], |kind| {
-        let dynamics = Scenario::new()
-            .random_rates(0, 12, secs(40), &VARIABLE_BW_SET, horizon)
-            .random_rates(1, 13, secs(40), &VARIABLE_BW_SET, horizon);
-        run_streaming(&StreamingConfig {
-            video_secs: effort.video_secs(),
-            scenario: Some(dynamics),
-            ..StreamingConfig::new(1.7, 1.7, kind, 6)
-        })
-        .chunk_throughputs
-    });
-    let mut s = String::from(
-        "Fig 17: Per-chunk throughput, random scenario 6 (default vs ECF)\n\
-         (paper: ECF matches or beats default on every chunk, up to 2x)\n\n\
-         chunk\tdefault_Mbps\tecf_Mbps\n",
-    );
-    for (i, (d, e)) in traces[0].iter().zip(&traces[1]).enumerate() {
-        s.push_str(&format!("{i}\t{:.2}\t{:.2}\n", d.1, e.1));
-    }
     s
 }
 

@@ -1,19 +1,26 @@
-//! The experiment-matrix equivalence suite: the ported specs reproduce the
-//! legacy figure code byte-for-byte, caching never changes output, merge
-//! order is independent of shard count, and corrupt cache entries are
-//! contained.
-//!
-//! Everything runs at `Effort::Quick`; the matrix and the legacy harness
-//! are the *same parameterized code path* at both efforts (only ladder
-//! sizes and seed counts change), so Quick equivalence carries to the
-//! committed full-effort results.
+//! The experiment-matrix suite: each spec-backed figure reproduces its
+//! pinned Quick report, the registry entry and the spec file are the same
+//! experiment, caching never changes output, merge order is independent of
+//! shard count, and corrupt cache entries are contained.
 
 use std::path::PathBuf;
 
 use experiments::expmatrix::{self, Lookup, MatrixOptions, Spec};
-use experiments::{dynamics, streaming, Effort};
+use experiments::{registry, Effort, Source};
 use telemetry::{Counter, TelemetryHandle};
-use testkit::digest::canonical_digest;
+use testkit::digest::{canonical_digest, fnv1a};
+
+/// FNV-1a of each spec-backed figure's Quick report, captured from the
+/// figure's imperative generator before it was deleted in favour of the
+/// spec. Full effort runs the same renderer over a wider grid.
+const QUICK_REPORTS: [(&str, u64); 6] = [
+    ("fig3", 0xbf5d_a6c4_42df_c436),
+    ("fig16", 0x01df_c291_6f70_7708),
+    ("fig17", 0xa0eb_261f_0817_3c62),
+    ("dyn_handover", 0x703a_4256_1998_e193),
+    ("dyn_burstloss", 0x297d_a370_9f86_d3a6),
+    ("quic_web", 0xf820_f050_ecfc_16b2),
+];
 
 fn spec_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("specs/{name}.json"))
@@ -32,9 +39,8 @@ fn quick_opts(cache_dir: &PathBuf) -> MatrixOptions {
 }
 
 /// Cold run, warm run, and `--force` run of one spec must agree with each
-/// other and with the legacy generator, and the warm run must execute
-/// nothing.
-fn assert_equivalent(name: &str, legacy: &str) {
+/// other, and the warm run must execute nothing. Returns the report.
+fn assert_equivalent(name: &str) -> String {
     let dir = scratch(name);
     let spec = Spec::from_file(spec_path(name)).unwrap();
     let opts = quick_opts(&dir);
@@ -42,7 +48,6 @@ fn assert_equivalent(name: &str, legacy: &str) {
     let cold = expmatrix::run_matrix(&spec, &opts).unwrap();
     assert_eq!(cold.executed, cold.cells, "{name}: cold run must execute everything");
     assert_eq!(cold.hits, 0, "{name}: cold run can't hit an empty cache");
-    assert_eq!(cold.report, legacy, "{name}: matrix output != legacy output");
 
     let warm = expmatrix::run_matrix(&spec, &opts).unwrap();
     assert_eq!(warm.executed, 0, "{name}: warm run must execute nothing");
@@ -56,31 +61,58 @@ fn assert_equivalent(name: &str, legacy: &str) {
     assert_eq!(force.report, cold.report, "{name}: forced output differs from cold");
 
     let _ = std::fs::remove_dir_all(&dir);
+    cold.report
 }
 
 #[test]
-fn matrix_dyn_burstloss_matches_legacy() {
-    assert_equivalent("dyn_burstloss", &dynamics::dyn_burstloss(Effort::Quick));
+fn spec_backed_figures_reproduce_their_pinned_quick_reports() {
+    for (name, expected) in QUICK_REPORTS {
+        let report = assert_equivalent(name);
+        assert_eq!(fnv1a(report.as_bytes()), expected, "{name} report moved:\n{report}");
+    }
 }
 
 #[test]
-fn matrix_dyn_handover_matches_legacy() {
-    assert_equivalent("dyn_handover", &dynamics::dyn_handover(Effort::Quick));
+fn every_spec_file_is_a_registered_spec_backed_entry() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("specs");
+    let mut ids: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .filter(|id| id != "smoke")
+        .collect();
+    ids.sort();
+    let mut registered: Vec<&str> =
+        registry().iter().filter(|e| matches!(e.source, Source::Spec(_))).map(|e| e.id).collect();
+    registered.sort_unstable();
+    assert_eq!(ids, registered, "a spec file without its entry, or the reverse");
+    let mut pinned: Vec<&str> = QUICK_REPORTS.iter().map(|(id, _)| *id).collect();
+    pinned.sort_unstable();
+    assert_eq!(pinned, registered, "every spec-backed entry has a pinned report");
 }
 
 #[test]
-fn matrix_fig3_matches_legacy() {
-    assert_equivalent("fig3", &streaming::fig3(Effort::Quick));
+fn the_registry_entry_and_its_spec_file_produce_the_same_report() {
+    for (id, _) in QUICK_REPORTS {
+        let dir = scratch(&format!("registry-{id}"));
+        let opts = quick_opts(&dir);
+        let from_file = Spec::from_file(spec_path(id)).unwrap();
+        assert_eq!(from_file.name, id, "results/<id>.txt is named by the spec");
+        let file_report = expmatrix::run_matrix(&from_file, &opts).unwrap().report;
+        let registry_report = experiments::find(id).unwrap().run(&opts).unwrap();
+        assert_eq!(registry_report, file_report, "{id}: registry path differs");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
-fn matrix_fig16_matches_legacy() {
-    assert_equivalent("fig16", &streaming::fig16(Effort::Quick));
-}
-
-#[test]
-fn matrix_fig17_matches_legacy() {
-    assert_equivalent("fig17", &streaming::fig17(Effort::Quick));
+fn a_streaming_cell_keeps_its_cache_key() {
+    // Adding the quic goldens to quic_web keys must leave every MPTCP-only
+    // cell where existing caches already hold it.
+    let spec = Spec::from_file(spec_path("fig17")).unwrap();
+    let exp = expmatrix::expand(&spec, Effort::Quick).unwrap();
+    assert_eq!(exp.cells[0].digest, 0x622c_3a80_d3f5_7ecc);
 }
 
 #[test]

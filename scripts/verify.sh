@@ -39,12 +39,17 @@ mem_out="$(cargo test --release --offline -p experiments --test rss --test footp
 echo "$mem_out" | grep -E "rss growth|requested" || true
 
 echo "== every registered experiment, quick, through the CLI =="
-# --no-save: results/*.txt are the committed full-effort runs.
-cargo run --offline --release -p experiments --bin repro -- all --quick --no-save > /dev/null
+# --no-save: results/*.txt are the committed full-effort runs. A throwaway
+# cache: a developer's .expcache/ would serve the spec-backed figures
+# without executing them.
+all_cache="$(mktemp -d "${TMPDIR:-/tmp}"/repro-all.XXXXXX)"
+trap 'rm -rf "$all_cache"' EXIT
+cargo run --offline --release -p experiments --bin repro -- \
+    all --quick --no-save --cache-dir "$all_cache" > /dev/null
 
 echo "== telemetry trace smoke (repro --trace, quick) =="
 tmp_trace="$(mktemp "${TMPDIR:-/tmp}"/trace-smoke.XXXXXX.jsonl)"
-trap 'rm -f "$tmp_trace"' EXIT
+trap 'rm -rf "$all_cache"; rm -f "$tmp_trace"' EXIT
 cargo run --offline --release -p experiments --bin repro -- \
     --trace "$tmp_trace" --quick > /dev/null
 python3 - "$tmp_trace" <<'PY'
@@ -75,7 +80,8 @@ PY
 
 echo "== scenario dynamics smoke (dyn_handover, quick) =="
 # --no-save: the committed results/dyn_handover.txt is the full-effort run.
-dyn_out="$(cargo run --offline --release -p experiments --bin repro -- dyn_handover --quick --no-save)"
+dyn_out="$(cargo run --offline --release -p experiments --bin repro -- \
+    dyn_handover --quick --no-save --cache-dir "$all_cache")"
 echo "$dyn_out" | grep -q "outage_s" \
     || { echo "verify.sh: dyn_handover output lacks the ladder header" >&2; exit 1; }
 echo "$dyn_out" | grep -q "ladder means: default=" \
@@ -88,7 +94,8 @@ echo "== quic transport smoke (quic_web, quick) =="
 # Exercises the second transport end to end: 107 streams on one MPQUIC
 # connection through the same scheduler seam as MPTCP, both transports in
 # one report.
-quic_out="$(cargo run --offline --release -p experiments --bin repro -- quic_web --quick --no-save)"
+quic_out="$(cargo run --offline --release -p experiments --bin repro -- \
+    quic_web --quick --no-save --cache-dir "$all_cache")"
 echo "$quic_out" | grep -q "107-object page" \
     || { echo "verify.sh: quic_web output lacks the comparison header" >&2; exit 1; }
 for col in "plt_s" "ooo_p99_s"; do
@@ -126,12 +133,12 @@ echo "== experiment-matrix smoke (repro matrix, quick, twice) =="
 # be 100% cache hits (0 executed) and byte-identical — the determinism +
 # caching contract of crates/experiments/src/expmatrix.
 matrix_cache="$(mktemp -d "${TMPDIR:-/tmp}"/matrix-smoke.XXXXXX)"
-trap 'rm -f "$tmp_trace"; rm -rf "$matrix_cache"' EXIT
+trap 'rm -rf "$all_cache"; rm -f "$tmp_trace"; rm -rf "$matrix_cache"' EXIT
 matrix_spec="crates/experiments/specs/smoke.json"
 cold_out="$(mktemp "${TMPDIR:-/tmp}"/matrix-cold.XXXXXX.txt)"
 warm_out="$(mktemp "${TMPDIR:-/tmp}"/matrix-warm.XXXXXX.txt)"
 warm_err="$(mktemp "${TMPDIR:-/tmp}"/matrix-warm.XXXXXX.err)"
-trap 'rm -f "$tmp_trace" "$cold_out" "$warm_out" "$warm_err"; rm -rf "$matrix_cache"' EXIT
+trap 'rm -f "$tmp_trace" "$cold_out" "$warm_out" "$warm_err"; rm -rf "$all_cache" "$matrix_cache"' EXIT
 cargo run --offline --release -p experiments --bin repro -- \
     matrix "$matrix_spec" --quick --no-save --cache-dir "$matrix_cache" \
     > "$cold_out"

@@ -1,7 +1,18 @@
 //! Smoke tests over the experiment harness: every registry entry resolves
 //! and runs, and the cheap reports generate with their expected structure.
 
-use experiments::{find, registry, Effort};
+use experiments::{find, registry, Effort, MatrixOptions};
+
+/// Run one entry at Quick effort; spec-backed entries cache into a
+/// throwaway directory, so every run executes its cells.
+fn quick_report(id: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("smoke-{id}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = MatrixOptions { effort: Effort::Quick, ..MatrixOptions::new(&dir) };
+    let report = find(id).expect("registered").run(&opts).unwrap_or_else(|e| panic!("{id}: {e}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    report
+}
 
 #[test]
 fn registry_is_complete_and_unique() {
@@ -16,11 +27,11 @@ fn registry_is_complete_and_unique() {
 
 #[test]
 fn every_registered_experiment_runs_at_quick_effort() {
-    // Aliases (fig7/fig10 etc.) share a generator; run each once.
+    // Aliases (fig7/fig10 etc.) share a title and a generator; run each once.
     let mut seen = std::collections::HashSet::new();
     for e in registry() {
-        if seen.insert(e.run as usize) {
-            let report = (e.run)(Effort::Quick);
+        if seen.insert(e.title) {
+            let report = quick_report(e.id);
             assert!(!report.trim().is_empty(), "{} produced an empty report", e.id);
         }
     }
@@ -28,7 +39,7 @@ fn every_registered_experiment_runs_at_quick_effort() {
 
 #[test]
 fn tab1_report_matches_the_ladder() {
-    let report = (find("tab1").expect("registered").run)(Effort::Quick);
+    let report = quick_report("tab1");
     for needle in ["144p", "1080p", "0.26", "8.47"] {
         assert!(report.contains(needle), "tab1 missing {needle}:\n{report}");
     }
@@ -36,14 +47,14 @@ fn tab1_report_matches_the_ladder() {
 
 #[test]
 fn fig1_report_shows_progress_series() {
-    let report = (find("fig1").expect("registered").run)(Effort::Quick);
+    let report = quick_report("fig1");
     assert!(report.contains("cumulative_MB"));
     assert!(report.lines().count() > 8, "fig1 too short:\n{report}");
 }
 
 #[test]
 fn fig5_report_has_all_pairs() {
-    let report = (find("fig5").expect("registered").run)(Effort::Quick);
+    let report = quick_report("fig5");
     for pair in ["0.3-8.6", "0.7-8.6", "1.1-8.6", "4.2-8.6"] {
         assert!(report.contains(pair), "fig5 missing {pair}");
     }
@@ -51,7 +62,7 @@ fn fig5_report_has_all_pairs() {
 
 #[test]
 fn tab3_reports_all_schedulers() {
-    let report = (find("tab3").expect("registered").run)(Effort::Quick);
+    let report = quick_report("tab3");
     for sched in ["default", "ecf", "daps", "blest"] {
         assert!(report.contains(sched), "tab3 missing {sched}");
     }
@@ -59,7 +70,7 @@ fn tab3_reports_all_schedulers() {
 
 #[test]
 fn ablation_components_orders_variants() {
-    let report = (find("ablation_components").expect("registered").run)(Effort::Quick);
+    let report = quick_report("ablation_components");
     assert!(report.contains("full ECF"));
     assert!(report.contains("no delta margin"));
     assert!(report.contains("no second inequality"));
