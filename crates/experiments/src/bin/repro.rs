@@ -40,6 +40,8 @@
 //! `--scenario` layers network dynamics from a JSON file (schema:
 //! `scenario::Scenario::from_json`) onto the traced run.
 
+#![forbid(unsafe_code)]
+
 use experiments::expmatrix::Spec;
 use experiments::{find, registry, run_traced, Effort, Experiment, MatrixOptions, Source};
 use scenario::Scenario;

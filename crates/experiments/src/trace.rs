@@ -76,6 +76,33 @@ mod tests {
         assert_ne!(a.jsonl, c.jsonl);
     }
 
+    /// The default ring holds the whole full-effort session: nothing is
+    /// lost, and every event counter agrees with the captured log.
+    #[test]
+    fn full_effort_trace_is_complete() {
+        const EVENT_COUNTERS: [&str; 8] = [
+            "decisions",
+            "iw_resets",
+            "rtos",
+            "fast_retx",
+            "penalizations",
+            "subflow_transitions",
+            "link_drops",
+            "rate_changes",
+        ];
+        let t = run_traced(Effort::Full, None, 7);
+        assert_eq!(t.overflow, 0);
+        let counted: u64 = t
+            .digest
+            .lines()
+            .filter_map(|l| l.split_once('='))
+            .filter(|(name, _)| EVENT_COUNTERS.contains(name))
+            .map(|(_, v)| v.parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(t.captured as u64, counted);
+        assert_eq!(t.jsonl.lines().count(), t.captured);
+    }
+
     /// Fig 3's mechanism, checked from the decision log at 0.3/8.6. The
     /// paper's pathology is the *LTE-idle window*: the default scheduler
     /// ships each chunk's tail onto bufferbloated WiFi, then LTE sits idle

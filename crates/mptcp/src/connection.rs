@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 use ecf_core::{Decision, PathSnapshot, Scheduler};
 use simnet::Time;
 use tcp_model::TcpConfig;
-use telemetry::{Counter, EventKind, TelemetryHandle};
+use telemetry::{EventKind, TelemetryHandle};
 
 use crate::cc::{ca_increase, CcKind, CcView};
 use crate::persub::PerSub;
@@ -268,7 +268,6 @@ impl Connection {
                 now.as_nanos(),
                 EventKind::FastRetx { conn: self.tel_conn, path: sub as u16 },
             );
-            self.tel.incr(Counter::FastRetx);
         }
         out.fast_retx
     }
@@ -341,7 +340,6 @@ impl Connection {
                     now.as_nanos(),
                     EventKind::Penalization { conn: self.tel_conn, path: holder as u16 },
                 );
-                self.tel.incr(Counter::Penalizations);
             }
         }
         queued
@@ -371,7 +369,6 @@ impl Connection {
                     now.as_nanos(),
                     EventKind::IwReset { conn: self.tel_conn, path: i as u16 },
                 );
-                self.tel.incr(Counter::IwResets);
             }
         }
         let mut blocked_noted = false;

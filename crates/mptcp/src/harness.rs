@@ -183,7 +183,6 @@ impl<T: Transport> World<T> {
                         rate_bps: bps,
                     },
                 );
-                self.tel.incr(Counter::RateChanges);
             }
             Action::OneWayDelay(d) => {
                 path.fwd.set_prop_delay(d);
@@ -325,7 +324,6 @@ impl<T: Transport> Ctx<'_, T> {
             EventKind::SubflowDown { conn, path }
         };
         self.tel.emit(self.now.as_nanos(), kind);
-        self.tel.incr(Counter::SubflowTransitions);
     }
 }
 

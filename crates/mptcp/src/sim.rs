@@ -305,7 +305,6 @@ impl Mptcp {
                 cx.now.as_nanos(),
                 EventKind::Rto { conn: conn as u32, path: sub as u16 },
             );
-            cx.tel.incr(Counter::Rtos);
             cx.send_data(sf.path, LinkPayload::Data { conn: conn as u32, sub: sub as u16, seg });
         }
         arm_rto(sf, conn, sub, cx);

@@ -8,8 +8,8 @@
 //!
 //! * [`SchedDriver`] — owns the scheduler instance, the reusable
 //!   [`PathSnapshot`] buffer, and the `sched_decision` telemetry provenance
-//!   (event emission plus the batched decision counters). A transport builds
-//!   snapshots into [`SchedDriver::snap_buf`] and calls
+//!   (one event per decision, which also bumps the decision counters). A
+//!   transport builds snapshots into [`SchedDriver::snap_buf`] and calls
 //!   [`SchedDriver::decide`] once per segment/packet it wants to place; the
 //!   emitted events are byte-identical across transports, so the exporters
 //!   and figure tooling need no per-transport code.
@@ -29,7 +29,7 @@
 
 use ecf_core::{Decision, PathSnapshot, SchedInput, Scheduler, Why};
 use simnet::Time;
-use telemetry::{Counter, EventKind, PathObs, SchedDecision, TelemetryHandle, MAX_PATHS};
+use telemetry::{EventKind, PathObs, SchedDecision, TelemetryHandle, MAX_PATHS};
 
 use crate::harness::{Api, Ctx, Net};
 use crate::segment::{ConnId, ReqId};
@@ -40,8 +40,7 @@ use crate::trace::Recorder;
 /// Owns the pluggable [`Scheduler`] and the scratch snapshot buffer the
 /// transport fills before each decision. With telemetry enabled every
 /// decision goes through [`Scheduler::select_explained`] and is recorded
-/// with its full inputs; counter bumps are batched in plain fields and
-/// flushed as one atomic add per counter on drop.
+/// with its full inputs, which also counts it in the decision counters.
 pub struct SchedDriver {
     /// The scheduler under evaluation.
     scheduler: Box<dyn Scheduler>,
@@ -51,8 +50,6 @@ pub struct SchedDriver {
     pub snap_buf: Vec<PathSnapshot>,
     tel: TelemetryHandle,
     tel_conn: u32,
-    /// (decisions, waits) not yet flushed to the telemetry counters.
-    tel_pending: (u64, u64),
 }
 
 impl SchedDriver {
@@ -63,7 +60,6 @@ impl SchedDriver {
             snap_buf: Vec::with_capacity(n_paths),
             tel: TelemetryHandle::off(),
             tel_conn: 0,
-            tel_pending: (0, 0),
         }
     }
 
@@ -94,8 +90,6 @@ impl SchedDriver {
         if self.tel.is_enabled() {
             let (d, why) = self.scheduler.select_explained(&input);
             self.emit_decision(now, d, why, queued_pkts, send_window_free_pkts);
-            self.tel_pending.0 += 1;
-            self.tel_pending.1 += u64::from(d == Decision::Wait);
             d
         } else {
             self.scheduler.select(&input)
@@ -140,22 +134,6 @@ impl SchedDriver {
                 }),
             }
         });
-    }
-}
-
-/// Flush the batched decision counters. Counter snapshots taken while a
-/// traced connection is still alive can lag by the unflushed tail; every
-/// in-tree consumer reads counters after the run (and its testbed) has been
-/// dropped.
-impl Drop for SchedDriver {
-    fn drop(&mut self) {
-        let (decisions, waits) = self.tel_pending;
-        if decisions > 0 {
-            self.tel.add(Counter::Decisions, decisions);
-        }
-        if waits > 0 {
-            self.tel.add(Counter::WaitDecisions, waits);
-        }
     }
 }
 
@@ -250,6 +228,7 @@ mod tests {
     use super::*;
     use ecf_core::SchedulerKind;
     use std::time::Duration;
+    use telemetry::Counter;
 
     fn snap(id: usize, srtt_ms: u64, cwnd: u32, inflight: u32) -> PathSnapshot {
         PathSnapshot {
@@ -298,7 +277,6 @@ mod tests {
             }
             _ => panic!("expected a sched_decision event"),
         }
-        drop(driver);
         assert_eq!(tel.counter(Counter::Decisions), 1);
     }
 }

@@ -166,7 +166,6 @@ impl Quic {
         if self.sender.on_ack(cx.now, path, pn, rwnd_free).fast_retx {
             let kind = EventKind::FastRetx { conn: CONN as u32, path: path as u16 };
             cx.tel.emit(cx.now.as_nanos(), kind);
-            cx.tel.incr(Counter::FastRetx);
         }
         self.pump_send(cx);
     }
@@ -245,7 +244,6 @@ impl Transport for Quic {
         if self.sender.on_pto(path) {
             let kind = EventKind::Rto { conn: CONN as u32, path: path as u16 };
             cx.tel.emit(cx.now.as_nanos(), kind);
-            cx.tel.incr(Counter::Rtos);
         }
         self.pump_send(cx);
     }

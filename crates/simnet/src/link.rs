@@ -14,7 +14,7 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use telemetry::{Counter, DropKind, EventKind, LinkDir, TelemetryHandle};
+use telemetry::{DropKind, EventKind, LinkDir, TelemetryHandle};
 use testkit::Rng;
 
 use crate::loss::LossModel;
@@ -322,7 +322,6 @@ impl Link {
             now.as_nanos(),
             EventKind::LinkDrop { path: self.tel_path, dir: self.tel_dir, kind },
         );
-        self.tel.incr(Counter::LinkDrops);
     }
 
     /// Offer a packet of `wire_bytes` to the link at time `now`.
@@ -641,7 +640,7 @@ mod tests {
             evs[0].kind,
             EventKind::LinkDrop { path: 3, dir: LinkDir::Forward, kind: DropKind::Queue }
         ));
-        assert_eq!(tel.counter(Counter::LinkDrops), 1);
+        assert_eq!(tel.counter(telemetry::Counter::LinkDrops), 1);
     }
 
     #[test]

@@ -1,11 +1,8 @@
 //! Monotonic named counters.
 //!
-//! A fixed enum of counters backed by one atomic each — incrementing is a
-//! single relaxed `fetch_add`, snapshotting is a loop of loads. Unlike the
-//! event ring these never drop or wrap, so they stay truthful even when the
-//! ring has overflowed.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! A fixed enum of counters, kept in the telemetry sink beside the event
+//! ring. Unlike the ring they never drop or wrap, so they stay truthful even
+//! when the ring has overflowed.
 
 /// All counters the transport and simulator maintain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,52 +157,6 @@ impl Counter {
     }
 }
 
-/// The counter bank: one atomic per [`Counter`].
-#[derive(Debug)]
-pub struct Counters {
-    vals: [AtomicU64; Counter::COUNT],
-}
-
-impl Default for Counters {
-    fn default() -> Self {
-        Counters { vals: std::array::from_fn(|_| AtomicU64::new(0)) }
-    }
-}
-
-impl Counters {
-    /// Add `n` to one counter.
-    #[inline]
-    pub fn add(&self, c: Counter, n: u64) {
-        self.vals[c as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Raise one counter to `v` if it is currently lower (running maximum —
-    /// the imbalance counters track the worst sweep seen, not a sum).
-    #[inline]
-    pub fn set_max(&self, c: Counter, v: u64) {
-        self.vals[c as usize].fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value of one counter.
-    pub fn get(&self, c: Counter) -> u64 {
-        self.vals[c as usize].load(Ordering::Relaxed)
-    }
-
-    /// Zero every counter. Engine-reuse hook: a harness that recycles one
-    /// telemetry handle across runs (shard workers, repeated benches) can
-    /// restart per-run accounting without reallocating the bank.
-    pub fn reset(&self) {
-        for v in &self.vals {
-            v.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshot of all counters in [`Counter::ALL`] order.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        Counter::ALL.iter().map(|&c| (c.name(), self.get(c))).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,42 +168,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Counter::COUNT);
-    }
-
-    #[test]
-    fn set_max_is_a_running_maximum() {
-        let c = Counters::default();
-        c.set_max(Counter::ShardEventsImbalancePermille, 1200);
-        c.set_max(Counter::ShardEventsImbalancePermille, 1000);
-        assert_eq!(c.get(Counter::ShardEventsImbalancePermille), 1200);
-        c.set_max(Counter::ShardEventsImbalancePermille, 2500);
-        assert_eq!(c.get(Counter::ShardEventsImbalancePermille), 2500);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let c = Counters::default();
-        c.add(Counter::ShardRuns, 8);
-        c.set_max(Counter::ShardWallImbalancePermille, 1700);
-        c.reset();
-        for &ctr in Counter::ALL.iter() {
-            assert_eq!(c.get(ctr), 0);
-        }
-        // The bank stays usable after a reset.
-        c.add(Counter::ShardRuns, 1);
-        assert_eq!(c.get(Counter::ShardRuns), 1);
-    }
-
-    #[test]
-    fn add_and_snapshot() {
-        let c = Counters::default();
-        c.add(Counter::Decisions, 3);
-        c.add(Counter::WaitDecisions, 1);
-        c.add(Counter::Decisions, 2);
-        assert_eq!(c.get(Counter::Decisions), 5);
-        let snap = c.snapshot();
-        assert_eq!(snap[0], ("decisions", 5));
-        assert_eq!(snap[1], ("wait_decisions", 1));
-        assert_eq!(snap[4], ("rtos", 0));
     }
 }

@@ -1,12 +1,14 @@
 //! Typed telemetry events.
 //!
-//! Every event is `Copy` with a fixed memory footprint so the ring buffer
-//! can preallocate all storage up front — no heap traffic on the hot path.
+//! Every event is `Copy` with a fixed memory footprint, so the ring stores
+//! events inline and a recorded event costs one slot, never a heap object.
 //! Times are raw nanoseconds (`t_ns`) rather than `simnet::Time`: this crate
 //! sits *below* the simulator in the dependency graph (ecf-core ← telemetry
 //! ← simnet ← mptcp), so any clock that counts nanoseconds can feed it.
 
 use ecf_core::{Decision, Why};
+
+use crate::counters::Counter;
 
 /// Maximum paths captured per decision event. The paper's scenarios use two
 /// (WiFi + LTE); four leaves room for the multi-subflow experiments without
@@ -191,16 +193,41 @@ impl Event {
     }
 }
 
+impl EventKind {
+    /// The counters that recording one event of this kind bumps by 1: one
+    /// always, a second for some kinds. This is the only place those
+    /// counters are incremented, so each equals the number of its events
+    /// recorded, whether or not the ring still holds them.
+    pub(crate) fn counters(&self) -> (Counter, Option<Counter>) {
+        match self {
+            EventKind::SchedDecision(d) => {
+                let wait = d.decision == Decision::Wait;
+                (Counter::Decisions, wait.then_some(Counter::WaitDecisions))
+            }
+            EventKind::IwReset { .. } => (Counter::IwResets, None),
+            EventKind::Rto { .. } => (Counter::Rtos, None),
+            EventKind::FastRetx { .. } => (Counter::FastRetx, None),
+            EventKind::Penalization { .. } => (Counter::Penalizations, None),
+            EventKind::SubflowUp { .. } | EventKind::SubflowDown { .. } => {
+                (Counter::SubflowTransitions, None)
+            }
+            EventKind::LinkDrop { .. } => (Counter::LinkDrops, None),
+            EventKind::RateChange { .. } => (Counter::RateChanges, None),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn event_is_compact() {
-        // The ring preallocates `capacity` of these; keep the footprint in
-        // check so a big ring stays tens of MB and a hot push touches as
-        // few cache lines as possible. (Raised from 192 when PathObs gained
-        // the 4-byte queue_bytes sample: 4 path slots × 4 bytes.)
+        // The ring stores one of these per retained event; keep the
+        // footprint in check so a complete full-effort trace stays tens of
+        // MB and a push touches as few cache lines as possible. (Raised from
+        // 192 when PathObs gained the 4-byte queue_bytes sample: 4 path
+        // slots × 4 bytes.)
         assert!(std::mem::size_of::<Event>() <= 224, "{}", std::mem::size_of::<Event>());
     }
 

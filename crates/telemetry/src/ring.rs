@@ -1,239 +1,66 @@
-//! Lock-free, preallocated, bounded event ring.
+//! Bounded event ring that keeps the most recent events.
 //!
-//! A Vyukov-style slot-sequence protocol restricted to the write side, with
-//! two twists that keep the hot path down to roughly a thread-local lookup,
-//! one guard load, and the payload stores:
-//!
-//! * **Block-claimed indices.** Producers claim global write indices in
-//!   thread-local blocks of [`CLAIM_BLOCK`], so the atomic `fetch_add` on
-//!   `head` — a full lock-prefixed RMW that also drains the store buffer
-//!   behind the previous payload write — is paid once per block instead of
-//!   once per event. Indices stay globally unique; a thread that stops
-//!   pushing (or switches rings) simply abandons the tail of its block.
-//! * **Load-guarded slots, no CAS.** Slot ownership needs only a plain
-//!   *load* of the slot's sequence word. That is sound because the value a
-//!   claimant must observe to proceed — "the claim one lap below me
-//!   completed" — is unique to that claimant: indices are unique, so no two
-//!   producers ever pass the same guard, and the post-guard payload write is
-//!   exclusive by construction.
-//!
-//! The ring never allocates after construction and never blocks; when a
-//! producer would have to wait for an older lap's write to finish it *drops
-//! the event* and bumps a counter instead — observability must not perturb
-//! the system it observes. A dropped or abandoned claim leaves a gap in the
-//! slot's sequence history, so later laps of that slot also drop; contention
-//! at all requires a producer preempted for a full lap (or a thread
-//! abandoning a partial block by switching rings mid-run, which production
-//! code — one ring per traced run — never does).
-//!
-//! Wraparound keeps the **most recent** `capacity` events (older laps are
-//! overwritten); [`Ring::overflow`] reports how many were displaced so a
-//! consumer can tell a complete trace from a truncated one. Because claims
-//! are block-granular, `head` alone over-states activity; the read-side
-//! accounting instead derives **exact** counts from the slot sequence words:
-//! a slot completed at index `idx` has, by the lap-continuity induction
-//! above, been written exactly `idx / capacity + 1` times.
-//!
-//! Reading ([`Ring::snapshot`]) is intended for after the run, once all
-//! producers have quiesced — the simulator finishes, then the trace is
-//! exported. A seqlock-style re-check skips any slot a straggling writer is
-//! still touching rather than returning torn data. All read-side APIs
-//! ([`Ring::snapshot`], [`Ring::pushed`], [`Ring::overflow`]) are
-//! `O(capacity)` scans; they are meant for export time, not the hot path.
+//! A power-of-two ring over a `Vec` that grows as events arrive, so a large
+//! capacity costs memory only for what a run actually records. Once full,
+//! each push overwrites the oldest slot (found with a mask, not a division)
+//! and [`Ring::overflow`] counts the displaced events, so a consumer can tell
+//! a complete trace from a truncated one. The ring has one owner: the
+//! telemetry handle keeps it behind its lock.
 
-use std::cell::Cell;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt;
 
 use crate::event::Event;
 
-/// Indices claimed per `head.fetch_add`: amortizes the lock-prefixed RMW
-/// across this many pushes. Small enough that an abandoned block tail
-/// (thread exit, ring switch) wastes a handful of slots at worst.
-const CLAIM_BLOCK: u64 = 8;
-
-/// Monotonic ring identities, so a thread-local claim block can never be
-/// replayed against a different (possibly later-allocated) ring.
-static RING_NONCES: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// This thread's open claim block: (ring nonce, next index, block end).
-    static CLAIM: Cell<(u64, u64, u64)> = const { Cell::new((0, 0, 0)) };
+pub(crate) struct Ring {
+    /// Retained events; `len() <= mask + 1`, and once full the oldest sits
+    /// at `pushed & mask`.
+    slots: Vec<Event>,
+    mask: usize,
+    /// Events ever pushed.
+    pushed: u64,
 }
 
-/// Slot sequence encoding, for a slot last claimed by global index `idx`:
-/// `idx*2 + 1` while the payload write is in progress, `idx*2 + 2` once the
-/// payload is valid. A fresh slot holds 0 (one below index 0's claim value).
-struct Slot {
-    seq: AtomicU64,
-    val: UnsafeCell<MaybeUninit<Event>>,
-}
-
-/// The bounded lock-free event ring. See the module docs for the protocol.
-pub struct Ring {
-    slots: Box<[Slot]>,
-    /// Next unclaimed global write index (block-granular; see module docs).
-    head: AtomicU64,
-    /// Events dropped because a slot's previous lap was still being written.
-    contended: AtomicU64,
-    cap: u64,
-    nonce: u64,
-}
-
-// SAFETY: a slot is only written by the unique producer whose guard value
-// matched its sequence word (see the module docs for why no two producers
-// can pass the same guard), and `Event` is `Copy + Send`. Readers validate
-// the sequence word before and after copying the payload out and discard
-// torn reads.
-unsafe impl Send for Ring {}
-unsafe impl Sync for Ring {}
-
-impl std::fmt::Debug for Ring {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for Ring {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Ring")
-            .field("capacity", &self.cap)
-            .field("pushed", &self.pushed())
-            .field("contended", &self.contended())
+            .field("capacity", &(self.mask + 1))
+            .field("pushed", &self.pushed)
             .finish_non_exhaustive()
     }
 }
 
 impl Ring {
-    /// A ring holding up to `capacity` events, fully preallocated.
-    /// Capacity is rounded up to the next power of two (min 1) so the hot
-    /// push path can mask instead of divide to find its slot.
-    pub fn with_capacity(capacity: usize) -> Ring {
+    /// A ring retaining up to `capacity` events, rounded up to the next
+    /// power of two (min 1). Nothing is allocated until the first push.
+    pub(crate) fn with_capacity(capacity: usize) -> Ring {
         let cap = capacity.max(1).next_power_of_two();
-        let slots = (0..cap)
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                val: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Ring {
-            slots,
-            head: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-            cap: cap as u64,
-            nonce: RING_NONCES.fetch_add(1, Ordering::Relaxed),
-        }
+        Ring { slots: Vec::new(), mask: cap - 1, pushed: 0 }
     }
 
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.cap as usize
-    }
-
-    /// Append one event. Never blocks and never allocates; on contention with
-    /// an unfinished older write the event is counted in
-    /// [`Ring::contended`] and discarded.
+    /// Append the event `fill` builds, written straight into its slot, and
+    /// return it. If `fill` panics the ring is left as it was.
     #[inline]
-    pub fn push(&self, ev: Event) {
-        self.push_with(|| ev);
-    }
-
-    /// Like [`Ring::push`], but the event is built by `fill` only after a
-    /// slot has been claimed, and its return value is written straight into
-    /// that slot — the optimizer constructs large events in place instead
-    /// of staging them on the stack. `fill` is skipped on contention.
-    #[inline]
-    pub fn push_with(&self, fill: impl FnOnce() -> Event) {
-        let idx = CLAIM.with(|c| {
-            let (nonce, next, end) = c.get();
-            if nonce == self.nonce && next < end {
-                c.set((nonce, next + 1, end));
-                next
-            } else {
-                let start = self.head.fetch_add(CLAIM_BLOCK, Ordering::Relaxed);
-                c.set((self.nonce, start + 1, start + CLAIM_BLOCK));
-                start
-            }
-        });
-        // SAFETY: the mask keeps the index in `0..cap == slots.len()`.
-        let slot = unsafe { self.slots.get_unchecked((idx & (self.cap - 1)) as usize) };
-        // The value `seq` must hold before we may take this slot for `idx`:
-        // 0 on the first lap, else "previous lap's write completed". Only
-        // the unique holder of `idx` guards on this exact value, so a plain
-        // load-and-check grants exclusive ownership — no CAS needed (the
-        // claim store below cannot race another claimant's).
-        let expected = if idx < self.cap { 0 } else { (idx - self.cap) * 2 + 2 };
-        if slot.seq.load(Ordering::Acquire) != expected {
-            self.contended.fetch_add(1, Ordering::Relaxed);
-            return;
+    pub(crate) fn push_with(&mut self, fill: impl FnOnce() -> Event) -> &Event {
+        let i = (self.pushed & self.mask as u64) as usize;
+        if i == self.slots.len() {
+            self.slots.push(fill());
+        } else {
+            self.slots[i] = fill();
         }
-        slot.seq.store(idx * 2 + 1, Ordering::Relaxed);
-        // SAFETY: the guard above grants this producer exclusive ownership
-        // of the slot until the release store below publishes it.
-        unsafe { (*slot.val.get()).write(fill()) };
-        slot.seq.store(idx * 2 + 2, Ordering::Release);
+        self.pushed += 1;
+        &self.slots[i]
     }
 
-    /// Exact completed-write and retained-slot counts, derived from the slot
-    /// sequence words (see module docs): a slot completed at `idx` has been
-    /// written `idx/cap + 1` times; an in-progress claim at `idx` contributes
-    /// its `idx/cap` already-completed prior laps.
-    fn accounting(&self) -> (u64, u64) {
-        let (mut written, mut retained) = (0u64, 0u64);
-        for slot in self.slots.iter() {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == 0 {
-                continue;
-            }
-            if seq % 2 == 0 {
-                written += (seq - 2) / 2 / self.cap + 1;
-                retained += 1;
-            } else {
-                written += (seq - 1) / 2 / self.cap;
-            }
-        }
-        (written, retained)
+    /// Events displaced by wraparound; 0 means nothing was lost.
+    pub(crate) fn overflow(&self) -> u64 {
+        self.pushed - self.slots.len() as u64
     }
 
-    /// Total push attempts so far: completed writes plus contended drops.
-    /// Intended for after producers quiesce (an in-flight push is not yet
-    /// counted); `O(capacity)`.
-    pub fn pushed(&self) -> u64 {
-        self.accounting().0 + self.contended()
-    }
-
-    /// Events displaced by wraparound: completed writes that a later lap
-    /// overwrote. 0 means the ring still holds everything written.
-    /// Intended for after producers quiesce; `O(capacity)`.
-    pub fn overflow(&self) -> u64 {
-        let (written, retained) = self.accounting();
-        written - retained
-    }
-
-    /// Events discarded because their slot was still owned by a slower
-    /// writer from a previous lap (or poisoned by an abandoned claim).
-    pub fn contended(&self) -> u64 {
-        self.contended.load(Ordering::Acquire)
-    }
-
-    /// Copy out the retained events, oldest first (by claim order). Intended
-    /// for after producers have quiesced; slots with in-progress writes are
-    /// skipped (never torn). `O(capacity log capacity)`.
-    pub fn snapshot(&self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == 0 || seq % 2 == 1 {
-                continue;
-            }
-            // SAFETY: an even non-zero sequence word says this slot's write
-            // completed, so the payload holds a valid `Event`; we copy it
-            // out (`Event` is `Copy`) and re-validate to discard a racing
-            // overwrite.
-            let ev = unsafe { (*slot.val.get()).assume_init() };
-            if slot.seq.load(Ordering::Acquire) != seq {
-                continue;
-            }
-            out.push(((seq - 2) / 2, ev));
-        }
-        out.sort_unstable_by_key(|&(idx, _)| idx);
-        out.into_iter().map(|(_, ev)| ev).collect()
+    /// Copy out the retained events, oldest first. (Before the ring fills,
+    /// `pushed & mask` is `slots.len()`, so `older` is empty.)
+    pub(crate) fn snapshot(&self) -> Vec<Event> {
+        let (newer, older) = self.slots.split_at((self.pushed & self.mask as u64) as usize);
+        [older, newer].concat()
     }
 }
 
@@ -242,95 +69,48 @@ mod tests {
     use super::*;
     use crate::event::EventKind;
 
-    fn ev(t: u64) -> Event {
-        Event { t_ns: t, kind: EventKind::Rto { conn: 0, path: 0 } }
+    fn pushed(capacity: usize, n: u64) -> Ring {
+        let mut ring = Ring::with_capacity(capacity);
+        for t in 0..n {
+            ring.push_with(|| Event { t_ns: t, kind: EventKind::Rto { conn: 0, path: 0 } });
+        }
+        ring
+    }
+
+    fn times(ring: &Ring) -> Vec<u64> {
+        ring.snapshot().iter().map(|e| e.t_ns).collect()
     }
 
     #[test]
     fn keeps_everything_under_capacity() {
-        let ring = Ring::with_capacity(8);
-        for t in 0..5 {
-            ring.push(ev(t));
-        }
-        let got: Vec<u64> = ring.snapshot().iter().map(|e| e.t_ns).collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        let ring = pushed(8, 5);
+        assert_eq!(times(&ring), vec![0, 1, 2, 3, 4]);
         assert_eq!(ring.overflow(), 0);
-        assert_eq!(ring.contended(), 0);
     }
 
     #[test]
     fn wraparound_keeps_most_recent_and_counts_overflow() {
-        let ring = Ring::with_capacity(4);
-        for t in 0..11 {
-            ring.push(ev(t));
-        }
-        let got: Vec<u64> = ring.snapshot().iter().map(|e| e.t_ns).collect();
-        assert_eq!(got, vec![7, 8, 9, 10], "retains exactly the last `capacity` events");
+        let ring = pushed(4, 11);
+        assert_eq!(times(&ring), vec![7, 8, 9, 10], "retains exactly the last `capacity` events");
         assert_eq!(ring.overflow(), 7);
-        assert_eq!(ring.pushed(), 11);
     }
 
     #[test]
     fn exact_capacity_boundary() {
-        let ring = Ring::with_capacity(4);
-        for t in 0..4 {
-            ring.push(ev(t));
-        }
+        let ring = pushed(4, 4);
         assert_eq!(ring.overflow(), 0);
-        assert_eq!(ring.snapshot().len(), 4);
-        ring.push(ev(4));
+        assert_eq!(times(&ring), vec![0, 1, 2, 3]);
+        let ring = pushed(4, 5);
         assert_eq!(ring.overflow(), 1);
-        let got: Vec<u64> = ring.snapshot().iter().map(|e| e.t_ns).collect();
-        assert_eq!(got, vec![1, 2, 3, 4]);
+        assert_eq!(times(&ring), vec![1, 2, 3, 4]);
     }
 
     #[test]
-    fn capacity_is_clamped_to_one() {
-        let ring = Ring::with_capacity(0);
-        assert_eq!(ring.capacity(), 1);
-        ring.push(ev(1));
-        ring.push(ev(2));
-        let got: Vec<u64> = ring.snapshot().iter().map(|e| e.t_ns).collect();
-        assert_eq!(got, vec![2]);
-    }
-
-    #[test]
-    fn block_claims_do_not_inflate_the_accounting() {
-        // Claims are block-granular (`head` advances by CLAIM_BLOCK), but
-        // the derived counts must reflect actual writes only.
-        let ring = Ring::with_capacity(64);
-        ring.push(ev(7));
-        assert_eq!(ring.pushed(), 1);
-        assert_eq!(ring.overflow(), 0);
-        assert_eq!(ring.snapshot().len(), 1);
-    }
-
-    #[test]
-    fn concurrent_pushes_never_tear() {
-        use std::sync::Arc;
-        let ring = Arc::new(Ring::with_capacity(1024));
-        let threads: Vec<_> = (0..4)
-            .map(|tid| {
-                let r = Arc::clone(&ring);
-                std::thread::spawn(move || {
-                    for i in 0..10_000u64 {
-                        r.push(ev(tid * 1_000_000 + i));
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(ring.pushed(), 40_000, "every push is accounted: written or dropped");
-        let snap = ring.snapshot();
-        // Quiesced: every retained slot must be a valid event we pushed.
-        assert!(snap.len() <= 1024);
-        for e in &snap {
-            let tid = e.t_ns / 1_000_000;
-            assert!(tid < 4 && e.t_ns % 1_000_000 < 10_000);
-        }
-        // Conservation: every write is either still retained or displaced.
-        assert_eq!(ring.overflow(), 40_000 - ring.contended() - snap.len() as u64);
+    fn capacity_is_rounded_up_and_clamped_to_one() {
+        let ring = pushed(0, 2);
+        assert_eq!(times(&ring), vec![1]);
+        assert_eq!(ring.overflow(), 1);
+        let ring = pushed(3, 6);
+        assert_eq!(times(&ring), vec![2, 3, 4, 5], "3 rounds up to 4 slots");
     }
 }

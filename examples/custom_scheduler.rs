@@ -77,9 +77,6 @@ fn run(spec: ConnSpec, label: &str) {
     let t = tb.app().0.expect("download finishes").as_secs_f64();
     let split: Vec<u64> =
         (0..2).map(|s| tb.world().sender(0).subflows[s].stats().segs_sent).collect();
-    // Decision counters are flushed when the connections are dropped, so
-    // read them after the testbed is done.
-    drop(tb);
     println!(
         "{label:>10}: {t:5.2} s   wifi/lte segments = {}/{}   decisions = {} ({} waits)",
         split[0],

@@ -29,6 +29,13 @@ for marker in 'claim_dispatch' 'Action::PathUp'; do
         "crates/{mptcp,quic,experiments}/src, expected exactly 1" >&2; exit 1; }
 done
 
+echo "== no unsafe: every crate root forbids it =="
+# The compiler enforces "no unsafe" only where a crate root says so.
+for root in src/lib.rs crates/*/src/lib.rs crates/*/src/bin/*.rs; do
+    grep -q '^#!\[forbid(unsafe_code)\]' "$root" \
+        || { echo "verify.sh: $root lacks #![forbid(unsafe_code)]" >&2; exit 1; }
+done
+
 echo "== memory guards: RSS growth over live bytes, bytes requested and live (release) =="
 # Both pass or fail in the workspace tests above too (debug); the release
 # run is the allocator pattern the benchmark of record sees, and the ratio
@@ -50,11 +57,12 @@ cargo run --offline --release -p experiments --bin repro -- \
 echo "== telemetry trace smoke (repro --trace, quick) =="
 tmp_trace="$(mktemp "${TMPDIR:-/tmp}"/trace-smoke.XXXXXX.jsonl)"
 trap 'rm -rf "$all_cache"; rm -f "$tmp_trace"' EXIT
-cargo run --offline --release -p experiments --bin repro -- \
-    --trace "$tmp_trace" --quick > /dev/null
-python3 - "$tmp_trace" <<'PY'
+trace_out="$(cargo run --offline --release -p experiments --bin repro -- \
+    --trace "$tmp_trace" --quick)"
+python3 - "$tmp_trace" "$trace_out" <<'PY'
 import json, sys
-path = sys.argv[1]
+path, digest = sys.argv[1], sys.argv[2]
+counters = dict(l.split("=", 1) for l in digest.splitlines() if "=" in l)
 lines = open(path).read().splitlines()
 if not lines:
     sys.exit("verify.sh: trace file is empty")
@@ -75,6 +83,11 @@ for i, line in enumerate(lines):
             sys.exit(f"verify.sh: sched_decision line {i + 1} lacks path inputs")
 if decisions == 0:
     sys.exit("verify.sh: trace has no sched_decision events")
+# Completeness: the log holds every decision the counters saw.
+if counters.get("events_overflowed") != "0":
+    sys.exit(f"verify.sh: trace lost events: events_overflowed={counters.get('events_overflowed')}")
+if counters.get("decisions") != str(decisions):
+    sys.exit(f"verify.sh: {decisions} sched_decision lines, but decisions={counters.get('decisions')}")
 print(f"verify.sh: trace ok ({len(lines)} events, {decisions} decisions)")
 PY
 

@@ -210,6 +210,35 @@ fn outage_telemetry_is_the_same_on_both_transports() {
     outage_is_reported_per_subflow::<Quic>(cfg, &[(0, 1)]);
 }
 
+/// The decision counters are live: read mid-run, with the testbed (and its
+/// scheduler) still alive, they equal the decision events logged so far.
+fn decision_counters_are_live<T: Subject>() {
+    let tel = TelemetryHandle::with_capacity(1 << 15);
+    let mut cfg = T::wifi_lte(0.3, 8.6, SchedulerKind::Ecf, 4);
+    *T::dynamics(&mut cfg).1 = tel.clone();
+    let mut tb = harness::Testbed::<T, _>::new(cfg, Fetch::new(vec![4_000_000]));
+    tb.run_until(Time::from_secs(2));
+    assert_eq!(tb.app().done, 0, "the download must still be running");
+    assert_eq!(tel.overflow(), 0, "ring too small for the run");
+    let (mut decisions, mut waits) = (0, 0);
+    for e in tel.events() {
+        if let EventKind::SchedDecision(d) = e.kind {
+            decisions += 1;
+            waits += u64::from(d.decision == Decision::Wait);
+        }
+    }
+    assert!(decisions > 0);
+    assert_eq!(tel.counter(Counter::Decisions), decisions);
+    assert_eq!(tel.counter(Counter::WaitDecisions), waits);
+    drop(tb);
+}
+
+#[test]
+fn decision_counters_are_live_on_both_transports() {
+    decision_counters_are_live::<Mptcp>();
+    decision_counters_are_live::<Quic>();
+}
+
 /// `QueuePeakDepth` is a high-water mark: a handle that outlives several
 /// testbeds (a traced sweep, the benchmark's traced run) reads the deepest
 /// queue any of them saw, not the sum.
