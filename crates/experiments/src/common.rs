@@ -252,6 +252,14 @@ pub fn run_streaming(cfg: &StreamingConfig) -> StreamingOutcome {
     // Generous horizon: the slowest pairs stream far below real time.
     tb.run_until(Time::from_secs((cfg.video_secs * 30.0) as u64 + 300));
 
+    // Move the samples and traces out first: the OOO pool becomes the
+    // outcome's vector in place instead of being copied beside itself.
+    let recorder = &mut tb.world_mut().recorder;
+    let ooo_delays = recorder.take_ooo_secs();
+    let cwnd_traces = std::mem::take(&mut recorder.cwnd).into_iter().next().unwrap_or_default();
+    let sndbuf_traces =
+        std::mem::take(&mut recorder.sndbuf).into_iter().next().unwrap_or_default();
+
     let world = tb.world();
     let sender = world.sender(0);
     let wifi_segs: u64 =
@@ -283,7 +291,7 @@ pub fn run_streaming(cfg: &StreamingConfig) -> StreamingOutcome {
         ideal_bitrate: dash::ideal_avg_bitrate_mbps(cfg.wifi_mbps + cfg.lte_mbps),
         fast_fraction: fast_segs as f64 / (fast_segs + slow_segs).max(1) as f64,
         fast_iw_resets,
-        ooo_delays: world.recorder.ooo_delays_secs(),
+        ooo_delays,
         last_packet_gaps: world
             .recorder
             .completed_requests()
@@ -296,8 +304,8 @@ pub fn run_streaming(cfg: &StreamingConfig) -> StreamingOutcome {
             .map(|c| (c.started.as_secs_f64(), c.throughput_mbps()))
             .collect(),
         download_progress,
-        cwnd_traces: world.recorder.cwnd.first().cloned().unwrap_or_default(),
-        sndbuf_traces: world.recorder.sndbuf.first().cloned().unwrap_or_default(),
+        cwnd_traces,
+        sndbuf_traces,
         events_processed: tb.events_processed(),
     }
 }

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 
+use dash::PlayerConfig;
 use ecf_core::SchedulerKind;
 use metrics::Cdf;
 use mptcp::{CcKind, RecorderConfig};
@@ -42,34 +43,35 @@ pub fn execute(cfg: &Value) -> Result<Value, String> {
 /// scheduler/bandwidth/seed point, so every cached result is already a
 /// paired comparison. Scalars are `<transport>_<observable>`.
 fn quic_web_cell(cfg: &Value) -> Result<Value, String> {
-    let wifi = num_field(cfg, "wifi_mbps")?;
-    let lte = num_field(cfg, "lte_mbps")?;
+    let wifi = rate_field(cfg, "wifi_mbps")?;
+    let lte = rate_field(cfg, "lte_mbps")?;
     let seed = num_field(cfg, "seed")? as u64;
     let scheduler = parse_scheduler(str_field(cfg, "scheduler")?)?;
 
     let mut scalars = BTreeMap::new();
-    let tb = run_browse(wifi, lte, scheduler, seed);
+    let mut tb = run_browse(wifi, lte, scheduler, seed);
     let plt = tb.app().page_load_time.filter(|_| tb.app().done());
     let plt = plt.ok_or("mptcp page load did not complete")?;
     let page = PageLoad {
         completions: tb.app().completion_times_secs(),
-        ooo: tb.world().recorder.ooo_delays_secs(),
+        ooo: tb.world_mut().recorder.take_ooo_secs(),
         plt,
         events: tb.events_processed(),
     };
     page.put("mptcp", &mut scalars);
 
-    let tb = run_quic_web(wifi, lte, scheduler, seed);
+    let mut tb = run_quic_web(wifi, lte, scheduler, seed);
     let plt = tb.app().page_load_time.filter(|_| tb.app().done());
     let plt = plt.ok_or("quic page load did not complete")?;
-    let rec = &tb.world().recorder;
     let page = PageLoad {
-        completions: rec
+        completions: tb
+            .world()
+            .recorder
             .requests
             .iter()
             .filter_map(|r| Some(r.completion_time()?.as_secs_f64()))
             .collect(),
-        ooo: rec.ooo_delays_secs(),
+        ooo: tb.world_mut().recorder.take_ooo_secs(),
         plt,
         events: tb.events_processed(),
     };
@@ -108,9 +110,15 @@ impl PageLoad {
 }
 
 fn streaming_cell(cfg: &Value) -> Result<Value, String> {
-    let wifi = num_field(cfg, "wifi_mbps")?;
-    let lte = num_field(cfg, "lte_mbps")?;
+    let wifi = rate_field(cfg, "wifi_mbps")?;
+    let lte = rate_field(cfg, "lte_mbps")?;
     let video_secs = num_field(cfg, "video_secs")?;
+    let chunk_secs = PlayerConfig::default().chunk_secs;
+    if !(video_secs.is_finite() && video_secs >= chunk_secs) {
+        return Err(format!(
+            "\"video_secs\" must be at least one {chunk_secs} s chunk, got {video_secs}"
+        ));
+    }
     let seed = num_field(cfg, "seed")? as u64;
     let scheduler = parse_scheduler(str_field(cfg, "scheduler")?)?;
     let record_sndbuf = cfg
@@ -129,8 +137,15 @@ fn streaming_cell(cfg: &Value) -> Result<Value, String> {
             v.as_bool().ok_or("\"cwnd_conservation\" must be a bool")?;
     }
     if let Some(v) = cfg.get("subflows_per_interface") {
-        run_cfg.subflows_per_interface =
-            v.as_f64().ok_or("\"subflows_per_interface\" must be a number")? as usize;
+        // Two interfaces' subflows must fit telemetry's per-path slots.
+        let max = (telemetry::MAX_PATHS / 2) as f64;
+        let n = v.as_f64().ok_or("\"subflows_per_interface\" must be a number")?;
+        if n.fract() != 0.0 || !(1.0..=max).contains(&n) {
+            return Err(format!(
+                "\"subflows_per_interface\" must be an integer in 1..={max}, got {n}"
+            ));
+        }
+        run_cfg.subflows_per_interface = n as usize;
     }
     if record_sndbuf {
         run_cfg.recorder = RecorderConfig { sndbuf_traces: true, ..RecorderConfig::default() };
@@ -290,6 +305,17 @@ fn num_field(doc: &Value, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("cell config needs a number {key:?}"))
 }
 
+/// A link rate in Mbps: finite and above zero (a zero rate would run on a
+/// 1 bps link and cache a result that measures nothing).
+fn rate_field(doc: &Value, key: &str) -> Result<f64, String> {
+    let mbps = num_field(doc, key)?;
+    if mbps.is_finite() && mbps > 0.0 {
+        Ok(mbps)
+    } else {
+        Err(format!("{key:?} must be a finite rate above 0 Mbps, got {mbps}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,8 +345,7 @@ mod tests {
 
     #[test]
     fn typos_fail_loudly() {
-        let base = r#"{"workload": "streaming", "wifi_mbps": 1.0, "lte_mbps": 2.0,
-                       "scheduler": "ecf", "video_secs": 30, "seed": 1}"#;
+        let base = BASE;
         let bad_sched = base.replace("\"ecf\"", "\"ecff\"");
         assert!(execute(&json::parse(&bad_sched).unwrap())
             .unwrap_err()
@@ -338,6 +363,50 @@ mod tests {
         assert!(execute(&json::parse(&bad_kind).unwrap())
             .unwrap_err()
             .contains("unknown scenario kind"));
+    }
+
+    const BASE: &str = r#"{"workload": "streaming", "wifi_mbps": 1.0, "lte_mbps": 2.0,
+                           "scheduler": "ecf", "video_secs": 30, "seed": 1}"#;
+
+    /// `BASE` with `field` set to `value` (added if absent), run.
+    fn execute_with(workload: &str, field: &str, value: &str) -> Result<Value, String> {
+        let mut cfg = json::parse(&BASE.replace("streaming", workload)).unwrap();
+        let Value::Object(map) = &mut cfg else { unreachable!() };
+        map.insert(field.to_string(), json::parse(value).unwrap());
+        execute(&cfg)
+    }
+
+    #[test]
+    fn video_shorter_than_a_chunk_is_an_error() {
+        // Used to panic on the DASH player's constructor assert.
+        for secs in ["2", "0", "-5", "1e999"] {
+            let err = execute_with("streaming", "video_secs", secs).unwrap_err();
+            assert!(err.contains("\"video_secs\""), "{secs}: {err}");
+        }
+    }
+
+    #[test]
+    fn rates_must_be_positive_in_both_cell_kinds() {
+        // Used to run on a 1 bps link and return Ok with a meaningless result.
+        for workload in ["streaming", "quic_web"] {
+            for field in ["wifi_mbps", "lte_mbps"] {
+                for rate in ["0", "-1", "1e999"] {
+                    let err = execute_with(workload, field, rate).unwrap_err();
+                    let named = err.contains(&format!("{field:?}"));
+                    assert!(named, "{workload} {field}={rate}: {err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn subflows_per_interface_must_be_one_or_two() {
+        // 2.5 used to truncate silently; 3 per interface overflows the
+        // telemetry path slots.
+        for n in ["2.5", "0", "3", "-1"] {
+            let err = execute_with("streaming", "subflows_per_interface", n).unwrap_err();
+            assert!(err.contains("\"subflows_per_interface\""), "{n}: {err}");
+        }
     }
 
     #[test]

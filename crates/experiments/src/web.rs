@@ -24,11 +24,11 @@ fn browse_samples(
     effort: Effort,
 ) -> (Vec<f64>, Vec<f64>) {
     let per_seed = parallel_map((0..runs_for(effort)).collect(), |seed| {
-        let tb = run_browse(wifi, lte, kind, 300 + seed);
+        let mut tb = run_browse(wifi, lte, kind, 300 + seed);
         assert!(tb.app().done(), "page load must complete");
         (
             tb.app().completion_times_secs(),
-            tb.world().recorder.ooo_delays_secs(),
+            tb.world_mut().recorder.take_ooo_secs(),
         )
     });
     let mut completions = Vec::new();

@@ -158,7 +158,7 @@ pub fn fig23_tab4(effort: Effort) -> String {
             tb.run_until(horizon);
             (
                 tb.app().completion_times_secs(),
-                tb.world().recorder.ooo_delays_secs(),
+                tb.world_mut().recorder.take_ooo_secs(),
             )
         },
     );

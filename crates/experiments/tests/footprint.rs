@@ -1,6 +1,6 @@
 //! Footprint regression guard: bytes requested, and bytes live at the peak,
-//! per connection — and bytes requested per unit when every unit has its own
-//! engine.
+//! per connection — bytes requested per unit when every unit has its own
+//! engine, and bytes live per out-of-order (OOO) sample of a streaming run.
 //!
 //! **Requested.** A ring buffer used as a FIFO cycles through every slot it
 //! owns, so a per-connection or per-link deque reserved to its protocol
@@ -31,15 +31,24 @@
 //! session" were 35 KB of every 107-request browse unit's 205 KB. The shard
 //! now reserves the request count its pages announce (14.5 KB): 185 KB.
 //!
-//! Requested and live bytes are a pure function of the population, so all
-//! three checks are exact, not timings.
+//! **Live per OOO sample, one streaming run.** A 600 s `fig9_grid` cell at
+//! 0.3/8.6 Mbps under ECF keeps 418 328 out-of-order samples. With OOO
+//! collection off the run peaks at 197 353 B live (engine, player, request
+//! records). The recorder's pool adds 4 194 304 B (2^19 `u64` slots after
+//! doubling). Converting it into the outcome's `Vec<f64>` as a copy, with
+//! the pool still alive, added 3 346 624 B more: 7 738 281 B, 18.5 B per
+//! sample. The pool handed over and converted in place: 4 391 657 B,
+//! 10.5 B per sample.
+//!
+//! Requested and live bytes are a pure function of the workload, so all
+//! four checks are exact, not timings.
 
 mod support;
 
 use ecf_core::SchedulerKind;
 use experiments::{
-    browse_coupled_population, browse_population, run_coupled, run_sweep, SweepOptions,
-    COUPLED_BENCH_GROUPS,
+    browse_coupled_population, browse_population, run_coupled, run_streaming, run_sweep, Effort,
+    StreamingConfig, SweepOptions, COUPLED_BENCH_GROUPS,
 };
 
 #[global_allocator]
@@ -59,6 +68,10 @@ const PEAK_LIVE_PER_CONN_BOUND: u64 = 13_250;
 /// (185 115 when written, 180 603 today; 205 339 with the recorder
 /// reserving 256 records).
 const BYTES_PER_SHARDED_UNIT_BOUND: u64 = 195_000;
+
+/// Most bytes live at once per OOO sample over one streaming run, outcome
+/// included (10.5 with the pool handed over; 18.5 with a copy beside it).
+const STREAMING_PEAK_PER_SAMPLE_BOUND: f64 = 12.0;
 
 #[test]
 fn population_footprint_per_connection_and_per_unit() {
@@ -117,5 +130,28 @@ fn population_footprint_per_connection_and_per_unit() {
         "a one-unit engine requested {per_unit} bytes (bound \
          {BYTES_PER_SHARDED_UNIT_BOUND}): does the recorder, or anything else built per \
          engine, reserve on a guess again?"
+    );
+
+    // One full-length `fig9_grid` cell at its most reordered pair. Last:
+    // its peak is several times the populations', so it raises the
+    // high-water mark the reading depends on.
+    let live_before = support::live_and_peak().0;
+    let cfg = StreamingConfig {
+        video_secs: Effort::Full.video_secs(),
+        ..StreamingConfig::new(0.3, 8.6, SchedulerKind::Ecf, 1)
+    };
+    let out = run_streaming(&cfg);
+    let peak_live = support::live_and_peak().1 - live_before;
+    let samples = out.ooo_delays.len() as u64;
+    assert!(samples > 100_000, "{samples} OOO samples: not the long cell this guards");
+    let per_sample = peak_live as f64 / samples as f64;
+    println!(
+        "streaming: peak live {peak_live} B over {samples} OOO samples, {per_sample:.1} B/sample"
+    );
+    assert!(
+        per_sample <= STREAMING_PEAK_PER_SAMPLE_BOUND,
+        "a streaming run peaked at {per_sample:.1} live bytes per OOO sample (bound \
+         {STREAMING_PEAK_PER_SAMPLE_BOUND}): is the outcome's sample vector a copy of the \
+         recorder's pool again instead of the pool itself?"
     );
 }

@@ -519,7 +519,8 @@ impl<T: Drive<A>, A> Testbed<T, A> {
 
     /// Mutable world access, for co-simulation drivers that re-shape
     /// links *between* lockstep windows (never during event dispatch —
-    /// the engine is quiescent when this is called).
+    /// the engine is quiescent when this is called), and for drivers that
+    /// move results out of the recorder of a finished run.
     pub fn world_mut(&mut self) -> &mut World<T> {
         &mut self.eng_mut().model.world
     }

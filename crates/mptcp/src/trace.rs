@@ -30,7 +30,7 @@ pub struct RecorderConfig {
     /// Exactly one of the two pools is filled: [`Recorder::ooo_delays_us`]
     /// when this is off, [`Recorder::ooo_delays_us_per_conn`] when it is on
     /// (a population run holds millions of samples; keeping each twice was
-    /// a tenth of its peak memory). [`Recorder::ooo_delays_secs`] serves
+    /// a tenth of its peak memory). [`Recorder::take_ooo_secs`] hands over
     /// whichever pool the run filled; a reader of the raw fields must pick
     /// the one this flag selects.
     pub ooo_per_conn: bool,
@@ -109,7 +109,8 @@ pub struct Recorder {
     pub requests: Vec<RequestRecord>,
     /// Out-of-order delays, microseconds, all connections pooled in arrival
     /// order. Empty when [`RecorderConfig::ooo_per_conn`] is set — the
-    /// samples are in `ooo_delays_us_per_conn` then, and only there.
+    /// samples are in `ooo_delays_us_per_conn` then, and only there — and
+    /// after [`Recorder::take_ooo_secs`].
     pub ooo_delays_us: Vec<u64>,
     /// Out-of-order delays split per connection (only filled when
     /// [`RecorderConfig::ooo_per_conn`] is set; empty otherwise).
@@ -212,10 +213,27 @@ impl Recorder {
         self.requests.iter().filter(|r| r.completed.is_some())
     }
 
-    /// OOO delays as seconds, for CDF construction, from whichever pool the
-    /// run filled: the shared pool in arrival order, or — with
+    /// OOO delays as seconds, for CDF construction, moved out of whichever
+    /// pool the run filled: the shared pool in arrival order, or — with
     /// [`RecorderConfig::ooo_per_conn`] — the per-connection pools chained
-    /// in connection order. The same multiset either way.
+    /// in connection order. The same multiset either way, and the pools are
+    /// empty afterwards.
+    ///
+    /// A shared pool becomes the result in place: `u64` and `f64` have one
+    /// size and alignment, so the collect reuses the pool's allocation
+    /// instead of holding a copy beside it (a 600 s streaming run's samples
+    /// are most of its peak memory, DESIGN.md §9).
+    pub fn take_ooo_secs(&mut self) -> Vec<f64> {
+        let mut pool = std::mem::take(&mut self.ooo_delays_us);
+        for conn in &mut self.ooo_delays_us_per_conn {
+            pool.extend(std::mem::take(conn));
+        }
+        pool.into_iter().map(|us| us as f64 / 1e6).collect()
+    }
+
+    /// [`Recorder::take_ooo_secs`] as a copy, leaving the pools in place.
+    /// Kept only for the benchmark's traced runner (`benchmark/src/traced.rs`);
+    /// every in-tree reader takes the pool instead.
     pub fn ooo_delays_secs(&self) -> Vec<f64> {
         self.ooo_delays_us
             .iter()
@@ -296,6 +314,47 @@ mod tests {
         assert_eq!(rec.ooo_delays_us, vec![10, 20]);
         assert!(rec.ooo_delays_us_per_conn.is_empty());
         assert_eq!(rec.ooo_delays_secs(), vec![10e-6, 20e-6]);
+    }
+
+    #[test]
+    fn take_ooo_secs_hands_over_the_pool_in_place() {
+        // Past the initial reservation, so the pool has grown and has slack.
+        let mut rec = Recorder::new(RecorderConfig::default(), &[2]);
+        for i in 0..5_000u64 {
+            rec.note_ooo(0, Duration::from_micros(i * i * 7 % 3_000_001));
+        }
+        rec.note_ooo(0, Duration::MAX);
+        let copied = rec.ooo_delays_secs();
+        let ptr = rec.ooo_delays_us.as_ptr() as usize;
+        let cap = rec.ooo_delays_us.capacity();
+        let taken = rec.take_ooo_secs();
+        // The pool's allocation is the result: if std stops collecting in
+        // place, this fails rather than a streaming run's memory doubling.
+        assert_eq!(taken.as_ptr() as usize, ptr);
+        assert_eq!(taken.capacity(), cap);
+        assert_eq!(
+            taken.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            copied.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
+        assert!(rec.ooo_delays_us.is_empty());
+        assert!(rec.take_ooo_secs().is_empty());
+
+        // Per-connection pools: the same connection-ordered chain as the
+        // copy, every pool empty after, and the recorder still records.
+        let mut rec = Recorder::new(
+            RecorderConfig { ooo_per_conn: true, ..RecorderConfig::default() },
+            &[2, 2, 2],
+        );
+        rec.note_ooo(1, Duration::from_micros(10));
+        rec.note_ooo(0, Duration::from_micros(20));
+        rec.note_ooo(1, Duration::from_micros(30));
+        let copied = rec.ooo_delays_secs();
+        let taken = rec.take_ooo_secs();
+        assert_eq!(taken, vec![20e-6, 10e-6, 30e-6]);
+        assert_eq!(taken, copied);
+        assert!(rec.ooo_delays_us_per_conn.iter().all(Vec::is_empty));
+        rec.note_ooo(2, Duration::from_micros(5));
+        assert_eq!(rec.take_ooo_secs(), vec![5e-6]);
     }
 
     #[test]

@@ -29,6 +29,15 @@ for marker in 'claim_dispatch' 'Action::PathUp'; do
         "crates/{mptcp,quic,experiments}/src, expected exactly 1" >&2; exit 1; }
 done
 
+echo "== one OOO reader: single runs take the recorder's pool, none copies it =="
+# `Recorder::take_ooo_secs` hands the samples over in place (DESIGN.md §9,
+# "A streaming cell"); `ooo_delays_secs` copies them beside the pool and
+# stays only for the benchmark's traced runner (benchmark/ is not searched).
+copiers="$(grep -rl 'ooo_delays_secs(' crates src examples tests \
+    | grep -vx 'crates/mptcp/src/trace.rs' || true)"
+[ -z "$copiers" ] || { echo "verify.sh: ooo_delays_secs( is called outside" \
+    "crates/mptcp/src/trace.rs, in:" $copiers >&2; exit 1; }
+
 echo "== no unsafe: every crate root forbids it =="
 # The compiler enforces "no unsafe" only where a crate root says so.
 for root in src/lib.rs crates/*/src/lib.rs crates/*/src/bin/*.rs; do
@@ -39,11 +48,11 @@ done
 echo "== memory guards: RSS growth over live bytes, bytes requested and live (release) =="
 # Both pass or fail in the workspace tests above too (debug); the release
 # run is the allocator pattern the benchmark of record sees, and the ratio
-# and the three footprint readings are printed so a drift towards a bound
+# and the four footprint readings are printed so a drift towards a bound
 # shows before it trips.
 mem_out="$(cargo test --release --offline -p experiments --test rss --test footprint \
     -- --nocapture 2>&1)" || { echo "$mem_out" >&2; exit 1; }
-echo "$mem_out" | grep -E "rss growth|requested" || true
+echo "$mem_out" | grep -E "rss growth|requested|streaming:" || true
 
 echo "== every registered experiment, quick, through the CLI =="
 # --no-save: results/*.txt are the committed full-effort runs. A throwaway

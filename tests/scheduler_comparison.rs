@@ -64,13 +64,11 @@ fn ecf_preserves_the_fast_subflow_window() {
 #[test]
 fn ecf_reduces_out_of_order_delay() {
     // Figs 13/14: the reordering tail shrinks under ECF at 0.3/8.6.
-    let ecf_tb = stream(0.3, 8.6, SchedulerKind::Ecf, 4);
-    let def_tb = stream(0.3, 8.6, SchedulerKind::Default, 4);
-    let mean = |tb: &Testbed<DashApp>| {
-        let xs = tb.world().recorder.ooo_delays_secs();
+    let mean = |kind| {
+        let xs = stream(0.3, 8.6, kind, 4).world_mut().recorder.take_ooo_secs();
         metrics::mean(&xs)
     };
-    let (e, d) = (mean(&ecf_tb), mean(&def_tb));
+    let (e, d) = (mean(SchedulerKind::Ecf), mean(SchedulerKind::Default));
     assert!(e < d, "mean OOO delay: ecf {e:.4}s vs default {d:.4}s");
 }
 
