@@ -156,6 +156,13 @@ impl Cli {
                 if accepted.is_empty() { "no flags".to_string() } else { accepted.join(" ") }
             ));
         }
+        // A sweep of no units or on no workers runs nothing. `--shards 0`
+        // is valid: one shard per component.
+        for (flag, v) in &values {
+            if ["--units", "--workers"].contains(&flag.as_str()) && v.parse::<usize>() == Ok(0) {
+                return Err(format!("{flag} must be at least 1"));
+            }
+        }
         Ok(Cli { target, words, switches, values })
     }
 
@@ -213,7 +220,7 @@ fn main() {
         Target::Sweep => run_sweep_cmd(
             num("--units", if quick { 20 } else { 167 }),
             num("--shards", 0),
-            cli.value("--workers").map(|_| num("--workers", 1)).filter(|&w| w > 0),
+            cli.value("--workers").map(|_| num("--workers", 1)),
             num("--seed", 1) as u64,
             cli.has("--coupled"),
         ),
@@ -468,6 +475,21 @@ mod tests {
             "sweep --coupled --quick --units 9 --shards 3 --workers 2 --seed 7",
             &[("sweep --no-save", "--no-save"), ("sweep --cache-dir DIR", "--cache-dir")],
         );
+    }
+
+    #[test]
+    fn sweep_refuses_zero_units() {
+        for line in ["sweep --units 0", "sweep --coupled --units 0"] {
+            assert_eq!(parse(line).unwrap_err(), "--units must be at least 1", "{line}");
+        }
+    }
+
+    #[test]
+    fn sweep_refuses_zero_workers_but_not_zero_shards() {
+        for line in ["sweep --workers 0", "sweep --coupled --workers 0"] {
+            assert_eq!(parse(line).unwrap_err(), "--workers must be at least 1", "{line}");
+        }
+        parse("sweep --shards 0 --workers 1 --units 1").unwrap();
     }
 
     #[test]

@@ -45,13 +45,14 @@
 //!
 //! ## The bit-identical contract
 //!
-//! The merged [`UnitReport`] digest is identical to the monolithic run at
-//! every shard count and worker count, because the monolith *is* the same
-//! windowed system with one engine group: the controller runs on the same
-//! schedule with the same inputs (per-member loads are private-link
-//! functions of that member's own traffic, which PR 7's per-unit
-//! extraction already made partition-invariant), and `set_rate_bps` is
-//! link-local state applied at identical simulated times. Message order is
+//! The merged [`UnitReport`](crate::sharding::UnitReport) digest is
+//! identical to the monolithic run at every shard count and worker count,
+//! because the monolith *is* the same windowed system with one engine
+//! group: the controller runs on the same schedule with the same inputs
+//! (per-member loads are private-link functions of that member's own
+//! traffic, which the sweep's per-unit extraction already made
+//! partition-invariant), and `set_rate_bps` is link-local state applied at
+//! identical simulated times. Message order is
 //! pinned by the `(time, seq)` sort, merge order by global unit index. A
 //! zero-window coupling (`prop_delay == 0` *and* an effectively infinite
 //! capacity) has no safe horizon: its members are unioned by the
@@ -68,8 +69,8 @@ use telemetry::{Counter, TelemetryHandle};
 
 use crate::common::{default_workers, Effort, ENV_WORKERS};
 use crate::sharding::{
-    browse_coupled_population, build_shard, digest_units, extract_reports, flush_load_balance,
-    plan_shards, Population, ShardRun, SweepOptions, SweepReport, UnitReport,
+    browse_coupled_population, build_shard, extract_reports, flush_load_balance, plan_shards,
+    Merge, Population, ShardRun, SweepOptions, SweepReport,
 };
 
 /// An explicit cross-shard coupling: `members` are *global* path indices
@@ -390,11 +391,13 @@ impl CoupledRun {
     /// load-balance and co-sim counters (sweep teardown).
     pub fn finish(mut self) -> SweepReport {
         while self.step() {}
-        let mut units: Vec<Option<UnitReport>> = (0..self.n_units).map(|_| None).collect();
+        let mut merge = Merge::new(self.n_units);
         let mut shard_events = Vec::with_capacity(self.groups.len());
         let mut shard_wall_ns = Vec::with_capacity(self.groups.len());
         // Each group's engine is freed as soon as its reports are out, so
         // the merge peaks at the reports plus one group, not plus all.
+        // Groups are round-robin over units, so almost nothing folds before
+        // the last group's reports arrive.
         for g in std::mem::take(&mut self.groups) {
             let (out, queue) = extract_reports(g.run);
             shard_events.push(out.events);
@@ -403,13 +406,10 @@ impl CoupledRun {
             // diagnostics surface through the sweep-level handle here.
             flush_queue_stats(&self.telemetry, &queue);
             for r in out.reports {
-                let slot = r.unit;
-                assert!(units[slot].is_none(), "unit {slot} reported twice");
-                units[slot] = Some(r);
+                merge.add(r);
             }
         }
-        let units: Vec<UnitReport> =
-            units.into_iter().map(|r| r.expect("every unit simulated")).collect();
+        let (units, digest) = merge.finish();
 
         flush_load_balance(&self.telemetry, &shard_events, &shard_wall_ns);
         if self.telemetry.is_enabled() {
@@ -421,7 +421,7 @@ impl CoupledRun {
                     .set_max(Counter::CosimRoundImbalancePermille, self.worst_imbalance_permille);
             }
         }
-        SweepReport { digest: digest_units(&units), units, shard_events, shard_wall_ns }
+        SweepReport { digest, units, shard_events, shard_wall_ns }
     }
 }
 

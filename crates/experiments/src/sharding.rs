@@ -365,7 +365,10 @@ pub struct UnitReport {
     pub objects: Vec<ObjectRecord>,
     /// Page load time, if the page finished inside the horizon.
     pub page_load: Option<Time>,
-    /// The unit's requests, in issue order.
+    /// The unit's requests, in issue order. Empty in a report returned by
+    /// [`run_sweep`] or [`cosim::run_coupled`]: the merge has already
+    /// folded them into [`SweepReport::digest`]. A hand-built report
+    /// carries them so [`digest_units`] can fold them.
     pub requests: Vec<ReqSummary>,
     /// OOO delays (µs) per unit-local connection.
     pub ooo_us_per_conn: Vec<Vec<u64>>,
@@ -421,13 +424,53 @@ pub fn fold_unit(h: &mut Fnv1a, r: &UnitReport) {
     }
 }
 
-/// Digest a full set of unit reports (assumed in global unit order).
+/// Digest a full set of hand-built unit reports (assumed in global unit
+/// order). A merged [`SweepReport`]'s units no longer carry their requests,
+/// so re-digesting them gives a different number than its `digest`.
 pub fn digest_units(units: &[UnitReport]) -> u64 {
     let mut h = Fnv1a::new();
     for r in units {
         fold_unit(&mut h, r);
     }
     h.finish()
+}
+
+/// The streaming merge: unit reports arrive in whatever order their shards
+/// finish, and each is folded into the digest as soon as every
+/// lower-numbered unit has been — the bytes [`digest_units`] would hash, in
+/// the same order — and its request summaries are then dropped.
+pub(crate) struct Merge {
+    digest: Fnv1a,
+    /// The lowest unit not yet folded.
+    next: usize,
+    /// One slot per global unit index.
+    units: Vec<Option<UnitReport>>,
+}
+
+impl Merge {
+    pub(crate) fn new(n_units: usize) -> Self {
+        Merge { digest: Fnv1a::new(), next: 0, units: (0..n_units).map(|_| None).collect() }
+    }
+
+    /// File `report` in its unit's slot, then fold every unit that is now
+    /// next in global order. Panics if the unit was already reported.
+    pub(crate) fn add(&mut self, report: UnitReport) {
+        let slot = report.unit;
+        assert!(self.units[slot].is_none(), "unit {slot} reported twice");
+        self.units[slot] = Some(report);
+        while let Some(Some(r)) = self.units.get_mut(self.next) {
+            fold_unit(&mut self.digest, r);
+            r.requests = Vec::new();
+            self.next += 1;
+        }
+    }
+
+    /// The units in global order and their digest. Panics if a unit is
+    /// missing.
+    pub(crate) fn finish(self) -> (Vec<UnitReport>, u64) {
+        let units = self.units.into_iter().map(|r| r.expect("every unit simulated")).collect();
+        (units, self.digest.finish())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -681,10 +724,12 @@ impl Default for SweepOptions {
 /// A sweep's merged result.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
-    /// Per-unit reports in global unit order — the equivalence surface.
+    /// Per-unit reports in global unit order — the equivalence surface,
+    /// without their request summaries (see [`UnitReport::requests`]).
     pub units: Vec<UnitReport>,
-    /// FNV-1a digest over `units` ([`digest_units`]): bit-identical across
-    /// shard counts and worker counts.
+    /// FNV-1a digest folded unit by unit ([`fold_unit`]) in global order as
+    /// units merge, requests included: bit-identical across shard counts
+    /// and worker counts.
     pub digest: u64,
     /// Engine events per shard, in shard order (diagnostic; *not* part of
     /// the digest — a monolith counts one `AppStart`, k shards count k).
@@ -758,6 +803,7 @@ pub fn run_sweep(pop: &Population, opts: &SweepOptions) -> SweepReport {
         return cosim::run_coupled(pop, opts);
     }
     let pool: Mutex<Vec<EventQueue<Event>>> = Mutex::new(Vec::new());
+    let merge = Mutex::new(Merge::new(pop.units.len()));
 
     let run_one = |unit_idxs: Vec<usize>| {
         let queue = pool.lock().expect("queue pool").pop().unwrap_or_default();
@@ -771,31 +817,24 @@ pub fn run_sweep(pop: &Population, opts: &SweepOptions) -> SweepReport {
         // resets them on reuse, so there is no double counting.
         flush_queue_stats(&opts.telemetry, &queue);
         pool.lock().expect("queue pool").push(queue);
-        (out, wall_ns)
+        // Merged as the shard finishes: one worker runs shards in plan
+        // order, so each unit is folded, and its summaries freed, right
+        // after its own engine is gone.
+        let mut merge = merge.lock().expect("merge");
+        for r in out.reports {
+            merge.add(r);
+        }
+        (out.events, wall_ns)
     };
-    let outcomes: Vec<(ShardOutcome, u64)> = match opts.workers {
+    let outcomes: Vec<(u64, u64)> = match opts.workers {
         Some(w) => parallel_map_workers(shards, run_one, w),
         None => parallel_map(shards, run_one),
     };
-
-    // Merge in fixed shard order; unit reports land in global unit order.
-    let mut units: Vec<Option<UnitReport>> = (0..pop.units.len()).map(|_| None).collect();
-    let mut shard_events = Vec::with_capacity(outcomes.len());
-    let mut shard_wall_ns = Vec::with_capacity(outcomes.len());
-    for (out, wall_ns) in outcomes {
-        shard_events.push(out.events);
-        shard_wall_ns.push(wall_ns);
-        for r in out.reports {
-            let slot = r.unit;
-            assert!(units[slot].is_none(), "unit {slot} reported twice");
-            units[slot] = Some(r);
-        }
-    }
-    let units: Vec<UnitReport> =
-        units.into_iter().map(|r| r.expect("every unit simulated")).collect();
+    let (shard_events, shard_wall_ns): (Vec<u64>, Vec<u64>) = outcomes.into_iter().unzip();
+    let (units, digest) = merge.into_inner().expect("merge").finish();
 
     flush_load_balance(&opts.telemetry, &shard_events, &shard_wall_ns);
-    SweepReport { digest: digest_units(&units), units, shard_events, shard_wall_ns }
+    SweepReport { digest, units, shard_events, shard_wall_ns }
 }
 
 /// Map `f` over independent work items with the sweep executor's load
@@ -839,6 +878,9 @@ where
 
 #[cfg(test)]
 mod tests {
+    use testkit::prop::{any_u64, check};
+    use testkit::Rng;
+
     use super::*;
 
     /// A small population for fast tests: tiny pages, few units.
@@ -899,13 +941,60 @@ mod tests {
         assert!(!mono.units.is_empty());
     }
 
+    /// A small sweep's unit reports with their requests still filled: one
+    /// engine, extracted, not merged.
+    fn unmerged_reports(pop: &Population) -> Vec<UnitReport> {
+        let shards = plan_shards(pop, 1);
+        let (out, _) = run_shard(pop, &shards[0], EventQueue::default());
+        assert!(out.reports.iter().all(|r| r.requests.len() == 8));
+        out.reports
+    }
+
+    #[test]
+    fn merge_folds_any_arrival_order_into_the_in_order_digest() {
+        let originals = unmerged_reports(&tiny_pop(11, 5));
+        let expected = digest_units(&originals);
+        check(32, any_u64(), |seed| {
+            let mut arrivals = originals.clone();
+            Rng::seed_from_u64(seed).shuffle(&mut arrivals);
+            let mut merge = Merge::new(arrivals.len());
+            for r in arrivals {
+                merge.add(r);
+            }
+            let (units, digest) = merge.finish();
+            assert_eq!(digest, expected);
+            assert_eq!(units.len(), originals.len());
+            for (got, orig) in units.iter().zip(&originals) {
+                assert_eq!(got, &UnitReport { requests: Vec::new(), ..orig.clone() });
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "unit 1 reported twice")]
+    fn merge_rejects_a_duplicate_unit() {
+        let reports = unmerged_reports(&tiny_pop(11, 2));
+        let mut merge = Merge::new(reports.len());
+        merge.add(reports[1].clone());
+        merge.add(reports[1].clone());
+    }
+
+    #[test]
+    #[should_panic(expected = "every unit simulated")]
+    fn merge_rejects_a_missing_unit() {
+        let reports = unmerged_reports(&tiny_pop(11, 2));
+        let mut merge = Merge::new(reports.len());
+        merge.add(reports[0].clone());
+        merge.finish();
+    }
+
     #[test]
     fn report_vectors_are_exact_sized() {
         let pop = tiny_pop(5, 3);
         let report = run_sweep(&pop, &SweepOptions { max_shards: 2, ..Default::default() });
         for u in &report.units {
-            assert_eq!(u.requests.len(), 8);
-            assert_eq!(u.requests.capacity(), u.requests.len(), "unit {}", u.unit);
+            // Folded into the digest as the unit merged, then freed.
+            assert!(u.requests.is_empty() && u.requests.capacity() == 0, "unit {}", u.unit);
             assert_eq!(u.objects.capacity(), u.objects.len(), "unit {}", u.unit);
             assert_eq!(u.ooo_us_per_conn.len(), 2);
             for pool in &u.ooo_us_per_conn {
@@ -915,7 +1004,7 @@ mod tests {
         }
         // A `RequestRecord`'s width (8-byte optional timestamps, 32-bit
         // `conn` and `segs`), with nothing on the heap for up to two
-        // subflows: a sweep's resident set is mostly these.
+        // subflows: every unit holds these between extraction and merge.
         assert!(std::mem::size_of::<ReqSummary>() <= 104);
     }
 

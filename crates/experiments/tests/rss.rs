@@ -23,6 +23,14 @@
 //! on the platform's allocator, so the bound leaves room and the test is
 //! Linux-only. It is its own binary with one `#[test]`, like the other
 //! allocator audits.
+//!
+//! The test also bounds what a sweep keeps per unit. The merge folds each
+//! unit's request summaries into the digest as the unit arrives in global
+//! order, then drops them (DESIGN.md §11): 20 827 B live per unit after the
+//! sweep, where keeping the 107 summaries of 104 B read 31 955 B. The ratio
+//! above went 1.047 → 1.064 with that change — the freed summary blocks are
+//! reused by the next engine, not returned to the OS — while both of its
+//! terms fell.
 
 #![cfg(target_os = "linux")]
 
@@ -36,6 +44,9 @@ static COUNTER: support::CountingAlloc = support::CountingAlloc;
 
 /// RSS growth over the sweep / bytes live after it.
 const RSS_PER_LIVE_BOUND: f64 = 1.10;
+
+/// Bytes live after the sweep, per unit.
+const LIVE_PER_UNIT_BOUND: u64 = 23_000;
 
 /// A `kB` field of `/proc/self/status`, in bytes.
 fn status_bytes(field: &str) -> u64 {
@@ -79,5 +90,12 @@ fn sharded_sweep_rss_stays_near_its_live_bytes() {
         "the sweep grew RSS by {rss} B for {live} B kept (ratio {ratio:.3}, bound \
          {RSS_PER_LIVE_BOUND}): does a report vector keep the block it grew in inside \
          its engine (`shrink_to_fit`), or get allocated while the engine is alive?"
+    );
+    let per_unit = live / UNITS as u64;
+    println!("live per unit {per_unit} B (bound {LIVE_PER_UNIT_BOUND})");
+    assert!(
+        per_unit <= LIVE_PER_UNIT_BOUND,
+        "the sweep keeps {per_unit} B per unit (bound {LIVE_PER_UNIT_BOUND}): does the merge \
+         still hold each unit's request summaries after folding them into the digest?"
     );
 }

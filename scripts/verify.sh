@@ -38,6 +38,17 @@ copiers="$(grep -rl 'ooo_delays_secs(' crates src examples tests \
 [ -z "$copiers" ] || { echo "verify.sh: ooo_delays_secs( is called outside" \
     "crates/mptcp/src/trace.rs, in:" $copiers >&2; exit 1; }
 
+echo "== one sweep digest: merged reports are never re-digested =="
+# The sweep merge folds each unit's request summaries into the digest and
+# drops them (DESIGN.md §11), so `digest_units` over a merged report's units
+# gives a different number than its `digest`. Only hand-built reports may
+# be digested that way: sharding.rs's own tests and the benchmark's traced
+# runner (benchmark/ is not searched).
+digesters="$(grep -rl 'digest_units(' crates src examples tests \
+    | grep -vx 'crates/experiments/src/sharding.rs' || true)"
+[ -z "$digesters" ] || { echo "verify.sh: digest_units( is called outside" \
+    "crates/experiments/src/sharding.rs, in:" $digesters >&2; exit 1; }
+
 echo "== no unsafe: every crate root forbids it =="
 # The compiler enforces "no unsafe" only where a crate root says so.
 for root in src/lib.rs crates/*/src/lib.rs crates/*/src/bin/*.rs; do
@@ -47,12 +58,12 @@ done
 
 echo "== memory guards: RSS growth over live bytes, bytes requested and live (release) =="
 # Both pass or fail in the workspace tests above too (debug); the release
-# run is the allocator pattern the benchmark of record sees, and the ratio
-# and the four footprint readings are printed so a drift towards a bound
-# shows before it trips.
+# run is the allocator pattern the benchmark of record sees, and the ratio,
+# the bytes a sweep keeps per unit and the four footprint readings are
+# printed so a drift towards a bound shows before it trips.
 mem_out="$(cargo test --release --offline -p experiments --test rss --test footprint \
     -- --nocapture 2>&1)" || { echo "$mem_out" >&2; exit 1; }
-echo "$mem_out" | grep -E "rss growth|requested|streaming:" || true
+echo "$mem_out" | grep -E "rss growth|live per unit|requested|streaming:" || true
 
 echo "== every registered experiment, quick, through the CLI =="
 # --no-save: results/*.txt are the committed full-effort runs. A throwaway
