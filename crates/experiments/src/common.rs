@@ -65,6 +65,13 @@ pub fn default_workers(env: Option<&str>, fallback: usize) -> usize {
     }
 }
 
+/// The worker count a run uses: `explicit` if given, else the
+/// [`ENV_WORKERS`] override, else the available cores.
+pub(crate) fn resolve_workers(explicit: Option<usize>) -> usize {
+    let cores = || std::thread::available_parallelism().map_or(4, |n| n.get());
+    explicit.unwrap_or_else(|| default_workers(std::env::var(ENV_WORKERS).ok().as_deref(), cores()))
+}
+
 /// Map `f` over `items` on up to `available_parallelism` threads (or the
 /// [`ENV_WORKERS`] override), preserving order. Runs are independent
 /// simulations, so this is safe and near-linear.
@@ -74,9 +81,7 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let fallback = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let env = std::env::var(ENV_WORKERS).ok();
-    parallel_map_workers(items, f, default_workers(env.as_deref(), fallback))
+    parallel_map_workers(items, f, resolve_workers(None))
 }
 
 /// [`parallel_map`] with an explicit worker count (tests force multiple

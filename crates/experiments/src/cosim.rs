@@ -43,6 +43,11 @@
 //! [`BoundaryMsg`]s ordered deterministically by `(time, seq)`, apply the
 //! controller, and advance the global window.
 //!
+//! ## One executor
+//!
+//! [`CoupledRun`] runs every sweep. Without a positive-window coupling its
+//! window is the horizon: one round, nothing exchanged, no sync round.
+//!
 //! ## The bit-identical contract
 //!
 //! The merged [`UnitReport`](crate::sharding::UnitReport) digest is
@@ -59,18 +64,19 @@
 //! partitioner and the population falls back to a collapsed single-engine
 //! run — degenerate, but never a deadlock or a divergence.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use mptcp::harness::flush_queue_stats;
 use mptcp::Event;
-use simnet::{dur_nanos, serialization_nanos, EventQueue, RunOutcome, Time};
+use simnet::{dur_nanos, serialization_nanos, EventQueue, Time};
 use tcp_model::{wire_size, MSS};
 use telemetry::{Counter, TelemetryHandle};
 
-use crate::common::{default_workers, Effort, ENV_WORKERS};
+use crate::common::{resolve_workers, Effort};
 use crate::sharding::{
-    browse_coupled_population, build_shard, extract_reports, flush_load_balance, plan_shards,
-    Merge, Population, ShardRun, SweepOptions, SweepReport,
+    browse_coupled_population, build_shard, extract_reports, plan_shards, Merge, Population,
+    ShardRun, SweepOptions, SweepReport,
 };
 
 /// An explicit cross-shard coupling: `members` are *global* path indices
@@ -121,31 +127,6 @@ pub struct BoundaryMsg {
     pub load: u64,
 }
 
-/// One engine group plus its lockstep bookkeeping.
-struct Group {
-    run: ShardRun,
-    /// Drained: no pending events, will never produce more.
-    done: bool,
-    /// Cumulative wall time across rounds.
-    wall_ns: u64,
-    /// Wall time of the last round (0 when skipped as done).
-    round_wall_ns: u64,
-}
-
-impl Group {
-    fn advance(&mut self, t: Time) {
-        if self.done {
-            self.round_wall_ns = 0;
-            return;
-        }
-        let started = Instant::now();
-        let outcome = self.run.tb.run_until(t);
-        self.round_wall_ns = started.elapsed().as_nanos() as u64;
-        self.wall_ns += self.round_wall_ns;
-        self.done = matches!(outcome, RunOutcome::Drained);
-    }
-}
-
 /// A coupling resolved against the engine groups: member ordinal →
 /// (group index, group-local path index).
 struct CouplingState {
@@ -153,13 +134,13 @@ struct CouplingState {
     locs: Vec<(usize, usize)>,
 }
 
-/// A coupled population mid-flight: engine groups in lockstep plus the
-/// window controller state. Most callers want [`run_coupled`] (or just
-/// [`crate::sharding::run_sweep`], which dispatches here); the stepwise
-/// API exists so tests can observe the run between windows — the
-/// counting-allocator audit drives `step` directly.
+/// A population mid-flight, the one sweep executor: engine groups in
+/// lockstep plus the window controller state (an uncoupled population
+/// steps once, at the horizon). Most callers want
+/// [`crate::sharding::run_sweep`]; the stepwise API lets tests observe the
+/// run between windows — the counting-allocator audit drives `step`.
 pub struct CoupledRun {
-    groups: Vec<Group>,
+    groups: Vec<ShardRun>,
     couplings: Vec<CouplingState>,
     window_ns: u64,
     horizon_ns: u64,
@@ -183,21 +164,31 @@ impl CoupledRun {
     /// Partition `pop` (couplings with a positive window do *not* union
     /// their members) and build one engine group per shard, ready to step.
     pub fn new(pop: &Population, opts: &SweepOptions) -> CoupledRun {
+        CoupledRun::build(pop, &plan_shards(pop, opts.max_shards), &Mutex::new(Vec::new()), opts)
+    }
+
+    /// Build one engine group per entry of `shards` (ascending global unit
+    /// indices each) on queues popped from `pool`. The window is the
+    /// smallest positive coupling window, or the horizon when there is
+    /// none.
+    pub(crate) fn build(
+        pop: &Population,
+        shards: &[Vec<usize>],
+        pool: &Mutex<Vec<EventQueue<Event>>>,
+        opts: &SweepOptions,
+    ) -> CoupledRun {
         let window_ns = pop
             .couplings
             .iter()
             .map(SharedBottleneck::window_nanos)
             .filter(|&w| w > 0)
             .min()
-            .expect("CoupledRun needs at least one positive-window coupling");
-        let shards = plan_shards(pop, opts.max_shards);
-        let groups: Vec<Group> = shards
+            .unwrap_or(pop.horizon.as_nanos());
+        let groups: Vec<ShardRun> = shards
             .iter()
-            .map(|idxs| Group {
-                run: build_shard(pop, idxs, EventQueue::<Event>::default()),
-                done: false,
-                wall_ns: 0,
-                round_wall_ns: 0,
+            .map(|idxs| {
+                let queue = pool.lock().expect("queue pool").pop().unwrap_or_default();
+                build_shard(pop, idxs, queue)
             })
             .collect();
         // Resolve each member to its owning group once. A member no unit
@@ -206,7 +197,7 @@ impl CoupledRun {
             groups
                 .iter()
                 .enumerate()
-                .find_map(|(gi, grp)| grp.run.globals.binary_search(&g).ok().map(|l| (gi, l)))
+                .find_map(|(gi, grp)| grp.globals.binary_search(&g).ok().map(|l| (gi, l)))
         };
         let couplings: Vec<CouplingState> = pop
             .couplings
@@ -225,15 +216,7 @@ impl CoupledRun {
             horizon_ns: pop.horizon.as_nanos(),
             k: 1,
             now_ns: 0,
-            workers: opts
-                .workers
-                .unwrap_or_else(|| {
-                    let fallback =
-                        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-                    let env = std::env::var(ENV_WORKERS).ok();
-                    default_workers(env.as_deref(), fallback)
-                })
-                .max(1),
+            workers: resolve_workers(opts.workers),
             telemetry: opts.telemetry.clone(),
             n_units: pop.units.len(),
             finished: false,
@@ -250,7 +233,8 @@ impl CoupledRun {
         self.groups.len()
     }
 
-    /// The global lockstep window in nanoseconds (minimum over couplings).
+    /// The global lockstep window in nanoseconds: the minimum over
+    /// positive-window couplings, or the horizon when there is none.
     pub fn window_nanos(&self) -> u64 {
         self.window_ns
     }
@@ -262,7 +246,7 @@ impl CoupledRun {
 
     /// Events processed so far across every engine group.
     pub fn events_total(&self) -> u64 {
-        self.groups.iter().map(|g| g.run.tb.events_processed()).sum()
+        self.groups.iter().map(|g| g.tb.events_processed()).sum()
     }
 
     /// Advance one lockstep window: run every live group to the horizon
@@ -284,8 +268,7 @@ impl CoupledRun {
         for c in couplings.iter() {
             msgs.clear();
             for (ord, &(g, local)) in c.locs.iter().enumerate() {
-                let load =
-                    groups[g].run.tb.world_mut().paths[local].fwd.take_offered_bytes();
+                let load = groups[g].tb.world_mut().paths[local].fwd.take_offered_bytes();
                 msgs.push(BoundaryMsg { time: t_ns, seq: ord as u64, load });
             }
             // Deterministic round order: (time, seq) is a total order, so
@@ -301,13 +284,16 @@ impl CoupledRun {
             for m in msgs.iter() {
                 let (g, local) = c.locs[m.seq as usize];
                 let rate = if m.load > 0 { share } else { c.capacity_bps };
-                groups[g].run.tb.world_mut().paths[local].fwd.set_rate_bps(rate);
+                groups[g].tb.world_mut().paths[local].fwd.set_rate_bps(rate);
             }
             if multi {
                 self.boundary_msgs += c.locs.len() as u64;
             }
         }
-        self.rounds += 1;
+        // Only rounds that ran a controller are sync rounds.
+        if !self.couplings.is_empty() {
+            self.rounds += 1;
+        }
         self.now_ns = t_ns;
         self.k += 1;
         if t_ns >= self.horizon_ns || self.groups.iter().all(|g| g.done) {
@@ -329,7 +315,7 @@ impl CoupledRun {
                 .groups
                 .iter()
                 .filter(|g| !g.done)
-                .filter_map(|g| g.run.tb.next_event_time())
+                .filter_map(|g| g.tb.next_event_time())
                 .map(|t| t.as_nanos())
                 .min();
             if let Some(e) = next_pending {
@@ -389,29 +375,44 @@ impl CoupledRun {
     /// Run any remaining windows, then extract and merge every group's
     /// unit reports in fixed global-unit order, flushing the sweep's
     /// load-balance and co-sim counters (sweep teardown).
-    pub fn finish(mut self) -> SweepReport {
+    pub fn finish(self) -> SweepReport {
+        let merge = Mutex::new(Merge::new(self.n_units));
+        let tel = self.telemetry.clone();
+        let per_group = self.drain(&merge, &Mutex::new(Vec::new()));
+        merge.into_inner().expect("merge").finish(per_group, &tel)
+    }
+
+    /// Step to the end, then extract the groups one at a time into
+    /// `merge`, returning each queue to `pool`, and flush the wheel and
+    /// co-sim counters. Returns each group's `(events, wall_ns)` in group
+    /// order; `wall_ns` covers its build, every round and its extraction.
+    pub(crate) fn drain(
+        mut self,
+        merge: &Mutex<Merge>,
+        pool: &Mutex<Vec<EventQueue<Event>>>,
+    ) -> Vec<(u64, u64)> {
         while self.step() {}
-        let mut merge = Merge::new(self.n_units);
-        let mut shard_events = Vec::with_capacity(self.groups.len());
-        let mut shard_wall_ns = Vec::with_capacity(self.groups.len());
         // Each group's engine is freed as soon as its reports are out, so
         // the merge peaks at the reports plus one group, not plus all.
         // Groups are round-robin over units, so almost nothing folds before
         // the last group's reports arrive.
-        for g in std::mem::take(&mut self.groups) {
-            let (out, queue) = extract_reports(g.run);
-            shard_events.push(out.events);
-            shard_wall_ns.push(g.wall_ns);
+        // Grown by push: allocated beside a live engine, it would outlive
+        // it and pin the hole it leaves (`tests/rss.rs`).
+        let mut per_group = Vec::new();
+        for run in std::mem::take(&mut self.groups) {
+            let started = Instant::now();
+            let built_and_run_ns = run.wall_ns;
+            let (reports, events, queue) = extract_reports(run);
+            per_group.push((events, built_and_run_ns + started.elapsed().as_nanos() as u64));
             // Group engines carry shard-local telemetry (off); their wheel
             // diagnostics surface through the sweep-level handle here.
             flush_queue_stats(&self.telemetry, &queue);
-            for r in out.reports {
+            pool.lock().expect("queue pool").push(queue);
+            let mut merge = merge.lock().expect("merge");
+            for r in reports {
                 merge.add(r);
             }
         }
-        let (units, digest) = merge.finish();
-
-        flush_load_balance(&self.telemetry, &shard_events, &shard_wall_ns);
         if self.telemetry.is_enabled() {
             self.telemetry.add(Counter::CosimRounds, self.rounds);
             self.telemetry.add(Counter::CosimBoundaryMsgs, self.boundary_msgs);
@@ -421,17 +422,8 @@ impl CoupledRun {
                     .set_max(Counter::CosimRoundImbalancePermille, self.worst_imbalance_permille);
             }
         }
-        SweepReport { digest, units, shard_events, shard_wall_ns }
+        per_group
     }
-}
-
-/// Run a coupled population to completion: lockstep windows over the
-/// planned engine groups, merged per the usual sweep contract.
-/// [`crate::sharding::run_sweep`] dispatches here whenever the population
-/// has a positive-window coupling; `max_shards == 1` is the monolithic
-/// reference (one group, same windowed semantics, hence the same digest).
-pub fn run_coupled(pop: &Population, opts: &SweepOptions) -> SweepReport {
-    CoupledRun::new(pop, opts).finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -565,7 +557,7 @@ mod tests {
         while run.step() {}
         let (mut len, mut cap) = (0, 0);
         for g in &run.groups {
-            for pool in &g.run.tb.world().recorder.ooo_delays_us_per_conn {
+            for pool in &g.tb.world().recorder.ooo_delays_us_per_conn {
                 len += pool.len();
                 cap += pool.capacity();
             }

@@ -42,7 +42,7 @@ pub use common::{
     run_wget, Effort, ENV_WORKERS,
     StreamingConfig, StreamingOutcome, BW_SET, MAX_WORKERS, VARIABLE_BW_SET,
 };
-pub use cosim::{run_coupled, BoundaryMsg, CoupledRun, SharedBottleneck, COUPLED_BENCH_GROUPS};
+pub use cosim::{BoundaryMsg, CoupledRun, SharedBottleneck, COUPLED_BENCH_GROUPS};
 pub use expmatrix::{run_matrix, MatrixOptions, MatrixOutcome};
 pub use quicweb::{run_quic_web, OpenAllApp, QUIC_WEB_SCHEDULERS};
 pub use sharding::{

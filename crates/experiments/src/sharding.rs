@@ -5,9 +5,13 @@
 //! occupy, no scheduler that sees both — so a population of browse units
 //! splits into connectivity components that simulate independently. This is
 //! the classic parallel-DES decomposition: each shard is a complete
-//! [`Testbed`] over its own slice of the path/connection universe, shards
-//! run on the lock-free [`parallel_map`] fan-out, and their per-unit metrics
-//! merge back in fixed global order.
+//! [`Testbed`] over its own slice of the path/connection universe, and the
+//! shards' per-unit metrics merge back in fixed global order.
+//!
+//! There is one executor, [`CoupledRun`]. [`run_sweep`] hands it clusters
+//! of shards from a [`parallel_map_workers`] work queue: all shards as one
+//! lockstep cluster when a positive-window coupling joins them, else each
+//! shard alone, whose window is the horizon — one round, nothing exchanged.
 //!
 //! The contract (DESIGN.md §11) is *bit-identical equivalence*: the merged
 //! result of a sharded sweep equals the monolithic single-engine run of the
@@ -33,18 +37,17 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use ecf_core::SchedulerKind;
-use mptcp::harness::flush_queue_stats;
 use mptcp::{
     ConnConfig, ConnSpec, Event, PerSub, RecorderConfig, RequestRecord, Testbed, TestbedConfig,
 };
 use scenario::Scenario;
-use simnet::{EventQueue, PathConfig, Time};
+use simnet::{EventQueue, PathConfig, RunOutcome, Time};
 use telemetry::{Counter, TelemetryHandle};
 use testkit::digest::Fnv1a;
 use webload::{BrowserApp, ObjectRecord, PageModel};
 
-use crate::common::{parallel_map, parallel_map_workers};
-use crate::cosim::{self, SharedBottleneck};
+use crate::common::{parallel_map_workers, resolve_workers};
+use crate::cosim::{CoupledRun, SharedBottleneck};
 
 /// One connection of a population unit. Paths are *global* indices into
 /// [`Population::paths`].
@@ -246,11 +249,13 @@ impl UnionFind {
 /// capacity) has no safe horizon, so its members are unioned and the
 /// population degrades to the collapsed single-engine run.
 pub fn partition(pop: &Population) -> Vec<Vec<usize>> {
+    for &m in pop.couplings.iter().flat_map(|c| &c.members) {
+        assert!(m < pop.paths.len(), "coupling member {m} out of range");
+    }
     let mut uf = UnionFind::new(pop.paths.len());
     for c in &pop.couplings {
         if c.window_nanos() == 0 {
             for w in c.members.windows(2) {
-                assert!(w[1] < pop.paths.len(), "coupling member {} out of range", w[1]);
                 uf.union(w[0] as u32, w[1] as u32);
             }
         }
@@ -366,7 +371,7 @@ pub struct UnitReport {
     /// Page load time, if the page finished inside the horizon.
     pub page_load: Option<Time>,
     /// The unit's requests, in issue order. Empty in a report returned by
-    /// [`run_sweep`] or [`cosim::run_coupled`]: the merge has already
+    /// [`run_sweep`] or [`CoupledRun::finish`]: the merge has already
     /// folded them into [`SweepReport::digest`]. A hand-built report
     /// carries them so [`digest_units`] can fold them.
     pub requests: Vec<ReqSummary>,
@@ -465,11 +470,14 @@ impl Merge {
         }
     }
 
-    /// The units in global order and their digest. Panics if a unit is
-    /// missing.
-    pub(crate) fn finish(self) -> (Vec<UnitReport>, u64) {
+    /// The sweep's report: the units in global order, their digest, and
+    /// each shard's `(events, wall_ns)` in shard order, with the
+    /// load-balance counters flushed once. Panics if a unit is missing.
+    pub(crate) fn finish(self, per_shard: Vec<(u64, u64)>, tel: &TelemetryHandle) -> SweepReport {
         let units = self.units.into_iter().map(|r| r.expect("every unit simulated")).collect();
-        (units, self.digest.finish())
+        let (shard_events, shard_wall_ns): (Vec<u64>, Vec<u64>) = per_shard.into_iter().unzip();
+        flush_load_balance(tel, &shard_events, &shard_wall_ns);
+        SweepReport { units, digest: self.digest.finish(), shard_events, shard_wall_ns }
     }
 }
 
@@ -510,15 +518,9 @@ impl mptcp::Application for PopulationApp {
 // Shard execution
 // ---------------------------------------------------------------------------
 
-/// What one shard run produced.
-pub(crate) struct ShardOutcome {
-    pub(crate) reports: Vec<UnitReport>,
-    pub(crate) events: u64,
-}
-
-/// One shard's engine plus the metadata needed to extract per-unit
-/// reports. Built by [`build_shard`]; the plain sweep runs it straight to
-/// the horizon, the co-sim driver steps it window by window.
+/// One shard's engine (an engine group of the lockstep executor) plus the
+/// metadata needed to extract per-unit reports. Built by [`build_shard`],
+/// stepped window by window by [`CoupledRun`].
 pub(crate) struct ShardRun {
     /// The shard engine.
     pub(crate) tb: Testbed<PopulationApp>,
@@ -529,6 +531,27 @@ pub(crate) struct ShardRun {
     /// Global path indices of this shard's local path universe, ascending
     /// (local index `i` is `globals[i]`).
     pub(crate) globals: Vec<usize>,
+    /// Drained: no pending events, will never produce more.
+    pub(crate) done: bool,
+    /// Wall time so far: the build plus every round.
+    pub(crate) wall_ns: u64,
+    /// Wall time of the last round (0 when skipped as done).
+    pub(crate) round_wall_ns: u64,
+}
+
+impl ShardRun {
+    /// Run the engine to `t` unless it has drained, timing the round.
+    pub(crate) fn advance(&mut self, t: Time) {
+        if self.done {
+            self.round_wall_ns = 0;
+            return;
+        }
+        let started = Instant::now();
+        let outcome = self.tb.run_until(t);
+        self.round_wall_ns = started.elapsed().as_nanos() as u64;
+        self.wall_ns += self.round_wall_ns;
+        self.done = matches!(outcome, RunOutcome::Drained);
+    }
 }
 
 /// Build the units in `unit_idxs` (ascending global indices) into one
@@ -538,6 +561,7 @@ pub(crate) fn build_shard(
     unit_idxs: &[usize],
     queue: EventQueue<Event>,
 ) -> ShardRun {
+    let started = Instant::now();
     // Local path universe: global indices used by this shard, ascending.
     let mut globals: Vec<usize> = unit_idxs
         .iter()
@@ -606,7 +630,15 @@ pub(crate) fn build_shard(
     // count is known here; the recorder itself reserves nothing.
     let n_requests: usize = unit_idxs.iter().map(|&u| pop.units[u].page.object_sizes.len()).sum();
     tb.world_mut().recorder.requests.reserve_exact(n_requests);
-    ShardRun { tb, unit_idxs: unit_idxs.to_vec(), conn_ranges, globals }
+    ShardRun {
+        tb,
+        unit_idxs: unit_idxs.to_vec(),
+        conn_ranges,
+        globals,
+        done: false,
+        wall_ns: started.elapsed().as_nanos() as u64,
+        round_wall_ns: 0,
+    }
 }
 
 /// `v` at capacity == length. A vector that grew by doubling is copied into
@@ -630,7 +662,7 @@ fn exact_sized<T: Clone>(v: Vec<T>) -> Vec<T> {
 /// 1667 one-unit engines peaked 7 MiB of RSS higher that way (DESIGN.md §9,
 /// `tests/rss.rs`). So a run's results never exist twice, and a merge over
 /// many shards holds one dead engine at a time, not all of them.
-pub(crate) fn extract_reports(run: ShardRun) -> (ShardOutcome, EventQueue<Event>) {
+pub(crate) fn extract_reports(run: ShardRun) -> (Vec<UnitReport>, u64, EventQueue<Event>) {
     let ShardRun { mut tb, unit_idxs, conn_ranges, .. } = run;
     let events = tb.events_processed();
     let rec = &mut tb.world_mut().recorder;
@@ -681,19 +713,7 @@ pub(crate) fn extract_reports(run: ShardRun) -> (ShardOutcome, EventQueue<Event>
             }
         })
         .collect();
-    (ShardOutcome { reports, events }, queue)
-}
-
-/// Run the units in `unit_idxs` (ascending global indices) as one engine,
-/// recycling `queue`. Returns per-unit reports and the recovered queue.
-fn run_shard(
-    pop: &Population,
-    unit_idxs: &[usize],
-    queue: EventQueue<Event>,
-) -> (ShardOutcome, EventQueue<Event>) {
-    let mut run = build_shard(pop, unit_idxs, queue);
-    run.tb.run_until(pop.horizon);
-    extract_reports(run)
+    (reports, events, queue)
 }
 
 // ---------------------------------------------------------------------------
@@ -707,9 +727,8 @@ pub struct SweepOptions {
     /// connectivity component. The merged result is identical for every
     /// value (the equivalence contract).
     pub max_shards: usize,
-    /// Explicit worker count; `None` uses [`parallel_map`]'s default
-    /// (available cores, `TESTKIT_WORKERS` override). Results are identical
-    /// for every value.
+    /// Explicit worker count; `None` uses the default (available cores,
+    /// `TESTKIT_WORKERS` override). Results are identical for every value.
     pub workers: Option<usize>,
     /// Sink for the per-sweep load-balance counters.
     pub telemetry: TelemetryHandle,
@@ -734,7 +753,8 @@ pub struct SweepReport {
     /// Engine events per shard, in shard order (diagnostic; *not* part of
     /// the digest — a monolith counts one `AppStart`, k shards count k).
     pub shard_events: Vec<u64>,
-    /// Wall nanoseconds per shard, in shard order (diagnostic).
+    /// Wall nanoseconds per shard, in shard order (diagnostic): its build,
+    /// every round it ran and its extraction.
     pub shard_wall_ns: Vec<u64>,
 }
 
@@ -747,11 +767,12 @@ impl SweepReport {
 
 /// Flush per-sweep load-balance counters: totals summed, imbalance ratios
 /// (max/min, permille) kept as running maxima across sweeps.
+/// An empty `events` (work items, not engines) counts no events.
 pub(crate) fn flush_load_balance(tel: &TelemetryHandle, events: &[u64], wall_ns: &[u64]) {
-    if !tel.is_enabled() || events.is_empty() {
+    if !tel.is_enabled() || wall_ns.is_empty() {
         return;
     }
-    tel.add(Counter::ShardRuns, events.len() as u64);
+    tel.add(Counter::ShardRuns, wall_ns.len() as u64);
     tel.add(Counter::ShardEvents, events.iter().sum());
     tel.add(Counter::ShardWallNs, wall_ns.iter().sum());
     let permille = |vals: &[u64]| -> Option<u64> {
@@ -770,15 +791,19 @@ pub(crate) fn flush_load_balance(tel: &TelemetryHandle, events: &[u64], wall_ns:
 /// Run a population, sharded per `opts`, and merge deterministically.
 ///
 /// `max_shards = 1` is the monolithic reference run; any other value
-/// produces the same [`SweepReport::digest`]. Shard workers recycle engine
-/// allocations (event-queue slabs) through a shared pool, so a sweep of
-/// many small shards performs one warm-up per shard worker, not per shard.
+/// produces the same [`SweepReport::digest`]. Every population runs on the
+/// one lockstep executor ([`CoupledRun`]), cluster by cluster (see the
+/// module docs): with a positive-window coupling all shards are one
+/// cluster, whose groups `CoupledRun` spreads over the workers; otherwise
+/// each shard is a cluster of its own, one engine alive per worker. Engine
+/// allocations (event-queue slabs) are recycled through a shared pool, so
+/// a sweep of many small shards performs one warm-up per worker, not per
+/// shard.
 ///
-/// Populations with a positive-window coupling dispatch to the co-sim
-/// lockstep driver ([`cosim::run_coupled`]); populations that cannot shard
-/// at all (literal path sharing, zero-window couplings) run collapsed on
-/// one engine, and that collapse is *reported* — a `shard_collapses`
-/// telemetry tick plus a log line naming the reason — instead of silent.
+/// Populations that cannot shard at all (literal path sharing, zero-window
+/// couplings) run collapsed on one engine, and that collapse is *reported*
+/// — a `shard_collapses` telemetry tick plus a log line naming the reason —
+/// instead of silent.
 pub fn run_sweep(pop: &Population, opts: &SweepOptions) -> SweepReport {
     let shards = plan_shards(pop, opts.max_shards);
     if shards.len() == 1 && pop.units.len() > 1 && opts.max_shards != 1 {
@@ -799,42 +824,22 @@ pub fn run_sweep(pop: &Population, opts: &SweepOptions) -> SweepReport {
             opts.telemetry.add(Counter::ShardCollapses, 1);
         }
     }
-    if pop.couplings.iter().any(|c| c.window_nanos() > 0) {
-        return cosim::run_coupled(pop, opts);
-    }
+    let clusters: Vec<Vec<Vec<usize>>> = if pop.couplings.iter().any(|c| c.window_nanos() > 0) {
+        vec![shards]
+    } else {
+        shards.into_iter().map(|s| vec![s]).collect()
+    };
     let pool: Mutex<Vec<EventQueue<Event>>> = Mutex::new(Vec::new());
     let merge = Mutex::new(Merge::new(pop.units.len()));
-
-    let run_one = |unit_idxs: Vec<usize>| {
-        let queue = pool.lock().expect("queue pool").pop().unwrap_or_default();
-        let started = Instant::now();
-        let (out, queue) = run_shard(pop, &unit_idxs, queue);
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        // The shard's own telemetry handle is off (ids are shard-local),
-        // but the wheel's diagnostics are id-free, so they aggregate
-        // meaningfully at the sweep level. The recovered
-        // queue still carries this shard's counters — `new_with_queue`
-        // resets them on reuse, so there is no double counting.
-        flush_queue_stats(&opts.telemetry, &queue);
-        pool.lock().expect("queue pool").push(queue);
-        // Merged as the shard finishes: one worker runs shards in plan
-        // order, so each unit is folded, and its summaries freed, right
-        // after its own engine is gone.
-        let mut merge = merge.lock().expect("merge");
-        for r in out.reports {
-            merge.add(r);
-        }
-        (out.events, wall_ns)
-    };
-    let outcomes: Vec<(u64, u64)> = match opts.workers {
-        Some(w) => parallel_map_workers(shards, run_one, w),
-        None => parallel_map(shards, run_one),
-    };
-    let (shard_events, shard_wall_ns): (Vec<u64>, Vec<u64>) = outcomes.into_iter().unzip();
-    let (units, digest) = merge.into_inner().expect("merge").finish();
-
-    flush_load_balance(&opts.telemetry, &shard_events, &shard_wall_ns);
-    SweepReport { digest, units, shard_events, shard_wall_ns }
+    // One worker runs clusters in plan order, so each unit is folded, and
+    // its summaries freed, right after its own engine is gone. A single
+    // cluster runs inline here, so threads never nest.
+    let per_cluster = parallel_map_workers(
+        clusters,
+        |shards| CoupledRun::build(pop, &shards, &pool, opts).drain(&merge, &pool),
+        resolve_workers(opts.workers),
+    );
+    merge.into_inner().expect("merge").finish(per_cluster.concat(), &opts.telemetry)
 }
 
 /// Map `f` over independent work items with the sweep executor's load
@@ -859,20 +864,9 @@ where
         let r = f(t);
         (r, started.elapsed().as_nanos() as u64)
     };
-    let out: Vec<(R, u64)> = match workers {
-        Some(w) => parallel_map_workers(items, timed, w),
-        None => parallel_map(items, timed),
-    };
+    let out = parallel_map_workers(items, timed, resolve_workers(workers));
     let (results, wall_ns): (Vec<R>, Vec<u64>) = out.into_iter().unzip();
-    if tel.is_enabled() && !wall_ns.is_empty() {
-        tel.add(Counter::ShardRuns, wall_ns.len() as u64);
-        tel.add(Counter::ShardWallNs, wall_ns.iter().sum());
-        let max = *wall_ns.iter().max().expect("non-empty");
-        let min = *wall_ns.iter().min().expect("non-empty");
-        if let Some(p) = max.saturating_mul(1000).checked_div(min) {
-            tel.set_max(Counter::ShardWallImbalancePermille, p);
-        }
-    }
+    flush_load_balance(tel, &[], &wall_ns);
     results
 }
 
@@ -945,9 +939,11 @@ mod tests {
     /// engine, extracted, not merged.
     fn unmerged_reports(pop: &Population) -> Vec<UnitReport> {
         let shards = plan_shards(pop, 1);
-        let (out, _) = run_shard(pop, &shards[0], EventQueue::default());
-        assert!(out.reports.iter().all(|r| r.requests.len() == 8));
-        out.reports
+        let mut run = build_shard(pop, &shards[0], EventQueue::default());
+        run.advance(pop.horizon);
+        let (reports, _, _) = extract_reports(run);
+        assert!(reports.iter().all(|r| r.requests.len() == 8));
+        reports
     }
 
     #[test]
@@ -961,10 +957,10 @@ mod tests {
             for r in arrivals {
                 merge.add(r);
             }
-            let (units, digest) = merge.finish();
-            assert_eq!(digest, expected);
-            assert_eq!(units.len(), originals.len());
-            for (got, orig) in units.iter().zip(&originals) {
+            let report = merge.finish(Vec::new(), &TelemetryHandle::off());
+            assert_eq!(report.digest, expected);
+            assert_eq!(report.units.len(), originals.len());
+            for (got, orig) in report.units.iter().zip(&originals) {
                 assert_eq!(got, &UnitReport { requests: Vec::new(), ..orig.clone() });
             }
         });
@@ -985,7 +981,7 @@ mod tests {
         let reports = unmerged_reports(&tiny_pop(11, 2));
         let mut merge = Merge::new(reports.len());
         merge.add(reports[0].clone());
-        merge.finish();
+        merge.finish(Vec::new(), &TelemetryHandle::off());
     }
 
     #[test]
@@ -1038,6 +1034,8 @@ mod tests {
         assert!(tel.counter(Counter::ShardEventsImbalancePermille) >= 1000);
         // The shards' own handles are off; their wheel diagnostics surface here.
         assert!(tel.counter(Counter::QueuePeakDepth) > 0);
+        // Uncoupled shards run one round each, with no controller.
+        assert_eq!(tel.counter(Counter::CosimRounds), 0);
     }
 
     #[test]
@@ -1046,5 +1044,48 @@ mod tests {
         let out = run_balanced((0..20).collect::<Vec<i32>>(), |x| x * 2, Some(4), &tel);
         assert_eq!(out, (0..20).map(|x| x * 2).collect::<Vec<_>>());
         assert_eq!(tel.counter(Counter::ShardRuns), 20);
+        assert_eq!(tel.counter(Counter::ShardEvents), 0, "work items are not engines");
+        assert!(tel.counter(Counter::ShardWallImbalancePermille) >= 1000);
+    }
+
+    /// A zero-window coupling: no propagation delay, unbounded capacity.
+    fn zero_window(members: Vec<usize>) -> SharedBottleneck {
+        SharedBottleneck { members, capacity_bps: u64::MAX, prop_delay: std::time::Duration::ZERO }
+    }
+
+    #[test]
+    #[should_panic(expected = "coupling member 999 out of range")]
+    fn partition_rejects_an_out_of_range_first_member() {
+        let mut pop = tiny_pop(1, 2);
+        pop.couplings.push(zero_window(vec![999, 1]));
+        partition(&pop);
+    }
+
+    #[test]
+    #[should_panic(expected = "coupling member 999 out of range")]
+    fn partition_rejects_an_out_of_range_lone_member() {
+        let mut pop = tiny_pop(1, 2);
+        pop.couplings.push(zero_window(vec![999]));
+        partition(&pop);
+    }
+
+    #[test]
+    #[should_panic(expected = "coupling member 999 out of range")]
+    fn sweep_rejects_an_out_of_range_member_of_a_positive_window_coupling() {
+        let mut pop = tiny_pop(1, 2);
+        pop.couplings.push(SharedBottleneck {
+            members: vec![1, 999],
+            capacity_bps: 10_000_000,
+            prop_delay: std::time::Duration::from_millis(30),
+        });
+        run_sweep(&pop, &SweepOptions::default());
+    }
+
+    #[test]
+    fn an_unused_in_range_member_is_legal() {
+        let mut pop = tiny_pop(1, 2);
+        pop.paths.push(PathConfig::lte(10.0));
+        pop.couplings.push(zero_window(vec![4]));
+        assert_eq!(partition(&pop), vec![vec![0], vec![1]]);
     }
 }

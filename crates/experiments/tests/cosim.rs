@@ -10,9 +10,10 @@ use std::time::Duration;
 
 use ecf_core::SchedulerKind;
 use experiments::{
-    browse_coupled_population, partition, plan_shards, run_sweep, CoupledRun, Population,
-    SweepOptions,
+    browse_coupled_population, browse_population, partition, plan_shards, run_sweep, CoupledRun,
+    Population, SharedBottleneck, SweepOptions,
 };
+use scenario::{GilbertElliott, LossModel};
 use simnet::Time;
 use telemetry::{Counter, TelemetryHandle};
 use testkit::prop::{any_u64, check, choice};
@@ -214,4 +215,97 @@ fn stepwise_driver_reports_progress() {
     let report = run.finish();
     let mono = run_sweep(&pop, &SweepOptions { max_shards: 1, ..Default::default() });
     assert_eq!(report.digest, mono.digest);
+}
+
+/// A small uncoupled population: private WiFi + LTE per unit, tiny pages.
+fn small_uncoupled(seed: u64, n_units: usize, conns_per_unit: usize) -> Population {
+    let mut pop =
+        browse_population(seed, n_units, conns_per_unit, 1.0, 10.0, SchedulerKind::Ecf);
+    for (u, unit) in pop.units.iter_mut().enumerate() {
+        unit.page = PageModel::lognormal(seed ^ u as u64, 6, 8192.0, 1.6, 200, 30_000);
+    }
+    pop
+}
+
+/// `pop` plus a coupling with no members and a positive window: it steps
+/// in lockstep windows of that size, but no rate ever changes.
+fn windowed(pop: &Population, capacity_bps: u64, prop_delay: Duration) -> Population {
+    let mut pop = pop.clone();
+    pop.couplings.push(SharedBottleneck { members: vec![], capacity_bps, prop_delay });
+    assert!(pop.couplings[0].window_nanos() > 0);
+    pop
+}
+
+#[test]
+fn prop_windowed_run_equals_a_run_to_the_horizon() {
+    // The one executor steps an uncoupled population once, at the horizon,
+    // and a coupled one window by window. Cutting a run into windows must
+    // not change it: the same population with an empty coupling merges to
+    // the plain run's digest and reports at every shard count.
+    check(
+        24,
+        (
+            any_u64(),
+            2_usize..=5,
+            1_usize..=2,
+            choice(&[1_000_000_u64, 10_000_000, 100_000_000]),
+            choice(&[0_u64, 10, 30]),
+        ),
+        |(seed, units, conns, capacity_bps, prop_ms)| {
+            let plain = small_uncoupled(seed, units, conns);
+            let mono = SweepOptions { max_shards: 1, ..Default::default() };
+            let reference = run_sweep(&plain, &mono);
+            let pop = windowed(&plain, capacity_bps, Duration::from_millis(prop_ms));
+            for max_shards in [1, 2, 0] {
+                let run = run_sweep(&pop, &SweepOptions { max_shards, ..Default::default() });
+                assert_eq!(run.digest, reference.digest, "max_shards={max_shards}, seed {seed}");
+                assert_eq!(run.units, reference.units, "max_shards={max_shards}, seed {seed}");
+            }
+        },
+    );
+}
+
+#[test]
+fn windowed_run_with_dynamics_equals_a_run_to_the_horizon() {
+    // Rate steps, an outage and burst loss fire inside windows, not only at
+    // their edges.
+    let mut plain = small_uncoupled(8, 4, 2);
+    plain.scenario = plain
+        .scenario
+        .clone()
+        .rate_mbps(Time::from_millis(150), 1, 2.0) // unit 0's LTE
+        .rate_mbps(Time::from_millis(700), 1, 10.0)
+        .outage(2, Time::from_millis(100), Time::from_millis(450)) // unit 1's WiFi
+        .loss(
+            Time::ZERO,
+            5, // unit 2's LTE
+            LossModel::GilbertElliott(GilbertElliott::bursty(0.05, 4.0)),
+        );
+    let reference = run_sweep(&plain, &SweepOptions { max_shards: 1, ..Default::default() });
+    for prop_ms in [0, 7, 30] {
+        let pop = windowed(&plain, 10_000_000, Duration::from_millis(prop_ms));
+        for max_shards in [1, 0] {
+            let tel = TelemetryHandle::enabled();
+            let opts = SweepOptions { max_shards, workers: None, telemetry: tel.clone() };
+            let run = run_sweep(&pop, &opts);
+            assert!(tel.counter(Counter::CosimRounds) > 1, "the run was not cut into windows");
+            assert_eq!(run.digest, reference.digest, "prop {prop_ms} ms, max_shards={max_shards}");
+            assert_eq!(run.units, reference.units, "prop {prop_ms} ms, max_shards={max_shards}");
+        }
+    }
+}
+
+#[test]
+fn an_uncoupled_population_is_one_round_at_the_horizon() {
+    let pop = small_uncoupled(13, 3, 2);
+    let tel = TelemetryHandle::enabled();
+    let opts = SweepOptions { max_shards: 0, workers: Some(1), telemetry: tel.clone() };
+    let mut run = CoupledRun::new(&pop, &opts);
+    assert_eq!(run.window_nanos(), pop.horizon.as_nanos());
+    assert_eq!(run.n_groups(), plan_shards(&pop, 0).len());
+    assert!(!run.step(), "one round reaches the horizon");
+    let report = run.finish();
+    let swept = run_sweep(&pop, &SweepOptions { max_shards: 0, ..Default::default() });
+    assert_eq!(report.digest, swept.digest);
+    assert_eq!(tel.counter(Counter::CosimRounds), 0, "no controller ran");
 }

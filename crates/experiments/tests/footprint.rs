@@ -47,7 +47,7 @@ mod support;
 
 use ecf_core::SchedulerKind;
 use experiments::{
-    browse_coupled_population, browse_population, run_coupled, run_streaming, run_sweep, Effort,
+    browse_coupled_population, browse_population, run_streaming, run_sweep, Effort,
     StreamingConfig, SweepOptions, COUPLED_BENCH_GROUPS,
 };
 
@@ -83,7 +83,7 @@ fn population_footprint_per_connection_and_per_unit() {
     let bytes_before = support::snapshot().1;
     let live_before = support::live_and_peak().0;
     let pop = browse_coupled_population(1, UNITS, CONNS_PER_UNIT, 1.0, 6.0, SchedulerKind::Ecf);
-    let report = run_coupled(
+    let report = run_sweep(
         &pop,
         &SweepOptions { max_shards: COUPLED_BENCH_GROUPS, workers: Some(1), ..Default::default() },
     );

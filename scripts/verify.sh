@@ -29,6 +29,17 @@ for marker in 'claim_dispatch' 'Action::PathUp'; do
         "crates/{mptcp,quic,experiments}/src, expected exactly 1" >&2; exit 1; }
 done
 
+echo "== one sweep run loop: the lockstep executor's advance is the only run_until =="
+# Every population runs on cosim::CoupledRun (DESIGN.md §11, §13); an
+# uncoupled shard is one lockstep round at the horizon. A second
+# `run_until(` in the non-test part of sharding.rs + cosim.rs (up to each
+# file's `#[cfg(test)]`, as scripts/loc.sh splits them) is a second run
+# loop growing back.
+n="$(for f in crates/experiments/src/sharding.rs crates/experiments/src/cosim.rs; do
+    awk '/^#\[cfg\(test\)\]/ {exit} {print}' "$f"; done | grep -o 'run_until(' | wc -l)"
+[ "$n" -eq 1 ] || { echo "verify.sh: run_until( appears $n times in the non-test part of" \
+    "crates/experiments/src/{sharding,cosim}.rs, expected exactly 1" >&2; exit 1; }
+
 echo "== one OOO reader: single runs take the recorder's pool, none copies it =="
 # `Recorder::take_ooo_secs` hands the samples over in place (DESIGN.md §9,
 # "A streaming cell"); `ooo_delays_secs` copies them beside the pool and
