@@ -22,8 +22,10 @@
 //! 20.5 KB — the bound fails either. Optional timestamps at 8 bytes, 32-bit
 //! `conn`/`segs` in the request records and OOO pools grown by the announced
 //! response instead of by doubling: 12.1 KB (13.0 KB with doubling back,
-//! which the pool-slack test in `cosim.rs` catches; the bound here sits 10 %
-//! above the reading).
+//! which the pool-slack test in `cosim.rs` catches). Engine records at their
+//! information size — a 16 B retransmission entry, a 40 B forward delivery
+//! slot, a 264 B subflow — 11.0 KB; the bound here sits 10 % above the
+//! reading.
 //!
 //! **Requested per unit, one engine each.** A sharded sweep builds and tears
 //! down an engine per unit, so anything an engine reserves on a guess is
@@ -56,17 +58,21 @@ static COUNTER: support::CountingAlloc = support::CountingAlloc;
 
 /// Requested bytes per connection over build + run + report extraction
 /// (28 450 when written, 26 280 with the request records reserved once,
-/// 26 731 with the OOO pools grown per response; 37 733 with the second OOO
-/// pool back, 38 366 with a `reserve_exact` per request).
+/// 26 731 with the OOO pools grown per response, 25 461 with the engine
+/// records slimmed; 37 733 with the second OOO pool back, 38 366 with a
+/// `reserve_exact` per request).
 const BYTES_PER_CONN_BOUND: u64 = 35_000;
 /// Most bytes live at once per connection, population and merged report
 /// included (15 178 when written, 13 798 with reports built after their
-/// engine is dropped, 12 054 at today's record width and pool slack).
-const PEAK_LIVE_PER_CONN_BOUND: u64 = 13_250;
+/// engine is dropped, 12 054 with 104 B request records and the pool
+/// slack rule, 12 036 with one sweep executor, 11 046 with a 16 B
+/// retransmission entry, a 40 B forward delivery slot and a 264 B subflow;
+/// the bound was 13 250 before that, and sits 10 % above the reading).
+const PEAK_LIVE_PER_CONN_BOUND: u64 = 12_150;
 
 /// Requested bytes per unit of a sharded sweep, one engine per unit
-/// (185 115 when written, 180 603 today; 205 339 with the recorder
-/// reserving 256 records).
+/// (185 115 when written, 180 603 with the pool slack rule, 181 164 with
+/// one sweep executor, 168 978 with the engine records slimmed; 205 339 with the recorder reserving 256 records).
 const BYTES_PER_SHARDED_UNIT_BOUND: u64 = 195_000;
 
 /// Most bytes live at once per OOO sample over one streaming run, outcome

@@ -5,8 +5,10 @@
 //!
 //! Data flows server → client on each path's shaped `fwd` link; requests
 //! and ACKs ride the unshaped `rev` link. Per-packet payloads wait in
-//! per-link [`DeliveryQueue`]s and the event wheel carries one wakeup per
-//! link direction (DESIGN.md, "Event coalescing on FIFO links"). The
+//! per-link [`DeliveryQueue`]s — the transport's [`Transport::Data`] on
+//! forward links, its [`Transport::Ctrl`] on reverse ones — and the event
+//! wheel carries one wakeup per link direction (DESIGN.md, "Event
+//! coalescing on FIFO links"). The
 //! harness owns paths, liveness, both queue sets, the compiled scenario,
 //! the recorder and the telemetry flush; a transport sees them only through
 //! the split-borrowed [`Ctx`], so it can keep its own connection state
@@ -101,8 +103,8 @@ pub struct World<T: Transport> {
     /// Per-path liveness (down paths drop everything offered to them).
     path_up: Vec<bool>,
     /// In-flight packets per path and direction, head-scheduled.
-    fwd: Vec<DeliveryQueue<T::Payload>>,
-    rev: Vec<DeliveryQueue<T::Payload>>,
+    fwd: Vec<DeliveryQueue<T::Data>>,
+    rev: Vec<DeliveryQueue<T::Ctrl>>,
     /// Compiled scenario events, indexed by [`Event::Control`].
     controls: Vec<ControlEvent>,
     /// Requests completed by the payload being dispatched.
@@ -211,8 +213,8 @@ pub struct Ctx<'a, T: Transport> {
     pub tel: &'a TelemetryHandle,
     paths: &'a mut [Path],
     path_up: &'a [bool],
-    fwd: &'a mut [DeliveryQueue<T::Payload>],
-    rev: &'a mut [DeliveryQueue<T::Payload>],
+    fwd: &'a mut [DeliveryQueue<T::Data>],
+    rev: &'a mut [DeliveryQueue<T::Ctrl>],
     completed: &'a mut Vec<(ConnId, ReqId)>,
     q: &'a mut Queue<T>,
 }
@@ -236,7 +238,7 @@ impl<T: Transport> Ctx<'_, T> {
     /// Put one full-sized data packet on `path`'s forward link. A down path
     /// swallows everything (radio gone) and a full queue drops; recovery is
     /// the transport's loss machinery either way.
-    pub fn send_data(&mut self, path: usize, payload: T::Payload) {
+    pub fn send_data(&mut self, path: usize, payload: T::Data) {
         if !self.path_up[path] {
             return;
         }
@@ -249,7 +251,7 @@ impl<T: Transport> Ctx<'_, T> {
 
     /// Put one ACK on `path`'s reverse link (a down path is a dead radio in
     /// both directions).
-    pub fn send_ack(&mut self, path: usize, payload: T::Payload) {
+    pub fn send_ack(&mut self, path: usize, payload: T::Ctrl) {
         if !self.path_up[path] {
             return;
         }
@@ -271,7 +273,7 @@ impl<T: Transport> Ctx<'_, T> {
         &mut self,
         primary: usize,
         mut own: impl Iterator<Item = usize>,
-        payload: T::Payload,
+        payload: T::Ctrl,
     ) {
         let path = if self.path_up[primary] {
             primary
@@ -360,11 +362,19 @@ struct Sim<T: Transport, A> {
 }
 
 impl<T: Drive<A>, A> Sim<T, A> {
-    /// Hand a just-arrived payload to the transport, then tell the
-    /// application about every request it completed.
-    fn dispatch(&mut self, now: Time, path: usize, payload: T::Payload, q: &mut Queue<T>) {
+    /// Hand a just-arrived payload to the transport through `on` (its data
+    /// or its control handler), then tell the application about every
+    /// request it completed.
+    fn dispatch<P>(
+        &mut self,
+        now: Time,
+        path: usize,
+        payload: P,
+        q: &mut Queue<T>,
+        on: impl Fn(&mut T, usize, P, &mut Ctx<'_, T>),
+    ) {
         let (transport, mut cx) = self.world.split(now, q);
-        transport.on_payload(path, payload, &mut cx);
+        on(transport, path, payload, &mut cx);
         if !self.world.completed.is_empty() {
             // Payload handlers are never re-entered while the application
             // runs, so taking the buffer is safe and keeps its capacity.
@@ -378,24 +388,31 @@ impl<T: Drive<A>, A> Sim<T, A> {
         }
     }
 
-    /// A link-direction wakeup: dispatch the head of the queue, then keep
-    /// dispatching parked heads while the event queue proves that nothing
-    /// else — nor the run deadline — comes first (see `simnet::delivery`).
+    /// A link-direction wakeup: dispatch the head of the queue `pop` takes
+    /// from, then keep dispatching parked heads while the event queue proves
+    /// that nothing else — nor the run deadline — comes first (see
+    /// `simnet::delivery`); `wakeup` re-arms the direction when it cannot.
     /// Each claim replaces a wakeup the unbatched engine would schedule and
     /// immediately pop, so order and event counts are bit-identical.
-    fn deliver<const FWD: bool>(&mut self, now: Time, path: u32, q: &mut Queue<T>) {
+    fn deliver<P>(
+        &mut self,
+        now: Time,
+        path: u32,
+        q: &mut Queue<T>,
+        wakeup: Event<T::Timer>,
+        pop: impl Fn(&mut World<T>) -> Option<(P, Option<(Time, u64)>)>,
+        on: impl Fn(&mut T, usize, P, &mut Ctx<'_, T>) + Copy,
+    ) {
         let p = path as usize;
-        let inflight = |w: &mut World<T>| if FWD { w.fwd[p].pop() } else { w.rev[p].pop() };
-        let wakeup = if FWD { Event::FwdDeliver { path } } else { Event::RevDeliver { path } };
-        let Some((payload, mut next)) = inflight(&mut self.world) else { return };
-        self.dispatch(now, p, payload, q);
+        let Some((payload, mut next)) = pop(&mut self.world) else { return };
+        self.dispatch(now, p, payload, q, on);
         while let Some((at, s)) = next {
             if !q.claim_dispatch(at, s) {
                 q.schedule_reserved(at, s, wakeup);
                 break;
             }
-            let (payload, n) = inflight(&mut self.world).expect("claimed delivery vanished");
-            self.dispatch(at, p, payload, q);
+            let (payload, n) = pop(&mut self.world).expect("claimed delivery vanished");
+            self.dispatch(at, p, payload, q, on);
             next = n;
         }
     }
@@ -414,8 +431,14 @@ impl<T: Drive<A>, A> Model for Sim<T, A> {
                 let mut api = Api { now, world: &mut self.world, queue: q };
                 T::timer(&mut self.app, now, token, &mut api);
             }
-            Event::FwdDeliver { path } => self.deliver::<true>(now, path, q),
-            Event::RevDeliver { path } => self.deliver::<false>(now, path, q),
+            Event::FwdDeliver { path } => {
+                let pop = |w: &mut World<T>| w.fwd[path as usize].pop();
+                self.deliver(now, path, q, ev, pop, T::on_data);
+            }
+            Event::RevDeliver { path } => {
+                let pop = |w: &mut World<T>| w.rev[path as usize].pop();
+                self.deliver(now, path, q, ev, pop, T::on_ctrl);
+            }
             Event::Timer(timer) => {
                 let (transport, mut cx) = self.world.split(now, q);
                 transport.on_timer(timer, &mut cx);

@@ -44,14 +44,17 @@ pub struct AckInfo {
 }
 
 /// State the sender keeps for each unacknowledged transmission.
+///
+/// Its ssn is not stored: the retransmission queue holds ssns `snd_una..`
+/// contiguously, so an entry's ssn is `snd_una` plus its position. Karn's
+/// "retransmitted" mark lives on the subflow, because only the queue's
+/// front is ever retransmitted.
 #[derive(Debug, Clone, Copy)]
 pub struct InflightSeg {
-    /// The segment (dsn + ssn).
-    pub seg: Segment,
+    /// Data sequence number the transmission carries.
+    pub dsn: u64,
     /// When the most recent transmission of it left the sender.
     pub sent_at: Time,
-    /// True once retransmitted (Karn's rule: no RTT sample).
-    pub retransmitted: bool,
 }
 
 #[cfg(test)]

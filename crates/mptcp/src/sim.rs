@@ -41,14 +41,21 @@ pub enum Timer {
     Rto { conn: u32, sub: u16 },
 }
 
-/// A packet parked on a link.
+/// A data segment parked on a forward link, headed for the client: 24 B, so
+/// a forward delivery slot is 40 (pinned by test).
 #[derive(Debug, Clone, Copy)]
-pub enum LinkPayload {
-    /// A data segment headed for the client.
-    Data { conn: u32, sub: u16, seg: Segment },
-    /// An ACK headed back to the server.
+pub struct Data {
+    conn: u32,
+    sub: u16,
+    seg: Segment,
+}
+
+/// A packet parked on a reverse link, headed for the server.
+#[derive(Debug, Clone, Copy)]
+pub enum Ctrl {
+    /// A subflow's ACK.
     Ack { conn: u32, sub: u16, ack: AckInfo },
-    /// An HTTP GET headed for the server.
+    /// An HTTP GET.
     Request { conn: u32, req: ReqId, segs: u64 },
 }
 
@@ -162,7 +169,7 @@ impl TestbedConfig {
     }
 }
 
-struct ConnState {
+pub(crate) struct ConnState {
     sender: Connection,
     receiver: Receiver,
 }
@@ -225,9 +232,7 @@ impl Mptcp {
             let subflows = &mut sender.subflows[..];
             for t in &plan {
                 let sf = &mut subflows[t.sub];
-                let payload =
-                    LinkPayload::Data { conn: conn as u32, sub: t.sub as u16, seg: t.seg };
-                cx.send_data(sf.path, payload);
+                cx.send_data(sf.path, Data { conn: conn as u32, sub: t.sub as u16, seg: t.seg });
                 // Dropped segments stay in the retransmission queue;
                 // dupacks or the RTO recover them.
                 arm_rto(sf, conn, t.sub, cx);
@@ -237,61 +242,16 @@ impl Mptcp {
         self.plan_buf = plan;
     }
 
-    fn on_data(&mut self, conn: ConnId, sub: SubId, seg: Segment, cx: &mut Ctx<'_, Self>) {
-        let cs = &mut self.conns[conn];
-        // Map the dsn to its request for last-packet bookkeeping. Response
-        // ranges are assigned sequentially, so the bounds deque is sorted by
-        // `last` with disjoint ranges: the first entry whose `last` covers
-        // the dsn is the only candidate, and a single record lookup rules
-        // out dsns below its range (a retransmission of already-completed
-        // data). In-order traffic matches the front entry immediately.
-        let owner = cs
-            .sender
-            .response_bounds
-            .iter()
-            .find(|&&(_, last)| seg.dsn <= last)
-            .and_then(|&(req, _)| {
-                (seg.dsn >= cx.recorder.requests[req as usize].first_dsn).then_some(req)
-            });
-        if let Some(req) = owner {
-            cx.recorder.note_arrival(req, sub, cx.now);
-        }
-
-        self.delivered_buf.clear();
-        let out = cs.receiver.on_segment_into(cx.now, sub, seg, &mut self.delivered_buf);
-        for d in &self.delivered_buf {
-            cx.recorder.note_ooo(conn, d.ooo_delay);
-        }
-
-        // Complete responses whose last dsn is now delivered.
-        let meta_next = cs.receiver.meta_next();
-        while let Some(&(req, last)) = cs.sender.response_bounds.front() {
-            if last >= meta_next {
-                break;
-            }
-            cs.sender.response_bounds.pop_front();
-            cx.complete(conn, req);
-        }
-
-        // ACK back on the same path's reverse link (possibly delayed).
-        if let Some(ack) = out.ack {
-            self.send_ack(conn, sub, ack, cx);
-        } else if out.arm_delack {
-            let timer = Timer::DelAck { conn: conn as u32, sub: sub as u16 };
-            cx.set_timer(cx.now + DELACK_TIMEOUT, timer);
-        }
-    }
-
     fn send_ack(&mut self, conn: ConnId, sub: SubId, ack: AckInfo, cx: &mut Ctx<'_, Self>) {
         let path = self.conns[conn].sender.subflows[sub].path;
-        cx.send_ack(path, LinkPayload::Ack { conn: conn as u32, sub: sub as u16, ack });
+        cx.send_ack(path, Ctrl::Ack { conn: conn as u32, sub: sub as u16, ack });
     }
 
     fn on_ack(&mut self, conn: ConnId, sub: SubId, ack: AckInfo, cx: &mut Ctx<'_, Self>) {
         let sender = &mut self.conns[conn].sender;
         if let Some(seg) = sender.on_ack(cx.now, sub, &ack) {
-            let payload = LinkPayload::Data { conn: conn as u32, sub: sub as u16, seg };
-            cx.send_data(sender.subflows[sub].path, payload);
+            let data = Data { conn: conn as u32, sub: sub as u16, seg };
+            cx.send_data(sender.subflows[sub].path, data);
         }
         self.pump_send(conn, cx);
         arm_rto(&mut self.conns[conn].sender.subflows[sub], conn, sub, cx);
@@ -305,7 +265,7 @@ impl Mptcp {
                 cx.now.as_nanos(),
                 EventKind::Rto { conn: conn as u32, path: sub as u16 },
             );
-            cx.send_data(sf.path, LinkPayload::Data { conn: conn as u32, sub: sub as u16, seg });
+            cx.send_data(sf.path, Data { conn: conn as u32, sub: sub as u16, seg });
         }
         arm_rto(sf, conn, sub, cx);
     }
@@ -313,7 +273,8 @@ impl Mptcp {
 
 impl Transport for Mptcp {
     type Config = TestbedConfig;
-    type Payload = LinkPayload;
+    type Data = Data;
+    type Ctrl = Ctrl;
     type Timer = Timer;
 
     fn build(mut cfg: TestbedConfig) -> (Self, Net) {
@@ -359,22 +320,65 @@ impl Transport for Mptcp {
         let segs = segs_for_bytes(bytes);
         let subflows = &self.conns[conn].sender.subflows;
         let req = cx.recorder.new_request(conn, bytes, segs, cx.now, subflows.len());
-        let payload = LinkPayload::Request { conn: conn as u32, req, segs };
+        let payload = Ctrl::Request { conn: conn as u32, req, segs };
         // Requests ride the primary subflow's path (index 0, WiFi in the
         // paper's setup) while it is up.
         cx.send_request(subflows[0].path, subflows.iter().map(|sf| sf.path), payload);
         req
     }
 
-    fn on_payload(&mut self, _path: usize, payload: LinkPayload, cx: &mut Ctx<'_, Self>) {
-        match payload {
-            LinkPayload::Data { conn, sub, seg } => {
-                self.on_data(conn as usize, usize::from(sub), seg, cx);
+    fn on_data(&mut self, _path: usize, Data { conn, sub, seg }: Data, cx: &mut Ctx<'_, Self>) {
+        let (conn, sub) = (conn as usize, usize::from(sub));
+        let cs = &mut self.conns[conn];
+        // Map the dsn to its request for last-packet bookkeeping. Response
+        // ranges are assigned sequentially, so the bounds deque is sorted by
+        // `last` with disjoint ranges: the first entry whose `last` covers
+        // the dsn is the only candidate, and a single record lookup rules
+        // out dsns below its range (a retransmission of already-completed
+        // data). In-order traffic matches the front entry immediately.
+        let owner = cs
+            .sender
+            .response_bounds
+            .iter()
+            .find(|&&(_, last)| seg.dsn <= last)
+            .and_then(|&(req, _)| {
+                (seg.dsn >= cx.recorder.requests[req as usize].first_dsn).then_some(req)
+            });
+        if let Some(req) = owner {
+            cx.recorder.note_arrival(req, sub, cx.now);
+        }
+
+        self.delivered_buf.clear();
+        let out = cs.receiver.on_segment_into(cx.now, sub, seg, &mut self.delivered_buf);
+        for d in &self.delivered_buf {
+            cx.recorder.note_ooo(conn, d.ooo_delay);
+        }
+
+        // Complete responses whose last dsn is now delivered.
+        let meta_next = cs.receiver.meta_next();
+        while let Some(&(req, last)) = cs.sender.response_bounds.front() {
+            if last >= meta_next {
+                break;
             }
-            LinkPayload::Ack { conn, sub, ack } => {
+            cs.sender.response_bounds.pop_front();
+            cx.complete(conn, req);
+        }
+
+        // ACK back on the same path's reverse link (possibly delayed).
+        if let Some(ack) = out.ack {
+            self.send_ack(conn, sub, ack, cx);
+        } else if out.arm_delack {
+            let timer = Timer::DelAck { conn: conn as u32, sub: sub as u16 };
+            cx.set_timer(cx.now + DELACK_TIMEOUT, timer);
+        }
+    }
+
+    fn on_ctrl(&mut self, _path: usize, ctrl: Ctrl, cx: &mut Ctx<'_, Self>) {
+        match ctrl {
+            Ctrl::Ack { conn, sub, ack } => {
                 self.on_ack(conn as usize, usize::from(sub), ack, cx);
             }
-            LinkPayload::Request { conn, req, segs } => {
+            Ctrl::Request { conn, req, segs } => {
                 let (first, last) = self.conns[conn as usize].sender.server_write(req, segs);
                 let rec = &mut cx.recorder.requests[req as usize];
                 rec.server_arrival = Some(cx.now);

@@ -18,6 +18,8 @@ use crate::segment::{AckInfo, InflightSeg, Segment};
 const DUPACK_THRESHOLD: u32 = 3;
 /// Initial slots of the inflight deque; it doubles to its high-water mark.
 const INFLIGHT_INIT: usize = 16;
+/// `recovery_high` outside NewReno recovery.
+const NO_RECOVERY: u64 = u64::MAX;
 
 /// Lifetime counters for one subflow.
 #[derive(Debug, Clone, Copy, Default)]
@@ -53,11 +55,17 @@ pub struct Subflow {
     pub cc: TcpCc,
     next_ssn: u64,
     snd_una: u64,
+    /// Unacknowledged transmissions, ssns `snd_una..next_ssn` in order.
     inflight: VecDeque<InflightSeg>,
     dupacks: u32,
+    /// Karn's rule for the front of `inflight`: it was retransmitted, so its
+    /// ACK yields no RTT sample. Fast retransmit, partial ACK and RTO only
+    /// ever retransmit the front, so no other entry can carry the mark.
+    front_retransmitted: bool,
     /// NewReno recovery: highest ssn outstanding when loss was detected;
-    /// recovery ends once it is cumulatively ACKed.
-    recovery_high: Option<u64>,
+    /// recovery ends once it is cumulatively ACKed. [`NO_RECOVERY`] outside
+    /// recovery.
+    recovery_high: u64,
     /// Lazy RTO timer: the deadline moves on every ACK; at most one timer
     /// event is outstanding (tracked by the testbed via `rto_scheduled`).
     pub rto_deadline: Time,
@@ -94,7 +102,8 @@ impl Subflow {
             snd_una: 0,
             inflight: VecDeque::with_capacity(inflight_cap.min(INFLIGHT_INIT)),
             dupacks: 0,
-            recovery_high: None,
+            front_retransmitted: false,
+            recovery_high: NO_RECOVERY,
             rto_deadline: Time::MAX,
             rto_scheduled: false,
             last_penalty: Time::ZERO,
@@ -117,12 +126,12 @@ impl Subflow {
     /// All data sequence numbers currently unacknowledged here (drained for
     /// reinjection when the path dies).
     pub fn inflight_dsns(&self) -> impl Iterator<Item = u64> + '_ {
-        self.inflight.iter().map(|s| s.seg.dsn)
+        self.inflight.iter().map(|s| s.dsn)
     }
 
     /// True while in NewReno loss recovery.
     pub fn in_recovery(&self) -> bool {
-        self.recovery_high.is_some()
+        self.recovery_high != NO_RECOVERY
     }
 
     /// Lifetime counters.
@@ -143,12 +152,22 @@ impl Subflow {
     /// The data sequence number of the oldest transmission still in flight
     /// here, if any (used to find who holds up the meta window).
     pub fn oldest_inflight_dsn(&self) -> Option<u64> {
-        self.inflight.front().map(|s| s.seg.dsn)
+        self.inflight.front().map(|s| s.dsn)
     }
 
     /// True if any in-flight transmission on this subflow carries `dsn`.
     pub fn carries_dsn(&self, dsn: u64) -> bool {
-        self.inflight.iter().any(|s| s.seg.dsn == dsn)
+        self.inflight.iter().any(|s| s.dsn == dsn)
+    }
+
+    /// Retransmit the front of the queue at `now`: Karn-mark it, restamp it
+    /// and count it. Its ssn is `snd_una`.
+    fn retransmit_front(&mut self, now: Time) -> Segment {
+        let front = self.inflight.front_mut().expect("retransmit with nothing in flight");
+        front.sent_at = now;
+        self.front_retransmitted = true;
+        self.stats.retransmits += 1;
+        Segment { dsn: front.dsn, ssn: self.snd_una }
     }
 
     /// Register a fresh transmission of `dsn` at `now`; returns the segment
@@ -158,7 +177,7 @@ impl Subflow {
         debug_assert!(self.has_space(), "register_send without window space");
         let seg = Segment { dsn, ssn: self.next_ssn };
         self.next_ssn += 1;
-        self.inflight.push_back(InflightSeg { seg, sent_at: now, retransmitted: false });
+        self.inflight.push_back(InflightSeg { dsn, sent_at: now });
         self.cc.note_send(now);
         self.stats.segs_sent += 1;
         if reinjection {
@@ -175,52 +194,39 @@ impl Subflow {
             ..AckOutcome::default()
         };
         if ack.sub_next_ssn > self.snd_una {
-            // Cumulative advance.
-            let mut newest_sample = None;
-            let mut covers_retransmit = false;
-            while let Some(front) = self.inflight.front() {
-                if front.seg.ssn < ack.sub_next_ssn {
-                    let acked = self.inflight.pop_front().expect("front exists");
-                    out.newly_acked += 1;
-                    if acked.retransmitted {
-                        covers_retransmit = true;
-                    } else {
-                        newest_sample = Some(now.since(acked.sent_at));
-                    }
-                } else {
-                    break;
-                }
-            }
+            // Cumulative advance. The queue holds ssns `snd_una..next_ssn`,
+            // so the ACK covers its first `sub_next_ssn - snd_una` entries.
+            debug_assert!(ack.sub_next_ssn <= self.next_ssn, "ACK beyond the last ssn sent");
+            let n = ((ack.sub_next_ssn - self.snd_una) as usize).min(self.inflight.len());
+            out.newly_acked = n as u32;
             // Karn's rule applied to the whole cumulative jump: if this ACK
-            // covers any retransmitted segment, the un-retransmitted ones it
-            // also covers were stalled behind the recovered hole and their
-            // send-to-ack spans grossly overstate the path RTT.
-            if covers_retransmit {
-                newest_sample = None;
-            }
+            // covers the retransmitted front, the un-retransmitted segments
+            // it also covers were stalled behind the recovered hole and
+            // their send-to-ack spans grossly overstate the path RTT. Else
+            // the newest segment it covers gives the sample.
+            let sample = (n > 0 && !self.front_retransmitted)
+                .then(|| now.since(self.inflight[n - 1].sent_at));
+            self.inflight.drain(..n);
+            // The new front, if any, has not been retransmitted.
+            self.front_retransmitted = false;
             self.snd_una = ack.sub_next_ssn;
             self.dupacks = 0;
             // Any cumulative advance proves the path is delivering again:
             // clear the exponential RTO backoff even when window growth is
             // suppressed (app-limited or in recovery).
             self.cc.clear_rto_backoff();
-            if let Some(high) = self.recovery_high {
-                if self.snd_una > high {
-                    self.recovery_high = None;
-                } else if let Some(front) = self.inflight.front_mut() {
+            if self.in_recovery() {
+                if self.snd_una > self.recovery_high {
+                    self.recovery_high = NO_RECOVERY;
+                } else if !self.inflight.is_empty() {
                     // NewReno partial ACK: the cumulative point moved but is
                     // still inside the recovery window, so the new front is
                     // the next hole — retransmit it immediately rather than
                     // waiting out an RTO.
-                    if !front.retransmitted {
-                        front.retransmitted = true;
-                        front.sent_at = now;
-                        self.stats.retransmits += 1;
-                        out.fast_retx = Some(front.seg);
-                    }
+                    out.fast_retx = Some(self.retransmit_front(now));
                 }
             }
-            if let Some(sample) = newest_sample {
+            if let Some(sample) = sample {
                 self.cc.rtt.on_sample(sample);
             }
             // Restart (or disarm) the lazy RTO.
@@ -232,15 +238,11 @@ impl Subflow {
         } else if ack.sub_next_ssn == self.snd_una && !self.inflight.is_empty() {
             // Duplicate ACK.
             self.dupacks += 1;
-            if self.dupacks == DUPACK_THRESHOLD && self.recovery_high.is_none() {
-                self.recovery_high = Some(self.next_ssn.saturating_sub(1));
+            if self.dupacks == DUPACK_THRESHOLD && !self.in_recovery() {
+                self.recovery_high = self.next_ssn.saturating_sub(1);
                 self.cc.on_fast_retransmit();
-                let front = self.inflight.front_mut().expect("non-empty");
-                front.retransmitted = true;
-                front.sent_at = now;
-                self.stats.retransmits += 1;
+                out.fast_retx = Some(self.retransmit_front(now));
                 self.rto_deadline = now + self.cc.rto();
-                out.fast_retx = Some(front.seg);
             }
         }
         out.in_recovery = self.in_recovery();
@@ -265,13 +267,10 @@ impl Subflow {
         self.dupacks = 0;
         // A timeout ends any fast-recovery episode and starts a fresh one
         // pinned at the current highest ssn.
-        self.recovery_high = Some(self.next_ssn.saturating_sub(1));
-        let front = self.inflight.front_mut().expect("non-empty");
-        front.retransmitted = true;
-        front.sent_at = now;
-        self.stats.retransmits += 1;
+        self.recovery_high = self.next_ssn.saturating_sub(1);
+        let seg = self.retransmit_front(now);
         self.rto_deadline = now + self.cc.rto();
-        Some(front.seg)
+        Some(seg)
     }
 }
 
@@ -443,6 +442,196 @@ mod tests {
         assert_eq!(s.oldest_inflight_dsn(), Some(42));
         s.on_ack(Time::from_millis(50), &ack(1));
         assert_eq!(s.oldest_inflight_dsn(), Some(43));
+    }
+
+    /// The retransmission queue as it was laid out before the ssn became
+    /// positional: every entry keeps its own ssn and Karn mark. The
+    /// congestion calls are the subflow's, in the same order.
+    struct RefSubflow {
+        cc: TcpCc,
+        next_ssn: u64,
+        snd_una: u64,
+        /// `(ssn, dsn, sent_at, retransmitted)`.
+        inflight: VecDeque<(u64, u64, Time, bool)>,
+        dupacks: u32,
+        recovery_high: Option<u64>,
+        rto_deadline: Time,
+        stats: SubflowStats,
+    }
+
+    impl RefSubflow {
+        fn new() -> Self {
+            let mut cc = TcpCc::new(TcpConfig::default());
+            cc.rtt.on_sample(Duration::from_millis(50));
+            RefSubflow {
+                cc,
+                next_ssn: 0,
+                snd_una: 0,
+                inflight: VecDeque::new(),
+                dupacks: 0,
+                recovery_high: None,
+                rto_deadline: Time::MAX,
+                stats: SubflowStats::default(),
+            }
+        }
+
+        fn register_send(&mut self, now: Time, dsn: u64) -> Segment {
+            let seg = Segment { dsn, ssn: self.next_ssn };
+            self.next_ssn += 1;
+            self.inflight.push_back((seg.ssn, dsn, now, false));
+            self.cc.note_send(now);
+            self.stats.segs_sent += 1;
+            self.rto_deadline = now + self.cc.rto();
+            seg
+        }
+
+        fn retransmit_front(&mut self, now: Time) -> Segment {
+            let front = self.inflight.front_mut().expect("non-empty");
+            front.2 = now;
+            front.3 = true;
+            self.stats.retransmits += 1;
+            Segment { dsn: front.1, ssn: front.0 }
+        }
+
+        fn on_ack(&mut self, now: Time, ack: &AckInfo) -> AckOutcome {
+            let mut out = AckOutcome {
+                was_cwnd_limited: self.inflight.len() as u32 >= self.cc.cwnd_pkts(),
+                ..AckOutcome::default()
+            };
+            if ack.sub_next_ssn > self.snd_una {
+                let (mut sample, mut covers_retransmit) = (None, false);
+                while let Some(&(ssn, _, sent_at, retransmitted)) = self.inflight.front() {
+                    if ssn >= ack.sub_next_ssn {
+                        break;
+                    }
+                    self.inflight.pop_front();
+                    out.newly_acked += 1;
+                    if retransmitted {
+                        covers_retransmit = true;
+                    } else {
+                        sample = Some(now.since(sent_at));
+                    }
+                }
+                if covers_retransmit {
+                    sample = None;
+                }
+                self.snd_una = ack.sub_next_ssn;
+                self.dupacks = 0;
+                self.cc.clear_rto_backoff();
+                if let Some(high) = self.recovery_high {
+                    if self.snd_una > high {
+                        self.recovery_high = None;
+                    } else if self.inflight.front().is_some_and(|f| !f.3) {
+                        out.fast_retx = Some(self.retransmit_front(now));
+                    }
+                }
+                if let Some(sample) = sample {
+                    self.cc.rtt.on_sample(sample);
+                }
+                self.rto_deadline =
+                    if self.inflight.is_empty() { Time::MAX } else { now + self.cc.rto() };
+            } else if ack.sub_next_ssn == self.snd_una && !self.inflight.is_empty() {
+                self.dupacks += 1;
+                if self.dupacks == DUPACK_THRESHOLD && self.recovery_high.is_none() {
+                    self.recovery_high = Some(self.next_ssn.saturating_sub(1));
+                    self.cc.on_fast_retransmit();
+                    out.fast_retx = Some(self.retransmit_front(now));
+                    self.rto_deadline = now + self.cc.rto();
+                }
+            }
+            out.in_recovery = self.recovery_high.is_some();
+            out
+        }
+
+        fn on_rto_fire(&mut self, now: Time) -> Option<Segment> {
+            if self.inflight.is_empty() {
+                self.rto_deadline = Time::MAX;
+                return None;
+            }
+            if now < self.rto_deadline {
+                return None;
+            }
+            self.cc.on_rto();
+            self.dupacks = 0;
+            self.recovery_high = Some(self.next_ssn.saturating_sub(1));
+            let seg = self.retransmit_front(now);
+            self.rto_deadline = now + self.cc.rto();
+            Some(seg)
+        }
+    }
+
+    fn assert_same_state(s: &Subflow, r: &RefSubflow, step: usize) {
+        assert_eq!(s.snd_una(), r.snd_una, "snd_una at step {step}");
+        assert_eq!(s.next_ssn(), r.next_ssn, "next_ssn at step {step}");
+        assert!(s.inflight_dsns().eq(r.inflight.iter().map(|e| e.1)), "dsns at step {step}");
+        assert_eq!(s.in_recovery(), r.recovery_high.is_some(), "recovery at step {step}");
+        assert_eq!(s.rto_deadline, r.rto_deadline, "rto deadline at step {step}");
+        assert_eq!(s.cc.rtt.samples(), r.cc.rtt.samples(), "rtt samples at step {step}");
+        assert_eq!(s.cc.rtt.srtt(), r.cc.rtt.srtt(), "srtt at step {step}");
+        assert_eq!(s.cc.rtt.rttvar(), r.cc.rtt.rttvar(), "rttvar at step {step}");
+        assert_eq!(s.cc.cwnd().to_bits(), r.cc.cwnd().to_bits(), "cwnd at step {step}");
+        let (a, b) = (s.stats(), r.stats);
+        assert_eq!(
+            (a.segs_sent, a.retransmits, a.reinjections),
+            (b.segs_sent, b.retransmits, b.reinjections),
+            "stats at step {step}"
+        );
+    }
+
+    /// The positional retransmission queue (ssn = `snd_una` + position, one
+    /// Karn mark for the front) against the per-entry layout, over random
+    /// sends, cumulative / duplicate / partial / stale ACKs and RTO fires:
+    /// identical outcomes, segments, RTT samples and counters at every step.
+    #[test]
+    fn retransmission_queue_matches_per_entry_model() {
+        use testkit::prop::{check, vec_of};
+        // (op, amount, ms to advance before it)
+        check(256, vec_of((0u8..6, 0u64..16, 0u64..120), 1..300), |ops| {
+            let mut s = sf();
+            let mut r = RefSubflow::new();
+            let mut now = Time::ZERO;
+            let mut dsn = 0;
+            for (step, &(op, amount, dt)) in ops.iter().enumerate() {
+                now += Duration::from_millis(dt);
+                match op {
+                    0 | 1 => {
+                        for _ in 0..=amount % 4 {
+                            if !s.has_space() {
+                                break;
+                            }
+                            let got = s.register_send(now, dsn, false);
+                            assert_eq!(got, r.register_send(now, dsn), "send at step {step}");
+                            dsn += 1;
+                        }
+                    }
+                    2..=4 => {
+                        let outstanding = s.next_ssn() - s.snd_una();
+                        let ssn = match op {
+                            // Cumulative (partial while in recovery).
+                            2 if outstanding > 0 => s.snd_una() + 1 + amount % outstanding,
+                            // Stale: behind the cumulative point.
+                            4 => s.snd_una().saturating_sub(amount),
+                            // Duplicate.
+                            _ => s.snd_una(),
+                        };
+                        let a = ack(ssn);
+                        let (got, want) = (s.on_ack(now, &a), r.on_ack(now, &a));
+                        assert_eq!(got.newly_acked, want.newly_acked, "acked at step {step}");
+                        assert_eq!(got.fast_retx, want.fast_retx, "retx at step {step}");
+                        assert_eq!(got.was_cwnd_limited, want.was_cwnd_limited, "step {step}");
+                        assert_eq!(got.in_recovery, want.in_recovery, "step {step}");
+                    }
+                    _ => {
+                        // Half the fires land exactly on the deadline.
+                        if amount % 2 == 0 && s.rto_deadline != Time::MAX {
+                            now = now.max(s.rto_deadline);
+                        }
+                        assert_eq!(s.on_rto_fire(now), r.on_rto_fire(now), "rto at step {step}");
+                    }
+                }
+                assert_same_state(&s, &r, step);
+            }
+        });
     }
 
     #[test]

@@ -367,6 +367,30 @@ mod tests {
     }
 
     #[test]
+    fn engine_records_are_at_their_information_size() {
+        use std::mem::size_of;
+        // Each failure message gives the width before these were slimmed.
+        let sizes = [
+            size_of::<crate::InflightSeg>(),
+            size_of::<crate::sim::Data>(),
+            size_of::<(Time, u64, crate::sim::Data)>(),
+            size_of::<tcp_model::RttEstimator>(),
+            size_of::<crate::Subflow>(),
+            size_of::<crate::sim::ConnState>(),
+        ];
+        println!(
+            "records: inflight_seg={} fwd_payload={} fwd_slot={} rtt={} subflow={} conn_state={}",
+            sizes[0], sizes[1], sizes[2], sizes[3], sizes[4], sizes[5]
+        );
+        assert_eq!(sizes[0], 16, "InflightSeg was 32 B with its ssn and Karn mark");
+        assert_eq!(sizes[1], 24, "the forward payload was a 32 B enum with the ACK");
+        assert_eq!(sizes[2], 40, "a forward delivery slot was 48 B");
+        assert!(sizes[3] <= 56, "RttEstimator is {} B; it was 120 in Duration fields", sizes[3]);
+        assert!(sizes[4] <= 272, "Subflow is {} B; it was 376", sizes[4]);
+        assert!(sizes[5] <= 1080, "ConnState is {} B; it was 1288", sizes[5]);
+    }
+
+    #[test]
     fn trace_matrices_sized_by_flags() {
         let rec = Recorder::new(
             RecorderConfig { cwnd_traces: true, ..RecorderConfig::default() },

@@ -149,8 +149,12 @@ impl SchedDriver {
 pub trait Transport: Sized {
     /// The flat testbed configuration this transport is built from.
     type Config;
-    /// A packet parked on a link (data, ACK or request).
-    type Payload: Copy;
+    /// A packet parked on a forward link: server → client data. Every data
+    /// packet in flight is one slot of a forward delivery queue, so this is
+    /// kept apart from (and no wider than) what the reverse links carry.
+    type Data: Copy;
+    /// A packet parked on a reverse link: client → server ACKs and requests.
+    type Ctrl: Copy;
     /// A protocol timer (RTO, delayed ACK, PTO) riding the event wheel.
     type Timer: Copy;
 
@@ -160,8 +164,10 @@ pub trait Transport: Sized {
     /// The client application asks for `bytes` on connection `conn`:
     /// record the request and send it through [`Ctx::send_request`].
     fn issue_request(&mut self, conn: ConnId, bytes: u64, cx: &mut Ctx<'_, Self>) -> ReqId;
-    /// `payload` came off `path` (either direction) at `cx.now`.
-    fn on_payload(&mut self, path: usize, payload: Self::Payload, cx: &mut Ctx<'_, Self>);
+    /// `data` came off `path`'s forward link, at the client, at `cx.now`.
+    fn on_data(&mut self, path: usize, data: Self::Data, cx: &mut Ctx<'_, Self>);
+    /// `ctrl` came off `path`'s reverse link, at the server, at `cx.now`.
+    fn on_ctrl(&mut self, path: usize, ctrl: Self::Ctrl, cx: &mut Ctx<'_, Self>);
     /// `timer` fired at `cx.now`.
     fn on_timer(&mut self, timer: Self::Timer, cx: &mut Ctx<'_, Self>);
     /// `path` went up or down (`cx` already knows): run the subflow

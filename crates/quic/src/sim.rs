@@ -40,14 +40,20 @@ pub struct Pto {
     path: u32,
 }
 
-/// A packet parked on a link.
+/// One stream chunk parked on a forward link, headed for the client.
 #[derive(Debug, Clone, Copy)]
-pub enum LinkPayload {
-    /// One stream chunk headed for the client.
-    Data { stream: u32, chunk: u64, pn: u64 },
-    /// A per-packet ACK headed back to the server.
+pub struct Data {
+    stream: u32,
+    chunk: u64,
+    pn: u64,
+}
+
+/// A packet parked on a reverse link, headed for the server.
+#[derive(Debug, Clone, Copy)]
+pub enum Ctrl {
+    /// A per-packet ACK.
     Ack { pn: u64, rwnd_free: u64 },
-    /// A stream-open request headed for the server.
+    /// A stream-open request.
     Request { req: ReqId, chunks: u64 },
 }
 
@@ -134,32 +140,13 @@ impl Quic {
             // Packets a down path swallows are recovered through the PTO
             // and pn-gap detection like any tail loss.
             for t in &self.plan_buf {
-                let payload = LinkPayload::Data { stream: t.stream, chunk: t.chunk, pn: t.pn };
-                cx.send_data(t.path, payload);
+                cx.send_data(t.path, Data { stream: t.stream, chunk: t.chunk, pn: t.pn });
             }
             cx.tel.add(Counter::SegsSent, self.plan_buf.len() as u64);
         }
         for path in 0..n_paths {
             self.arm_pto(path, cx);
         }
-    }
-
-    fn on_data(&mut self, path: usize, stream: u32, chunk: u64, pn: u64, cx: &mut Ctx<'_, Self>) {
-        let req = ReqId::from(stream);
-        cx.recorder.note_arrival(req, path, cx.now);
-
-        self.delivered_buf.clear();
-        self.receiver.on_chunk(cx.now, stream, chunk, &mut self.delivered_buf);
-        for d in &self.delivered_buf {
-            cx.recorder.note_ooo(CONN, d.ooo_delay);
-        }
-        if self.receiver.stream_complete(stream)
-            && cx.recorder.requests[req as usize].completed.is_none()
-        {
-            cx.complete(CONN, req);
-        }
-        // QUIC-style immediate per-packet ACK, back on the same path.
-        cx.send_ack(path, LinkPayload::Ack { pn, rwnd_free: self.receiver.rwnd_free() });
     }
 
     fn on_ack(&mut self, path: usize, pn: u64, rwnd_free: u64, cx: &mut Ctx<'_, Self>) {
@@ -173,7 +160,8 @@ impl Quic {
 
 impl Transport for Quic {
     type Config = QuicTestbedConfig;
-    type Payload = LinkPayload;
+    type Data = Data;
+    type Ctrl = Ctrl;
     type Timer = Pto;
 
     fn build(cfg: QuicTestbedConfig) -> (Self, Net) {
@@ -213,15 +201,32 @@ impl Transport for Quic {
         // reassembly bounds are known before the first chunk lands.
         self.receiver.open_stream(req as u32, chunks);
         // Stream-opens ride path 0 if up, else any live path.
-        cx.send_request(0, 0..n_paths, LinkPayload::Request { req, chunks });
+        cx.send_request(0, 0..n_paths, Ctrl::Request { req, chunks });
         req
     }
 
-    fn on_payload(&mut self, path: usize, payload: LinkPayload, cx: &mut Ctx<'_, Self>) {
-        match payload {
-            LinkPayload::Data { stream, chunk, pn } => self.on_data(path, stream, chunk, pn, cx),
-            LinkPayload::Ack { pn, rwnd_free } => self.on_ack(path, pn, rwnd_free, cx),
-            LinkPayload::Request { req, chunks } => {
+    fn on_data(&mut self, path: usize, Data { stream, chunk, pn }: Data, cx: &mut Ctx<'_, Self>) {
+        let req = ReqId::from(stream);
+        cx.recorder.note_arrival(req, path, cx.now);
+
+        self.delivered_buf.clear();
+        self.receiver.on_chunk(cx.now, stream, chunk, &mut self.delivered_buf);
+        for d in &self.delivered_buf {
+            cx.recorder.note_ooo(CONN, d.ooo_delay);
+        }
+        if self.receiver.stream_complete(stream)
+            && cx.recorder.requests[req as usize].completed.is_none()
+        {
+            cx.complete(CONN, req);
+        }
+        // QUIC-style immediate per-packet ACK, back on the same path.
+        cx.send_ack(path, Ctrl::Ack { pn, rwnd_free: self.receiver.rwnd_free() });
+    }
+
+    fn on_ctrl(&mut self, path: usize, ctrl: Ctrl, cx: &mut Ctx<'_, Self>) {
+        match ctrl {
+            Ctrl::Ack { pn, rwnd_free } => self.on_ack(path, pn, rwnd_free, cx),
+            Ctrl::Request { req, chunks } => {
                 cx.recorder.requests[req as usize].server_arrival = Some(cx.now);
                 self.sender.open_stream(req as u32, chunks);
                 self.pump_send(cx);

@@ -73,7 +73,12 @@ impl CcStats {
 /// The congestion state machine.
 #[derive(Debug, Clone)]
 pub struct TcpCc {
-    cfg: TcpConfig,
+    /// [`TcpConfig::initial_cwnd`].
+    initial_cwnd: u32,
+    /// [`TcpConfig::min_cwnd`].
+    min_cwnd: u32,
+    /// [`TcpConfig::idle_reset`].
+    idle_reset: bool,
     /// Congestion window in segments, kept fractionally.
     cwnd: f64,
     /// `cwnd_pkts()` precomputed at mutation time: the scheduler and the ACK
@@ -82,7 +87,7 @@ pub struct TcpCc {
     cwnd_pkts: u32,
     /// Slow-start threshold in segments.
     ssthresh: f64,
-    /// RTT estimator for this subflow.
+    /// RTT estimator for this subflow; it holds the configured RTO bounds.
     pub rtt: RttEstimator,
     /// Exponential RTO backoff factor (power of two).
     backoff: u32,
@@ -101,7 +106,9 @@ impl TcpCc {
     /// Fresh state with the given parameters.
     pub fn new(cfg: TcpConfig) -> Self {
         TcpCc {
-            cfg,
+            initial_cwnd: cfg.initial_cwnd,
+            min_cwnd: cfg.min_cwnd,
+            idle_reset: cfg.idle_reset,
             cwnd: f64::from(cfg.initial_cwnd),
             cwnd_pkts: cfg.initial_cwnd.max(1),
             ssthresh: f64::INFINITY,
@@ -144,13 +151,12 @@ impl TcpCc {
     /// Effective retransmission timeout including exponential backoff,
     /// clamped to the configured ceiling.
     pub fn rto(&self) -> Duration {
-        let base = self.rtt.rto();
-        if self.backoff == 0 {
-            // Multiplying by 2^0 is identity work; only the ceiling clamp
-            // matters (the pre-sample initial RTO is not bounds-clamped).
-            return base.min(self.cfg.max_rto);
-        }
-        base.saturating_mul(1u32 << self.backoff.min(6)).min(self.cfg.max_rto)
+        let base = self.rtt.rto_nanos();
+        // Multiplying by 2^0 is identity work; only the ceiling clamp matters
+        // then (the pre-sample initial RTO is not bounds-clamped).
+        let backed_off =
+            if self.backoff == 0 { base } else { base.saturating_mul(1 << self.backoff.min(6)) };
+        Duration::from_nanos(backed_off.min(self.rtt.max_rto_nanos()))
     }
 
     /// Lifetime counters.
@@ -179,7 +185,7 @@ impl TcpCc {
     /// subflow's window while the default scheduler leaves it starved
     /// behind a slow subflow's stragglers.
     pub fn validate_app_limited(&mut self, now: Time, inflight: u32) -> bool {
-        if !self.cfg.idle_reset || !self.started {
+        if !self.idle_reset || !self.started {
             return false;
         }
         if inflight >= self.cwnd_pkts() {
@@ -189,12 +195,10 @@ impl TcpCc {
             return false;
         }
         self.cwnd_used = self.cwnd_used.max(inflight);
-        if now.since(self.cwnd_stamp) >= self.rto()
-            && self.cwnd > f64::from(self.cfg.initial_cwnd)
-        {
+        if now.since(self.cwnd_stamp) >= self.rto() && self.cwnd > f64::from(self.initial_cwnd) {
             self.ssthresh = self.ssthresh.max(0.75 * self.cwnd);
-            let used = f64::from(self.cwnd_used.max(self.cfg.initial_cwnd));
-            self.cwnd = ((self.cwnd + used) / 2.0).max(f64::from(self.cfg.min_cwnd));
+            let used = f64::from(self.cwnd_used.max(self.initial_cwnd));
+            self.cwnd = ((self.cwnd + used) / 2.0).max(f64::from(self.min_cwnd));
             self.sync_cwnd_pkts();
             self.cwnd_stamp = now;
             self.cwnd_used = 0;
@@ -208,12 +212,11 @@ impl TcpCc {
     /// If the subflow has been quiet for more than one RTO, collapse the
     /// window back to the initial value and return `true`.
     pub fn maybe_idle_reset(&mut self, now: Time) -> bool {
-        if !self.cfg.idle_reset || !self.started {
+        if !self.idle_reset || !self.started {
             return false;
         }
-        if now.since(self.last_send) > self.rto() && self.cwnd > f64::from(self.cfg.initial_cwnd)
-        {
-            self.cwnd = f64::from(self.cfg.initial_cwnd);
+        if now.since(self.last_send) > self.rto() && self.cwnd > f64::from(self.initial_cwnd) {
+            self.cwnd = f64::from(self.initial_cwnd);
             self.sync_cwnd_pkts();
             // ssthresh is left in place: restart ramps via slow start up to
             // the previously learned threshold (RFC 2861 behaviour).
@@ -242,7 +245,7 @@ impl TcpCc {
         // estimator (Duration::MAX before any sample, so the comparison
         // below also covers the no-sample case).
         let threshold = self.rtt.hystart_threshold();
-        if self.rtt.srtt() > threshold && self.cwnd > f64::from(self.cfg.initial_cwnd) {
+        if self.rtt.srtt() > threshold && self.cwnd > f64::from(self.initial_cwnd) {
             self.ssthresh = self.cwnd;
             return true;
         }
@@ -273,7 +276,7 @@ impl TcpCc {
 
     /// Triple-dupack fast retransmit: multiplicative decrease.
     pub fn on_fast_retransmit(&mut self) {
-        self.ssthresh = (self.cwnd / 2.0).max(f64::from(self.cfg.min_cwnd));
+        self.ssthresh = (self.cwnd / 2.0).max(f64::from(self.min_cwnd));
         self.cwnd = self.ssthresh;
         self.sync_cwnd_pkts();
         self.stats.fast_retransmits += 1;
@@ -282,7 +285,7 @@ impl TcpCc {
     /// Retransmission timeout: collapse to one segment, halve ssthresh,
     /// back off the timer exponentially.
     pub fn on_rto(&mut self) {
-        self.ssthresh = (self.cwnd / 2.0).max(f64::from(self.cfg.min_cwnd));
+        self.ssthresh = (self.cwnd / 2.0).max(f64::from(self.min_cwnd));
         self.cwnd = 1.0;
         self.sync_cwnd_pkts();
         self.backoff += 1;
@@ -292,7 +295,7 @@ impl TcpCc {
     /// Externally force the window down (the opportunistic-retransmission
     /// *penalization* of Raiciu et al. halves the slow subflow's window).
     pub fn penalize(&mut self) {
-        self.ssthresh = (self.cwnd / 2.0).max(f64::from(self.cfg.min_cwnd));
+        self.ssthresh = (self.cwnd / 2.0).max(f64::from(self.min_cwnd));
         self.cwnd = self.ssthresh;
         self.sync_cwnd_pkts();
     }

@@ -6,25 +6,46 @@
 
 use std::time::Duration;
 
+/// Nanoseconds in a second.
+const NANOS_PER_SEC: u64 = 1_000_000_000;
+
+/// `d` in nanoseconds, saturating (a `Duration` beyond 584 years is "never").
+fn nanos(d: Duration) -> u64 {
+    d.as_secs().saturating_mul(NANOS_PER_SEC).saturating_add(u64::from(d.subsec_nanos()))
+}
+
+/// `ns` as a `Duration`, with the `u64::MAX` "none yet" sentinel read back
+/// as `Duration::MAX`.
+fn duration_or_max(ns: u64) -> Duration {
+    if ns == u64::MAX {
+        Duration::MAX
+    } else {
+        Duration::from_nanos(ns)
+    }
+}
+
 /// Smoothed RTT / deviation / RTO state for one subflow.
+///
+/// Every field is a `u64` of nanoseconds: one estimator per connection-path
+/// is alive for the whole run, so it is kept at its information size (56 B,
+/// where `Duration` fields take 120). The RFC 6298 updates divide by 2, 4
+/// and 8, which divide a second's nanoseconds exactly, so integer
+/// nanoseconds round exactly as `Duration` arithmetic does; the getters
+/// hand out `Duration`s.
 #[derive(Debug, Clone)]
 pub struct RttEstimator {
-    srtt: Duration,
-    rttvar: Duration,
-    min_rtt: Duration,
-    min_rto: Duration,
-    max_rto: Duration,
+    srtt: u64,
+    rttvar: u64,
+    /// `u64::MAX` before the first sample.
+    min_rtt: u64,
+    min_rto: u64,
+    max_rto: u64,
     samples: u64,
-    /// `rto()` precomputed at sample time. The engine hot path reads the RTO
-    /// several times per ACK (idle checks, window validation, timer re-arm);
-    /// its inputs only change here, so the Duration arithmetic runs once per
-    /// sample instead of once per read.
-    cached_rto: Duration,
     /// HyStart delay threshold `min + max(min/4, 8 ms)` precomputed whenever
     /// `min_rtt` improves (rare) instead of on every slow-start ACK, where
-    /// the `mul_f64` chain would otherwise run. `Duration::MAX` until the
-    /// first sample.
-    cached_hystart_thresh: Duration,
+    /// the `mul_f64` chain would otherwise run. `u64::MAX` until the first
+    /// sample.
+    hystart_thresh: u64,
 }
 
 impl RttEstimator {
@@ -43,51 +64,52 @@ impl RttEstimator {
     /// Estimator with explicit RTO bounds.
     pub fn with_bounds(min_rto: Duration, max_rto: Duration) -> Self {
         RttEstimator {
-            srtt: Duration::ZERO,
-            rttvar: Duration::ZERO,
-            min_rtt: Duration::MAX,
-            min_rto,
-            max_rto,
+            srtt: 0,
+            rttvar: 0,
+            min_rtt: u64::MAX,
+            min_rto: nanos(min_rto),
+            max_rto: nanos(max_rto),
             samples: 0,
-            cached_rto: Self::INITIAL_RTO,
-            cached_hystart_thresh: Duration::MAX,
+            hystart_thresh: u64::MAX,
         }
     }
 
     /// Smallest RTT ever observed — the propagation-delay estimate HyStart
     /// compares against (`Duration::MAX` before the first sample).
     pub fn min_rtt(&self) -> Duration {
-        self.min_rtt
+        duration_or_max(self.min_rtt)
     }
 
     /// Feed one RTT measurement (RFC 6298 §2.2–2.3).
     pub fn on_sample(&mut self, rtt: Duration) {
-        if rtt < self.min_rtt {
-            self.min_rtt = rtt;
-            self.cached_hystart_thresh = rtt + rtt.mul_f64(0.25).max(Duration::from_millis(8));
+        let r = nanos(rtt);
+        if r < self.min_rtt {
+            self.min_rtt = r;
+            // `mul_f64` stays in `Duration`, whose rounding the threshold has
+            // always had.
+            self.hystart_thresh = nanos(rtt + rtt.mul_f64(0.25).max(Duration::from_millis(8)));
         }
         if self.samples == 0 {
-            self.srtt = rtt;
-            self.rttvar = rtt / 2;
+            self.srtt = r;
+            self.rttvar = r / 2;
         } else {
-            let err = self.srtt.abs_diff(rtt);
+            let err = self.srtt.abs_diff(r);
             // RTTVAR ← 3/4·RTTVAR + 1/4·|SRTT − R|
             self.rttvar = (self.rttvar * 3 + err) / 4;
             // SRTT ← 7/8·SRTT + 1/8·R
-            self.srtt = (self.srtt * 7 + rtt) / 8;
+            self.srtt = (self.srtt * 7 + r) / 8;
         }
         self.samples += 1;
-        self.cached_rto = (self.srtt + self.rttvar * 4).clamp(self.min_rto, self.max_rto);
     }
 
     /// Smoothed RTT (zero until the first sample).
     pub fn srtt(&self) -> Duration {
-        self.srtt
+        Duration::from_nanos(self.srtt)
     }
 
     /// RTT deviation estimate — σ for ECF's δ margin.
     pub fn rttvar(&self) -> Duration {
-        self.rttvar
+        Duration::from_nanos(self.rttvar)
     }
 
     /// True once at least one sample has arrived.
@@ -103,13 +125,27 @@ impl RttEstimator {
     /// Current RTO: SRTT + 4·RTTVAR, clamped; [`Self::INITIAL_RTO`] before
     /// any sample.
     pub fn rto(&self) -> Duration {
-        self.cached_rto
+        Duration::from_nanos(self.rto_nanos())
+    }
+
+    /// [`Self::rto`] in nanoseconds. Derived on read: a few integer ops,
+    /// where caching it cost a field.
+    pub(crate) fn rto_nanos(&self) -> u64 {
+        if self.samples == 0 {
+            return nanos(Self::INITIAL_RTO);
+        }
+        (self.srtt + self.rttvar * 4).clamp(self.min_rto, self.max_rto)
+    }
+
+    /// The RTO ceiling, in nanoseconds.
+    pub(crate) fn max_rto_nanos(&self) -> u64 {
+        self.max_rto
     }
 
     /// HyStart delay-increase threshold, `min_rtt + max(min_rtt/4, 8 ms)`
     /// ([`Duration::MAX`] before any sample — compares as "never exceeded").
     pub fn hystart_threshold(&self) -> Duration {
-        self.cached_hystart_thresh
+        duration_or_max(self.hystart_thresh)
     }
 }
 

@@ -75,6 +75,12 @@ echo "== memory guards: RSS growth over live bytes, bytes requested and live (re
 mem_out="$(cargo test --release --offline -p experiments --test rss --test footprint \
     -- --nocapture 2>&1)" || { echo "$mem_out" >&2; exit 1; }
 echo "$mem_out" | grep -E "rss growth|live per unit|requested|streaming:" || true
+# The engine's per-connection records, pinned in mptcp::trace's tests: a
+# widening shows here in every log before it moves the peak above.
+rec_out="$(cargo test --release --offline -p mptcp --lib \
+    engine_records_are_at_their_information_size -- --nocapture 2>&1)" \
+    || { echo "$rec_out" >&2; exit 1; }
+echo "$rec_out" | grep "records:"
 
 echo "== every registered experiment, quick, through the CLI =="
 # --no-save: results/*.txt are the committed full-effort runs. A throwaway
