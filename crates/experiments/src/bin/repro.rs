@@ -1,11 +1,10 @@
 //! `repro` — regenerate any table or figure of the paper.
 //!
 //! ```text
-//! repro <id> [--quick] [--no-save]   one experiment (fig9, tab3, ...); a
-//!                                    spec-backed id (fig3, quic_web, ...)
-//!                                    also takes --force --dry-run
-//!                                    --cache-dir, exactly as `matrix`
-//! repro all [--quick] [--no-save] [--force] [--cache-dir DIR]
+//! repro <id> [--quick] [--no-save] [--force] [--dry-run] [--cache-dir DIR]
+//!                                    one experiment (fig9, tab3, ...):
+//!                                    `matrix` on its embedded spec
+//! repro all [--quick] [--no-save] [--force] [--dry-run] [--cache-dir DIR]
 //!                                    everything, in paper order
 //! repro list                         show available ids
 //! repro matrix <spec.json> [--quick] [--no-save] [--force] [--dry-run]
@@ -22,17 +21,17 @@
 //! Each target reads only the flags [`Target::flags`] lists for it; any
 //! other flag is an error, never silently ignored.
 //!
-//! Reports go to stdout and `results/<id>.txt`; `--no-save` skips the
-//! file so smoke runs don't overwrite committed full-effort results.
+//! Reports go to stdout and `results/<name>.txt` (the spec's name; an
+//! alias writes its artifact's file); `--no-save` skips the file so smoke
+//! runs don't overwrite the committed Full reports.
 //!
 //! `matrix` expands a spec (see `crates/experiments/specs/`) into cells,
 //! serves unchanged cells from the content-addressed cache (default
 //! `.expcache/`), executes only the rest, and assembles the figure in a
 //! fixed merge order — output is byte-identical whatever the cache state.
 //! `--force` re-executes everything (refreshing the cache); `--dry-run`
-//! reports cell counts and cache hits without running anything. A
-//! spec-backed `repro <id>` is `matrix` on the spec embedded in the
-//! registry.
+//! reports cell counts and cache hits without running anything. `repro
+//! <id>` is `matrix` on the spec embedded in the registry.
 //!
 //! `--trace` runs the paper's most heterogeneous streaming pair with
 //! telemetry enabled and writes every scheduler decision (with its inputs
@@ -43,7 +42,7 @@
 #![forbid(unsafe_code)]
 
 use experiments::expmatrix::Spec;
-use experiments::{find, registry, run_traced, Effort, Experiment, MatrixOptions, Source};
+use experiments::{find, registry, run_traced, Effort, Experiment, MatrixOptions};
 use scenario::Scenario;
 
 const USAGE: &str = "usage: repro <id>|all|list [--quick] [--no-save] [--force] [--dry-run] \
@@ -73,10 +72,7 @@ impl Target {
         const MATRIX: &[&str] = &["--quick", "--no-save", "--force", "--dry-run", "--cache-dir"];
         match self {
             Target::List => &[],
-            Target::One(Experiment { source: Source::Code(_), .. }) => &["--quick", "--no-save"],
-            Target::One(Experiment { source: Source::Spec(_), .. }) | Target::Matrix => MATRIX,
-            // No --dry-run: the code entries would still execute.
-            Target::All => &["--quick", "--no-save", "--force", "--cache-dir"],
+            Target::One(_) | Target::All | Target::Matrix => MATRIX,
             Target::Sweep => {
                 &["--quick", "--coupled", "--units", "--shards", "--workers", "--seed"]
             }
@@ -244,23 +240,9 @@ fn main() {
     }
 }
 
-/// Run one registry entry: a spec-backed one is `repro matrix` on its spec.
+/// Run one registry entry: `repro matrix` on its embedded spec.
 fn run_one(e: &Experiment, opts: MatrixOptions, save: bool) {
-    let generate = match e.source {
-        Source::Code(generate) => generate,
-        Source::Spec(json) => {
-            let origin = format!("specs/{}.json, embedded", e.id);
-            return run_matrix_cmd(Spec::from_json(json), &origin, opts, save);
-        }
-    };
-    let started = std::time::Instant::now();
-    eprintln!("== running {} ({}) ==", e.id, e.title);
-    let report = generate(opts.effort);
-    println!("{report}");
-    eprintln!("== {} done in {:.1}s ==\n", e.id, started.elapsed().as_secs_f64());
-    if save {
-        save_report(e.id, &report);
-    }
+    run_matrix_cmd(e.spec(), &format!("`{}`'s embedded spec", e.id), opts, save);
 }
 
 fn run_matrix_cmd(spec: Result<Spec, String>, origin: &str, opts: MatrixOptions, save: bool) {
@@ -433,29 +415,26 @@ mod tests {
     }
 
     #[test]
-    fn a_code_entry_reads_effort_and_saving_only() {
-        check(
-            "fig9",
-            "fig9 --quick --no-save",
-            &[("fig9 --force", "--force"), ("fig9 --units 5", "--units"), ("fig9 --dry-run", "--dry-run")],
-        );
+    fn an_entry_reads_the_matrix_flags() {
+        for id in ["fig9", "tab1", "quic_web"] {
+            check(
+                id,
+                &format!("{id} --quick --no-save --force --dry-run --cache-dir DIR"),
+                &[
+                    (&format!("{id} --coupled"), "--coupled"),
+                    (&format!("{id} --seed 2"), "--seed"),
+                    (&format!("{id} --units 5"), "--units"),
+                ],
+            );
+        }
     }
 
     #[test]
-    fn a_spec_entry_reads_the_matrix_flags() {
-        check(
-            "quic_web",
-            "quic_web --quick --no-save --force --dry-run --cache-dir DIR",
-            &[("quic_web --coupled", "--coupled"), ("quic_web --seed 2", "--seed")],
-        );
-    }
-
-    #[test]
-    fn all_reads_the_matrix_flags_but_dry_run() {
+    fn all_reads_the_matrix_flags() {
         check(
             "all",
-            "all --quick --no-save --force --cache-dir DIR",
-            &[("all --dry-run", "--dry-run"), ("all --units 5", "--units")],
+            "all --quick --no-save --force --dry-run --cache-dir DIR",
+            &[("all --coupled", "--coupled"), ("all --units 5", "--units")],
         );
     }
 
@@ -504,7 +483,8 @@ mod tests {
     #[test]
     fn every_verify_sh_command_line_parses() {
         for line in [
-            "all --quick --no-save --cache-dir DIR",
+            "all --no-save --cache-dir DIR",
+            "all --dry-run --cache-dir DIR",
             "--trace out.jsonl --quick",
             "dyn_handover --quick --no-save --cache-dir DIR",
             "quic_web --quick --no-save --cache-dir DIR",

@@ -36,19 +36,11 @@ impl Effort {
             Effort::Quick => 60.0,
         }
     }
-
-    /// Seeds per configuration (the paper averages 5 testbed runs).
-    pub fn seeds(self) -> u64 {
-        match self {
-            Effort::Full => 5,
-            Effort::Quick => 1,
-        }
-    }
 }
 
-/// Environment variable overriding [`parallel_map`]'s worker count, so CI
-/// boxes and laptops can pin parallelism reproducibly. Explicit
-/// [`parallel_map_workers`] calls are never overridden.
+/// Environment variable overriding the default worker count of sweeps and
+/// matrix runs, so CI boxes and laptops can pin parallelism reproducibly.
+/// An explicit worker count is never overridden.
 pub const ENV_WORKERS: &str = "TESTKIT_WORKERS";
 
 /// Maximum worker count accepted from [`ENV_WORKERS`].
@@ -72,20 +64,8 @@ pub(crate) fn resolve_workers(explicit: Option<usize>) -> usize {
     explicit.unwrap_or_else(|| default_workers(std::env::var(ENV_WORKERS).ok().as_deref(), cores()))
 }
 
-/// Map `f` over `items` on up to `available_parallelism` threads (or the
-/// [`ENV_WORKERS`] override), preserving order. Runs are independent
-/// simulations, so this is safe and near-linear.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_workers(items, f, resolve_workers(None))
-}
-
-/// [`parallel_map`] with an explicit worker count (tests force multiple
-/// workers on single-core machines).
+/// Map `f` over `items` on `workers` threads, preserving order. Runs are
+/// independent simulations, so this is safe and near-linear.
 ///
 /// Work is claimed lock-free: the only shared hot word is an atomic work
 /// index bumped with `fetch_add`, so workers never serialize on a queue
@@ -370,47 +350,19 @@ pub fn run_wget(
     (secs, tb)
 }
 
-/// One browser page-load over six parallel connections. Returns the testbed
-/// (object completion times and OOO delays live in the app/recorder).
+/// One browser page-load over six parallel connections sharing both
+/// paths. Returns the testbed (object completion times and OOO delays live
+/// in the app/recorder).
 pub fn run_browse(
     wifi: f64,
     lte: f64,
     scheduler: SchedulerKind,
     seed: u64,
 ) -> Testbed<BrowserApp> {
-    run_browse_n(wifi, lte, scheduler, seed, 6)
-}
-
-/// [`run_browse`] generalized to `n_conns` parallel connections sharing the
-/// same two paths — the many-connection scaling shape (one engine, many
-/// interleaved flows) the `browse_24conn` benchmark tracks. `n_conns = 6`
-/// is exactly the classic browse run.
-pub fn run_browse_n(
-    wifi: f64,
-    lte: f64,
-    scheduler: SchedulerKind,
-    seed: u64,
-    n_conns: usize,
-) -> Testbed<BrowserApp> {
-    let conns = (0..n_conns)
-        .map(|_| ConnSpec {
-            cfg: ConnConfig::default(),
-            scheduler,
-            custom_scheduler: None,
-            subflow_paths: vec![0, 1],
-        })
-        .collect();
-    let cfg = TestbedConfig {
-        paths: vec![PathConfig::wifi(wifi), PathConfig::lte(lte)],
-        conns,
-        seed,
-        path_seeds: None,
-        recorder: RecorderConfig::default(),
-        scenario: Scenario::default(),
-        telemetry: telemetry::TelemetryHandle::off(),
-    };
+    let mut cfg = TestbedConfig::wifi_lte(wifi, lte, scheduler, seed);
+    cfg.conns = (0..6).map(|_| ConnSpec::new(scheduler, vec![0, 1])).collect();
     // The page content is fixed across runs/schedulers (seed 2014).
-    let mut tb = Testbed::new(cfg, BrowserApp::new(PageModel::cnn_like(2014), n_conns));
+    let mut tb = Testbed::new(cfg, BrowserApp::new(PageModel::cnn_like(2014), 6));
     tb.run_until(Time::from_secs(600));
     tb
 }
@@ -442,15 +394,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect::<Vec<_>>(), |x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn parallel_map_handles_small_inputs() {
-        assert_eq!(parallel_map(Vec::<i32>::new(), |x| x), Vec::<i32>::new());
-        assert_eq!(parallel_map(vec![7], |x| x + 1), vec![8]);
+        assert_eq!(parallel_map_workers(Vec::<i32>::new(), |x| x, 4), Vec::<i32>::new());
+        assert_eq!(parallel_map_workers(vec![7], |x| x + 1, 4), vec![8]);
     }
 
     #[test]

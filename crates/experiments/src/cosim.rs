@@ -73,10 +73,10 @@ use simnet::{dur_nanos, serialization_nanos, EventQueue, Time};
 use tcp_model::{wire_size, MSS};
 use telemetry::{Counter, TelemetryHandle};
 
-use crate::common::{resolve_workers, Effort};
+use crate::common::resolve_workers;
 use crate::sharding::{
-    browse_coupled_population, build_shard, extract_reports, plan_shards, Merge, Population,
-    ShardRun, SweepOptions, SweepReport,
+    build_shard, extract_reports, plan_shards, Merge, Population, ShardRun, SweepOptions,
+    SweepReport,
 };
 
 /// An explicit cross-shard coupling: `members` are *global* path indices
@@ -426,20 +426,8 @@ impl CoupledRun {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The payoff experiment
-// ---------------------------------------------------------------------------
-
-fn median_us(mut v: Vec<u64>) -> u64 {
-    if v.is_empty() {
-        return 0;
-    }
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
-/// Engine-group count measured in the `coupled_browse` experiment and the
-/// benchmark's `browse_coupled` workload. Groups this coarse amortize the
+/// Engine-group count of the benchmark's `browse_coupled` workload (and
+/// the co-sim's footprint and property tests). Groups this coarse amortize the
 /// per-window barrier (one `run_until` entry per group per round); per-unit
 /// groups (`max_shards = 0`) enter it once per unit per round for the same
 /// events and measure slower (472 → 560 ns/event at 500 units). No group
@@ -447,90 +435,6 @@ fn median_us(mut v: Vec<u64>) -> u64 {
 /// costs 2–2.5× as much per event as a 20-unit one — and 4, 16 and 64
 /// groups are indistinguishable from 8 (DESIGN.md §9, §13).
 pub const COUPLED_BENCH_GROUPS: usize = 8;
-
-/// `coupled_browse`: the shared-bottleneck browse population that PR 7
-/// could not shard at all, run monolithic vs co-simulated and compared
-/// bit-for-bit. The report shows page-load stats, the lockstep window,
-/// sync-round telemetry, and the events/s ratio.
-pub fn coupled_browse(effort: Effort) -> String {
-    let (pop, label) = match effort {
-        Effort::Full => {
-            (crate::sharding::browse_10k_coupled(1), "browse_10k_coupled (1667 units x 6 conns)")
-        }
-        Effort::Quick => (
-            browse_coupled_population(1, 24, 6, 1.0, 50.0, ecf_core::SchedulerKind::Ecf),
-            "browse_coupled quick (24 units x 6 conns)",
-        ),
-    };
-    let coupling = &pop.couplings[0];
-    let window = coupling.window_nanos();
-    let capacity_mbps = coupling.capacity_bps as f64 / 1e6;
-
-    let started = Instant::now();
-    let mono = crate::sharding::run_sweep(
-        &pop,
-        &SweepOptions { max_shards: 1, workers: Some(1), ..Default::default() },
-    );
-    let mono_wall = started.elapsed().as_secs_f64();
-
-    let tel = TelemetryHandle::enabled();
-    let started = Instant::now();
-    let cosim = crate::sharding::run_sweep(
-        &pop,
-        &SweepOptions {
-            max_shards: COUPLED_BENCH_GROUPS,
-            workers: Some(1),
-            telemetry: tel.clone(),
-        },
-    );
-    let cosim_wall = started.elapsed().as_secs_f64();
-
-    let plt_us: Vec<u64> = cosim
-        .units
-        .iter()
-        .filter_map(|u| u.page_load.map(|t| t.as_nanos() / 1_000))
-        .collect();
-    let loaded = plt_us.len();
-    let mono_rate = mono.events_total() as f64 / mono_wall.max(1e-9);
-    let cosim_rate = cosim.events_total() as f64 / cosim_wall.max(1e-9);
-
-    let mut out = String::new();
-    out.push_str("coupled_browse: shared-LTE-bottleneck population, monolith vs co-sim\n");
-    out.push_str(&format!(
-        "workload: {label}, shared LTE capacity {capacity_mbps:.0} Mbps, WiFi 1 Mbps/unit\n"
-    ));
-    out.push_str(&format!(
-        "lookahead window: {:.3} ms ({:.0} ms prop + 1500 B serialization floor at \
-         {capacity_mbps:.0} Mbps)\n",
-        window as f64 / 1e6,
-        coupling.prop_delay.as_secs_f64() * 1e3,
-    ));
-    out.push_str(&format!(
-        "digests: monolith {:#018x}, co-sim {:#018x} ({})\n",
-        mono.digest,
-        cosim.digest,
-        if mono.digest == cosim.digest { "bit-identical" } else { "MISMATCH" }
-    ));
-    out.push_str(&format!(
-        "engine groups: {} co-simulated (monolith: 1); sync rounds {}, boundary msgs {}\n",
-        cosim.shard_events.len(),
-        tel.counter(Counter::CosimRounds),
-        tel.counter(Counter::CosimBoundaryMsgs),
-    ));
-    out.push_str(&format!(
-        "pages loaded: {loaded}/{} units, median PLT {:.3} s\n",
-        cosim.units.len(),
-        median_us(plt_us) as f64 / 1e6
-    ));
-    out.push_str(&format!(
-        "throughput: monolith {:.2}M events/s, co-sim {:.2}M events/s ({:.1}x)\n",
-        mono_rate / 1e6,
-        cosim_rate / 1e6,
-        cosim_rate / mono_rate.max(1e-9)
-    ));
-    assert_eq!(mono.digest, cosim.digest, "coupled co-sim diverged from the monolith");
-    out
-}
 
 #[cfg(test)]
 mod tests {

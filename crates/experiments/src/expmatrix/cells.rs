@@ -3,39 +3,101 @@
 //!
 //! This is the only bridge between spec vocabulary and simulator types, so
 //! it is deliberately strict: unknown schedulers, congestion controllers,
-//! scenario kinds, or workloads are errors, not silent defaults — a typo'd
-//! spec must fail loudly instead of caching a wrong-but-plausible result.
+//! scenario kinds, apps or workloads are errors, not silent defaults, and
+//! so is an integer field holding anything but a non-negative integer — a
+//! typo'd spec must fail loudly instead of caching a wrong-but-plausible
+//! result.
 //!
 //! Each scenario kind fixes its horizon formula, lossy-path index and seed
 //! wiring here; `tests/matrix.rs` pins the reports they produce by digest.
+//!
+//! Workloads:
+//!
+//! * `streaming` — one DASH session (Figs 1–3, 5–17, the ablations and
+//!   the dynamics ladders). Raw per-run observables are opt-in `record_*`
+//!   flags, so adding one never moves an existing cell's cache key.
+//! * `wget` — one download: completion time and each subflow's sRTT
+//!   (Figs 18/19, Table 2).
+//! * `browse` — one 6-connection MPTCP page load with its raw completion
+//!   and OOO samples (Figs 20/21); `quic_web` runs the same page load
+//!   beside one MPQUIC connection.
+//! * `wild` — the synthesized §6 paths under the DASH or browser app
+//!   (Figs 22/23, Table 4).
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
-use dash::PlayerConfig;
-use ecf_core::SchedulerKind;
+use dash::{DashApp, PlayerConfig};
+use ecf_core::{EcfConfig, SchedulerKind};
 use metrics::Cdf;
-use mptcp::{CcKind, RecorderConfig};
+use mptcp::{CcKind, ConnSpec, Connection, RecorderConfig, Testbed, TestbedConfig};
 use scenario::{GilbertElliott, LossModel, Scenario};
-use simnet::Time;
+use simnet::{PathConfig, Time};
 use testkit::json::Value;
+use testkit::Rng;
+use webload::{BrowserApp, PageModel};
 
-use crate::common::{run_browse, run_streaming, secs, StreamingConfig, VARIABLE_BW_SET};
+use crate::common::{run_browse, run_streaming, run_wget, secs, StreamingConfig, VARIABLE_BW_SET};
 use crate::quicweb::run_quic_web;
 
 /// Execute one cell, returning its result document:
 ///
 /// ```json
-/// { "scalars": { "avg_bitrate": .., "avg_throughput": .., "ideal_bitrate": ..,
-///                "fast_fraction": .., "fast_iw_resets": .., "events_processed": .. },
-///   "series":  { "chunk_throughputs": [[t, mbps], ...],
-///                "sndbuf_rows": ["t\twifi\tlte", ...] } }   // when recorded
+/// { "scalars": { "avg_bitrate": .., "avg_throughput": .., ... },
+///   "series":  { "chunk_throughputs": [[t, mbps], ...], ... } }
 /// ```
 pub fn execute(cfg: &Value) -> Result<Value, String> {
     match str_field(cfg, "workload")? {
         "streaming" => streaming_cell(cfg),
         "quic_web" => quic_web_cell(cfg),
+        "wget" => wget_cell(cfg),
+        "browse" => browse_cell(cfg),
+        "wild" => wild_cell(cfg),
         other => Err(format!("unknown workload {other:?}")),
     }
+}
+
+/// A result document's two maps, filled by the cell executors.
+#[derive(Default)]
+struct CellResult {
+    scalars: BTreeMap<String, Value>,
+    series: BTreeMap<String, Value>,
+}
+
+impl CellResult {
+    fn scalar(&mut self, key: &str, v: f64) {
+        self.scalars.insert(key.to_string(), Value::Number(v));
+    }
+
+    fn series(&mut self, key: &str, v: Value) {
+        self.series.insert(key.to_string(), v);
+    }
+
+    fn into_value(self) -> Value {
+        let mut result = BTreeMap::new();
+        result.insert("scalars".to_string(), Value::Object(self.scalars));
+        result.insert("series".to_string(), Value::Object(self.series));
+        Value::Object(result)
+    }
+}
+
+fn numbers(xs: &[f64]) -> Value {
+    Value::Array(xs.iter().map(|&x| Value::Number(x)).collect())
+}
+
+fn points(ps: &[(f64, f64)]) -> Value {
+    Value::Array(ps.iter().map(|&(t, v)| numbers(&[t, v])).collect())
+}
+
+/// Each subflow's smoothed RTT in ms, in subflow order.
+fn srtt_ms(sender: &Connection) -> Value {
+    Value::Array(
+        sender
+            .subflows
+            .iter()
+            .map(|sf| Value::Number(sf.cc.rtt.srtt().as_secs_f64() * 1e3))
+            .collect(),
+    )
 }
 
 /// One `quic_web` cell: the cnn-like page on *both* transports (one MPQUIC
@@ -45,20 +107,11 @@ pub fn execute(cfg: &Value) -> Result<Value, String> {
 fn quic_web_cell(cfg: &Value) -> Result<Value, String> {
     let wifi = rate_field(cfg, "wifi_mbps")?;
     let lte = rate_field(cfg, "lte_mbps")?;
-    let seed = num_field(cfg, "seed")? as u64;
-    let scheduler = parse_scheduler(str_field(cfg, "scheduler")?)?;
+    let seed = uint_field(cfg, "seed")?;
+    let scheduler = parse_scheduler(field(cfg, "scheduler")?)?;
 
-    let mut scalars = BTreeMap::new();
-    let mut tb = run_browse(wifi, lte, scheduler, seed);
-    let plt = tb.app().page_load_time.filter(|_| tb.app().done());
-    let plt = plt.ok_or("mptcp page load did not complete")?;
-    let page = PageLoad {
-        completions: tb.app().completion_times_secs(),
-        ooo: tb.world_mut().recorder.take_ooo_secs(),
-        plt,
-        events: tb.events_processed(),
-    };
-    page.put("mptcp", &mut scalars);
+    let mut result = CellResult::default();
+    mptcp_page(wifi, lte, scheduler, seed)?.put("mptcp", &mut result.scalars);
 
     let mut tb = run_quic_web(wifi, lte, scheduler, seed);
     let plt = tb.app().page_load_time.filter(|_| tb.app().done());
@@ -75,12 +128,43 @@ fn quic_web_cell(cfg: &Value) -> Result<Value, String> {
         plt,
         events: tb.events_processed(),
     };
-    page.put("quic", &mut scalars);
+    page.put("quic", &mut result.scalars);
+    Ok(result.into_value())
+}
 
-    let mut result = BTreeMap::new();
-    result.insert("scalars".to_string(), Value::Object(scalars));
-    result.insert("series".to_string(), Value::Object(BTreeMap::new()));
-    Ok(Value::Object(result))
+/// One `browse` cell: the 6-connection MPTCP page load of `quic_web`'s
+/// MPTCP side, keeping its raw samples so figures can pool seeds before
+/// taking quantiles.
+fn browse_cell(cfg: &Value) -> Result<Value, String> {
+    let wifi = rate_field(cfg, "wifi_mbps")?;
+    let lte = rate_field(cfg, "lte_mbps")?;
+    let seed = uint_field(cfg, "seed")?;
+    let scheduler = parse_scheduler(field(cfg, "scheduler")?)?;
+    let page = mptcp_page(wifi, lte, scheduler, seed)?;
+    let mut result = CellResult::default();
+    result.scalar("plt_s", page.plt.as_secs_f64());
+    result.scalar("events", page.events as f64);
+    result.series("completions", numbers(&page.completions));
+    result.series("ooo_delays", numbers(&page.ooo));
+    Ok(result.into_value())
+}
+
+/// The MPTCP page load both `browse` and `quic_web` cells extract.
+fn mptcp_page(
+    wifi: f64,
+    lte: f64,
+    scheduler: SchedulerKind,
+    seed: u64,
+) -> Result<PageLoad, String> {
+    let mut tb = run_browse(wifi, lte, scheduler, seed);
+    let plt = tb.app().page_load_time.filter(|_| tb.app().done());
+    let plt = plt.ok_or("mptcp page load did not complete")?;
+    Ok(PageLoad {
+        completions: tb.app().completion_times_secs(),
+        ooo: tb.world_mut().recorder.take_ooo_secs(),
+        plt,
+        events: tb.events_processed(),
+    })
 }
 
 /// One transport's finished page load.
@@ -109,23 +193,36 @@ impl PageLoad {
     }
 }
 
+/// One `wget` cell: a single download of `bytes`. A download that does
+/// not finish within the runner's horizon is an error, not a NaN that the
+/// cache would store as `null`.
+fn wget_cell(cfg: &Value) -> Result<Value, String> {
+    let wifi = rate_field(cfg, "wifi_mbps")?;
+    let lte = rate_field(cfg, "lte_mbps")?;
+    let seed = uint_field(cfg, "seed")?;
+    let scheduler = parse_scheduler(field(cfg, "scheduler")?)?;
+    let bytes = uint_field(cfg, "bytes")?;
+    if bytes == 0 {
+        return Err("\"bytes\" must be at least 1".to_string());
+    }
+    let (completion, tb) = run_wget(wifi, lte, scheduler, bytes, seed);
+    if !completion.is_finite() {
+        return Err(format!("the {bytes} B download did not complete"));
+    }
+    let mut result = CellResult::default();
+    result.scalar("completion_s", completion);
+    result.series("srtt_ms", srtt_ms(tb.world().sender(0)));
+    Ok(result.into_value())
+}
+
 fn streaming_cell(cfg: &Value) -> Result<Value, String> {
     let wifi = rate_field(cfg, "wifi_mbps")?;
     let lte = rate_field(cfg, "lte_mbps")?;
-    let video_secs = num_field(cfg, "video_secs")?;
-    let chunk_secs = PlayerConfig::default().chunk_secs;
-    if !(video_secs.is_finite() && video_secs >= chunk_secs) {
-        return Err(format!(
-            "\"video_secs\" must be at least one {chunk_secs} s chunk, got {video_secs}"
-        ));
-    }
-    let seed = num_field(cfg, "seed")? as u64;
-    let scheduler = parse_scheduler(str_field(cfg, "scheduler")?)?;
-    let record_sndbuf = cfg
-        .get("record_sndbuf")
-        .map(|v| v.as_bool().ok_or("\"record_sndbuf\" must be a bool"))
-        .transpose()?
-        .unwrap_or(false);
+    let video_secs = video_field(cfg)?;
+    let seed = uint_field(cfg, "seed")?;
+    let scheduler = parse_scheduler(field(cfg, "scheduler")?)?;
+    let record_sndbuf = flag(cfg, "record_sndbuf")?;
+    let record_cwnd = flag(cfg, "record_cwnd")?;
 
     let mut run_cfg = StreamingConfig::new(wifi, lte, scheduler, seed);
     run_cfg.video_secs = video_secs;
@@ -133,8 +230,7 @@ fn streaming_cell(cfg: &Value) -> Result<Value, String> {
         run_cfg.cc = parse_cc(cc.as_str().ok_or("\"cc\" must be a string")?)?;
     }
     if let Some(v) = cfg.get("cwnd_conservation") {
-        run_cfg.cwnd_conservation =
-            v.as_bool().ok_or("\"cwnd_conservation\" must be a bool")?;
+        run_cfg.cwnd_conservation = v.as_bool().ok_or("\"cwnd_conservation\" must be a bool")?;
     }
     if let Some(v) = cfg.get("subflows_per_interface") {
         // Two interfaces' subflows must fit telemetry's per-path slots.
@@ -147,34 +243,36 @@ fn streaming_cell(cfg: &Value) -> Result<Value, String> {
         }
         run_cfg.subflows_per_interface = n as usize;
     }
-    if record_sndbuf {
-        run_cfg.recorder = RecorderConfig { sndbuf_traces: true, ..RecorderConfig::default() };
-    }
+    run_cfg.recorder = RecorderConfig {
+        sndbuf_traces: record_sndbuf,
+        cwnd_traces: record_cwnd,
+        ..RecorderConfig::default()
+    };
     run_cfg.scenario = build_scenario(cfg, video_secs)?;
 
     let out = run_streaming(&run_cfg);
 
-    let mut scalars = BTreeMap::new();
-    let mut put = |k: &str, v: f64| {
-        scalars.insert(k.to_string(), Value::Number(v));
-    };
-    put("avg_bitrate", out.avg_bitrate);
-    put("avg_throughput", out.avg_throughput);
-    put("ideal_bitrate", out.ideal_bitrate);
-    put("fast_fraction", out.fast_fraction);
-    put("fast_iw_resets", out.fast_iw_resets as f64);
-    put("events_processed", out.events_processed as f64);
-
-    let mut series = BTreeMap::new();
-    series.insert(
-        "chunk_throughputs".to_string(),
-        Value::Array(
-            out.chunk_throughputs
-                .iter()
-                .map(|&(t, v)| Value::Array(vec![Value::Number(t), Value::Number(v)]))
-                .collect(),
-        ),
-    );
+    let mut result = CellResult::default();
+    result.scalar("avg_bitrate", out.avg_bitrate);
+    result.scalar("avg_throughput", out.avg_throughput);
+    result.scalar("ideal_bitrate", out.ideal_bitrate);
+    result.scalar("fast_fraction", out.fast_fraction);
+    result.scalar("fast_iw_resets", out.fast_iw_resets as f64);
+    result.scalar("events_processed", out.events_processed as f64);
+    result.series("chunk_throughputs", points(&out.chunk_throughputs));
+    if flag(cfg, "record_progress")? {
+        result.series("download_progress", points(&out.download_progress));
+    }
+    if flag(cfg, "record_gaps")? {
+        result.series("last_packet_gaps", numbers(&out.last_packet_gaps));
+    }
+    if flag(cfg, "record_ooo")? {
+        result.series("ooo_delays", numbers(&out.ooo_delays));
+    }
+    if record_cwnd {
+        let traces = out.cwnd_traces.iter().map(|t| points(&t.points)).collect();
+        result.series("cwnd_traces", Value::Array(traces));
+    }
     if record_sndbuf {
         // Pre-render Fig 3's rows here: the thinning/lookup pipeline stays
         // beside the recorder types, and the cached form is already the
@@ -193,13 +291,93 @@ fn streaming_cell(cfg: &Value) -> Result<Value, String> {
                 Value::String(format!("{t:.1}\t{w:.1}\t{l:.1}"))
             })
             .collect();
-        series.insert("sndbuf_rows".to_string(), Value::Array(rows));
+        result.series("sndbuf_rows", Value::Array(rows));
+    }
+    Ok(result.into_value())
+}
+
+/// The nine wild runs' baseline WiFi RTTs, following Fig 22(a)'s sorted
+/// spread.
+const WILD_WIFI_RTT_MS: [u64; 9] = [70, 80, 120, 180, 260, 380, 520, 700, 950];
+/// LTE's stable wild RTT (Fig 22(a): ≈70 ms in every run).
+const WILD_LTE_RTT_MS: u64 = 70;
+
+/// Build the two wild paths + delay drift schedules for one run.
+///
+/// The paper drives a public-WiFi + LTE phone against a Washington-DC
+/// cloud server, unregulated (§6). Substitution (DESIGN.md): the paths are
+/// synthesized from the paper's own Fig 22(a) measurements — across nine
+/// runs the WiFi RTT spans ~60 ms to ~1 s while LTE stays pinned near
+/// 70 ms — adding a slow random walk on the WiFi delay and mild rate
+/// noise. Bandwidths are unshaped (several Mbps).
+fn wild_testbed(run: u64, scheduler: SchedulerKind, seed: u64, horizon: Time) -> TestbedConfig {
+    let mut rng = Rng::seed_from_u64(seed ^ (run << 8));
+    // Town WiFi: weak and variable; LTE: solid — the paper's public-AP
+    // vs AT&T contrast.
+    let wifi_mbps = rng.gen_range(1.0..5.0);
+    let lte_mbps = rng.gen_range(7.0..10.0);
+    let wifi_rtt = Duration::from_millis(WILD_WIFI_RTT_MS[run as usize % WILD_WIFI_RTT_MS.len()]);
+    let mut wifi = PathConfig::custom("wifi", wifi_mbps, wifi_rtt / 2, 1_500_000);
+    wifi.fwd.jitter_max = wifi_rtt / 8 + Duration::from_millis(2);
+    let mut lte =
+        PathConfig::custom("lte", lte_mbps, Duration::from_millis(WILD_LTE_RTT_MS / 2), 1_500_000);
+    lte.fwd.jitter_max = Duration::from_millis(5);
+
+    // WiFi delay random walk: ±25% steps every ~5 s.
+    let mut dynamics = Scenario::new();
+    let mut t = Time::from_secs(5);
+    let base_us = (wifi_rtt / 2).as_micros() as f64;
+    let mut cur = base_us;
+    while t < horizon {
+        let step: f64 = rng.gen_range(-0.25..0.25);
+        cur = (cur * (1.0 + step)).clamp(base_us * 0.5, base_us * 2.0);
+        dynamics = dynamics.one_way_delay(t, 0, Duration::from_micros(cur as u64));
+        t += Duration::from_secs(5);
     }
 
-    let mut result = BTreeMap::new();
-    result.insert("scalars".to_string(), Value::Object(scalars));
-    result.insert("series".to_string(), Value::Object(series));
-    Ok(Value::Object(result))
+    TestbedConfig {
+        paths: vec![wifi, lte],
+        conns: vec![ConnSpec::new(scheduler, vec![0, 1])],
+        seed,
+        path_seeds: None,
+        recorder: RecorderConfig::default(),
+        scenario: dynamics,
+        telemetry: telemetry::TelemetryHandle::off(),
+    }
+}
+
+/// One `wild` cell: run `run` of the synthesized wild paths under the
+/// `dash` app (one streaming session: throughput and both subflows'
+/// sRTT) or the `browser` app (the cnn-like page over six connections:
+/// raw completion and OOO samples).
+fn wild_cell(cfg: &Value) -> Result<Value, String> {
+    let run = uint_field(cfg, "run")?;
+    let seed = uint_field(cfg, "seed")?;
+    let scheduler = parse_scheduler(field(cfg, "scheduler")?)?;
+    let mut result = CellResult::default();
+    match str_field(cfg, "app")? {
+        "dash" => {
+            let video_secs = video_field(cfg)?;
+            let horizon = Time::from_secs(video_secs as u64 * 6 + 120);
+            let tb_cfg = wild_testbed(run, scheduler, seed, horizon);
+            let player = PlayerConfig { video_secs, ..PlayerConfig::default() };
+            let mut tb = Testbed::new(tb_cfg, DashApp::new(player, 0));
+            tb.run_until(horizon);
+            result.scalar("avg_throughput", tb.app().player.avg_throughput_mbps());
+            result.series("srtt_ms", srtt_ms(tb.world().sender(0)));
+        }
+        "browser" => {
+            let horizon = Time::from_secs(900);
+            let mut tb_cfg = wild_testbed(run, scheduler, seed, horizon);
+            tb_cfg.conns = (0..6).map(|_| ConnSpec::new(scheduler, vec![0, 1])).collect();
+            let mut tb = Testbed::new(tb_cfg, BrowserApp::new(PageModel::cnn_like(2014), 6));
+            tb.run_until(horizon);
+            result.series("completions", numbers(&tb.app().completion_times_secs()));
+            result.series("ooo_delays", numbers(&tb.world_mut().recorder.take_ooo_secs()));
+        }
+        other => return Err(format!("unknown app {other:?}")),
+    }
+    Ok(result.into_value())
 }
 
 /// Periodic LTE blackouts: every 60 s starting at t=30 s the LTE
@@ -237,16 +415,16 @@ fn build_scenario(cfg: &Value, video_secs: f64) -> Result<Option<Scenario>, Stri
                 // Outage cycles across the whole possible run, up to the
                 // run_streaming wall horizon; late events on a finished run
                 // are harmless.
-                let outage = num_field(doc, "outage_secs")? as u64;
+                let outage = uint_field(doc, "outage_secs")?;
                 let wall_horizon = (video_secs * 30.0) as u64 + 300;
                 handover_scenario(outage, wall_horizon)
             }
             "random_rates" => {
                 // §5.3's random-walk process on both interfaces, with the
                 // fig16/fig17 horizon formula.
-                let wifi_seed = num_field(doc, "wifi_seed")? as u64;
-                let lte_seed = num_field(doc, "lte_seed")? as u64;
-                let interval = num_field(doc, "mean_interval_secs")? as u64;
+                let wifi_seed = uint_field(doc, "wifi_seed")?;
+                let lte_seed = uint_field(doc, "lte_seed")?;
+                let interval = uint_field(doc, "mean_interval_secs")?;
                 let horizon = Time::from_secs((video_secs * 4.0) as u64 + 300);
                 Scenario::new()
                     .random_rates(0, wifi_seed, secs(interval), &VARIABLE_BW_SET, horizon)
@@ -272,16 +450,47 @@ fn build_scenario(cfg: &Value, video_secs: f64) -> Result<Option<Scenario>, Stri
     Ok(Some(s))
 }
 
-fn parse_scheduler(name: &str) -> Result<SchedulerKind, String> {
-    Ok(match name {
-        "default" => SchedulerKind::Default,
-        "ecf" => SchedulerKind::Ecf,
-        "daps" => SchedulerKind::Daps,
-        "blest" => SchedulerKind::Blest,
-        "sttf" => SchedulerKind::Sttf,
-        "round_robin" => SchedulerKind::RoundRobin,
-        other => return Err(format!("unknown scheduler {other:?}")),
-    })
+/// A scheduler: a name, `{"ecf_with": {..}}` (an ECF variant; omitted
+/// fields keep their [`EcfConfig::default`] values) or
+/// `{"single_path": i}` (everything on subflow `i`).
+fn parse_scheduler(v: &Value) -> Result<SchedulerKind, String> {
+    if let Some(name) = v.as_str() {
+        return Ok(match name {
+            "default" => SchedulerKind::Default,
+            "ecf" => SchedulerKind::Ecf,
+            "daps" => SchedulerKind::Daps,
+            "blest" => SchedulerKind::Blest,
+            "sttf" => SchedulerKind::Sttf,
+            "round_robin" => SchedulerKind::RoundRobin,
+            other => return Err(format!("unknown scheduler {other:?}")),
+        });
+    }
+    let unknown = || format!("unknown scheduler {}", testkit::json::canonical(v));
+    let obj = v.as_object().filter(|m| m.len() == 1).ok_or_else(unknown)?;
+    let (kind, params) = obj.iter().next().expect("one entry");
+    match kind.as_str() {
+        "ecf_with" => {
+            let params = params.as_object().ok_or("\"ecf_with\" must be an object")?;
+            let mut cfg = EcfConfig::default();
+            for (key, value) in params {
+                let bool_value = || value.as_bool().ok_or(format!("{key:?} must be a bool"));
+                match key.as_str() {
+                    "beta" => {
+                        cfg.beta = value
+                            .as_f64()
+                            .filter(|b| b.is_finite() && *b >= 0.0)
+                            .ok_or("\"beta\" must be a finite number >= 0")?
+                    }
+                    "use_delta" => cfg.use_delta = bool_value()?,
+                    "use_second_inequality" => cfg.use_second_inequality = bool_value()?,
+                    other => return Err(format!("unknown ecf_with field {other:?}")),
+                }
+            }
+            Ok(SchedulerKind::EcfWith(cfg))
+        }
+        "single_path" => Ok(SchedulerKind::SinglePath(uint(params, "single_path")? as usize)),
+        _ => Err(unknown()),
+    }
 }
 
 fn parse_cc(name: &str) -> Result<CcKind, String> {
@@ -291,6 +500,10 @@ fn parse_cc(name: &str) -> Result<CcKind, String> {
         "olia" => CcKind::Olia,
         other => return Err(format!("unknown cc {other:?}")),
     })
+}
+
+fn field<'v>(doc: &'v Value, key: &str) -> Result<&'v Value, String> {
+    doc.get(key).ok_or_else(|| format!("cell config needs {key:?}"))
 }
 
 fn str_field<'v>(doc: &'v Value, key: &str) -> Result<&'v str, String> {
@@ -303,6 +516,43 @@ fn num_field(doc: &Value, key: &str) -> Result<f64, String> {
     doc.get(key)
         .and_then(Value::as_f64)
         .ok_or_else(|| format!("cell config needs a number {key:?}"))
+}
+
+/// An integer field: a non-negative integer that `f64` holds exactly
+/// (below 2^53). Truncating anything else would run one simulation under
+/// several cache keys.
+fn uint_field(doc: &Value, key: &str) -> Result<u64, String> {
+    uint(field(doc, key)?, key)
+}
+
+fn uint(v: &Value, key: &str) -> Result<u64, String> {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    match v.as_f64() {
+        Some(n) if (0.0..EXACT).contains(&n) && n.fract() == 0.0 => Ok(n as u64),
+        _ => Err(format!(
+            "{key:?} must be a non-negative integer, got {}",
+            testkit::json::canonical(v)
+        )),
+    }
+}
+
+/// An optional bool flag (absent = false).
+fn flag(doc: &Value, key: &str) -> Result<bool, String> {
+    doc.get(key)
+        .map(|v| v.as_bool().ok_or_else(|| format!("{key:?} must be a bool")))
+        .transpose()
+        .map(|v| v.unwrap_or(false))
+}
+
+/// `video_secs`: at least one DASH chunk (the player asserts it).
+fn video_field(doc: &Value) -> Result<f64, String> {
+    let video_secs = num_field(doc, "video_secs")?;
+    let chunk_secs = PlayerConfig::default().chunk_secs;
+    if video_secs.is_finite() && video_secs >= chunk_secs {
+        Ok(video_secs)
+    } else {
+        Err(format!("\"video_secs\" must be at least one {chunk_secs} s chunk, got {video_secs}"))
+    }
 }
 
 /// A link rate in Mbps: finite and above zero (a zero rate would run on a
@@ -331,16 +581,16 @@ mod tests {
         let result = execute(&cfg).unwrap();
         let scalars = result.get("scalars").unwrap();
         assert!(scalars.get("avg_bitrate").and_then(Value::as_f64).unwrap() > 0.0);
-        assert_eq!(
-            scalars.get("ideal_bitrate").and_then(Value::as_f64),
-            Some(8.4)
-        );
+        assert_eq!(scalars.get("ideal_bitrate").and_then(Value::as_f64), Some(8.4));
         let chunks = result
             .get("series")
             .and_then(|s| s.get("chunk_throughputs"))
             .and_then(Value::as_array)
             .unwrap();
         assert!(!chunks.is_empty());
+        // Raw observables are opt-in.
+        let series = result.get("series").and_then(Value::as_object).unwrap();
+        assert_eq!(series.keys().collect::<Vec<_>>(), ["chunk_throughputs"]);
     }
 
     #[test]
@@ -355,18 +605,23 @@ mod tests {
             .unwrap_err()
             .contains("unknown workload"));
         let bad_cc = base.replace("\"seed\": 1", "\"seed\": 1, \"cc\": \"cubic\"");
-        assert!(execute(&json::parse(&bad_cc).unwrap())
-            .unwrap_err()
-            .contains("unknown cc"));
-        let bad_kind = base
-            .replace("\"seed\": 1", "\"seed\": 1, \"scenario\": {\"kind\": \"warp\"}");
+        assert!(execute(&json::parse(&bad_cc).unwrap()).unwrap_err().contains("unknown cc"));
+        let bad_kind =
+            base.replace("\"seed\": 1", "\"seed\": 1, \"scenario\": {\"kind\": \"warp\"}");
         assert!(execute(&json::parse(&bad_kind).unwrap())
             .unwrap_err()
             .contains("unknown scenario kind"));
+        for sched in [r#"{"ecf_with": {"gamma": 1}}"#, r#"{"ecff_with": {}}"#, "3"] {
+            let err = execute_with("streaming", "scheduler", sched).unwrap_err();
+            assert!(err.contains("unknown"), "{sched}: {err}");
+        }
+        let err = execute_with("wild", "app", "\"vr\"").unwrap_err();
+        assert!(err.contains("unknown app"), "{err}");
     }
 
     const BASE: &str = r#"{"workload": "streaming", "wifi_mbps": 1.0, "lte_mbps": 2.0,
-                           "scheduler": "ecf", "video_secs": 30, "seed": 1}"#;
+                           "scheduler": "ecf", "video_secs": 30, "seed": 1,
+                           "bytes": 65536, "run": 3, "app": "dash"}"#;
 
     /// `BASE` with `field` set to `value` (added if absent), run.
     fn execute_with(workload: &str, field: &str, value: &str) -> Result<Value, String> {
@@ -377,18 +632,69 @@ mod tests {
     }
 
     #[test]
+    fn integer_fields_refuse_negative_fractional_and_huge_values() {
+        // `-3`, `0.9` and `0` all used to run seed 0 under three cache keys.
+        let bad = ["-3", "0.9", "-0.5", "1e300", "\"7\"", "true"];
+        for (workload, key) in [
+            ("streaming", "seed"),
+            ("quic_web", "seed"),
+            ("browse", "seed"),
+            ("wget", "seed"),
+            ("wget", "bytes"),
+            ("wild", "seed"),
+            ("wild", "run"),
+        ] {
+            for value in bad {
+                let err = execute_with(workload, key, value).unwrap_err();
+                assert!(
+                    err.contains(&format!("{key:?} must be a non-negative integer")),
+                    "{workload} {key}={value}: {err}"
+                );
+            }
+        }
+        let scenarios = [
+            ("outage_secs", r#"{"kind": "handover", "outage_secs": V}"#),
+            (
+                "wifi_seed",
+                r#"{"kind": "random_rates", "wifi_seed": V, "lte_seed": 1, "mean_interval_secs": 40}"#,
+            ),
+            (
+                "lte_seed",
+                r#"{"kind": "random_rates", "wifi_seed": 1, "lte_seed": V, "mean_interval_secs": 40}"#,
+            ),
+            (
+                "mean_interval_secs",
+                r#"{"kind": "random_rates", "wifi_seed": 1, "lte_seed": 1, "mean_interval_secs": V}"#,
+            ),
+        ];
+        for (key, doc) in scenarios {
+            for value in bad {
+                let err =
+                    execute_with("streaming", "scenario", &doc.replace('V', value)).unwrap_err();
+                assert!(
+                    err.contains(&format!("{key:?} must be a non-negative integer")),
+                    "{key}={value}: {err}"
+                );
+            }
+        }
+        assert!(execute_with("wget", "scheduler", r#"{"single_path": -1}"#).is_err());
+    }
+
+    #[test]
     fn video_shorter_than_a_chunk_is_an_error() {
         // Used to panic on the DASH player's constructor assert.
-        for secs in ["2", "0", "-5", "1e999"] {
-            let err = execute_with("streaming", "video_secs", secs).unwrap_err();
-            assert!(err.contains("\"video_secs\""), "{secs}: {err}");
+        for workload in ["streaming", "wild"] {
+            for secs in ["2", "0", "-5", "1e999"] {
+                let err = execute_with(workload, "video_secs", secs).unwrap_err();
+                assert!(err.contains("\"video_secs\""), "{workload} {secs}: {err}");
+            }
         }
     }
 
     #[test]
-    fn rates_must_be_positive_in_both_cell_kinds() {
+    fn rates_must_be_positive_in_every_cell_kind() {
         // Used to run on a 1 bps link and return Ok with a meaningless result.
-        for workload in ["streaming", "quic_web"] {
+        for workload in ["streaming", "quic_web", "browse", "wget"] {
             for field in ["wifi_mbps", "lte_mbps"] {
                 for rate in ["0", "-1", "1e999"] {
                     let err = execute_with(workload, field, rate).unwrap_err();
@@ -407,6 +713,74 @@ mod tests {
             let err = execute_with("streaming", "subflows_per_interface", n).unwrap_err();
             assert!(err.contains("\"subflows_per_interface\""), "{n}: {err}");
         }
+    }
+
+    #[test]
+    fn an_unfinished_download_is_a_cell_error() {
+        // 64 MB at 0.1 + 0.2 Mbps cannot finish inside the runner's
+        // horizon; the cell used to report NaN, which the cache stores as
+        // null and a warm run then rejects.
+        let mut cfg = json::parse(&BASE.replace("streaming", "wget")).unwrap();
+        let Value::Object(map) = &mut cfg else { unreachable!() };
+        for (k, v) in [("wifi_mbps", 0.1), ("lte_mbps", 0.2), ("bytes", 64e6)] {
+            map.insert(k.to_string(), Value::Number(v));
+        }
+        let err = execute(&cfg).unwrap_err();
+        assert!(err.contains("did not complete"), "{err}");
+        let err = execute_with("wget", "bytes", "0").unwrap_err();
+        assert!(err.contains("\"bytes\""), "{err}");
+    }
+
+    #[test]
+    fn wget_reports_completion_and_every_subflow_srtt() {
+        let result = execute(&json::parse(&BASE.replace("streaming", "wget")).unwrap()).unwrap();
+        let t = result.get("scalars").and_then(|s| s.get("completion_s")).unwrap();
+        assert!(t.as_f64().unwrap() > 0.0);
+        let srtt = result.get("series").and_then(|s| s.get("srtt_ms")).unwrap();
+        assert_eq!(srtt.as_array().unwrap().len(), 2);
+    }
+
+    /// Mean completion time of the Quick `fig18`/`fig19` seeds (100, 101).
+    fn mean_completion(wifi: f64, lte: f64, scheduler: &str, bytes: u64) -> f64 {
+        let times: Vec<f64> = (100..102)
+            .map(|seed| {
+                let cfg = json::parse(&format!(
+                    r#"{{"workload": "wget", "wifi_mbps": {wifi}, "lte_mbps": {lte},
+                         "scheduler": "{scheduler}", "bytes": {bytes}, "seed": {seed}}}"#
+                ))
+                .unwrap();
+                let result = execute(&cfg).unwrap();
+                result.get("scalars").and_then(|s| s.get("completion_s")).unwrap().as_f64().unwrap()
+            })
+            .collect();
+        metrics::mean(&times)
+    }
+
+    #[test]
+    fn completion_time_falls_with_more_lte() {
+        let slow = mean_completion(1.0, 1.0, "ecf", 512 * 1024);
+        let fast = mean_completion(1.0, 10.0, "ecf", 512 * 1024);
+        assert!(fast < slow, "more bandwidth must not slow downloads: {fast} vs {slow}");
+    }
+
+    #[test]
+    fn ecf_is_not_worse_than_default_on_a_heterogeneous_1mb_download() {
+        let d = mean_completion(1.0, 10.0, "default", 1024 * 1024);
+        let e = mean_completion(1.0, 10.0, "ecf", 1024 * 1024);
+        assert!(e <= d * 1.15, "ECF {e}s vs default {d}s");
+    }
+
+    #[test]
+    fn ecf_variants_parse_with_defaults_for_omitted_fields() {
+        let v = json::parse(r#"{"ecf_with": {"use_delta": false}}"#).unwrap();
+        let SchedulerKind::EcfWith(cfg) = parse_scheduler(&v).unwrap() else {
+            panic!("not an ECF variant")
+        };
+        assert!(!cfg.use_delta);
+        assert!(cfg.use_second_inequality);
+        assert_eq!(cfg.beta, EcfConfig::default().beta);
+        let v = json::parse(r#"{"single_path": 1}"#).unwrap();
+        assert!(matches!(parse_scheduler(&v), Ok(SchedulerKind::SinglePath(1))));
     }
 
     #[test]
@@ -431,5 +805,42 @@ mod tests {
         // Cycles at 30, 90, 150 (210 would overrun): 3 outages = 6 events.
         assert_eq!(s.compile().len(), 6);
         assert!(handover_scenario(0, 200).is_static());
+    }
+
+    #[test]
+    fn wild_testbed_is_reproducible() {
+        let h = Time::from_secs(60);
+        let a = wild_testbed(3, SchedulerKind::Ecf, 9, h);
+        let b = wild_testbed(3, SchedulerKind::Ecf, 9, h);
+        assert_eq!(a.paths[0].fwd.rate_bps, b.paths[0].fwd.rate_bps);
+        assert_eq!(a.scenario.compile(), b.scenario.compile());
+        assert!(!a.scenario.is_static(), "wild runs must drift the WiFi delay");
+        // Different run index → different WiFi RTT.
+        let c = wild_testbed(8, SchedulerKind::Ecf, 9, h);
+        assert!(c.paths[0].base_rtt() > a.paths[0].base_rtt());
+    }
+
+    #[test]
+    fn wild_runs_span_the_rtt_range() {
+        assert!(WILD_WIFI_RTT_MS.first().unwrap() < &100);
+        assert!(WILD_WIFI_RTT_MS.last().unwrap() > &900);
+        for w in WILD_WIFI_RTT_MS.windows(2) {
+            assert!(w[0] < w[1], "runs must be sorted by WiFi RTT");
+        }
+    }
+
+    #[test]
+    fn a_browse_cell_keeps_every_object_of_the_page() {
+        let cfg = json::parse(
+            r#"{"workload": "browse", "wifi_mbps": 5.0, "lte_mbps": 5.0,
+                "scheduler": "default", "seed": 300}"#,
+        )
+        .unwrap();
+        let result = execute(&cfg).unwrap();
+        let series = |k: &str| {
+            result.get("series").and_then(|s| s.get(k)).and_then(Value::as_array).unwrap().len()
+        };
+        assert_eq!(series("completions"), 107);
+        assert!(series("ooo_delays") > 0);
     }
 }

@@ -3,14 +3,16 @@
 //! Renderers consume results by cell index in the fixed expansion order
 //! (never by completion order) and read grid coordinates from the spec's
 //! [`BlockShape`]s, so the same renderer serves any ladder size the spec
-//! resolves to. This is the only code that renders the spec-backed
-//! figures; `tests/matrix.rs` pins each one's Quick report by digest.
-//! Seeds aggregate as the mean of per-seed values.
+//! resolves to. This is the only code that renders the paper's figures;
+//! `tests/matrix.rs` pins every one's Quick report by digest. Seeds
+//! aggregate as the mean of per-seed values, except for distributions:
+//! those pool every seed's raw samples before taking quantiles.
 
-use metrics::render_table;
+use metrics::{render_table, Cdf, Heatmap, TimeSeries};
 use testkit::json::Value;
 
 use super::spec::{BlockShape, Expansion, Spec};
+use crate::common::fmt_bw;
 
 /// Render the spec's figure from the per-cell results.
 pub fn render(spec: &Spec, exp: &Expansion, results: &[Value]) -> Result<String, String> {
@@ -22,14 +24,38 @@ pub fn render(spec: &Spec, exp: &Expansion, results: &[Value]) -> Result<String,
             exp.cells.len()
         ));
     }
+    let r = results;
     match spec.figure.as_str() {
-        "fig3" => fig3(exp, results),
-        "fig16" => fig16(exp, results),
-        "fig17" => fig17(exp, results),
-        "dyn_handover" => dyn_handover(exp, results),
-        "dyn_burstloss" => dyn_burstloss(exp, results),
-        "quic_web" => quic_web(exp, results),
-        "generic" => generic(spec, exp, results),
+        "tab1" => Ok(tab1()),
+        "fig1" => fig1(exp, r),
+        "fig2" => fig2(exp, r),
+        "fig3" => fig3(exp, r),
+        "fig5" => fig5(exp, r),
+        "fig6" => fig6(exp, r),
+        "fig7" => fig7(exp, r),
+        "tab2" => tab2(exp, r),
+        "fig9" => fig9(exp, r),
+        "fig11" => fig11(exp, r),
+        "tab3" => tab3(exp, r),
+        "fig13" => fig13(exp, r),
+        "fig14" => fig14(exp, r),
+        "fig15" => fig15(exp, r),
+        "fig16" => fig16(exp, r),
+        "fig17" => fig17(exp, r),
+        "fig18" => fig18(exp, r),
+        "fig19" => fig19(exp, r),
+        "fig20" => fig20(exp, r),
+        "fig21" => fig21(exp, r),
+        "fig22" => fig22(exp, r),
+        "fig23" => fig23(exp, r),
+        "ablation_beta" => ablation_beta(exp, r),
+        "ablation_components" => ablation_components(exp, r),
+        "ablation_cc" => ablation_cc(exp, r),
+        "extension_sttf" => extension_sttf(exp, r),
+        "dyn_handover" => dyn_handover(exp, r),
+        "dyn_burstloss" => dyn_burstloss(exp, r),
+        "quic_web" => quic_web(exp, r),
+        "generic" => generic(spec, exp, r),
         other => Err(format!("unknown figure renderer {other:?}")),
     }
 }
@@ -44,15 +70,80 @@ fn scalar(results: &[Value], i: usize, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("cell {i}: result lacks scalar {key:?}"))
 }
 
+/// One series out of a cell result.
+fn series<'r>(results: &'r [Value], i: usize, key: &str) -> Result<&'r [Value], String> {
+    results
+        .get(i)
+        .and_then(|r| r.get("series"))
+        .and_then(|s| s.get(key))
+        .and_then(Value::as_array)
+        .ok_or_else(|| format!("cell {i}: result lacks series {key:?}"))
+}
+
+/// A series of numbers.
+fn numbers(results: &[Value], i: usize, key: &str) -> Result<Vec<f64>, String> {
+    series(results, i, key)?
+        .iter()
+        .map(|v| v.as_f64().ok_or_else(|| format!("cell {i}: {key:?} holds a non-number")))
+        .collect()
+}
+
+/// A series of `[t, v]` points (`None` if any point is malformed).
+fn points(v: &[Value]) -> Option<TimeSeries> {
+    let points = v
+        .iter()
+        .map(|p| match p.as_array()? {
+            [t, v] => Some((t.as_f64()?, v.as_f64()?)),
+            _ => None,
+        })
+        .collect::<Option<_>>()?;
+    Some(TimeSeries { points })
+}
+
+/// The samples of `key` pooled over cells `cells`, as one distribution.
+fn pooled(results: &[Value], cells: std::ops::Range<usize>, key: &str) -> Result<Cdf, String> {
+    let mut all = Vec::new();
+    for i in cells {
+        all.extend(numbers(results, i, key)?);
+    }
+    Ok(Cdf::from_samples(all))
+}
+
+/// Mean of one scalar over the seeds of the grid point starting at `first`.
+fn seed_mean(
+    block: &BlockShape,
+    first: usize,
+    value: impl Fn(usize) -> Result<f64, String>,
+) -> Result<f64, String> {
+    let vals: Vec<f64> = (first..first + block.seeds).map(value).collect::<Result<_, _>>()?;
+    Ok(metrics::mean(&vals))
+}
+
 /// One numeric field out of a cell's *config* (for row labels).
 fn config_num(exp: &Expansion, i: usize, path: &[&str]) -> Result<f64, String> {
+    config(exp, i, path)?
+        .as_f64()
+        .ok_or_else(|| format!("cell {i}: {} is not a number", path.join(".")))
+}
+
+/// One string field out of a cell's config (a scheduler or cc label).
+fn config_str<'e>(exp: &'e Expansion, i: usize, key: &str) -> Result<&'e str, String> {
+    config(exp, i, &[key])?.as_str().ok_or_else(|| format!("cell {i}: {key} is not a string"))
+}
+
+fn config<'e>(exp: &'e Expansion, i: usize, path: &[&str]) -> Result<&'e Value, String> {
     let mut v = &exp.cells[i].config;
     for key in path {
-        v = v
-            .get(key)
-            .ok_or_else(|| format!("cell {i}: config lacks {}", path.join(".")))?;
+        v = v.get(key).ok_or_else(|| format!("cell {i}: config lacks {}", path.join(".")))?;
     }
-    v.as_f64().ok_or_else(|| format!("cell {i}: {} is not a number", path.join(".")))
+    Ok(v)
+}
+
+/// "wifi-lte" as the paper writes a bandwidth pair ("0.3-8.6").
+fn pair_label(exp: &Expansion, i: usize) -> Result<String, String> {
+    let wifi = config_num(exp, i, &["wifi_mbps"])?;
+    let lte = config_num(exp, i, &["lte_mbps"])?;
+    Ok(format!("{}-{}", fmt_bw(wifi), fmt_bw(lte)))
 }
 
 /// The single block of a single-block spec, with its axis rank checked.
@@ -64,6 +155,762 @@ fn sole_block<'e>(exp: &'e Expansion, figure: &str, axes: usize) -> Result<&'e B
         ));
     }
     Ok(&exp.blocks[0])
+}
+
+/// Flat index of the first seed's cell at axis coordinates `at`.
+fn point(block: &BlockShape, at: &[usize]) -> usize {
+    let flat = at.iter().zip(&block.axis_lens).fold(0, |acc, (&i, &len)| acc * len + i);
+    block.start + flat * block.seeds
+}
+
+/// The heatmap every grid figure prints. `values[row][col]` and `y_ticks`
+/// run bottom-up (the paper puts the lowest rate at the bottom); the text
+/// prints top-down, so both are reversed here.
+fn heatmap(
+    mut values: Vec<Vec<f64>>,
+    x_ticks: Vec<String>,
+    mut y_ticks: Vec<String>,
+    (lo, hi): (f64, f64),
+) -> String {
+    values.reverse();
+    y_ticks.reverse();
+    Heatmap {
+        x_label: "WiFi (Mbps)".into(),
+        y_label: "LTE (Mbps)".into(),
+        x_ticks,
+        y_ticks,
+        values,
+        lo,
+        hi,
+    }
+    .render()
+}
+
+/// CCDF rows `x<TAB>P[X>x]...` at `x = 0, step, .., last·step`, one column
+/// per distribution.
+fn ccdf_rows(cdfs: &[Cdf], step: f64, last: usize) -> String {
+    let mut s = String::new();
+    for i in 0..=last {
+        let x = i as f64 * step;
+        s.push_str(&format!("{x:.1}"));
+        for cdf in cdfs {
+            s.push_str(&format!("\t{:.4}", cdf.ccdf_at(x)));
+        }
+        s.push('\n');
+    }
+    s
+}
+
+/// Table 1: the bit-rate ladder (a zero-cell spec).
+fn tab1() -> String {
+    let rows: Vec<Vec<String>> = dash::RESOLUTIONS
+        .iter()
+        .zip(dash::BITRATE_LADDER_MBPS.iter())
+        .map(|(res, rate)| vec![res.to_string(), format!("{rate:.2}")])
+        .collect();
+    let mut s = String::from("Table 1: Video bit rates vs. resolution\n\n");
+    s.push_str(&render_table(&["resolution", "bitrate_Mbps"], &rows));
+    s
+}
+
+/// Fig 1: one run's cumulative download progress.
+fn fig1(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    if exp.cells.len() != 1 {
+        return Err(format!("fig1 expects exactly 1 cell, got {}", exp.cells.len()));
+    }
+    let progress = points(series(results, 0, "download_progress")?)
+        .ok_or("fig1: download_progress holds a malformed point")?;
+    let mut s = String::from(
+        "Fig 1: Example download behaviour (cumulative MB vs. time)\n\
+         (paper: steep initial buffering, then staircase ON-OFF cycles)\n\n\
+         time_s\tcumulative_MB\n",
+    );
+    for (t, mb) in &progress.points {
+        s.push_str(&format!("{t:.2}\t{mb:.2}\n"));
+    }
+    Ok(s)
+}
+
+/// Figs 2/9: per scheduler, the seed-mean of measured / ideal bit rate
+/// over the LTE × WiFi grid (axes: scheduler, lte, wifi).
+fn ratio_heatmaps(
+    exp: &Expansion,
+    results: &[Value],
+    figure: &str,
+) -> Result<Vec<(String, String)>, String> {
+    let block = sole_block(exp, figure, 3)?;
+    let (n_k, n_l, n_w) = (block.axis_lens[0], block.axis_lens[1], block.axis_lens[2]);
+    let ratio = |i: usize| -> Result<f64, String> {
+        Ok((scalar(results, i, "avg_bitrate")? / scalar(results, i, "ideal_bitrate")?).min(1.0))
+    };
+    let mut maps = Vec::new();
+    for k in 0..n_k {
+        let mut values = Vec::new();
+        for l in 0..n_l {
+            let row = (0..n_w)
+                .map(|w| seed_mean(block, point(block, &[k, l, w]), ratio))
+                .collect::<Result<_, _>>()?;
+            values.push(row);
+        }
+        let tick =
+            |at: [usize; 3], key: &str| config_num(exp, point(block, &at), &[key]).map(fmt_bw);
+        let x_ticks = (0..n_w).map(|w| tick([k, 0, w], "wifi_mbps")).collect::<Result<_, _>>()?;
+        let y_ticks = (0..n_l).map(|l| tick([k, l, 0], "lte_mbps")).collect::<Result<_, _>>()?;
+        let label = config_str(exp, point(block, &[k, 0, 0]), "scheduler")?;
+        maps.push((label.to_string(), heatmap(values, x_ticks, y_ticks, (0.0, 1.0))));
+    }
+    Ok(maps)
+}
+
+/// Fig 2: the default scheduler's bit-rate ratio heatmap.
+fn fig2(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let mut s = String::from(
+        "Fig 2: Ratio of measured vs. ideal bit rate, default MPTCP scheduler\n\
+         (darker is better; paper: dark diagonal, light heterogeneous corners)\n\n",
+    );
+    for (_, map) in ratio_heatmaps(exp, results, "fig2")? {
+        s.push_str(&map);
+    }
+    Ok(s)
+}
+
+/// Fig 9: the headline heatmaps, one per scheduler.
+fn fig9(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let mut s = String::from(
+        "Fig 9: Ratio of measured average bit rate vs. ideal average bit rate\n\
+         (paper: ECF darkest everywhere; default/DAPS/BLEST light off-diagonal)\n",
+    );
+    for (label, map) in ratio_heatmaps(exp, results, "fig9")? {
+        s.push_str(&format!("\n--- ({label}) ---\n"));
+        s.push_str(&map);
+    }
+    Ok(s)
+}
+
+/// Fig 5: last-packet gap distribution per bandwidth pair, seeds pooled.
+fn fig5(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "fig5", 1)?;
+    let mut s = String::from(
+        "Fig 5: CDF of time difference between last packets (WiFi vs LTE), default\n\
+         (paper: more heterogeneity -> larger gaps; 0.3-8.6 median ~1 s)\n\n",
+    );
+    let mut rows = Vec::new();
+    for p in 0..block.axis_lens[0] {
+        let i = point(block, &[p]);
+        let cdf = pooled(results, i..i + block.seeds, "last_packet_gaps")?;
+        rows.push(vec![
+            pair_label(exp, i)?,
+            format!("{}", cdf.len()),
+            format!("{:.3}", cdf.median()),
+            format!("{:.3}", cdf.quantile(0.9)),
+            format!("{:.3}", cdf.max()),
+        ]);
+    }
+    s.push_str(&render_table(&["pair(Mbps)", "n", "median_s", "p90_s", "max_s"], &rows));
+    let first = point(block, &[0]);
+    s.push_str(&format!("\nCDF series (gap_s, P[gap<=x]) for {}:\n", pair_label(exp, first)?));
+    let cdf = pooled(results, first..first + block.seeds, "last_packet_gaps")?;
+    for (x, p) in cdf.cdf_series(2.5, 11) {
+        s.push_str(&format!("{x:.2}\t{p:.3}\n"));
+    }
+    Ok(s)
+}
+
+/// Fig 6: throughput with and without CWND conservation (axes: wifi, lte,
+/// cwnd_conservation), plus the ideal aggregate.
+fn fig6(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "fig6", 3)?;
+    let mut s = String::from(
+        "Fig 6: Streaming throughput w/ and w/o CWND reset (default scheduler)\n\
+         (paper: disabling the reset helps but stays below the ideal)\n\n",
+    );
+    let mut rows = Vec::new();
+    for w in 0..block.axis_lens[0] {
+        for l in 0..block.axis_lens[1] {
+            let (with, without) = (point(block, &[w, l, 0]), point(block, &[w, l, 1]));
+            let ideal =
+                config_num(exp, with, &["wifi_mbps"])? + config_num(exp, with, &["lte_mbps"])?;
+            rows.push(vec![
+                pair_label(exp, with)?,
+                format!("{:.2}", scalar(results, with, "avg_throughput")?),
+                format!("{:.2}", scalar(results, without, "avg_throughput")?),
+                format!("{ideal:.2}"),
+            ]);
+        }
+    }
+    s.push_str(&render_table(
+        &["wifi-lte", "w/_reset_Mbps", "w/o_reset_Mbps", "ideal_Mbps"],
+        &rows,
+    ));
+    Ok(s)
+}
+
+/// Figs 7 & 10: fraction of traffic on the fast subflow vs the ideal
+/// split (axes: wifi, lte, scheduler).
+fn fig7(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "fig7", 3)?;
+    let n_k = block.axis_lens[2];
+    let mut s = String::from(
+        "Figs 7 & 10: Fraction of traffic allocated to the fast subflow\n\
+         (paper: default undershoots the ideal; ECF tracks it; BLEST between)\n\n",
+    );
+    let mut header = vec!["wifi-lte"];
+    for k in 0..n_k {
+        header.push(config_str(exp, point(block, &[0, 0, k]), "scheduler")?);
+    }
+    header.push("ideal");
+    let mut rows = Vec::new();
+    for w in 0..block.axis_lens[0] {
+        for l in 0..block.axis_lens[1] {
+            let first = point(block, &[w, l, 0]);
+            let wifi = config_num(exp, first, &["wifi_mbps"])?;
+            let lte = config_num(exp, first, &["lte_mbps"])?;
+            let mut row = vec![pair_label(exp, first)?];
+            for k in 0..n_k {
+                let i = point(block, &[w, l, k]);
+                row.push(format!("{:.2}", scalar(results, i, "fast_fraction")?));
+            }
+            row.push(format!("{:.2}", wifi.max(lte) / (wifi + lte)));
+            rows.push(row);
+        }
+    }
+    s.push_str(&render_table(&header, &rows));
+    Ok(s)
+}
+
+/// Table 2: sRTT of a bulk-saturated single path per regulated rate; the
+/// one axis alternates the WiFi and LTE runs of each rate.
+fn tab2(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "tab2", 1)?;
+    let mut rows = vec![vec!["WiFi RTT(ms)".to_string()], vec!["LTE RTT(ms)".to_string()]];
+    let mut ticks = Vec::new();
+    for p in 0..block.axis_lens[0] {
+        let first = point(block, &[p]);
+        let sub = config_num(exp, first, &["scheduler", "single_path"])? as usize;
+        let rtt = seed_mean(block, first, |i| {
+            numbers(results, i, "srtt_ms")?
+                .get(sub)
+                .copied()
+                .ok_or_else(|| format!("cell {i}: no sRTT for subflow {sub}"))
+        })?;
+        rows.get_mut(sub)
+            .ok_or_else(|| format!("cell {first}: tab2 has no row for subflow {sub}"))?
+            .push(format!("{rtt:.0}"));
+        if sub == 0 {
+            ticks.push(fmt_bw(config_num(exp, first, &["wifi_mbps"])?));
+        }
+    }
+    if rows.iter().any(|row| row.len() != ticks.len() + 1) {
+        return Err("tab2 needs one WiFi and one LTE run per rate".to_string());
+    }
+    let mut header = vec!["Bandwidth(Mbps)"];
+    header.extend(ticks.iter().map(String::as_str));
+    let mut s = String::from(
+        "Table 2: Avg RTT under bandwidth regulation (bulk-saturated path)\n\
+         (paper: WiFi 969..40 ms, LTE 858..105 ms as rate grows; shape = RTT\n\
+          falls with rate, LTE above WiFi at equal rate)\n\n",
+    );
+    s.push_str(&render_table(&header, &rows));
+    Ok(s)
+}
+
+/// Figs 11 & 12: WiFi and LTE CWND traces, one column per scheduler,
+/// sampled at the first scheduler's thinned trace times.
+fn fig11(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "fig11", 1)?;
+    let mut traces = Vec::new();
+    for k in 0..block.axis_lens[0] {
+        let i = point(block, &[k]);
+        let per_subflow = series(results, i, "cwnd_traces")?
+            .iter()
+            .map(|t| t.as_array().and_then(points))
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| format!("cell {i}: cwnd_traces holds a malformed trace"))?;
+        if per_subflow.len() < 2 {
+            return Err(format!("cell {i}: fewer than 2 cwnd traces"));
+        }
+        traces.push((config_str(exp, i, "scheduler")?, per_subflow));
+    }
+    let mut s = String::from(
+        "Figs 11 & 12: CWND traces at 0.3 Mbps WiFi / 8.6 Mbps LTE\n\
+         (paper: ECF keeps the LTE window high; default resets it constantly)\n\n",
+    );
+    for (iface, idx) in [("WiFi (Fig 11)", 0), ("LTE (Fig 12)", 1)] {
+        s.push_str(&format!("--- {iface} cwnd (segments) ---\ntime_s"));
+        for (label, _) in &traces {
+            s.push_str(&format!("\t{label}"));
+        }
+        s.push('\n');
+        for &(t, v0) in &traces[0].1[idx].thin(60).points {
+            s.push_str(&format!("{t:.1}\t{v0:.0}"));
+            for (_, series) in &traces[1..] {
+                let v = series[idx].value_at(t).unwrap_or(0.0);
+                s.push_str(&format!("\t{v:.0}"));
+            }
+            s.push('\n');
+        }
+        // Summary: mean cwnd in the steady half of the run.
+        s.push_str("mean(second half):");
+        for (label, t) in &traces {
+            let half = t[idx].points.len() / 2;
+            let vals: Vec<f64> = t[idx].points[half..].iter().map(|&(_, v)| v).collect();
+            s.push_str(&format!("  {label}={:.0}", metrics::mean(&vals)));
+        }
+        s.push_str("\n\n");
+    }
+    Ok(s)
+}
+
+/// Table 3: initial-window resets on the fast (LTE) subflow per scheduler.
+fn tab3(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "tab3", 1)?;
+    let rows = (0..block.axis_lens[0])
+        .map(|k| {
+            let i = point(block, &[k]);
+            let resets = scalar(results, i, "fast_iw_resets")? as u64;
+            Ok(vec![config_str(exp, i, "scheduler")?.to_string(), resets.to_string()])
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let mut s = String::from(
+        "Table 3: # of IW resets on the fast subflow, 0.3 Mbps WiFi / 8.6 Mbps LTE\n\
+         (paper: default 486, DAPS 92, BLEST 382, ECF 16 over a 1332 s video —\n\
+          shape: ECF lowest by an order of magnitude)\n\n",
+    );
+    s.push_str(&render_table(&["scheduler", "iw_resets"], &rows));
+    Ok(s)
+}
+
+/// Fig 13: the default scheduler's OOO-delay CCDF per bandwidth pair.
+fn fig13(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "fig13", 1)?;
+    let mut s = String::from(
+        "Fig 13: Out-of-order delay CCDF, default scheduler\n\
+         (paper: heavier heterogeneity -> heavier tail; 0.3-8.6 median ~1 s)\n\n\
+         delay_s",
+    );
+    let mut cdfs = Vec::new();
+    for p in 0..block.axis_lens[0] {
+        let i = point(block, &[p]);
+        s.push_str(&format!("\t{}", pair_label(exp, i)?));
+        cdfs.push(pooled(results, i..i + block.seeds, "ooo_delays")?);
+    }
+    s.push('\n');
+    s.push_str(&ccdf_rows(&cdfs, 0.1, 14));
+    Ok(s)
+}
+
+/// Fig 14: OOO-delay CCDF per scheduler (axes: pair, scheduler).
+fn fig14(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "fig14", 2)?;
+    let mut s = String::from(
+        "Fig 14: Out-of-order delay CCDF per scheduler\n\
+         (paper: under heterogeneity ECF's tail is smallest; near-parity when symmetric)\n",
+    );
+    for p in 0..block.axis_lens[0] {
+        s.push_str(&format!("\n--- {} Mbps ---\ndelay_s", pair_label(exp, point(block, &[p, 0]))?));
+        let mut cdfs = Vec::new();
+        let mut labels = Vec::new();
+        for k in 0..block.axis_lens[1] {
+            let i = point(block, &[p, k]);
+            labels.push(config_str(exp, i, "scheduler")?);
+            s.push_str(&format!("\t{}", labels[k]));
+            cdfs.push(pooled(results, i..i + block.seeds, "ooo_delays")?);
+        }
+        s.push('\n');
+        s.push_str(&ccdf_rows(&cdfs, 0.1, 14));
+        s.push_str("mean_s:");
+        for (label, cdf) in labels.iter().zip(&cdfs) {
+            s.push_str(&format!("  {label}={:.3}", cdf.mean()));
+        }
+        s.push('\n');
+    }
+    Ok(s)
+}
+
+/// Fig 15: bit-rate ratio with four subflows (axes: scheduler, lte).
+fn fig15(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "fig15", 2)?;
+    let (n_k, n_l) = (block.axis_lens[0], block.axis_lens[1]);
+    let mut s = String::from(
+        "Fig 15: Bit-rate ratio with 4 subflows (2/interface), 0.3 Mbps WiFi\n\
+         (paper: ECF keeps mitigating heterogeneity with more subflows)\n\n",
+    );
+    let mut rows = Vec::new();
+    for k in 0..n_k {
+        let mut row = vec![config_str(exp, point(block, &[k, 0]), "scheduler")?.to_string()];
+        for l in 0..n_l {
+            let i = point(block, &[k, l]);
+            let ratio = scalar(results, i, "avg_bitrate")? / scalar(results, i, "ideal_bitrate")?;
+            row.push(format!("{:.2}", ratio.min(1.0)));
+        }
+        rows.push(row);
+    }
+    let ticks = (0..n_l)
+        .map(|l| config_num(exp, point(block, &[0, l]), &["lte_mbps"]).map(fmt_bw))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut header = vec!["sched\\lte"];
+    header.extend(ticks.iter().map(String::as_str));
+    s.push_str(&render_table(&header, &rows));
+    Ok(s)
+}
+
+/// A download size as the paper labels it ("128KB", "1MB").
+fn size_label(bytes: f64) -> String {
+    let kb = bytes / 1024.0;
+    if kb >= 1024.0 {
+        format!("{:.0}MB", kb / 1024.0)
+    } else {
+        format!("{kb:.0}KB")
+    }
+}
+
+/// Fig 18: mean completion time per size (axes: bytes, lte, scheduler).
+fn fig18(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "fig18", 3)?;
+    let (n_b, n_l, n_k) = (block.axis_lens[0], block.axis_lens[1], block.axis_lens[2]);
+    let mut s = String::from(
+        "Fig 18: Average download completion time (s), WiFi 1 Mbps, LTE 1-10 Mbps\n\
+         (paper: schedulers converge for small files; ECF <= default for larger\n\
+          files under heterogeneity; DAPS often worst)\n",
+    );
+    let mut header = vec!["wifi-lte"];
+    for k in 0..n_k {
+        header.push(config_str(exp, point(block, &[0, 0, k]), "scheduler")?);
+    }
+    for b in 0..n_b {
+        let first = point(block, &[b, 0, 0]);
+        s.push_str(&format!("\n--- {} ---\n", size_label(config_num(exp, first, &["bytes"])?)));
+        let mut rows = Vec::new();
+        for l in 0..n_l {
+            let at = point(block, &[b, l, 0]);
+            let wifi = config_num(exp, at, &["wifi_mbps"])?;
+            let lte = config_num(exp, at, &["lte_mbps"])?;
+            let mut row = vec![format!("{wifi:.0}-{lte:.0}")];
+            for k in 0..n_k {
+                let mean = seed_mean(block, point(block, &[b, l, k]), |i| {
+                    scalar(results, i, "completion_s")
+                })?;
+                row.push(format!("{mean:.2}"));
+            }
+            rows.push(row);
+        }
+        s.push_str(&render_table(&header, &rows));
+    }
+    Ok(s)
+}
+
+/// Fig 19: ECF / default completion time over the WiFi × LTE grid per
+/// size (axes: bytes, lte, wifi, scheduler = [default, ecf]). A difference
+/// inside one standard deviation plots as 1.0, as in the paper.
+fn fig19(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "fig19", 4)?;
+    let (n_b, n_l, n_w) = (block.axis_lens[0], block.axis_lens[1], block.axis_lens[2]);
+    let mut s = String::from(
+        "Fig 19: ECF completion time / default completion time\n\
+         (paper: 1.0 on the diagonal and for small files; down to ~0.8 under\n\
+          heterogeneity; never above 1)\n",
+    );
+    let times = |first: usize| -> Result<Vec<f64>, String> {
+        (first..first + block.seeds).map(|i| scalar(results, i, "completion_s")).collect()
+    };
+    let tick = |at: [usize; 4], key: &str| -> Result<String, String> {
+        Ok(format!("{:.0}", config_num(exp, point(block, &at), &[key])?))
+    };
+    for b in 0..n_b {
+        let first = point(block, &[b, 0, 0, 0]);
+        s.push_str(&format!("\n--- {} ---\n", size_label(config_num(exp, first, &["bytes"])?)));
+        let mut values = Vec::new();
+        for l in 0..n_l {
+            let mut row = Vec::new();
+            for w in 0..n_w {
+                let d = times(point(block, &[b, l, w, 0]))?;
+                let e = times(point(block, &[b, l, w, 1]))?;
+                let (d_mean, d_sd) = (metrics::mean(&d), metrics::stddev(&d));
+                let (e_mean, e_sd) = (metrics::mean(&e), metrics::stddev(&e));
+                row.push(if (d_mean - e_mean).abs() <= d_sd.max(e_sd) {
+                    1.0
+                } else {
+                    e_mean / d_mean
+                });
+            }
+            values.push(row);
+        }
+        let worst = values.iter().flatten().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let x_ticks =
+            (0..n_w).map(|w| tick([b, 0, w, 0], "wifi_mbps")).collect::<Result<_, _>>()?;
+        let y_ticks = (0..n_l).map(|l| tick([b, l, 0, 0], "lte_mbps")).collect::<Result<_, _>>()?;
+        s.push_str(&heatmap(values, x_ticks, y_ticks, (0.7, 1.3)));
+        s.push_str(&format!("max ratio (should stay ~<= 1): {worst:.2}\n"));
+    }
+    Ok(s)
+}
+
+/// One bandwidth config of Figs 20/21: its heading and each scheduler's
+/// label with its pooled distribution.
+type WebPanel = (String, Vec<(String, Cdf)>);
+
+/// Per bandwidth config, each scheduler's samples of `key` pooled over
+/// seeds (axes: bandwidth, scheduler).
+fn web_cdfs(
+    exp: &Expansion,
+    results: &[Value],
+    figure: &str,
+    key: &str,
+) -> Result<Vec<WebPanel>, String> {
+    let block = sole_block(exp, figure, 2)?;
+    let mut out = Vec::new();
+    for c in 0..block.axis_lens[0] {
+        let first = point(block, &[c, 0]);
+        let header = format!(
+            "\n--- {} Mbps WiFi / {} Mbps LTE ---\n",
+            fmt_bw(config_num(exp, first, &["wifi_mbps"])?),
+            fmt_bw(config_num(exp, first, &["lte_mbps"])?)
+        );
+        let mut cdfs = Vec::new();
+        for k in 0..block.axis_lens[1] {
+            let i = point(block, &[c, k]);
+            let label = config_str(exp, i, "scheduler")?.to_string();
+            cdfs.push((label, pooled(results, i..i + block.seeds, key)?));
+        }
+        out.push((header, cdfs));
+    }
+    Ok(out)
+}
+
+/// Fig 20: web object completion time per scheduler, seeds pooled.
+fn fig20(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let mut s = String::from(
+        "Fig 20: Web object download completion time CCDF (107-object page,\n\
+         6 parallel MPTCP connections)\n\
+         (paper: parity at 5-5; ECF clearly fastest at 1-5 and 1-10)\n",
+    );
+    for (header, cdfs) in web_cdfs(exp, results, "fig20", "completions")? {
+        s.push_str(&header);
+        let rows: Vec<Vec<String>> = cdfs
+            .iter()
+            .map(|(label, cdf)| {
+                vec![
+                    label.clone(),
+                    format!("{:.3}", cdf.mean()),
+                    format!("{:.3}", cdf.median()),
+                    format!("{:.3}", cdf.quantile(0.99)),
+                    format!("{:.3}", cdf.max()),
+                ]
+            })
+            .collect();
+        s.push_str(&render_table(&["scheduler", "mean_s", "median_s", "p99_s", "max_s"], &rows));
+        s.push_str("\nCCDF series (x_s, P[T>x]):\nx");
+        for (label, _) in &cdfs {
+            s.push_str(&format!("\t{label}"));
+        }
+        s.push('\n');
+        let cdfs: Vec<Cdf> = cdfs.into_iter().map(|(_, cdf)| cdf).collect();
+        s.push_str(&ccdf_rows(&cdfs, 0.2, 10));
+    }
+    Ok(s)
+}
+
+/// Fig 21: web OOO delay per scheduler, seeds pooled.
+fn fig21(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let mut s = String::from(
+        "Fig 21: Out-of-order delay CCDF, Web browsing\n\
+         (paper: ECF's reordering tail smallest under heterogeneity)\n",
+    );
+    for (header, cdfs) in web_cdfs(exp, results, "fig21", "ooo_delays")? {
+        s.push_str(&header);
+        let rows: Vec<Vec<String>> = cdfs
+            .iter()
+            .map(|(label, cdf)| {
+                vec![
+                    label.clone(),
+                    format!("{:.4}", cdf.mean()),
+                    format!("{:.4}", cdf.quantile(0.99)),
+                    format!("{:.4}", cdf.max()),
+                ]
+            })
+            .collect();
+        s.push_str(&render_table(&["scheduler", "mean_s", "p99_s", "max_s"], &rows));
+    }
+    Ok(s)
+}
+
+/// Fig 22: wild streaming per run (axes: run, scheduler = [default, ecf]),
+/// with the default run's measured sRTTs.
+fn fig22(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "fig22", 2)?;
+    let n_runs = block.axis_lens[0];
+    let mut s = String::from(
+        "Fig 22: Streaming in the wild — 9 runs sorted by WiFi RTT\n\
+         (paper: parity when RTTs are similar; ECF pulls ahead as WiFi RTT\n\
+          diverges; overall +16% average throughput)\n\n",
+    );
+    let mut rows = Vec::new();
+    let (mut sum_d, mut sum_e) = (0.0, 0.0);
+    for run in 0..n_runs {
+        let (d, e) = (point(block, &[run, 0]), point(block, &[run, 1]));
+        let (d_tp, e_tp) =
+            (scalar(results, d, "avg_throughput")?, scalar(results, e, "avg_throughput")?);
+        let srtt = numbers(results, d, "srtt_ms")?;
+        let [d_wifi, d_lte] = srtt[..] else {
+            return Err(format!("cell {d}: expected 2 subflow sRTTs, got {}", srtt.len()));
+        };
+        sum_d += d_tp;
+        sum_e += e_tp;
+        rows.push(vec![
+            format!("{}", run + 1),
+            format!("{d_wifi:.0}"),
+            format!("{d_lte:.0}"),
+            format!("{d_tp:.2}"),
+            format!("{e_tp:.2}"),
+        ]);
+    }
+    s.push_str(&render_table(
+        &["run", "wifi_rtt_ms", "lte_rtt_ms", "default_Mbps", "ecf_Mbps"],
+        &rows,
+    ));
+    s.push_str(&format!(
+        "\nmeans: default={:.2} Mbps, ecf={:.2} Mbps, improvement={:.0}%\n",
+        sum_d / n_runs as f64,
+        sum_e / n_runs as f64,
+        (sum_e / sum_d - 1.0) * 100.0
+    ));
+    Ok(s)
+}
+
+/// Fig 23 / Table 4: wild web browsing, every run's samples pooled per
+/// scheduler (axes: run, scheduler = [default, ecf]).
+fn fig23(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "fig23", 2)?;
+    let pool = |k: usize, key: &str| -> Result<Cdf, String> {
+        let mut all = Vec::new();
+        for run in 0..block.axis_lens[0] {
+            all.extend(numbers(results, point(block, &[run, k]), key)?);
+        }
+        Ok(Cdf::from_samples(all))
+    };
+    let (dc, ec) = (pool(0, "completions")?, pool(1, "completions")?);
+    let (doo, eoo) = (pool(0, "ooo_delays")?, pool(1, "ooo_delays")?);
+    let mut s = String::from(
+        "Fig 23 / Table 4: Web browsing in the wild (CNN-like page)\n\
+         (paper: ECF 26% faster object completion, 71% lower OOO delay)\n\n",
+    );
+    let row = |label: &str, c: &Cdf, o: &Cdf| {
+        vec![
+            label.to_string(),
+            format!("{:.3}", c.mean()),
+            format!("{:.3}", c.quantile(0.999)),
+            format!("{:.4}", o.mean()),
+        ]
+    };
+    s.push_str(&render_table(
+        &["scheduler", "mean_completion_s", "p99.9_completion_s", "mean_ooo_s"],
+        &[row("default", &dc, &doo), row("ecf", &ec, &eoo)],
+    ));
+    s.push_str(&format!(
+        "\nECF improvement: completion {:.0}% shorter, OOO delay {:.0}% shorter\n",
+        (1.0 - ec.mean() / dc.mean()) * 100.0,
+        (1.0 - eoo.mean() / doo.mean()) * 100.0
+    ));
+    s.push_str("\nCompletion-time CCDF (x_s, P[T>x]):\nx\tdefault\tecf\n");
+    s.push_str(&ccdf_rows(&[dc, ec], 0.5, 12));
+    Ok(s)
+}
+
+/// Ablation: ECF's hysteresis β (one axis of `ecf_with` schedulers).
+fn ablation_beta(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "ablation_beta", 1)?;
+    let mut rows = Vec::new();
+    let mut bitrates = Vec::new();
+    for b in 0..block.axis_lens[0] {
+        let i = point(block, &[b]);
+        let beta = config_num(exp, i, &["scheduler", "ecf_with", "beta"])?;
+        let br = scalar(results, i, "avg_bitrate")?;
+        rows.push(vec![format!("{beta:.2}"), format!("{br:.2}")]);
+        bitrates.push(br);
+    }
+    let mut s = String::from(
+        "Ablation: ECF hysteresis β at 0.3/8.6 Mbps\n\
+         (paper claim: results are insensitive to β)\n\n",
+    );
+    s.push_str(&render_table(&["beta", "avg_bitrate_Mbps"], &rows));
+    let spread = bitrates.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+        - bitrates.iter().cloned().fold(f64::INFINITY, f64::min);
+    s.push_str(&format!("\nspread across β values: {spread:.2} Mbps\n"));
+    Ok(s)
+}
+
+/// Ablation: ECF's δ margin and second inequality, between full ECF and
+/// the default (one scheduler axis, in [`COMPONENT_VARIANTS`] order).
+fn ablation_components(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    /// Row labels of the spec's four scheduler values.
+    const COMPONENT_VARIANTS: [&str; 4] =
+        ["full ECF", "no delta margin", "no second inequality", "default (reference)"];
+    let block = sole_block(exp, "ablation_components", 1)?;
+    if block.axis_lens[0] != COMPONENT_VARIANTS.len() {
+        return Err(format!("ablation_components expects 4 variants, got {}", block.axis_lens[0]));
+    }
+    let mut rows = Vec::new();
+    for (v, name) in COMPONENT_VARIANTS.iter().enumerate() {
+        let br = seed_mean(block, point(block, &[v]), |i| scalar(results, i, "avg_bitrate"))?;
+        rows.push(vec![name.to_string(), format!("{br:.2}")]);
+    }
+    let mut s = String::from(
+        "Ablation: ECF components at 0.3/8.6 Mbps\n\
+         (each variant should sit between full ECF and the default)\n\n",
+    );
+    s.push_str(&render_table(&["variant", "avg_bitrate_Mbps"], &rows));
+    Ok(s)
+}
+
+/// Ablation: coupled congestion controller (axes: cc, scheduler =
+/// [default, ecf]).
+fn ablation_cc(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "ablation_cc", 2)?;
+    let mut rows = Vec::new();
+    for c in 0..block.axis_lens[0] {
+        let mut row = vec![config_str(exp, point(block, &[c, 0]), "cc")?.to_string()];
+        for k in 0..block.axis_lens[1] {
+            row.push(format!("{:.2}", scalar(results, point(block, &[c, k]), "avg_bitrate")?));
+        }
+        rows.push(row);
+    }
+    let mut s = String::from(
+        "Ablation: congestion controller sensitivity at 0.3/8.6 Mbps\n\
+         (paper §3.1: degradation appears regardless of the controller;\n\
+          ECF should beat default under each)\n\n",
+    );
+    s.push_str(&render_table(&["cc", "default_Mbps", "ecf_Mbps"], &rows));
+    Ok(s)
+}
+
+/// Extension: STTF vs ECF across heterogeneity levels (axes: pair,
+/// scheduler).
+fn extension_sttf(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let block = sole_block(exp, "extension_sttf", 2)?;
+    let mut header = vec!["wifi-lte"];
+    for k in 0..block.axis_lens[1] {
+        header.push(config_str(exp, point(block, &[0, k]), "scheduler")?);
+    }
+    let mut rows = Vec::new();
+    for p in 0..block.axis_lens[0] {
+        let first = point(block, &[p, 0]);
+        let wifi = config_num(exp, first, &["wifi_mbps"])?;
+        let lte = config_num(exp, first, &["lte_mbps"])?;
+        let mut row = vec![format!("{wifi}-{lte}")];
+        for k in 0..block.axis_lens[1] {
+            let br =
+                seed_mean(block, point(block, &[p, k]), |i| scalar(results, i, "avg_bitrate"))?;
+            row.push(format!("{br:.2}"));
+        }
+        rows.push(row);
+    }
+    let mut s = String::from(
+        "Extension: STTF (Hurtig et al. 2018) vs ECF on streaming\n\
+         (STTF reasons per segment; ECF about the whole backlog — expect STTF\n\
+          between the default and ECF under heterogeneity)\n\n",
+    );
+    s.push_str(&render_table(&header, &rows));
+    Ok(s)
 }
 
 /// Fig 3: the single sndbuf-trace cell; rows were pre-rendered by the

@@ -16,7 +16,7 @@
 //! ```text
 //! spec.json ──expand(effort)──▶ [Cell] ──digest──▶ cache probe
 //!                                  │                 │hit: load result
-//!                                  │miss: execute on parallel_map shards
+//!                                  │miss: execute on run_balanced shards
 //!                                  ▼                 ▼
 //!                            results in expansion order ──▶ figure text
 //! ```
@@ -270,10 +270,7 @@ mod tests {
 
     #[test]
     fn quic_goldens_key_the_quic_web_cells() {
-        let spec = match crate::find("quic_web").map(|e| e.source) {
-            Some(crate::Source::Spec(json)) => Spec::from_json(json).unwrap(),
-            _ => panic!("quic_web is a spec-backed entry"),
-        };
+        let spec = crate::find("quic_web").unwrap().spec().unwrap();
         let cell = expand(&spec, Effort::Quick).unwrap().cells.swap_remove(0);
         let digest_with = |quic: &[(&str, u64)]| {
             let mut key = cell.key.clone();

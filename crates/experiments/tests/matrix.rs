@@ -1,22 +1,49 @@
-//! The experiment-matrix suite: each spec-backed figure reproduces its
-//! pinned Quick report, the registry entry and the spec file are the same
-//! experiment, caching never changes output, merge order is independent of
-//! shard count, and corrupt cache entries are contained.
+//! The experiment-matrix suite: every registry entry reproduces its pinned
+//! Quick report, the registry's embedded specs are the spec files, caching
+//! never changes output, merge order is independent of shard count, and
+//! corrupt cache entries are contained.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 use experiments::expmatrix::{self, Lookup, MatrixOptions, Spec};
-use experiments::{registry, Effort, Source};
+use experiments::{find, registry, Effort};
 use telemetry::{Counter, TelemetryHandle};
 use testkit::digest::{canonical_digest, fnv1a};
 
-/// FNV-1a of each spec-backed figure's Quick report, captured from the
-/// figure's imperative generator before it was deleted in favour of the
+/// FNV-1a of every registry entry's Quick report, captured from the
+/// figure's imperative generator before it was deleted in favour of its
 /// spec. Full effort runs the same renderer over a wider grid.
-const QUICK_REPORTS: [(&str, u64); 6] = [
+const QUICK_REPORTS: [(&str, u64); 32] = [
+    ("tab1", 0xc5f1_b45a_a1a1_55b8),
+    ("fig1", 0x87f1_2f8e_58f3_0f45),
+    ("fig2", 0xda11_3bfb_6095_f6bd),
     ("fig3", 0xbf5d_a6c4_42df_c436),
+    ("fig5", 0x6466_4253_f1ce_791f),
+    ("fig6", 0x7ea5_dcdc_af0f_e167),
+    ("fig7", 0x7d00_836d_dbf0_eee2),
+    ("tab2", 0x4a91_078f_7417_692f),
+    ("fig9", 0x3d9e_6442_2c0b_1d91),
+    ("fig10", 0x7d00_836d_dbf0_eee2),
+    ("fig11", 0x4cc3_8e86_4d7e_217f),
+    ("fig12", 0x4cc3_8e86_4d7e_217f),
+    ("tab3", 0x9029_446f_e506_07fe),
+    ("fig13", 0xb94f_3dee_2ed7_5ecb),
+    ("fig14", 0xf747_ab6a_39e1_bb5f),
+    ("fig15", 0xeb26_882c_df3c_e43c),
     ("fig16", 0x01df_c291_6f70_7708),
     ("fig17", 0xa0eb_261f_0817_3c62),
+    ("fig18", 0xe63e_067c_7e51_5131),
+    ("fig19", 0x806e_a47a_9dcb_f92b),
+    ("fig20", 0xeae5_b374_a9de_26ef),
+    ("fig21", 0x0be8_55cb_2af9_1a31),
+    ("fig22", 0xf5fa_e781_6ede_8369),
+    ("fig23", 0xa490_950e_fae4_825c),
+    ("tab4", 0xa490_950e_fae4_825c),
+    ("ablation_beta", 0xf931_2394_6fbf_b7c0),
+    ("ablation_components", 0x38f1_4f65_8fd8_44fc),
+    ("ablation_cc", 0xcb28_2370_a89e_081f),
+    ("extension_sttf", 0x3046_9b25_61b6_bff9),
     ("dyn_handover", 0x703a_4256_1998_e193),
     ("dyn_burstloss", 0x297d_a370_9f86_d3a6),
     ("quic_web", 0xf820_f050_ecfc_16b2),
@@ -38,25 +65,33 @@ fn quick_opts(cache_dir: &PathBuf) -> MatrixOptions {
     opts
 }
 
+/// One registry entry's Quick report from a throwaway cache.
+fn quick_report(id: &str) -> String {
+    let dir = scratch(&format!("report-{id}"));
+    let report = find(id).unwrap().run(&quick_opts(&dir)).unwrap_or_else(|e| panic!("{id}: {e}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    report
+}
+
 /// Cold run, warm run, and `--force` run of one spec must agree with each
 /// other, and the warm run must execute nothing. Returns the report.
-fn assert_equivalent(name: &str) -> String {
+fn assert_equivalent(spec: &Spec) -> String {
+    let name = &spec.name;
     let dir = scratch(name);
-    let spec = Spec::from_file(spec_path(name)).unwrap();
     let opts = quick_opts(&dir);
 
-    let cold = expmatrix::run_matrix(&spec, &opts).unwrap();
+    let cold = expmatrix::run_matrix(spec, &opts).unwrap();
     assert_eq!(cold.executed, cold.cells, "{name}: cold run must execute everything");
     assert_eq!(cold.hits, 0, "{name}: cold run can't hit an empty cache");
 
-    let warm = expmatrix::run_matrix(&spec, &opts).unwrap();
+    let warm = expmatrix::run_matrix(spec, &opts).unwrap();
     assert_eq!(warm.executed, 0, "{name}: warm run must execute nothing");
     assert_eq!(warm.hits, warm.cells, "{name}: warm run must be 100% hits");
     assert_eq!(warm.report, cold.report, "{name}: warm output differs from cold");
 
     let mut forced = quick_opts(&dir);
     forced.force = true;
-    let force = expmatrix::run_matrix(&spec, &forced).unwrap();
+    let force = expmatrix::run_matrix(spec, &forced).unwrap();
     assert_eq!(force.executed, force.cells, "{name}: --force must re-execute");
     assert_eq!(force.report, cold.report, "{name}: forced output differs from cold");
 
@@ -65,44 +100,97 @@ fn assert_equivalent(name: &str) -> String {
 }
 
 #[test]
-fn spec_backed_figures_reproduce_their_pinned_quick_reports() {
-    for (name, expected) in QUICK_REPORTS {
-        let report = assert_equivalent(name);
-        assert_eq!(fnv1a(report.as_bytes()), expected, "{name} report moved:\n{report}");
+fn every_registry_entry_reproduces_its_pinned_quick_report() {
+    let mut pinned: Vec<&str> = QUICK_REPORTS.iter().map(|(id, _)| *id).collect();
+    let mut ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
+    pinned.sort_unstable();
+    ids.sort_unstable();
+    assert_eq!(pinned, ids, "every registry entry has exactly one pinned report");
+
+    // Aliases share a spec: run each spec once, check every id against it.
+    let mut reports: HashMap<String, String> = HashMap::new();
+    for (id, expected) in QUICK_REPORTS {
+        let spec = find(id).unwrap().spec().unwrap();
+        let report = match reports.get(&spec.name) {
+            Some(r) => r.clone(),
+            None => {
+                let r = assert_equivalent(&spec);
+                assert!(!r.trim().is_empty(), "{id} produced an empty report");
+                reports.insert(spec.name.clone(), r.clone());
+                r
+            }
+        };
+        assert_eq!(fnv1a(report.as_bytes()), expected, "{id} report moved:\n{report}");
     }
 }
 
 #[test]
-fn every_spec_file_is_a_registered_spec_backed_entry() {
+fn the_registry_embeds_exactly_the_spec_files() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("specs");
-    let mut ids: Vec<String> = std::fs::read_dir(&dir)
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "json"))
         .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
         .filter(|id| id != "smoke")
         .collect();
-    ids.sort();
-    let mut registered: Vec<&str> =
-        registry().iter().filter(|e| matches!(e.source, Source::Spec(_))).map(|e| e.id).collect();
-    registered.sort_unstable();
-    assert_eq!(ids, registered, "a spec file without its entry, or the reverse");
-    let mut pinned: Vec<&str> = QUICK_REPORTS.iter().map(|(id, _)| *id).collect();
-    pinned.sort_unstable();
-    assert_eq!(pinned, registered, "every spec-backed entry has a pinned report");
+    files.sort();
+    let mut embedded = Vec::new();
+    for e in registry() {
+        let spec = e.spec().unwrap();
+        let on_disk = std::fs::read_to_string(spec_path(&spec.name))
+            .unwrap_or_else(|err| panic!("{}: spec {:?} has no file: {err}", e.id, spec.name));
+        assert_eq!(e.spec, on_disk, "{}: results/<name>.txt is named by the spec", e.id);
+        embedded.push(spec.name);
+    }
+    embedded.sort();
+    embedded.dedup();
+    assert_eq!(files, embedded, "a spec file without its entry, or the reverse");
 }
 
 #[test]
-fn the_registry_entry_and_its_spec_file_produce_the_same_report() {
-    for (id, _) in QUICK_REPORTS {
-        let dir = scratch(&format!("registry-{id}"));
-        let opts = quick_opts(&dir);
-        let from_file = Spec::from_file(spec_path(id)).unwrap();
-        assert_eq!(from_file.name, id, "results/<id>.txt is named by the spec");
-        let file_report = expmatrix::run_matrix(&from_file, &opts).unwrap().report;
-        let registry_report = experiments::find(id).unwrap().run(&opts).unwrap();
-        assert_eq!(registry_report, file_report, "{id}: registry path differs");
-        let _ = std::fs::remove_dir_all(&dir);
+fn tab1_lists_the_six_rungs_of_the_ladder() {
+    let t = quick_report("tab1");
+    for needle in ["144p", "1080p", "0.26", "8.47"] {
+        assert!(t.contains(needle), "tab1 missing {needle}:\n{t}");
+    }
+    assert_eq!(t.lines().count(), 4 + 6);
+}
+
+#[test]
+fn fig1_download_progress_is_monotone() {
+    let s = quick_report("fig1");
+    let points: Vec<f64> = s
+        .lines()
+        .skip(4)
+        .filter_map(|l| l.split('\t').nth(1)?.parse().ok())
+        .collect();
+    assert!(points.len() >= 5);
+    for w in points.windows(2) {
+        assert!(w[1] >= w[0], "progress went backwards");
+    }
+}
+
+#[test]
+fn tab3_shows_ecf_with_no_more_resets_than_default() {
+    let t = quick_report("tab3");
+    let counts: HashMap<&str, u64> = t
+        .lines()
+        .skip(6)
+        .filter_map(|line| {
+            let mut parts = line.split_whitespace();
+            Some((parts.next()?, parts.next()?.parse().ok()?))
+        })
+        .collect();
+    let (ecf, def) = (counts["ecf"], counts["default"]);
+    assert!(ecf <= def, "ECF must not reset the fast subflow more than default ({ecf} vs {def})");
+}
+
+#[test]
+fn the_beta_report_covers_every_value() {
+    let s = quick_report("ablation_beta");
+    for beta in ["0.00", "0.10", "0.25", "0.50", "1.00"] {
+        assert!(s.contains(beta), "missing β={beta}");
     }
 }
 

@@ -120,11 +120,6 @@ impl QuicReceiver {
     pub fn held_chunks(&self) -> u64 {
         self.held_total
     }
-
-    /// Number of stream slots (opened or placeholder).
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
 }
 
 #[cfg(test)]

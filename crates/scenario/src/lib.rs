@@ -170,16 +170,6 @@ impl Scenario {
         self
     }
 
-    /// Replay a piecewise-constant rate plan on `path`.
-    pub fn rate_trace(mut self, path: usize, sched: &RateSchedule) -> Self {
-        self.events.extend(sched.changes.iter().map(|&(at, bps)| ControlEvent {
-            at,
-            path,
-            action: Action::RateBps(bps),
-        }));
-        self
-    }
-
     /// Attach the §5.3 random-rate process to `path` (see
     /// [`Process::RandomRates`]).
     pub fn random_rates(

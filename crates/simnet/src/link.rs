@@ -55,20 +55,6 @@ impl LinkConfig {
         }
     }
 
-    /// A link shaped to `mbps` whose droptail queue holds `latency` worth of
-    /// traffic at the shaped rate — how `tc tbf latency` provisions queues.
-    pub fn shaped_latency(mbps: f64, prop_delay: Duration, latency: Duration) -> Self {
-        let rate_bps = (mbps * 1e6) as u64;
-        LinkConfig {
-            rate_bps,
-            prop_delay,
-            queue_limit_bytes: latency_queue_bytes(rate_bps, latency),
-            queue_latency: Some(latency),
-            jitter_max: Duration::ZERO,
-            loss_rate: 0.0,
-        }
-    }
-
     /// An effectively unshaped reverse path: line-rate drain, generous queue.
     /// Used for the ACK direction, which the paper does not regulate.
     pub fn reverse(prop_delay: Duration) -> Self {
@@ -250,11 +236,6 @@ impl Link {
     /// Update the propagation delay (wild RTT drift model).
     pub fn set_prop_delay(&mut self, d: Duration) {
         self.cfg.prop_delay = d;
-    }
-
-    /// The active random-loss process.
-    pub fn loss_model(&self) -> LossModel {
-        self.loss
     }
 
     /// Swap the random-loss process (scenario impairment hook). Resets the

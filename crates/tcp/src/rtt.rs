@@ -112,11 +112,6 @@ impl RttEstimator {
         Duration::from_nanos(self.rttvar)
     }
 
-    /// True once at least one sample has arrived.
-    pub fn has_sample(&self) -> bool {
-        self.samples > 0
-    }
-
     /// Number of samples fed so far.
     pub fn samples(&self) -> u64 {
         self.samples

@@ -54,11 +54,6 @@ impl Fnv1a {
         self.write_u64(x.to_bits());
     }
 
-    /// Fold a string's UTF-8 bytes.
-    pub fn write_str(&mut self, s: &str) {
-        self.write(s.as_bytes());
-    }
-
     /// The current digest value.
     pub fn finish(&self) -> u64 {
         self.0

@@ -17,11 +17,6 @@ impl WgetApp {
     pub fn new(bytes: u64) -> Self {
         WgetApp { bytes, completed_at: None, req: None }
     }
-
-    /// The request id, once issued.
-    pub fn request_id(&self) -> Option<ReqId> {
-        self.req
-    }
 }
 
 impl Application for WgetApp {

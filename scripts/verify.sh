@@ -82,18 +82,46 @@ rec_out="$(cargo test --release --offline -p mptcp --lib \
     || { echo "$rec_out" >&2; exit 1; }
 echo "$rec_out" | grep "records:"
 
-echo "== every registered experiment, quick, through the CLI =="
-# --no-save: results/*.txt are the committed full-effort runs. A throwaway
-# cache: a developer's .expcache/ would serve the spec-backed figures
-# without executing them.
-all_cache="$(mktemp -d "${TMPDIR:-/tmp}"/repro-all.XXXXXX)"
-trap 'rm -rf "$all_cache"' EXIT
-cargo run --offline --release -p experiments --bin repro -- \
-    all --quick --no-save --cache-dir "$all_cache" > /dev/null
+echo "== every registered experiment, Full, through the CLI: results/ must not drift =="
+# `repro all` writes results/<name>.txt relative to its working directory,
+# so it runs in a throwaway one with a throwaway cache (a developer's
+# .expcache/ would serve cells without executing them). Every report it
+# writes must equal the committed file byte for byte, and it must write
+# every committed file: a change that moves a figure regenerates its
+# results/*.txt in the same commit. About 45 s on 2 cores.
+all_dir="$(mktemp -d "${TMPDIR:-/tmp}"/repro-all.XXXXXX)"
+trap 'rm -rf "$all_dir"' EXIT
+all_cache="$all_dir/cache"
+manifest="$PWD/Cargo.toml"
+repro_all() {
+    (cd "$all_dir" && cargo run --offline --release --manifest-path "$manifest" \
+        -p experiments --bin repro -- all --cache-dir "$all_cache" "$@")
+}
+repro_all > /dev/null 2> "$all_dir/cold.err" \
+    || { cat "$all_dir/cold.err" >&2; exit 1; }
+diff <(cd "$all_dir/results" && ls) <(cd results && ls) > /dev/null \
+    || { echo "verify.sh: repro all writes a different set of reports than results/ holds:" >&2; \
+         diff <(cd "$all_dir/results" && ls) <(cd results && ls) >&2; exit 1; }
+drift=""
+for f in results/*.txt; do
+    cmp -s "$f" "$all_dir/$f" || drift="$drift $f"
+done
+[ -z "$drift" ] || { echo "verify.sh: repro all drifted from the committed$drift" >&2; exit 1; }
+
+echo "== repro all again on the same cache: every cell is a hit =="
+repro_all --no-save > /dev/null 2> "$all_dir/warm.err" \
+    || { cat "$all_dir/warm.err" >&2; exit 1; }
+summaries="$(grep -c '^matrix ' "$all_dir/warm.err" || true)"
+[ "$summaries" -eq "$(ls results | wc -l)" ] \
+    || { echo "verify.sh: warm repro all printed $summaries matrix summaries" >&2; exit 1; }
+not_warm="$(grep '^matrix ' "$all_dir/warm.err" | grep -v ', executed 0$' || true)"
+[ -z "$not_warm" ] || { echo "verify.sh: warm repro all executed cells:" >&2; \
+    echo "$not_warm" >&2; exit 1; }
+echo "verify.sh: repro all ok ($summaries reports equal results/, warm run executed 0 cells)"
 
 echo "== telemetry trace smoke (repro --trace, quick) =="
 tmp_trace="$(mktemp "${TMPDIR:-/tmp}"/trace-smoke.XXXXXX.jsonl)"
-trap 'rm -rf "$all_cache"; rm -f "$tmp_trace"' EXIT
+trap 'rm -rf "$all_dir"; rm -f "$tmp_trace"' EXIT
 trace_out="$(cargo run --offline --release -p experiments --bin repro -- \
     --trace "$tmp_trace" --quick)"
 python3 - "$tmp_trace" "$trace_out" <<'PY'
@@ -129,7 +157,7 @@ print(f"verify.sh: trace ok ({len(lines)} events, {decisions} decisions)")
 PY
 
 echo "== scenario dynamics smoke (dyn_handover, quick) =="
-# --no-save: the committed results/dyn_handover.txt is the full-effort run.
+# --no-save: results/dyn_handover.txt is the Full report.
 dyn_out="$(cargo run --offline --release -p experiments --bin repro -- \
     dyn_handover --quick --no-save --cache-dir "$all_cache")"
 echo "$dyn_out" | grep -q "outage_s" \
@@ -140,7 +168,7 @@ echo "$dyn_out" | grep -q "ladder means: default=" \
     || { echo "verify.sh: results/dyn_handover.txt missing or empty" >&2; exit 1; }
 
 echo "== quic transport smoke (quic_web, quick) =="
-# --no-save: the committed results/quic_web.txt is the full-effort run.
+# --no-save: results/quic_web.txt is the Full report.
 # Exercises the second transport end to end: 107 streams on one MPQUIC
 # connection through the same scheduler seam as MPTCP, both transports in
 # one report.
@@ -183,12 +211,12 @@ echo "== experiment-matrix smoke (repro matrix, quick, twice) =="
 # be 100% cache hits (0 executed) and byte-identical — the determinism +
 # caching contract of crates/experiments/src/expmatrix.
 matrix_cache="$(mktemp -d "${TMPDIR:-/tmp}"/matrix-smoke.XXXXXX)"
-trap 'rm -rf "$all_cache"; rm -f "$tmp_trace"; rm -rf "$matrix_cache"' EXIT
+trap 'rm -rf "$all_dir"; rm -f "$tmp_trace"; rm -rf "$matrix_cache"' EXIT
 matrix_spec="crates/experiments/specs/smoke.json"
 cold_out="$(mktemp "${TMPDIR:-/tmp}"/matrix-cold.XXXXXX.txt)"
 warm_out="$(mktemp "${TMPDIR:-/tmp}"/matrix-warm.XXXXXX.txt)"
 warm_err="$(mktemp "${TMPDIR:-/tmp}"/matrix-warm.XXXXXX.err)"
-trap 'rm -f "$tmp_trace" "$cold_out" "$warm_out" "$warm_err"; rm -rf "$all_cache" "$matrix_cache"' EXIT
+trap 'rm -f "$tmp_trace" "$cold_out" "$warm_out" "$warm_err"; rm -rf "$all_dir" "$matrix_cache"' EXIT
 cargo run --offline --release -p experiments --bin repro -- \
     matrix "$matrix_spec" --quick --no-save --cache-dir "$matrix_cache" \
     > "$cold_out"
