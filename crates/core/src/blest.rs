@@ -16,28 +16,17 @@
 
 use crate::types::{secs, Decision, SchedInput, Scheduler};
 
-/// Configuration for [`Blest`].
-#[derive(Debug, Clone, Copy)]
-pub struct BlestConfig {
-    /// Initial value of the adaptive scale factor λ.
-    pub lambda0: f64,
-    /// Additive increase applied to λ on each observed send-window stall.
-    pub lambda_step: f64,
-    /// Multiplicative decay of the λ *excess* applied per decision, slowly
-    /// relaxing back toward 1 when blocking stops.
-    pub lambda_decay: f64,
-}
-
-impl Default for BlestConfig {
-    fn default() -> Self {
-        BlestConfig { lambda0: 1.0, lambda_step: 0.1, lambda_decay: 0.999 }
-    }
-}
+/// Initial value of the adaptive scale factor λ.
+const LAMBDA0: f64 = 1.0;
+/// Additive increase applied to λ on each observed send-window stall.
+const LAMBDA_STEP: f64 = 0.1;
+/// Multiplicative decay of the λ *excess* applied per decision, slowly
+/// relaxing back toward 1 when blocking stops.
+const LAMBDA_DECAY: f64 = 0.999;
 
 /// The BLEST scheduler.
 #[derive(Debug, Clone)]
 pub struct Blest {
-    cfg: BlestConfig,
     lambda: f64,
 }
 
@@ -48,14 +37,9 @@ impl Default for Blest {
 }
 
 impl Blest {
-    /// BLEST with default parameters.
+    /// A fresh BLEST scheduler.
     pub fn new() -> Self {
-        Self::with_config(BlestConfig::default())
-    }
-
-    /// BLEST with explicit parameters.
-    pub fn with_config(cfg: BlestConfig) -> Self {
-        Blest { cfg, lambda: cfg.lambda0 }
+        Blest { lambda: LAMBDA0 }
     }
 
     /// Current adaptive scale factor (diagnostic).
@@ -69,7 +53,7 @@ impl Blest {
     /// both run through here.
     fn decide(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {
         // Relax λ toward 1.
-        self.lambda = 1.0 + (self.lambda - 1.0) * self.cfg.lambda_decay;
+        self.lambda = 1.0 + (self.lambda - 1.0) * LAMBDA_DECAY;
 
         let Some(xf) = input.fastest() else {
             return (Decision::Blocked, crate::Why::NoCapacity);
@@ -114,11 +98,11 @@ impl Scheduler for Blest {
     }
 
     fn on_window_blocked(&mut self) {
-        self.lambda += self.cfg.lambda_step;
+        self.lambda += LAMBDA_STEP;
     }
 
     fn reset(&mut self) {
-        self.lambda = self.cfg.lambda0;
+        self.lambda = LAMBDA0;
     }
 }
 

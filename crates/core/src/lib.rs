@@ -54,7 +54,7 @@ mod minrtt;
 mod sttf;
 mod types;
 
-pub use blest::{Blest, BlestConfig};
+pub use blest::Blest;
 pub use daps::Daps;
 pub use ecf::{delta_margin, Ecf, EcfConfig, DEFAULT_BETA};
 pub use explain::{EcfTerms, Why};

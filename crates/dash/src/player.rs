@@ -13,33 +13,28 @@
 
 use simnet::Time;
 
-use crate::abr::{select, AbrKind, BITRATE_LADDER_MBPS};
+use crate::abr::{select, BITRATE_LADDER_MBPS};
 
-/// Player parameters. Defaults give a Netflix-like small-screen profile
-/// scaled for simulation speed (documented in DESIGN.md).
+/// Playback buffer capacity in seconds of video: the 30 s buffer that
+/// BBA-0's reservoir and cushion are fractions of.
+pub(crate) const MAX_BUFFER_SECS: f64 = 30.0;
+/// Buffer level at which playback starts (initially and after a stall).
+const STARTUP_THRESHOLD_SECS: f64 = 10.0;
+
+/// Player parameters. The player buffers up to 30 s of video, starts
+/// playback at 10 s and picks rates with BBA-0 (a Netflix-like small-screen
+/// profile scaled for simulation speed, documented in DESIGN.md).
 #[derive(Debug, Clone, Copy)]
 pub struct PlayerConfig {
     /// Seconds of video per chunk (the paper encodes 5 s chunks).
     pub chunk_secs: f64,
     /// Total video duration in seconds.
     pub video_secs: f64,
-    /// Playback buffer capacity in seconds of video.
-    pub max_buffer_secs: f64,
-    /// Buffer level at which playback starts (initially and after a stall).
-    pub startup_threshold_secs: f64,
-    /// ABR policy.
-    pub abr: AbrKind,
 }
 
 impl Default for PlayerConfig {
     fn default() -> Self {
-        PlayerConfig {
-            chunk_secs: 5.0,
-            video_secs: 180.0,
-            max_buffer_secs: 30.0,
-            startup_threshold_secs: 10.0,
-            abr: AbrKind::BufferBased,
-        }
+        PlayerConfig { chunk_secs: 5.0, video_secs: 180.0 }
     }
 }
 
@@ -98,8 +93,6 @@ pub struct Player {
     playing: bool,
     /// Last time `buffer_secs` was brought up to date.
     last_update: Time,
-    /// EWMA of per-chunk throughput, Mbps.
-    est_mbps: f64,
     /// Pending request: (repr, bytes, started).
     outstanding: Option<(usize, u64, Time)>,
     /// Completed chunk log.
@@ -110,15 +103,12 @@ pub struct Player {
     pub stalled_secs: f64,
 }
 
-/// EWMA weight for new throughput samples.
-const EST_GAIN: f64 = 0.4;
-
 impl Player {
     /// A player for the configured video.
     pub fn new(cfg: PlayerConfig) -> Self {
         assert!(cfg.chunk_secs > 0.0 && cfg.video_secs >= cfg.chunk_secs);
         assert!(
-            cfg.startup_threshold_secs <= cfg.max_buffer_secs - cfg.chunk_secs,
+            STARTUP_THRESHOLD_SECS <= MAX_BUFFER_SECS - cfg.chunk_secs,
             "startup threshold must leave room below the ON-OFF cap"
         );
         let chunks_total = (cfg.video_secs / cfg.chunk_secs).ceil() as u64;
@@ -129,7 +119,6 @@ impl Player {
             buffer_secs: 0.0,
             playing: false,
             last_update: Time::ZERO,
-            est_mbps: 0.0,
             outstanding: None,
             history: Vec::new(),
             rebuffer_events: 0,
@@ -205,19 +194,13 @@ impl Player {
         let (repr, bytes, started) =
             self.outstanding.take().expect("completion without outstanding request");
         let rec = ChunkRecord { index: self.next_chunk, repr, bytes, started, finished: now };
-        let sample = rec.throughput_mbps();
-        self.est_mbps = if self.est_mbps == 0.0 {
-            sample
-        } else {
-            (1.0 - EST_GAIN) * self.est_mbps + EST_GAIN * sample
-        };
         self.history.push(rec);
         self.next_chunk += 1;
         self.buffer_secs += self.cfg.chunk_secs;
         // Play once the startup threshold is buffered (or there is nothing
         // left to fetch).
         if !self.playing
-            && (self.buffer_secs >= self.cfg.startup_threshold_secs || self.remaining() == 0)
+            && (self.buffer_secs >= STARTUP_THRESHOLD_SECS || self.remaining() == 0)
         {
             self.playing = true;
         }
@@ -240,7 +223,7 @@ impl Player {
         }
         debug_assert!(self.outstanding.is_none(), "one request at a time");
         // OFF period: wait until one chunk of room frees up.
-        let room_needed = self.cfg.max_buffer_secs - self.cfg.chunk_secs;
+        let room_needed = MAX_BUFFER_SECS - self.cfg.chunk_secs;
         if self.buffer_secs > room_needed && self.playing {
             // Floor the wait so float rounding can never produce a zero-length
             // sleep (which would spin the event loop at one instant).
@@ -250,13 +233,7 @@ impl Player {
             );
         }
         let prev = self.history.last().map_or(0, |c| c.repr);
-        let repr = select(
-            self.cfg.abr,
-            self.buffer_secs,
-            self.cfg.max_buffer_secs,
-            self.est_mbps,
-            prev,
-        );
+        let repr = select(self.buffer_secs, prev);
         let bytes = self.chunk_bytes(repr);
         self.outstanding = Some((repr, bytes, now));
         PlayerAction::Request { repr, bytes }
@@ -353,7 +330,7 @@ mod tests {
         let mut action = p.on_start(now);
         loop {
             assert!(
-                p.buffer_secs(now) <= p.cfg.max_buffer_secs + p.cfg.chunk_secs + 1e-6,
+                p.buffer_secs(now) <= MAX_BUFFER_SECS + p.cfg.chunk_secs + 1e-6,
                 "buffer overflow at {now}"
             );
             match action {

@@ -344,7 +344,10 @@ fn run_sweep_cmd(
 fn run_trace(path: &str, effort: Effort, scenario: Option<Scenario>, seed: u64) {
     let started = std::time::Instant::now();
     eprintln!("== traced run: 0.3/8.6 Mbps, ECF, seed {seed} ==");
-    let t = run_traced(effort, scenario, seed);
+    let t = run_traced(effort, scenario, seed).unwrap_or_else(|err| {
+        eprintln!("bad scenario: {err}");
+        std::process::exit(2);
+    });
     if let Err(err) = std::fs::write(path, &t.jsonl) {
         eprintln!("could not write {path}: {err}");
         std::process::exit(1);

@@ -33,7 +33,7 @@ use metrics::Cdf;
 use mptcp::{CcKind, ConnSpec, Connection, RecorderConfig, Testbed, TestbedConfig};
 use scenario::{GilbertElliott, LossModel, Scenario};
 use simnet::{PathConfig, Time};
-use testkit::json::Value;
+use testkit::json::{self, Value};
 use testkit::Rng;
 use webload::{BrowserApp, PageModel};
 
@@ -425,6 +425,10 @@ fn build_scenario(cfg: &Value, video_secs: f64) -> Result<Option<Scenario>, Stri
                 let wifi_seed = uint_field(doc, "wifi_seed")?;
                 let lte_seed = uint_field(doc, "lte_seed")?;
                 let interval = uint_field(doc, "mean_interval_secs")?;
+                if interval == 0 {
+                    // A zero mean interval would generate rate changes forever.
+                    return Err("\"mean_interval_secs\" must be at least 1".to_string());
+                }
                 let horizon = Time::from_secs((video_secs * 4.0) as u64 + 300);
                 Scenario::new()
                     .random_rates(0, wifi_seed, secs(interval), &VARIABLE_BW_SET, horizon)
@@ -488,7 +492,7 @@ fn parse_scheduler(v: &Value) -> Result<SchedulerKind, String> {
             }
             Ok(SchedulerKind::EcfWith(cfg))
         }
-        "single_path" => Ok(SchedulerKind::SinglePath(uint(params, "single_path")? as usize)),
+        "single_path" => Ok(SchedulerKind::SinglePath(json::uint(params, "single_path")? as usize)),
         _ => Err(unknown()),
     }
 }
@@ -518,22 +522,9 @@ fn num_field(doc: &Value, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("cell config needs a number {key:?}"))
 }
 
-/// An integer field: a non-negative integer that `f64` holds exactly
-/// (below 2^53). Truncating anything else would run one simulation under
-/// several cache keys.
+/// An integer field (see [`json::uint`]).
 fn uint_field(doc: &Value, key: &str) -> Result<u64, String> {
-    uint(field(doc, key)?, key)
-}
-
-fn uint(v: &Value, key: &str) -> Result<u64, String> {
-    const EXACT: f64 = (1u64 << 53) as f64;
-    match v.as_f64() {
-        Some(n) if (0.0..EXACT).contains(&n) && n.fract() == 0.0 => Ok(n as u64),
-        _ => Err(format!(
-            "{key:?} must be a non-negative integer, got {}",
-            testkit::json::canonical(v)
-        )),
-    }
+    json::uint(field(doc, key)?, key)
 }
 
 /// An optional bool flag (absent = false).
@@ -629,6 +620,15 @@ mod tests {
         let Value::Object(map) = &mut cfg else { unreachable!() };
         map.insert(field.to_string(), json::parse(value).unwrap());
         execute(&cfg)
+    }
+
+    #[test]
+    fn random_rates_refuse_a_zero_mean_interval() {
+        // Used to generate rate changes until memory ran out.
+        let doc = r#"{"kind": "random_rates", "wifi_seed": 1, "lte_seed": 1,
+                      "mean_interval_secs": 0}"#;
+        let err = execute_with("streaming", "scenario", doc).unwrap_err();
+        assert!(err.contains("\"mean_interval_secs\" must be at least 1"), "{err}");
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //! resolves to. This is the only code that renders the paper's figures;
 //! `tests/matrix.rs` pins every one's Quick report by digest. Seeds
 //! aggregate as the mean of per-seed values, except for distributions:
-//! those pool every seed's raw samples before taking quantiles.
+//! those pool every seed's raw samples before taking quantiles. Column
+//! labels (schedulers, controllers) come from the cells' configs, never
+//! from an axis position, and the figures that compare ECF with the
+//! default find both by label, so a user's spec may order its axes
+//! freely.
 
 use metrics::{render_table, Cdf, Heatmap, TimeSeries};
 use testkit::json::Value;
@@ -161,6 +165,41 @@ fn sole_block<'e>(exp: &'e Expansion, figure: &str, axes: usize) -> Result<&'e B
 fn point(block: &BlockShape, at: &[usize]) -> usize {
     let flat = at.iter().zip(&block.axis_lens).fold(0, |acc, (&i, &len)| acc * len + i);
     block.start + flat * block.seeds
+}
+
+/// The `key` label (a scheduler or cc name) of every value on `axis` of
+/// `block`, read from the cells' configs with the other coordinates at 0.
+fn axis_labels<'e>(
+    exp: &'e Expansion,
+    block: &BlockShape,
+    axis: usize,
+    key: &str,
+) -> Result<Vec<&'e str>, String> {
+    let mut at = vec![0; block.axis_lens.len()];
+    (0..block.axis_lens[axis])
+        .map(|k| {
+            at[axis] = k;
+            config_str(exp, point(block, &at), key)
+        })
+        .collect()
+}
+
+/// Where `default` and `ecf` sit among a figure's scheduler `labels`, for
+/// the figures that compare the two. A missing one is an error naming it,
+/// and so is any other scheduler, which the figure would drop.
+fn default_and_ecf(figure: &str, labels: &[&str]) -> Result<(usize, usize), String> {
+    let find = |name: &str| {
+        labels.iter().position(|&l| l == name).ok_or_else(|| {
+            format!("{figure} compares ecf with default; its schedulers {labels:?} lack {name:?}")
+        })
+    };
+    let (default, ecf) = (find("default")?, find("ecf")?);
+    if labels.len() != 2 {
+        return Err(format!(
+            "{figure} compares ecf with default only, but its schedulers are {labels:?}"
+        ));
+    }
+    Ok((default, ecf))
 }
 
 /// The heatmap every grid figure prints. `values[row][col]` and `y_ticks`
@@ -320,6 +359,22 @@ fn fig5(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 /// cwnd_conservation), plus the ideal aggregate.
 fn fig6(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     let block = sole_block(exp, "fig6", 3)?;
+    let flags = (0..block.axis_lens[2])
+        .map(|c| {
+            let i = point(block, &[0, 0, c]);
+            config(exp, i, &["cwnd_conservation"])?
+                .as_bool()
+                .ok_or_else(|| format!("cell {i}: cwnd_conservation is not a bool"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let (Some(on), Some(off), 2) = (
+        flags.iter().position(|&f| f),
+        flags.iter().position(|&f| !f),
+        flags.len(),
+    ) else {
+        return Err(format!("fig6 compares cwnd_conservation true with false, got {flags:?}"));
+    };
+    let throughput = |first| seed_mean(block, first, |i| scalar(results, i, "avg_throughput"));
     let mut s = String::from(
         "Fig 6: Streaming throughput w/ and w/o CWND reset (default scheduler)\n\
          (paper: disabling the reset helps but stays below the ideal)\n\n",
@@ -327,13 +382,13 @@ fn fig6(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     let mut rows = Vec::new();
     for w in 0..block.axis_lens[0] {
         for l in 0..block.axis_lens[1] {
-            let (with, without) = (point(block, &[w, l, 0]), point(block, &[w, l, 1]));
+            let (with, without) = (point(block, &[w, l, on]), point(block, &[w, l, off]));
             let ideal =
                 config_num(exp, with, &["wifi_mbps"])? + config_num(exp, with, &["lte_mbps"])?;
             rows.push(vec![
                 pair_label(exp, with)?,
-                format!("{:.2}", scalar(results, with, "avg_throughput")?),
-                format!("{:.2}", scalar(results, without, "avg_throughput")?),
+                format!("{:.2}", throughput(with)?),
+                format!("{:.2}", throughput(without)?),
                 format!("{ideal:.2}"),
             ]);
         }
@@ -355,9 +410,7 @@ fn fig7(exp: &Expansion, results: &[Value]) -> Result<String, String> {
          (paper: default undershoots the ideal; ECF tracks it; BLEST between)\n\n",
     );
     let mut header = vec!["wifi-lte"];
-    for k in 0..n_k {
-        header.push(config_str(exp, point(block, &[0, 0, k]), "scheduler")?);
-    }
+    header.extend(axis_labels(exp, block, 2, "scheduler")?);
     header.push("ideal");
     let mut rows = Vec::new();
     for w in 0..block.axis_lens[0] {
@@ -367,8 +420,10 @@ fn fig7(exp: &Expansion, results: &[Value]) -> Result<String, String> {
             let lte = config_num(exp, first, &["lte_mbps"])?;
             let mut row = vec![pair_label(exp, first)?];
             for k in 0..n_k {
-                let i = point(block, &[w, l, k]);
-                row.push(format!("{:.2}", scalar(results, i, "fast_fraction")?));
+                let fraction = seed_mean(block, point(block, &[w, l, k]), |i| {
+                    scalar(results, i, "fast_fraction")
+                })?;
+                row.push(format!("{fraction:.2}"));
             }
             row.push(format!("{:.2}", wifi.max(lte) / (wifi + lte)));
             rows.push(row);
@@ -467,8 +522,8 @@ fn tab3(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     let rows = (0..block.axis_lens[0])
         .map(|k| {
             let i = point(block, &[k]);
-            let resets = scalar(results, i, "fast_iw_resets")? as u64;
-            Ok(vec![config_str(exp, i, "scheduler")?.to_string(), resets.to_string()])
+            let resets = seed_mean(block, i, |i| scalar(results, i, "fast_iw_resets"))?;
+            Ok(vec![config_str(exp, i, "scheduler")?.to_string(), format!("{resets:.0}")])
         })
         .collect::<Result<Vec<_>, String>>()?;
     let mut s = String::from(
@@ -539,9 +594,11 @@ fn fig15(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     for k in 0..n_k {
         let mut row = vec![config_str(exp, point(block, &[k, 0]), "scheduler")?.to_string()];
         for l in 0..n_l {
-            let i = point(block, &[k, l]);
-            let ratio = scalar(results, i, "avg_bitrate")? / scalar(results, i, "ideal_bitrate")?;
-            row.push(format!("{:.2}", ratio.min(1.0)));
+            let ratio = seed_mean(block, point(block, &[k, l]), |i| {
+                Ok((scalar(results, i, "avg_bitrate")? / scalar(results, i, "ideal_bitrate")?)
+                    .min(1.0))
+            })?;
+            row.push(format!("{ratio:.2}"));
         }
         rows.push(row);
     }
@@ -600,11 +657,12 @@ fn fig18(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 }
 
 /// Fig 19: ECF / default completion time over the WiFi × LTE grid per
-/// size (axes: bytes, lte, wifi, scheduler = [default, ecf]). A difference
+/// size (axes: bytes, lte, wifi, scheduler = {default, ecf}). A difference
 /// inside one standard deviation plots as 1.0, as in the paper.
 fn fig19(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     let block = sole_block(exp, "fig19", 4)?;
     let (n_b, n_l, n_w) = (block.axis_lens[0], block.axis_lens[1], block.axis_lens[2]);
+    let (dk, ek) = default_and_ecf("fig19", &axis_labels(exp, block, 3, "scheduler")?)?;
     let mut s = String::from(
         "Fig 19: ECF completion time / default completion time\n\
          (paper: 1.0 on the diagonal and for small files; down to ~0.8 under\n\
@@ -623,8 +681,8 @@ fn fig19(exp: &Expansion, results: &[Value]) -> Result<String, String> {
         for l in 0..n_l {
             let mut row = Vec::new();
             for w in 0..n_w {
-                let d = times(point(block, &[b, l, w, 0]))?;
-                let e = times(point(block, &[b, l, w, 1]))?;
+                let d = times(point(block, &[b, l, w, dk]))?;
+                let e = times(point(block, &[b, l, w, ek]))?;
                 let (d_mean, d_sd) = (metrics::mean(&d), metrics::stddev(&d));
                 let (e_mean, e_sd) = (metrics::mean(&e), metrics::stddev(&e));
                 row.push(if (d_mean - e_mean).abs() <= d_sd.max(e_sd) {
@@ -734,11 +792,22 @@ fn fig21(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     Ok(s)
 }
 
-/// Fig 22: wild streaming per run (axes: run, scheduler = [default, ecf]),
+/// Fig 22: wild streaming per run (axes: run, scheduler = {default, ecf}),
 /// with the default run's measured sRTTs.
 fn fig22(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     let block = sole_block(exp, "fig22", 2)?;
     let n_runs = block.axis_lens[0];
+    let (dk, ek) = default_and_ecf("fig22", &axis_labels(exp, block, 1, "scheduler")?)?;
+    let throughput = |first| seed_mean(block, first, |i| scalar(results, i, "avg_throughput"));
+    let srtt = |first, sub: usize| {
+        seed_mean(block, first, |i| {
+            let srtt = numbers(results, i, "srtt_ms")?;
+            match srtt[..] {
+                [_, _] => Ok(srtt[sub]),
+                _ => Err(format!("cell {i}: expected 2 subflow sRTTs, got {}", srtt.len())),
+            }
+        })
+    };
     let mut s = String::from(
         "Fig 22: Streaming in the wild — 9 runs sorted by WiFi RTT\n\
          (paper: parity when RTTs are similar; ECF pulls ahead as WiFi RTT\n\
@@ -747,13 +816,9 @@ fn fig22(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     let mut rows = Vec::new();
     let (mut sum_d, mut sum_e) = (0.0, 0.0);
     for run in 0..n_runs {
-        let (d, e) = (point(block, &[run, 0]), point(block, &[run, 1]));
-        let (d_tp, e_tp) =
-            (scalar(results, d, "avg_throughput")?, scalar(results, e, "avg_throughput")?);
-        let srtt = numbers(results, d, "srtt_ms")?;
-        let [d_wifi, d_lte] = srtt[..] else {
-            return Err(format!("cell {d}: expected 2 subflow sRTTs, got {}", srtt.len()));
-        };
+        let (d, e) = (point(block, &[run, dk]), point(block, &[run, ek]));
+        let (d_tp, e_tp) = (throughput(d)?, throughput(e)?);
+        let (d_wifi, d_lte) = (srtt(d, 0)?, srtt(d, 1)?);
         sum_d += d_tp;
         sum_e += e_tp;
         rows.push(vec![
@@ -777,19 +842,23 @@ fn fig22(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     Ok(s)
 }
 
-/// Fig 23 / Table 4: wild web browsing, every run's samples pooled per
-/// scheduler (axes: run, scheduler = [default, ecf]).
+/// Fig 23 / Table 4: wild web browsing, every run's and seed's samples
+/// pooled per scheduler (axes: run, scheduler = {default, ecf}).
 fn fig23(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     let block = sole_block(exp, "fig23", 2)?;
+    let (dk, ek) = default_and_ecf("fig23", &axis_labels(exp, block, 1, "scheduler")?)?;
     let pool = |k: usize, key: &str| -> Result<Cdf, String> {
         let mut all = Vec::new();
         for run in 0..block.axis_lens[0] {
-            all.extend(numbers(results, point(block, &[run, k]), key)?);
+            let first = point(block, &[run, k]);
+            for i in first..first + block.seeds {
+                all.extend(numbers(results, i, key)?);
+            }
         }
         Ok(Cdf::from_samples(all))
     };
-    let (dc, ec) = (pool(0, "completions")?, pool(1, "completions")?);
-    let (doo, eoo) = (pool(0, "ooo_delays")?, pool(1, "ooo_delays")?);
+    let (dc, ec) = (pool(dk, "completions")?, pool(ek, "completions")?);
+    let (doo, eoo) = (pool(dk, "ooo_delays")?, pool(ek, "ooo_delays")?);
     let mut s = String::from(
         "Fig 23 / Table 4: Web browsing in the wild (CNN-like page)\n\
          (paper: ECF 26% faster object completion, 71% lower OOO delay)\n\n",
@@ -824,7 +893,7 @@ fn ablation_beta(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     for b in 0..block.axis_lens[0] {
         let i = point(block, &[b]);
         let beta = config_num(exp, i, &["scheduler", "ecf_with", "beta"])?;
-        let br = scalar(results, i, "avg_bitrate")?;
+        let br = seed_mean(block, i, |i| scalar(results, i, "avg_bitrate"))?;
         rows.push(vec![format!("{beta:.2}"), format!("{br:.2}")]);
         bitrates.push(br);
     }
@@ -840,18 +909,25 @@ fn ablation_beta(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 }
 
 /// Ablation: ECF's δ margin and second inequality, between full ECF and
-/// the default (one scheduler axis, in [`COMPONENT_VARIANTS`] order).
+/// the default (one scheduler axis of the variants [`COMPONENT_VARIANTS`]
+/// names, each row labelled from its cell's scheduler).
 fn ablation_components(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    /// Row labels of the spec's four scheduler values.
-    const COMPONENT_VARIANTS: [&str; 4] =
-        ["full ECF", "no delta margin", "no second inequality", "default (reference)"];
+    /// Each variant's scheduler (canonical JSON) and its row label.
+    const COMPONENT_VARIANTS: [(&str, &str); 4] = [
+        (r#""ecf""#, "full ECF"),
+        (r#"{"ecf_with":{"use_delta":false}}"#, "no delta margin"),
+        (r#"{"ecf_with":{"use_second_inequality":false}}"#, "no second inequality"),
+        (r#""default""#, "default (reference)"),
+    ];
     let block = sole_block(exp, "ablation_components", 1)?;
-    if block.axis_lens[0] != COMPONENT_VARIANTS.len() {
-        return Err(format!("ablation_components expects 4 variants, got {}", block.axis_lens[0]));
-    }
     let mut rows = Vec::new();
-    for (v, name) in COMPONENT_VARIANTS.iter().enumerate() {
-        let br = seed_mean(block, point(block, &[v]), |i| scalar(results, i, "avg_bitrate"))?;
+    for v in 0..block.axis_lens[0] {
+        let first = point(block, &[v]);
+        let scheduler = testkit::json::canonical(config(exp, first, &["scheduler"])?);
+        let (_, name) = COMPONENT_VARIANTS.iter().find(|(s, _)| *s == scheduler).ok_or_else(
+            || format!("ablation_components has no variant for scheduler {scheduler}"),
+        )?;
+        let br = seed_mean(block, first, |i| scalar(results, i, "avg_bitrate"))?;
         rows.push(vec![name.to_string(), format!("{br:.2}")]);
     }
     let mut s = String::from(
@@ -862,15 +938,22 @@ fn ablation_components(exp: &Expansion, results: &[Value]) -> Result<String, Str
     Ok(s)
 }
 
-/// Ablation: coupled congestion controller (axes: cc, scheduler =
-/// [default, ecf]).
+/// Ablation: coupled congestion controller (axes: cc, scheduler).
 fn ablation_cc(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     let block = sole_block(exp, "ablation_cc", 2)?;
+    let labels: Vec<String> = axis_labels(exp, block, 1, "scheduler")?
+        .iter()
+        .map(|label| format!("{label}_Mbps"))
+        .collect();
+    let mut header = vec!["cc"];
+    header.extend(labels.iter().map(String::as_str));
     let mut rows = Vec::new();
     for c in 0..block.axis_lens[0] {
         let mut row = vec![config_str(exp, point(block, &[c, 0]), "cc")?.to_string()];
         for k in 0..block.axis_lens[1] {
-            row.push(format!("{:.2}", scalar(results, point(block, &[c, k]), "avg_bitrate")?));
+            let br =
+                seed_mean(block, point(block, &[c, k]), |i| scalar(results, i, "avg_bitrate"))?;
+            row.push(format!("{br:.2}"));
         }
         rows.push(row);
     }
@@ -879,7 +962,7 @@ fn ablation_cc(exp: &Expansion, results: &[Value]) -> Result<String, String> {
          (paper §3.1: degradation appears regardless of the controller;\n\
           ECF should beat default under each)\n\n",
     );
-    s.push_str(&render_table(&["cc", "default_Mbps", "ecf_Mbps"], &rows));
+    s.push_str(&render_table(&header, &rows));
     Ok(s)
 }
 
@@ -937,39 +1020,52 @@ fn fig3(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     Ok(s)
 }
 
-/// Fig 16: scenario × scheduler grid of average throughputs.
+/// Fig 16: scenario × scheduler grid of seed-mean average throughputs.
 fn fig16(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     let block = sole_block(exp, "fig16", 2)?;
     let (n_sc, n_k) = (block.axis_lens[0], block.axis_lens[1]);
-    let tps: Vec<f64> = (0..block.len)
-        .map(|i| scalar(results, block.start + i, "avg_throughput"))
-        .collect::<Result<_, _>>()?;
+    let labels = axis_labels(exp, block, 1, "scheduler")?;
+    // tps[sc][k]
+    let tps = (0..n_sc)
+        .map(|sc| {
+            (0..n_k)
+                .map(|k| {
+                    seed_mean(block, point(block, &[sc, k]), |i| {
+                        scalar(results, i, "avg_throughput")
+                    })
+                })
+                .collect::<Result<Vec<f64>, _>>()
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let mut s = String::from(
         "Fig 16: Streaming throughput under random bandwidth changes (mean interval 40 s)\n\
          (paper: ECF highest in every scenario; BLEST ~default)\n\n",
     );
-    let mut rows = Vec::new();
-    for sc in 0..n_sc {
-        let mut row = vec![format!("{}", sc + 1)];
-        for k in 0..n_k {
-            row.push(format!("{:.2}", tps[sc * n_k + k]));
-        }
-        rows.push(row);
-    }
-    s.push_str(&render_table(&["scenario", "default", "blest", "ecf"], &rows));
-    let mean = |k: usize| {
-        metrics::mean(&(0..n_sc).map(|sc| tps[sc * n_k + k]).collect::<Vec<_>>())
-    };
-    s.push_str(&format!(
-        "\nmeans: default={:.2}  blest={:.2}  ecf={:.2} Mbps\n",
-        mean(0),
-        mean(1),
-        mean(2)
-    ));
+    let rows: Vec<Vec<String>> = tps
+        .iter()
+        .enumerate()
+        .map(|(sc, row)| {
+            let mut cells = vec![format!("{}", sc + 1)];
+            cells.extend(row.iter().map(|tp| format!("{tp:.2}")));
+            cells
+        })
+        .collect();
+    let mut header = vec!["scenario"];
+    header.extend(&labels);
+    s.push_str(&render_table(&header, &rows));
+    let means: Vec<String> = labels
+        .iter()
+        .enumerate()
+        .map(|(k, label)| {
+            let column: Vec<f64> = tps.iter().map(|row| row[k]).collect();
+            format!("{label}={:.2}", metrics::mean(&column))
+        })
+        .collect();
+    s.push_str(&format!("\nmeans: {} Mbps\n", means.join("  ")));
     Ok(s)
 }
 
-/// Fig 17: the two chunk-throughput traces (default, ECF) zipped.
+/// Fig 17: the chunk-throughput traces of the default and ECF cells zipped.
 fn fig17(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     if exp.cells.len() != 2 {
         return Err(format!("fig17 expects exactly 2 cells, got {}", exp.cells.len()));
@@ -989,7 +1085,9 @@ fn fig17(exp: &Expansion, results: &[Value]) -> Result<String, String> {
             })
             .collect()
     };
-    let (default, ecf) = (trace(0)?, trace(1)?);
+    let labels = (0..2).map(|i| config_str(exp, i, "scheduler")).collect::<Result<Vec<_>, _>>()?;
+    let (dk, ek) = default_and_ecf("fig17", &labels)?;
+    let (default, ecf) = (trace(dk)?, trace(ek)?);
     let mut s = String::from(
         "Fig 17: Per-chunk throughput, random scenario 6 (default vs ECF)\n\
          (paper: ECF matches or beats default on every chunk, up to 2x)\n\n\
@@ -1005,6 +1103,7 @@ fn fig17(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 fn dyn_handover(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     let block = sole_block(exp, "dyn_handover", 2)?;
     let (n_d, n_k, per_cell) = (block.axis_lens[0], block.axis_lens[1], block.seeds);
+    let labels = axis_labels(exp, block, 1, "scheduler")?;
     let bitrates: Vec<f64> = (0..block.len)
         .map(|i| scalar(results, block.start + i, "avg_bitrate"))
         .collect::<Result<_, _>>()?;
@@ -1024,22 +1123,23 @@ fn dyn_handover(exp: &Expansion, results: &[Value]) -> Result<String, String> {
         }
         rows.push(row);
     }
-    s.push_str(&render_table(&["outage_s", "default", "blest", "ecf"], &rows));
-    let col_mean = |ki: usize| {
-        let vals: Vec<f64> = (0..n_d)
-            .flat_map(|di| {
-                let base = (di * n_k + ki) * per_cell;
-                bitrates[base..base + per_cell].to_vec()
-            })
-            .collect();
-        metrics::mean(&vals)
-    };
-    s.push_str(&format!(
-        "\nladder means: default={:.3}  blest={:.3}  ecf={:.3} Mbps\n",
-        col_mean(0),
-        col_mean(1),
-        col_mean(2)
-    ));
+    let mut header = vec!["outage_s"];
+    header.extend(&labels);
+    s.push_str(&render_table(&header, &rows));
+    let means: Vec<String> = labels
+        .iter()
+        .enumerate()
+        .map(|(ki, label)| {
+            let vals: Vec<f64> = (0..n_d)
+                .flat_map(|di| {
+                    let base = (di * n_k + ki) * per_cell;
+                    bitrates[base..base + per_cell].to_vec()
+                })
+                .collect();
+            format!("{label}={:.3}", metrics::mean(&vals))
+        })
+        .collect();
+    s.push_str(&format!("\nladder means: {} Mbps\n", means.join("  ")));
     Ok(s)
 }
 
@@ -1054,10 +1154,13 @@ fn dyn_burstloss(exp: &Expansion, results: &[Value]) -> Result<String, String> {
             .collect()
     };
     let table = |block: &BlockShape,
-                 values: &[f64],
+                 rung_header: &str,
                  label: &dyn Fn(usize) -> Result<String, String>|
-     -> Result<Vec<Vec<String>>, String> {
+     -> Result<String, String> {
         let (n_l, n_k, per_cell) = (block.axis_lens[0], block.axis_lens[1], block.seeds);
+        let values = sweep(block)?;
+        let mut header = vec![rung_header];
+        header.extend(axis_labels(exp, block, 1, "scheduler")?);
         let mut rows = Vec::new();
         for li in 0..n_l {
             let mut row = vec![label(li)?];
@@ -1067,7 +1170,7 @@ fn dyn_burstloss(exp: &Expansion, results: &[Value]) -> Result<String, String> {
             }
             rows.push(row);
         }
-        Ok(rows)
+        Ok(render_table(&header, &rows))
     };
     let rung = |block: &BlockShape, li: usize| {
         block.start + li * block.axis_lens[1] * block.seeds
@@ -1080,21 +1183,15 @@ fn dyn_burstloss(exp: &Expansion, results: &[Value]) -> Result<String, String> {
           the LTE forward link; mean chunk throughput in Mbps)\n\n\
          Sweep 1: average loss at mean burst length 8 packets\n",
     );
-    s.push_str(&render_table(
-        &["avg_loss_%", "default", "blest", "ecf"],
-        &table(loss_block, &sweep(loss_block)?, &|li| {
-            let avg = config_num(exp, rung(loss_block, li), &["loss", "avg"])?;
-            Ok(format!("{:.1}", avg * 100.0))
-        })?,
-    ));
+    s.push_str(&table(loss_block, "avg_loss_%", &|li| {
+        let avg = config_num(exp, rung(loss_block, li), &["loss", "avg"])?;
+        Ok(format!("{:.1}", avg * 100.0))
+    })?);
     s.push_str("\nSweep 2: burst length at fixed 1% average loss\n");
-    s.push_str(&render_table(
-        &["mean_burst_pkts", "default", "blest", "ecf"],
-        &table(burst_block, &sweep(burst_block)?, &|li| {
-            let burst = config_num(exp, rung(burst_block, li), &["loss", "mean_burst"])?;
-            Ok(format!("{burst:.0}"))
-        })?,
-    ));
+    s.push_str(&table(burst_block, "mean_burst_pkts", &|li| {
+        let burst = config_num(exp, rung(burst_block, li), &["loss", "mean_burst"])?;
+        Ok(format!("{burst:.0}"))
+    })?);
     Ok(s)
 }
 
@@ -1167,4 +1264,145 @@ fn generic(spec: &Spec, exp: &Expansion, results: &[Value]) -> Result<String, St
         ));
     }
     Ok(s)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::common::Effort;
+    use crate::expmatrix::spec::expand;
+
+    /// Render `figure` over one block with `axes` and `seeds` seeds (base
+    /// 1), on fabricated results: every cell reads `v` for every scalar and
+    /// sample, where `v` is 1 for default, 2 for blest, 4 for ecf (3 for
+    /// anything else), plus 10 without CWND conservation, plus `seed − 1`.
+    fn render_fake(figure: &str, axes: &str, seeds: u32) -> Result<String, String> {
+        let spec = Spec::from_json(&format!(
+            r#"{{"schema": 1, "name": "t", "figure": "{figure}",
+                "base": {{"workload": "streaming", "wifi_mbps": 1, "lte_mbps": 2,
+                          "bytes": 1048576, "cc": "lia"}},
+                "blocks": [{{"axes": {axes}, "seeds": {{"base": 1, "count": {seeds}}}}}]}}"#
+        ))?;
+        let exp = expand(&spec, Effort::Quick)?;
+        let results: Vec<Value> = exp
+            .cells
+            .iter()
+            .map(|cell| {
+                let cfg = &cell.config;
+                let sched = match cfg.get("scheduler").and_then(Value::as_str) {
+                    Some("default") => 1.0,
+                    Some("blest") => 2.0,
+                    Some("ecf") => 4.0,
+                    _ => 3.0,
+                };
+                let reset_off = cfg.get("cwnd_conservation") == Some(&Value::Bool(false));
+                let seed = cfg.get("seed").and_then(Value::as_f64).unwrap();
+                let v = sched + if reset_off { 10.0 } else { 0.0 } + seed - 1.0;
+                testkit::json::parse(&format!(
+                    r#"{{"scalars": {{"avg_throughput": {v}, "avg_bitrate": {v},
+                                      "ideal_bitrate": 100, "fast_fraction": {v},
+                                      "fast_iw_resets": {v}, "completion_s": {v}}},
+                        "series": {{"srtt_ms": [{v}, {v}], "completions": [{v}],
+                                    "ooo_delays": [{v}], "chunk_throughputs": [[0, {v}]]}}}}"#
+                ))
+                .unwrap()
+            })
+            .collect();
+        render(&spec, &exp, &results)
+    }
+
+    /// The whitespace-separated cells of the report line starting `first`.
+    fn row(report: &str, first: &str) -> Vec<String> {
+        let line = report.lines().find(|l| l.trim_start().starts_with(first));
+        line.unwrap_or_else(|| panic!("no line starts {first:?} in:\n{report}"))
+            .split_whitespace()
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// [`render_fake`] with the axes `lead` followed by a scheduler axis.
+    fn render_scheds(figure: &str, lead: &str, scheds: &str, seeds: u32) -> Result<String, String> {
+        let axes = format!(r#"[{lead}{{"key": "scheduler", "values": {scheds}}}]"#);
+        render_fake(figure, &axes, seeds)
+    }
+
+    #[test]
+    fn renderers_take_labels_and_seed_means_from_the_cells() {
+        let scenario = r#"{"key": "scenario", "values": [{"scenario": {"kind": "static"}}]}, "#;
+        let handover = r#"{"key": "scenario",
+            "values": [{"scenario": {"kind": "handover", "outage_secs": 2}}]}, "#;
+
+        // A permuted scheduler axis permutes the columns with their labels.
+        let fig16 = render_scheds("fig16", scenario, r#"["ecf", "blest", "default"]"#, 1).unwrap();
+        assert_eq!(row(&fig16, "scenario"), ["scenario", "ecf", "blest", "default"]);
+        assert_eq!(row(&fig16, "1 "), ["1", "4.00", "2.00", "1.00"]);
+        assert_eq!(row(&fig16, "means:")[1..4], ["ecf=4.00", "blest=2.00", "default=1.00"]);
+        let dyn_h = render_scheds("dyn_handover", handover, r#"["ecf", "default"]"#, 1).unwrap();
+        assert_eq!(row(&dyn_h, "outage_s"), ["outage_s", "ecf", "default"]);
+        assert_eq!(row(&dyn_h, "ladder means:")[2..4], ["ecf=4.000", "default=1.000"]);
+        let sweep = r#"[{"key": "loss", "values": [{"loss": {"avg": 0.01, "mean_burst": 4}}]},
+            {"key": "scheduler", "values": ["ecf", "default"]}]"#;
+        let spec = Spec::from_json(&format!(
+            r#"{{"schema": 1, "name": "t", "figure": "dyn_burstloss",
+                "base": {{"workload": "streaming", "seed": 1}},
+                "blocks": [{{"axes": {sweep}}}, {{"axes": {sweep}}}]}}"#
+        ))
+        .unwrap();
+        let exp = expand(&spec, Effort::Quick).unwrap();
+        let results: Vec<Value> = (0..exp.cells.len())
+            .map(|i| {
+                testkit::json::parse(&format!(r#"{{"scalars": {{"avg_throughput": {i}}}}}"#))
+                    .unwrap()
+            })
+            .collect();
+        let burst = render(&spec, &exp, &results).unwrap();
+        assert_eq!(row(&burst, "avg_loss_%"), ["avg_loss_%", "ecf", "default"]);
+        assert_eq!(row(&burst, "mean_burst_pkts"), ["mean_burst_pkts", "ecf", "default"]);
+
+        // Two schedulers render where three were assumed.
+        let fig16 = render_scheds("fig16", scenario, r#"["default", "ecf"]"#, 1).unwrap();
+        assert_eq!(row(&fig16, "means:"), ["means:", "default=1.00", "ecf=4.00", "Mbps"]);
+        let dyn_h = render_scheds("dyn_handover", handover, r#"["default", "ecf"]"#, 1).unwrap();
+        assert_eq!(row(&dyn_h, "2 "), ["2", "1.000", "4.000"]);
+
+        // Two seeds average: seed 2 reads one more than seed 1.
+        let cc = r#"{"key": "cc", "values": ["reno"]}, "#;
+        let ablation = render_scheds("ablation_cc", cc, r#"["ecf", "default"]"#, 2).unwrap();
+        assert_eq!(row(&ablation, "cc"), ["cc", "ecf_Mbps", "default_Mbps"]);
+        assert_eq!(row(&ablation, "reno"), ["reno", "4.50", "1.50"]);
+        let tab3 = render_scheds("tab3", "", r#"["ecf"]"#, 3).unwrap();
+        assert_eq!(row(&tab3, "ecf"), ["ecf", "5"]);
+        let fig6 = |flags: &str| {
+            let axes = format!(
+                r#"[{{"key": "wifi_mbps", "values": [1]}}, {{"key": "lte_mbps", "values": [2]}},
+                    {{"key": "cwnd_conservation", "values": {flags}}}]"#
+            );
+            render_fake("fig6", &axes, 2).unwrap()
+        };
+        assert_eq!(row(&fig6("[true, false]"), "1.0-2.0"), ["1.0-2.0", "3.50", "13.50", "3.00"]);
+        assert_eq!(fig6("[false, true]"), fig6("[true, false]"));
+
+        let variants = r#"[{"scheduler": "default"},
+            {"scheduler": {"ecf_with": {"use_delta": false}}}, {"scheduler": "ecf"}]"#;
+        let axes = format!(r#"[{{"key": "scheduler", "values": {variants}}}]"#);
+        let ablation = render_fake("ablation_components", &axes, 1).unwrap();
+        assert_eq!(row(&ablation, "default"), ["default", "(reference)", "1.00"]);
+        assert_eq!(row(&ablation, "full"), ["full", "ECF", "4.00"]);
+
+        // Default and ECF are found by label, in either order; a missing
+        // one is an error naming it.
+        let run = r#"{"key": "run", "values": [{"run": 0}]}, "#;
+        let fig19 = r#"{"key": "bytes", "values": [1048576]},
+            {"key": "lte_mbps", "values": [2]}, {"key": "wifi_mbps", "values": [1]}, "#;
+        for (figure, lead) in [("fig17", ""), ("fig19", fig19), ("fig22", run), ("fig23", run)] {
+            let forward = render_scheds(figure, lead, r#"["default", "ecf"]"#, 1).unwrap();
+            let reverse = render_scheds(figure, lead, r#"["ecf", "default"]"#, 1).unwrap();
+            assert_eq!(reverse, forward, "{figure}");
+            let err = render_scheds(figure, lead, r#"["default", "blest"]"#, 1).unwrap_err();
+            assert!(err.contains(r#"lack "ecf""#), "{figure}: {err}");
+        }
+        let fig22 = render_scheds("fig22", run, r#"["ecf", "default"]"#, 2).unwrap();
+        // The default cells' sRTTs average to 1.5 ms, printed whole.
+        assert_eq!(row(&fig22, "1 "), ["1", "2", "2", "1.50", "4.50"]);
+    }
 }

@@ -210,18 +210,15 @@ pub fn expand(spec: &Spec, effort: Effort) -> Result<Expansion, String> {
             None => vec![None],
             Some(s) => {
                 let s = resolve(s, effort);
-                let base = s
-                    .get("base")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| err("\"seeds\" needs a number \"base\"".into()))?;
-                let count = s
-                    .get("count")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| err("\"seeds\" needs a number \"count\"".into()))?;
-                if base < 0.0 || base.fract() != 0.0 || count < 1.0 || count.fract() != 0.0 {
-                    return Err(err("\"seeds\" base/count must be non-negative integers".into()));
+                let uint = |key: &str| {
+                    let v = s.get(key).ok_or_else(|| err(format!("\"seeds\" needs {key:?}")))?;
+                    json::uint(v, key).map_err(|e| err(format!("\"seeds\": {e}")))
+                };
+                let (base, count) = (uint("base")?, uint("count")?);
+                if count == 0 {
+                    return Err(err("\"seeds\" \"count\" must be at least 1".into()));
                 }
-                (0..count as u64).map(|i| Some(base as u64 + i)).collect()
+                (0..count).map(|i| Some(base + i)).collect()
             }
         };
 
@@ -366,6 +363,32 @@ mod tests {
         .unwrap();
         let err = expand(&spec, Effort::Quick).unwrap_err();
         assert!(err.contains("seed"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn seeds_must_be_exact_integers_and_at_least_one() {
+        let with_seeds = |seeds: &str| {
+            let spec = Spec::from_json(&format!(
+                r#"{{"schema": 1, "name": "m", "figure": "generic", "base": {{}},
+                    "blocks": [{{"seeds": {seeds}}}]}}"#
+            ))
+            .unwrap();
+            expand(&spec, Effort::Quick).map(|exp| exp.cells.len())
+        };
+        assert_eq!(with_seeds(r#"{"base": 3, "count": 2}"#), Ok(2));
+        for (seeds, field) in [
+            (r#"{"base": -1, "count": 2}"#, "base"),
+            (r#"{"base": 0.5, "count": 2}"#, "base"),
+            (r#"{"base": 1, "count": 1.5}"#, "count"),
+            (r#"{"base": 1, "count": "2"}"#, "count"),
+            (r#"{"count": 2}"#, "base"),
+        ] {
+            let err = with_seeds(seeds).unwrap_err();
+            assert!(err.starts_with("blocks[0]: \"seeds\""), "{seeds}: {err}");
+            assert!(err.contains(&format!("\"{field}\"")), "{seeds}: {err}");
+        }
+        let err = with_seeds(r#"{"base": 1, "count": 0}"#).unwrap_err();
+        assert!(err.contains("at least 1"), "{err}");
     }
 
     #[test]

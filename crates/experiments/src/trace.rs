@@ -30,7 +30,16 @@ pub struct TraceRun {
 /// `scenario` layers extra network dynamics (in interface space: path 0 =
 /// WiFi, path 1 = LTE) on top of the static shaped rates — this is how
 /// `repro --trace out.jsonl --scenario dyn.json` replays a measured trace.
-pub fn run_traced(effort: Effort, scenario: Option<Scenario>, seed: u64) -> TraceRun {
+/// A scenario naming a path other than those two is an error, returned
+/// before the run starts.
+pub fn run_traced(
+    effort: Effort,
+    scenario: Option<Scenario>,
+    seed: u64,
+) -> Result<TraceRun, String> {
+    if let Some(s) = &scenario {
+        s.check_paths(2)?;
+    }
     let tel = TelemetryHandle::enabled();
     let cfg = StreamingConfig {
         video_secs: match effort {
@@ -51,7 +60,7 @@ pub fn run_traced(effort: Effort, scenario: Option<Scenario>, seed: u64) -> Trac
     }
     digest.push_str(&format!("events_captured={}\n", events.len()));
     digest.push_str(&format!("events_overflowed={}\n", tel.overflow()));
-    TraceRun { jsonl, digest, overflow: tel.overflow(), captured: events.len() }
+    Ok(TraceRun { jsonl, digest, overflow: tel.overflow(), captured: events.len() })
 }
 
 #[cfg(test)]
@@ -61,18 +70,27 @@ mod tests {
 
     use super::*;
 
+    #[test]
+    fn a_scenario_path_beyond_the_two_interfaces_is_an_error_before_the_run() {
+        // Used to panic with an index out of bounds in the harness.
+        let doc = r#"{"events": [{"at_ms": 0, "path": 7, "action": "path_down"}]}"#;
+        let s = Scenario::from_json(doc).unwrap();
+        let err = run_traced(Effort::Quick, Some(s), 1).err().expect("path 7 is refused");
+        assert!(err.starts_with("events[0]: \"path\" 7"), "{err}");
+    }
+
     /// Same seed ⇒ byte-identical JSONL: the trace is a stable artifact
     /// (ISSUE 4 acceptance). Uses two fresh runs, not a cached string.
     #[test]
     fn same_seed_traces_are_byte_identical() {
-        let a = run_traced(Effort::Quick, None, 11);
-        let b = run_traced(Effort::Quick, None, 11);
+        let a = run_traced(Effort::Quick, None, 11).unwrap();
+        let b = run_traced(Effort::Quick, None, 11).unwrap();
         assert!(!a.jsonl.is_empty());
         assert_eq!(a.jsonl, b.jsonl, "trace must be deterministic");
         assert_eq!(a.digest, b.digest);
         // A different seed must actually change the trace, or the equality
         // above proves nothing.
-        let c = run_traced(Effort::Quick, None, 12);
+        let c = run_traced(Effort::Quick, None, 12).unwrap();
         assert_ne!(a.jsonl, c.jsonl);
     }
 
@@ -90,7 +108,7 @@ mod tests {
             "link_drops",
             "rate_changes",
         ];
-        let t = run_traced(Effort::Full, None, 7);
+        let t = run_traced(Effort::Full, None, 7).unwrap();
         assert_eq!(t.overflow, 0);
         let counted: u64 = t
             .digest
@@ -181,7 +199,7 @@ mod tests {
     /// category the streaming path can produce, with ECF provenance.
     #[test]
     fn trace_has_decisions_with_provenance() {
-        let t = run_traced(Effort::Quick, None, 11);
+        let t = run_traced(Effort::Quick, None, 11).unwrap();
         let lines: Vec<&str> = t.jsonl.lines().collect();
         assert!(!lines.is_empty());
         for l in &lines {

@@ -3,8 +3,7 @@
 //! Everything the experiment harness needs to turn raw simulation events into
 //! the rows, CDFs and heatmaps the paper reports:
 //!
-//! * [`OnlineStats`] — streaming mean/σ (also used for RTT deviation inside
-//!   the transport model),
+//! * [`mean`] / [`stddev`] — summary statistics of a sample set,
 //! * [`Cdf`] — empirical CDF/CCDF queries for the per-packet delay figures,
 //! * [`TimeSeries`] — CWND / buffer / throughput traces,
 //! * [`render_table`] / [`Heatmap`] — plain-text report rendering.
@@ -19,5 +18,5 @@ mod table;
 
 pub use dist::Cdf;
 pub use series::TimeSeries;
-pub use summary::{mean, stddev, OnlineStats};
+pub use summary::{mean, stddev};
 pub use table::{render_table, Heatmap};

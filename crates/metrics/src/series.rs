@@ -54,20 +54,6 @@ impl TimeSeries {
         }
         TimeSeries { points }
     }
-
-    /// Mean of the values (0 if empty).
-    pub fn mean_value(&self) -> f64 {
-        crate::summary::mean(&self.points.iter().map(|&(_, v)| v).collect::<Vec<_>>())
-    }
-
-    /// Render as `t<TAB>value` lines with the given float precision.
-    pub fn to_tsv(&self, precision: usize) -> String {
-        let mut out = String::new();
-        for &(t, v) in &self.points {
-            out.push_str(&format!("{t:.precision$}\t{v:.precision$}\n"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -104,18 +90,5 @@ mod tests {
     fn thin_noop_when_small() {
         let s = ramp(5);
         assert_eq!(s.thin(10).len(), 5);
-    }
-
-    #[test]
-    fn tsv_format() {
-        let mut s = TimeSeries::new();
-        s.push(1.25, 3.5);
-        assert_eq!(s.to_tsv(2), "1.25\t3.50\n");
-    }
-
-    #[test]
-    fn mean_value() {
-        assert_eq!(ramp(3).mean_value(), 2.0);
-        assert_eq!(TimeSeries::new().mean_value(), 0.0);
     }
 }

@@ -1,100 +1,4 @@
-//! Streaming summary statistics.
-
-/// Welford-style online mean/variance accumulator.
-///
-/// Used both for run-level reporting and inside the TCP model's RTT σ
-/// estimate that ECF's δ margin consumes.
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Add one sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 with fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (0 if empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! Summary statistics over a slice.
 
 /// Mean of a slice (0 if empty).
 pub fn mean(xs: &[f64]) -> f64 {
@@ -119,67 +23,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_is_zeroes() {
-        let s = OnlineStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
     fn matches_batch_formulas() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
         assert!((stddev(&xs) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_concatenation() {
-        let a_xs = [1.0, 2.0, 3.5, 9.0];
-        let b_xs = [0.5, 4.0, 4.0];
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        let mut all = OnlineStats::new();
-        for &x in &a_xs {
-            a.push(x);
-            all.push(x);
-        }
-        for &x in &b_xs {
-            b.push(x);
-            all.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-12);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(3.0);
-        a.push(5.0);
-        let before = (a.count(), a.mean(), a.variance());
-        a.merge(&OnlineStats::new());
-        assert_eq!(before, (a.count(), a.mean(), a.variance()));
-
-        let mut empty = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        b.push(7.0);
-        empty.merge(&b);
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.mean(), 7.0);
     }
 }

@@ -3,7 +3,7 @@
 //! (0 for every statistic of an empty set; the sample itself for every
 //! order statistic of a singleton).
 
-use metrics::{mean, stddev, Cdf, OnlineStats};
+use metrics::{mean, stddev, Cdf};
 use testkit::prop::{check, vec_of};
 
 #[test]
@@ -53,29 +53,14 @@ fn single_sample_cdf_is_a_step_function() {
 
 #[test]
 fn empty_summary_stats_are_zero() {
-    let s = OnlineStats::new();
-    assert_eq!(s.count(), 0);
-    assert_eq!(s.mean(), 0.0);
-    assert_eq!(s.variance(), 0.0);
-    assert_eq!(s.stddev(), 0.0);
-    assert_eq!(s.min(), 0.0);
-    assert_eq!(s.max(), 0.0);
     assert_eq!(mean(&[]), 0.0);
     assert_eq!(stddev(&[]), 0.0);
 }
 
 #[test]
 fn single_sample_summary_is_degenerate() {
-    let mut s = OnlineStats::new();
-    s.push(-2.5);
-    assert_eq!(s.count(), 1);
-    assert_eq!(s.mean(), -2.5);
-    // Variance of a single observation is documented as 0, not NaN.
-    assert_eq!(s.variance(), 0.0);
-    assert_eq!(s.stddev(), 0.0);
-    assert_eq!(s.min(), -2.5);
-    assert_eq!(s.max(), -2.5);
     assert_eq!(mean(&[-2.5]), -2.5);
+    // The deviation of a single observation is documented as 0, not NaN.
     assert_eq!(stddev(&[-2.5]), 0.0);
 }
 

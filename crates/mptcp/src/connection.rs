@@ -19,8 +19,10 @@ use crate::transport::SchedDriver;
 /// Connection-level configuration. Defaults model the paper's testbed hosts:
 /// a ~4 MB autotuned server send buffer and a ~2 MB client receive window —
 /// large enough that flow control only binds transiently (the paper's §3.2
-/// observes receive-window limits are not the bottleneck), LIA coupling,
-/// both mitigation mechanisms on.
+/// observes receive-window limits are not the bottleneck) — and LIA
+/// coupling. Both of Raiciu et al.'s mitigations, opportunistic
+/// retransmission and penalization, are always on, as in the paper's
+/// Linux MPTCP 0.89 hosts.
 #[derive(Debug, Clone, Copy)]
 pub struct ConnConfig {
     /// Send-buffer capacity in segments (≈1 MB at MSS 1448).
@@ -31,11 +33,6 @@ pub struct ConnConfig {
     pub cc: CcKind,
     /// Per-subflow TCP parameters.
     pub tcp: TcpConfig,
-    /// Enable opportunistic retransmission (reinject the window-blocking
-    /// segment on a faster subflow).
-    pub opportunistic_rtx: bool,
-    /// Enable penalization (halve the window of the blocking subflow).
-    pub penalization: bool,
 }
 
 impl Default for ConnConfig {
@@ -45,8 +42,6 @@ impl Default for ConnConfig {
             rwnd_segs: 2896,
             cc: CcKind::default(),
             tcp: TcpConfig::default(),
-            opportunistic_rtx: true,
-            penalization: true,
         }
     }
 }
@@ -321,26 +316,21 @@ impl Connection {
             return false;
         };
         let mut queued = false;
-        if self.cfg.opportunistic_rtx
-            && self.last_reinject != Some(dsn)
-            && !self.reinject_queue.contains(&dsn)
-        {
+        if self.last_reinject != Some(dsn) && !self.reinject_queue.contains(&dsn) {
             self.reinject_queue.push_back(dsn);
             self.last_reinject = Some(dsn);
             self.stats.reinjections_queued += 1;
             queued = true;
         }
-        if self.cfg.penalization {
-            let sf = &mut self.subflows[holder];
-            if now.since(sf.last_penalty) > sf.cc.rtt.srtt() {
-                sf.cc.penalize();
-                sf.last_penalty = now;
-                self.stats.penalizations += 1;
-                self.tel.emit(
-                    now.as_nanos(),
-                    EventKind::Penalization { conn: self.tel_conn, path: holder as u16 },
-                );
-            }
+        let sf = &mut self.subflows[holder];
+        if now.since(sf.last_penalty) > sf.cc.rtt.srtt() {
+            sf.cc.penalize();
+            sf.last_penalty = now;
+            self.stats.penalizations += 1;
+            self.tel.emit(
+                now.as_nanos(),
+                EventKind::Penalization { conn: self.tel_conn, path: holder as u16 },
+            );
         }
         queued
     }

@@ -458,7 +458,7 @@ impl<T: Drive<A>, A> Model for Sim<T, A> {
             Event::Sample => {
                 let world = &mut self.world;
                 world.transport.sample(now, &mut world.recorder);
-                q.schedule(now + world.recorder.cfg.sample_every, Event::Sample);
+                q.schedule(now + crate::trace::SAMPLE_EVERY, Event::Sample);
             }
         }
     }

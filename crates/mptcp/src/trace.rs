@@ -11,8 +11,11 @@ use simnet::Time;
 use crate::persub::PerSub;
 use crate::segment::{ConnId, ReqId, SubId};
 
+/// Sampling period of the periodic CWND / send-buffer traces.
+pub(crate) const SAMPLE_EVERY: Duration = Duration::from_millis(100);
+
 /// What to collect during a run. Per-segment OOO delays are cheap; the
-/// periodic traces cost one event per `sample_every`.
+/// periodic traces cost one event per 100 ms of simulated time.
 #[derive(Debug, Clone, Copy)]
 pub struct RecorderConfig {
     /// Collect per-segment out-of-order delays (Figs 13, 14, 21, 23).
@@ -34,8 +37,6 @@ pub struct RecorderConfig {
     /// whichever pool the run filled; a reader of the raw fields must pick
     /// the one this flag selects.
     pub ooo_per_conn: bool,
-    /// Sampling period for the periodic traces.
-    pub sample_every: Duration,
 }
 
 impl Default for RecorderConfig {
@@ -45,7 +46,6 @@ impl Default for RecorderConfig {
             cwnd_traces: false,
             sndbuf_traces: false,
             ooo_per_conn: false,
-            sample_every: Duration::from_millis(100),
         }
     }
 }
@@ -385,9 +385,9 @@ mod tests {
         assert_eq!(sizes[0], 16, "InflightSeg was 32 B with its ssn and Karn mark");
         assert_eq!(sizes[1], 24, "the forward payload was a 32 B enum with the ACK");
         assert_eq!(sizes[2], 40, "a forward delivery slot was 48 B");
-        assert!(sizes[3] <= 56, "RttEstimator is {} B; it was 120 in Duration fields", sizes[3]);
-        assert!(sizes[4] <= 272, "Subflow is {} B; it was 376", sizes[4]);
-        assert!(sizes[5] <= 1080, "ConnState is {} B; it was 1288", sizes[5]);
+        assert_eq!(sizes[3], 40, "RttEstimator was 120 B in Duration fields, 56 with RTO bounds");
+        assert_eq!(sizes[4], 240, "Subflow was 376 B, 264 with per-instance TCP constants");
+        assert_eq!(sizes[5], 968, "ConnState was 1288 B, 1064 with per-instance TCP constants");
     }
 
     #[test]

@@ -30,18 +30,17 @@ use simnet::Time;
 use tcp_model::{TcpCc, TcpConfig};
 use telemetry::TelemetryHandle;
 
-/// Connection parameters.
+/// Connection parameters. Every path's congestion controller runs the
+/// default [`TcpConfig`].
 #[derive(Debug, Clone, Copy)]
 pub struct QuicConfig {
-    /// Per-path congestion-controller parameters.
-    pub tcp: TcpConfig,
     /// Receive window advertised by the peer at handshake, in chunks.
     pub rwnd_chunks: u64,
 }
 
 impl Default for QuicConfig {
     fn default() -> Self {
-        QuicConfig { tcp: TcpConfig::default(), rwnd_chunks: 1024 }
+        QuicConfig { rwnd_chunks: 1024 }
     }
 }
 
@@ -92,8 +91,8 @@ pub struct PathSpace {
 }
 
 impl PathSpace {
-    fn new(cfg: TcpConfig, handshake_rtt: std::time::Duration) -> Self {
-        let mut cc = TcpCc::new(cfg);
+    fn new(handshake_rtt: std::time::Duration) -> Self {
+        let mut cc = TcpCc::new(TcpConfig::default());
         // Like `mptcp::Subflow::new`: the handshake provides the first RTT
         // sample, so the scheduler never sees a zero srtt.
         cc.rtt.on_sample(handshake_rtt);
@@ -194,7 +193,7 @@ impl QuicConn {
     ) -> Self {
         assert!(!handshake_rtts.is_empty(), "a connection needs at least one path");
         let paths: Vec<PathSpace> =
-            handshake_rtts.iter().map(|&rtt| PathSpace::new(cfg.tcp, rtt)).collect();
+            handshake_rtts.iter().map(|&rtt| PathSpace::new(rtt)).collect();
         let n = paths.len();
         QuicConn {
             cfg,

@@ -256,8 +256,13 @@ impl Scenario {
     /// }
     /// ```
     ///
-    /// Both top-level keys are optional. Errors carry enough context to
-    /// point at the offending entry.
+    /// Both top-level keys are optional. Every value is checked, never
+    /// truncated: integers (`path`, `seed`, `rate_bps`) must be exact
+    /// non-negative integers, times and delays finite and non-negative,
+    /// rates at least 1 bps, probabilities in range, `rates_mbps` non-empty,
+    /// `mean_interval_s` at least 1 ms and `horizon_s` at most a million
+    /// mean intervals. Errors name the offending entry and field. Path
+    /// indices are checked against a testbed by [`Scenario::check_paths`].
     pub fn from_json(text: &str) -> Result<Scenario, String> {
         let doc = json::parse(text).map_err(|e| e.to_string())?;
         let mut s = Scenario::default();
@@ -276,6 +281,27 @@ impl Scenario {
         Ok(s)
     }
 
+    /// Check that every event and process names one of `n_paths` paths;
+    /// the error names the first offender as [`Scenario::from_json`]'s
+    /// errors do (a testbed indexes its paths with it and would panic).
+    pub fn check_paths(&self, n_paths: usize) -> Result<(), String> {
+        let out_of_range = |list: &str, i: usize, path: usize| {
+            Err(format!("{list}[{i}]: \"path\" {path} is not one of the run's {n_paths} paths"))
+        };
+        for (i, ev) in self.events.iter().enumerate() {
+            if ev.path >= n_paths {
+                return out_of_range("events", i, ev.path);
+            }
+        }
+        for (i, p) in self.processes.iter().enumerate() {
+            let Process::RandomRates { path, .. } = p;
+            if *path >= n_paths {
+                return out_of_range("processes", i, *path);
+            }
+        }
+        Ok(())
+    }
+
     /// Load a scenario from a JSON trace file (see [`Scenario::from_json`]
     /// for the schema). Read and parse errors are prefixed with the path so
     /// callers can surface them verbatim.
@@ -287,58 +313,109 @@ impl Scenario {
     }
 }
 
-fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key).and_then(Value::as_f64).ok_or_else(|| format!("missing number \"{key}\""))
+fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
+    v.get(key).ok_or_else(|| format!("missing \"{key}\""))
 }
 
-fn field_usize(v: &Value, key: &str) -> Result<usize, String> {
-    let n = field_f64(v, key)?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("\"{key}\" must be a non-negative integer"));
+fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
+    field(v, key)?.as_f64().ok_or_else(|| format!("\"{key}\" must be a number"))
+}
+
+/// A number in `range`, or an error naming `key` and the range.
+fn field_in<R>(v: &Value, key: &str, range: R) -> Result<f64, String>
+where
+    R: std::ops::RangeBounds<f64> + std::fmt::Debug,
+{
+    let x = field_f64(v, key)?;
+    if range.contains(&x) {
+        Ok(x)
+    } else {
+        Err(format!("\"{key}\" must be in {range:?}, got {x}"))
     }
-    Ok(n as usize)
+}
+
+/// A time or delay: finite and not negative.
+fn field_time(v: &Value, key: &str) -> Result<f64, String> {
+    field_in(v, key, 0.0..f64::INFINITY)
+}
+
+fn field_uint(v: &Value, key: &str) -> Result<u64, String> {
+    json::uint(field(v, key)?, key)
+}
+
+/// A rate in Mbps that is at least 1 bps once converted (a smaller one
+/// would truncate to a 0 bps link).
+fn rate_mbps(x: f64, key: &str) -> Result<f64, String> {
+    if x.is_finite() && x * 1e6 >= 1.0 {
+        Ok(x)
+    } else {
+        Err(format!("\"{key}\" must be a rate of at least 1 bps, got {x} Mbps"))
+    }
 }
 
 fn parse_event(v: &Value) -> Result<ControlEvent, String> {
-    let at = Time::from_micros((field_f64(v, "at_ms")? * 1e3) as u64);
-    let path = field_usize(v, "path")?;
+    let at = Time::from_micros((field_time(v, "at_ms")? * 1e3) as u64);
+    let path = field_uint(v, "path")? as usize;
     let action = v.get("action").and_then(Value::as_str).ok_or("missing \"action\"")?;
     let action = match action {
         "path_down" => Action::PathUp(false),
         "path_up" => Action::PathUp(true),
-        "rate_mbps" => Action::RateBps((field_f64(v, "value")? * 1e6) as u64),
-        "rate_bps" => Action::RateBps(field_f64(v, "value")? as u64),
+        "rate_mbps" => Action::RateBps((rate_mbps(field_f64(v, "value")?, "value")? * 1e6) as u64),
+        "rate_bps" => match field_uint(v, "value")? {
+            0 => return Err("\"value\" must be a rate of at least 1 bps, got 0".to_string()),
+            bps => Action::RateBps(bps),
+        },
         "one_way_delay_ms" => {
-            Action::OneWayDelay(Duration::from_micros((field_f64(v, "value")? * 1e3) as u64))
+            Action::OneWayDelay(Duration::from_micros((field_time(v, "value")? * 1e3) as u64))
         }
         "loss_off" => Action::Loss(LossModel::None),
-        "loss_bernoulli" => Action::Loss(LossModel::Bernoulli(field_f64(v, "value")?)),
+        "loss_bernoulli" => Action::Loss(LossModel::Bernoulli(field_in(v, "value", 0.0..=1.0)?)),
         "loss_bursty" => Action::Loss(LossModel::GilbertElliott(GilbertElliott::bursty(
-            field_f64(v, "avg_loss")?,
-            field_f64(v, "mean_burst_pkts")?,
+            field_in(v, "avg_loss", 0.0..1.0)?,
+            field_in(v, "mean_burst_pkts", 1.0..f64::INFINITY)?,
         ))),
         other => return Err(format!("unknown action \"{other}\"")),
     };
     Ok(ControlEvent { at, path, action })
 }
 
+/// The most rate changes a loaded random-rates process may expect to draw
+/// (`horizon_s / mean_interval_s`); each is a control event held in memory.
+const MAX_RATE_CHANGES: f64 = 1e6;
+
 fn parse_process(v: &Value) -> Result<Process, String> {
     let kind = v.get("kind").and_then(Value::as_str).ok_or("missing \"kind\"")?;
     match kind {
         "random_rates" => {
-            let rates = v
-                .get("rates_mbps")
-                .and_then(Value::as_array)
-                .ok_or("missing array \"rates_mbps\"")?
+            let rates = field(v, "rates_mbps")?
+                .as_array()
+                .ok_or("\"rates_mbps\" must be an array")?
                 .iter()
-                .map(|r| r.as_f64().ok_or_else(|| "non-number in \"rates_mbps\"".to_string()))
+                .enumerate()
+                .map(|(i, r)| {
+                    let key = format!("rates_mbps[{i}]");
+                    rate_mbps(r.as_f64().ok_or(format!("\"{key}\" must be a number"))?, &key)
+                })
                 .collect::<Result<Vec<f64>, String>>()?;
+            if rates.is_empty() {
+                return Err("\"rates_mbps\" must hold at least one rate".to_string());
+            }
+            // At least a millisecond: a shorter mean draws gaps that round
+            // to zero nanoseconds, and the process never reaches its horizon.
+            let mean_interval = field_in(v, "mean_interval_s", 1e-3..f64::INFINITY)?;
+            let horizon = field_time(v, "horizon_s")?;
+            if horizon / mean_interval > MAX_RATE_CHANGES {
+                return Err(format!(
+                    "\"horizon_s\" {horizon} over \"mean_interval_s\" {mean_interval} draws \
+                     more than {MAX_RATE_CHANGES} rate changes"
+                ));
+            }
             Ok(Process::RandomRates {
-                path: field_usize(v, "path")?,
-                seed: field_f64(v, "seed")? as u64,
-                mean_interval: Duration::from_secs_f64(field_f64(v, "mean_interval_s")?),
+                path: field_uint(v, "path")? as usize,
+                seed: field_uint(v, "seed")?,
+                mean_interval: Duration::from_secs_f64(mean_interval),
                 rates_mbps: rates,
-                horizon: Time::from_micros((field_f64(v, "horizon_s")? * 1e6) as u64),
+                horizon: Time::from_micros((horizon * 1e6) as u64),
             })
         }
         other => Err(format!("unknown process kind \"{other}\"")),
@@ -513,5 +590,101 @@ mod tests {
         let err =
             Scenario::from_json(r#"{"events": [{"path": 0, "action": "path_up"}]}"#).unwrap_err();
         assert!(err.contains("at_ms"), "{err}");
+    }
+
+    /// `from_json` on one random-rates process with `field` set to `value`.
+    fn process_with(field: &str, value: &str) -> Result<Scenario, String> {
+        let mut doc = json::parse(
+            r#"{"kind": "random_rates", "path": 0, "seed": 12,
+                "mean_interval_s": 40, "rates_mbps": [0.3, 8.6], "horizon_s": 600}"#,
+        )
+        .unwrap();
+        let Value::Object(map) = &mut doc else { unreachable!() };
+        map.insert(field.to_string(), json::parse(value).unwrap());
+        Scenario::from_json(&format!(r#"{{"processes": [{}]}}"#, json::canonical(&doc)))
+    }
+
+    /// `from_json` on one event with `field` set to `value`.
+    fn event_with(action: &str, field: &str, value: &str) -> Result<Scenario, String> {
+        let mut doc = json::parse(r#"{"at_ms": 5, "path": 1, "value": 1}"#).unwrap();
+        let Value::Object(map) = &mut doc else { unreachable!() };
+        map.insert("action".to_string(), Value::String(action.to_string()));
+        map.insert(field.to_string(), json::parse(value).unwrap());
+        Scenario::from_json(&format!(r#"{{"events": [{}]}}"#, json::canonical(&doc)))
+    }
+
+    fn assert_names(result: Result<Scenario, String>, list: &str, field: &str) {
+        let err = result.unwrap_err();
+        assert!(err.starts_with(&format!("{list}[0]: ")), "{err}");
+        assert!(err.contains(&format!("\"{field}\"")), "{field}: {err}");
+    }
+
+    #[test]
+    fn a_negative_mean_interval_is_an_error_not_a_panic() {
+        // Used to panic in `Duration::from_secs_f64`.
+        assert_names(process_with("mean_interval_s", "-1"), "processes", "mean_interval_s");
+    }
+
+    #[test]
+    fn a_zero_or_sub_millisecond_mean_interval_is_an_error_not_a_hang() {
+        // Zero never left `RateSchedule::random`; 1e-12 s draws gaps that
+        // round to zero nanoseconds and would not either.
+        for value in ["0", "1e-12"] {
+            assert_names(process_with("mean_interval_s", value), "processes", "mean_interval_s");
+        }
+        assert!(process_with("mean_interval_s", "0.1").is_ok());
+        // 1 ms is allowed, but not over a horizon that draws a billion
+        // changes and exhausts memory.
+        assert!(process_with("mean_interval_s", "0.001").is_ok());
+        let err = Scenario::from_json(
+            r#"{"processes": [{"kind": "random_rates", "path": 0, "seed": 1,
+                "mean_interval_s": 0.001, "rates_mbps": [1], "horizon_s": 1e6}]}"#,
+        )
+        .unwrap_err();
+        assert!(err.starts_with("processes[0]: \"horizon_s\""), "{err}");
+    }
+
+    #[test]
+    fn an_empty_rate_set_is_an_error_not_a_panic() {
+        assert_names(process_with("rates_mbps", "[]"), "processes", "rates_mbps");
+    }
+
+    #[test]
+    fn negative_or_fractional_values_are_errors_not_zeroes() {
+        for value in ["-1", "0.5", "\"3\""] {
+            assert_names(process_with("seed", value), "processes", "seed");
+            assert_names(process_with("path", value), "processes", "path");
+            assert_names(event_with("path_down", "path", value), "events", "path");
+            assert_names(event_with("rate_bps", "value", value), "events", "value");
+        }
+        for value in ["-1", "-0.5"] {
+            assert_names(event_with("path_down", "at_ms", value), "events", "at_ms");
+            assert_names(process_with("horizon_s", value), "processes", "horizon_s");
+            assert_names(event_with("rate_mbps", "value", value), "events", "value");
+            assert_names(event_with("one_way_delay_ms", "value", value), "events", "value");
+            let rates = process_with("rates_mbps", &format!("[1, {value}]"));
+            assert_names(rates, "processes", "rates_mbps[1]");
+        }
+        // Rates that would truncate to a 0 bps link.
+        assert_names(event_with("rate_bps", "value", "0"), "events", "value");
+        assert_names(event_with("rate_mbps", "value", "1e-7"), "events", "value");
+        // Probabilities the loss models would assert on.
+        assert_names(event_with("loss_bernoulli", "value", "1.5"), "events", "value");
+        assert_names(event_with("loss_bursty", "avg_loss", "1"), "events", "avg_loss");
+        // A fractional time is fine: it is a time, not a count.
+        let s = event_with("path_down", "at_ms", "0.5").unwrap();
+        assert_eq!(s.events[0].at, Time::from_micros(500));
+    }
+
+    #[test]
+    fn check_paths_names_the_first_path_out_of_range() {
+        let s = Scenario::new()
+            .path_down(Time::ZERO, 1)
+            .random_rates(7, 1, Duration::from_secs(40), &[1.0], Time::from_secs(60));
+        assert_eq!(s.check_paths(8), Ok(()));
+        let err = s.check_paths(2).unwrap_err();
+        assert_eq!(err, "processes[0]: \"path\" 7 is not one of the run's 2 paths");
+        let err = Scenario::new().path_up(Time::ZERO, 2).check_paths(2).unwrap_err();
+        assert!(err.starts_with("events[0]: \"path\" 2"), "{err}");
     }
 }

@@ -26,9 +26,11 @@ impl RateSchedule {
 
     /// The paper's §5.3 process: change points at exponentially distributed
     /// intervals with the given mean, each new rate drawn uniformly from
-    /// `rates_mbps`, covering `[0, horizon]`.
+    /// `rates_mbps`, covering `[0, horizon]`. A zero mean interval would
+    /// never reach the horizon, so it panics, as an empty rate set does.
     pub fn random(seed: u64, mean_interval: Duration, rates_mbps: &[f64], horizon: Time) -> Self {
         assert!(!rates_mbps.is_empty(), "need at least one candidate rate");
+        assert!(mean_interval > Duration::ZERO, "the mean interval must be positive");
         let mut rng = Rng::seed_from_u64(seed);
         let mut changes = Vec::new();
         let mut t = Time::ZERO;
@@ -117,5 +119,11 @@ mod tests {
         assert_eq!(s.rate_at(Time::from_secs(5)), None);
         assert_eq!(s.rate_at(Time::from_secs(10)), Some(100));
         assert_eq!(s.rate_at(Time::from_secs(25)), Some(200));
+    }
+
+    #[test]
+    #[should_panic(expected = "mean interval must be positive")]
+    fn random_refuses_a_zero_interval() {
+        RateSchedule::random(1, Duration::ZERO, &[1.0], Time::from_secs(1));
     }
 }

@@ -30,10 +30,6 @@ pub struct LinkConfig {
     /// Droptail queue capacity in bytes. Packets that would overflow it are
     /// dropped. Use a large value to model an effectively unbuffered pipe.
     pub queue_limit_bytes: u64,
-    /// When set, the queue is *latency-sized* like a `tc tbf latency` knob:
-    /// capacity = rate × latency (clamped to [32 KB, 2 MB]) and it is
-    /// re-derived whenever the rate changes.
-    pub queue_latency: Option<Duration>,
     /// Maximum additional per-packet delay, drawn uniformly in
     /// `[0, jitter_max]`. Arrivals are clamped to stay FIFO.
     pub jitter_max: Duration,
@@ -49,7 +45,6 @@ impl LinkConfig {
             rate_bps: (mbps * 1e6) as u64,
             prop_delay,
             queue_limit_bytes,
-            queue_latency: None,
             jitter_max: Duration::ZERO,
             loss_rate: 0.0,
         }
@@ -62,18 +57,10 @@ impl LinkConfig {
             rate_bps: 1_000_000_000, // 1 Gbps
             prop_delay,
             queue_limit_bytes: 16 * 1024 * 1024,
-            queue_latency: None,
             jitter_max: Duration::ZERO,
             loss_rate: 0.0,
         }
     }
-}
-
-/// Queue capacity for a latency-sized droptail: rate × latency, clamped to
-/// [32 KB, 2 MB].
-fn latency_queue_bytes(rate_bps: u64, latency: Duration) -> u64 {
-    let bytes = (rate_bps as f64 / 8.0 * latency.as_secs_f64()) as u64;
-    bytes.clamp(32 * 1024, 2 * 1024 * 1024)
 }
 
 /// Result of offering a packet to a link.
@@ -218,14 +205,10 @@ impl Link {
     /// Packets already accepted keep their computed departure times: a rate
     /// change affects subsequent arrivals only, so its effect settles within
     /// one queue drain. This is documented in DESIGN.md as an approximation.
-    /// Latency-sized queues are re-derived for the new rate.
     pub fn set_rate_bps(&mut self, rate_bps: u64) {
         self.cfg.rate_bps = rate_bps.max(1);
         self.recip_q32 = serialization_recip(self.cfg.rate_bps);
         self.ser_memo = (0, Duration::ZERO);
-        if let Some(latency) = self.cfg.queue_latency {
-            self.cfg.queue_limit_bytes = latency_queue_bytes(self.cfg.rate_bps, latency);
-        }
     }
 
     /// One-way propagation delay.

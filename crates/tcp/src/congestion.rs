@@ -18,33 +18,26 @@ use std::time::Duration;
 
 use simnet::Time;
 
-use crate::rtt::RttEstimator;
+use crate::rtt::{RttEstimator, MAX_RTO_NANOS};
 
-/// Static per-subflow TCP parameters.
+/// Initial window in segments: RFC 6928's IW 10, the Linux default.
+const INITIAL_CWND: u32 = 10;
+/// Window floor after loss events (Linux's ssthresh floor of 2 segments).
+const MIN_CWND: u32 = 2;
+
+/// Static per-subflow TCP parameters. The initial window (10 segments), the
+/// loss-event window floor (2) and the RTO bounds (Linux `TCP_RTO_MIN`
+/// 200 ms to 60 s, see [`RttEstimator`]) are constants of the model.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
-    /// Initial window in segments (RFC 6928; Linux default 10).
-    pub initial_cwnd: u32,
-    /// Window floor after loss events.
-    pub min_cwnd: u32,
     /// Apply the RFC 5681 idle restart and RFC 2861 congestion-window
     /// validation (`false` reproduces Fig 6's "w/o CWND reset" mode).
     pub idle_reset: bool,
-    /// RTO floor.
-    pub min_rto: Duration,
-    /// RTO ceiling.
-    pub max_rto: Duration,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
-        TcpConfig {
-            initial_cwnd: 10,
-            min_cwnd: 2,
-            idle_reset: true,
-            min_rto: RttEstimator::DEFAULT_MIN_RTO,
-            max_rto: RttEstimator::DEFAULT_MAX_RTO,
-        }
+        TcpConfig { idle_reset: true }
     }
 }
 
@@ -73,10 +66,6 @@ impl CcStats {
 /// The congestion state machine.
 #[derive(Debug, Clone)]
 pub struct TcpCc {
-    /// [`TcpConfig::initial_cwnd`].
-    initial_cwnd: u32,
-    /// [`TcpConfig::min_cwnd`].
-    min_cwnd: u32,
     /// [`TcpConfig::idle_reset`].
     idle_reset: bool,
     /// Congestion window in segments, kept fractionally.
@@ -87,7 +76,7 @@ pub struct TcpCc {
     cwnd_pkts: u32,
     /// Slow-start threshold in segments.
     ssthresh: f64,
-    /// RTT estimator for this subflow; it holds the configured RTO bounds.
+    /// RTT estimator for this subflow.
     pub rtt: RttEstimator,
     /// Exponential RTO backoff factor (power of two).
     backoff: u32,
@@ -106,13 +95,11 @@ impl TcpCc {
     /// Fresh state with the given parameters.
     pub fn new(cfg: TcpConfig) -> Self {
         TcpCc {
-            initial_cwnd: cfg.initial_cwnd,
-            min_cwnd: cfg.min_cwnd,
             idle_reset: cfg.idle_reset,
-            cwnd: f64::from(cfg.initial_cwnd),
-            cwnd_pkts: cfg.initial_cwnd.max(1),
+            cwnd: f64::from(INITIAL_CWND),
+            cwnd_pkts: INITIAL_CWND,
             ssthresh: f64::INFINITY,
-            rtt: RttEstimator::with_bounds(cfg.min_rto, cfg.max_rto),
+            rtt: RttEstimator::new(),
             backoff: 0,
             last_send: Time::ZERO,
             started: false,
@@ -149,14 +136,14 @@ impl TcpCc {
     }
 
     /// Effective retransmission timeout including exponential backoff,
-    /// clamped to the configured ceiling.
+    /// clamped to the 60 s ceiling.
     pub fn rto(&self) -> Duration {
         let base = self.rtt.rto_nanos();
         // Multiplying by 2^0 is identity work; only the ceiling clamp matters
         // then (the pre-sample initial RTO is not bounds-clamped).
         let backed_off =
             if self.backoff == 0 { base } else { base.saturating_mul(1 << self.backoff.min(6)) };
-        Duration::from_nanos(backed_off.min(self.rtt.max_rto_nanos()))
+        Duration::from_nanos(backed_off.min(MAX_RTO_NANOS))
     }
 
     /// Lifetime counters.
@@ -195,10 +182,10 @@ impl TcpCc {
             return false;
         }
         self.cwnd_used = self.cwnd_used.max(inflight);
-        if now.since(self.cwnd_stamp) >= self.rto() && self.cwnd > f64::from(self.initial_cwnd) {
+        if now.since(self.cwnd_stamp) >= self.rto() && self.cwnd > f64::from(INITIAL_CWND) {
             self.ssthresh = self.ssthresh.max(0.75 * self.cwnd);
-            let used = f64::from(self.cwnd_used.max(self.initial_cwnd));
-            self.cwnd = ((self.cwnd + used) / 2.0).max(f64::from(self.min_cwnd));
+            let used = f64::from(self.cwnd_used.max(INITIAL_CWND));
+            self.cwnd = ((self.cwnd + used) / 2.0).max(f64::from(MIN_CWND));
             self.sync_cwnd_pkts();
             self.cwnd_stamp = now;
             self.cwnd_used = 0;
@@ -215,8 +202,8 @@ impl TcpCc {
         if !self.idle_reset || !self.started {
             return false;
         }
-        if now.since(self.last_send) > self.rto() && self.cwnd > f64::from(self.initial_cwnd) {
-            self.cwnd = f64::from(self.initial_cwnd);
+        if now.since(self.last_send) > self.rto() && self.cwnd > f64::from(INITIAL_CWND) {
+            self.cwnd = f64::from(INITIAL_CWND);
             self.sync_cwnd_pkts();
             // ssthresh is left in place: restart ramps via slow start up to
             // the previously learned threshold (RFC 2861 behaviour).
@@ -245,7 +232,7 @@ impl TcpCc {
         // estimator (Duration::MAX before any sample, so the comparison
         // below also covers the no-sample case).
         let threshold = self.rtt.hystart_threshold();
-        if self.rtt.srtt() > threshold && self.cwnd > f64::from(self.initial_cwnd) {
+        if self.rtt.srtt() > threshold && self.cwnd > f64::from(INITIAL_CWND) {
             self.ssthresh = self.cwnd;
             return true;
         }
@@ -276,7 +263,7 @@ impl TcpCc {
 
     /// Triple-dupack fast retransmit: multiplicative decrease.
     pub fn on_fast_retransmit(&mut self) {
-        self.ssthresh = (self.cwnd / 2.0).max(f64::from(self.min_cwnd));
+        self.ssthresh = (self.cwnd / 2.0).max(f64::from(MIN_CWND));
         self.cwnd = self.ssthresh;
         self.sync_cwnd_pkts();
         self.stats.fast_retransmits += 1;
@@ -285,7 +272,7 @@ impl TcpCc {
     /// Retransmission timeout: collapse to one segment, halve ssthresh,
     /// back off the timer exponentially.
     pub fn on_rto(&mut self) {
-        self.ssthresh = (self.cwnd / 2.0).max(f64::from(self.min_cwnd));
+        self.ssthresh = (self.cwnd / 2.0).max(f64::from(MIN_CWND));
         self.cwnd = 1.0;
         self.sync_cwnd_pkts();
         self.backoff += 1;
@@ -295,7 +282,7 @@ impl TcpCc {
     /// Externally force the window down (the opportunistic-retransmission
     /// *penalization* of Raiciu et al. halves the slow subflow's window).
     pub fn penalize(&mut self) {
-        self.ssthresh = (self.cwnd / 2.0).max(f64::from(self.min_cwnd));
+        self.ssthresh = (self.cwnd / 2.0).max(f64::from(MIN_CWND));
         self.cwnd = self.ssthresh;
         self.sync_cwnd_pkts();
     }

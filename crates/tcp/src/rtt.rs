@@ -24,22 +24,25 @@ fn duration_or_max(ns: u64) -> Duration {
     }
 }
 
+/// [`RttEstimator::DEFAULT_MIN_RTO`] in nanoseconds.
+const MIN_RTO_NANOS: u64 = RttEstimator::DEFAULT_MIN_RTO.as_nanos() as u64;
+/// [`RttEstimator::DEFAULT_MAX_RTO`] in nanoseconds.
+pub(crate) const MAX_RTO_NANOS: u64 = RttEstimator::DEFAULT_MAX_RTO.as_nanos() as u64;
+
 /// Smoothed RTT / deviation / RTO state for one subflow.
 ///
 /// Every field is a `u64` of nanoseconds: one estimator per connection-path
-/// is alive for the whole run, so it is kept at its information size (56 B,
-/// where `Duration` fields take 120). The RFC 6298 updates divide by 2, 4
-/// and 8, which divide a second's nanoseconds exactly, so integer
-/// nanoseconds round exactly as `Duration` arithmetic does; the getters
-/// hand out `Duration`s.
+/// is alive for the whole run, so it is kept at its information size (40 B,
+/// where `Duration` fields take 120; the RTO bounds are constants). The
+/// RFC 6298 updates divide by 2, 4 and 8, which divide a second's
+/// nanoseconds exactly, so integer nanoseconds round exactly as `Duration`
+/// arithmetic does; the getters hand out `Duration`s.
 #[derive(Debug, Clone)]
 pub struct RttEstimator {
     srtt: u64,
     rttvar: u64,
     /// `u64::MAX` before the first sample.
     min_rtt: u64,
-    min_rto: u64,
-    max_rto: u64,
     samples: u64,
     /// HyStart delay threshold `min + max(min/4, 8 ms)` precomputed whenever
     /// `min_rtt` improves (rare) instead of on every slow-start ACK, where
@@ -49,26 +52,20 @@ pub struct RttEstimator {
 }
 
 impl RttEstimator {
-    /// Linux `TCP_RTO_MIN`.
+    /// The RTO floor: Linux `TCP_RTO_MIN`, 200 ms.
     pub const DEFAULT_MIN_RTO: Duration = Duration::from_millis(200);
     /// A practical RTO ceiling (RFC 6298 allows ≥ 60 s; we keep 60 s).
     pub const DEFAULT_MAX_RTO: Duration = Duration::from_secs(60);
     /// RTO used before the first RTT sample (RFC 6298 §2.1 says 1 s).
     pub const INITIAL_RTO: Duration = Duration::from_secs(1);
 
-    /// A fresh estimator with Linux-like clamping.
+    /// A fresh estimator; its RTO is clamped between
+    /// [`Self::DEFAULT_MIN_RTO`] and [`Self::DEFAULT_MAX_RTO`].
     pub fn new() -> Self {
-        Self::with_bounds(Self::DEFAULT_MIN_RTO, Self::DEFAULT_MAX_RTO)
-    }
-
-    /// Estimator with explicit RTO bounds.
-    pub fn with_bounds(min_rto: Duration, max_rto: Duration) -> Self {
         RttEstimator {
             srtt: 0,
             rttvar: 0,
             min_rtt: u64::MAX,
-            min_rto: nanos(min_rto),
-            max_rto: nanos(max_rto),
             samples: 0,
             hystart_thresh: u64::MAX,
         }
@@ -129,12 +126,7 @@ impl RttEstimator {
         if self.samples == 0 {
             return nanos(Self::INITIAL_RTO);
         }
-        (self.srtt + self.rttvar * 4).clamp(self.min_rto, self.max_rto)
-    }
-
-    /// The RTO ceiling, in nanoseconds.
-    pub(crate) fn max_rto_nanos(&self) -> u64 {
-        self.max_rto
+        (self.srtt + self.rttvar * 4).clamp(MIN_RTO_NANOS, MAX_RTO_NANOS)
     }
 
     /// HyStart delay-increase threshold, `min_rtt + max(min_rtt/4, 8 ms)`
@@ -195,9 +187,10 @@ mod tests {
 
     #[test]
     fn rto_clamped_to_max() {
-        let mut e = RttEstimator::with_bounds(Duration::from_millis(200), Duration::from_secs(2));
-        e.on_sample(Duration::from_secs(5));
-        assert_eq!(e.rto(), Duration::from_secs(2));
+        let mut e = RttEstimator::new();
+        e.on_sample(Duration::from_secs(30));
+        // 30 + 4·15 = 90 s, above the 60 s ceiling.
+        assert_eq!(e.rto(), RttEstimator::DEFAULT_MAX_RTO);
     }
 
     #[test]

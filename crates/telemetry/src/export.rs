@@ -1,5 +1,4 @@
-//! Deterministic trace exporters: JSONL (one event per line) and a flat CSV
-//! of scheduler decisions.
+//! Deterministic trace exporter: JSONL, one event per line.
 //!
 //! Determinism contract: the output is a pure function of the event
 //! sequence. Timestamps are emitted as integer microseconds and floats use
@@ -11,7 +10,7 @@ use std::fmt::Write as _;
 
 use ecf_core::{Decision, Why};
 
-use crate::event::{Event, EventKind, SchedDecision, MAX_PATHS};
+use crate::event::{Event, EventKind, SchedDecision};
 
 fn push_why_fields(out: &mut String, why: &Why) {
     let _ = write!(out, r#","why":"{}""#, why.label());
@@ -100,53 +99,10 @@ pub fn to_jsonl(events: &[Event]) -> String {
     out
 }
 
-/// CSV header matching [`to_csv`]'s rows.
-pub fn csv_header() -> String {
-    let mut h = String::from("t_us,conn,sched,decision,path,why,queued_pkts,swnd_free_pkts");
-    for i in 0..MAX_PATHS {
-        let _ = write!(h, ",p{i}_srtt_us,p{i}_rttvar_us,p{i}_cwnd,p{i}_inflight,p{i}_queue_bytes");
-    }
-    h.push('\n');
-    h
-}
-
-/// Serialize the *scheduler decision* events to a flat CSV (header + one row
-/// per decision); other event kinds are omitted. Columns for absent paths
-/// are left empty.
-pub fn to_csv(events: &[Event]) -> String {
-    let mut out = csv_header();
-    for ev in events {
-        let EventKind::SchedDecision(d) = &ev.kind else { continue };
-        let _ = write!(out, "{},{},{},", ev.t_ns / 1_000, d.conn, d.scheduler);
-        match d.decision {
-            Decision::Send(id) => {
-                let _ = write!(out, "send,{}", id.0);
-            }
-            Decision::Wait => out.push_str("wait,"),
-            Decision::Blocked => out.push_str("blocked,"),
-        }
-        let _ = write!(out, ",{},{},{}", d.why.label(), d.queued_pkts, d.send_window_free_pkts);
-        for i in 0..MAX_PATHS {
-            if i < d.n_paths as usize {
-                let p = &d.paths[i];
-                let _ = write!(
-                    out,
-                    ",{},{},{},{},{}",
-                    p.srtt_us, p.rttvar_us, p.cwnd, p.inflight, p.queue_bytes
-                );
-            } else {
-                out.push_str(",,,,,");
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DropKind, LinkDir, PathObs};
+    use crate::event::{DropKind, LinkDir, PathObs, MAX_PATHS};
     use ecf_core::{EcfTerms, PathId};
 
     fn decision_event() -> Event {
@@ -242,24 +198,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_skips_non_decisions() {
-        let evs = [
-            Event { t_ns: 2_000, kind: EventKind::Rto { conn: 3, path: 1 } },
-            decision_event(),
-        ];
-        let csv = to_csv(&evs);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2, "header + one decision row");
-        assert!(lines[0].starts_with("t_us,conn,sched,decision,path,why"));
-        assert!(lines[1].starts_with("1234,0,ecf,wait,,ecf_wait,17,400"));
-        // 8 fixed columns + 5 per path slot.
-        assert_eq!(lines[1].split(',').count(), 8 + 5 * MAX_PATHS);
-    }
-
-    #[test]
     fn export_is_deterministic() {
         let evs = [decision_event(), decision_event()];
         assert_eq!(to_jsonl(&evs), to_jsonl(&evs));
-        assert_eq!(to_csv(&evs), to_csv(&evs));
     }
 }

@@ -18,7 +18,7 @@
 //! * [`Counter`] — monotonic named counters, truthful even when the ring has
 //!   wrapped. Recording an event bumps the counters its kind maps to; the
 //!   rest are added by the layers that own them.
-//! * [`export`] — deterministic JSONL/CSV serialization: same seed ⇒
+//! * [`export`] — deterministic JSONL serialization: same seed ⇒
 //!   byte-identical trace files.
 //!
 //! Dependency position: only `ecf-core` below this crate; `simnet`, `mptcp`

@@ -169,6 +169,19 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The value of integer field `key`: a non-negative integer that `f64`
+/// holds exactly (below 2^53). Anything else is an error naming `key`:
+/// truncating `-3`, `0.9` or `1e300` with `as u64` would silently run a
+/// different input than the one written (and key one run under several
+/// names in a content-addressed cache).
+pub fn uint(v: &Value, key: &str) -> Result<u64, String> {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    match v.as_f64() {
+        Some(n) if (0.0..EXACT).contains(&n) && n.fract() == 0.0 => Ok(n as u64),
+        _ => Err(format!("{key:?} must be a non-negative integer, got {}", canonical(v))),
+    }
+}
+
 /// Parse one complete JSON document.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
@@ -358,6 +371,17 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn uint_takes_exact_non_negative_integers_only() {
+        for (text, want) in [("0", 0), ("7", 7), ("4503599627370495", (1u64 << 52) - 1)] {
+            assert_eq!(uint(&parse(text).unwrap(), "n"), Ok(want), "{text}");
+        }
+        for text in ["-3", "0.9", "-0.5", "9007199254740992", "1e300", "\"7\"", "true", "null"] {
+            let err = uint(&parse(text).unwrap(), "seed").unwrap_err();
+            assert!(err.starts_with("\"seed\" must be a non-negative integer, got "), "{err}");
+        }
+    }
 
     #[test]
     fn parses_nested_document() {

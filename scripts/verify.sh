@@ -82,6 +82,11 @@ rec_out="$(cargo test --release --offline -p mptcp --lib \
     || { echo "$rec_out" >&2; exit 1; }
 echo "$rec_out" | grep "records:"
 
+echo "== config knobs: pub fields of pub struct *Config =="
+# Printed, not gated: a field that only ever holds its default should be a
+# constant (scripts/knobs.sh <rev> compares against a revision).
+scripts/knobs.sh
+
 echo "== every registered experiment, Full, through the CLI: results/ must not drift =="
 # `repro all` writes results/<name>.txt relative to its working directory,
 # so it runs in a throwaway one with a throwaway cache (a developer's

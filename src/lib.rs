@@ -54,7 +54,7 @@ pub use webload as web;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use dash::{AbrKind, DashApp, Player, PlayerConfig};
+    pub use dash::{DashApp, Player, PlayerConfig};
     pub use ecf_core::{
         Decision, Ecf, EcfConfig, EcfTerms, PathId, PathSnapshot, SchedInput, Scheduler,
         SchedulerKind, Why,
