@@ -25,10 +25,7 @@ impl Scheduler for MinRtt {
     }
 
     fn select(&mut self, input: &SchedInput<'_>) -> Decision {
-        match input.fastest_available() {
-            Some(p) => Decision::Send(p.id),
-            None => Decision::Blocked,
-        }
+        self.select_explained(input).0
     }
 
     fn select_explained(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {

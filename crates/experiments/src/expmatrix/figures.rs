@@ -1,16 +1,23 @@
 //! Figure assembly: fold cached + fresh cell results into report text.
 //!
 //! Renderers consume results by cell index in the fixed expansion order
-//! (never by completion order) and read grid coordinates from the spec's
-//! [`BlockShape`]s, so the same renderer serves any ladder size the spec
-//! resolves to. This is the only code that renders the paper's figures;
-//! `tests/matrix.rs` pins every one's Quick report by digest. Seeds
-//! aggregate as the mean of per-seed values, except for distributions:
-//! those pool every seed's raw samples before taking quantiles. Column
-//! labels (schedulers, controllers) come from the cells' configs, never
-//! from an axis position, and the figures that compare ECF with the
-//! default find both by label, so a user's spec may order its axes
-//! freely.
+//! (never by completion order). A [`Grid`] — one of the spec's
+//! [`BlockShape`]s with the results — is the only code that maps grid
+//! coordinates onto that order, so the same renderer serves any ladder size
+//! the spec resolves to; it also reads labels and config numbers and takes
+//! the seed statistics. [`by_scheduler`] builds the table most comparison
+//! figures print (one row per point of the leading axes, one column per
+//! scheduler); each renderer keeps only its title and wording. This is the
+//! only code that renders the paper's figures; `tests/matrix.rs` pins every
+//! one's Quick report by digest. Seeds aggregate as the mean of per-seed
+//! values, except for distributions: those pool every seed's raw samples
+//! before taking quantiles. Column labels (schedulers, controllers) come
+//! from the cells' configs, never from an axis position — a scheduler that
+//! is not a plain name prints as its canonical JSON — and the figures that
+//! compare ECF with the default find both by label, so a user's spec may
+//! order its axes freely.
+
+use std::ops::Range;
 
 use metrics::{render_table, Cdf, Heatmap, TimeSeries};
 use testkit::json::Value;
@@ -93,7 +100,7 @@ fn numbers(results: &[Value], i: usize, key: &str) -> Result<Vec<f64>, String> {
 }
 
 /// A series of `[t, v]` points (`None` if any point is malformed).
-fn points(v: &[Value]) -> Option<TimeSeries> {
+fn time_series(v: &[Value]) -> Option<TimeSeries> {
     let points = v
         .iter()
         .map(|p| match p.as_array()? {
@@ -104,102 +111,227 @@ fn points(v: &[Value]) -> Option<TimeSeries> {
     Some(TimeSeries { points })
 }
 
-/// The samples of `key` pooled over cells `cells`, as one distribution.
-fn pooled(results: &[Value], cells: std::ops::Range<usize>, key: &str) -> Result<Cdf, String> {
-    let mut all = Vec::new();
-    for i in cells {
-        all.extend(numbers(results, i, key)?);
-    }
-    Ok(Cdf::from_samples(all))
+/// Measured / ideal bit rate of one cell, capped at 1.
+fn bitrate_ratio(results: &[Value], i: usize) -> Result<f64, String> {
+    Ok((scalar(results, i, "avg_bitrate")? / scalar(results, i, "ideal_bitrate")?).min(1.0))
 }
 
-/// Mean of one scalar over the seeds of the grid point starting at `first`.
-fn seed_mean(
-    block: &BlockShape,
-    first: usize,
-    value: impl Fn(usize) -> Result<f64, String>,
-) -> Result<f64, String> {
-    let vals: Vec<f64> = (first..first + block.seeds).map(value).collect::<Result<_, _>>()?;
-    Ok(metrics::mean(&vals))
+/// A config value as a column or row label: a string as itself, anything
+/// else (an `{"ecf_with": ..}` or `{"single_path": i}` scheduler) as its
+/// canonical JSON, so two variants never print alike.
+fn label_of(v: &Value) -> String {
+    v.as_str().map_or_else(|| testkit::json::canonical(v), str::to_string)
 }
 
-/// One numeric field out of a cell's *config* (for row labels).
-fn config_num(exp: &Expansion, i: usize, path: &[&str]) -> Result<f64, String> {
-    config(exp, i, path)?
-        .as_f64()
-        .ok_or_else(|| format!("cell {i}: {} is not a number", path.join(".")))
-}
-
-/// One string field out of a cell's config (a scheduler or cc label).
-fn config_str<'e>(exp: &'e Expansion, i: usize, key: &str) -> Result<&'e str, String> {
-    config(exp, i, &[key])?.as_str().ok_or_else(|| format!("cell {i}: {key} is not a string"))
-}
-
-fn config<'e>(exp: &'e Expansion, i: usize, path: &[&str]) -> Result<&'e Value, String> {
-    let mut v = &exp.cells[i].config;
-    for key in path {
-        v = v.get(key).ok_or_else(|| format!("cell {i}: config lacks {}", path.join(".")))?;
-    }
-    Ok(v)
-}
-
-/// "wifi-lte" as the paper writes a bandwidth pair ("0.3-8.6").
-fn pair_label(exp: &Expansion, i: usize) -> Result<String, String> {
-    let wifi = config_num(exp, i, &["wifi_mbps"])?;
-    let lte = config_num(exp, i, &["lte_mbps"])?;
-    Ok(format!("{}-{}", fmt_bw(wifi), fmt_bw(lte)))
-}
-
-/// The single block of a single-block spec, with its axis rank checked.
-fn sole_block<'e>(exp: &'e Expansion, figure: &str, axes: usize) -> Result<&'e BlockShape, String> {
-    if exp.blocks.len() != 1 || exp.blocks[0].axis_lens.len() != axes {
-        return Err(format!(
-            "{figure} expects one block with {axes} axes, got {:?}",
-            exp.blocks.iter().map(|b| b.axis_lens.clone()).collect::<Vec<_>>()
-        ));
-    }
-    Ok(&exp.blocks[0])
-}
-
-/// Flat index of the first seed's cell at axis coordinates `at`.
-fn point(block: &BlockShape, at: &[usize]) -> usize {
-    let flat = at.iter().zip(&block.axis_lens).fold(0, |acc, (&i, &len)| acc * len + i);
-    block.start + flat * block.seeds
-}
-
-/// The `key` label (a scheduler or cc name) of every value on `axis` of
-/// `block`, read from the cells' configs with the other coordinates at 0.
-fn axis_labels<'e>(
+/// One block of an expansion together with the per-cell results: the only
+/// code that maps grid coordinates onto the flat cell list. A point `at`
+/// lists axis coordinates outermost first; missing trailing coordinates
+/// read 0, so `&[b]` is the first point with the outermost axis at `b`.
+struct Grid<'e> {
     exp: &'e Expansion,
-    block: &BlockShape,
-    axis: usize,
-    key: &str,
-) -> Result<Vec<&'e str>, String> {
-    let mut at = vec![0; block.axis_lens.len()];
-    (0..block.axis_lens[axis])
-        .map(|k| {
-            at[axis] = k;
-            config_str(exp, point(block, &at), key)
-        })
-        .collect()
+    block: &'e BlockShape,
+    results: &'e [Value],
 }
 
-/// Where `default` and `ecf` sit among a figure's scheduler `labels`, for
-/// the figures that compare the two. A missing one is an error naming it,
-/// and so is any other scheduler, which the figure would drop.
-fn default_and_ecf(figure: &str, labels: &[&str]) -> Result<(usize, usize), String> {
-    let find = |name: &str| {
-        labels.iter().position(|&l| l == name).ok_or_else(|| {
-            format!("{figure} compares ecf with default; its schedulers {labels:?} lack {name:?}")
-        })
-    };
-    let (default, ecf) = (find("default")?, find("ecf")?);
-    if labels.len() != 2 {
-        return Err(format!(
-            "{figure} compares ecf with default only, but its schedulers are {labels:?}"
-        ));
+impl<'e> Grid<'e> {
+    /// `block` of `exp`, with its axis count checked.
+    fn new(
+        exp: &'e Expansion,
+        results: &'e [Value],
+        block: &'e BlockShape,
+        figure: &str,
+        axes: usize,
+    ) -> Result<Self, String> {
+        if block.axis_lens.len() != axes {
+            return Err(format!(
+                "{figure} expects blocks with {axes} axes, got {:?}",
+                block.axis_lens
+            ));
+        }
+        Ok(Grid { exp, block, results })
     }
-    Ok((default, ecf))
+
+    /// The single block of a single-block spec, with its axis count checked.
+    fn sole(
+        exp: &'e Expansion,
+        results: &'e [Value],
+        figure: &str,
+        axes: usize,
+    ) -> Result<Self, String> {
+        match exp.blocks.as_slice() {
+            [block] => Grid::new(exp, results, block, figure, axes),
+            blocks => Err(format!("{figure} expects one block, got {}", blocks.len())),
+        }
+    }
+
+    /// Number of values on `axis`.
+    fn len(&self, axis: usize) -> usize {
+        self.block.axis_lens[axis]
+    }
+
+    /// The cells of grid point `at`, one per seed.
+    fn cells(&self, at: &[usize]) -> Range<usize> {
+        let lens = self.block.axis_lens.iter().enumerate();
+        let flat = lens.fold(0, |acc, (d, &len)| acc * len + at.get(d).copied().unwrap_or(0));
+        let first = self.block.start + flat * self.block.seeds;
+        first..first + self.block.seeds
+    }
+
+    /// Mean of `value(cell)` over the seeds of `at`.
+    fn mean(
+        &self,
+        at: &[usize],
+        value: impl Fn(usize) -> Result<f64, String>,
+    ) -> Result<f64, String> {
+        let vals: Vec<f64> = self.cells(at).map(value).collect::<Result<_, _>>()?;
+        Ok(metrics::mean(&vals))
+    }
+
+    /// Seed-mean of scalar `key` at `at`.
+    fn scalar(&self, at: &[usize], key: &str) -> Result<f64, String> {
+        self.mean(at, |i| scalar(self.results, i, key))
+    }
+
+    /// The samples of series `key` at `at`, every seed's pooled into one
+    /// distribution.
+    fn pooled(&self, at: &[usize], key: &str) -> Result<Cdf, String> {
+        let mut all = Vec::new();
+        for i in self.cells(at) {
+            all.extend(numbers(self.results, i, key)?);
+        }
+        Ok(Cdf::from_samples(all))
+    }
+
+    /// The config value at `path` of the point `at`.
+    fn config(&self, at: &[usize], path: &[&str]) -> Result<&'e Value, String> {
+        let i = self.cells(at).start;
+        let mut v = &self.exp.cells[i].config;
+        for key in path {
+            v = v.get(key).ok_or_else(|| format!("cell {i}: config lacks {}", path.join(".")))?;
+        }
+        Ok(v)
+    }
+
+    /// A numeric config field of the point `at` (for row labels).
+    fn num(&self, at: &[usize], path: &[&str]) -> Result<f64, String> {
+        self.config(at, path)?.as_f64().ok_or_else(|| {
+            format!("cell {}: {} is not a number", self.cells(at).start, path.join("."))
+        })
+    }
+
+    /// The `key` label (a scheduler or cc) of the point `at`.
+    fn label(&self, at: &[usize], key: &str) -> Result<String, String> {
+        Ok(label_of(self.config(at, &[key])?))
+    }
+
+    /// The `key` label of every value on `axis`, the other coordinates at 0.
+    fn labels(&self, axis: usize, key: &str) -> Result<Vec<String>, String> {
+        let mut at = vec![0; axis + 1];
+        (0..self.len(axis))
+            .map(|k| {
+                at[axis] = k;
+                self.label(&at, key)
+            })
+            .collect()
+    }
+
+    /// "wifi-lte" as the paper writes a bandwidth pair ("0.3-8.6").
+    fn pair(&self, at: &[usize]) -> Result<String, String> {
+        let wifi = self.num(at, &["wifi_mbps"])?;
+        let lte = self.num(at, &["lte_mbps"])?;
+        Ok(format!("{}-{}", fmt_bw(wifi), fmt_bw(lte)))
+    }
+
+    /// Every point of the leading `n` axes, in expansion order.
+    fn points(&self, n: usize) -> Vec<Vec<usize>> {
+        let lens = &self.block.axis_lens[..n];
+        let count = lens.iter().product();
+        (0..count)
+            .map(|mut flat| {
+                let mut p = vec![0; n];
+                for d in (0..n).rev() {
+                    p[d] = flat % lens[d];
+                    flat /= lens[d];
+                }
+                p
+            })
+            .collect()
+    }
+
+    /// Where `default` and `ecf` sit on the scheduler `axis`, for the
+    /// figures that compare the two. A missing one is an error naming it,
+    /// and so is any other scheduler, which the figure would drop.
+    fn default_and_ecf(&self, figure: &str, axis: usize) -> Result<(usize, usize), String> {
+        let labels = self.labels(axis, "scheduler")?;
+        let find = |name: &str| {
+            labels.iter().position(|l| l == name).ok_or_else(|| {
+                format!(
+                    "{figure} compares ecf with default; its schedulers {labels:?} lack {name:?}"
+                )
+            })
+        };
+        let (default, ecf) = (find("default")?, find("ecf")?);
+        if labels.len() != 2 {
+            return Err(format!(
+                "{figure} compares ecf with default only, but its schedulers are {labels:?}"
+            ));
+        }
+        Ok((default, ecf))
+    }
+}
+
+/// A [`by_scheduler`] table.
+struct SchedTable {
+    /// Column labels after the row-label column: the schedulers.
+    labels: Vec<String>,
+    /// One row per point of the leading axes: its label, then an entry per
+    /// scheduler.
+    rows: Vec<Vec<String>>,
+    /// Each column's mean over every row and seed, as `label=mean` pairs.
+    means: String,
+}
+
+impl SchedTable {
+    /// Render `rows` under a header of `corner` followed by the labels.
+    fn render(&self, corner: &str, rows: &[Vec<String>]) -> String {
+        let mut header = vec![corner];
+        header.extend(self.labels.iter().map(String::as_str));
+        render_table(&header, rows)
+    }
+}
+
+/// The table most comparison figures print: one row per point of `grid`'s
+/// leading axes, named by `row_label`, and one column per scheduler on its
+/// last axis; each entry is the seed-mean of scalar `key` to `decimals`
+/// places.
+fn by_scheduler(
+    grid: &Grid,
+    key: &str,
+    decimals: usize,
+    row_label: impl Fn(&[usize]) -> Result<String, String>,
+) -> Result<SchedTable, String> {
+    let last = grid.block.axis_lens.len() - 1;
+    let labels = grid.labels(last, "scheduler")?;
+    let mut columns = vec![Vec::new(); labels.len()];
+    let mut rows = Vec::new();
+    for p in grid.points(last) {
+        let mut row = vec![row_label(&p)?];
+        for (k, column) in columns.iter_mut().enumerate() {
+            let at: Vec<usize> = p.iter().copied().chain([k]).collect();
+            let vals: Vec<f64> =
+                grid.cells(&at).map(|i| scalar(grid.results, i, key)).collect::<Result<_, _>>()?;
+            row.push(format!("{:.decimals$}", metrics::mean(&vals)));
+            column.extend(vals);
+        }
+        rows.push(row);
+    }
+    let means = labels
+        .iter()
+        .zip(&columns)
+        .map(|(label, column)| format!("{label}={:.decimals$}", metrics::mean(column)))
+        .collect::<Vec<_>>()
+        .join("  ");
+    Ok(SchedTable { labels, rows, means })
 }
 
 /// The heatmap every grid figure prints. `values[row][col]` and `y_ticks`
@@ -257,7 +389,7 @@ fn fig1(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     if exp.cells.len() != 1 {
         return Err(format!("fig1 expects exactly 1 cell, got {}", exp.cells.len()));
     }
-    let progress = points(series(results, 0, "download_progress")?)
+    let progress = time_series(series(results, 0, "download_progress")?)
         .ok_or("fig1: download_progress holds a malformed point")?;
     let mut s = String::from(
         "Fig 1: Example download behaviour (cumulative MB vs. time)\n\
@@ -277,26 +409,22 @@ fn ratio_heatmaps(
     results: &[Value],
     figure: &str,
 ) -> Result<Vec<(String, String)>, String> {
-    let block = sole_block(exp, figure, 3)?;
-    let (n_k, n_l, n_w) = (block.axis_lens[0], block.axis_lens[1], block.axis_lens[2]);
-    let ratio = |i: usize| -> Result<f64, String> {
-        Ok((scalar(results, i, "avg_bitrate")? / scalar(results, i, "ideal_bitrate")?).min(1.0))
-    };
+    let grid = Grid::sole(exp, results, figure, 3)?;
+    let (n_l, n_w) = (grid.len(1), grid.len(2));
     let mut maps = Vec::new();
-    for k in 0..n_k {
-        let mut values = Vec::new();
-        for l in 0..n_l {
-            let row = (0..n_w)
-                .map(|w| seed_mean(block, point(block, &[k, l, w]), ratio))
-                .collect::<Result<_, _>>()?;
-            values.push(row);
-        }
-        let tick =
-            |at: [usize; 3], key: &str| config_num(exp, point(block, &at), &[key]).map(fmt_bw);
-        let x_ticks = (0..n_w).map(|w| tick([k, 0, w], "wifi_mbps")).collect::<Result<_, _>>()?;
-        let y_ticks = (0..n_l).map(|l| tick([k, l, 0], "lte_mbps")).collect::<Result<_, _>>()?;
-        let label = config_str(exp, point(block, &[k, 0, 0]), "scheduler")?;
-        maps.push((label.to_string(), heatmap(values, x_ticks, y_ticks, (0.0, 1.0))));
+    for k in 0..grid.len(0) {
+        let values = (0..n_l)
+            .map(|l| {
+                (0..n_w)
+                    .map(|w| grid.mean(&[k, l, w], |i| bitrate_ratio(results, i)))
+                    .collect::<Result<_, _>>()
+            })
+            .collect::<Result<_, _>>()?;
+        let tick = |at: &[usize], key: &str| grid.num(at, &[key]).map(fmt_bw);
+        let x_ticks = (0..n_w).map(|w| tick(&[k, 0, w], "wifi_mbps")).collect::<Result<_, _>>()?;
+        let y_ticks = (0..n_l).map(|l| tick(&[k, l], "lte_mbps")).collect::<Result<_, _>>()?;
+        let map = heatmap(values, x_ticks, y_ticks, (0.0, 1.0));
+        maps.push((grid.label(&[k], "scheduler")?, map));
     }
     Ok(maps)
 }
@@ -328,17 +456,16 @@ fn fig9(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 
 /// Fig 5: last-packet gap distribution per bandwidth pair, seeds pooled.
 fn fig5(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "fig5", 1)?;
+    let grid = Grid::sole(exp, results, "fig5", 1)?;
     let mut s = String::from(
         "Fig 5: CDF of time difference between last packets (WiFi vs LTE), default\n\
          (paper: more heterogeneity -> larger gaps; 0.3-8.6 median ~1 s)\n\n",
     );
     let mut rows = Vec::new();
-    for p in 0..block.axis_lens[0] {
-        let i = point(block, &[p]);
-        let cdf = pooled(results, i..i + block.seeds, "last_packet_gaps")?;
+    for p in 0..grid.len(0) {
+        let cdf = grid.pooled(&[p], "last_packet_gaps")?;
         rows.push(vec![
-            pair_label(exp, i)?,
+            grid.pair(&[p])?,
             format!("{}", cdf.len()),
             format!("{:.3}", cdf.median()),
             format!("{:.3}", cdf.quantile(0.9)),
@@ -346,9 +473,8 @@ fn fig5(exp: &Expansion, results: &[Value]) -> Result<String, String> {
         ]);
     }
     s.push_str(&render_table(&["pair(Mbps)", "n", "median_s", "p90_s", "max_s"], &rows));
-    let first = point(block, &[0]);
-    s.push_str(&format!("\nCDF series (gap_s, P[gap<=x]) for {}:\n", pair_label(exp, first)?));
-    let cdf = pooled(results, first..first + block.seeds, "last_packet_gaps")?;
+    s.push_str(&format!("\nCDF series (gap_s, P[gap<=x]) for {}:\n", grid.pair(&[0])?));
+    let cdf = grid.pooled(&[0], "last_packet_gaps")?;
     for (x, p) in cdf.cdf_series(2.5, 11) {
         s.push_str(&format!("{x:.2}\t{p:.3}\n"));
     }
@@ -358,40 +484,29 @@ fn fig5(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 /// Fig 6: throughput with and without CWND conservation (axes: wifi, lte,
 /// cwnd_conservation), plus the ideal aggregate.
 fn fig6(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "fig6", 3)?;
-    let flags = (0..block.axis_lens[2])
-        .map(|c| {
-            let i = point(block, &[0, 0, c]);
-            config(exp, i, &["cwnd_conservation"])?
-                .as_bool()
-                .ok_or_else(|| format!("cell {i}: cwnd_conservation is not a bool"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let grid = Grid::sole(exp, results, "fig6", 3)?;
+    let flags = grid.labels(2, "cwnd_conservation")?;
     let (Some(on), Some(off), 2) = (
-        flags.iter().position(|&f| f),
-        flags.iter().position(|&f| !f),
+        flags.iter().position(|f| f == "true"),
+        flags.iter().position(|f| f == "false"),
         flags.len(),
     ) else {
         return Err(format!("fig6 compares cwnd_conservation true with false, got {flags:?}"));
     };
-    let throughput = |first| seed_mean(block, first, |i| scalar(results, i, "avg_throughput"));
     let mut s = String::from(
         "Fig 6: Streaming throughput w/ and w/o CWND reset (default scheduler)\n\
          (paper: disabling the reset helps but stays below the ideal)\n\n",
     );
     let mut rows = Vec::new();
-    for w in 0..block.axis_lens[0] {
-        for l in 0..block.axis_lens[1] {
-            let (with, without) = (point(block, &[w, l, on]), point(block, &[w, l, off]));
-            let ideal =
-                config_num(exp, with, &["wifi_mbps"])? + config_num(exp, with, &["lte_mbps"])?;
-            rows.push(vec![
-                pair_label(exp, with)?,
-                format!("{:.2}", throughput(with)?),
-                format!("{:.2}", throughput(without)?),
-                format!("{ideal:.2}"),
-            ]);
-        }
+    for p in grid.points(2) {
+        let (with, without) = ([p[0], p[1], on], [p[0], p[1], off]);
+        let ideal = grid.num(&p, &["wifi_mbps"])? + grid.num(&p, &["lte_mbps"])?;
+        rows.push(vec![
+            grid.pair(&p)?,
+            format!("{:.2}", grid.scalar(&with, "avg_throughput")?),
+            format!("{:.2}", grid.scalar(&without, "avg_throughput")?),
+            format!("{ideal:.2}"),
+        ]);
     }
     s.push_str(&render_table(
         &["wifi-lte", "w/_reset_Mbps", "w/o_reset_Mbps", "ideal_Mbps"],
@@ -403,56 +518,42 @@ fn fig6(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 /// Figs 7 & 10: fraction of traffic on the fast subflow vs the ideal
 /// split (axes: wifi, lte, scheduler).
 fn fig7(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "fig7", 3)?;
-    let n_k = block.axis_lens[2];
+    let grid = Grid::sole(exp, results, "fig7", 3)?;
     let mut s = String::from(
         "Figs 7 & 10: Fraction of traffic allocated to the fast subflow\n\
          (paper: default undershoots the ideal; ECF tracks it; BLEST between)\n\n",
     );
-    let mut header = vec!["wifi-lte"];
-    header.extend(axis_labels(exp, block, 2, "scheduler")?);
-    header.push("ideal");
-    let mut rows = Vec::new();
-    for w in 0..block.axis_lens[0] {
-        for l in 0..block.axis_lens[1] {
-            let first = point(block, &[w, l, 0]);
-            let wifi = config_num(exp, first, &["wifi_mbps"])?;
-            let lte = config_num(exp, first, &["lte_mbps"])?;
-            let mut row = vec![pair_label(exp, first)?];
-            for k in 0..n_k {
-                let fraction = seed_mean(block, point(block, &[w, l, k]), |i| {
-                    scalar(results, i, "fast_fraction")
-                })?;
-                row.push(format!("{fraction:.2}"));
-            }
-            row.push(format!("{:.2}", wifi.max(lte) / (wifi + lte)));
-            rows.push(row);
-        }
+    let mut table = by_scheduler(&grid, "fast_fraction", 2, |p| grid.pair(p))?;
+    for (row, p) in table.rows.iter_mut().zip(grid.points(2)) {
+        let (wifi, lte) = (grid.num(&p, &["wifi_mbps"])?, grid.num(&p, &["lte_mbps"])?);
+        row.push(format!("{:.2}", wifi.max(lte) / (wifi + lte)));
     }
-    s.push_str(&render_table(&header, &rows));
+    table.labels.push("ideal".to_string());
+    s.push_str(&table.render("wifi-lte", &table.rows));
     Ok(s)
 }
 
 /// Table 2: sRTT of a bulk-saturated single path per regulated rate; the
 /// one axis alternates the WiFi and LTE runs of each rate.
 fn tab2(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "tab2", 1)?;
+    let grid = Grid::sole(exp, results, "tab2", 1)?;
     let mut rows = vec![vec!["WiFi RTT(ms)".to_string()], vec!["LTE RTT(ms)".to_string()]];
     let mut ticks = Vec::new();
-    for p in 0..block.axis_lens[0] {
-        let first = point(block, &[p]);
-        let sub = config_num(exp, first, &["scheduler", "single_path"])? as usize;
-        let rtt = seed_mean(block, first, |i| {
+    for p in 0..grid.len(0) {
+        let sub = grid.num(&[p], &["scheduler", "single_path"])? as usize;
+        let rtt = grid.mean(&[p], |i| {
             numbers(results, i, "srtt_ms")?
                 .get(sub)
                 .copied()
                 .ok_or_else(|| format!("cell {i}: no sRTT for subflow {sub}"))
         })?;
         rows.get_mut(sub)
-            .ok_or_else(|| format!("cell {first}: tab2 has no row for subflow {sub}"))?
+            .ok_or_else(|| {
+                format!("cell {}: tab2 has no row for subflow {sub}", grid.cells(&[p]).start)
+            })?
             .push(format!("{rtt:.0}"));
         if sub == 0 {
-            ticks.push(fmt_bw(config_num(exp, first, &["wifi_mbps"])?));
+            ticks.push(fmt_bw(grid.num(&[p], &["wifi_mbps"])?));
         }
     }
     if rows.iter().any(|row| row.len() != ticks.len() + 1) {
@@ -472,19 +573,19 @@ fn tab2(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 /// Figs 11 & 12: WiFi and LTE CWND traces, one column per scheduler,
 /// sampled at the first scheduler's thinned trace times.
 fn fig11(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "fig11", 1)?;
+    let grid = Grid::sole(exp, results, "fig11", 1)?;
     let mut traces = Vec::new();
-    for k in 0..block.axis_lens[0] {
-        let i = point(block, &[k]);
+    for k in 0..grid.len(0) {
+        let i = grid.cells(&[k]).start;
         let per_subflow = series(results, i, "cwnd_traces")?
             .iter()
-            .map(|t| t.as_array().and_then(points))
+            .map(|t| t.as_array().and_then(time_series))
             .collect::<Option<Vec<_>>>()
             .ok_or_else(|| format!("cell {i}: cwnd_traces holds a malformed trace"))?;
         if per_subflow.len() < 2 {
             return Err(format!("cell {i}: fewer than 2 cwnd traces"));
         }
-        traces.push((config_str(exp, i, "scheduler")?, per_subflow));
+        traces.push((grid.label(&[k], "scheduler")?, per_subflow));
     }
     let mut s = String::from(
         "Figs 11 & 12: CWND traces at 0.3 Mbps WiFi / 8.6 Mbps LTE\n\
@@ -518,12 +619,11 @@ fn fig11(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 
 /// Table 3: initial-window resets on the fast (LTE) subflow per scheduler.
 fn tab3(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "tab3", 1)?;
-    let rows = (0..block.axis_lens[0])
+    let grid = Grid::sole(exp, results, "tab3", 1)?;
+    let rows = (0..grid.len(0))
         .map(|k| {
-            let i = point(block, &[k]);
-            let resets = seed_mean(block, i, |i| scalar(results, i, "fast_iw_resets"))?;
-            Ok(vec![config_str(exp, i, "scheduler")?.to_string(), format!("{resets:.0}")])
+            let resets = grid.scalar(&[k], "fast_iw_resets")?;
+            Ok(vec![grid.label(&[k], "scheduler")?, format!("{resets:.0}")])
         })
         .collect::<Result<Vec<_>, String>>()?;
     let mut s = String::from(
@@ -537,17 +637,16 @@ fn tab3(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 
 /// Fig 13: the default scheduler's OOO-delay CCDF per bandwidth pair.
 fn fig13(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "fig13", 1)?;
+    let grid = Grid::sole(exp, results, "fig13", 1)?;
     let mut s = String::from(
         "Fig 13: Out-of-order delay CCDF, default scheduler\n\
          (paper: heavier heterogeneity -> heavier tail; 0.3-8.6 median ~1 s)\n\n\
          delay_s",
     );
     let mut cdfs = Vec::new();
-    for p in 0..block.axis_lens[0] {
-        let i = point(block, &[p]);
-        s.push_str(&format!("\t{}", pair_label(exp, i)?));
-        cdfs.push(pooled(results, i..i + block.seeds, "ooo_delays")?);
+    for p in 0..grid.len(0) {
+        s.push_str(&format!("\t{}", grid.pair(&[p])?));
+        cdfs.push(grid.pooled(&[p], "ooo_delays")?);
     }
     s.push('\n');
     s.push_str(&ccdf_rows(&cdfs, 0.1, 14));
@@ -556,20 +655,18 @@ fn fig13(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 
 /// Fig 14: OOO-delay CCDF per scheduler (axes: pair, scheduler).
 fn fig14(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "fig14", 2)?;
+    let grid = Grid::sole(exp, results, "fig14", 2)?;
+    let labels = grid.labels(1, "scheduler")?;
     let mut s = String::from(
         "Fig 14: Out-of-order delay CCDF per scheduler\n\
          (paper: under heterogeneity ECF's tail is smallest; near-parity when symmetric)\n",
     );
-    for p in 0..block.axis_lens[0] {
-        s.push_str(&format!("\n--- {} Mbps ---\ndelay_s", pair_label(exp, point(block, &[p, 0]))?));
+    for p in 0..grid.len(0) {
+        s.push_str(&format!("\n--- {} Mbps ---\ndelay_s", grid.pair(&[p])?));
         let mut cdfs = Vec::new();
-        let mut labels = Vec::new();
-        for k in 0..block.axis_lens[1] {
-            let i = point(block, &[p, k]);
-            labels.push(config_str(exp, i, "scheduler")?);
-            s.push_str(&format!("\t{}", labels[k]));
-            cdfs.push(pooled(results, i..i + block.seeds, "ooo_delays")?);
+        for (k, label) in labels.iter().enumerate() {
+            s.push_str(&format!("\t{label}"));
+            cdfs.push(grid.pooled(&[p, k], "ooo_delays")?);
         }
         s.push('\n');
         s.push_str(&ccdf_rows(&cdfs, 0.1, 14));
@@ -584,26 +681,23 @@ fn fig14(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 
 /// Fig 15: bit-rate ratio with four subflows (axes: scheduler, lte).
 fn fig15(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "fig15", 2)?;
-    let (n_k, n_l) = (block.axis_lens[0], block.axis_lens[1]);
+    let grid = Grid::sole(exp, results, "fig15", 2)?;
+    let n_l = grid.len(1);
     let mut s = String::from(
         "Fig 15: Bit-rate ratio with 4 subflows (2/interface), 0.3 Mbps WiFi\n\
          (paper: ECF keeps mitigating heterogeneity with more subflows)\n\n",
     );
     let mut rows = Vec::new();
-    for k in 0..n_k {
-        let mut row = vec![config_str(exp, point(block, &[k, 0]), "scheduler")?.to_string()];
+    for k in 0..grid.len(0) {
+        let mut row = vec![grid.label(&[k], "scheduler")?];
         for l in 0..n_l {
-            let ratio = seed_mean(block, point(block, &[k, l]), |i| {
-                Ok((scalar(results, i, "avg_bitrate")? / scalar(results, i, "ideal_bitrate")?)
-                    .min(1.0))
-            })?;
+            let ratio = grid.mean(&[k, l], |i| bitrate_ratio(results, i))?;
             row.push(format!("{ratio:.2}"));
         }
         rows.push(row);
     }
     let ticks = (0..n_l)
-        .map(|l| config_num(exp, point(block, &[0, l]), &["lte_mbps"]).map(fmt_bw))
+        .map(|l| grid.num(&[0, l], &["lte_mbps"]).map(fmt_bw))
         .collect::<Result<Vec<_>, _>>()?;
     let mut header = vec!["sched\\lte"];
     header.extend(ticks.iter().map(String::as_str));
@@ -623,35 +717,18 @@ fn size_label(bytes: f64) -> String {
 
 /// Fig 18: mean completion time per size (axes: bytes, lte, scheduler).
 fn fig18(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "fig18", 3)?;
-    let (n_b, n_l, n_k) = (block.axis_lens[0], block.axis_lens[1], block.axis_lens[2]);
+    let grid = Grid::sole(exp, results, "fig18", 3)?;
     let mut s = String::from(
         "Fig 18: Average download completion time (s), WiFi 1 Mbps, LTE 1-10 Mbps\n\
          (paper: schedulers converge for small files; ECF <= default for larger\n\
           files under heterogeneity; DAPS often worst)\n",
     );
-    let mut header = vec!["wifi-lte"];
-    for k in 0..n_k {
-        header.push(config_str(exp, point(block, &[0, 0, k]), "scheduler")?);
-    }
-    for b in 0..n_b {
-        let first = point(block, &[b, 0, 0]);
-        s.push_str(&format!("\n--- {} ---\n", size_label(config_num(exp, first, &["bytes"])?)));
-        let mut rows = Vec::new();
-        for l in 0..n_l {
-            let at = point(block, &[b, l, 0]);
-            let wifi = config_num(exp, at, &["wifi_mbps"])?;
-            let lte = config_num(exp, at, &["lte_mbps"])?;
-            let mut row = vec![format!("{wifi:.0}-{lte:.0}")];
-            for k in 0..n_k {
-                let mean = seed_mean(block, point(block, &[b, l, k]), |i| {
-                    scalar(results, i, "completion_s")
-                })?;
-                row.push(format!("{mean:.2}"));
-            }
-            rows.push(row);
-        }
-        s.push_str(&render_table(&header, &rows));
+    let table = by_scheduler(&grid, "completion_s", 2, |p| {
+        Ok(format!("{:.0}-{:.0}", grid.num(p, &["wifi_mbps"])?, grid.num(p, &["lte_mbps"])?))
+    })?;
+    for (b, rows) in table.rows.chunks(grid.len(1)).enumerate() {
+        s.push_str(&format!("\n--- {} ---\n", size_label(grid.num(&[b], &["bytes"])?)));
+        s.push_str(&table.render("wifi-lte", rows));
     }
     Ok(s)
 }
@@ -660,29 +737,28 @@ fn fig18(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 /// size (axes: bytes, lte, wifi, scheduler = {default, ecf}). A difference
 /// inside one standard deviation plots as 1.0, as in the paper.
 fn fig19(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "fig19", 4)?;
-    let (n_b, n_l, n_w) = (block.axis_lens[0], block.axis_lens[1], block.axis_lens[2]);
-    let (dk, ek) = default_and_ecf("fig19", &axis_labels(exp, block, 3, "scheduler")?)?;
+    let grid = Grid::sole(exp, results, "fig19", 4)?;
+    let (n_l, n_w) = (grid.len(1), grid.len(2));
+    let (dk, ek) = grid.default_and_ecf("fig19", 3)?;
     let mut s = String::from(
         "Fig 19: ECF completion time / default completion time\n\
          (paper: 1.0 on the diagonal and for small files; down to ~0.8 under\n\
           heterogeneity; never above 1)\n",
     );
-    let times = |first: usize| -> Result<Vec<f64>, String> {
-        (first..first + block.seeds).map(|i| scalar(results, i, "completion_s")).collect()
+    let times = |at: &[usize]| -> Result<Vec<f64>, String> {
+        grid.cells(at).map(|i| scalar(results, i, "completion_s")).collect()
     };
-    let tick = |at: [usize; 4], key: &str| -> Result<String, String> {
-        Ok(format!("{:.0}", config_num(exp, point(block, &at), &[key])?))
+    let tick = |at: &[usize], key: &str| -> Result<String, String> {
+        Ok(format!("{:.0}", grid.num(at, &[key])?))
     };
-    for b in 0..n_b {
-        let first = point(block, &[b, 0, 0, 0]);
-        s.push_str(&format!("\n--- {} ---\n", size_label(config_num(exp, first, &["bytes"])?)));
+    for b in 0..grid.len(0) {
+        s.push_str(&format!("\n--- {} ---\n", size_label(grid.num(&[b], &["bytes"])?)));
         let mut values = Vec::new();
         for l in 0..n_l {
             let mut row = Vec::new();
             for w in 0..n_w {
-                let d = times(point(block, &[b, l, w, dk]))?;
-                let e = times(point(block, &[b, l, w, ek]))?;
+                let d = times(&[b, l, w, dk])?;
+                let e = times(&[b, l, w, ek])?;
                 let (d_mean, d_sd) = (metrics::mean(&d), metrics::stddev(&d));
                 let (e_mean, e_sd) = (metrics::mean(&e), metrics::stddev(&e));
                 row.push(if (d_mean - e_mean).abs() <= d_sd.max(e_sd) {
@@ -694,9 +770,8 @@ fn fig19(exp: &Expansion, results: &[Value]) -> Result<String, String> {
             values.push(row);
         }
         let worst = values.iter().flatten().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let x_ticks =
-            (0..n_w).map(|w| tick([b, 0, w, 0], "wifi_mbps")).collect::<Result<_, _>>()?;
-        let y_ticks = (0..n_l).map(|l| tick([b, l, 0, 0], "lte_mbps")).collect::<Result<_, _>>()?;
+        let x_ticks = (0..n_w).map(|w| tick(&[b, 0, w], "wifi_mbps")).collect::<Result<_, _>>()?;
+        let y_ticks = (0..n_l).map(|l| tick(&[b, l], "lte_mbps")).collect::<Result<_, _>>()?;
         s.push_str(&heatmap(values, x_ticks, y_ticks, (0.7, 1.3)));
         s.push_str(&format!("max ratio (should stay ~<= 1): {worst:.2}\n"));
     }
@@ -715,21 +790,20 @@ fn web_cdfs(
     figure: &str,
     key: &str,
 ) -> Result<Vec<WebPanel>, String> {
-    let block = sole_block(exp, figure, 2)?;
+    let grid = Grid::sole(exp, results, figure, 2)?;
+    let labels = grid.labels(1, "scheduler")?;
     let mut out = Vec::new();
-    for c in 0..block.axis_lens[0] {
-        let first = point(block, &[c, 0]);
+    for c in 0..grid.len(0) {
         let header = format!(
             "\n--- {} Mbps WiFi / {} Mbps LTE ---\n",
-            fmt_bw(config_num(exp, first, &["wifi_mbps"])?),
-            fmt_bw(config_num(exp, first, &["lte_mbps"])?)
+            fmt_bw(grid.num(&[c], &["wifi_mbps"])?),
+            fmt_bw(grid.num(&[c], &["lte_mbps"])?)
         );
-        let mut cdfs = Vec::new();
-        for k in 0..block.axis_lens[1] {
-            let i = point(block, &[c, k]);
-            let label = config_str(exp, i, "scheduler")?.to_string();
-            cdfs.push((label, pooled(results, i..i + block.seeds, key)?));
-        }
+        let cdfs = labels
+            .iter()
+            .enumerate()
+            .map(|(k, label)| Ok((label.clone(), grid.pooled(&[c, k], key)?)))
+            .collect::<Result<_, String>>()?;
         out.push((header, cdfs));
     }
     Ok(out)
@@ -795,12 +869,11 @@ fn fig21(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 /// Fig 22: wild streaming per run (axes: run, scheduler = {default, ecf}),
 /// with the default run's measured sRTTs.
 fn fig22(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "fig22", 2)?;
-    let n_runs = block.axis_lens[0];
-    let (dk, ek) = default_and_ecf("fig22", &axis_labels(exp, block, 1, "scheduler")?)?;
-    let throughput = |first| seed_mean(block, first, |i| scalar(results, i, "avg_throughput"));
-    let srtt = |first, sub: usize| {
-        seed_mean(block, first, |i| {
+    let grid = Grid::sole(exp, results, "fig22", 2)?;
+    let n_runs = grid.len(0);
+    let (dk, ek) = grid.default_and_ecf("fig22", 1)?;
+    let srtt = |at: &[usize], sub: usize| {
+        grid.mean(at, |i| {
             let srtt = numbers(results, i, "srtt_ms")?;
             match srtt[..] {
                 [_, _] => Ok(srtt[sub]),
@@ -816,9 +889,9 @@ fn fig22(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     let mut rows = Vec::new();
     let (mut sum_d, mut sum_e) = (0.0, 0.0);
     for run in 0..n_runs {
-        let (d, e) = (point(block, &[run, dk]), point(block, &[run, ek]));
-        let (d_tp, e_tp) = (throughput(d)?, throughput(e)?);
-        let (d_wifi, d_lte) = (srtt(d, 0)?, srtt(d, 1)?);
+        let (d, e) = ([run, dk], [run, ek]);
+        let (d_tp, e_tp) = (grid.scalar(&d, "avg_throughput")?, grid.scalar(&e, "avg_throughput")?);
+        let (d_wifi, d_lte) = (srtt(&d, 0)?, srtt(&d, 1)?);
         sum_d += d_tp;
         sum_e += e_tp;
         rows.push(vec![
@@ -845,13 +918,12 @@ fn fig22(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 /// Fig 23 / Table 4: wild web browsing, every run's and seed's samples
 /// pooled per scheduler (axes: run, scheduler = {default, ecf}).
 fn fig23(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "fig23", 2)?;
-    let (dk, ek) = default_and_ecf("fig23", &axis_labels(exp, block, 1, "scheduler")?)?;
+    let grid = Grid::sole(exp, results, "fig23", 2)?;
+    let (dk, ek) = grid.default_and_ecf("fig23", 1)?;
     let pool = |k: usize, key: &str| -> Result<Cdf, String> {
         let mut all = Vec::new();
-        for run in 0..block.axis_lens[0] {
-            let first = point(block, &[run, k]);
-            for i in first..first + block.seeds {
+        for run in 0..grid.len(0) {
+            for i in grid.cells(&[run, k]) {
                 all.extend(numbers(results, i, key)?);
             }
         }
@@ -887,13 +959,12 @@ fn fig23(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 
 /// Ablation: ECF's hysteresis β (one axis of `ecf_with` schedulers).
 fn ablation_beta(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "ablation_beta", 1)?;
+    let grid = Grid::sole(exp, results, "ablation_beta", 1)?;
     let mut rows = Vec::new();
     let mut bitrates = Vec::new();
-    for b in 0..block.axis_lens[0] {
-        let i = point(block, &[b]);
-        let beta = config_num(exp, i, &["scheduler", "ecf_with", "beta"])?;
-        let br = seed_mean(block, i, |i| scalar(results, i, "avg_bitrate"))?;
+    for b in 0..grid.len(0) {
+        let beta = grid.num(&[b], &["scheduler", "ecf_with", "beta"])?;
+        let br = grid.scalar(&[b], "avg_bitrate")?;
         rows.push(vec![format!("{beta:.2}"), format!("{br:.2}")]);
         bitrates.push(br);
     }
@@ -912,22 +983,21 @@ fn ablation_beta(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 /// the default (one scheduler axis of the variants [`COMPONENT_VARIANTS`]
 /// names, each row labelled from its cell's scheduler).
 fn ablation_components(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    /// Each variant's scheduler (canonical JSON) and its row label.
+    /// Each variant's scheduler label (see [`label_of`]) and its row label.
     const COMPONENT_VARIANTS: [(&str, &str); 4] = [
-        (r#""ecf""#, "full ECF"),
+        ("ecf", "full ECF"),
         (r#"{"ecf_with":{"use_delta":false}}"#, "no delta margin"),
         (r#"{"ecf_with":{"use_second_inequality":false}}"#, "no second inequality"),
-        (r#""default""#, "default (reference)"),
+        ("default", "default (reference)"),
     ];
-    let block = sole_block(exp, "ablation_components", 1)?;
+    let grid = Grid::sole(exp, results, "ablation_components", 1)?;
     let mut rows = Vec::new();
-    for v in 0..block.axis_lens[0] {
-        let first = point(block, &[v]);
-        let scheduler = testkit::json::canonical(config(exp, first, &["scheduler"])?);
+    for v in 0..grid.len(0) {
+        let scheduler = grid.label(&[v], "scheduler")?;
         let (_, name) = COMPONENT_VARIANTS.iter().find(|(s, _)| *s == scheduler).ok_or_else(
             || format!("ablation_components has no variant for scheduler {scheduler}"),
         )?;
-        let br = seed_mean(block, first, |i| scalar(results, i, "avg_bitrate"))?;
+        let br = grid.scalar(&[v], "avg_bitrate")?;
         rows.push(vec![name.to_string(), format!("{br:.2}")]);
     }
     let mut s = String::from(
@@ -940,59 +1010,33 @@ fn ablation_components(exp: &Expansion, results: &[Value]) -> Result<String, Str
 
 /// Ablation: coupled congestion controller (axes: cc, scheduler).
 fn ablation_cc(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "ablation_cc", 2)?;
-    let labels: Vec<String> = axis_labels(exp, block, 1, "scheduler")?
-        .iter()
-        .map(|label| format!("{label}_Mbps"))
-        .collect();
-    let mut header = vec!["cc"];
-    header.extend(labels.iter().map(String::as_str));
-    let mut rows = Vec::new();
-    for c in 0..block.axis_lens[0] {
-        let mut row = vec![config_str(exp, point(block, &[c, 0]), "cc")?.to_string()];
-        for k in 0..block.axis_lens[1] {
-            let br =
-                seed_mean(block, point(block, &[c, k]), |i| scalar(results, i, "avg_bitrate"))?;
-            row.push(format!("{br:.2}"));
-        }
-        rows.push(row);
+    let grid = Grid::sole(exp, results, "ablation_cc", 2)?;
+    let mut table = by_scheduler(&grid, "avg_bitrate", 2, |p| grid.label(p, "cc"))?;
+    for label in &mut table.labels {
+        label.push_str("_Mbps");
     }
     let mut s = String::from(
         "Ablation: congestion controller sensitivity at 0.3/8.6 Mbps\n\
          (paper §3.1: degradation appears regardless of the controller;\n\
           ECF should beat default under each)\n\n",
     );
-    s.push_str(&render_table(&header, &rows));
+    s.push_str(&table.render("cc", &table.rows));
     Ok(s)
 }
 
 /// Extension: STTF vs ECF across heterogeneity levels (axes: pair,
 /// scheduler).
 fn extension_sttf(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "extension_sttf", 2)?;
-    let mut header = vec!["wifi-lte"];
-    for k in 0..block.axis_lens[1] {
-        header.push(config_str(exp, point(block, &[0, k]), "scheduler")?);
-    }
-    let mut rows = Vec::new();
-    for p in 0..block.axis_lens[0] {
-        let first = point(block, &[p, 0]);
-        let wifi = config_num(exp, first, &["wifi_mbps"])?;
-        let lte = config_num(exp, first, &["lte_mbps"])?;
-        let mut row = vec![format!("{wifi}-{lte}")];
-        for k in 0..block.axis_lens[1] {
-            let br =
-                seed_mean(block, point(block, &[p, k]), |i| scalar(results, i, "avg_bitrate"))?;
-            row.push(format!("{br:.2}"));
-        }
-        rows.push(row);
-    }
+    let grid = Grid::sole(exp, results, "extension_sttf", 2)?;
+    let table = by_scheduler(&grid, "avg_bitrate", 2, |p| {
+        Ok(format!("{}-{}", grid.num(p, &["wifi_mbps"])?, grid.num(p, &["lte_mbps"])?))
+    })?;
     let mut s = String::from(
         "Extension: STTF (Hurtig et al. 2018) vs ECF on streaming\n\
          (STTF reasons per segment; ECF about the whole backlog — expect STTF\n\
           between the default and ECF under heterogeneity)\n\n",
     );
-    s.push_str(&render_table(&header, &rows));
+    s.push_str(&table.render("wifi-lte", &table.rows));
     Ok(s)
 }
 
@@ -1022,55 +1066,25 @@ fn fig3(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 
 /// Fig 16: scenario × scheduler grid of seed-mean average throughputs.
 fn fig16(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "fig16", 2)?;
-    let (n_sc, n_k) = (block.axis_lens[0], block.axis_lens[1]);
-    let labels = axis_labels(exp, block, 1, "scheduler")?;
-    // tps[sc][k]
-    let tps = (0..n_sc)
-        .map(|sc| {
-            (0..n_k)
-                .map(|k| {
-                    seed_mean(block, point(block, &[sc, k]), |i| {
-                        scalar(results, i, "avg_throughput")
-                    })
-                })
-                .collect::<Result<Vec<f64>, _>>()
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let grid = Grid::sole(exp, results, "fig16", 2)?;
+    let table = by_scheduler(&grid, "avg_throughput", 2, |p| Ok(format!("{}", p[0] + 1)))?;
     let mut s = String::from(
         "Fig 16: Streaming throughput under random bandwidth changes (mean interval 40 s)\n\
          (paper: ECF highest in every scenario; BLEST ~default)\n\n",
     );
-    let rows: Vec<Vec<String>> = tps
-        .iter()
-        .enumerate()
-        .map(|(sc, row)| {
-            let mut cells = vec![format!("{}", sc + 1)];
-            cells.extend(row.iter().map(|tp| format!("{tp:.2}")));
-            cells
-        })
-        .collect();
-    let mut header = vec!["scenario"];
-    header.extend(&labels);
-    s.push_str(&render_table(&header, &rows));
-    let means: Vec<String> = labels
-        .iter()
-        .enumerate()
-        .map(|(k, label)| {
-            let column: Vec<f64> = tps.iter().map(|row| row[k]).collect();
-            format!("{label}={:.2}", metrics::mean(&column))
-        })
-        .collect();
-    s.push_str(&format!("\nmeans: {} Mbps\n", means.join("  ")));
+    s.push_str(&table.render("scenario", &table.rows));
+    s.push_str(&format!("\nmeans: {} Mbps\n", table.means));
     Ok(s)
 }
 
 /// Fig 17: the chunk-throughput traces of the default and ECF cells zipped.
 fn fig17(exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    let grid = Grid::sole(exp, results, "fig17", 1)?;
     if exp.cells.len() != 2 {
         return Err(format!("fig17 expects exactly 2 cells, got {}", exp.cells.len()));
     }
-    let trace = |i: usize| -> Result<Vec<f64>, String> {
+    let trace = |k: usize| -> Result<Vec<f64>, String> {
+        let i = grid.cells(&[k]).start;
         results[i]
             .get("series")
             .and_then(|s| s.get("chunk_throughputs"))
@@ -1085,8 +1099,7 @@ fn fig17(exp: &Expansion, results: &[Value]) -> Result<String, String> {
             })
             .collect()
     };
-    let labels = (0..2).map(|i| config_str(exp, i, "scheduler")).collect::<Result<Vec<_>, _>>()?;
-    let (dk, ek) = default_and_ecf("fig17", &labels)?;
+    let (dk, ek) = grid.default_and_ecf("fig17", 0)?;
     let (default, ecf) = (trace(dk)?, trace(ek)?);
     let mut s = String::from(
         "Fig 17: Per-chunk throughput, random scenario 6 (default vs ECF)\n\
@@ -1101,97 +1114,42 @@ fn fig17(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 
 /// dyn_handover: outage-ladder × scheduler table plus ladder means.
 fn dyn_handover(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    let block = sole_block(exp, "dyn_handover", 2)?;
-    let (n_d, n_k, per_cell) = (block.axis_lens[0], block.axis_lens[1], block.seeds);
-    let labels = axis_labels(exp, block, 1, "scheduler")?;
-    let bitrates: Vec<f64> = (0..block.len)
-        .map(|i| scalar(results, block.start + i, "avg_bitrate"))
-        .collect::<Result<_, _>>()?;
+    let grid = Grid::sole(exp, results, "dyn_handover", 2)?;
+    let table = by_scheduler(&grid, "avg_bitrate", 3, |p| {
+        Ok(format!("{}", grid.num(p, &["scenario", "outage_secs"])? as u64))
+    })?;
     let mut s = String::from(
         "dyn_handover: streaming bitrate under periodic LTE blackouts\n\
          (1.7 Mbps WiFi + 8.6 Mbps LTE; LTE dark for the given duration\n\
           every 60 s; mean encoded bitrate in Mbps, higher is better)\n\n",
     );
-    let mut rows = Vec::new();
-    for di in 0..n_d {
-        let first = block.start + di * n_k * per_cell;
-        let d = config_num(exp, first, &["scenario", "outage_secs"])? as u64;
-        let mut row = vec![format!("{d}")];
-        for ki in 0..n_k {
-            let base = (di * n_k + ki) * per_cell;
-            row.push(format!("{:.3}", metrics::mean(&bitrates[base..base + per_cell])));
-        }
-        rows.push(row);
-    }
-    let mut header = vec!["outage_s"];
-    header.extend(&labels);
-    s.push_str(&render_table(&header, &rows));
-    let means: Vec<String> = labels
-        .iter()
-        .enumerate()
-        .map(|(ki, label)| {
-            let vals: Vec<f64> = (0..n_d)
-                .flat_map(|di| {
-                    let base = (di * n_k + ki) * per_cell;
-                    bitrates[base..base + per_cell].to_vec()
-                })
-                .collect();
-            format!("{label}={:.3}", metrics::mean(&vals))
-        })
-        .collect();
-    s.push_str(&format!("\nladder means: {} Mbps\n", means.join("  ")));
+    s.push_str(&table.render("outage_s", &table.rows));
+    s.push_str(&format!("\nladder means: {} Mbps\n", table.means));
     Ok(s)
 }
 
 /// dyn_burstloss: the two loss sweeps (average loss, then burst length).
 fn dyn_burstloss(exp: &Expansion, results: &[Value]) -> Result<String, String> {
-    if exp.blocks.len() != 2 {
+    let [loss, burst] = exp.blocks.as_slice() else {
         return Err(format!("dyn_burstloss expects 2 blocks, got {}", exp.blocks.len()));
-    }
-    let sweep = |block: &BlockShape| -> Result<Vec<f64>, String> {
-        (0..block.len)
-            .map(|i| scalar(results, block.start + i, "avg_throughput"))
-            .collect()
     };
-    let table = |block: &BlockShape,
-                 rung_header: &str,
-                 label: &dyn Fn(usize) -> Result<String, String>|
-     -> Result<String, String> {
-        let (n_l, n_k, per_cell) = (block.axis_lens[0], block.axis_lens[1], block.seeds);
-        let values = sweep(block)?;
-        let mut header = vec![rung_header];
-        header.extend(axis_labels(exp, block, 1, "scheduler")?);
-        let mut rows = Vec::new();
-        for li in 0..n_l {
-            let mut row = vec![label(li)?];
-            for ki in 0..n_k {
-                let base = (li * n_k + ki) * per_cell;
-                row.push(format!("{:.3}", metrics::mean(&values[base..base + per_cell])));
-            }
-            rows.push(row);
-        }
-        Ok(render_table(&header, &rows))
-    };
-    let rung = |block: &BlockShape, li: usize| {
-        block.start + li * block.axis_lens[1] * block.seeds
-    };
-
-    let (loss_block, burst_block) = (&exp.blocks[0], &exp.blocks[1]);
+    let loss = Grid::new(exp, results, loss, "dyn_burstloss", 2)?;
+    let burst = Grid::new(exp, results, burst, "dyn_burstloss", 2)?;
+    let by_avg = by_scheduler(&loss, "avg_throughput", 3, |p| {
+        Ok(format!("{:.1}", loss.num(p, &["loss", "avg"])? * 100.0))
+    })?;
+    let by_burst = by_scheduler(&burst, "avg_throughput", 3, |p| {
+        Ok(format!("{:.0}", burst.num(p, &["loss", "mean_burst"])?))
+    })?;
     let mut s = String::from(
         "dyn_burstloss: streaming throughput under bursty LTE loss\n\
          (1.7 Mbps WiFi + 8.6 Mbps LTE; Gilbert-Elliott two-state loss on\n\
           the LTE forward link; mean chunk throughput in Mbps)\n\n\
          Sweep 1: average loss at mean burst length 8 packets\n",
     );
-    s.push_str(&table(loss_block, "avg_loss_%", &|li| {
-        let avg = config_num(exp, rung(loss_block, li), &["loss", "avg"])?;
-        Ok(format!("{:.1}", avg * 100.0))
-    })?);
+    s.push_str(&by_avg.render("avg_loss_%", &by_avg.rows));
     s.push_str("\nSweep 2: burst length at fixed 1% average loss\n");
-    s.push_str(&table(burst_block, "mean_burst_pkts", &|li| {
-        let burst = config_num(exp, rung(burst_block, li), &["loss", "mean_burst"])?;
-        Ok(format!("{burst:.0}"))
-    })?);
+    s.push_str(&by_burst.render("mean_burst_pkts", &by_burst.rows));
     Ok(s)
 }
 
@@ -1208,8 +1166,8 @@ fn quic_web(exp: &Expansion, results: &[Value]) -> Result<String, String> {
         ("ooo_mean_s", 4),
         ("ooo_p99_s", 4),
     ];
-    let block = sole_block(exp, "quic_web", 2)?;
-    let (n_cfg, n_k, per_cell) = (block.axis_lens[0], block.axis_lens[1], block.seeds);
+    let grid = Grid::sole(exp, results, "quic_web", 2)?;
+    let labels = grid.labels(1, "scheduler")?;
     let mut header = vec!["transport", "scheduler"];
     header.extend(COLUMNS.map(|(name, _)| name));
     let mut s = String::from(
@@ -1218,23 +1176,17 @@ fn quic_web(exp: &Expansion, results: &[Value]) -> Result<String, String> {
          (expectation: QUIC's per-stream reassembly shrinks the OOO tail;\n\
          ECF narrows the heterogeneous-path completion gap on both)\n",
     );
-    for ci in 0..n_cfg {
-        let first = block.start + ci * n_k * per_cell;
-        let wifi = config_num(exp, first, &["wifi_mbps"])?;
-        let lte = config_num(exp, first, &["lte_mbps"])?;
+    for c in 0..grid.len(0) {
+        let wifi = grid.num(&[c], &["wifi_mbps"])?;
+        let lte = grid.num(&[c], &["lte_mbps"])?;
         s.push_str(&format!("\n--- {wifi:.1} Mbps WiFi / {lte:.1} Mbps LTE ---\n"));
         let mut rows = Vec::new();
-        for ki in 0..n_k {
-            let base = block.start + (ci * n_k + ki) * per_cell;
-            let sched = exp.cells[base].config.get("scheduler").and_then(Value::as_str);
+        for (k, label) in labels.iter().enumerate() {
             for transport in ["mptcp", "quic"] {
-                let mut row = vec![transport.to_string(), sched.unwrap_or("-").to_string()];
+                let mut row = vec![transport.to_string(), label.clone()];
                 for (name, precision) in COLUMNS {
-                    let key = format!("{transport}_{name}");
-                    let vals: Vec<f64> = (0..per_cell)
-                        .map(|si| scalar(results, base + si, &key))
-                        .collect::<Result<_, _>>()?;
-                    row.push(format!("{:.precision$}", metrics::mean(&vals)));
+                    let mean = grid.scalar(&[c, k], &format!("{transport}_{name}"))?;
+                    row.push(format!("{mean:.precision$}"));
                 }
                 rows.push(row);
             }
@@ -1249,12 +1201,10 @@ fn quic_web(exp: &Expansion, results: &[Value]) -> Result<String, String> {
 fn generic(spec: &Spec, exp: &Expansion, results: &[Value]) -> Result<String, String> {
     let mut s = format!("{}: {} cells\n", spec.name, exp.cells.len());
     s.push_str("cell\tscheduler\tcc\tseed\tavg_bitrate\tavg_throughput\n");
-    for i in 0..exp.cells.len() {
-        let cfg = &exp.cells[i].config;
-        let label = |key: &str| {
-            cfg.get(key).and_then(Value::as_str).unwrap_or("-").to_string()
-        };
-        let seed = config_num(exp, i, &["seed"])? as u64;
+    for (i, cell) in exp.cells.iter().enumerate() {
+        let label = |key: &str| cell.config.get(key).map_or_else(|| "-".to_string(), label_of);
+        let seed = cell.config.get("seed").and_then(Value::as_f64);
+        let seed = seed.ok_or_else(|| format!("cell {i}: config lacks a numeric seed"))? as u64;
         s.push_str(&format!(
             "{i}\t{}\t{}\t{seed}\t{:.3}\t{:.3}\n",
             label("scheduler"),
@@ -1272,16 +1222,16 @@ mod tests {
     use crate::common::Effort;
     use crate::expmatrix::spec::expand;
 
-    /// Render `figure` over one block with `axes` and `seeds` seeds (base
-    /// 1), on fabricated results: every cell reads `v` for every scalar and
-    /// sample, where `v` is 1 for default, 2 for blest, 4 for ecf (3 for
-    /// anything else), plus 10 without CWND conservation, plus `seed − 1`.
-    fn render_fake(figure: &str, axes: &str, seeds: u32) -> Result<String, String> {
+    /// Render `figure` over `blocks` (a JSON array) on fabricated results:
+    /// every cell reads `v` for every scalar and sample, where `v` is 1 for
+    /// default, 2 for blest, 4 for ecf (3 for anything else), plus 10
+    /// without CWND conservation, plus `seed − 1`.
+    fn render_blocks(figure: &str, blocks: &str) -> Result<String, String> {
         let spec = Spec::from_json(&format!(
             r#"{{"schema": 1, "name": "t", "figure": "{figure}",
                 "base": {{"workload": "streaming", "wifi_mbps": 1, "lte_mbps": 2,
                           "bytes": 1048576, "cc": "lia"}},
-                "blocks": [{{"axes": {axes}, "seeds": {{"base": 1, "count": {seeds}}}}}]}}"#
+                "blocks": {blocks}}}"#
         ))?;
         let exp = expand(&spec, Effort::Quick)?;
         let results: Vec<Value> = exp
@@ -1298,10 +1248,19 @@ mod tests {
                 let reset_off = cfg.get("cwnd_conservation") == Some(&Value::Bool(false));
                 let seed = cfg.get("seed").and_then(Value::as_f64).unwrap();
                 let v = sched + if reset_off { 10.0 } else { 0.0 } + seed - 1.0;
+                let quic_web: String = ["mptcp", "quic"]
+                    .iter()
+                    .flat_map(|t| {
+                        ["obj_mean_s", "obj_median_s", "obj_p99_s", "plt_s", "ooo_mean_s"]
+                            .into_iter()
+                            .chain(["ooo_p99_s"])
+                            .map(move |c| format!(r#", "{t}_{c}": {v}"#))
+                    })
+                    .collect();
                 testkit::json::parse(&format!(
                     r#"{{"scalars": {{"avg_throughput": {v}, "avg_bitrate": {v},
                                       "ideal_bitrate": 100, "fast_fraction": {v},
-                                      "fast_iw_resets": {v}, "completion_s": {v}}},
+                                      "fast_iw_resets": {v}, "completion_s": {v}{quic_web}}},
                         "series": {{"srtt_ms": [{v}, {v}], "completions": [{v}],
                                     "ooo_delays": [{v}], "chunk_throughputs": [[0, {v}]]}}}}"#
                 ))
@@ -1309,6 +1268,13 @@ mod tests {
             })
             .collect();
         render(&spec, &exp, &results)
+    }
+
+    /// [`render_blocks`] over one block with `axes` and `seeds` seeds
+    /// (base 1).
+    fn render_fake(figure: &str, axes: &str, seeds: u32) -> Result<String, String> {
+        let block = format!(r#"{{"axes": {axes}, "seeds": {{"base": 1, "count": {seeds}}}}}"#);
+        render_blocks(figure, &format!("[{block}]"))
     }
 
     /// The whitespace-separated cells of the report line starting `first`.
@@ -1340,24 +1306,53 @@ mod tests {
         let dyn_h = render_scheds("dyn_handover", handover, r#"["ecf", "default"]"#, 1).unwrap();
         assert_eq!(row(&dyn_h, "outage_s"), ["outage_s", "ecf", "default"]);
         assert_eq!(row(&dyn_h, "ladder means:")[2..4], ["ecf=4.000", "default=1.000"]);
-        let sweep = r#"[{"key": "loss", "values": [{"loss": {"avg": 0.01, "mean_burst": 4}}]},
-            {"key": "scheduler", "values": ["ecf", "default"]}]"#;
-        let spec = Spec::from_json(&format!(
-            r#"{{"schema": 1, "name": "t", "figure": "dyn_burstloss",
-                "base": {{"workload": "streaming", "seed": 1}},
-                "blocks": [{{"axes": {sweep}}}, {{"axes": {sweep}}}]}}"#
-        ))
-        .unwrap();
-        let exp = expand(&spec, Effort::Quick).unwrap();
-        let results: Vec<Value> = (0..exp.cells.len())
-            .map(|i| {
-                testkit::json::parse(&format!(r#"{{"scalars": {{"avg_throughput": {i}}}}}"#))
-                    .unwrap()
-            })
-            .collect();
-        let burst = render(&spec, &exp, &results).unwrap();
+
+        // Every by-scheduler table over a permuted two-scheduler axis and
+        // two seeds: each column moves with its label and prints the mean
+        // of the seeds (ecf 4 and 5, default 1 and 2).
+        let scheds = r#"["ecf", "default"]"#;
+        let lte = r#"{"key": "lte_mbps", "values": [2]}, "#;
+        let wifi_lte: &str = &format!(r#"{{"key": "wifi_mbps", "values": [1]}}, {lte}"#);
+        let bytes_lte: &str = &format!(r#"{{"key": "bytes", "values": [1048576]}}, {lte}"#);
+        let cc = r#"{"key": "cc", "values": ["reno"]}, "#;
+        for (figure, lead, header, values) in [
+            ("fig7", wifi_lte, ["wifi-lte", "ecf", "default"], ["1.0-2.0", "4.50", "1.50"]),
+            ("fig16", scenario, ["scenario", "ecf", "default"], ["1", "4.50", "1.50"]),
+            ("fig18", bytes_lte, ["wifi-lte", "ecf", "default"], ["1-2", "4.50", "1.50"]),
+            ("ablation_cc", cc, ["cc", "ecf_Mbps", "default_Mbps"], ["reno", "4.50", "1.50"]),
+            ("extension_sttf", lte, ["wifi-lte", "ecf", "default"], ["1-2", "4.50", "1.50"]),
+            ("dyn_handover", handover, ["outage_s", "ecf", "default"], ["2", "4.500", "1.500"]),
+        ] {
+            let report = render_scheds(figure, lead, scheds, 2).unwrap();
+            assert_eq!(row(&report, header[0])[..3], header, "{figure}");
+            assert_eq!(row(&report, &format!("{} ", values[0]))[..3], values, "{figure}");
+        }
+        let fig16 = render_scheds("fig16", scenario, scheds, 2).unwrap();
+        assert_eq!(row(&fig16, "means:")[1..3], ["ecf=4.50", "default=1.50"]);
+        let dyn_h = render_scheds("dyn_handover", handover, scheds, 2).unwrap();
+        assert_eq!(row(&dyn_h, "ladder means:")[2..4], ["ecf=4.500", "default=1.500"]);
+        let block = r#"{"axes": [
+                {"key": "loss", "values": [{"loss": {"avg": 0.01, "mean_burst": 4}}]},
+                {"key": "scheduler", "values": ["ecf", "default"]}],
+            "seeds": {"base": 1, "count": 2}}"#;
+        let burst = render_blocks("dyn_burstloss", &format!("[{block}, {block}]")).unwrap();
         assert_eq!(row(&burst, "avg_loss_%"), ["avg_loss_%", "ecf", "default"]);
+        assert_eq!(row(&burst, "1.0 "), ["1.0", "4.500", "1.500"]);
         assert_eq!(row(&burst, "mean_burst_pkts"), ["mean_burst_pkts", "ecf", "default"]);
+        assert_eq!(row(&burst, "4 "), ["4", "4.500", "1.500"]);
+
+        // A scheduler that is not a plain name is labelled by its canonical
+        // JSON, so two ECF variants stay apart.
+        let bandwidth = r#"{"key": "bandwidth", "values": [{"wifi_mbps": 1, "lte_mbps": 2}]}, "#;
+        let variants = r#"[{"scheduler": {"ecf_with": {"beta": 0.25}}},
+            {"scheduler": {"ecf_with": {"beta": 0.5}}}]"#;
+        let quic = render_scheds("quic_web", bandwidth, variants, 1).unwrap();
+        let labels: Vec<&str> = quic
+            .lines()
+            .filter(|l| l.trim_start().starts_with("mptcp"))
+            .map(|l| l.split_whitespace().nth(1).unwrap())
+            .collect();
+        assert_eq!(labels, [r#"{"ecf_with":{"beta":0.25}}"#, r#"{"ecf_with":{"beta":0.5}}"#]);
 
         // Two schedulers render where three were assumed.
         let fig16 = render_scheds("fig16", scenario, r#"["default", "ecf"]"#, 1).unwrap();

@@ -248,9 +248,16 @@ impl UnionFind {
 /// whose window is zero (no propagation delay and an effectively infinite
 /// capacity) has no safe horizon, so its members are unioned and the
 /// population degrades to the collapsed single-engine run.
+///
+/// Panics when a coupling member, a unit's path or a scenario event names a
+/// path the population does not have: a retargeted shard would otherwise
+/// drop such an event silently.
 pub fn partition(pop: &Population) -> Vec<Vec<usize>> {
     for &m in pop.couplings.iter().flat_map(|c| &c.members) {
         assert!(m < pop.paths.len(), "coupling member {m} out of range");
+    }
+    if let Err(e) = pop.scenario.check_paths(pop.paths.len()) {
+        panic!("{e}");
     }
     let mut uf = UnionFind::new(pop.paths.len());
     for c in &pop.couplings {
@@ -893,6 +900,16 @@ mod tests {
         pop.units[3].conns[0].subflow_paths = vec![0, 7];
         let comps = partition(&pop);
         assert_eq!(comps, vec![vec![0, 3], vec![1], vec![2]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "events[0]: \"path\" 999 is not one of the run's 6 paths")]
+    fn a_scenario_path_outside_the_population_is_refused_before_the_sweep() {
+        // Retargeting would drop the event in every shard and return the
+        // static run's digest.
+        let mut pop = browse_population(1, 3, 2, 1.0, 10.0, SchedulerKind::Ecf);
+        pop.scenario = Scenario::new().outage(999, Time::from_secs(1), Time::from_secs(2));
+        run_sweep(&pop, &SweepOptions::default());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::collections::VecDeque;
 
-use ecf_core::{Decision, PathSnapshot, Scheduler};
+use ecf_core::{Decision, Scheduler};
 use simnet::Time;
 use tcp_model::TcpConfig;
 use telemetry::{EventKind, TelemetryHandle};
@@ -214,24 +214,6 @@ impl Connection {
         }
     }
 
-    /// Scheduler-facing view of the subflows.
-    pub fn snapshots(&self) -> Vec<PathSnapshot> {
-        self.subflows
-            .iter()
-            .enumerate()
-            .map(|(i, sf)| PathSnapshot {
-                id: ecf_core::PathId(i),
-                srtt: sf.cc.rtt.srtt(),
-                rtt_dev: sf.cc.rtt.rttvar(),
-                cwnd: sf.cc.cwnd_pkts(),
-                inflight: sf.inflight_count(),
-                in_slow_start: sf.cc.in_slow_start(),
-                usable: sf.usable,
-                queue_bytes: sf.link_queue_bytes,
-            })
-            .collect()
-    }
-
     /// Process a subflow ACK arriving at the sender. Returns a segment to
     /// fast-retransmit on that subflow, if loss was detected.
     pub fn on_ack(&mut self, now: Time, sub: SubId, ack: &AckInfo) -> Option<Segment> {
@@ -398,18 +380,10 @@ impl Connection {
             // loop, and the outer retry pass rebuilds the snapshot.
             if self.unassigned_segs() > 0 && !snap_valid {
                 self.driver.snap_buf.clear();
-                self.driver.snap_buf.extend(self.subflows.iter().enumerate().map(|(i, sf)| {
-                    PathSnapshot {
-                        id: ecf_core::PathId(i),
-                        srtt: sf.cc.rtt.srtt(),
-                        rtt_dev: sf.cc.rtt.rttvar(),
-                        cwnd: sf.cc.cwnd_pkts(),
-                        inflight: sf.inflight_count(),
-                        in_slow_start: sf.cc.in_slow_start(),
-                        usable: sf.usable,
-                        queue_bytes: sf.link_queue_bytes,
-                    }
-                }));
+                for sf in &self.subflows {
+                    let (inflight, queue) = (sf.inflight_count(), sf.link_queue_bytes);
+                    self.driver.push_path(&sf.cc, inflight, sf.usable, queue);
+                }
                 snap_valid = true;
             }
             loop {

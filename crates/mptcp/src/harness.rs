@@ -122,6 +122,9 @@ impl<T: Transport> Deref for World<T> {
 impl<T: Transport> World<T> {
     fn build(cfg: T::Config) -> Self {
         let (transport, net) = T::build(cfg);
+        if let Err(e) = net.scenario.check_paths(net.paths.len()) {
+            panic!("{e}");
+        }
         if let Some(seeds) = &net.path_seeds {
             assert_eq!(seeds.len(), net.paths.len(), "one seed per path");
         }
@@ -475,6 +478,10 @@ impl<T: Drive<A>, A> Testbed<T, A> {
     /// Build the world from `cfg`, install `app`, and schedule the start
     /// event plus the compiled scenario's first control event (each
     /// control chain-schedules its successor when it fires).
+    ///
+    /// Panics, with [`scenario::Scenario::check_paths`]'s message, before
+    /// anything is scheduled when the scenario names a path the
+    /// configuration does not have.
     pub fn new(cfg: T::Config, app: A) -> Self {
         Testbed::new_with_queue(cfg, app, EventQueue::new())
     }

@@ -53,7 +53,7 @@ pub mod transport;
 pub use cc::{ca_increase, CcKind, CcView};
 pub use connection::{ConnConfig, ConnStats, Connection, Transmission};
 pub use persub::PerSub;
-pub use receiver::{Delivered, Receiver, ReceiverStats, RxOutcome};
+pub use receiver::{Delivered, Receiver, ReceiverStats, ReorderRing, RxSignal};
 pub use segment::{segs_for_bytes, AckInfo, ConnId, InflightSeg, ReqId, Segment, SubId};
 pub use sim::{Api, Application, ConnSpec, Event, Mptcp, Testbed, TestbedConfig, World};
 pub use subflow::{AckOutcome, Subflow, SubflowStats};

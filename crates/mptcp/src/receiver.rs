@@ -33,9 +33,10 @@ pub struct Delivered {
     pub ooo_delay: Duration,
 }
 
-/// Outcome of processing one arriving data segment.
-#[derive(Debug, Clone)]
-pub struct RxOutcome {
+/// What processing one arriving data segment signals back, returned by
+/// [`Receiver::on_segment_into`]; deliveries land in the caller's buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct RxSignal {
     /// The ACK to send back on the arrival subflow now, if one is due.
     /// `None` when the ACK is delayed (RFC 1122) and rides the subflow's
     /// delayed-ACK timer.
@@ -45,22 +46,8 @@ pub struct RxOutcome {
     /// the timer as running from here until the caller reports it fired by
     /// calling [`Receiver::take_delayed_ack`].
     pub arm_delack: bool,
-    /// Segments that became deliverable, in order.
-    pub delivered: Vec<Delivered>,
     /// True if this segment was a duplicate at the meta level (e.g. the
     /// second copy of a reinjected dsn).
-    pub duplicate: bool,
-}
-
-/// The allocation-free part of an [`RxOutcome`], returned by
-/// [`Receiver::on_segment_into`]; deliveries land in the caller's buffer.
-#[derive(Debug, Clone, Copy)]
-pub struct RxSignal {
-    /// See [`RxOutcome::ack`].
-    pub ack: Option<AckInfo>,
-    /// See [`RxOutcome::arm_delack`].
-    pub arm_delack: bool,
-    /// See [`RxOutcome::duplicate`].
     pub duplicate: bool,
 }
 
@@ -75,97 +62,46 @@ pub struct ReceiverStats {
     pub max_meta_buffered: u64,
 }
 
-/// The meta-level reorder buffer: a sparse ring of undelivered arrivals,
-/// indexed relative to `meta_next` (slot 0 ↔ `meta_next`). The window a
-/// receiver may hold is dense and bounded by the advertised window, so a
-/// ring gives O(1) insert/contains/drain where a `BTreeMap` paid a node
-/// walk (and allocation) per buffered segment — a measurable slice of the
-/// simulator's per-packet budget on heterogeneous paths, where reordering
-/// is the common case, not the exception.
+/// A reorder buffer: a sparse ring of out-of-order arrivals, indexed by
+/// their offset past the next in-order position (slot 0 ↔ the next
+/// expected sequence number). The span a receiver may hold is dense and
+/// bounded by its advertised window, so a ring gives O(1)
+/// insert/contains/drain, allocation-free once it has grown to its
+/// high-water width, where an ordered map paid a node walk and an
+/// allocation per buffered entry — a measurable slice of the simulator's
+/// per-packet budget on heterogeneous paths, where reordering is common.
 ///
-/// Invariant between calls: slot 0 is empty (the drain in
-/// [`Receiver::on_segment_into`] always consumes the filled prefix).
-#[derive(Debug, Clone, Default)]
-struct MetaBuffer {
-    slots: VecDeque<Option<Time>>,
+/// Both reassembly levels of the MPTCP [`Receiver`] and every stream of the
+/// QUIC receiver hold their out-of-order data in one of these.
+///
+/// Invariant between calls: slot 0 is empty (the owner drains the filled
+/// prefix with [`ReorderRing::take_head`] after every in-order arrival).
+#[derive(Debug, Clone)]
+pub struct ReorderRing<T: Copy> {
+    slots: VecDeque<Option<T>>,
     held: u64,
 }
 
-impl MetaBuffer {
-    /// Number of buffered (undelivered, out-of-order) segments.
-    fn len(&self) -> u64 {
-        self.held
-    }
-
-    /// Record `arrival` for the dsn at `offset` slots past `meta_next`.
-    /// Returns false (a duplicate) when that dsn is already buffered.
-    fn insert(&mut self, offset: u64, arrival: Time) -> bool {
-        let idx = offset as usize;
-        if self.slots.len() <= idx {
-            self.slots.resize(idx + 1, None);
-        }
-        if self.slots[idx].is_some() {
-            return false;
-        }
-        self.slots[idx] = Some(arrival);
-        self.held += 1;
-        true
-    }
-
-    /// Take the head slot's arrival if it is filled; leaves the ring alone
-    /// when the head is a hole. The caller advances `meta_next` on `Some`.
-    fn take_head(&mut self) -> Option<Time> {
-        match self.slots.front() {
-            Some(Some(_)) => {
-                let t = self.slots.pop_front().flatten();
-                self.held -= 1;
-                t
-            }
-            _ => None,
-        }
-    }
-
-    /// Shift the ring base past an empty head slot: called when `meta_next`
-    /// advances through a directly delivered (never buffered) dsn.
-    fn advance_empty_head(&mut self) {
-        if let Some(front) = self.slots.pop_front() {
-            debug_assert!(front.is_none(), "slot 0 must be empty between calls");
-        }
+impl<T: Copy> Default for ReorderRing<T> {
+    fn default() -> Self {
+        ReorderRing { slots: VecDeque::new(), held: 0 }
     }
 }
 
-/// The subflow-level out-of-order buffer: the same sparse-ring shape as
-/// [`MetaBuffer`], indexed relative to the subflow's `sub_next` (slot 0 ↔
-/// `sub_next`), holding `(dsn, arrival)` per buffered segment. Subflow gaps
-/// only come from drops, so the ring is short-lived and narrow — but under
-/// loss every buffered segment used to pay a `BTreeMap` node allocation and
-/// pointer walk; the ring is O(1) per operation and allocation-free once it
-/// has grown to its high-water width, which is what keeps the steady-state
-/// deliver loop off the global allocator.
-///
-/// Invariant between calls: slot 0 is empty (the drain in
-/// [`Receiver::on_segment_into`] always consumes the filled prefix).
-#[derive(Debug, Clone, Default)]
-struct SubBuffer {
-    slots: VecDeque<Option<(u64, Time)>>,
-    held: u64,
-}
-
-impl SubBuffer {
-    /// Number of buffered (out-of-order) subflow segments.
-    fn len(&self) -> u64 {
+impl<T: Copy> ReorderRing<T> {
+    /// Number of buffered (out-of-order) entries.
+    pub fn len(&self) -> u64 {
         self.held
     }
 
-    /// True when no segments are parked (no open hole on this subflow).
-    fn is_empty(&self) -> bool {
+    /// True when nothing is buffered (no open hole).
+    pub fn is_empty(&self) -> bool {
         self.held == 0
     }
 
-    /// Record `(dsn, arrival)` for the ssn at `offset` slots past
-    /// `sub_next`. A duplicate keeps the first arrival (same semantics as
-    /// the `or_insert` this replaces) and reports `false`.
-    fn insert(&mut self, offset: u64, dsn: u64, arrival: Time) -> bool {
+    /// Record `v` for the entry `offset` slots past the next in-order
+    /// position. A duplicate keeps the first arrival and returns false.
+    pub fn insert(&mut self, offset: u64, v: T) -> bool {
         let idx = offset as usize;
         if self.slots.len() <= idx {
             self.slots.resize(idx + 1, None);
@@ -173,14 +109,15 @@ impl SubBuffer {
         if self.slots[idx].is_some() {
             return false;
         }
-        self.slots[idx] = Some((dsn, arrival));
+        self.slots[idx] = Some(v);
         self.held += 1;
         true
     }
 
-    /// Take the head slot's record if it is filled; leaves the ring alone
-    /// when the head is a hole. The caller advances `sub_next` on `Some`.
-    fn take_head(&mut self) -> Option<(u64, Time)> {
+    /// Take the head slot's value if it is filled; leaves the ring alone
+    /// when the head is a hole. The caller advances its next in-order
+    /// position on `Some`.
+    pub fn take_head(&mut self) -> Option<T> {
         match self.slots.front() {
             Some(Some(_)) => {
                 let v = self.slots.pop_front().flatten();
@@ -191,9 +128,10 @@ impl SubBuffer {
         }
     }
 
-    /// Shift the ring base past an empty head slot: called when `sub_next`
-    /// advances through an in-order (never buffered) arrival.
-    fn advance_empty_head(&mut self) {
+    /// Shift the ring base past an empty head slot: called when the next
+    /// in-order position advances through an arrival that was never
+    /// buffered.
+    pub fn advance_empty_head(&mut self) {
         if let Some(front) = self.slots.pop_front() {
             debug_assert!(front.is_none(), "slot 0 must be empty between calls");
         }
@@ -206,8 +144,9 @@ impl SubBuffer {
 struct SubRx {
     /// Next expected ssn.
     next: u64,
-    /// Out-of-order buffer (ssn-keyed sparse ring).
-    buf: SubBuffer,
+    /// Out-of-order buffer: `(dsn, arrival)` per ssn past `next`. Subflow
+    /// gaps only come from drops, so it is short-lived and narrow.
+    buf: ReorderRing<(u64, Time)>,
     /// In-order segments not yet acknowledged (delayed-ACK state).
     pending_ack: u32,
     /// Whether the caller has a delayed-ACK timer outstanding.
@@ -224,8 +163,8 @@ pub struct Receiver {
     sub_held: u64,
     /// Next data sequence number expected in order.
     meta_next: u64,
-    /// Meta reorder buffer (dsn → earliest arrival, keyed by offset).
-    meta_buf: MetaBuffer,
+    /// Meta reorder buffer: earliest arrival per dsn past `meta_next`.
+    meta_buf: ReorderRing<Time>,
     stats: ReceiverStats,
 }
 
@@ -238,7 +177,7 @@ impl Receiver {
             subs: PerSub::from_elem(SubRx::default(), n_subflows),
             sub_held: 0,
             meta_next: 0,
-            meta_buf: MetaBuffer::default(),
+            meta_buf: ReorderRing::default(),
             stats: ReceiverStats::default(),
         }
     }
@@ -268,22 +207,6 @@ impl Receiver {
     /// Segments a receiver lets accumulate before acking (RFC 1122 allows
     /// one ACK per two full-size segments).
     const DELACK_SEGS: u32 = 2;
-
-    /// Process a data segment arriving on `sub` at `now`.
-    ///
-    /// Convenience wrapper over [`Receiver::on_segment_into`] that allocates
-    /// a fresh delivery vector; the simulator hot path uses the `_into`
-    /// variant with a reused buffer.
-    pub fn on_segment(&mut self, now: Time, sub: SubId, seg: Segment) -> RxOutcome {
-        let mut delivered = Vec::new();
-        let sig = self.on_segment_into(now, sub, seg, &mut delivered);
-        RxOutcome {
-            ack: sig.ack,
-            arm_delack: sig.arm_delack,
-            delivered,
-            duplicate: sig.duplicate,
-        }
-    }
 
     /// Process a data segment arriving on `sub` at `now`, appending any
     /// newly deliverable segments to `delivered` (not cleared here).
@@ -335,10 +258,9 @@ impl Receiver {
             }
         } else if seg.ssn > self.subs[sub].next {
             // Hole on this subflow (a drop): buffer and dup-ack. A second
-            // copy of an already-buffered ssn keeps the first arrival, as
-            // the map `or_insert` this replaces did.
+            // copy of an already-buffered ssn keeps the first arrival.
             let rx = &mut self.subs[sub];
-            if rx.buf.insert(seg.ssn - rx.next, seg.dsn, now) {
+            if rx.buf.insert(seg.ssn - rx.next, (seg.dsn, now)) {
                 self.sub_held += 1;
             }
         } else {
@@ -410,17 +332,30 @@ mod tests {
         Segment { dsn, ssn }
     }
 
+    /// One arrival through [`Receiver::on_segment_into`], with the
+    /// segments it made deliverable.
+    fn on_segment(
+        rx: &mut Receiver,
+        now: Time,
+        sub: SubId,
+        seg: Segment,
+    ) -> (RxSignal, Vec<Delivered>) {
+        let mut delivered = Vec::new();
+        let sig = rx.on_segment_into(now, sub, seg, &mut delivered);
+        (sig, delivered)
+    }
+
     #[test]
     fn in_order_delivery_with_delayed_acks() {
         let mut rx = Receiver::new(1, 100);
         // First in-order segment: delivered, but the ACK is delayed.
-        let out = rx.on_segment(Time::from_millis(0), 0, seg(0, 0));
-        assert_eq!(out.delivered.len(), 1);
-        assert_eq!(out.delivered[0].ooo_delay, Duration::ZERO);
+        let (out, delivered) = on_segment(&mut rx, Time::from_millis(0), 0, seg(0, 0));
+        assert_eq!(delivered.len(), 1);
+        assert_eq!(delivered[0].ooo_delay, Duration::ZERO);
         assert!(out.ack.is_none());
         assert!(out.arm_delack);
         // Second: the every-2-segments ACK fires.
-        let out = rx.on_segment(Time::from_millis(1), 0, seg(1, 1));
+        let (out, _) = on_segment(&mut rx, Time::from_millis(1), 0, seg(1, 1));
         let ack = out.ack.expect("ack every second segment");
         assert_eq!(ack.sub_next_ssn, 2);
         assert_eq!(ack.data_next_dsn, 2);
@@ -430,7 +365,7 @@ mod tests {
     #[test]
     fn delayed_ack_timer_flushes_pending() {
         let mut rx = Receiver::new(1, 100);
-        rx.on_segment(Time::from_millis(0), 0, seg(0, 0));
+        on_segment(&mut rx, Time::from_millis(0), 0, seg(0, 0));
         let ack = rx.take_delayed_ack(0).expect("one segment pending");
         assert_eq!(ack.sub_next_ssn, 1);
         // Nothing pending afterwards.
@@ -440,34 +375,34 @@ mod tests {
     #[test]
     fn one_delayed_ack_timer_outstanding_per_subflow() {
         let mut rx = Receiver::new(2, 100);
-        assert!(rx.on_segment(Time::from_millis(0), 0, seg(0, 0)).arm_delack);
+        assert!(on_segment(&mut rx, Time::from_millis(0), 0, seg(0, 0)).0.arm_delack);
         // The second segment is acknowledged at once; the timer started for
         // the first keeps running and covers the third.
-        assert!(rx.on_segment(Time::from_millis(1), 0, seg(1, 1)).ack.is_some());
-        let out = rx.on_segment(Time::from_millis(2), 0, seg(2, 2));
+        assert!(on_segment(&mut rx, Time::from_millis(1), 0, seg(1, 1)).0.ack.is_some());
+        let (out, _) = on_segment(&mut rx, Time::from_millis(2), 0, seg(2, 2));
         assert!(out.ack.is_none() && !out.arm_delack);
         // The other subflow has its own timer.
-        assert!(rx.on_segment(Time::from_millis(3), 1, seg(3, 0)).arm_delack);
+        assert!(on_segment(&mut rx, Time::from_millis(3), 1, seg(3, 0)).0.arm_delack);
         // Once it fires, the next delayed ACK needs a new one.
         assert!(rx.take_delayed_ack(0).is_some());
-        assert!(rx.on_segment(Time::from_millis(4), 0, seg(4, 3)).arm_delack);
+        assert!(on_segment(&mut rx, Time::from_millis(4), 0, seg(4, 3)).0.arm_delack);
     }
 
     #[test]
     fn interleaved_subflows_meta_reordering() {
         let mut rx = Receiver::new(2, 100);
         // dsn 1 arrives first (on the fast subflow), dsn 0 later (slow).
-        let out = rx.on_segment(Time::from_millis(10), 1, seg(1, 0));
-        assert!(out.delivered.is_empty());
+        let (_, delivered) = on_segment(&mut rx, Time::from_millis(10), 1, seg(1, 0));
+        assert!(delivered.is_empty());
         assert_eq!(rx.rwnd_free(), 99); // one segment parked
 
-        let out = rx.on_segment(Time::from_millis(60), 0, seg(0, 0));
-        assert_eq!(out.delivered.len(), 2);
-        assert_eq!(out.delivered[0].dsn, 0);
-        assert_eq!(out.delivered[0].ooo_delay, Duration::ZERO);
-        assert_eq!(out.delivered[1].dsn, 1);
+        let (_, delivered) = on_segment(&mut rx, Time::from_millis(60), 0, seg(0, 0));
+        assert_eq!(delivered.len(), 2);
+        assert_eq!(delivered[0].dsn, 0);
+        assert_eq!(delivered[0].ooo_delay, Duration::ZERO);
+        assert_eq!(delivered[1].dsn, 1);
         // dsn 1 waited 50 ms in the reorder buffer.
-        assert_eq!(out.delivered[1].ooo_delay, Duration::from_millis(50));
+        assert_eq!(delivered[1].ooo_delay, Duration::from_millis(50));
         assert_eq!(rx.meta_next(), 2);
         assert_eq!(rx.rwnd_free(), 100);
         // The delayed data-ack now reflects full delivery.
@@ -478,32 +413,32 @@ mod tests {
     #[test]
     fn subflow_hole_generates_immediate_dupacks() {
         let mut rx = Receiver::new(1, 100);
-        rx.on_segment(Time::from_millis(0), 0, seg(0, 0));
+        on_segment(&mut rx, Time::from_millis(0), 0, seg(0, 0));
         // ssn 1 lost; ssn 2 and 3 arrive: both must ACK immediately with the
         // duplicate cumulative value (these drive fast retransmit).
-        let out = rx.on_segment(Time::from_millis(1), 0, seg(2, 2));
+        let (out, delivered) = on_segment(&mut rx, Time::from_millis(1), 0, seg(2, 2));
         assert_eq!(out.ack.expect("ooo acks immediately").sub_next_ssn, 1);
-        assert!(out.delivered.is_empty());
-        let out = rx.on_segment(Time::from_millis(2), 0, seg(3, 3));
+        assert!(delivered.is_empty());
+        let (out, _) = on_segment(&mut rx, Time::from_millis(2), 0, seg(3, 3));
         assert_eq!(out.ack.expect("ooo acks immediately").sub_next_ssn, 1);
         // Retransmission of ssn 1 fills the hole → everything drains, ACK now.
-        let out = rx.on_segment(Time::from_millis(30), 0, seg(1, 1));
+        let (out, delivered) = on_segment(&mut rx, Time::from_millis(30), 0, seg(1, 1));
         let ack = out.ack.expect("gap fill acks immediately");
         assert_eq!(ack.sub_next_ssn, 4);
-        assert_eq!(out.delivered.len(), 3);
+        assert_eq!(delivered.len(), 3);
         assert_eq!(ack.data_next_dsn, 4);
         // Buffered segments' ooo delay counts from their own arrival.
-        assert_eq!(out.delivered[1].ooo_delay, Duration::from_millis(29));
+        assert_eq!(delivered[1].ooo_delay, Duration::from_millis(29));
     }
 
     #[test]
     fn meta_duplicate_from_reinjection_discarded() {
         let mut rx = Receiver::new(2, 100);
         // dsn 5 delayed on subflow 0... sender reinjects it on subflow 1.
-        let out = rx.on_segment(Time::from_millis(5), 1, seg(5, 0));
+        let (out, _) = on_segment(&mut rx, Time::from_millis(5), 1, seg(5, 0));
         assert!(!out.duplicate);
         // Original copy arrives later on subflow 0 (ssn 0 there).
-        let out = rx.on_segment(Time::from_millis(50), 0, seg(5, 0));
+        let (out, _) = on_segment(&mut rx, Time::from_millis(50), 0, seg(5, 0));
         assert!(out.duplicate);
         assert_eq!(rx.stats().duplicate_segs, 1);
         // Duplicates are acknowledged immediately; the subflow stream is
@@ -514,23 +449,23 @@ mod tests {
     #[test]
     fn spurious_subflow_retransmission_ignored() {
         let mut rx = Receiver::new(1, 100);
-        rx.on_segment(Time::from_millis(0), 0, seg(0, 0));
-        let out = rx.on_segment(Time::from_millis(1), 0, seg(0, 0));
+        on_segment(&mut rx, Time::from_millis(0), 0, seg(0, 0));
+        let (out, delivered) = on_segment(&mut rx, Time::from_millis(1), 0, seg(0, 0));
         assert!(out.duplicate);
         assert_eq!(out.ack.expect("dup acks immediately").sub_next_ssn, 1);
-        assert_eq!(out.delivered.len(), 0);
+        assert_eq!(delivered.len(), 0);
     }
 
     #[test]
     fn rwnd_shrinks_with_buffered_segments() {
         let mut rx = Receiver::new(2, 10);
         for i in 1..=10 {
-            rx.on_segment(Time::from_millis(i), 1, seg(i, i - 1));
+            on_segment(&mut rx, Time::from_millis(i), 1, seg(i, i - 1));
         }
         assert_eq!(rx.rwnd_free(), 0);
         // Filling dsn 0 releases all 11.
-        let out = rx.on_segment(Time::from_millis(100), 0, seg(0, 0));
-        assert_eq!(out.delivered.len(), 11);
+        let (_, delivered) = on_segment(&mut rx, Time::from_millis(100), 0, seg(0, 0));
+        assert_eq!(delivered.len(), 11);
         assert_eq!(rx.rwnd_free(), 10);
         // dsn 0 transits the buffer before the drain, so the peak is 11.
         assert_eq!(rx.stats().max_meta_buffered, 11);
@@ -539,8 +474,8 @@ mod tests {
     #[test]
     fn two_subflow_streams_independent_ssn_spaces() {
         let mut rx = Receiver::new(2, 100);
-        rx.on_segment(Time::from_millis(0), 0, seg(0, 0));
-        rx.on_segment(Time::from_millis(1), 1, seg(1, 0));
+        on_segment(&mut rx, Time::from_millis(0), 0, seg(0, 0));
+        on_segment(&mut rx, Time::from_millis(1), 1, seg(1, 0));
         assert_eq!(rx.take_delayed_ack(0).expect("pending").sub_next_ssn, 1);
         let ack1 = rx.take_delayed_ack(1).expect("pending");
         assert_eq!(ack1.sub_next_ssn, 1); // subflow 1's own counter

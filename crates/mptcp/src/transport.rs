@@ -9,7 +9,7 @@
 //! * [`SchedDriver`] — owns the scheduler instance, the reusable
 //!   [`PathSnapshot`] buffer, and the `sched_decision` telemetry provenance
 //!   (one event per decision, which also bumps the decision counters). A
-//!   transport builds snapshots into [`SchedDriver::snap_buf`] and calls
+//!   transport builds snapshots with [`SchedDriver::push_path`] and calls
 //!   [`SchedDriver::decide`] once per segment/packet it wants to place; the
 //!   emitted events are byte-identical across transports, so the exporters
 //!   and figure tooling need no per-transport code.
@@ -27,8 +27,9 @@
 //! cache contract pins) are bit-identical before and after, which
 //! `transport_refactor_guard` in the experiments crate asserts.
 
-use ecf_core::{Decision, PathSnapshot, SchedInput, Scheduler, Why};
+use ecf_core::{Decision, PathId, PathSnapshot, SchedInput, Scheduler, Why};
 use simnet::Time;
+use tcp_model::TcpCc;
 use telemetry::{EventKind, PathObs, SchedDecision, TelemetryHandle, MAX_PATHS};
 
 use crate::harness::{Api, Ctx, Net};
@@ -73,6 +74,24 @@ impl SchedDriver {
     /// The scheduler's stable short name ("ecf", "default", ...).
     pub fn scheduler_name(&self) -> &'static str {
         self.scheduler.name()
+    }
+
+    /// Append the next path's snapshot to [`SchedDriver::snap_buf`], its
+    /// `id` the path's position: the sender's RTT, window and slow-start
+    /// state from `cc`, plus what the transport knows beside it — packets
+    /// in flight, whether the path is up, and the bytes queued at the
+    /// path's bottleneck link (the cross-layer input).
+    pub fn push_path(&mut self, cc: &TcpCc, inflight: u32, usable: bool, queue_bytes: u64) {
+        self.snap_buf.push(PathSnapshot {
+            id: PathId(self.snap_buf.len()),
+            srtt: cc.rtt.srtt(),
+            rtt_dev: cc.rtt.rttvar(),
+            cwnd: cc.cwnd_pkts(),
+            inflight,
+            in_slow_start: cc.in_slow_start(),
+            usable,
+            queue_bytes,
+        });
     }
 
     /// Forward a connection-level send-window stall to the scheduler
@@ -238,7 +257,7 @@ mod tests {
 
     fn snap(id: usize, srtt_ms: u64, cwnd: u32, inflight: u32) -> PathSnapshot {
         PathSnapshot {
-            id: ecf_core::PathId(id),
+            id: PathId(id),
             srtt: Duration::from_millis(srtt_ms),
             rtt_dev: Duration::ZERO,
             cwnd,

@@ -35,6 +35,13 @@ fn testbed(dynamics: Scenario, kind: SchedulerKind) -> TestbedConfig {
 }
 
 #[test]
+#[should_panic(expected = "events[0]: \"path\" 7 is not one of the run's 2 paths")]
+fn a_scenario_path_outside_the_config_is_refused_before_the_run() {
+    let outage = Scenario::new().outage(7, Time::from_secs(1), Time::from_secs(2));
+    Testbed::new(testbed(outage, SchedulerKind::Ecf), OneShot { bytes: 1024, done: None });
+}
+
+#[test]
 fn transfer_survives_losing_one_path() {
     // WiFi dies 500 ms in and never returns: the 4 MB transfer must finish
     // over LTE alone, with the stranded WiFi data reinjected.

@@ -1,14 +1,31 @@
 //! Property tests for the MPTCP receiver and coupled congestion control:
 //! reordering invariants must hold for *any* arrival interleaving. Also
-//! the per-subflow container against its `Vec` model.
+//! the per-subflow container against its `Vec` model and the reorder ring
+//! against its `BTreeMap` model.
 //!
 //! Run under `testkit::prop`; replay a failure with `TESTKIT_SEED=<n>`.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
-use mptcp::{ca_increase, CcKind, CcView, PerSub, Receiver, Segment};
+use mptcp::{
+    ca_increase, CcKind, CcView, Delivered, PerSub, Receiver, ReorderRing, RxSignal, Segment,
+};
 use simnet::Time;
 use testkit::prop::{any_u64, bools, check, vec_of};
+
+/// One arrival through [`Receiver::on_segment_into`], with the segments it
+/// made deliverable.
+fn on_segment(
+    rx: &mut Receiver,
+    now: Time,
+    sub: usize,
+    seg: Segment,
+) -> (RxSignal, Vec<Delivered>) {
+    let mut delivered = Vec::new();
+    let sig = rx.on_segment_into(now, sub, seg, &mut delivered);
+    (sig, delivered)
+}
 
 /// Split a dsn stream across two subflows with an arbitrary interleaving
 /// (FIFO within each subflow, as the links guarantee): the receiver must
@@ -42,8 +59,8 @@ fn any_interleaving_delivers_in_order() {
             let seg = queues[pick][idx[pick]];
             idx[pick] += 1;
             t += 1;
-            let out = rx.on_segment(Time::from_millis(t), pick, seg);
-            for d in out.delivered {
+            let (_, out) = on_segment(&mut rx, Time::from_millis(t), pick, seg);
+            for d in out {
                 delivered.push(d.dsn);
             }
         }
@@ -66,16 +83,13 @@ fn duplicates_are_idempotent() {
         let mut rx = Receiver::new(1, 10_000);
         let mut total = 0u64;
         for i in 0..n {
-            let out = rx.on_segment(Time::from_millis(i), 0, Segment { dsn: i, ssn: i });
-            total += out.delivered.len() as u64;
+            let seg = Segment { dsn: i, ssn: i };
+            let (_, out) = on_segment(&mut rx, Time::from_millis(i), 0, seg);
+            total += out.len() as u64;
             if i % dup_every == 0 {
-                let dup = rx.on_segment(
-                    Time::from_millis(i),
-                    0,
-                    Segment { dsn: i, ssn: i },
-                );
+                let (dup, out) = on_segment(&mut rx, Time::from_millis(i), 0, seg);
                 assert!(dup.duplicate);
-                total += dup.delivered.len() as u64;
+                total += out.len() as u64;
             }
         }
         assert_eq!(total, n);
@@ -121,14 +135,15 @@ fn ooo_delay_bounded_by_blocking_span() {
     check(256, 1u64..5_000, |gap_ms| {
         let mut rx = Receiver::new(2, 10_000);
         // dsn 1 arrives at t=0 on subflow 1, dsn 0 arrives gap later.
-        rx.on_segment(Time::ZERO, 1, Segment { dsn: 1, ssn: 0 });
-        let out = rx.on_segment(
+        on_segment(&mut rx, Time::ZERO, 1, Segment { dsn: 1, ssn: 0 });
+        let (_, out) = on_segment(
+            &mut rx,
             Time::from_millis(gap_ms),
             0,
             Segment { dsn: 0, ssn: 0 },
         );
-        assert_eq!(out.delivered.len(), 2);
-        assert_eq!(out.delivered[1].ooo_delay, Duration::from_millis(gap_ms));
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[1].ooo_delay, Duration::from_millis(gap_ms));
     });
 }
 
@@ -178,5 +193,47 @@ fn persub_matches_a_vec_model() {
         longer.push(poke);
         assert_ne!(longer, v);
         assert_eq!(&*PerSub::from_elem(poke, model.len()), vec![poke; model.len()].as_slice());
+    });
+}
+
+/// `ReorderRing` agrees with a `BTreeMap` keyed by absolute position under
+/// any mix of inserts (duplicates included), head takes and in-order
+/// advances with their drain: `insert`'s duplicate flag, every `take_head`
+/// and `len` match the model, and a duplicate keeps the first arrival.
+#[test]
+fn reorder_ring_matches_a_btreemap_model() {
+    check(256, vec_of((0u8..3, 0u64..12), 1..200), |ops| {
+        let mut ring = ReorderRing::default();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut next = 0u64;
+        for (step, &(op, offset)) in ops.iter().enumerate() {
+            let v = step as u64;
+            match op {
+                0 => {
+                    let fresh = !model.contains_key(&(next + offset));
+                    model.entry(next + offset).or_insert(v);
+                    assert_eq!(ring.insert(offset, v), fresh, "step {step}: insert {offset}");
+                }
+                1 => {
+                    let want = model.remove(&next);
+                    assert_eq!(ring.take_head(), want, "step {step}: take_head");
+                    next += u64::from(want.is_some());
+                }
+                _ if !model.contains_key(&next) => {
+                    // An in-order arrival that was never buffered, then the
+                    // drain it unblocks.
+                    ring.advance_empty_head();
+                    next += 1;
+                    while let Some(got) = ring.take_head() {
+                        assert_eq!(Some(got), model.remove(&next), "step {step}: drain");
+                        next += 1;
+                    }
+                    assert!(!model.contains_key(&next), "step {step}: drain stopped early");
+                }
+                _ => {}
+            }
+            assert_eq!(ring.len(), model.len() as u64, "step {step}: len");
+            assert_eq!(ring.is_empty(), model.is_empty());
+        }
     });
 }

@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use ecf_core::{Decision, PathId, PathSnapshot, Scheduler};
+use ecf_core::{Decision, PathId, Scheduler};
 use mptcp::SchedDriver;
 use simnet::Time;
 use tcp_model::{TcpCc, TcpConfig};
@@ -83,7 +83,7 @@ pub struct PathSpace {
     /// Path liveness (a down path is a dead radio).
     pub up: bool,
     /// Droptail backlog of the path's forward link, sampled by the testbed
-    /// before each send opportunity (crosses into [`PathSnapshot`]).
+    /// before each send opportunity (crosses into [`ecf_core::PathSnapshot`]).
     pub link_queue_bytes: u64,
     /// NewReno-style recovery point: losses of packets numbered below this
     /// belong to an already-answered loss episode.
@@ -312,17 +312,8 @@ impl QuicConn {
 
     fn rebuild_snapshots(&mut self) {
         self.driver.snap_buf.clear();
-        for (i, p) in self.paths.iter().enumerate() {
-            self.driver.snap_buf.push(PathSnapshot {
-                id: PathId(i),
-                srtt: p.cc.rtt.srtt(),
-                rtt_dev: p.cc.rtt.rttvar(),
-                cwnd: p.cc.cwnd_pkts(),
-                inflight: p.inflight.len() as u32,
-                in_slow_start: p.cc.in_slow_start(),
-                usable: p.up,
-                queue_bytes: p.link_queue_bytes,
-            });
+        for p in &self.paths {
+            self.driver.push_path(&p.cc, p.inflight.len() as u32, p.up, p.link_queue_bytes);
         }
     }
 

@@ -8,11 +8,12 @@
 //! out-of-order delay recorded per chunk (time between a chunk's arrival
 //! and the arrival of the packet that unblocked it) is therefore a
 //! per-stream quantity, directly comparable to the MPTCP testbed's
-//! connection-level OOO delays.
+//! connection-level OOO delays. Each stream holds its out-of-order chunks
+//! in the same [`ReorderRing`] the MPTCP receiver reassembles with.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
+use mptcp::ReorderRing;
 use simnet::Time;
 
 /// One chunk released to the application, with its reordering delay.
@@ -34,9 +35,10 @@ struct StreamRx {
     total: u64,
     /// Next chunk offset the application expects.
     next: u64,
-    /// Out-of-order chunks held for reassembly, keyed by offset, valued by
-    /// first-arrival time (duplicates keep the original timestamp).
-    held: BTreeMap<u64, Time>,
+    /// Out-of-order chunks held for reassembly, keyed by `chunk - next`,
+    /// valued by first-arrival time (duplicates keep the original
+    /// timestamp).
+    held: ReorderRing<Time>,
     /// Whether [`QuicReceiver::open_stream`] ran for this id.
     opened: bool,
 }
@@ -87,9 +89,10 @@ impl QuicReceiver {
         }
         if chunk == s.next {
             s.next += 1;
+            s.held.advance_empty_head();
             out.push(DeliveredChunk { stream, chunk, ooo_delay: Duration::ZERO });
             // Drain the run of held chunks this arrival unblocked.
-            while let Some(arrived) = s.held.remove(&s.next) {
+            while let Some(arrived) = s.held.take_head() {
                 self.held_total -= 1;
                 out.push(DeliveredChunk {
                     stream,
@@ -98,8 +101,7 @@ impl QuicReceiver {
                 });
                 s.next += 1;
             }
-        } else if let std::collections::btree_map::Entry::Vacant(e) = s.held.entry(chunk) {
-            e.insert(now);
+        } else if s.held.insert(chunk - s.next, now) {
             self.held_total += 1;
         }
     }

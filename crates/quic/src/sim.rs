@@ -353,4 +353,12 @@ mod tests {
         tb.run_until(Time::from_secs(120));
         assert_eq!(tb.app().done, 2, "streams must finish despite the outage");
     }
+
+    #[test]
+    #[should_panic(expected = "events[0]: \"path\" 7 is not one of the run's 2 paths")]
+    fn a_scenario_path_outside_the_config_is_refused_before_the_run() {
+        let mut cfg = QuicTestbedConfig::wifi_lte(1.0, 8.0, SchedulerKind::Ecf, 3);
+        cfg.scenario = Scenario::new().outage(7, Time::from_secs(1), Time::from_secs(4));
+        QuicTestbed::new(cfg, Burst::new(vec![1024]));
+    }
 }

@@ -40,6 +40,24 @@ n="$(for f in crates/experiments/src/sharding.rs crates/experiments/src/cosim.rs
 [ "$n" -eq 1 ] || { echo "verify.sh: run_until( appears $n times in the non-test part of" \
     "crates/experiments/src/{sharding,cosim}.rs, expected exactly 1" >&2; exit 1; }
 
+echo "== one reorder buffer: both transports' receivers hold out-of-order data in ReorderRing =="
+# Both MPTCP reassembly levels and every QUIC stream park out-of-order data
+# in `mptcp::ReorderRing` (DESIGN.md §7, §12). A `BTreeMap` in the non-test
+# part of crates/{mptcp,quic}/src (up to each file's `#[cfg(test)]`, as
+# scripts/loc.sh splits them), or `VecDeque<Option<` in a second file there,
+# is a second reorder buffer growing back.
+nontest_rx() {
+    for f in crates/mptcp/src/*.rs crates/quic/src/*.rs; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ {exit} {print f ": " $0}' "$f"
+    done
+}
+maps="$(nontest_rx | grep 'BTreeMap' | cut -d: -f1 | sort -u || true)"
+[ -z "$maps" ] || { echo "verify.sh: BTreeMap is named in the non-test part of:" \
+    $maps >&2; exit 1; }
+rings="$(nontest_rx | { grep -F 'VecDeque<Option<' || true; } | cut -d: -f1 | sort -u)"
+[ "$(echo "$rings" | grep -c .)" -le 1 ] || { echo "verify.sh: VecDeque<Option< appears" \
+    "in more than one file under crates/{mptcp,quic}/src:" $rings >&2; exit 1; }
+
 echo "== one OOO reader: single runs take the recorder's pool, none copies it =="
 # `Recorder::take_ooo_secs` hands the samples over in place (DESIGN.md §9,
 # "A streaming cell"); `ooo_delays_secs` copies them beside the pool and
