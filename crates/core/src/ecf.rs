@@ -107,11 +107,7 @@ impl Ecf {
         let rtt_s = secs(xs.srtt);
         let cwnd_f = f64::from(xf.cwnd.max(1));
         let cwnd_s = f64::from(xs.cwnd.max(1));
-        let delta = if self.cfg.use_delta {
-            secs(xf.rtt_dev.max(xs.rtt_dev))
-        } else {
-            0.0
-        };
+        let delta = if self.cfg.use_delta { secs(xf.rtt_dev.max(xs.rtt_dev)) } else { 0.0 };
 
         // (1 + k/CWNDf)·RTTf: wait one RTTf for the window to open, then
         // k/CWNDf rounds of transfer.
@@ -256,10 +252,7 @@ mod tests {
         let mut with_delta = Ecf::new();
         assert_eq!(with_delta.select(&input(&paths, 16)), Decision::Wait);
 
-        let mut without = Ecf::with_config(EcfConfig {
-            use_delta: false,
-            ..EcfConfig::default()
-        });
+        let mut without = Ecf::with_config(EcfConfig { use_delta: false, ..EcfConfig::default() });
         assert_eq!(without.select(&input(&paths, 16)), Decision::Send(PathId(1)));
     }
 
@@ -406,8 +399,7 @@ mod tests {
         assert!((terms.delta_s - 0.030).abs() < 1e-12);
         assert!(!terms.beta_applied);
 
-        let mut no_delta =
-            Ecf::with_config(EcfConfig { use_delta: false, ..EcfConfig::default() });
+        let mut no_delta = Ecf::with_config(EcfConfig { use_delta: false, ..EcfConfig::default() });
         let (_, why) = no_delta.select_explained(&input(&paths, 16));
         assert_eq!(why.ecf_terms().expect("ecf rule fired").delta_s, 0.0);
 

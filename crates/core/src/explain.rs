@@ -132,9 +132,7 @@ impl Why {
     /// The ECF inequality terms, when this is an ECF-rule decision.
     pub fn ecf_terms(&self) -> Option<&EcfTerms> {
         match self {
-            Why::EcfWait(t) | Why::EcfSecondInequalitySend(t) | Why::EcfBacklogSend(t) => {
-                Some(t)
-            }
+            Why::EcfWait(t) | Why::EcfSecondInequalitySend(t) | Why::EcfBacklogSend(t) => Some(t),
             _ => None,
         }
     }

@@ -134,11 +134,8 @@ fn ecf_never_waits_with_huge_backlog() {
         let paths = build_paths(&raw);
         // With effectively infinite queued data the first inequality cannot
         // hold, so ECF must use the extra bandwidth (or be Blocked).
-        let input = SchedInput {
-            paths: &paths,
-            queued_pkts: u64::MAX / 2,
-            send_window_free_pkts: 1 << 20,
-        };
+        let input =
+            SchedInput { paths: &paths, queued_pkts: u64::MAX / 2, send_window_free_pkts: 1 << 20 };
         assert_ne!(Ecf::new().select(&input), Decision::Wait);
     });
 }

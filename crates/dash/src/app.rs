@@ -100,10 +100,7 @@ mod tests {
         // + 8.6 Mbps LTE. ECF must extract a higher average bit rate.
         let ecf = stream(0.3, 8.6, SchedulerKind::Ecf, 120.0, 4);
         let def = stream(0.3, 8.6, SchedulerKind::Default, 120.0, 4);
-        let (be, bd) = (
-            ecf.app().player.avg_bitrate_mbps(),
-            def.app().player.avg_bitrate_mbps(),
-        );
+        let (be, bd) = (ecf.app().player.avg_bitrate_mbps(), def.app().player.avg_bitrate_mbps());
         assert!(
             be > bd * 1.1,
             "ECF ({be} Mbps) should clearly beat default ({bd} Mbps) under heterogeneity"

@@ -146,8 +146,7 @@ impl Player {
         if self.history.is_empty() {
             return 0.0;
         }
-        self.history.iter().map(ChunkRecord::bitrate_mbps).sum::<f64>()
-            / self.history.len() as f64
+        self.history.iter().map(ChunkRecord::bitrate_mbps).sum::<f64>() / self.history.len() as f64
     }
 
     /// Mean per-chunk download throughput.
@@ -199,9 +198,7 @@ impl Player {
         self.buffer_secs += self.cfg.chunk_secs;
         // Play once the startup threshold is buffered (or there is nothing
         // left to fetch).
-        if !self.playing
-            && (self.buffer_secs >= STARTUP_THRESHOLD_SECS || self.remaining() == 0)
-        {
+        if !self.playing && (self.buffer_secs >= STARTUP_THRESHOLD_SECS || self.remaining() == 0) {
             self.playing = true;
         }
         self.decide(now)
@@ -228,9 +225,7 @@ impl Player {
             // Floor the wait so float rounding can never produce a zero-length
             // sleep (which would spin the event loop at one instant).
             let wait = (self.buffer_secs - room_needed).max(0.01);
-            return PlayerAction::WaitUntil(
-                now + std::time::Duration::from_secs_f64(wait),
-            );
+            return PlayerAction::WaitUntil(now + std::time::Duration::from_secs_f64(wait));
         }
         let prev = self.history.last().map_or(0, |c| c.repr);
         let repr = select(self.buffer_secs, prev);

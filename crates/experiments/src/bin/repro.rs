@@ -262,11 +262,7 @@ fn run_matrix_cmd(spec: Result<Spec, String>, origin: &str, opts: MatrixOptions,
         return;
     }
     println!("{}", outcome.report);
-    eprintln!(
-        "== {} done in {:.1}s ==\n",
-        spec.name,
-        started.elapsed().as_secs_f64()
-    );
+    eprintln!("== {} done in {:.1}s ==\n", spec.name, started.elapsed().as_secs_f64());
     if save {
         save_report(&spec.name, &outcome.report);
     }
@@ -313,10 +309,7 @@ fn run_sweep_cmd(
     let loaded = report.units.iter().filter(|u| u.page_load.is_some()).count();
     println!("shards:      {}", report.shard_events.len());
     if coupled {
-        println!(
-            "window:      {:.3} ms lookahead",
-            pop.couplings[0].window_nanos() as f64 / 1e6
-        );
+        println!("window:      {:.3} ms lookahead", pop.couplings[0].window_nanos() as f64 / 1e6);
         println!("sync rounds: {}", tel.counter(Counter::CosimRounds));
         println!("boundary:    {} msgs", tel.counter(Counter::CosimBoundaryMsgs));
         println!(
@@ -354,10 +347,7 @@ fn run_trace(path: &str, effort: Effort, scenario: Option<Scenario>, seed: u64) 
     }
     print!("{}", t.digest);
     if t.overflow > 0 {
-        eprintln!(
-            "note: ring wrapped — {} oldest events dropped, {} kept",
-            t.overflow, t.captured
-        );
+        eprintln!("note: ring wrapped — {} oldest events dropped, {} kept", t.overflow, t.captured);
     }
     eprintln!(
         "== wrote {} events to {path} in {:.1}s ==",

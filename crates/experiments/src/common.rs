@@ -88,8 +88,7 @@ where
     if n <= 1 || workers <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let inputs: Vec<Mutex<Option<T>>> =
-        items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let inputs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let outputs: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -111,11 +110,7 @@ where
     });
     outputs
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("output slot")
-                .expect("worker filled every slot")
-        })
+        .map(|m| m.into_inner().expect("output slot").expect("worker filled every slot"))
         .collect()
 }
 
@@ -242,22 +237,18 @@ pub fn run_streaming(cfg: &StreamingConfig) -> StreamingOutcome {
     let recorder = &mut tb.world_mut().recorder;
     let ooo_delays = recorder.take_ooo_secs();
     let cwnd_traces = std::mem::take(&mut recorder.cwnd).into_iter().next().unwrap_or_default();
-    let sndbuf_traces =
-        std::mem::take(&mut recorder.sndbuf).into_iter().next().unwrap_or_default();
+    let sndbuf_traces = std::mem::take(&mut recorder.sndbuf).into_iter().next().unwrap_or_default();
 
     let world = tb.world();
     let sender = world.sender(0);
-    let wifi_segs: u64 =
-        (0..per_if).map(|s| sender.subflows[s].stats().segs_sent).sum();
-    let lte_segs: u64 =
-        (per_if..2 * per_if).map(|s| sender.subflows[s].stats().segs_sent).sum();
+    let wifi_segs: u64 = (0..per_if).map(|s| sender.subflows[s].stats().segs_sent).sum();
+    let lte_segs: u64 = (per_if..2 * per_if).map(|s| sender.subflows[s].stats().segs_sent).sum();
     let (fast_segs, slow_segs, fast_range) = if cfg.lte_mbps >= cfg.wifi_mbps {
         (lte_segs, wifi_segs, per_if..2 * per_if)
     } else {
         (wifi_segs, lte_segs, 0..per_if)
     };
-    let fast_iw_resets =
-        fast_range.map(|s| sender.subflows[s].cc.stats().iw_resets()).sum();
+    let fast_iw_resets = fast_range.map(|s| sender.subflows[s].cc.stats().iw_resets()).sum();
 
     let player = &tb.app().player;
     let mut cumulative_mb = 0.0;
@@ -342,23 +333,14 @@ pub fn run_wget(
     let cfg = TestbedConfig::wifi_lte(wifi, lte, scheduler, seed);
     let mut tb = Testbed::new(cfg, WgetApp::new(bytes));
     tb.run_until(Time::from_secs(300));
-    let secs = tb
-        .app()
-        .completed_at
-        .map(|t| t.as_secs_f64())
-        .unwrap_or(f64::NAN);
+    let secs = tb.app().completed_at.map(|t| t.as_secs_f64()).unwrap_or(f64::NAN);
     (secs, tb)
 }
 
 /// One browser page-load over six parallel connections sharing both
 /// paths. Returns the testbed (object completion times and OOO delays live
 /// in the app/recorder).
-pub fn run_browse(
-    wifi: f64,
-    lte: f64,
-    scheduler: SchedulerKind,
-    seed: u64,
-) -> Testbed<BrowserApp> {
+pub fn run_browse(wifi: f64, lte: f64, scheduler: SchedulerKind, seed: u64) -> Testbed<BrowserApp> {
     let mut cfg = TestbedConfig::wifi_lte(wifi, lte, scheduler, seed);
     cfg.conns = (0..6).map(|_| ConnSpec::new(scheduler, vec![0, 1])).collect();
     // The page content is fixed across runs/schedulers (seed 2014).
@@ -424,13 +406,17 @@ mod tests {
         // resurface, and the surviving workers must still drain the queue.
         let done = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map_workers((0..64usize).collect::<Vec<_>>(), |x| {
-                if x == 13 {
-                    panic!("boom");
-                }
-                done.fetch_add(1, Ordering::Relaxed);
-                x
-            }, 4)
+            parallel_map_workers(
+                (0..64usize).collect::<Vec<_>>(),
+                |x| {
+                    if x == 13 {
+                        panic!("boom");
+                    }
+                    done.fetch_add(1, Ordering::Relaxed);
+                    x
+                },
+                4,
+            )
         }));
         assert!(result.is_err(), "worker panic must propagate to the caller");
         assert_eq!(done.load(Ordering::Relaxed), 63, "other items still ran");

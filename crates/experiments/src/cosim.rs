@@ -277,10 +277,7 @@ impl CoupledRun {
             msgs.sort_unstable_by_key(|m| (m.time, m.seq));
             let active = msgs.iter().filter(|m| m.load > 0).count() as u64;
             all_idle &= active == 0;
-            let share = c
-                .capacity_bps
-                .checked_div(active)
-                .map_or(c.capacity_bps, |s| s.max(1));
+            let share = c.capacity_bps.checked_div(active).map_or(c.capacity_bps, |s| s.max(1));
             for m in msgs.iter() {
                 let (g, local) = c.locs[m.seq as usize];
                 let rate = if m.load > 0 { share } else { c.capacity_bps };

@@ -81,18 +81,14 @@ impl Cache {
         entry.insert("schema".to_string(), Value::Number(CACHE_SCHEMA));
         entry.insert("key".to_string(), key.clone());
         entry.insert("result".to_string(), result.clone());
-        entry.insert(
-            "result_digest".to_string(),
-            Value::String(hex16(canonical_digest(result))),
-        );
+        entry.insert("result_digest".to_string(), Value::String(hex16(canonical_digest(result))));
         let text = canonical(&Value::Object(entry));
 
         let path = self.entry_path(digest);
         let tmp = tmp_path(&path);
         std::fs::write(&tmp, text.as_bytes())
             .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| format!("rename {}: {e}", path.display()))?;
+        std::fs::rename(&tmp, &path).map_err(|e| format!("rename {}: {e}", path.display()))?;
         Ok(())
     }
 }
@@ -127,8 +123,8 @@ mod tests {
     use super::*;
 
     fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("expmatrix-cache-{tag}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("expmatrix-cache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

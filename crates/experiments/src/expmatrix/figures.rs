@@ -994,9 +994,10 @@ fn ablation_components(exp: &Expansion, results: &[Value]) -> Result<String, Str
     let mut rows = Vec::new();
     for v in 0..grid.len(0) {
         let scheduler = grid.label(&[v], "scheduler")?;
-        let (_, name) = COMPONENT_VARIANTS.iter().find(|(s, _)| *s == scheduler).ok_or_else(
-            || format!("ablation_components has no variant for scheduler {scheduler}"),
-        )?;
+        let (_, name) =
+            COMPONENT_VARIANTS.iter().find(|(s, _)| *s == scheduler).ok_or_else(|| {
+                format!("ablation_components has no variant for scheduler {scheduler}")
+            })?;
         let br = grid.scalar(&[v], "avg_bitrate")?;
         rows.push(vec![name.to_string(), format!("{br:.2}")]);
     }

@@ -230,8 +230,7 @@ pub fn run_matrix(spec: &Spec, opts: &MatrixOptions) -> Result<MatrixOutcome, St
     // Execute phase: misses only, sharded across cores. Results land back
     // in their cell's slot, so assembly order is the expansion order no
     // matter how shards interleave.
-    let miss_idx: Vec<usize> =
-        (0..exp.cells.len()).filter(|&i| results[i].is_none()).collect();
+    let miss_idx: Vec<usize> = (0..exp.cells.len()).filter(|&i| results[i].is_none()).collect();
     outcome.executed = miss_idx.len();
     let run_one = |i: usize| cells::execute(&exp.cells[i].config);
     // Matrix cells are independent runs — exactly the shape a population

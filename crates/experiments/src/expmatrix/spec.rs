@@ -79,8 +79,7 @@ impl Spec {
     /// Load a spec from a file, prefixing errors with the path.
     pub fn from_file(path: impl AsRef<std::path::Path>) -> Result<Spec, String> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Spec::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 }
@@ -140,13 +139,9 @@ fn resolve(v: &Value, effort: Effort) -> Value {
             if let Some(branch) = effort_branch(m, effort) {
                 return resolve(branch, effort);
             }
-            Value::Object(
-                m.iter().map(|(k, val)| (k.clone(), resolve(val, effort))).collect(),
-            )
+            Value::Object(m.iter().map(|(k, val)| (k.clone(), resolve(val, effort))).collect())
         }
-        Value::Array(items) => {
-            Value::Array(items.iter().map(|x| resolve(x, effort)).collect())
-        }
+        Value::Array(items) => Value::Array(items.iter().map(|x| resolve(x, effort)).collect()),
         other => other.clone(),
     }
 }
@@ -263,12 +258,7 @@ pub fn expand(spec: &Spec, effort: Effort) -> Result<Expansion, String> {
                 cells.push(Cell { config, key, digest });
             }
         }
-        blocks.push(BlockShape {
-            start,
-            len: cells.len() - start,
-            axis_lens,
-            seeds: seeds.len(),
-        });
+        blocks.push(BlockShape { start, len: cells.len() - start, axis_lens, seeds: seeds.len() });
     }
     Ok(Expansion { cells, blocks })
 }
@@ -314,10 +304,7 @@ mod tests {
         let spec = Spec::from_json(TINY).unwrap();
         let exp = expand(&spec, Effort::Full).unwrap();
         assert_eq!(exp.cells.len(), 2 * 3 * 3);
-        assert_eq!(
-            exp.cells[0].config.get("video_secs"),
-            Some(&Value::Number(100.0))
-        );
+        assert_eq!(exp.cells[0].config.get("video_secs"), Some(&Value::Number(100.0)));
     }
 
     #[test]
@@ -394,9 +381,7 @@ mod tests {
     #[test]
     fn bad_specs_are_rejected_with_context() {
         assert!(Spec::from_json("{}").unwrap_err().contains("schema"));
-        assert!(Spec::from_json(r#"{"schema": 1, "name": "x"}"#)
-            .unwrap_err()
-            .contains("figure"));
+        assert!(Spec::from_json(r#"{"schema": 1, "name": "x"}"#).unwrap_err().contains("figure"));
         assert!(Spec::from_json(r#"{"schema": 1, "name": "x", "figure": "y"}"#)
             .unwrap_err()
             .contains("blocks"));

@@ -227,11 +227,8 @@ impl UnionFind {
         if ra == rb {
             return;
         }
-        let (big, small) = if self.size[ra as usize] >= self.size[rb as usize] {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
+        let (big, small) =
+            if self.size[ra as usize] >= self.size[rb as usize] { (ra, rb) } else { (rb, ra) };
         self.parent[small as usize] = big;
         self.size[big as usize] += self.size[small as usize];
     }
@@ -304,12 +301,8 @@ pub fn partition(pop: &Population) -> Vec<Vec<usize>> {
 /// worker count by construction.
 pub fn plan_shards(pop: &Population, max_shards: usize) -> Vec<Vec<usize>> {
     let components = partition(pop);
-    let bins = if max_shards == 0 {
-        components.len()
-    } else {
-        components.len().min(max_shards)
-    }
-    .max(1);
+    let bins =
+        if max_shards == 0 { components.len() } else { components.len().min(max_shards) }.max(1);
     let mut shards: Vec<Vec<usize>> = vec![Vec::new(); bins];
     for (i, comp) in components.into_iter().enumerate() {
         shards[i % bins].extend(comp);
@@ -579,8 +572,7 @@ pub(crate) fn build_shard(
     let local_of = |g: usize| globals.binary_search(&g).expect("path in shard universe");
 
     // Seeds keyed by GLOBAL index — the monolith's derivation, verbatim.
-    let path_seeds: Vec<u64> =
-        globals.iter().map(|&g| simnet::path_seed(pop.seed, g)).collect();
+    let path_seeds: Vec<u64> = globals.iter().map(|&g| simnet::path_seed(pop.seed, g)).collect();
     let paths: Vec<PathConfig> = globals.iter().map(|&g| pop.paths[g].clone()).collect();
 
     let mut conns: Vec<ConnSpec> = Vec::new();
@@ -691,8 +683,7 @@ pub(crate) fn extract_reports(run: ShardRun) -> (Vec<UnitReport>, u64, EventQueu
     for r in &records {
         counts[owner[r.conn as usize]] += 1;
     }
-    let mut requests: Vec<Vec<ReqSummary>> =
-        counts.into_iter().map(Vec::with_capacity).collect();
+    let mut requests: Vec<Vec<ReqSummary>> = counts.into_iter().map(Vec::with_capacity).collect();
     for r in records {
         let slot = owner[r.conn as usize];
         // The unit's first connection is no later than `r.conn`: it fits.
@@ -814,11 +805,7 @@ pub(crate) fn flush_load_balance(tel: &TelemetryHandle, events: &[u64], wall_ns:
 pub fn run_sweep(pop: &Population, opts: &SweepOptions) -> SweepReport {
     let shards = plan_shards(pop, opts.max_shards);
     if shards.len() == 1 && pop.units.len() > 1 && opts.max_shards != 1 {
-        let reason = if pop
-            .couplings
-            .iter()
-            .any(|c| c.members.len() > 1 && c.window_nanos() == 0)
-        {
+        let reason = if pop.couplings.iter().any(|c| c.members.len() > 1 && c.window_nanos() == 0) {
             "zero-lookahead coupling (no safe horizon)"
         } else {
             "units literally share a path"
@@ -942,8 +929,7 @@ mod tests {
         let pop = tiny_pop(42, 4);
         let mono = run_sweep(&pop, &SweepOptions { max_shards: 1, ..Default::default() });
         for max_shards in [2, 0] {
-            let sharded =
-                run_sweep(&pop, &SweepOptions { max_shards, ..Default::default() });
+            let sharded = run_sweep(&pop, &SweepOptions { max_shards, ..Default::default() });
             assert_eq!(sharded.digest, mono.digest, "max_shards={max_shards}");
             assert_eq!(sharded.units, mono.units, "max_shards={max_shards}");
         }

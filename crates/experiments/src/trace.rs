@@ -205,13 +205,9 @@ mod tests {
         for l in &lines {
             assert!(l.starts_with('{') && l.ends_with('}'), "not a JSON object: {l}");
         }
-        let decisions =
-            lines.iter().filter(|l| l.contains("\"ev\":\"sched_decision\"")).count();
+        let decisions = lines.iter().filter(|l| l.contains("\"ev\":\"sched_decision\"")).count();
         assert!(decisions > 100, "expected a rich decision log, got {decisions}");
-        assert!(
-            t.jsonl.contains("\"sched\":\"ecf\""),
-            "decisions must name the scheduler"
-        );
+        assert!(t.jsonl.contains("\"sched\":\"ecf\""), "decisions must name the scheduler");
         assert!(t.jsonl.contains("\"srtt_us\""), "decisions must carry path inputs");
         assert!(t.digest.contains("decisions="));
     }

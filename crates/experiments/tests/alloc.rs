@@ -58,10 +58,7 @@ fn allocs() -> u64 {
 /// and receive buffers hold `window_segs` segments.
 fn wget(window_segs: u64) -> (TestbedConfig, WgetApp) {
     let mut cfg = TestbedConfig::wifi_lte(8.6, 9.6, ecf_core::SchedulerKind::Ecf, 7);
-    cfg.recorder = RecorderConfig {
-        ooo_delays: false,
-        ..RecorderConfig::default()
-    };
+    cfg.recorder = RecorderConfig { ooo_delays: false, ..RecorderConfig::default() };
     cfg.conns[0].cfg.sndbuf_segs = window_segs;
     cfg.conns[0].cfg.rwnd_segs = window_segs;
     (cfg, WgetApp::new(200 * 1024 * 1024))
@@ -151,9 +148,9 @@ fn steady_state_deliver_loop_allocates_nothing() {
     // Handover: LTE (path 1) down during [3, 4), [6, 7), then [13, 14),
     // [23, 24), ... [73, 74) — the first two inside the warm-up.
     let (mut cfg, app) = wget(128);
-    cfg.scenario = [3, 6, 13, 23, 33, 43, 53, 63, 73].into_iter().fold(Scenario::new(), |s, t| {
-        s.outage(1, Time::from_secs(t), Time::from_secs(t + 1))
-    });
+    cfg.scenario = [3, 6, 13, 23, 33, 43, 53, 63, 73]
+        .into_iter()
+        .fold(Scenario::new(), |s, t| s.outage(1, Time::from_secs(t), Time::from_secs(t + 1)));
     let mut tb = Testbed::new(cfg, app);
     assert_steady_state_allocates_nothing(&mut tb, "handover run");
     let reinjected: u64 =

@@ -42,8 +42,7 @@ fn steady_state_lockstep_loop_allocates_nothing() {
     pop.recorder = RecorderConfig { ooo_delays: false, ..RecorderConfig::default() };
     pop.horizon = Time::from_secs(40);
     for (u, unit) in pop.units.iter_mut().enumerate() {
-        unit.page =
-            PageModel::lognormal(3 ^ u as u64, 1, 2e8, 0.0, 200_000_000, 200_000_000);
+        unit.page = PageModel::lognormal(3 ^ u as u64, 1, 2e8, 0.0, 200_000_000, 200_000_000);
         for conn in &mut unit.conns {
             conn.cfg.sndbuf_segs = 64;
             conn.cfg.rwnd_segs = 64;
@@ -72,8 +71,5 @@ fn steady_state_lockstep_loop_allocates_nothing() {
         events > 20_000,
         "steady-state window processed only {events} events; workload mis-sized"
     );
-    assert_eq!(
-        allocs, 0,
-        "co-sim lockstep loop allocated {allocs} times over {events} events"
-    );
+    assert_eq!(allocs, 0, "co-sim lockstep loop allocated {allocs} times over {events} events");
 }

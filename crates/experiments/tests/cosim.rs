@@ -81,10 +81,8 @@ fn prop_cosim_merge_is_bit_identical_to_monolith() {
 #[test]
 fn worker_count_is_invisible_in_the_cosim_merge() {
     let pop = small_coupled(0xC0, 6, 2, 10.0, Duration::from_millis(30));
-    let reference = run_sweep(
-        &pop,
-        &SweepOptions { max_shards: 0, workers: Some(1), ..Default::default() },
-    );
+    let reference =
+        run_sweep(&pop, &SweepOptions { max_shards: 0, workers: Some(1), ..Default::default() });
     assert_eq!(reference.shard_events.len(), 6, "one engine group per unit expected");
     for workers in [2, 8] {
         let run = run_sweep(
@@ -100,10 +98,8 @@ fn worker_count_is_invisible_in_the_cosim_merge() {
 fn cosim_counters_flush_at_teardown() {
     let pop = small_coupled(7, 4, 1, 10.0, Duration::from_millis(30));
     let tel = TelemetryHandle::enabled();
-    let run = run_sweep(
-        &pop,
-        &SweepOptions { max_shards: 0, workers: Some(2), telemetry: tel.clone() },
-    );
+    let run =
+        run_sweep(&pop, &SweepOptions { max_shards: 0, workers: Some(2), telemetry: tel.clone() });
     let rounds = tel.counter(Counter::CosimRounds);
     assert!(rounds > 0, "lockstep windows must be counted");
     // One message per coupling member per round, every member in use.
@@ -117,10 +113,7 @@ fn cosim_counters_flush_at_teardown() {
 
     // The monolithic reference exchanges nothing across boundaries.
     let tel_mono = TelemetryHandle::enabled();
-    run_sweep(
-        &pop,
-        &SweepOptions { max_shards: 1, workers: Some(1), telemetry: tel_mono.clone() },
-    );
+    run_sweep(&pop, &SweepOptions { max_shards: 1, workers: Some(1), telemetry: tel_mono.clone() });
     assert!(tel_mono.counter(Counter::CosimRounds) > 0);
     assert_eq!(tel_mono.counter(Counter::CosimBoundaryMsgs), 0);
     assert_eq!(tel_mono.counter(Counter::CosimStallNs), 0);
@@ -139,10 +132,8 @@ fn degenerate_zero_window_coupling_collapses_never_deadlocks() {
     assert_eq!(plan_shards(&pop, 8).len(), 1);
 
     let tel = TelemetryHandle::enabled();
-    let sharded = run_sweep(
-        &pop,
-        &SweepOptions { max_shards: 8, workers: Some(2), telemetry: tel.clone() },
-    );
+    let sharded =
+        run_sweep(&pop, &SweepOptions { max_shards: 8, workers: Some(2), telemetry: tel.clone() });
     let mono = run_sweep(&pop, &SweepOptions { max_shards: 1, ..Default::default() });
     assert_eq!(sharded.digest, mono.digest);
     assert_eq!(sharded.units, mono.units);
@@ -206,7 +197,10 @@ fn population_scenario_matches_monolith_coupled() {
 #[test]
 fn stepwise_driver_reports_progress() {
     let pop = small_coupled(5, 3, 1, 10.0, Duration::from_millis(30));
-    let mut run = CoupledRun::new(&pop, &SweepOptions { max_shards: 0, workers: Some(1), ..Default::default() });
+    let mut run = CoupledRun::new(
+        &pop,
+        &SweepOptions { max_shards: 0, workers: Some(1), ..Default::default() },
+    );
     assert_eq!(run.n_groups(), 3);
     assert!(run.window_nanos() > 0);
     assert_eq!(run.now(), Time::ZERO);
@@ -219,8 +213,7 @@ fn stepwise_driver_reports_progress() {
 
 /// A small uncoupled population: private WiFi + LTE per unit, tiny pages.
 fn small_uncoupled(seed: u64, n_units: usize, conns_per_unit: usize) -> Population {
-    let mut pop =
-        browse_population(seed, n_units, conns_per_unit, 1.0, 10.0, SchedulerKind::Ecf);
+    let mut pop = browse_population(seed, n_units, conns_per_unit, 1.0, 10.0, SchedulerKind::Ecf);
     for (u, unit) in pop.units.iter_mut().enumerate() {
         unit.page = PageModel::lognormal(seed ^ u as u64, 6, 8192.0, 1.6, 200, 30_000);
     }

@@ -122,10 +122,8 @@ fn population_footprint_per_connection_and_per_unit() {
     // private paths, one engine per unit, one worker.
     let bytes_before = support::snapshot().1;
     let pop = browse_population(1, UNITS, CONNS_PER_UNIT, 1.0, 10.0, SchedulerKind::Ecf);
-    let report = run_sweep(
-        &pop,
-        &SweepOptions { max_shards: 0, workers: Some(1), ..Default::default() },
-    );
+    let report =
+        run_sweep(&pop, &SweepOptions { max_shards: 0, workers: Some(1), ..Default::default() });
     let per_unit = (support::snapshot().1 - bytes_before) / UNITS as u64;
 
     assert_eq!(report.shard_events.len(), UNITS, "one engine per unit");

@@ -160,11 +160,8 @@ fn tab1_lists_the_six_rungs_of_the_ladder() {
 #[test]
 fn fig1_download_progress_is_monotone() {
     let s = quick_report("fig1");
-    let points: Vec<f64> = s
-        .lines()
-        .skip(4)
-        .filter_map(|l| l.split('\t').nth(1)?.parse().ok())
-        .collect();
+    let points: Vec<f64> =
+        s.lines().skip(4).filter_map(|l| l.split('\t').nth(1)?.parse().ok()).collect();
     assert!(points.len() >= 5);
     for w in points.windows(2) {
         assert!(w[1] >= w[0], "progress went backwards");
@@ -207,8 +204,7 @@ fn a_streaming_cell_keeps_its_cache_key() {
 fn shard_count_never_changes_output_or_digests() {
     let spec = Spec::from_file(spec_path("smoke")).unwrap();
     let baseline_exp = expmatrix::expand(&spec, Effort::Quick).unwrap();
-    let baseline_digests: Vec<u64> =
-        baseline_exp.cells.iter().map(|c| c.digest).collect();
+    let baseline_digests: Vec<u64> = baseline_exp.cells.iter().map(|c| c.digest).collect();
 
     let mut reports = Vec::new();
     for workers in [1usize, 2, 8] {
@@ -222,10 +218,7 @@ fn shard_count_never_changes_output_or_digests() {
 
         let exp = expmatrix::expand(&spec, Effort::Quick).unwrap();
         let digests: Vec<u64> = exp.cells.iter().map(|c| c.digest).collect();
-        assert_eq!(
-            digests, baseline_digests,
-            "per-cell digests changed at {workers} workers"
-        );
+        assert_eq!(digests, baseline_digests, "per-cell digests changed at {workers} workers");
         reports.push(outcome.report);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -312,10 +305,7 @@ fn engine_contract_changes_invalidate_cached_cells() {
 
     let mut new_key = cell.key.clone();
     if let testkit::json::Value::Object(m) = &mut new_key {
-        m.insert(
-            "contract".to_string(),
-            testkit::json::Value::String("next-engine".into()),
-        );
+        m.insert("contract".to_string(), testkit::json::Value::String("next-engine".into()));
     }
     let new_digest = canonical_digest(&new_key);
     assert_ne!(new_digest, cell.digest, "contract must be part of the key");

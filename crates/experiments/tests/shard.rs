@@ -47,10 +47,8 @@ fn prop_shard_merge_is_bit_identical_to_monolith() {
 #[test]
 fn worker_count_is_invisible_in_the_merge() {
     let pop = small_pop(0xECF, 12, 2);
-    let reference = run_sweep(
-        &pop,
-        &SweepOptions { max_shards: 0, workers: Some(1), ..Default::default() },
-    );
+    let reference =
+        run_sweep(&pop, &SweepOptions { max_shards: 0, workers: Some(1), ..Default::default() });
     assert_eq!(reference.shard_events.len(), 12, "one shard per unit expected");
     for workers in [2, 8] {
         let run = run_sweep(

@@ -47,8 +47,7 @@ impl TimeSeries {
             return self.clone();
         }
         let stride = self.points.len().div_ceil(max_points);
-        let mut points: Vec<(f64, f64)> =
-            self.points.iter().step_by(stride).copied().collect();
+        let mut points: Vec<(f64, f64)> = self.points.iter().step_by(stride).copied().collect();
         if points.last() != self.points.last() {
             points.push(*self.points.last().expect("non-empty"));
         }

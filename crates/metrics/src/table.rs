@@ -88,8 +88,7 @@ impl Heatmap {
 
         out.push('\n');
         for (ytick, row) in self.y_ticks.iter().zip(&self.values) {
-            let glyphs: String =
-                row.iter().flat_map(|&v| [self.shade(v), ' ']).collect();
+            let glyphs: String = row.iter().flat_map(|&v| [self.shade(v), ' ']).collect();
             out.push_str(&format!("{ytick:>6} |{glyphs}|\n"));
         }
         out.push_str(&format!(

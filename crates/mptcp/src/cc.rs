@@ -45,10 +45,8 @@ pub fn ca_increase(kind: CcKind, views: &[CcView], idx: usize) -> f64 {
             let total: f64 = views.iter().map(|v| v.cwnd).sum();
             let total = total.max(1.0);
             // α = cwnd_total · max_r(cwnd_r/rtt_r²) / (Σ_r cwnd_r/rtt_r)²
-            let max_term = views
-                .iter()
-                .map(|v| v.cwnd / (v.srtt * v.srtt).max(1e-12))
-                .fold(0.0, f64::max);
+            let max_term =
+                views.iter().map(|v| v.cwnd / (v.srtt * v.srtt).max(1e-12)).fold(0.0, f64::max);
             let sum_term: f64 = views.iter().map(|v| v.cwnd / v.srtt.max(1e-6)).sum();
             let alpha = total * max_term / (sum_term * sum_term).max(1e-12);
             (alpha / total).min(1.0 / cwnd)
@@ -60,8 +58,8 @@ pub fn ca_increase(kind: CcKind, views: &[CcView], idx: usize) -> f64 {
             // shrink), since the decrease side of OLIA is realized through
             // its loss response in this model.
             let sum_term: f64 = views.iter().map(|v| v.cwnd / v.srtt.max(1e-6)).sum();
-            let base = (me.cwnd / (me.srtt * me.srtt).max(1e-12))
-                / (sum_term * sum_term).max(1e-12);
+            let base =
+                (me.cwnd / (me.srtt * me.srtt).max(1e-12)) / (sum_term * sum_term).max(1e-12);
             (base + olia_alpha(views, idx) / cwnd).max(0.0)
         }
     }

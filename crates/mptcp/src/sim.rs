@@ -99,12 +99,7 @@ pub struct ConnSpec {
 impl ConnSpec {
     /// A connection with default parameters running a built-in scheduler.
     pub fn new(scheduler: SchedulerKind, subflow_paths: Vec<usize>) -> Self {
-        ConnSpec {
-            cfg: ConnConfig::default(),
-            scheduler,
-            custom_scheduler: None,
-            subflow_paths,
-        }
+        ConnSpec { cfg: ConnConfig::default(), scheduler, custom_scheduler: None, subflow_paths }
     }
 
     /// A connection running a user-provided scheduler implementation.
@@ -151,12 +146,7 @@ pub struct TestbedConfig {
 
 impl TestbedConfig {
     /// A two-path (WiFi + LTE) testbed with one connection, the common case.
-    pub fn wifi_lte(
-        wifi_mbps: f64,
-        lte_mbps: f64,
-        scheduler: SchedulerKind,
-        seed: u64,
-    ) -> Self {
+    pub fn wifi_lte(wifi_mbps: f64, lte_mbps: f64, scheduler: SchedulerKind, seed: u64) -> Self {
         TestbedConfig {
             paths: vec![PathConfig::wifi(wifi_mbps), PathConfig::lte(lte_mbps)],
             conns: vec![ConnSpec::new(scheduler, vec![0, 1])],
@@ -261,10 +251,7 @@ impl Mptcp {
         let sf = &mut self.conns[conn].sender.subflows[sub];
         sf.rto_scheduled = false;
         if let Some(seg) = sf.on_rto_fire(cx.now) {
-            cx.tel.emit(
-                cx.now.as_nanos(),
-                EventKind::Rto { conn: conn as u32, path: sub as u16 },
-            );
+            cx.tel.emit(cx.now.as_nanos(), EventKind::Rto { conn: conn as u32, path: sub as u16 });
             cx.send_data(sf.path, Data { conn: conn as u32, sub: sub as u16, seg });
         }
         arm_rto(sf, conn, sub, cx);
@@ -283,13 +270,9 @@ impl Transport for Mptcp {
             .iter_mut()
             .enumerate()
             .map(|(ci, spec)| {
-                let subflow_paths: Vec<(usize, Duration)> = spec
-                    .subflow_paths
-                    .iter()
-                    .map(|&p| (p, cfg.paths[p].base_rtt()))
-                    .collect();
-                let scheduler: Box<dyn ecf_core::Scheduler> = match spec.custom_scheduler.take()
-                {
+                let subflow_paths: Vec<(usize, Duration)> =
+                    spec.subflow_paths.iter().map(|&p| (p, cfg.paths[p].base_rtt())).collect();
+                let scheduler: Box<dyn ecf_core::Scheduler> = match spec.custom_scheduler.take() {
                     Some(custom) => custom,
                     None => spec.scheduler.build(),
                 };
@@ -336,14 +319,9 @@ impl Transport for Mptcp {
         // the dsn is the only candidate, and a single record lookup rules
         // out dsns below its range (a retransmission of already-completed
         // data). In-order traffic matches the front entry immediately.
-        let owner = cs
-            .sender
-            .response_bounds
-            .iter()
-            .find(|&&(_, last)| seg.dsn <= last)
-            .and_then(|&(req, _)| {
-                (seg.dsn >= cx.recorder.requests[req as usize].first_dsn).then_some(req)
-            });
+        let owner = cs.sender.response_bounds.iter().find(|&&(_, last)| seg.dsn <= last).and_then(
+            |&(req, _)| (seg.dsn >= cx.recorder.requests[req as usize].first_dsn).then_some(req),
+        );
         if let Some(req) = owner {
             cx.recorder.note_arrival(req, sub, cx.now);
         }

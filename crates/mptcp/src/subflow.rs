@@ -230,11 +230,8 @@ impl Subflow {
                 self.cc.rtt.on_sample(sample);
             }
             // Restart (or disarm) the lazy RTO.
-            self.rto_deadline = if self.inflight.is_empty() {
-                Time::MAX
-            } else {
-                now + self.cc.rto()
-            };
+            self.rto_deadline =
+                if self.inflight.is_empty() { Time::MAX } else { now + self.cc.rto() };
         } else if ack.sub_next_ssn == self.snd_una && !self.inflight.is_empty() {
             // Duplicate ACK.
             self.dupacks += 1;

@@ -272,10 +272,8 @@ mod tests {
 
     #[test]
     fn ooo_collection_respects_flag() {
-        let mut rec = Recorder::new(
-            RecorderConfig { ooo_delays: false, ..RecorderConfig::default() },
-            &[1],
-        );
+        let mut rec =
+            Recorder::new(RecorderConfig { ooo_delays: false, ..RecorderConfig::default() }, &[1]);
         rec.note_ooo(0, Duration::from_millis(5));
         assert!(rec.ooo_delays_us.is_empty());
 

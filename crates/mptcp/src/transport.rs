@@ -274,11 +274,8 @@ mod tests {
         driver.snap_buf = vec![snap(0, 20, 10, 0), snap(1, 100, 10, 0)];
         let mut bare = SchedulerKind::Default.build();
         let paths = driver.snap_buf.clone();
-        let want = bare.select(&SchedInput {
-            paths: &paths,
-            queued_pkts: 5,
-            send_window_free_pkts: 100,
-        });
+        let want =
+            bare.select(&SchedInput { paths: &paths, queued_pkts: 5, send_window_free_pkts: 100 });
         assert_eq!(driver.decide(Time::ZERO, 5, 100), want);
     }
 

@@ -151,10 +151,7 @@ fn deterministic_given_seed() {
     let (t1, tb1) = run_download(1.0, 8.0, SchedulerKind::Ecf, 1024 * 1024, 42);
     let (t2, tb2) = run_download(1.0, 8.0, SchedulerKind::Ecf, 1024 * 1024, 42);
     assert_eq!(t1, t2);
-    assert_eq!(
-        tb1.world().recorder.ooo_delays_us,
-        tb2.world().recorder.ooo_delays_us
-    );
+    assert_eq!(tb1.world().recorder.ooo_delays_us, tb2.world().recorder.ooo_delays_us);
     let (t3, _) = run_download(1.0, 8.0, SchedulerKind::Ecf, 1024 * 1024, 43);
     assert_ne!(t1, t3, "different seeds should perturb jitter");
 }
@@ -162,10 +159,7 @@ fn deterministic_given_seed() {
 #[test]
 fn survives_random_loss() {
     let cfg = TestbedConfig {
-        paths: vec![
-            PathConfig::wifi(2.0).with_loss(0.02),
-            PathConfig::lte(8.0).with_loss(0.02),
-        ],
+        paths: vec![PathConfig::wifi(2.0).with_loss(0.02), PathConfig::lte(8.0).with_loss(0.02)],
         conns: vec![ConnSpec {
             cfg: ConnConfig::default(),
             scheduler: SchedulerKind::Default,
@@ -194,13 +188,7 @@ fn sequential_downloads_complete_in_order() {
     tb.run_until(Time::from_secs(60));
     assert_eq!(tb.app().completed, vec![0, 1, 2, 3]);
     // Completion times are non-decreasing in issue order.
-    let times: Vec<_> = tb
-        .world()
-        .recorder
-        .requests
-        .iter()
-        .map(|r| r.completed.unwrap())
-        .collect();
+    let times: Vec<_> = tb.world().recorder.requests.iter().map(|r| r.completed.unwrap()).collect();
     for w in times.windows(2) {
         assert!(w[0] <= w[1]);
     }
@@ -288,9 +276,11 @@ fn rate_change_mid_transfer_slows_progress() {
     let mk = |with_drop: bool| {
         let mut cfg = TestbedConfig::wifi_lte(8.0, 8.0, SchedulerKind::Default, 21);
         if with_drop {
-            cfg.scenario = Scenario::new()
-                .rate_bps(Time::from_secs(1), 0, 300_000)
-                .rate_bps(Time::from_secs(1), 1, 300_000);
+            cfg.scenario = Scenario::new().rate_bps(Time::from_secs(1), 0, 300_000).rate_bps(
+                Time::from_secs(1),
+                1,
+                300_000,
+            );
         }
         let mut tb = Testbed::new(cfg, SequentialDownloads::new(vec![4 * 1024 * 1024]));
         tb.run_until(Time::from_secs(300));

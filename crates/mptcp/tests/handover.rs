@@ -54,11 +54,7 @@ fn transfer_survives_losing_one_path() {
             .done
             .unwrap_or_else(|| panic!("{}: transfer must survive path death", kind.label()));
         // LTE-alone floor: 4 MB over 4 Mbps ≈ 8.4 s (+ recovery overhead).
-        assert!(
-            done.as_secs_f64() < 60.0,
-            "{}: took {done} after handover",
-            kind.label()
-        );
+        assert!(done.as_secs_f64() < 60.0, "{}: took {done} after handover", kind.label());
         // The stranded data really was reinjected.
         let reinjections = tb.world().sender(0).subflows[1].stats().reinjections;
         assert!(reinjections > 0, "{}: no reinjection after path death", kind.label());
@@ -106,9 +102,11 @@ fn total_outage_stalls_then_recovers() {
     // Both paths down for 3 s: nothing delivers during the blackout, the
     // transfer still completes afterwards.
     let cfg = testbed(
-        Scenario::new()
-            .outage(0, Time::from_secs(1), Time::from_secs(4))
-            .outage(1, Time::from_secs(1), Time::from_secs(4)),
+        Scenario::new().outage(0, Time::from_secs(1), Time::from_secs(4)).outage(
+            1,
+            Time::from_secs(1),
+            Time::from_secs(4),
+        ),
         SchedulerKind::Ecf,
     );
     let mut tb = Testbed::new(cfg, OneShot { bytes: 4 * 1024 * 1024, done: None });

@@ -103,16 +103,11 @@ fn duplicates_are_idempotent() {
 fn ca_increase_bounded_by_reno() {
     check(
         256,
-        (
-            vec_of(1.0f64..500.0, 1..4),
-            vec_of(0.005f64..2.0, 1..4),
-            0u8..=255,
-        ),
+        (vec_of(1.0f64..500.0, 1..4), vec_of(0.005f64..2.0, 1..4), 0u8..=255),
         |(cwnds, rtts, idx_seed)| {
             let n = cwnds.len().min(rtts.len());
-            let views: Vec<CcView> = (0..n)
-                .map(|i| CcView { cwnd: cwnds[i], srtt: rtts[i] })
-                .collect();
+            let views: Vec<CcView> =
+                (0..n).map(|i| CcView { cwnd: cwnds[i], srtt: rtts[i] }).collect();
             let idx = usize::from(idx_seed) % n;
             let reno = 1.0 / views[idx].cwnd;
             for kind in [CcKind::Reno, CcKind::Lia] {
@@ -136,12 +131,8 @@ fn ooo_delay_bounded_by_blocking_span() {
         let mut rx = Receiver::new(2, 10_000);
         // dsn 1 arrives at t=0 on subflow 1, dsn 0 arrives gap later.
         on_segment(&mut rx, Time::ZERO, 1, Segment { dsn: 1, ssn: 0 });
-        let (_, out) = on_segment(
-            &mut rx,
-            Time::from_millis(gap_ms),
-            0,
-            Segment { dsn: 0, ssn: 0 },
-        );
+        let (_, out) =
+            on_segment(&mut rx, Time::from_millis(gap_ms), 0, Segment { dsn: 0, ssn: 0 });
         assert_eq!(out.len(), 2);
         assert_eq!(out[1].ooo_delay, Duration::from_millis(gap_ms));
     });

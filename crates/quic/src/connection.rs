@@ -192,8 +192,7 @@ impl QuicConn {
         handshake_rtts: &[std::time::Duration],
     ) -> Self {
         assert!(!handshake_rtts.is_empty(), "a connection needs at least one path");
-        let paths: Vec<PathSpace> =
-            handshake_rtts.iter().map(|&rtt| PathSpace::new(rtt)).collect();
+        let paths: Vec<PathSpace> = handshake_rtts.iter().map(|&rtt| PathSpace::new(rtt)).collect();
         let n = paths.len();
         QuicConn {
             cfg,
@@ -448,9 +447,8 @@ mod tests {
     use std::time::Duration;
 
     fn conn(n_paths: usize) -> QuicConn {
-        let rtts: Vec<Duration> = (0..n_paths)
-            .map(|i| Duration::from_millis(20 + 60 * i as u64))
-            .collect();
+        let rtts: Vec<Duration> =
+            (0..n_paths).map(|i| Duration::from_millis(20 + 60 * i as u64)).collect();
         QuicConn::new(QuicConfig::default(), SchedulerKind::Default.build(), &rtts)
     }
 

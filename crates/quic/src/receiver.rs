@@ -94,11 +94,7 @@ impl QuicReceiver {
             // Drain the run of held chunks this arrival unblocked.
             while let Some(arrived) = s.held.take_head() {
                 self.held_total -= 1;
-                out.push(DeliveredChunk {
-                    stream,
-                    chunk: s.next,
-                    ooo_delay: now.since(arrived),
-                });
+                out.push(DeliveredChunk { stream, chunk: s.next, ooo_delay: now.since(arrived) });
                 s.next += 1;
             }
         } else if s.held.insert(chunk - s.next, now) {
@@ -190,7 +186,7 @@ mod tests {
         rx.on_chunk(t(20), 0, 0, &mut out);
         assert_eq!(out.len(), 2);
         assert_eq!(out[1].ooo_delay, Duration::from_millis(15)); // from t=5
-        // Duplicate of delivered data: silently dropped.
+                                                                 // Duplicate of delivered data: silently dropped.
         rx.on_chunk(t(30), 0, 0, &mut out);
         assert_eq!(out.len(), 2);
     }

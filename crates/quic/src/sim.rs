@@ -346,8 +346,7 @@ mod tests {
     #[test]
     fn survives_a_path_outage() {
         let mut cfg = QuicTestbedConfig::wifi_lte(1.0, 8.0, SchedulerKind::Ecf, 3);
-        cfg.scenario =
-            Scenario::new().outage(1, Time::from_secs(1), Time::from_secs(4));
+        cfg.scenario = Scenario::new().outage(1, Time::from_secs(1), Time::from_secs(4));
         let sizes: Vec<u64> = vec![2_000_000, 2_000_000];
         let mut tb = QuicTestbed::new(cfg, Burst::new(sizes));
         tb.run_until(Time::from_secs(120));

@@ -60,12 +60,7 @@ impl Oracle {
     fn held_total(&self) -> u64 {
         self.streams
             .iter()
-            .map(|s| {
-                s.arrived[s.next as usize..]
-                    .iter()
-                    .filter(|a| a.is_some())
-                    .count() as u64
-            })
+            .map(|s| s.arrived[s.next as usize..].iter().filter(|a| a.is_some()).count() as u64)
             .sum()
     }
 

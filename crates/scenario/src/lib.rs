@@ -44,8 +44,8 @@ mod schedule;
 use std::time::Duration;
 
 pub use schedule::RateSchedule;
-pub use simnet::{GilbertElliott, LossModel};
 use simnet::Time;
+pub use simnet::{GilbertElliott, LossModel};
 use testkit::json::{self, Value};
 
 /// What a [`ControlEvent`] does to its path when it fires.
@@ -307,8 +307,7 @@ impl Scenario {
     /// callers can surface them verbatim.
     pub fn from_json_file(path: impl AsRef<std::path::Path>) -> Result<Scenario, String> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Scenario::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 }
@@ -449,8 +448,7 @@ mod tests {
 
     #[test]
     fn outage_is_down_then_up() {
-        let evs =
-            Scenario::new().outage(0, Time::from_secs(20), Time::from_secs(60)).compile();
+        let evs = Scenario::new().outage(0, Time::from_secs(20), Time::from_secs(60)).compile();
         assert_eq!(
             evs,
             vec![
@@ -545,10 +543,7 @@ mod tests {
         assert_eq!(s.events[0].action, Action::PathUp(false));
         assert_eq!(s.events[2].action, Action::RateBps(4_200_000));
         assert_eq!(s.events[3].action, Action::RateBps(250_000));
-        assert_eq!(
-            s.events[4].action,
-            Action::OneWayDelay(Duration::from_millis(30))
-        );
+        assert_eq!(s.events[4].action, Action::OneWayDelay(Duration::from_millis(30)));
         assert_eq!(s.events[5].action, Action::Loss(LossModel::Bernoulli(0.01)));
         assert!(matches!(s.events[6].action, Action::Loss(LossModel::GilbertElliott(_))));
         assert_eq!(s.events[7].action, Action::Loss(LossModel::None));
@@ -581,10 +576,8 @@ mod tests {
 
     #[test]
     fn json_errors_name_the_offender() {
-        let err = Scenario::from_json(
-            r#"{"events": [{"at_ms": 0, "path": 0, "action": "warp"}]}"#,
-        )
-        .unwrap_err();
+        let err = Scenario::from_json(r#"{"events": [{"at_ms": 0, "path": 0, "action": "warp"}]}"#)
+            .unwrap_err();
         assert!(err.contains("events[0]"), "{err}");
         assert!(err.contains("warp"), "{err}");
         let err =
@@ -678,9 +671,13 @@ mod tests {
 
     #[test]
     fn check_paths_names_the_first_path_out_of_range() {
-        let s = Scenario::new()
-            .path_down(Time::ZERO, 1)
-            .random_rates(7, 1, Duration::from_secs(40), &[1.0], Time::from_secs(60));
+        let s = Scenario::new().path_down(Time::ZERO, 1).random_rates(
+            7,
+            1,
+            Duration::from_secs(40),
+            &[1.0],
+            Time::from_secs(60),
+        );
         assert_eq!(s.check_paths(8), Ok(()));
         let err = s.check_paths(2).unwrap_err();
         assert_eq!(err, "processes[0]: \"path\" 7 is not one of the run's 2 paths");

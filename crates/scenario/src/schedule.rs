@@ -80,12 +80,7 @@ mod tests {
 
     #[test]
     fn random_changes_are_sorted_and_bounded() {
-        let s = RateSchedule::random(
-            3,
-            Duration::from_secs(40),
-            &[0.3, 8.6],
-            Time::from_secs(600),
-        );
+        let s = RateSchedule::random(3, Duration::from_secs(40), &[0.3, 8.6], Time::from_secs(600));
         for w in s.changes.windows(2) {
             assert!(w[0].0 < w[1].0);
         }
@@ -98,24 +93,15 @@ mod tests {
     #[test]
     fn mean_interval_roughly_respected() {
         // Over a long horizon the number of change points ≈ horizon / mean.
-        let s = RateSchedule::random(
-            11,
-            Duration::from_secs(40),
-            &[1.0],
-            Time::from_secs(40_000),
-        );
+        let s = RateSchedule::random(11, Duration::from_secs(40), &[1.0], Time::from_secs(40_000));
         let n = s.changes.len() as f64;
         assert!((700.0..1300.0).contains(&n), "n={n}");
     }
 
     #[test]
     fn rate_at_picks_latest_change() {
-        let s = RateSchedule {
-            changes: vec![
-                (Time::from_secs(10), 100),
-                (Time::from_secs(20), 200),
-            ],
-        };
+        let s =
+            RateSchedule { changes: vec![(Time::from_secs(10), 100), (Time::from_secs(20), 200)] };
         assert_eq!(s.rate_at(Time::from_secs(5)), None);
         assert_eq!(s.rate_at(Time::from_secs(10)), Some(100));
         assert_eq!(s.rate_at(Time::from_secs(25)), Some(200));

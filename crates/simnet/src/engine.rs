@@ -55,13 +55,7 @@ impl<M: Model> Engine<M> {
     /// [`EventQueue::reset`]) skips the per-run growth entirely.
     pub fn with_queue(model: M, mut queue: EventQueue<M::Event>) -> Self {
         queue.reset();
-        Engine {
-            model,
-            queue,
-            now: Time::ZERO,
-            processed: 0,
-            event_budget: u64::MAX,
-        }
+        Engine { model, queue, now: Time::ZERO, processed: 0, event_budget: u64::MAX }
     }
 
     /// Tear the engine down, recovering the queue for reuse by a later

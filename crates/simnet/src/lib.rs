@@ -58,10 +58,8 @@ mod wheel;
 
 pub use delivery::DeliveryQueue;
 pub use engine::{Engine, Model, RunOutcome};
-pub use wheel::EventQueue;
 pub use link::{serialization_nanos, Link, LinkConfig, LinkStats, Verdict};
 pub use loss::{GilbertElliott, LossModel};
-pub use path::{
-    path_seed, Path, PathConfig, LTE_ONE_WAY, SHAPED_QUEUE_BYTES, WIFI_ONE_WAY,
-};
+pub use path::{path_seed, Path, PathConfig, LTE_ONE_WAY, SHAPED_QUEUE_BYTES, WIFI_ONE_WAY};
 pub use time::{dur_nanos, Time};
+pub use wheel::EventQueue;

@@ -161,11 +161,8 @@ impl Link {
     /// Create a link; `seed` drives jitter and random loss only.
     pub fn new(cfg: LinkConfig, seed: u64) -> Self {
         let recip_q32 = serialization_recip(cfg.rate_bps);
-        let loss = if cfg.loss_rate > 0.0 {
-            LossModel::Bernoulli(cfg.loss_rate)
-        } else {
-            LossModel::None
-        };
+        let loss =
+            if cfg.loss_rate > 0.0 { LossModel::Bernoulli(cfg.loss_rate) } else { LossModel::None };
         let deterministic = loss.is_none() && cfg.jitter_max == Duration::ZERO;
         Link {
             cfg,
@@ -511,8 +508,17 @@ mod tests {
     #[test]
     fn reciprocal_serialization_matches_division_exactly() {
         let rates = [
-            1u64, 3, 7, 999, 300_000, 1_000_000, 8_600_000, 299_999_999, 1_000_000_000,
-            987_654_321_987, u64::MAX,
+            1u64,
+            3,
+            7,
+            999,
+            300_000,
+            1_000_000,
+            8_600_000,
+            299_999_999,
+            1_000_000_000,
+            987_654_321_987,
+            u64::MAX,
         ];
         let sizes = [0u32, 1, 40, 72, 300, 1499, 1500, 1540, 9000, 65_535, u32::MAX];
         for &rate in &rates {

@@ -162,9 +162,6 @@ mod tests {
         };
         let ge_runs = runs(LossModel::GilbertElliott(GilbertElliott::bursty(0.02, 16.0)));
         let bern_runs = runs(LossModel::Bernoulli(0.02));
-        assert!(
-            ge_runs * 4 < bern_runs,
-            "GE runs {ge_runs} not bursty vs Bernoulli {bern_runs}"
-        );
+        assert!(ge_runs * 4 < bern_runs, "GE runs {ge_runs} not bursty vs Bernoulli {bern_runs}");
     }
 }

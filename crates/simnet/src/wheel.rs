@@ -527,11 +527,7 @@ impl<E> EventQueue<E> {
         let q = self.nodes[idx as usize].at.as_nanos() >> QUANTUM_BITS;
         debug_assert!(q >= self.cursor, "placing an event behind the cursor");
         let diff = q ^ self.cursor;
-        let level = if diff == 0 {
-            0
-        } else {
-            ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
-        };
+        let level = if diff == 0 { 0 } else { ((63 - diff.leading_zeros()) / SLOT_BITS) as usize };
         if level >= LEVELS {
             self.overflow_min_q = self.overflow_min_q.min(q);
             self.overflow.push(idx);
@@ -862,12 +858,12 @@ mod tests {
         // One event per wheel level plus one beyond the span and one at
         // Time::MAX; pops must come back in time order.
         let delays_ns = [
-            1u64,                 // level 0
-            5 << QUANTUM_BITS,    // level 0, later slot
-            300 << QUANTUM_BITS,  // level 1
-            70_000u64 << QUANTUM_BITS,   // level 2
+            1u64,                          // level 0
+            5 << QUANTUM_BITS,             // level 0, later slot
+            300 << QUANTUM_BITS,           // level 1
+            70_000u64 << QUANTUM_BITS,     // level 2
             18_000_000u64 << QUANTUM_BITS, // level 3
-            1u64 << 52,           // overflow
+            1u64 << 52,                    // overflow
         ];
         let mut q = EventQueue::new();
         let mut heap = HeapQueue::new();
@@ -939,76 +935,72 @@ mod tests {
         use testkit::prop::{check, vec_of};
 
         // (op selector, delay selector, delay payload, burst size)
-        check(
-            256,
-            vec_of((0u32..100, 0u32..6, 0u64..1 << 17, 1u32..4), 1..200),
-            |ops| {
-                let mut wheel: EventQueue<u64> = EventQueue::new();
-                let mut heap: HeapQueue<u64> = HeapQueue::new();
-                let mut now = Time::ZERO;
-                let mut next_ev = 0u64;
-                // Reserved-but-unfilled seqs, filled by later ops (the
-                // delivery-queue coalescing pattern).
-                let mut parked: Vec<(u64, Time)> = Vec::new();
+        check(256, vec_of((0u32..100, 0u32..6, 0u64..1 << 17, 1u32..4), 1..200), |ops| {
+            let mut wheel: EventQueue<u64> = EventQueue::new();
+            let mut heap: HeapQueue<u64> = HeapQueue::new();
+            let mut now = Time::ZERO;
+            let mut next_ev = 0u64;
+            // Reserved-but-unfilled seqs, filled by later ops (the
+            // delivery-queue coalescing pattern).
+            let mut parked: Vec<(u64, Time)> = Vec::new();
 
-                for (op, dsel, draw, burst) in ops {
-                    // Delay distribution deliberately covers: same-instant
-                    // (0), sub-quantum, level 0/1/2 spans, and far-future
-                    // jumps past the whole wheel (rollover cascades).
-                    let delay_ns = match dsel {
-                        0 => 0,
-                        1 => draw & 0xFFFF,                      // < 1 quantum
-                        2 => draw,                               // level 0/1
-                        3 => draw << 14,                         // level 1/2
-                        4 => draw << 24,                         // level 2/3
-                        _ => (draw << 33) | 1,                   // deep rollover
-                    };
-                    let at = now + Duration::from_nanos(delay_ns);
-                    match op {
-                        // Plain schedule, occasionally a same-time burst.
-                        0..=49 => {
-                            for _ in 0..burst {
-                                wheel.schedule(at, next_ev);
-                                heap.schedule(at, next_ev);
-                                next_ev += 1;
-                            }
+            for (op, dsel, draw, burst) in ops {
+                // Delay distribution deliberately covers: same-instant
+                // (0), sub-quantum, level 0/1/2 spans, and far-future
+                // jumps past the whole wheel (rollover cascades).
+                let delay_ns = match dsel {
+                    0 => 0,
+                    1 => draw & 0xFFFF,    // < 1 quantum
+                    2 => draw,             // level 0/1
+                    3 => draw << 14,       // level 1/2
+                    4 => draw << 24,       // level 2/3
+                    _ => (draw << 33) | 1, // deep rollover
+                };
+                let at = now + Duration::from_nanos(delay_ns);
+                match op {
+                    // Plain schedule, occasionally a same-time burst.
+                    0..=49 => {
+                        for _ in 0..burst {
+                            wheel.schedule(at, next_ev);
+                            heap.schedule(at, next_ev);
+                            next_ev += 1;
                         }
-                        // Reserve now, materialize later.
-                        50..=64 => {
-                            let sw = wheel.reserve_seq();
-                            let sh = heap.reserve_seq();
-                            assert_eq!(sw, sh);
-                            parked.push((sw, at));
+                    }
+                    // Reserve now, materialize later.
+                    50..=64 => {
+                        let sw = wheel.reserve_seq();
+                        let sh = heap.reserve_seq();
+                        assert_eq!(sw, sh);
+                        parked.push((sw, at));
+                    }
+                    // Fill the oldest parked reservation.
+                    65..=79 => {
+                        if let Some((seq, t)) = parked.first().copied() {
+                            parked.remove(0);
+                            let t = t.max(now);
+                            wheel.schedule_reserved(t, seq, seq << 32);
+                            heap.schedule_reserved(t, seq, seq << 32);
                         }
-                        // Fill the oldest parked reservation.
-                        65..=79 => {
-                            if let Some((seq, t)) = parked.first().copied() {
-                                parked.remove(0);
-                                let t = t.max(now);
-                                wheel.schedule_reserved(t, seq, seq << 32);
-                                heap.schedule_reserved(t, seq, seq << 32);
-                            }
-                        }
-                        // Pop one event; simulated time advances to it.
-                        _ => {
-                            let w = wheel.pop();
-                            let h = heap.pop().map(|(t, _s, e)| (t, e));
-                            assert_eq!(w, h, "pop diverged mid-run");
-                            if let Some((t, _)) = w {
-                                now = t;
-                            }
+                    }
+                    // Pop one event; simulated time advances to it.
+                    _ => {
+                        let w = wheel.pop();
+                        let h = heap.pop().map(|(t, _s, e)| (t, e));
+                        assert_eq!(w, h, "pop diverged mid-run");
+                        if let Some((t, _)) = w {
+                            now = t;
                         }
                     }
                 }
-                // Fill any leftover reservations, then drain both.
-                for (seq, t) in parked {
-                    let t = t.max(now);
-                    wheel.schedule_reserved(t, seq, seq << 32);
-                    heap.schedule_reserved(t, seq, seq << 32);
-                }
-                assert_pops_match(&mut wheel, &mut heap);
-            },
-        );
+            }
+            // Fill any leftover reservations, then drain both.
+            for (seq, t) in parked {
+                let t = t.max(now);
+                wheel.schedule_reserved(t, seq, seq << 32);
+                heap.schedule_reserved(t, seq, seq << 32);
+            }
+            assert_pops_match(&mut wheel, &mut heap);
+        });
     }
 
     /// The batched-delivery flow against the heap oracle: random schedules
@@ -1021,83 +1013,79 @@ mod tests {
     fn claims_match_heap_for_random_schedules() {
         use testkit::prop::{check, vec_of};
 
-        check(
-            256,
-            vec_of((0u32..100, 0u32..6, 0u64..1 << 17, 1u32..4), 1..200),
-            |ops| {
-                let mut wheel: EventQueue<u64> = EventQueue::new();
-                let mut heap: HeapQueue<u64> = HeapQueue::new();
-                let mut now = Time::ZERO;
-                let mut next_ev = 0u64;
-                // Parked reservations, claimed or materialized later.
-                let mut parked: Vec<(u64, Time)> = Vec::new();
-                let mut claims = 0u64;
+        check(256, vec_of((0u32..100, 0u32..6, 0u64..1 << 17, 1u32..4), 1..200), |ops| {
+            let mut wheel: EventQueue<u64> = EventQueue::new();
+            let mut heap: HeapQueue<u64> = HeapQueue::new();
+            let mut now = Time::ZERO;
+            let mut next_ev = 0u64;
+            // Parked reservations, claimed or materialized later.
+            let mut parked: Vec<(u64, Time)> = Vec::new();
+            let mut claims = 0u64;
 
-                for (op, dsel, draw, burst) in ops {
-                    let delay_ns = match dsel {
-                        0 => 0,
-                        1 => draw & 0xFFFF,                      // < 1 quantum
-                        2 => draw,                               // level 0/1
-                        3 => draw << 14,                         // level 1/2
-                        4 => draw << 24,                         // level 2/3
-                        _ => (draw << 33) | 1,                   // deep rollover
-                    };
-                    let at = now + Duration::from_nanos(delay_ns);
-                    match op {
-                        0..=39 => {
-                            for _ in 0..burst {
-                                wheel.schedule(at, next_ev);
-                                heap.schedule(at, next_ev);
-                                next_ev += 1;
-                            }
+            for (op, dsel, draw, burst) in ops {
+                let delay_ns = match dsel {
+                    0 => 0,
+                    1 => draw & 0xFFFF,    // < 1 quantum
+                    2 => draw,             // level 0/1
+                    3 => draw << 14,       // level 1/2
+                    4 => draw << 24,       // level 2/3
+                    _ => (draw << 33) | 1, // deep rollover
+                };
+                let at = now + Duration::from_nanos(delay_ns);
+                match op {
+                    0..=39 => {
+                        for _ in 0..burst {
+                            wheel.schedule(at, next_ev);
+                            heap.schedule(at, next_ev);
+                            next_ev += 1;
                         }
-                        40..=59 => {
-                            let sw = wheel.reserve_seq();
-                            let sh = heap.reserve_seq();
-                            assert_eq!(sw, sh);
-                            parked.push((sw, at));
-                        }
-                        // The DeliveryQueue pattern: try to dispatch the
-                        // oldest parked key inline; on refusal file it the
-                        // classic way. Clamping to `now` models a parked
-                        // arrival whose wakeup time has already been popped
-                        // past (the past-clamp edge; delay 0 gives the
-                        // zero-gap `at == now` case).
-                        60..=79 => {
-                            if let Some((seq, t)) = parked.first().copied() {
-                                parked.remove(0);
-                                let t = t.max(now);
-                                let w = wheel.claim_dispatch(t, seq);
-                                let h = heap.claim_dispatch(t, seq);
-                                assert_eq!(w, h, "claim verdict diverged");
-                                if w {
-                                    now = t;
-                                    claims += 1;
-                                } else {
-                                    wheel.schedule_reserved(t, seq, seq << 32);
-                                    heap.schedule_reserved(t, seq, seq << 32);
-                                }
-                            }
-                        }
-                        _ => {
-                            let w = wheel.pop();
-                            let h = heap.pop().map(|(t, _s, e)| (t, e));
-                            assert_eq!(w, h, "pop diverged mid-run");
-                            if let Some((t, _)) = w {
+                    }
+                    40..=59 => {
+                        let sw = wheel.reserve_seq();
+                        let sh = heap.reserve_seq();
+                        assert_eq!(sw, sh);
+                        parked.push((sw, at));
+                    }
+                    // The DeliveryQueue pattern: try to dispatch the
+                    // oldest parked key inline; on refusal file it the
+                    // classic way. Clamping to `now` models a parked
+                    // arrival whose wakeup time has already been popped
+                    // past (the past-clamp edge; delay 0 gives the
+                    // zero-gap `at == now` case).
+                    60..=79 => {
+                        if let Some((seq, t)) = parked.first().copied() {
+                            parked.remove(0);
+                            let t = t.max(now);
+                            let w = wheel.claim_dispatch(t, seq);
+                            let h = heap.claim_dispatch(t, seq);
+                            assert_eq!(w, h, "claim verdict diverged");
+                            if w {
                                 now = t;
+                                claims += 1;
+                            } else {
+                                wheel.schedule_reserved(t, seq, seq << 32);
+                                heap.schedule_reserved(t, seq, seq << 32);
                             }
                         }
                     }
+                    _ => {
+                        let w = wheel.pop();
+                        let h = heap.pop().map(|(t, _s, e)| (t, e));
+                        assert_eq!(w, h, "pop diverged mid-run");
+                        if let Some((t, _)) = w {
+                            now = t;
+                        }
+                    }
                 }
-                for (seq, t) in parked {
-                    let t = t.max(now);
-                    wheel.schedule_reserved(t, seq, seq << 32);
-                    heap.schedule_reserved(t, seq, seq << 32);
-                }
-                assert_eq!(wheel.batch_deliveries(), claims);
-                assert_pops_match(&mut wheel, &mut heap);
-            },
-        );
+            }
+            for (seq, t) in parked {
+                let t = t.max(now);
+                wheel.schedule_reserved(t, seq, seq << 32);
+                heap.schedule_reserved(t, seq, seq << 32);
+            }
+            assert_eq!(wheel.batch_deliveries(), claims);
+            assert_pops_match(&mut wheel, &mut heap);
+        });
     }
 
     /// `reset` must zero the fast-forward / batching diagnostics and lift a
@@ -1184,8 +1172,7 @@ mod tests {
         let mut heap: HeapQueue<u32> = HeapQueue::new();
         // Steps sized to straddle level-0 (16.8ms) and level-1 (4.3s)
         // rotation boundaries repeatedly.
-        let steps_ns =
-            [60_000u64, 16_800_000, 120_000, 4_300_000_000, 65_537, 1 << 34];
+        let steps_ns = [60_000u64, 16_800_000, 120_000, 4_300_000_000, 65_537, 1 << 34];
         let mut t = Time::ZERO;
         for (i, &s) in steps_ns.iter().cycle().take(500).enumerate() {
             t += Duration::from_nanos(s);

@@ -5,27 +5,17 @@
 
 use std::time::Duration;
 
-use simnet::{
-    DeliveryQueue, Engine, EventQueue, Link, LinkConfig, Model, Time, Verdict,
-};
+use simnet::{DeliveryQueue, Engine, EventQueue, Link, LinkConfig, Model, Time, Verdict};
 use testkit::prop::{check, vec_of};
 
 #[test]
 fn arrivals_are_fifo_for_any_traffic() {
     check(
         128,
-        (
-            1u32..100,
-            0u64..200,
-            0u64..50,
-            vec_of((0u64..10_000, 200u32..1500), 1..200),
-        ),
+        (1u32..100, 0u64..200, 0u64..50, vec_of((0u64..10_000, 200u32..1500), 1..200)),
         |(mbps, delay_ms, jitter_ms, offers)| {
-            let mut cfg = LinkConfig::shaped(
-                f64::from(mbps),
-                Duration::from_millis(delay_ms),
-                256 * 1024,
-            );
+            let mut cfg =
+                LinkConfig::shaped(f64::from(mbps), Duration::from_millis(delay_ms), 256 * 1024);
             cfg.jitter_max = Duration::from_millis(jitter_ms);
             let mut link = Link::new(cfg, 42);
             let mut t = Time::ZERO;
@@ -44,27 +34,23 @@ fn arrivals_are_fifo_for_any_traffic() {
 
 #[test]
 fn accepted_plus_dropped_equals_offered() {
-    check(
-        128,
-        (1u32..20, 4u64..64, vec_of(500u32..1500, 1..300)),
-        |(mbps, queue_kb, offers)| {
-            let mut link = Link::new(
-                LinkConfig::shaped(f64::from(mbps), Duration::from_millis(10), queue_kb * 1024),
-                7,
-            );
-            let n = offers.len() as u64;
-            let mut delivered = 0u64;
-            for bytes in offers {
-                // All at t=0: worst-case burst into the queue.
-                if matches!(link.enqueue(Time::ZERO, bytes), Verdict::Deliver { .. }) {
-                    delivered += 1;
-                }
+    check(128, (1u32..20, 4u64..64, vec_of(500u32..1500, 1..300)), |(mbps, queue_kb, offers)| {
+        let mut link = Link::new(
+            LinkConfig::shaped(f64::from(mbps), Duration::from_millis(10), queue_kb * 1024),
+            7,
+        );
+        let n = offers.len() as u64;
+        let mut delivered = 0u64;
+        for bytes in offers {
+            // All at t=0: worst-case burst into the queue.
+            if matches!(link.enqueue(Time::ZERO, bytes), Verdict::Deliver { .. }) {
+                delivered += 1;
             }
-            let stats = link.stats();
-            assert_eq!(stats.delivered_pkts, delivered);
-            assert_eq!(stats.delivered_pkts + stats.dropped_queue, n);
-        },
-    );
+        }
+        let stats = link.stats();
+        assert_eq!(stats.delivered_pkts, delivered);
+        assert_eq!(stats.delivered_pkts + stats.dropped_queue, n);
+    });
 }
 
 #[test]
@@ -73,23 +59,18 @@ fn latency_bounded_by_queue_plus_serialization() {
         // A packet accepted at time t arrives no later than
         // t + (queue + own size)/rate + propagation (no jitter configured).
         let prop_delay = Duration::from_millis(20);
-        let mut link = Link::new(
-            LinkConfig::shaped(f64::from(mbps), prop_delay, queue_kb * 1024),
-            1,
-        );
+        let mut link =
+            Link::new(LinkConfig::shaped(f64::from(mbps), prop_delay, queue_kb * 1024), 1);
         // Pre-fill the queue.
         for _ in 0..200 {
             link.enqueue(Time::ZERO, 1500);
         }
         if let Verdict::Deliver { arrival } = link.enqueue(Time::ZERO, bytes) {
             let max_backlog_bits = (queue_kb * 1024 + u64::from(bytes)) * 8;
-            let bound = Duration::from_secs_f64(
-                max_backlog_bits as f64 / (f64::from(mbps) * 1e6),
-            ) + prop_delay + Duration::from_millis(1);
-            assert!(
-                arrival <= Time::ZERO + bound,
-                "arrival {arrival:?} beyond bound {bound:?}"
-            );
+            let bound = Duration::from_secs_f64(max_backlog_bits as f64 / (f64::from(mbps) * 1e6))
+                + prop_delay
+                + Duration::from_millis(1);
+            assert!(arrival <= Time::ZERO + bound, "arrival {arrival:?} beyond bound {bound:?}");
         }
     });
 }
@@ -102,8 +83,7 @@ fn make_links(mbps: (u32, u32), jitter_ms: u64) -> Vec<Link> {
     [(mbps.0, 11u64), (mbps.1, 22u64)]
         .into_iter()
         .map(|(m, seed)| {
-            let mut cfg =
-                LinkConfig::shaped(f64::from(m), Duration::from_millis(15), 96 * 1024);
+            let mut cfg = LinkConfig::shaped(f64::from(m), Duration::from_millis(15), 96 * 1024);
             cfg.jitter_max = Duration::from_millis(jitter_ms);
             Link::new(cfg, seed)
         })
@@ -185,16 +165,10 @@ fn coalesced_delivery_equals_all_heap_scheduling() {
     // total event count.
     check(
         96,
-        (
-            (1u32..60, 1u32..60),
-            0u64..4,
-            vec_of((0u64..2_000, 0u32..2, 100u32..1500), 1..250),
-        ),
+        ((1u32..60, 1u32..60), 0u64..4, vec_of((0u64..2_000, 0u32..2, 100u32..1500), 1..250)),
         |(mbps, jitter_ms, pattern)| {
-            let offers: Offers = pattern
-                .iter()
-                .map(|&(_, link, bytes)| (link as usize, bytes))
-                .collect();
+            let offers: Offers =
+                pattern.iter().map(|&(_, link, bytes)| (link as usize, bytes)).collect();
             let mut offer_times = Vec::with_capacity(pattern.len());
             let mut t = Time::ZERO;
             for &(gap_us, _, _) in &pattern {

@@ -62,13 +62,7 @@ impl RttEstimator {
     /// A fresh estimator; its RTO is clamped between
     /// [`Self::DEFAULT_MIN_RTO`] and [`Self::DEFAULT_MAX_RTO`].
     pub fn new() -> Self {
-        RttEstimator {
-            srtt: 0,
-            rttvar: 0,
-            min_rtt: u64::MAX,
-            samples: 0,
-            hystart_thresh: u64::MAX,
-        }
+        RttEstimator { srtt: 0, rttvar: 0, min_rtt: u64::MAX, samples: 0, hystart_thresh: u64::MAX }
     }
 
     /// Smallest RTT ever observed — the propagation-delay estimate HyStart

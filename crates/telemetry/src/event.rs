@@ -239,4 +239,3 @@ mod tests {
         assert_eq!(DropKind::Queue.label(), "queue");
     }
 }
-

@@ -18,7 +18,11 @@ fn push_why_fields(out: &mut String, why: &Why) {
         let _ = write!(
             out,
             r#","terms":{{"wait_for_fast_s":{},"threshold_s":{},"slow_time_s":{},"slow_floor_s":{},"delta_s":{},"beta_applied":{}}}"#,
-            t.wait_for_fast_s, t.threshold_s, t.slow_time_s, t.slow_floor_s, t.delta_s,
+            t.wait_for_fast_s,
+            t.threshold_s,
+            t.slow_time_s,
+            t.slow_floor_s,
+            t.delta_s,
             t.beta_applied
         );
     }
@@ -79,12 +83,17 @@ pub fn jsonl_line(ev: &Event, out: &mut String) {
             let _ = write!(out, r#","conn":{conn},"path":{path}"#);
         }
         EventKind::LinkDrop { path, dir, kind } => {
-            let _ = write!(out, r#","path":{},"dir":"{}","kind":"{}""#, path, dir.label(),
-                kind.label());
+            let _ = write!(
+                out,
+                r#","path":{},"dir":"{}","kind":"{}""#,
+                path,
+                dir.label(),
+                kind.label()
+            );
         }
         EventKind::RateChange { path, dir, rate_bps } => {
-            let _ = write!(out, r#","path":{},"dir":"{}","rate_bps":{}"#, path, dir.label(),
-                rate_bps);
+            let _ =
+                write!(out, r#","path":{},"dir":"{}","rate_bps":{}"#, path, dir.label(), rate_bps);
         }
     }
     out.push_str("}\n");

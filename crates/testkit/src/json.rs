@@ -339,9 +339,7 @@ impl Parser<'_> {
                     // Consume one UTF-8 scalar (input is &str, so valid).
                     let start = self.pos;
                     self.pos += 1;
-                    while self.pos < self.bytes.len()
-                        && (self.bytes[self.pos] & 0xc0) == 0x80
-                    {
+                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xc0) == 0x80 {
                         self.pos += 1;
                     }
                     out.push_str(
@@ -399,8 +397,11 @@ mod tests {
 
     #[test]
     fn parses_escapes() {
-        let v = parse(r#""a\"b\\c
-d""#).unwrap();
+        let v = parse(
+            r#""a\"b\\c
+d""#,
+        )
+        .unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\nd"));
     }
 

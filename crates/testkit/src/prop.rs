@@ -78,10 +78,8 @@ pub fn check<G: Gen>(cases: u32, gen: G, prop: impl Fn(G::Value)) {
 /// Run a property with explicit configuration.
 pub fn check_with<G: Gen>(cfg: Config, gen: G, prop: impl Fn(G::Value)) {
     if let Ok(var) = std::env::var(ENV_SEED) {
-        let seed: u64 = var
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("{ENV_SEED} must be a u64, got {var:?}"));
+        let seed: u64 =
+            var.trim().parse().unwrap_or_else(|_| panic!("{ENV_SEED} must be a u64, got {var:?}"));
         let value = gen.generate(&mut Rng::seed_from_u64(seed));
         eprintln!("{ENV_SEED}={seed}: replaying single case with input {value:?}");
         if let Err(msg) = run_case(&prop, value.clone()) {

@@ -30,12 +30,7 @@ impl Rng {
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut sm = seed;
         Rng {
-            s: [
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-            ],
+            s: [splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm)],
         }
     }
 

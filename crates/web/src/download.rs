@@ -106,19 +106,16 @@ mod tests {
         let mut tb = Testbed::new(cfg, SequentialApp::new(sizes, Duration::from_secs(2)));
         tb.run_until(Time::from_secs(120));
         assert!(tb.app().done());
-        let resets: u64 = (0..2)
-            .map(|s| tb.world().sender(0).subflows[s].cc.stats().idle_resets)
-            .sum();
+        let resets: u64 =
+            (0..2).map(|s| tb.world().sender(0).subflows[s].cc.stats().idle_resets).sum();
         assert!(resets > 0, "expected idle CWND resets with 2 s gaps");
     }
 
     #[test]
     fn back_to_back_no_gap() {
         let cfg = TestbedConfig::wifi_lte(2.0, 2.0, SchedulerKind::Ecf, 3);
-        let mut tb = Testbed::new(
-            cfg,
-            SequentialApp::new(vec![64 * 1024, 128 * 1024], Duration::ZERO),
-        );
+        let mut tb =
+            Testbed::new(cfg, SequentialApp::new(vec![64 * 1024, 128 * 1024], Duration::ZERO));
         tb.run_until(Time::from_secs(60));
         assert!(tb.app().done());
         assert!(tb.app().completions[0] < tb.app().completions[1]);

@@ -10,8 +10,8 @@
 //! the *same* page (documented substitution in DESIGN.md).
 
 use mptcp::{Api, Application, ConnId, ReqId};
-use testkit::Rng;
 use simnet::Time;
+use testkit::Rng;
 
 /// A static page: an ordered list of object sizes.
 #[derive(Debug, Clone)]

@@ -11,8 +11,7 @@ use std::time::Duration;
 use mptcp_ecf::prelude::*;
 
 fn main() {
-    let scenario: u64 =
-        std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(6);
+    let scenario: u64 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(6);
     let rates = [0.3, 1.1, 1.7, 4.2, 8.6];
     let horizon = Time::from_secs(900);
 

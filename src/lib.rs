@@ -44,12 +44,12 @@
 pub use dash as video;
 pub use ecf_core as scheduler;
 pub use experiments;
-pub use telemetry;
 pub use metrics;
 pub use mptcp as transport;
 pub use scenario as dynamics;
 pub use simnet as net;
 pub use tcp_model as tcp;
+pub use telemetry;
 pub use webload as web;
 
 /// The most common imports in one place.
@@ -59,11 +59,11 @@ pub mod prelude {
         Decision, Ecf, EcfConfig, EcfTerms, PathId, PathSnapshot, SchedInput, Scheduler,
         SchedulerKind, Why,
     };
-    pub use telemetry::{Counter, Event, EventKind, TelemetryHandle};
     pub use mptcp::{
         Api, Application, CcKind, ConnConfig, ConnSpec, RecorderConfig, Testbed, TestbedConfig,
     };
     pub use scenario::{GilbertElliott, LossModel, RateSchedule, Scenario};
     pub use simnet::{PathConfig, Time};
+    pub use telemetry::{Counter, Event, EventKind, TelemetryHandle};
     pub use webload::{BrowserApp, PageModel, SequentialApp, WgetApp};
 }

@@ -109,13 +109,7 @@ fn run_cfg<T: Subject>(cfg: T::Config, sizes: Vec<u64>) -> harness::Testbed<T, F
 fn conservation_and_order<T: Subject>() {
     check(
         12,
-        (
-            0usize..6,
-            0usize..6,
-            0usize..4,
-            vec_of(1024u64..1_500_000, 1..4),
-            0u64..1000,
-        ),
+        (0usize..6, 0usize..6, 0usize..4, vec_of(1024u64..1_500_000, 1..4), 0u64..1000),
         |(wifi_idx, lte_idx, kind_idx, sizes, seed)| {
             let bw = [0.3, 0.7, 1.1, 1.7, 4.2, 8.6];
             let kind = SchedulerKind::paper_set()[kind_idx];
@@ -156,10 +150,7 @@ fn reproducible<T: Subject>() {
         let a = run::<T>(0.7, 4.2, kind, vec![300_000, 700_000], seed);
         let b = run::<T>(0.7, 4.2, kind, vec![300_000, 700_000], seed);
         assert_eq!(a.events_processed(), b.events_processed());
-        assert_eq!(
-            &a.world().recorder.ooo_delays_us,
-            &b.world().recorder.ooo_delays_us
-        );
+        assert_eq!(&a.world().recorder.ooo_delays_us, &b.world().recorder.ooo_delays_us);
         let t = |tb: &harness::Testbed<T, Fetch>| {
             tb.world().recorder.requests.last().unwrap().completed.unwrap()
         };
@@ -274,8 +265,11 @@ fn segment_accounting_balances_per_subflow() {
     let dups = world.receiver(0).stats().duplicate_segs;
     // Every sent segment was either delivered as new data, discarded as a
     // duplicate, or dropped on a link.
-    let dropped: u64 = (0..2).map(|p| world.paths[p].fwd.stats().dropped_queue
-        + world.paths[p].fwd.stats().dropped_random).sum();
+    let dropped: u64 = (0..2)
+        .map(|p| {
+            world.paths[p].fwd.stats().dropped_queue + world.paths[p].fwd.stats().dropped_random
+        })
+        .sum();
     assert_eq!(sent, delivered + dups + dropped, "segment ledger must balance");
 }
 

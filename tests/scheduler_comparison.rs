@@ -19,10 +19,7 @@ fn ecf_beats_default_under_heterogeneity() {
     // falls far below the ideal bit rate while ECF stays close.
     let ecf = stream(0.3, 8.6, SchedulerKind::Ecf, 4).app().player.avg_bitrate_mbps();
     let def = stream(0.3, 8.6, SchedulerKind::Default, 4).app().player.avg_bitrate_mbps();
-    assert!(
-        ecf > def * 1.3,
-        "ECF ({ecf:.2} Mbps) must clearly beat default ({def:.2} Mbps)"
-    );
+    assert!(ecf > def * 1.3, "ECF ({ecf:.2} Mbps) must clearly beat default ({def:.2} Mbps)");
     // And ECF lands in the ideal's neighbourhood.
     assert!(ecf > 0.6 * 8.47, "ECF only reached {ecf:.2} of 8.47 Mbps ideal");
 }
@@ -86,10 +83,7 @@ fn ecf_never_loses_badly_on_simple_downloads() {
             };
             let d = run(SchedulerKind::Default);
             let e = run(SchedulerKind::Ecf);
-            assert!(
-                e <= d * 1.25,
-                "{bytes}B at {wifi}/{lte}: ecf {e:.2}s vs default {d:.2}s"
-            );
+            assert!(e <= d * 1.25, "{bytes}B at {wifi}/{lte}: ecf {e:.2}s vs default {d:.2}s");
         }
     }
 }
@@ -135,10 +129,7 @@ fn seeded_regression_ecf_completes_no_later_than_minrtt() {
         };
         let minrtt = run(SchedulerKind::Default);
         let ecf = run(SchedulerKind::Ecf);
-        assert!(
-            ecf <= minrtt,
-            "seed {seed}: ecf {ecf:.3}s must not exceed minRTT {minrtt:.3}s"
-        );
+        assert!(ecf <= minrtt, "seed {seed}: ecf {ecf:.3}s must not exceed minRTT {minrtt:.3}s");
     }
 }
 
