@@ -2,20 +2,14 @@
 //!
 //! ```text
 //! repro <id> [--quick] [--no-save] [--force] [--dry-run] [--cache-dir DIR]
-//!                                    one experiment (fig9, tab3, ...):
-//!                                    `matrix` on its embedded spec
+//!            [--trace DIR]           one experiment (fig9, tab3, browse_sweep,
+//!                                    trace, ...): `matrix` on its embedded spec
 //! repro all [--quick] [--no-save] [--force] [--dry-run] [--cache-dir DIR]
-//!                                    everything, in paper order
+//!                                    everything, in registry order
 //! repro list                         show available ids
 //! repro matrix <spec.json> [--quick] [--no-save] [--force] [--dry-run]
-//!              [--cache-dir DIR]     declarative experiment matrix
-//! repro sweep [--coupled] [--quick] [--units N] [--shards N] [--workers N]
-//!             [--seed N]             sharded browse population sweep;
-//!                                    --coupled adds a shared LTE bottleneck
-//!                                    (lockstep co-sim) and prints its
-//!                                    window/round/boundary telemetry
-//! repro --trace out.jsonl [--quick] [--scenario dyn.json] [--seed N]
-//!                                    traced canonical run (0.3/8.6, ECF)
+//!              [--cache-dir DIR] [--trace DIR]
+//!                                    declarative experiment matrix
 //! ```
 //!
 //! Each target reads only the flags [`Target::flags`] lists for it; any
@@ -33,27 +27,26 @@
 //! reports cell counts and cache hits without running anything. `repro
 //! <id>` is `matrix` on the spec embedded in the registry.
 //!
-//! `--trace` runs the paper's most heterogeneous streaming pair with
-//! telemetry enabled and writes every scheduler decision (with its inputs
-//! and which rule fired) plus transport/network lifecycle events as JSONL.
-//! `--scenario` layers network dynamics from a JSON file (schema:
-//! `scenario::Scenario::from_json`) onto the traced run.
+//! `--trace DIR` executes every cell of a spec of streaming cells with
+//! telemetry enabled, without reading the cache, and writes each cell's
+//! scheduler decisions (with their inputs and which rule fired) plus
+//! transport/network lifecycle events to `DIR/<spec>-<cell>.jsonl` and its
+//! counters to `DIR/<spec>-<cell>.counters`. `repro trace --trace DIR`
+//! traces the paper's most heterogeneous streaming pair (0.3/8.6, ECF).
 
 #![forbid(unsafe_code)]
 
 use experiments::expmatrix::Spec;
-use experiments::{find, registry, run_traced, Effort, Experiment, MatrixOptions};
-use scenario::Scenario;
+use experiments::{find, registry, Effort, Experiment, MatrixOptions};
 
-const USAGE: &str = "usage: repro <id>|all|list [--quick] [--no-save] [--force] [--dry-run] \
-[--cache-dir DIR] \
+const USAGE: &str = "usage: repro <id> [--quick] [--no-save] [--force] [--dry-run] \
+[--cache-dir DIR] [--trace DIR] \
+| repro all|list [--quick] [--no-save] [--force] [--dry-run] [--cache-dir DIR] \
 | repro matrix <spec.json> [--quick] [--no-save] [--force] [--dry-run] [--cache-dir DIR] \
-| repro sweep [--coupled] [--quick] [--units N] [--shards N] [--workers N] [--seed N] \
-| repro --trace <out.jsonl> [--quick] [--scenario dyn.json] [--seed N]";
+[--trace DIR]";
 
-const SWITCHES: [&str; 5] = ["--quick", "--no-save", "--force", "--dry-run", "--coupled"];
-const VALUED: [&str; 7] =
-    ["--trace", "--scenario", "--seed", "--cache-dir", "--units", "--shards", "--workers"];
+const SWITCHES: [&str; 4] = ["--quick", "--no-save", "--force", "--dry-run"];
+const VALUED: [&str; 2] = ["--cache-dir", "--trace"];
 
 /// What a command line runs.
 #[derive(Debug, Clone, Copy)]
@@ -62,21 +55,18 @@ enum Target {
     All,
     One(Experiment),
     Matrix,
-    Sweep,
-    Trace,
 }
 
 impl Target {
     /// The flags each target reads — the one table the parser checks.
     fn flags(self) -> &'static [&'static str] {
-        const MATRIX: &[&str] = &["--quick", "--no-save", "--force", "--dry-run", "--cache-dir"];
+        const ALL: &[&str] = &["--quick", "--no-save", "--force", "--dry-run", "--cache-dir"];
+        const ONE_SPEC: &[&str] =
+            &["--quick", "--no-save", "--force", "--dry-run", "--cache-dir", "--trace"];
         match self {
             Target::List => &[],
-            Target::One(_) | Target::All | Target::Matrix => MATRIX,
-            Target::Sweep => {
-                &["--quick", "--coupled", "--units", "--shards", "--workers", "--seed"]
-            }
-            Target::Trace => &["--trace", "--quick", "--scenario", "--seed"],
+            Target::All => ALL,
+            Target::One(_) | Target::Matrix => ONE_SPEC,
         }
     }
 
@@ -86,8 +76,6 @@ impl Target {
             Target::All => "all",
             Target::One(e) => e.id,
             Target::Matrix => "matrix",
-            Target::Sweep => "sweep",
-            Target::Trace => "--trace",
         }
     }
 }
@@ -120,22 +108,15 @@ impl Cli {
                 words.push(arg.clone());
             }
         }
-        let target = if values.iter().any(|(f, _)| f == "--trace") {
-            Target::Trace
-        } else {
-            match words.first().map(String::as_str) {
-                None | Some("list") => Target::List,
-                Some("all") => Target::All,
-                Some("matrix") => Target::Matrix,
-                Some("sweep") => Target::Sweep,
-                Some(id) => Target::One(
-                    find(id)
-                        .ok_or_else(|| format!("unknown experiment '{id}'; try `repro list`"))?,
-                ),
-            }
+        let target = match words.first().map(String::as_str) {
+            None | Some("list") => Target::List,
+            Some("all") => Target::All,
+            Some("matrix") => Target::Matrix,
+            Some(id) => Target::One(
+                find(id).ok_or_else(|| format!("unknown experiment '{id}'; try `repro list`"))?,
+            ),
         };
         let operands = match target {
-            Target::Trace => 0,
             Target::Matrix if words.len() < 2 => return Err("matrix needs a spec file".into()),
             Target::Matrix => 2,
             _ => 1,
@@ -152,13 +133,6 @@ impl Cli {
                 if accepted.is_empty() { "no flags".to_string() } else { accepted.join(" ") }
             ));
         }
-        // A sweep of no units or on no workers runs nothing. `--shards 0`
-        // is valid: one shard per component.
-        for (flag, v) in &values {
-            if ["--units", "--workers"].contains(&flag.as_str()) && v.parse::<usize>() == Ok(0) {
-                return Err(format!("{flag} must be at least 1"));
-            }
-        }
         Ok(Cli { target, words, switches, values })
     }
 
@@ -170,11 +144,12 @@ impl Cli {
         self.values.iter().find(|(f, _)| f == flag).map(|(_, v)| v.as_str())
     }
 
-    fn matrix_options(&self, effort: Effort) -> MatrixOptions {
+    fn matrix_options(&self) -> MatrixOptions {
         let mut opts = MatrixOptions::new(self.value("--cache-dir").unwrap_or(".expcache"));
-        opts.effort = effort;
+        opts.effort = if self.has("--quick") { Effort::Quick } else { Effort::Full };
         opts.force = self.has("--force");
         opts.dry_run = self.has("--dry-run");
+        opts.trace = self.value("--trace").map(Into::into);
         opts
     }
 }
@@ -185,41 +160,13 @@ fn main() {
         eprintln!("{err}\n{USAGE}");
         std::process::exit(2);
     });
-    let quick = cli.has("--quick");
     let save = !cli.has("--no-save");
-    let effort = if quick { Effort::Quick } else { Effort::Full };
-
-    let num = |name: &str, default: usize| -> usize {
-        cli.value(name).map_or(default, |s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("{name} needs an integer, got '{s}'");
-                std::process::exit(2);
-            })
-        })
-    };
 
     match cli.target {
-        Target::Trace => {
-            let scenario = cli.value("--scenario").map(|file| {
-                Scenario::from_json_file(file).unwrap_or_else(|err| {
-                    eprintln!("bad scenario: {err}");
-                    std::process::exit(2);
-                })
-            });
-            let path = cli.value("--trace").unwrap_or_default();
-            run_trace(path, effort, scenario, num("--seed", 1) as u64);
-        }
         Target::Matrix => {
             let path = &cli.words[1];
-            run_matrix_cmd(Spec::from_file(path), path, cli.matrix_options(effort), save);
+            run_matrix_cmd(Spec::from_file(path), path, cli.matrix_options(), save);
         }
-        Target::Sweep => run_sweep_cmd(
-            num("--units", if quick { 20 } else { 167 }),
-            num("--shards", 0),
-            cli.value("--workers").map(|_| num("--workers", 1)),
-            num("--seed", 1) as u64,
-            cli.has("--coupled"),
-        ),
         Target::List => {
             println!("available experiments:\n");
             for e in registry() {
@@ -232,11 +179,11 @@ fn main() {
             let mut seen = std::collections::HashSet::new();
             for e in registry() {
                 if seen.insert(e.title) {
-                    run_one(&e, cli.matrix_options(effort), save);
+                    run_one(&e, cli.matrix_options(), save);
                 }
             }
         }
-        Target::One(e) => run_one(&e, cli.matrix_options(effort), save),
+        Target::One(e) => run_one(&e, cli.matrix_options(), save),
     }
 }
 
@@ -262,6 +209,9 @@ fn run_matrix_cmd(spec: Result<Spec, String>, origin: &str, opts: MatrixOptions,
         return;
     }
     println!("{}", outcome.report);
+    if let Some(dir) = &opts.trace {
+        eprintln!("traced {} cells into {}", outcome.executed, dir.display());
+    }
     eprintln!("== {} done in {:.1}s ==\n", spec.name, started.elapsed().as_secs_f64());
     if save {
         save_report(&spec.name, &outcome.report);
@@ -277,88 +227,9 @@ fn save_report(name: &str, report: &str) {
     }
 }
 
-fn run_sweep_cmd(
-    units: usize,
-    max_shards: usize,
-    workers: Option<usize>,
-    seed: u64,
-    coupled: bool,
-) {
-    use experiments::{browse_coupled_population, browse_population, run_sweep, SweepOptions};
-    use telemetry::Counter;
-    let pop = if coupled {
-        browse_coupled_population(seed, units, 6, 1.0, 50.0, ecf_core::SchedulerKind::Ecf)
-    } else {
-        browse_population(seed, units, 6, 1.0, 10.0, ecf_core::SchedulerKind::Ecf)
-    };
-    let n_conns: usize = pop.units.iter().map(|u| u.conns.len()).sum();
-    eprintln!(
-        "== sweep{}: {units} units, {n_conns} conns, {} paths, seed {seed} ==",
-        if coupled { " (coupled)" } else { "" },
-        pop.paths.len()
-    );
-    // Always enabled: the wheel flushes its fast-forward / batching
-    // counters into this handle at testbed teardown, and seeing them is
-    // half the point of this command. The ring-emit overhead taints the
-    // events/s line slightly.
-    let tel = telemetry::TelemetryHandle::enabled();
-    let started = std::time::Instant::now();
-    let report = run_sweep(&pop, &SweepOptions { max_shards, workers, telemetry: tel.clone() });
-    let wall = started.elapsed().as_secs_f64();
-    let events = report.events_total();
-    let loaded = report.units.iter().filter(|u| u.page_load.is_some()).count();
-    println!("shards:      {}", report.shard_events.len());
-    if coupled {
-        println!("window:      {:.3} ms lookahead", pop.couplings[0].window_nanos() as f64 / 1e6);
-        println!("sync rounds: {}", tel.counter(Counter::CosimRounds));
-        println!("boundary:    {} msgs", tel.counter(Counter::CosimBoundaryMsgs));
-        println!(
-            "stall:       {:.1} ms barrier wait",
-            tel.counter(Counter::CosimStallNs) as f64 / 1e6
-        );
-    }
-    println!("events:      {events}");
-    println!("events/s:    {:.0}", events as f64 / wall.max(1e-9));
-    println!(
-        "idle ff:     {} jumps, {:.1} ms skipped",
-        tel.counter(Counter::FfJumps),
-        tel.counter(Counter::FfSkippedNs) as f64 / 1e6
-    );
-    println!(
-        "batching:    {} batched deliveries, longest batch {}",
-        tel.counter(Counter::BatchDeliveries),
-        tel.counter(Counter::BatchMaxLen)
-    );
-    println!("pages done:  {loaded}/{units}");
-    println!("digest:      {}", testkit::digest::hex16(report.digest));
-    eprintln!("== sweep done in {wall:.1}s ==");
-}
-
-fn run_trace(path: &str, effort: Effort, scenario: Option<Scenario>, seed: u64) {
-    let started = std::time::Instant::now();
-    eprintln!("== traced run: 0.3/8.6 Mbps, ECF, seed {seed} ==");
-    let t = run_traced(effort, scenario, seed).unwrap_or_else(|err| {
-        eprintln!("bad scenario: {err}");
-        std::process::exit(2);
-    });
-    if let Err(err) = std::fs::write(path, &t.jsonl) {
-        eprintln!("could not write {path}: {err}");
-        std::process::exit(1);
-    }
-    print!("{}", t.digest);
-    if t.overflow > 0 {
-        eprintln!("note: ring wrapped — {} oldest events dropped, {} kept", t.overflow, t.captured);
-    }
-    eprintln!(
-        "== wrote {} events to {path} in {:.1}s ==",
-        t.captured,
-        started.elapsed().as_secs_f64()
-    );
-}
-
 #[cfg(test)]
 mod tests {
-    use super::Cli;
+    use super::{Cli, Target};
 
     fn parse(line: &str) -> Result<Cli, String> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
@@ -384,93 +255,80 @@ mod tests {
         assert_eq!(cli.words, ["matrix", "specs/smoke.json"]);
         assert_eq!(cli.value("--cache-dir"), Some("/tmp/c"));
 
-        let cli = parse("--seed 5 sweep --quick").unwrap();
-        assert_eq!(cli.target.name(), "sweep");
-        assert_eq!(cli.value("--seed"), Some("5"));
+        let cli = parse("--trace out trace --quick").unwrap();
+        assert_eq!(cli.target.name(), "trace");
+        assert_eq!(cli.value("--trace"), Some("out"));
         assert!(cli.has("--quick"));
     }
 
     #[test]
     fn unknown_flags_missing_values_and_extra_words_are_errors() {
         assert_eq!(parse("fig9 --quik").unwrap_err(), "unknown flag '--quik'");
-        assert_eq!(parse("sweep --units").unwrap_err(), "--units needs a value");
-        assert_eq!(parse("--trace --quick").unwrap_err(), "--trace needs a value");
+        assert_eq!(parse("trace --trace").unwrap_err(), "--trace needs a value");
+        assert_eq!(parse("trace --trace --quick").unwrap_err(), "--trace needs a value");
         assert_eq!(parse("fig9 fig5").unwrap_err(), "unexpected argument 'fig5'");
         assert_eq!(parse("matrix --quick").unwrap_err(), "matrix needs a spec file");
-        assert_eq!(parse("fig9 --trace t.jsonl").unwrap_err(), "unexpected argument 'fig9'");
         assert!(parse("fig99 --quick").unwrap_err().starts_with("unknown experiment 'fig99'"));
+    }
+
+    #[test]
+    fn the_retired_sweep_and_trace_flags_are_unknown() {
+        for flag in ["--coupled", "--units", "--shards", "--workers", "--seed", "--scenario"] {
+            for line in [format!("fig9 {flag}"), format!("trace {flag} 3")] {
+                assert_eq!(parse(&line).unwrap_err(), format!("unknown flag '{flag}'"), "{line}");
+            }
+        }
+        assert!(parse("sweep --quick").unwrap_err().starts_with("unknown experiment 'sweep'"));
     }
 
     #[test]
     fn list_reads_no_flags() {
         parse("").unwrap();
-        check("list", "list", &[("list --quick", "--quick"), ("--seed 3", "--seed")]);
+        check("list", "list", &[("list --quick", "--quick"), ("list --trace d", "--trace")]);
     }
 
     #[test]
-    fn an_entry_reads_the_matrix_flags() {
-        for id in ["fig9", "tab1", "quic_web"] {
-            check(
-                id,
-                &format!("{id} --quick --no-save --force --dry-run --cache-dir DIR"),
-                &[
-                    (&format!("{id} --coupled"), "--coupled"),
-                    (&format!("{id} --seed 2"), "--seed"),
-                    (&format!("{id} --units 5"), "--units"),
-                ],
-            );
+    fn an_entry_reads_the_matrix_flags_and_trace() {
+        for id in ["fig9", "tab1", "quic_web", "coupled_browse", "trace"] {
+            parse(&format!("{id} --quick --no-save --force --dry-run --cache-dir DIR --trace T"))
+                .unwrap_or_else(|err| panic!("{id}: {err}"));
         }
     }
 
     #[test]
-    fn all_reads_the_matrix_flags() {
+    fn all_reads_the_matrix_flags_but_not_trace() {
         check(
             "all",
             "all --quick --no-save --force --dry-run --cache-dir DIR",
-            &[("all --coupled", "--coupled"), ("all --units 5", "--units")],
+            &[("all --trace DIR", "--trace"), ("all --quick --trace DIR", "--trace")],
         );
     }
 
     #[test]
-    fn matrix_reads_the_matrix_flags() {
-        check(
-            "matrix",
-            "matrix s.json --quick --no-save --force --dry-run --cache-dir DIR",
-            &[("matrix s.json --coupled", "--coupled"), ("matrix s.json --workers 2", "--workers")],
-        );
+    fn matrix_reads_the_matrix_flags_and_trace() {
+        parse("matrix s.json --quick --no-save --force --dry-run --cache-dir DIR --trace T")
+            .unwrap();
     }
 
+    /// A spec with a cell `--trace` cannot trace is refused before any cell
+    /// runs: nothing is cached and no trace file is written.
     #[test]
-    fn sweep_reads_population_flags() {
-        check(
-            "sweep",
-            "sweep --coupled --quick --units 9 --shards 3 --workers 2 --seed 7",
-            &[("sweep --no-save", "--no-save"), ("sweep --cache-dir DIR", "--cache-dir")],
-        );
-    }
-
-    #[test]
-    fn sweep_refuses_zero_units() {
-        for line in ["sweep --units 0", "sweep --coupled --units 0"] {
-            assert_eq!(parse(line).unwrap_err(), "--units must be at least 1", "{line}");
+    fn trace_refuses_a_spec_with_a_non_streaming_cell_before_running() {
+        let dir = std::env::temp_dir().join(format!("repro-trace-refusal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for id in ["browse_sweep", "coupled_browse", "quic_web", "fig18", "fig22"] {
+            let line = format!(
+                "{id} --quick --cache-dir {} --trace {}",
+                dir.join("cache").display(),
+                dir.join("traces").display()
+            );
+            let cli = parse(&line).unwrap();
+            let Target::One(e) = cli.target else { panic!("{line}: not one entry") };
+            let err = experiments::run_matrix(&e.spec().unwrap(), &cli.matrix_options())
+                .expect_err(&line);
+            assert!(err.starts_with("--trace runs streaming cells only"), "{line}: {err}");
+            assert!(!dir.exists(), "{line}: a cell ran before the refusal");
         }
-    }
-
-    #[test]
-    fn sweep_refuses_zero_workers_but_not_zero_shards() {
-        for line in ["sweep --workers 0", "sweep --coupled --workers 0"] {
-            assert_eq!(parse(line).unwrap_err(), "--workers must be at least 1", "{line}");
-        }
-        parse("sweep --shards 0 --workers 1 --units 1").unwrap();
-    }
-
-    #[test]
-    fn trace_reads_its_run_flags() {
-        check(
-            "--trace",
-            "--trace out.jsonl --quick --scenario dyn.json --seed 3",
-            &[("--trace out.jsonl --no-save", "--no-save"), ("--trace t --units 5", "--units")],
-        );
     }
 
     #[test]
@@ -478,10 +336,10 @@ mod tests {
         for line in [
             "all --no-save --cache-dir DIR",
             "all --dry-run --cache-dir DIR",
-            "--trace out.jsonl --quick",
+            "trace --quick --no-save --cache-dir DIR --trace DIR",
             "dyn_handover --quick --no-save --cache-dir DIR",
             "quic_web --quick --no-save --cache-dir DIR",
-            "sweep --coupled --quick",
+            "coupled_browse --quick --no-save --cache-dir DIR",
             "matrix spec.json --quick --no-save --cache-dir DIR",
         ] {
             parse(line).unwrap_or_else(|err| panic!("`repro {line}`: {err}"));

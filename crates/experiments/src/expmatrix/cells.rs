@@ -23,6 +23,13 @@
 //!   beside one MPQUIC connection.
 //! * `wild` — the synthesized §6 paths under the DASH or browser app
 //!   (Figs 22/23, Table 4).
+//! * `population` — a browse population through [`run_sweep`]: `units`
+//!   users of 6 connections each, sharded, or co-simulated behind a shared
+//!   LTE backhaul (the `browse_sweep` and `coupled_browse` specs).
+//!
+//! Only a `streaming` cell reads the [`CellEnv`] telemetry handle (a
+//! traced run); only a `population` cell reads its worker count. Neither
+//! changes a result, so neither is part of a cell's config.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -33,12 +40,26 @@ use metrics::Cdf;
 use mptcp::{CcKind, ConnSpec, Connection, RecorderConfig, Testbed, TestbedConfig};
 use scenario::{GilbertElliott, LossModel, Scenario};
 use simnet::{PathConfig, Time};
+use telemetry::{Counter, TelemetryHandle};
+use testkit::digest;
 use testkit::json::{self, Value};
 use testkit::Rng;
 use webload::{BrowserApp, PageModel};
 
 use crate::common::{run_browse, run_streaming, run_wget, secs, StreamingConfig, VARIABLE_BW_SET};
+use crate::cosim::COUPLED_BENCH_GROUPS;
 use crate::quicweb::run_quic_web;
+use crate::sharding::{browse_coupled_population, browse_population, run_sweep, SweepOptions};
+
+/// What a cell runs with besides its config.
+#[derive(Debug, Clone, Default)]
+pub struct CellEnv {
+    /// Worker threads for a population sweep (`None`: the default).
+    pub workers: Option<usize>,
+    /// Sink a streaming run records its decisions and lifecycle events in
+    /// (off unless the matrix runs traced).
+    pub telemetry: TelemetryHandle,
+}
 
 /// Execute one cell, returning its result document:
 ///
@@ -46,9 +67,10 @@ use crate::quicweb::run_quic_web;
 /// { "scalars": { "avg_bitrate": .., "avg_throughput": .., ... },
 ///   "series":  { "chunk_throughputs": [[t, mbps], ...], ... } }
 /// ```
-pub fn execute(cfg: &Value) -> Result<Value, String> {
+pub fn execute(cfg: &Value, env: &CellEnv) -> Result<Value, String> {
     match str_field(cfg, "workload")? {
-        "streaming" => streaming_cell(cfg),
+        "streaming" => streaming_cell(cfg, &env.telemetry),
+        "population" => population_cell(cfg, env.workers),
         "quic_web" => quic_web_cell(cfg),
         "wget" => wget_cell(cfg),
         "browse" => browse_cell(cfg),
@@ -215,7 +237,7 @@ fn wget_cell(cfg: &Value) -> Result<Value, String> {
     Ok(result.into_value())
 }
 
-fn streaming_cell(cfg: &Value) -> Result<Value, String> {
+fn streaming_cell(cfg: &Value, telemetry: &TelemetryHandle) -> Result<Value, String> {
     let wifi = rate_field(cfg, "wifi_mbps")?;
     let lte = rate_field(cfg, "lte_mbps")?;
     let video_secs = video_field(cfg)?;
@@ -249,6 +271,7 @@ fn streaming_cell(cfg: &Value) -> Result<Value, String> {
         ..RecorderConfig::default()
     };
     run_cfg.scenario = build_scenario(cfg, video_secs)?;
+    run_cfg.telemetry = telemetry.clone();
 
     let out = run_streaming(&run_cfg);
 
@@ -293,6 +316,69 @@ fn streaming_cell(cfg: &Value) -> Result<Value, String> {
             .collect();
         result.series("sndbuf_rows", Value::Array(rows));
     }
+    Ok(result.into_value())
+}
+
+/// Connections per population unit (a browser's six parallel
+/// connections, as in the `browse` cell).
+const POP_CONNS: usize = 6;
+/// Each population unit's private WiFi rate, Mbps.
+const POP_WIFI: f64 = 1.0;
+/// Each unit's private LTE rate without a backhaul, Mbps.
+const POP_LTE: f64 = 10.0;
+/// Every population connection's scheduler (no spec compares schedulers
+/// over a population).
+const POP_SCHEDULER: SchedulerKind = SchedulerKind::Ecf;
+/// The most units a population cell builds: its paths, connections and
+/// pages are allocated up front, so a typo'd count must fail here, not in
+/// the allocator.
+const MAX_POP_UNITS: u64 = 1_000_000;
+
+/// One `population` cell: `units` browse users, each fetching its own
+/// cnn-like page over [`POP_CONNS`] ECF connections on a private WiFi + LTE
+/// path pair, run through [`run_sweep`]. Without `backhaul_mbps` every
+/// unit is a shard of its own; with it every LTE leg contends for that
+/// shared capacity, co-simulated in [`COUPLED_BENCH_GROUPS`] lockstep
+/// engine groups. The sweep contract makes the merged digest independent
+/// of the shard plan and the worker count, so neither is a field.
+///
+/// The digest is a 16-hex string (a JSON number cannot hold 64 bits);
+/// `groups`, `rounds` and `boundary_msgs` are the engine groups and the
+/// co-sim's sync rounds and boundary messages (0 when uncoupled).
+fn population_cell(cfg: &Value, workers: Option<usize>) -> Result<Value, String> {
+    let units = uint_field(cfg, "units")?;
+    if !(1..=MAX_POP_UNITS).contains(&units) {
+        return Err(format!("\"units\" must be in 1..={MAX_POP_UNITS}, got {units}"));
+    }
+    let units = units as usize;
+    let seed = uint_field(cfg, "seed")?;
+    let backhaul =
+        cfg.get("backhaul_mbps").map(|_| rate_field(cfg, "backhaul_mbps")).transpose()?;
+    let (pop, max_shards) = match backhaul {
+        None => (browse_population(seed, units, POP_CONNS, POP_WIFI, POP_LTE, POP_SCHEDULER), 0),
+        Some(mbps) => {
+            let pop =
+                browse_coupled_population(seed, units, POP_CONNS, POP_WIFI, mbps, POP_SCHEDULER);
+            (pop, COUPLED_BENCH_GROUPS)
+        }
+    };
+    // Counters only: shard engines record no events.
+    let telemetry = TelemetryHandle::enabled();
+    let opts = SweepOptions { max_shards, workers, telemetry: telemetry.clone() };
+    let report = run_sweep(&pop, &opts);
+
+    let requests: Vec<f64> =
+        report.units.iter().flat_map(|u| u.objects.iter().map(|o| o.completion_secs())).collect();
+    let requests = Cdf::from_samples(requests);
+    let mut result = CellResult::default();
+    result.scalars.insert("digest".to_string(), Value::String(digest::hex16(report.digest)));
+    let pages = report.units.iter().filter(|u| u.page_load.is_some()).count();
+    result.scalar("pages", pages as f64);
+    result.scalar("groups", report.shard_events.len() as f64);
+    result.scalar("req_s_p50", requests.median());
+    result.scalar("req_s_p99", requests.quantile(0.99));
+    result.scalar("rounds", telemetry.counter(Counter::CosimRounds) as f64);
+    result.scalar("boundary_msgs", telemetry.counter(Counter::CosimBoundaryMsgs) as f64);
     Ok(result.into_value())
 }
 
@@ -434,6 +520,13 @@ fn build_scenario(cfg: &Value, video_secs: f64) -> Result<Option<Scenario>, Stri
                     .random_rates(0, wifi_seed, secs(interval), &VARIABLE_BW_SET, horizon)
                     .random_rates(1, lte_seed, secs(interval), &VARIABLE_BW_SET, horizon)
             }
+            "inline" => {
+                // A `Scenario::from_json` document (`events`, `processes`)
+                // in interface space: path 0 is WiFi, path 1 LTE.
+                let s = Scenario::from_value(doc)?;
+                s.check_paths(2)?;
+                s
+            }
             other => return Err(format!("unknown scenario kind {other:?}")),
         },
     };
@@ -562,6 +655,10 @@ mod tests {
     use super::*;
     use testkit::json;
 
+    fn run(cfg: &Value) -> Result<Value, String> {
+        execute(cfg, &CellEnv::default())
+    }
+
     #[test]
     fn minimal_streaming_cell_runs() {
         let cfg = json::parse(
@@ -569,7 +666,7 @@ mod tests {
                 "scheduler": "ecf", "video_secs": 30, "seed": 1}"#,
         )
         .unwrap();
-        let result = execute(&cfg).unwrap();
+        let result = run(&cfg).unwrap();
         let scalars = result.get("scalars").unwrap();
         assert!(scalars.get("avg_bitrate").and_then(Value::as_f64).unwrap() > 0.0);
         assert_eq!(scalars.get("ideal_bitrate").and_then(Value::as_f64), Some(8.4));
@@ -588,18 +685,16 @@ mod tests {
     fn typos_fail_loudly() {
         let base = BASE;
         let bad_sched = base.replace("\"ecf\"", "\"ecff\"");
-        assert!(execute(&json::parse(&bad_sched).unwrap())
-            .unwrap_err()
-            .contains("unknown scheduler"));
+        assert!(run(&json::parse(&bad_sched).unwrap()).unwrap_err().contains("unknown scheduler"));
         let bad_workload = base.replace("streaming", "browsing");
-        assert!(execute(&json::parse(&bad_workload).unwrap())
+        assert!(run(&json::parse(&bad_workload).unwrap())
             .unwrap_err()
             .contains("unknown workload"));
         let bad_cc = base.replace("\"seed\": 1", "\"seed\": 1, \"cc\": \"cubic\"");
-        assert!(execute(&json::parse(&bad_cc).unwrap()).unwrap_err().contains("unknown cc"));
+        assert!(run(&json::parse(&bad_cc).unwrap()).unwrap_err().contains("unknown cc"));
         let bad_kind =
             base.replace("\"seed\": 1", "\"seed\": 1, \"scenario\": {\"kind\": \"warp\"}");
-        assert!(execute(&json::parse(&bad_kind).unwrap())
+        assert!(run(&json::parse(&bad_kind).unwrap())
             .unwrap_err()
             .contains("unknown scenario kind"));
         for sched in [r#"{"ecf_with": {"gamma": 1}}"#, r#"{"ecff_with": {}}"#, "3"] {
@@ -612,14 +707,14 @@ mod tests {
 
     const BASE: &str = r#"{"workload": "streaming", "wifi_mbps": 1.0, "lte_mbps": 2.0,
                            "scheduler": "ecf", "video_secs": 30, "seed": 1,
-                           "bytes": 65536, "run": 3, "app": "dash"}"#;
+                           "bytes": 65536, "run": 3, "app": "dash", "units": 2}"#;
 
     /// `BASE` with `field` set to `value` (added if absent), run.
     fn execute_with(workload: &str, field: &str, value: &str) -> Result<Value, String> {
         let mut cfg = json::parse(&BASE.replace("streaming", workload)).unwrap();
         let Value::Object(map) = &mut cfg else { unreachable!() };
         map.insert(field.to_string(), json::parse(value).unwrap());
-        execute(&cfg)
+        run(&cfg)
     }
 
     #[test]
@@ -643,6 +738,8 @@ mod tests {
             ("wget", "bytes"),
             ("wild", "seed"),
             ("wild", "run"),
+            ("population", "seed"),
+            ("population", "units"),
         ] {
             for value in bad {
                 let err = execute_with(workload, key, value).unwrap_err();
@@ -725,7 +822,7 @@ mod tests {
         for (k, v) in [("wifi_mbps", 0.1), ("lte_mbps", 0.2), ("bytes", 64e6)] {
             map.insert(k.to_string(), Value::Number(v));
         }
-        let err = execute(&cfg).unwrap_err();
+        let err = run(&cfg).unwrap_err();
         assert!(err.contains("did not complete"), "{err}");
         let err = execute_with("wget", "bytes", "0").unwrap_err();
         assert!(err.contains("\"bytes\""), "{err}");
@@ -733,7 +830,7 @@ mod tests {
 
     #[test]
     fn wget_reports_completion_and_every_subflow_srtt() {
-        let result = execute(&json::parse(&BASE.replace("streaming", "wget")).unwrap()).unwrap();
+        let result = run(&json::parse(&BASE.replace("streaming", "wget")).unwrap()).unwrap();
         let t = result.get("scalars").and_then(|s| s.get("completion_s")).unwrap();
         assert!(t.as_f64().unwrap() > 0.0);
         let srtt = result.get("series").and_then(|s| s.get("srtt_ms")).unwrap();
@@ -749,7 +846,7 @@ mod tests {
                          "scheduler": "{scheduler}", "bytes": {bytes}, "seed": {seed}}}"#
                 ))
                 .unwrap();
-                let result = execute(&cfg).unwrap();
+                let result = run(&cfg).unwrap();
                 result.get("scalars").and_then(|s| s.get("completion_s")).unwrap().as_f64().unwrap()
             })
             .collect();
@@ -836,11 +933,51 @@ mod tests {
                 "scheduler": "default", "seed": 300}"#,
         )
         .unwrap();
-        let result = execute(&cfg).unwrap();
+        let result = run(&cfg).unwrap();
         let series = |k: &str| {
             result.get("series").and_then(|s| s.get(k)).and_then(Value::as_array).unwrap().len()
         };
         assert_eq!(series("completions"), 107);
         assert!(series("ooo_delays") > 0);
+    }
+
+    #[test]
+    fn an_inline_scenario_is_parsed_and_applied() {
+        let doc = r#"{"kind": "inline", "events": [{"at_ms": 0, "path": 0, "action": "warp"}]}"#;
+        let err = execute_with("streaming", "scenario", doc).unwrap_err();
+        assert!(err.starts_with("events[0]:"), "{err}");
+        let doc =
+            r#"{"kind": "inline", "events": [{"at_ms": 5000, "path": 1, "action": "path_down"}]}"#;
+        let with_outage = execute_with("streaming", "scenario", doc).unwrap();
+        assert_ne!(with_outage, run(&json::parse(BASE).unwrap()).unwrap());
+    }
+
+    #[test]
+    fn a_population_cell_reports_its_merged_sweep() {
+        let scalars = |backhaul: &str| {
+            let result = execute_with("population", "backhaul_mbps", backhaul);
+            result.map(|r| r.get("scalars").unwrap().clone())
+        };
+        let plain = run(&json::parse(&BASE.replace("streaming", "population")).unwrap()).unwrap();
+        let plain = plain.get("scalars").unwrap();
+        let num = |s: &Value, k: &str| s.get(k).and_then(Value::as_f64).unwrap();
+        assert_eq!(num(plain, "pages"), 2.0);
+        assert_eq!(num(plain, "groups"), 2.0, "one shard per unit");
+        assert_eq!(num(plain, "rounds"), 0.0, "nothing to co-simulate");
+        assert!(num(plain, "req_s_p50") <= num(plain, "req_s_p99"));
+        assert_eq!(plain.get("digest").and_then(Value::as_str).map(str::len), Some(16));
+
+        let coupled = scalars("5").unwrap();
+        assert_eq!(num(&coupled, "pages"), 2.0);
+        assert!(num(&coupled, "rounds") >= 1.0);
+        assert!(num(&coupled, "boundary_msgs") >= 1.0);
+        assert_ne!(coupled.get("digest"), plain.get("digest"));
+        for bad in ["0", "-1", "\"5\""] {
+            assert!(scalars(bad).unwrap_err().contains("\"backhaul_mbps\""), "{bad}");
+        }
+        for units in ["0", "1000001"] {
+            let err = execute_with("population", "units", units).unwrap_err();
+            assert!(err.contains("\"units\" must be in 1..=1000000"), "{units}: {err}");
+        }
     }
 }

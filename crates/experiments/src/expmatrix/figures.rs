@@ -66,6 +66,7 @@ pub fn render(spec: &Spec, exp: &Expansion, results: &[Value]) -> Result<String,
         "dyn_handover" => dyn_handover(exp, r),
         "dyn_burstloss" => dyn_burstloss(exp, r),
         "quic_web" => quic_web(exp, r),
+        "population" => population(spec, exp, r),
         "generic" => generic(spec, exp, r),
         other => Err(format!("unknown figure renderer {other:?}")),
     }
@@ -1195,6 +1196,43 @@ fn quic_web(exp: &Expansion, results: &[Value]) -> Result<String, String> {
         s.push_str(&render_table(&header, &rows));
     }
     Ok(s)
+}
+
+/// population (`browse_sweep`, `coupled_browse`): one row per cell in
+/// expansion order, ending in the merged sweep digest.
+fn population(spec: &Spec, exp: &Expansion, results: &[Value]) -> Result<String, String> {
+    const CONFIG: [&str; 3] = ["units", "backhaul_mbps", "seed"];
+    /// Scalar columns and their precision.
+    const SCALARS: [(&str, usize); 6] = [
+        ("groups", 0),
+        ("pages", 0),
+        ("req_s_p50", 4),
+        ("req_s_p99", 4),
+        ("rounds", 0),
+        ("boundary_msgs", 0),
+    ];
+    let mut header = CONFIG.to_vec();
+    header.extend(SCALARS.map(|(key, _)| key));
+    header.push("digest");
+    let mut rows = Vec::new();
+    for (i, cell) in exp.cells.iter().enumerate() {
+        let label = |key: &str| cell.config.get(key).map_or_else(|| "-".to_string(), label_of);
+        let mut row: Vec<String> = CONFIG.map(label).into();
+        for (key, precision) in SCALARS {
+            row.push(format!("{:.precision$}", scalar(results, i, key)?));
+        }
+        let digest = results[i].get("scalars").and_then(|s| s.get("digest"));
+        row.push(digest.and_then(Value::as_str).ok_or(format!("cell {i}: no digest"))?.into());
+        rows.push(row);
+    }
+    Ok(format!(
+        "{}: browse populations on the sweep executor — 6 ECF connections per\n\
+         unit over a private 1 Mbps WiFi + 10 Mbps LTE pair; with a backhaul every\n\
+         LTE leg shares that capacity and the units co-simulate in lockstep\n\
+         engine groups (request times are each object's GET to completion)\n\n{}",
+        spec.name,
+        render_table(&header, &rows)
+    ))
 }
 
 /// Fallback renderer for new specs: one row per cell with its headline

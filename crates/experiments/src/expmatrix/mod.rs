@@ -44,7 +44,7 @@ pub mod cells;
 pub mod figures;
 pub mod spec;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use telemetry::{Counter, TelemetryHandle};
 use testkit::digest;
@@ -129,6 +129,13 @@ pub struct MatrixOptions {
     pub workers: Option<usize>,
     /// Sink for hit/miss/invalidation counters.
     pub telemetry: TelemetryHandle,
+    /// Trace directory: execute every cell without reading the cache, each
+    /// with its own enabled telemetry handle, and write its event log to
+    /// `<dir>/<spec>-<cell>.jsonl` and its counters to
+    /// `<dir>/<spec>-<cell>.counters`. Streaming cells only: a spec with
+    /// any other cell is refused before a cell runs. Results are stored as
+    /// usual — tracing never changes one.
+    pub trace: Option<PathBuf>,
 }
 
 impl MatrixOptions {
@@ -141,6 +148,7 @@ impl MatrixOptions {
             dry_run: false,
             workers: None,
             telemetry: TelemetryHandle::off(),
+            trace: None,
         }
     }
 }
@@ -180,6 +188,18 @@ impl MatrixOutcome {
 /// effort) regardless of cache state, `force`, or shard count.
 pub fn run_matrix(spec: &Spec, opts: &MatrixOptions) -> Result<MatrixOutcome, String> {
     let exp = expand(spec, opts.effort)?;
+    if opts.trace.is_some() {
+        for (i, cell) in exp.cells.iter().enumerate() {
+            let workload = cell.config.get("workload").and_then(Value::as_str);
+            if workload != Some("streaming") {
+                return Err(format!(
+                    "--trace runs streaming cells only; {} cell {i} is a {:?} cell",
+                    spec.name,
+                    workload.unwrap_or_default()
+                ));
+            }
+        }
+    }
     let cache = Cache::new(&opts.cache_dir);
 
     // Probe phase: one slot per cell, filled from cache where allowed.
@@ -187,7 +207,7 @@ pub fn run_matrix(spec: &Spec, opts: &MatrixOptions) -> Result<MatrixOutcome, St
     let mut hits = 0usize;
     let mut invalid = 0usize;
     for cell in &exp.cells {
-        if opts.force {
+        if opts.force || opts.trace.is_some() {
             results.push(None);
             continue;
         }
@@ -232,12 +252,29 @@ pub fn run_matrix(spec: &Spec, opts: &MatrixOptions) -> Result<MatrixOutcome, St
     // matter how shards interleave.
     let miss_idx: Vec<usize> = (0..exp.cells.len()).filter(|&i| results[i].is_none()).collect();
     outcome.executed = miss_idx.len();
-    let run_one = |i: usize| cells::execute(&exp.cells[i].config);
+    let run_one = |i: usize| {
+        let telemetry = match opts.trace {
+            Some(_) => TelemetryHandle::enabled(),
+            None => TelemetryHandle::off(),
+        };
+        let env = cells::CellEnv { workers: opts.workers, telemetry };
+        let result = cells::execute(&exp.cells[i].config, &env)?;
+        if let Some(dir) = &opts.trace {
+            write_trace(dir, &format!("{}-{i}", spec.name), &env.telemetry)?;
+        }
+        Ok(result)
+    };
     // Matrix cells are independent runs — exactly the shape a population
     // shard is — so they ride the sweep executor: same worker override,
-    // same load-balance accounting.
+    // same load-balance accounting. A population cell runs its own sweep
+    // on `opts.workers`, so missed populations run one at a time: the
+    // worker budget goes to one level, not to both.
+    let nested = miss_idx.iter().any(|&i| {
+        exp.cells[i].config.get("workload").and_then(Value::as_str) == Some("population")
+    });
+    let workers = if nested { Some(1) } else { opts.workers };
     let fresh: Vec<Result<Value, String>> =
-        crate::sharding::run_balanced(miss_idx.clone(), run_one, opts.workers, &opts.telemetry);
+        crate::sharding::run_balanced(miss_idx.clone(), run_one, workers, &opts.telemetry);
     for (i, r) in miss_idx.into_iter().zip(fresh) {
         let r = r.map_err(|e| format!("cell {i}: {e}"))?;
         cache.store(exp.cells[i].digest, &exp.cells[i].key, &r)?;
@@ -247,6 +284,24 @@ pub fn run_matrix(spec: &Spec, opts: &MatrixOptions) -> Result<MatrixOutcome, St
     let results: Vec<Value> = results.into_iter().map(|r| r.expect("slot filled")).collect();
     outcome.report = figures::render(spec, &exp, &results)?;
     Ok(outcome)
+}
+
+/// Write one traced cell's event log (`<stem>.jsonl`) and counters
+/// (`<stem>.counters`: one `name=value` line per counter, then
+/// `events_captured` and `events_overflowed`).
+fn write_trace(dir: &Path, stem: &str, tel: &TelemetryHandle) -> Result<(), String> {
+    let events = tel.events();
+    let mut counters: String =
+        tel.counters().iter().map(|(name, value)| format!("{name}={value}\n")).collect();
+    counters.push_str(&format!("events_captured={}\n", events.len()));
+    counters.push_str(&format!("events_overflowed={}\n", tel.overflow()));
+    let write = |ext: &str, text: &str| {
+        let path = dir.join(format!("{stem}.{ext}"));
+        std::fs::write(&path, text).map_err(|e| format!("write {}: {e}", path.display()))
+    };
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    write("jsonl", &telemetry::export::to_jsonl(&events))?;
+    write("counters", &counters)
 }
 
 #[cfg(test)]

@@ -31,7 +31,6 @@ pub mod cosim;
 pub mod expmatrix;
 pub mod quicweb;
 pub mod sharding;
-pub mod trace;
 pub mod web;
 
 pub use common::{
@@ -42,11 +41,10 @@ pub use cosim::{BoundaryMsg, CoupledRun, SharedBottleneck, COUPLED_BENCH_GROUPS}
 pub use expmatrix::{run_matrix, MatrixOptions, MatrixOutcome};
 pub use quicweb::{run_quic_web, OpenAllApp, QUIC_WEB_SCHEDULERS};
 pub use sharding::{
-    browse_10k, browse_10k_coupled, browse_1k, browse_1k_coupled, browse_coupled_population,
-    browse_population, partition, plan_shards, run_balanced, run_sweep, PopConn, PopUnit,
-    Population, SweepOptions, SweepReport, UnitReport,
+    browse_10k_coupled, browse_1k, browse_coupled_population, browse_population, partition,
+    plan_shards, run_balanced, run_sweep, PopConn, PopUnit, Population, SweepOptions, SweepReport,
+    UnitReport,
 };
-pub use trace::{run_traced, TraceRun};
 
 /// An experiment: id, paper artifact, and the spec that regenerates it.
 #[derive(Debug, Clone, Copy)]
@@ -234,6 +232,21 @@ pub fn registry() -> Vec<Experiment> {
             id: "quic_web",
             title: "QUIC: 107-stream MPQUIC page load vs 6-connection MPTCP",
             spec: include_str!("../specs/quic_web.json"),
+        },
+        Experiment {
+            id: "browse_sweep",
+            title: "Population: 1667 browse units, one engine each",
+            spec: include_str!("../specs/browse_sweep.json"),
+        },
+        Experiment {
+            id: "coupled_browse",
+            title: "Population: browse units behind a shared LTE backhaul (co-sim)",
+            spec: include_str!("../specs/coupled_browse.json"),
+        },
+        Experiment {
+            id: "trace",
+            title: "Trace: the 0.3/8.6 Mbps ECF streaming run (`--trace DIR`)",
+            spec: include_str!("../specs/trace.json"),
         },
     ]
 }

@@ -148,11 +148,6 @@ pub fn browse_1k(seed: u64) -> Population {
     browse_population(seed, 167, 6, 1.0, 10.0, SchedulerKind::Ecf)
 }
 
-/// The standard ~10k-connection browse population (1667 units × 6 conns).
-pub fn browse_10k(seed: u64) -> Population {
-    browse_population(seed, 1667, 6, 1.0, 10.0, SchedulerKind::Ecf)
-}
-
 /// A browse population whose per-unit LTE legs all contend for one shared
 /// bottleneck of `lte_capacity_mbps` aggregate (each leg also *starts* at
 /// the full capacity — the controller's optimistic idle grant). WiFi stays
@@ -183,12 +178,6 @@ pub fn browse_coupled_population(
         prop_delay: simnet::LTE_ONE_WAY,
     });
     pop
-}
-
-/// The ~1k-connection coupled browse population: 167 units × 6 conns
-/// contending on a common 50 Mbps LTE uplink (private 1 Mbps WiFi each).
-pub fn browse_1k_coupled(seed: u64) -> Population {
-    browse_coupled_population(seed, 167, 6, 1.0, 50.0, SchedulerKind::Ecf)
 }
 
 /// The ~10k-connection coupled browse population: 1667 units × 6 conns on

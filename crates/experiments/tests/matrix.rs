@@ -13,8 +13,10 @@ use testkit::digest::{canonical_digest, fnv1a};
 
 /// FNV-1a of every registry entry's Quick report, captured from the
 /// figure's imperative generator before it was deleted in favour of its
-/// spec. Full effort runs the same renderer over a wider grid.
-const QUICK_REPORTS: [(&str, u64); 32] = [
+/// spec (the last three: from the `repro sweep` / `repro --trace` runs
+/// their specs replaced, at equal digests and trace bytes). Full effort
+/// runs the same renderer over a wider grid.
+const QUICK_REPORTS: [(&str, u64); 35] = [
     ("tab1", 0xc5f1_b45a_a1a1_55b8),
     ("fig1", 0x87f1_2f8e_58f3_0f45),
     ("fig2", 0xda11_3bfb_6095_f6bd),
@@ -47,6 +49,9 @@ const QUICK_REPORTS: [(&str, u64); 32] = [
     ("dyn_handover", 0x703a_4256_1998_e193),
     ("dyn_burstloss", 0x297d_a370_9f86_d3a6),
     ("quic_web", 0xf820_f050_ecfc_16b2),
+    ("browse_sweep", 0x8c5f_d417_37e2_b374),
+    ("coupled_browse", 0x9055_4993_ae9a_3761),
+    ("trace", 0x158e_fea4_618a_1be9),
 ];
 
 fn spec_path(name: &str) -> PathBuf {

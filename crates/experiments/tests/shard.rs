@@ -12,8 +12,9 @@ use webload::PageModel;
 
 /// The standard browse_1k population, seed 1: digest of the merged per-unit
 /// reports. Pinned here (not in `ENGINE_CONTRACT`) so adding the sweep does
-/// not invalidate existing matrix caches; regenerate with
-/// `repro sweep --units 167 --seed 1` after a deliberate engine change.
+/// not invalidate existing matrix caches; regenerate after a deliberate
+/// engine change with `repro matrix` on a copy of `specs/browse_sweep.json`
+/// whose `units` is 167 (the report's `digest` column).
 const BROWSE_1K_SEED_1: u64 = 0x111c_1778_5569_441a;
 
 /// A small population with tiny pages so each property case stays cheap:

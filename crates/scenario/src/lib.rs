@@ -264,7 +264,12 @@ impl Scenario {
     /// mean intervals. Errors name the offending entry and field. Path
     /// indices are checked against a testbed by [`Scenario::check_paths`].
     pub fn from_json(text: &str) -> Result<Scenario, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
+        Scenario::from_value(&json::parse(text).map_err(|e| e.to_string())?)
+    }
+
+    /// [`Scenario::from_json`] on an already parsed document (an
+    /// experiment spec's `inline` scenario); other keys are ignored.
+    pub fn from_value(doc: &Value) -> Result<Scenario, String> {
         let mut s = Scenario::default();
         if let Some(events) = doc.get("events") {
             let events = events.as_array().ok_or("\"events\" must be an array")?;
@@ -300,15 +305,6 @@ impl Scenario {
             }
         }
         Ok(())
-    }
-
-    /// Load a scenario from a JSON trace file (see [`Scenario::from_json`]
-    /// for the schema). Read and parse errors are prefixed with the path so
-    /// callers can surface them verbatim.
-    pub fn from_json_file(path: impl AsRef<std::path::Path>) -> Result<Scenario, String> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Scenario::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 }
 
@@ -555,23 +551,6 @@ mod tests {
             Time::from_secs(600),
         );
         assert_eq!(s.processes, equivalent.processes);
-    }
-
-    #[test]
-    fn json_file_errors_carry_the_path() {
-        let err = Scenario::from_json_file("/nonexistent/scenario.json").unwrap_err();
-        assert!(err.contains("/nonexistent/scenario.json"), "{err}");
-        let dir = std::env::temp_dir().join("scenario_from_json_file_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let bad = dir.join("bad.json");
-        std::fs::write(&bad, r#"{"events": [{"path": 0, "action": "warp"}]}"#).unwrap();
-        let err = Scenario::from_json_file(&bad).unwrap_err();
-        assert!(err.contains("bad.json") && err.contains("events[0]"), "{err}");
-        let good = dir.join("good.json");
-        std::fs::write(&good, r#"{"events": [{"at_ms": 1, "path": 0, "action": "path_down"}]}"#)
-            .unwrap();
-        let s = Scenario::from_json_file(&good).unwrap();
-        assert_eq!(s.events.len(), 1);
     }
 
     #[test]

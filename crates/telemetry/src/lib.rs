@@ -41,8 +41,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use ring::Ring;
 
 /// Default event capacity when enabling telemetry. The longest in-tree
-/// traced run, the full-effort `repro --trace` session (180 s at 0.3/8.6,
-/// seed 7), records 220 105 events; 2^20 keeps that run complete with
+/// traced run, the full-effort `trace` spec (180 s at 0.3/8.6, ECF) at
+/// seed 7, records 220 105 events; 2^20 keeps that run complete with
 /// room to spare. The ring grows as events arrive, so a run touches memory
 /// only for what it records (about 46 MB for that session).
 pub const DEFAULT_CAPACITY: usize = 1 << 20;

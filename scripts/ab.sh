@@ -5,7 +5,11 @@
 # print, per workload x end-to-end metric, both medians, the delta, how many
 # pairs <rev-b> won, <rev-a>'s inter-quartile range and each side's best run
 # (a side's fastest run repeats far better than its median on a box whose
-# medians drift between sessions; it informs, it decides nothing). `resolved` needs
+# medians drift between sessions; it informs, it decides nothing). Each
+# workload also gets a `cpu_us_per_op` row: the run's child CPU time (user +
+# sys, from getrusage(RUSAGE_CHILDREN) around it) over its attempted
+# operations, a diagnostic beside the BENCHMARK.json metrics, under the same
+# verdict rule (an A/A run is `ab.sh REV REV`). `resolved` needs
 # >= 10 pairs, one side winning >= 9/10 of them and a median gap wider than
 # that IQR; `equal` means every pair tied (simulated-time metrics);
 # everything else is `unresolved` — the box drifts 10-20 % in 10-60 s
@@ -37,21 +41,26 @@ for i in 0 1; do
 done
 
 python3 - "$tmp" "$pairs" $workloads <<'PY'
-import json, statistics, subprocess, sys
+import json, resource, statistics, subprocess, sys
 tmp, pairs, names = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
 spec = json.load(open("BENCHMARK.json"))
 names = names or [w["name"] for w in spec["workloads"]]
 verb = spec["command"][spec["command"].index("--") + 1:]
 got = {}  # (workload, metric) -> ([a values], [b values])
 bad = False
+def child_cpu_s():
+    r = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return r.ru_utime + r.ru_stime
 for w in names:
     for pair in range(pairs):
         for side in ((0, 1), (1, 0))[pair % 2]:
             print(f"ab.sh: {w} pair {pair + 1}/{pairs} side {'ab'[side]}", file=sys.stderr)
+            cpu_before = child_cpu_s()
             out = subprocess.run(
                 [f"{tmp}/bench{side}", *verb, "--workload", w, "--seed", str(101 + pair),
                  "--seconds", str(spec["run_seconds"])],
                 cwd=tmp, stdout=subprocess.PIPE, text=True).stdout
+            cpu_s = child_cpu_s() - cpu_before
             res = json.loads(out.splitlines()[-1])
             if not res["correct"] or res["failed"] > 0:
                 print(f"ab.sh: BAD RUN {w} side {'ab'[side]}: correct={res['correct']} "
@@ -60,7 +69,10 @@ for w in names:
             for m in spec["end_to_end"]:
                 got.setdefault((w, m["name"]), ([], []))[side].append(
                     res["metrics"][m["name"]]["value"])
+            got.setdefault((w, "cpu_us_per_op"), ([], []))[side].append(
+                cpu_s * 1e6 / max(res["attempted"], 1))
 lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+lower["cpu_us_per_op"] = True
 print(f"{'workload':<15} {'metric':<13} {'median a':>12} {'median b':>12} {'delta':>8} "
       f"{'b wins':>7} {'IQR a':>10} {'best a':>12} {'best b':>12}  verdict")
 for (w, m), (a, b) in got.items():

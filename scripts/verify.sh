@@ -19,6 +19,9 @@ cargo test -q --offline --workspace
 echo "== lint: clippy, warnings are errors (offline) =="
 cargo clippy --offline --workspace -- -D warnings
 
+echo "== format: the tree is rustfmt-clean (rustfmt.toml) =="
+cargo fmt --all -- --check
+
 echo "== one testbed skeleton: the drain loop and apply_control live in one file =="
 # Two transports, one harness (DESIGN.md §12). A second file matching either
 # marker is a second copy of the skeleton growing back. (`Action::RateBps`
@@ -142,15 +145,17 @@ not_warm="$(grep '^matrix ' "$all_dir/warm.err" | grep -v ', executed 0$' || tru
     echo "$not_warm" >&2; exit 1; }
 echo "verify.sh: repro all ok ($summaries reports equal results/, warm run executed 0 cells)"
 
-echo "== telemetry trace smoke (repro --trace, quick) =="
-tmp_trace="$(mktemp "${TMPDIR:-/tmp}"/trace-smoke.XXXXXX.jsonl)"
-trap 'rm -rf "$all_dir"; rm -f "$tmp_trace"' EXIT
-trace_out="$(cargo run --offline --release -p experiments --bin repro -- \
-    --trace "$tmp_trace" --quick)"
-python3 - "$tmp_trace" "$trace_out" <<'PY'
+echo "== telemetry trace smoke (repro trace --trace DIR, quick) =="
+# --no-save: results/trace.txt is the Full report. A traced run executes
+# its cell whatever the cache holds and writes DIR/<spec>-<cell>.jsonl plus
+# DIR/<spec>-<cell>.counters.
+trace_dir="$all_dir/traces"
+cargo run --offline --release -p experiments --bin repro -- \
+    trace --quick --no-save --cache-dir "$all_cache" --trace "$trace_dir" > /dev/null
+python3 - "$trace_dir/trace-0.jsonl" "$trace_dir/trace-0.counters" <<'PY'
 import json, sys
-path, digest = sys.argv[1], sys.argv[2]
-counters = dict(l.split("=", 1) for l in digest.splitlines() if "=" in l)
+path, counters_path = sys.argv[1], sys.argv[2]
+counters = dict(l.split("=", 1) for l in open(counters_path).read().splitlines() if "=" in l)
 lines = open(path).read().splitlines()
 if not lines:
     sys.exit("verify.sh: trace file is empty")
@@ -210,36 +215,44 @@ done
 [ -s results/quic_web.txt ] \
     || { echo "verify.sh: results/quic_web.txt missing or empty" >&2; exit 1; }
 
-echo "== coupled co-sim smoke (repro sweep --coupled, quick) =="
-# A shared-bottleneck population must actually span engine groups in
-# lockstep (DESIGN.md §13): the run reports its lookahead window and
-# sync-round/boundary-message telemetry, and every unit still finishes.
+echo "== coupled co-sim smoke (coupled_browse, quick) =="
+# --no-save: results/coupled_browse.txt is the Full report. A
+# shared-bottleneck population must actually span engine groups in lockstep
+# (DESIGN.md §13): every row reports >= 2 groups and >= 1 sync round, and
+# every unit still loads its page.
 coupled_out="$(cargo run --offline --release -p experiments --bin repro -- \
-    sweep --coupled --quick 2>/dev/null)"
-for field in "window:" "sync rounds:" "boundary:" "digest:"; do
-    echo "$coupled_out" | grep -q "$field" \
-        || { echo "verify.sh: coupled sweep output lacks $field" >&2; exit 1; }
-done
-shards="$(echo "$coupled_out" | awk '/^shards:/ {print $2}')"
-[ "${shards:-0}" -ge 2 ] \
-    || { echo "verify.sh: coupled sweep ran on $shards engine group(s)," \
-         "expected >= 2 (co-sim did not engage)" >&2; exit 1; }
-rounds="$(echo "$coupled_out" | awk '/^sync rounds:/ {print $3}')"
-[ "${rounds:-0}" -ge 1 ] \
-    || { echo "verify.sh: coupled sweep reports no sync rounds" >&2; exit 1; }
-echo "verify.sh: coupled co-sim smoke ok ($shards groups, $rounds rounds)"
+    coupled_browse --quick --no-save --cache-dir "$all_cache" 2>/dev/null)"
+# Columns are found by their header names, so a column added to or dropped
+# from the report cannot shift the checks onto the wrong numbers.
+echo "$coupled_out" | awk '
+    $1 == "units" { for (i = 1; i <= NF; i++) col[$i] = i; cols = NF; next }
+    /^-+$/ {table = 1; next}
+    table && NF == cols {
+        rows++
+        u = $col["units"]; g = $col["groups"]; p = $col["pages"]; r = $col["rounds"]
+        if (g < 2) { print "verify.sh: coupled_browse ran " u " units on " g \
+            " engine group(s), expected >= 2 (co-sim did not engage)"; bad = 1 }
+        if (r < 1) { print "verify.sh: coupled_browse reports no sync rounds for " u " units"; bad = 1 }
+        if (p != u) { print "verify.sh: coupled_browse loaded " p " of " u " pages"; bad = 1 }
+        groups = g; rounds = r
+    }
+    END {
+        if (rows == 0) { print "verify.sh: coupled_browse printed no population rows"; exit 1 }
+        if (bad) exit 1
+        print "verify.sh: coupled co-sim smoke ok (" rows " populations, last: " groups " groups, " rounds " rounds)"
+    }'
 
 echo "== experiment-matrix smoke (repro matrix, quick, twice) =="
 # Cold run into a throwaway cache, then a warm re-run: the second pass must
 # be 100% cache hits (0 executed) and byte-identical — the determinism +
 # caching contract of crates/experiments/src/expmatrix.
 matrix_cache="$(mktemp -d "${TMPDIR:-/tmp}"/matrix-smoke.XXXXXX)"
-trap 'rm -rf "$all_dir"; rm -f "$tmp_trace"; rm -rf "$matrix_cache"' EXIT
+trap 'rm -rf "$all_dir" "$matrix_cache"' EXIT
 matrix_spec="crates/experiments/specs/smoke.json"
 cold_out="$(mktemp "${TMPDIR:-/tmp}"/matrix-cold.XXXXXX.txt)"
 warm_out="$(mktemp "${TMPDIR:-/tmp}"/matrix-warm.XXXXXX.txt)"
 warm_err="$(mktemp "${TMPDIR:-/tmp}"/matrix-warm.XXXXXX.err)"
-trap 'rm -f "$tmp_trace" "$cold_out" "$warm_out" "$warm_err"; rm -rf "$all_dir" "$matrix_cache"' EXIT
+trap 'rm -f "$cold_out" "$warm_out" "$warm_err"; rm -rf "$all_dir" "$matrix_cache"' EXIT
 cargo run --offline --release -p experiments --bin repro -- \
     matrix "$matrix_spec" --quick --no-save --cache-dir "$matrix_cache" \
     > "$cold_out"
