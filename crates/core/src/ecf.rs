@@ -8,15 +8,13 @@
 //! boundaries and avoiding the idle-timeout CWND resets the paper identifies
 //! as the root cause of fast-path under-utilization.
 
-use std::time::Duration;
-
 use crate::explain::{EcfTerms, Why};
 use crate::types::{secs, Decision, SchedInput, Scheduler};
 
 /// Default hysteresis factor β; the paper sets 0.25 throughout its evaluation
 /// and reports other values behave similarly (we regenerate that claim in the
 /// `ablation_beta` experiment).
-pub const DEFAULT_BETA: f64 = 0.25;
+const DEFAULT_BETA: f64 = 0.25;
 
 /// Configuration knobs for [`Ecf`]. The defaults reproduce the paper.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,7 +41,21 @@ impl Default for EcfConfig {
 pub struct Ecf {
     cfg: EcfConfig,
     /// The `waiting` hysteresis bit from Algorithm 1: set while we have
-    /// decided to hold segments back for the fast subflow.
+    /// decided to hold segments back for the fast subflow. A decision shows
+    /// it as [`EcfTerms::beta_applied`].
+    ///
+    /// * It is **set** the moment `select` returns [`Decision::Wait`] and
+    ///   stays set across later `Wait` verdicts; while set, the first
+    ///   inequality's threshold gains the `(1 + β)` bonus, so leaving the
+    ///   waiting state needs a larger backlog than entering it.
+    /// * It is **cleared** when the first inequality fails and ECF sends on
+    ///   the slow path ([`Why::EcfBacklogSend`]), and by `reset`.
+    /// * It is **unchanged** by fast-path sends ([`Why::FastestFree`]), by
+    ///   second-inequality sends ([`Why::EcfSecondInequalitySend`]) and by
+    ///   `Blocked` verdicts.
+    ///
+    /// `waiting_bit_across_transitions` in this module's tests is the
+    /// executable version of this contract.
     waiting: bool,
 }
 
@@ -54,35 +66,8 @@ impl Ecf {
     }
 
     /// ECF with explicit configuration (ablations, β sweeps).
-    pub fn with_config(cfg: EcfConfig) -> Self {
+    pub(crate) fn with_config(cfg: EcfConfig) -> Self {
         Ecf { cfg, waiting: false }
-    }
-
-    /// Whether the scheduler is currently holding back for the fast subflow
-    /// — Algorithm 1's `waiting` hysteresis bit.
-    ///
-    /// Semantics across the wait→send transition:
-    ///
-    /// * The bit is **set** the moment a `select` call returns
-    ///   [`Decision::Wait`] (both inequalities held) and stays set across
-    ///   subsequent `Wait` verdicts; while set, the first inequality's
-    ///   threshold gains the `(1 + β)` bonus, so leaving the waiting state
-    ///   requires the backlog to grow past a *higher* bar than entering it.
-    /// * The bit is **cleared** when the first inequality fails and ECF
-    ///   sends on the slow path ([`Why::EcfBacklogSend`]) — the backlog got
-    ///   big enough that both pipes should run — and by [`Ecf::reset`].
-    /// * The bit is **unchanged** by fast-path sends
-    ///   ([`Why::FastestFree`]): a momentarily free fast subflow does not
-    ///   mean the tail-holding episode is over. It is also unchanged by a
-    ///   second-inequality send ([`Why::EcfSecondInequalitySend`]): that
-    ///   rule fires when the slow path is nearly as fast as waiting, which
-    ///   does not contradict the decision to keep favouring the fast path.
-    /// * `Blocked` verdicts (no usable path at all) leave it untouched.
-    ///
-    /// See `waiting_bit_across_transitions` in this module's tests for the
-    /// executable version of this contract.
-    pub fn is_waiting(&self) -> bool {
-        self.waiting
     }
 
     /// Algorithm 1 with full provenance: the single implementation both
@@ -165,25 +150,24 @@ impl Scheduler for Ecf {
     }
 }
 
-/// δ margin helper exposed for tests and documentation: max of the two paths'
-/// RTT deviations.
-///
-/// Trace consumers should *not* call this to reconstruct the margin a
-/// decision used: the δ the scheduler actually applied (zero under the
-/// `ablation_delta` configuration) is carried in the decision's
-/// [`EcfTerms::delta_s`], via [`Scheduler::select_explained`].
-pub fn delta_margin(dev_f: Duration, dev_s: Duration) -> Duration {
-    dev_f.max(dev_s)
-}
-
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::types::testutil::path;
     use crate::types::{PathId, PathSnapshot};
 
     fn input<'a>(paths: &'a [PathSnapshot], k: u64) -> SchedInput<'a> {
         SchedInput { paths, queued_pkts: k, send_window_free_pkts: 1 << 20 }
+    }
+
+    /// The `waiting` bit as a decision reports it: whether a probe with the
+    /// fast path full (run on a clone) applies the β bonus.
+    fn waiting(ecf: &Ecf) -> bool {
+        let probe = [path(0, 10, 10, 10), path(1, 100, 10, 0)];
+        let (_, why) = ecf.clone().select_explained(&input(&probe, 1));
+        why.ecf_terms().expect("fast path full: an ECF rule fires").beta_applied
     }
 
     #[test]
@@ -202,7 +186,7 @@ mod tests {
         let paths = [path(0, 10, 10, 10), path(1, 100, 10, 0)];
         let mut ecf = Ecf::new();
         assert_eq!(ecf.select(&input(&paths, 1)), Decision::Wait);
-        assert!(ecf.is_waiting());
+        assert!(waiting(&ecf));
     }
 
     #[test]
@@ -212,7 +196,7 @@ mod tests {
         let paths = [path(0, 10, 10, 10), path(1, 100, 10, 0)];
         let mut ecf = Ecf::new();
         assert_eq!(ecf.select(&input(&paths, 200)), Decision::Send(PathId(1)));
-        assert!(!ecf.is_waiting());
+        assert!(!waiting(&ecf));
     }
 
     #[test]
@@ -272,9 +256,9 @@ mod tests {
         let paths = [path(0, 10, 10, 10), path(1, 100, 10, 0)];
         let mut ecf = Ecf::new();
         ecf.select(&input(&paths, 1));
-        assert!(ecf.is_waiting());
+        assert!(waiting(&ecf));
         ecf.reset();
-        assert!(!ecf.is_waiting());
+        assert!(!waiting(&ecf));
     }
 
     #[test]
@@ -297,14 +281,14 @@ mod tests {
         let paths = [path(0, 10, 10, 10), path(1, 100, 10, 0)];
         let mut ecf = Ecf::new();
         assert_eq!(ecf.select(&input(&paths, 1)), Decision::Wait);
-        assert!(ecf.is_waiting());
+        assert!(waiting(&ecf));
 
         // Below the hysteresis threshold the decision must stay Wait...
         assert_eq!(ecf.select(&input(&paths, 114)), Decision::Wait);
-        assert!(ecf.is_waiting());
+        assert!(waiting(&ecf));
         // ...and the first k at/above it exits waiting onto the slow path.
         assert_eq!(ecf.select(&input(&paths, 115)), Decision::Send(PathId(1)));
-        assert!(!ecf.is_waiting());
+        assert!(!waiting(&ecf));
 
         // The exit is monotone: every larger backlog also sends.
         for k in [116, 200, 1_000, 100_000] {
@@ -314,7 +298,7 @@ mod tests {
         }
     }
 
-    /// Executable version of the `is_waiting` contract: how the hysteresis
+    /// Executable version of the `waiting` contract: how the hysteresis
     /// bit behaves across every kind of transition, including wait→send.
     #[test]
     fn waiting_bit_across_transitions() {
@@ -325,22 +309,22 @@ mod tests {
 
         // Enter waiting: tail case, both inequalities hold.
         assert_eq!(ecf.select(&input(&[full_fast, slow], 1)), Decision::Wait);
-        assert!(ecf.is_waiting());
+        assert!(waiting(&ecf));
 
         // A fast-path send does NOT clear the bit: the episode survives the
         // window momentarily opening.
         assert_eq!(ecf.select(&input(&[free_fast, slow], 1)), Decision::Send(PathId(0)));
-        assert!(ecf.is_waiting());
+        assert!(waiting(&ecf));
 
         // Blocked leaves it untouched.
         let full_slow = path(1, 100, 10, 10);
         assert_eq!(ecf.select(&input(&[full_fast, full_slow], 1)), Decision::Blocked);
-        assert!(ecf.is_waiting());
+        assert!(waiting(&ecf));
 
         // The wait→send transition that DOES clear it: backlog grows past
         // the β-boosted threshold and ECF commits to the slow path.
         assert_eq!(ecf.select(&input(&[full_fast, slow], 200)), Decision::Send(PathId(1)));
-        assert!(!ecf.is_waiting());
+        assert!(!waiting(&ecf));
 
         // A second-inequality send leaves the bit as-is (never entered
         // waiting here): slow barely slower than fast.
@@ -348,7 +332,7 @@ mod tests {
         let near_slow = path(1, 30, 10, 0);
         let mut e2 = Ecf::new();
         assert_eq!(e2.select(&input(&[near_fast, near_slow], 1)), Decision::Send(PathId(1)));
-        assert!(!e2.is_waiting());
+        assert!(!waiting(&e2));
     }
 
     /// select_explained reports the rule that fired and must agree with
@@ -409,13 +393,5 @@ mod tests {
         ecf.select(&input(&tail, 1));
         let (_, why) = ecf.select_explained(&input(&tail, 1));
         assert!(why.ecf_terms().unwrap().beta_applied);
-    }
-
-    #[test]
-    fn delta_margin_helper() {
-        assert_eq!(
-            delta_margin(Duration::from_millis(3), Duration::from_millis(7)),
-            Duration::from_millis(7)
-        );
     }
 }

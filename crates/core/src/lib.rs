@@ -56,7 +56,7 @@ mod types;
 
 pub use blest::Blest;
 pub use daps::Daps;
-pub use ecf::{delta_margin, Ecf, EcfConfig, DEFAULT_BETA};
+pub use ecf::{Ecf, EcfConfig};
 pub use explain::{EcfTerms, Why};
 pub use extras::{RoundRobin, SinglePath};
 pub use kind::SchedulerKind;

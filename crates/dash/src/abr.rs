@@ -24,7 +24,7 @@ pub fn ideal_avg_bitrate_mbps(aggregate_mbps: f64) -> f64 {
 
 /// Largest representation whose bit rate fits within `budget_mbps`
 /// (at least the lowest).
-pub fn highest_fitting(budget_mbps: f64) -> usize {
+fn highest_fitting(budget_mbps: f64) -> usize {
     BITRATE_LADDER_MBPS.iter().rposition(|&r| r <= budget_mbps).unwrap_or(0)
 }
 

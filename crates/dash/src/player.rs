@@ -41,8 +41,6 @@ impl Default for PlayerConfig {
 /// One downloaded chunk.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkRecord {
-    /// Chunk index.
-    pub index: u64,
     /// Representation chosen.
     pub repr: usize,
     /// Bytes downloaded.
@@ -61,14 +59,14 @@ impl ChunkRecord {
     }
 
     /// Encoded bit rate of the chosen representation.
-    pub fn bitrate_mbps(&self) -> f64 {
+    fn bitrate_mbps(&self) -> f64 {
         BITRATE_LADDER_MBPS[self.repr]
     }
 }
 
 /// What the player wants to do next.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PlayerAction {
+pub(crate) enum PlayerAction {
     /// Fetch the next chunk: `bytes` at representation `repr`.
     Request {
         /// Representation index.
@@ -126,20 +124,6 @@ impl Player {
         }
     }
 
-    /// Number of chunks in the video.
-    pub fn chunks_total(&self) -> u64 {
-        self.chunks_total
-    }
-
-    /// Current buffer level (seconds of video), after draining to `now`.
-    pub fn buffer_secs(&self, now: Time) -> f64 {
-        let mut b = self.buffer_secs;
-        if self.playing {
-            b -= now.since(self.last_update).as_secs_f64();
-        }
-        b.max(0.0)
-    }
-
     /// Mean encoded bit rate over downloaded chunks (the paper's headline
     /// streaming metric).
     pub fn avg_bitrate_mbps(&self) -> f64 {
@@ -182,18 +166,17 @@ impl Player {
     }
 
     /// Start the session: request the first chunk.
-    pub fn on_start(&mut self, now: Time) -> PlayerAction {
+    pub(crate) fn on_start(&mut self, now: Time) -> PlayerAction {
         self.last_update = now;
         self.decide(now)
     }
 
     /// The outstanding chunk finished downloading.
-    pub fn on_chunk_complete(&mut self, now: Time) -> PlayerAction {
+    pub(crate) fn on_chunk_complete(&mut self, now: Time) -> PlayerAction {
         self.advance(now);
         let (repr, bytes, started) =
             self.outstanding.take().expect("completion without outstanding request");
-        let rec = ChunkRecord { index: self.next_chunk, repr, bytes, started, finished: now };
-        self.history.push(rec);
+        self.history.push(ChunkRecord { repr, bytes, started, finished: now });
         self.next_chunk += 1;
         self.buffer_secs += self.cfg.chunk_secs;
         // Play once the startup threshold is buffered (or there is nothing
@@ -205,7 +188,7 @@ impl Player {
     }
 
     /// A scheduled wake-up (end of an OFF period) fired.
-    pub fn on_wake(&mut self, now: Time) -> PlayerAction {
+    pub(crate) fn on_wake(&mut self, now: Time) -> PlayerAction {
         self.advance(now);
         self.decide(now)
     }
@@ -270,8 +253,9 @@ mod tests {
     fn downloads_whole_video() {
         let p = run_fixed_rate(cfg(), 5.0);
         assert_eq!(p.history.len(), 12); // 60 s / 5 s chunks
-        let indices: Vec<u64> = p.history.iter().map(|c| c.index).collect();
-        assert_eq!(indices, (0..12).collect::<Vec<_>>());
+
+        // One request at a time, logged in the order they were made.
+        assert!(p.history.windows(2).all(|w| w[0].finished <= w[1].started));
     }
 
     #[test]
@@ -325,7 +309,7 @@ mod tests {
         let mut action = p.on_start(now);
         loop {
             assert!(
-                p.buffer_secs(now) <= MAX_BUFFER_SECS + p.cfg.chunk_secs + 1e-6,
+                p.buffer_secs <= MAX_BUFFER_SECS + p.cfg.chunk_secs + 1e-6,
                 "buffer overflow at {now}"
             );
             match action {

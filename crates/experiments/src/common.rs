@@ -15,7 +15,7 @@ use webload::{BrowserApp, PageModel, WgetApp};
 pub const BW_SET: [f64; 6] = [0.3, 0.7, 1.1, 1.7, 4.2, 8.6];
 
 /// §5.3's random-change rate set.
-pub const VARIABLE_BW_SET: [f64; 5] = [0.3, 1.1, 1.7, 4.2, 8.6];
+pub(crate) const VARIABLE_BW_SET: [f64; 5] = [0.3, 1.1, 1.7, 4.2, 8.6];
 
 /// Effort level: `Full` sizes runs for the report harness; `Quick` for
 /// benches and smoke runs.
@@ -41,16 +41,16 @@ impl Effort {
 /// Environment variable overriding the default worker count of sweeps and
 /// matrix runs, so CI boxes and laptops can pin parallelism reproducibly.
 /// An explicit worker count is never overridden.
-pub const ENV_WORKERS: &str = "TESTKIT_WORKERS";
+const ENV_WORKERS: &str = "TESTKIT_WORKERS";
 
 /// Maximum worker count accepted from [`ENV_WORKERS`].
-pub const MAX_WORKERS: usize = 256;
+const MAX_WORKERS: usize = 256;
 
 /// Resolve the default worker count: [`ENV_WORKERS`] if set and parseable
 /// (clamped to `1..=`[`MAX_WORKERS`]), else `fallback`. Unparseable values
 /// are ignored rather than fatal — a bench box with a stale variable should
 /// run, not die.
-pub fn default_workers(env: Option<&str>, fallback: usize) -> usize {
+fn default_workers(env: Option<&str>, fallback: usize) -> usize {
     match env.and_then(|v| v.trim().parse::<usize>().ok()) {
         Some(w) => w.clamp(1, MAX_WORKERS),
         None => fallback,
@@ -323,7 +323,7 @@ fn expand_interface_scenario(s: &Scenario, per_if: usize) -> Scenario {
 }
 
 /// One `wget`-style download; returns completion seconds and the testbed.
-pub fn run_wget(
+pub(crate) fn run_wget(
     wifi: f64,
     lte: f64,
     scheduler: SchedulerKind,
@@ -350,7 +350,7 @@ pub fn run_browse(wifi: f64, lte: f64, scheduler: SchedulerKind, seed: u64) -> T
 }
 
 /// Format a bandwidth as the paper writes it ("0.3", "8.6").
-pub fn fmt_bw(mbps: f64) -> String {
+pub(crate) fn fmt_bw(mbps: f64) -> String {
     format!("{mbps:.1}")
 }
 

@@ -40,7 +40,7 @@
 //! Engines advance event-by-event to each horizon `k·W` (window-barrier
 //! lockstep — the builder's choice over null messages, since the horizon
 //! is global and fixed), exchange per-member loads as timestamped
-//! [`BoundaryMsg`]s ordered deterministically by `(time, seq)`, apply the
+//! `BoundaryMsg`s ordered deterministically by `(time, seq)`, apply the
 //! controller, and advance the global window.
 //!
 //! ## One executor
@@ -117,7 +117,7 @@ impl SharedBottleneck {
 /// order, since ordinals are unique — so the controller consumes them in
 /// the same sequence however many engine groups produced them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundaryMsg {
+struct BoundaryMsg {
     /// Window-end timestamp, nanoseconds since simulation start.
     pub time: u64,
     /// Global member ordinal within the coupling.

@@ -27,7 +27,7 @@
 //!   users of 6 connections each, sharded, or co-simulated behind a shared
 //!   LTE backhaul (the `browse_sweep` and `coupled_browse` specs).
 //!
-//! Only a `streaming` cell reads the [`CellEnv`] telemetry handle (a
+//! Only a `streaming` cell reads the `CellEnv` telemetry handle (a
 //! traced run); only a `population` cell reads its worker count. Neither
 //! changes a result, so neither is part of a cell's config.
 
@@ -53,7 +53,7 @@ use crate::sharding::{browse_coupled_population, browse_population, run_sweep, S
 
 /// What a cell runs with besides its config.
 #[derive(Debug, Clone, Default)]
-pub struct CellEnv {
+pub(crate) struct CellEnv {
     /// Worker threads for a population sweep (`None`: the default).
     pub workers: Option<usize>,
     /// Sink a streaming run records its decisions and lifecycle events in
@@ -67,7 +67,7 @@ pub struct CellEnv {
 /// { "scalars": { "avg_bitrate": .., "avg_throughput": .., ... },
 ///   "series":  { "chunk_throughputs": [[t, mbps], ...], ... } }
 /// ```
-pub fn execute(cfg: &Value, env: &CellEnv) -> Result<Value, String> {
+pub(crate) fn execute(cfg: &Value, env: &CellEnv) -> Result<Value, String> {
     match str_field(cfg, "workload")? {
         "streaming" => streaming_cell(cfg, &env.telemetry),
         "population" => population_cell(cfg, env.workers),

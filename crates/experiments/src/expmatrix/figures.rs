@@ -1,11 +1,11 @@
 //! Figure assembly: fold cached + fresh cell results into report text.
 //!
 //! Renderers consume results by cell index in the fixed expansion order
-//! (never by completion order). A [`Grid`] — one of the spec's
+//! (never by completion order). A `Grid` — one of the spec's
 //! [`BlockShape`]s with the results — is the only code that maps grid
 //! coordinates onto that order, so the same renderer serves any ladder size
 //! the spec resolves to; it also reads labels and config numbers and takes
-//! the seed statistics. [`by_scheduler`] builds the table most comparison
+//! the seed statistics. `by_scheduler` builds the table most comparison
 //! figures print (one row per point of the leading axes, one column per
 //! scheduler); each renderer keeps only its title and wording. This is the
 //! only code that renders the paper's figures; `tests/matrix.rs` pins every

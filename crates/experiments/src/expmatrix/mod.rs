@@ -56,11 +56,11 @@ pub use spec::{expand, Cell, Expansion, Spec};
 use crate::common::Effort;
 
 /// Cache entry layout version; bump when the entry file format changes.
-pub const CACHE_SCHEMA: f64 = 1.0;
+pub(crate) const CACHE_SCHEMA: f64 = 1.0;
 
 /// Result extraction version; bump when [`cells`] extracts different or
 /// differently-shaped observables (invalidates every cached cell).
-pub const RESULT_SCHEMA: f64 = 1.0;
+const RESULT_SCHEMA: f64 = 1.0;
 
 /// The engine's behavioral contract: the golden digests of fully seeded
 /// reference runs, byte-identical since the PR 2 capture. The golden
@@ -88,7 +88,7 @@ pub const QUIC_CONTRACT: [(&str, u64); 3] = [
 
 /// The contract object folded into the cache key of a cell running
 /// `workload`.
-pub fn contract(workload: &str) -> Value {
+pub(crate) fn contract(workload: &str) -> Value {
     contract_with(workload, &QUIC_CONTRACT)
 }
 

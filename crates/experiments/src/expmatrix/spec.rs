@@ -88,7 +88,7 @@ impl Spec {
 /// full cache key (config + contract), and the key's digest.
 #[derive(Debug, Clone)]
 pub struct Cell {
-    /// The resolved run configuration (what [`super::cells::execute`] runs).
+    /// The resolved run configuration (what the cell executor runs).
     pub config: Value,
     /// `{"cell": config, "contract": ...}` — the digested key material.
     pub key: Value,

@@ -34,16 +34,15 @@ pub mod sharding;
 pub mod web;
 
 pub use common::{
-    default_workers, parallel_map_workers, run_browse, run_streaming, run_wget, Effort,
-    StreamingConfig, StreamingOutcome, BW_SET, ENV_WORKERS, MAX_WORKERS, VARIABLE_BW_SET,
+    parallel_map_workers, run_browse, run_streaming, Effort, StreamingConfig, StreamingOutcome,
+    BW_SET,
 };
-pub use cosim::{BoundaryMsg, CoupledRun, SharedBottleneck, COUPLED_BENCH_GROUPS};
+pub use cosim::{CoupledRun, SharedBottleneck, COUPLED_BENCH_GROUPS};
 pub use expmatrix::{run_matrix, MatrixOptions, MatrixOutcome};
 pub use quicweb::{run_quic_web, OpenAllApp, QUIC_WEB_SCHEDULERS};
 pub use sharding::{
     browse_10k_coupled, browse_1k, browse_coupled_population, browse_population, partition,
-    plan_shards, run_balanced, run_sweep, PopConn, PopUnit, Population, SweepOptions, SweepReport,
-    UnitReport,
+    plan_shards, run_sweep, PopConn, PopUnit, Population, SweepOptions, SweepReport, UnitReport,
 };
 
 /// An experiment: id, paper artifact, and the spec that regenerates it.

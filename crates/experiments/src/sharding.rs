@@ -381,7 +381,7 @@ fn fold_opt_time(h: &mut Fnv1a, t: Option<Time>) {
 /// Fold one unit report into an equivalence digest. Every field that must
 /// be bit-identical between monolith and shards is included; engine-global
 /// artifacts are structurally absent from [`UnitReport`].
-pub fn fold_unit(h: &mut Fnv1a, r: &UnitReport) {
+fn fold_unit(h: &mut Fnv1a, r: &UnitReport) {
     h.write_u64(r.unit as u64);
     h.write_u64(r.objects.len() as u64);
     for o in &r.objects {
@@ -733,7 +733,7 @@ pub struct SweepReport {
     /// Per-unit reports in global unit order — the equivalence surface,
     /// without their request summaries (see [`UnitReport::requests`]).
     pub units: Vec<UnitReport>,
-    /// FNV-1a digest folded unit by unit ([`fold_unit`]) in global order as
+    /// FNV-1a digest folded unit by unit (`fold_unit`) in global order as
     /// units merge, requests included: bit-identical across shard counts
     /// and worker counts.
     pub digest: u64,
@@ -831,7 +831,7 @@ pub fn run_sweep(pop: &Population, opts: &SweepOptions) -> SweepReport {
 /// cell execution rides, so the experiment matrix inherits the sharded
 /// engine plumbing (worker override, balance telemetry) without owning any
 /// of it.
-pub fn run_balanced<T, R, F>(
+pub(crate) fn run_balanced<T, R, F>(
     items: Vec<T>,
     f: F,
     workers: Option<usize>,

@@ -42,7 +42,7 @@ impl Cdf {
         1.0 - self.cdf_at(x)
     }
 
-    /// The q-quantile (q in [0,1]) by nearest-rank; 0 for an empty set.
+    /// The q-quantile (q in \[0, 1\]) by nearest-rank; 0 for an empty set.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.sorted.is_empty() {
             return 0.0;

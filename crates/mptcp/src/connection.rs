@@ -59,7 +59,7 @@ pub struct ConnStats {
     pub penalizations: u64,
 }
 
-/// One planned transmission returned by [`Connection::try_send`]; the
+/// One planned transmission appended by [`Connection::try_send_into`]; the
 /// testbed puts it on the wire.
 #[derive(Debug, Clone, Copy)]
 pub struct Transmission {
@@ -158,20 +158,15 @@ impl Connection {
 
     /// Segments admitted to the send buffer but not yet assigned to any
     /// subflow — the `k` of the paper's Algorithm 1.
-    pub fn unassigned_segs(&self) -> u64 {
+    pub(crate) fn unassigned_segs(&self) -> u64 {
         self.buffered_end - self.next_dsn
     }
 
     /// Connection-level send-buffer occupancy in segments (assigned-unacked
     /// plus unassigned). Fig 3's *per-subflow* traces use each subflow's
     /// in-flight count instead (see the testbed's `record_samples`).
-    pub fn sndbuf_occupancy(&self) -> u64 {
+    fn sndbuf_occupancy(&self) -> u64 {
         self.buffered_end - self.meta_una
-    }
-
-    /// Oldest un-data-acked dsn.
-    pub fn meta_una(&self) -> u64 {
-        self.meta_una
     }
 
     /// Next dsn that will be assigned.
@@ -180,7 +175,7 @@ impl Connection {
     }
 
     /// Total dsn space written so far (admitted + pending).
-    pub fn written_end(&self) -> u64 {
+    fn written_end(&self) -> u64 {
         self.buffered_end + self.pending_app
     }
 
@@ -252,7 +247,7 @@ impl Connection {
     /// A path died under subflow `sub`: stop scheduling there and queue its
     /// unacknowledged data for reinjection on the surviving subflows, as the
     /// Linux implementation does when a subflow is closed on error.
-    pub fn on_subflow_down(&mut self, sub: SubId) {
+    pub(crate) fn on_subflow_down(&mut self, sub: SubId) {
         self.subflows[sub].usable = false;
         for dsn in self.subflows[sub].inflight_dsns() {
             if dsn >= self.meta_una && !self.reinject_queue.contains(&dsn) {
@@ -263,7 +258,7 @@ impl Connection {
     }
 
     /// The path under subflow `sub` recovered.
-    pub fn on_subflow_up(&mut self, sub: SubId) {
+    pub(crate) fn on_subflow_up(&mut self, sub: SubId) {
         self.subflows[sub].usable = true;
     }
 
@@ -315,17 +310,6 @@ impl Connection {
             );
         }
         queued
-    }
-
-    /// Drive the scheduler until it stops producing transmissions. Returns
-    /// the segments to put on the wire, in order.
-    ///
-    /// Convenience wrapper over [`Connection::try_send_into`]; the simulator
-    /// hot path uses the `_into` variant with a reused buffer.
-    pub fn try_send(&mut self, now: Time) -> Vec<Transmission> {
-        let mut plan = Vec::new();
-        self.try_send_into(now, &mut plan);
-        plan
     }
 
     /// Drive the scheduler until it stops producing transmissions, appending
@@ -452,12 +436,19 @@ mod tests {
         AckInfo { sub_next_ssn: sub_ssn, data_next_dsn: dsn, rwnd_free: rwnd }
     }
 
+    /// Everything one scheduling pass at `now` puts on the wire, in order.
+    fn send(c: &mut Connection, now: Time) -> Vec<Transmission> {
+        let mut plan = Vec::new();
+        c.try_send_into(now, &mut plan);
+        plan
+    }
+
     #[test]
     fn write_then_send_fills_fast_window_first() {
         let mut c = conn(SchedulerKind::Default);
         c.server_write(0, 50);
         assert_eq!(c.unassigned_segs(), 50);
-        let plan = c.try_send(Time::ZERO);
+        let plan = send(&mut c, Time::ZERO);
         // Both windows (10 + 10) fill; fast (sub 0, 20 ms) gets dsn 0..10.
         assert_eq!(plan.len(), 20);
         assert!(plan[..10].iter().all(|t| t.sub == 0));
@@ -474,7 +465,7 @@ mod tests {
         // holds the last one back (the §3.2 example, end to end).
         let mut c = conn(SchedulerKind::Ecf);
         c.server_write(0, 11);
-        let plan = c.try_send(Time::ZERO);
+        let plan = send(&mut c, Time::ZERO);
         assert_eq!(plan.len(), 10);
         assert!(plan.iter().all(|t| t.sub == 0));
         assert!(c.stats().wait_decisions >= 1);
@@ -485,11 +476,11 @@ mod tests {
     fn ack_frees_window_and_sends_more() {
         let mut c = conn(SchedulerKind::Default);
         c.server_write(0, 100);
-        let first = c.try_send(Time::ZERO);
+        let first = send(&mut c, Time::ZERO);
         assert_eq!(first.len(), 20);
         // Ack 5 segments on the fast subflow (in slow start → window grows).
         c.on_ack(Time::from_millis(20), 0, &ack(5, 5, 724));
-        let more = c.try_send(Time::from_millis(20));
+        let more = send(&mut c, Time::from_millis(20));
         assert!(!more.is_empty());
         assert!(more.iter().all(|t| t.sub == 0));
         // Slow start: 5 acked while limited → cwnd 15, inflight was 5 → 10 new.
@@ -506,7 +497,7 @@ mod tests {
         c.server_write(0, 100);
         assert_eq!(c.sndbuf_occupancy(), 30);
         assert_eq!(c.unassigned_segs(), 30);
-        c.try_send(Time::ZERO);
+        send(&mut c, Time::ZERO);
         // Acking deliveries frees buffer and admits more.
         c.on_ack(Time::from_millis(40), 0, &ack(10, 10, 724));
         assert_eq!(c.sndbuf_occupancy(), 30); // refilled from pending
@@ -517,11 +508,11 @@ mod tests {
     fn rwnd_blocking_triggers_mitigations() {
         let mut c = conn(SchedulerKind::Default);
         c.server_write(0, 100);
-        c.try_send(Time::ZERO);
+        send(&mut c, Time::ZERO);
         // Receiver advertises a tiny window with nothing data-acked: the
         // window edge (dsn 0) is on the fast subflow.
         c.on_ack(Time::from_millis(100), 1, &ack(0, 0, 5));
-        let plan = c.try_send(Time::from_millis(100));
+        let plan = send(&mut c, Time::from_millis(100));
         // outstanding (20) >= rwnd (5) → blocked; dsn 0 is held by sub 0, so
         // penalization hits sub 0 and a reinjection is queued for... sub 1
         // (not carrying dsn 0) — but sub 1's window is also full, so the
@@ -536,11 +527,11 @@ mod tests {
     fn reinjection_rides_fast_path_when_space() {
         let mut c = conn(SchedulerKind::Default);
         c.server_write(0, 100);
-        c.try_send(Time::ZERO);
+        send(&mut c, Time::ZERO);
         // Fast subflow fully acked (10 segs arrived); meta stuck at dsn 10
         // (slow subflow's first segment not yet in). Tiny window → blocked.
         c.on_ack(Time::from_millis(40), 0, &ack(10, 10, 2));
-        let plan = c.try_send(Time::from_millis(40));
+        let plan = send(&mut c, Time::from_millis(40));
         // dsn 10 is carried by sub 1 → reinjected on sub 0.
         assert!(plan.iter().any(|t| t.sub == 0 && t.seg.dsn == 10));
         assert!(c.stats().reinjections_queued >= 1);
@@ -556,7 +547,7 @@ mod tests {
         assert_eq!((f1, l1), (10, 14));
         assert_eq!(c.response_bounds.len(), 2);
         assert!(!c.all_acked());
-        c.try_send(Time::ZERO);
+        send(&mut c, Time::ZERO);
         c.on_ack(Time::from_millis(40), 0, &ack(10, 15, 724));
         c.on_ack(Time::from_millis(200), 1, &ack(5, 15, 724));
         assert!(c.all_acked());
@@ -566,7 +557,7 @@ mod tests {
     fn growth_only_when_cwnd_limited() {
         let mut c = conn(SchedulerKind::Default);
         c.server_write(0, 3);
-        c.try_send(Time::ZERO); // only 3 segs in flight, window 10: not limited
+        send(&mut c, Time::ZERO); // only 3 segs in flight, window 10: not limited
         let cwnd_before = c.subflows[0].cc.cwnd_pkts();
         c.on_ack(Time::from_millis(20), 0, &ack(3, 3, 724));
         assert_eq!(c.subflows[0].cc.cwnd_pkts(), cwnd_before);

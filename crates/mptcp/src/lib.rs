@@ -54,7 +54,7 @@ pub use cc::{ca_increase, CcKind, CcView};
 pub use connection::{ConnConfig, ConnStats, Connection, Transmission};
 pub use persub::PerSub;
 pub use receiver::{Delivered, Receiver, ReceiverStats, ReorderRing, RxSignal};
-pub use segment::{segs_for_bytes, AckInfo, ConnId, InflightSeg, ReqId, Segment, SubId};
+pub use segment::{segs_for_bytes, AckInfo, ConnId, ReqId, Segment, SubId};
 pub use sim::{Api, Application, ConnSpec, Event, Mptcp, Testbed, TestbedConfig, World};
 pub use subflow::{AckOutcome, Subflow, SubflowStats};
 pub use trace::{Recorder, RecorderConfig, RequestRecord};

@@ -50,7 +50,7 @@ pub struct AckInfo {
 /// "retransmitted" mark lives on the subflow, because only the queue's
 /// front is ever retransmitted.
 #[derive(Debug, Clone, Copy)]
-pub struct InflightSeg {
+pub(crate) struct InflightSeg {
     /// Data sequence number the transmission carries.
     pub dsn: u64,
     /// When the most recent transmission of it left the sender.

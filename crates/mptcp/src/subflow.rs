@@ -125,12 +125,12 @@ impl Subflow {
 
     /// All data sequence numbers currently unacknowledged here (drained for
     /// reinjection when the path dies).
-    pub fn inflight_dsns(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn inflight_dsns(&self) -> impl Iterator<Item = u64> + '_ {
         self.inflight.iter().map(|s| s.dsn)
     }
 
     /// True while in NewReno loss recovery.
-    pub fn in_recovery(&self) -> bool {
+    fn in_recovery(&self) -> bool {
         self.recovery_high != NO_RECOVERY
     }
 
@@ -139,24 +139,8 @@ impl Subflow {
         self.stats
     }
 
-    /// Next subflow sequence number (diagnostics/tests).
-    pub fn next_ssn(&self) -> u64 {
-        self.next_ssn
-    }
-
-    /// Oldest unacknowledged subflow sequence number.
-    pub fn snd_una(&self) -> u64 {
-        self.snd_una
-    }
-
-    /// The data sequence number of the oldest transmission still in flight
-    /// here, if any (used to find who holds up the meta window).
-    pub fn oldest_inflight_dsn(&self) -> Option<u64> {
-        self.inflight.front().map(|s| s.dsn)
-    }
-
     /// True if any in-flight transmission on this subflow carries `dsn`.
-    pub fn carries_dsn(&self, dsn: u64) -> bool {
+    pub(crate) fn carries_dsn(&self, dsn: u64) -> bool {
         self.inflight.iter().any(|s| s.dsn == dsn)
     }
 
@@ -251,7 +235,7 @@ impl Subflow {
     /// at [`Self::rto_deadline`] if it is not `Time::MAX`).
     /// `Some(seg)` — a genuine timeout: the window collapsed and `seg` must
     /// be retransmitted.
-    pub fn on_rto_fire(&mut self, now: Time) -> Option<Segment> {
+    pub(crate) fn on_rto_fire(&mut self, now: Time) -> Option<Segment> {
         if self.inflight.is_empty() {
             self.rto_deadline = Time::MAX;
             return None;
@@ -302,7 +286,7 @@ mod tests {
         let out = s.on_ack(Time::from_millis(60), &ack(3));
         assert_eq!(out.newly_acked, 3);
         assert_eq!(s.inflight_count(), 2);
-        assert_eq!(s.snd_una(), 3);
+        assert_eq!(s.snd_una, 3);
         // The 60 ms sample moved srtt: 7/8·50 + 1/8·60 = 51.25 ms.
         assert_eq!(s.cc.rtt.srtt(), Duration::from_micros(51_250));
     }
@@ -436,9 +420,9 @@ mod tests {
         s.register_send(Time::ZERO, 43, false);
         assert!(s.carries_dsn(42));
         assert!(!s.carries_dsn(99));
-        assert_eq!(s.oldest_inflight_dsn(), Some(42));
+        assert_eq!(s.inflight_dsns().next(), Some(42));
         s.on_ack(Time::from_millis(50), &ack(1));
-        assert_eq!(s.oldest_inflight_dsn(), Some(43));
+        assert_eq!(s.inflight_dsns().next(), Some(43));
     }
 
     /// The retransmission queue as it was laid out before the ssn became
@@ -558,8 +542,8 @@ mod tests {
     }
 
     fn assert_same_state(s: &Subflow, r: &RefSubflow, step: usize) {
-        assert_eq!(s.snd_una(), r.snd_una, "snd_una at step {step}");
-        assert_eq!(s.next_ssn(), r.next_ssn, "next_ssn at step {step}");
+        assert_eq!(s.snd_una, r.snd_una, "snd_una at step {step}");
+        assert_eq!(s.next_ssn, r.next_ssn, "next_ssn at step {step}");
         assert!(s.inflight_dsns().eq(r.inflight.iter().map(|e| e.1)), "dsns at step {step}");
         assert_eq!(s.in_recovery(), r.recovery_high.is_some(), "recovery at step {step}");
         assert_eq!(s.rto_deadline, r.rto_deadline, "rto deadline at step {step}");
@@ -602,14 +586,14 @@ mod tests {
                         }
                     }
                     2..=4 => {
-                        let outstanding = s.next_ssn() - s.snd_una();
+                        let outstanding = s.next_ssn - s.snd_una;
                         let ssn = match op {
                             // Cumulative (partial while in recovery).
-                            2 if outstanding > 0 => s.snd_una() + 1 + amount % outstanding,
+                            2 if outstanding > 0 => s.snd_una + 1 + amount % outstanding,
                             // Stale: behind the cumulative point.
-                            4 => s.snd_una().saturating_sub(amount),
+                            4 => s.snd_una.saturating_sub(amount),
                             // Duplicate.
-                            _ => s.snd_una(),
+                            _ => s.snd_una,
                         };
                         let a = ack(ssn);
                         let (got, want) = (s.on_ack(now, &a), r.on_ack(now, &a));

@@ -369,7 +369,7 @@ mod tests {
         use std::mem::size_of;
         // Each failure message gives the width before these were slimmed.
         let sizes = [
-            size_of::<crate::InflightSeg>(),
+            size_of::<crate::segment::InflightSeg>(),
             size_of::<crate::sim::Data>(),
             size_of::<(Time, u64, crate::sim::Data)>(),
             size_of::<tcp_model::RttEstimator>(),

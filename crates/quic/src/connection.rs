@@ -68,7 +68,7 @@ struct SentPacket {
 
 /// One path's packet-number space: congestion controller, inflight queue,
 /// and the lazy PTO deadline the testbed arms timers from.
-pub struct PathSpace {
+pub(crate) struct PathSpace {
     /// The path's own (uncoupled) congestion controller + RTT estimator.
     pub cc: TcpCc,
     /// Next packet number to assign (monotonic, never reused).
@@ -106,11 +106,6 @@ impl PathSpace {
             link_queue_bytes: 0,
             recovery_until: 0,
         }
-    }
-
-    /// Packets currently unacknowledged on this path.
-    pub fn inflight_count(&self) -> usize {
-        self.inflight.len()
     }
 
     fn rearm_deadline(&mut self) {
@@ -162,7 +157,7 @@ pub struct QuicConn {
     /// Connection parameters.
     pub cfg: QuicConfig,
     /// Per-path packet-number spaces, indexed like the testbed's paths.
-    pub paths: Vec<PathSpace>,
+    pub(crate) paths: Vec<PathSpace>,
     streams: Vec<StreamTx>,
     /// One bit per stream (word `i / 64`, bit `i % 64`), set while the
     /// stream has a retransmission queued or fresh chunks left. The chunk
@@ -255,7 +250,7 @@ impl QuicConn {
 
     /// Mark `path` dead: its inflight packets are requeued on their streams
     /// (they may retransmit on any surviving path) and its timer disarmed.
-    pub fn on_path_down(&mut self, path: usize) {
+    pub(crate) fn on_path_down(&mut self, path: usize) {
         self.paths[path].up = false;
         while let Some(s) = self.paths[path].inflight.pop_front() {
             self.inflight_total -= 1;
@@ -265,7 +260,7 @@ impl QuicConn {
     }
 
     /// Mark `path` live again.
-    pub fn on_path_up(&mut self, path: usize) {
+    pub(crate) fn on_path_up(&mut self, path: usize) {
         self.paths[path].up = true;
     }
 
@@ -419,7 +414,7 @@ impl QuicConn {
     /// Probe timeout on `path`: declare the oldest inflight packet lost,
     /// requeue its chunk, and back the controller off. Returns false when
     /// nothing was inflight (stale timer).
-    pub fn on_pto(&mut self, path: usize) -> bool {
+    pub(crate) fn on_pto(&mut self, path: usize) -> bool {
         let Some(s) = self.paths[path].inflight.pop_front() else {
             self.paths[path].rearm_deadline();
             return false;
@@ -521,7 +516,7 @@ mod tests {
     #[test]
     fn rwnd_limits_inflight() {
         let mut c = QuicConn::new(
-            QuicConfig { rwnd_chunks: 5, ..QuicConfig::default() },
+            QuicConfig { rwnd_chunks: 5 },
             SchedulerKind::Default.build(),
             &[Duration::from_millis(20)],
         );

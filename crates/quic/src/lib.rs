@@ -48,6 +48,6 @@ mod connection;
 mod receiver;
 mod sim;
 
-pub use connection::{AckOutcome, PathSpace, QuicConfig, QuicConn, QuicStats, QuicTx};
+pub use connection::{AckOutcome, QuicConfig, QuicConn, QuicStats, QuicTx};
 pub use receiver::{DeliveredChunk, QuicReceiver};
-pub use sim::{Event, Quic, QuicTestbed, QuicTestbedConfig, QuicWorld};
+pub use sim::{Event, Quic, QuicTestbed, QuicTestbedConfig};

@@ -29,8 +29,6 @@ const CONN: ConnId = 0;
 
 /// Events of the quic testbed model.
 pub type Event = harness::Event<Pto>;
-/// Mutable simulation state: paths, recorder and the [`Quic`] connection.
-pub type QuicWorld = harness::World<Quic>;
 /// A ready-to-run quic testbed.
 pub type QuicTestbed<A> = harness::Testbed<Quic, A>;
 

@@ -77,7 +77,7 @@ pub struct ControlEvent {
 pub enum Process {
     /// The paper's §5.3 bandwidth walk: change points at exponentially
     /// distributed intervals, each new rate drawn uniformly from a set.
-    /// Expands via [`RateSchedule::random`], so a given seed names the
+    /// Expands to one [`RateSchedule`], so a given seed names the
     /// same trajectory everywhere.
     RandomRates {
         /// Path whose forward rate varies.

@@ -19,16 +19,16 @@ pub struct RateSchedule {
 }
 
 impl RateSchedule {
-    /// A schedule with no changes.
-    pub fn constant() -> Self {
-        RateSchedule { changes: Vec::new() }
-    }
-
     /// The paper's §5.3 process: change points at exponentially distributed
     /// intervals with the given mean, each new rate drawn uniformly from
     /// `rates_mbps`, covering `[0, horizon]`. A zero mean interval would
     /// never reach the horizon, so it panics, as an empty rate set does.
-    pub fn random(seed: u64, mean_interval: Duration, rates_mbps: &[f64], horizon: Time) -> Self {
+    pub(crate) fn random(
+        seed: u64,
+        mean_interval: Duration,
+        rates_mbps: &[f64],
+        horizon: Time,
+    ) -> Self {
         assert!(!rates_mbps.is_empty(), "need at least one candidate rate");
         assert!(mean_interval > Duration::ZERO, "the mean interval must be positive");
         let mut rng = Rng::seed_from_u64(seed);
@@ -47,22 +47,11 @@ impl RateSchedule {
         }
         RateSchedule { changes }
     }
-
-    /// The rate in effect at `t`, or `None` if no change has occurred yet.
-    pub fn rate_at(&self, t: Time) -> Option<u64> {
-        self.changes.iter().take_while(|&&(when, _)| when <= t).last().map(|&(_, r)| r)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn constant_never_changes() {
-        let s = RateSchedule::constant();
-        assert_eq!(s.rate_at(Time::from_secs(100)), None);
-    }
 
     #[test]
     fn random_is_deterministic_per_seed() {
@@ -96,15 +85,6 @@ mod tests {
         let s = RateSchedule::random(11, Duration::from_secs(40), &[1.0], Time::from_secs(40_000));
         let n = s.changes.len() as f64;
         assert!((700.0..1300.0).contains(&n), "n={n}");
-    }
-
-    #[test]
-    fn rate_at_picks_latest_change() {
-        let s =
-            RateSchedule { changes: vec![(Time::from_secs(10), 100), (Time::from_secs(20), 200)] };
-        assert_eq!(s.rate_at(Time::from_secs(5)), None);
-        assert_eq!(s.rate_at(Time::from_secs(10)), Some(100));
-        assert_eq!(s.rate_at(Time::from_secs(25)), Some(200));
     }
 
     #[test]

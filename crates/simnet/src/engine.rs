@@ -131,11 +131,6 @@ impl<M: Model> Engine<M> {
             self.model.handle(at, ev, &mut self.queue);
         }
     }
-
-    /// Run until the queue drains completely.
-    pub fn run_to_completion(&mut self) -> RunOutcome {
-        self.run_until(Time::MAX)
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +162,7 @@ mod tests {
         eng.queue_mut().schedule(t, 1);
         eng.queue_mut().schedule(t, 2);
         eng.queue_mut().schedule(t, 3);
-        assert_eq!(eng.run_to_completion(), RunOutcome::Drained);
+        assert_eq!(eng.run_until(Time::MAX), RunOutcome::Drained);
         let evs: Vec<u32> = eng.model.seen.iter().map(|&(_, e)| e).collect();
         assert_eq!(evs, vec![1, 2, 3]);
     }
@@ -177,7 +172,7 @@ mod tests {
         let mut eng = Engine::new(Recorder { seen: vec![] });
         eng.queue_mut().schedule(Time::from_millis(9), 1);
         eng.queue_mut().schedule(Time::from_millis(3), 2);
-        eng.run_to_completion();
+        eng.run_until(Time::MAX);
         let evs: Vec<u32> = eng.model.seen.iter().map(|&(_, e)| e).collect();
         assert_eq!(evs, vec![2, 1]);
     }
@@ -186,7 +181,7 @@ mod tests {
     fn chained_events_run() {
         let mut eng = Engine::new(Recorder { seen: vec![] });
         eng.queue_mut().schedule(Time::from_millis(1), 100);
-        eng.run_to_completion();
+        eng.run_until(Time::MAX);
         let evs: Vec<u32> = eng.model.seen.iter().map(|&(_, e)| e).collect();
         assert_eq!(evs, vec![100, 101, 102]);
         assert_eq!(eng.processed(), 3);
@@ -202,7 +197,7 @@ mod tests {
         assert_eq!(eng.model.seen.len(), 1);
         assert_eq!(eng.now(), Time::from_millis(5));
         // Resume to the end.
-        assert_eq!(eng.run_to_completion(), RunOutcome::Drained);
+        assert_eq!(eng.run_until(Time::MAX), RunOutcome::Drained);
         assert_eq!(eng.model.seen.len(), 2);
     }
 
@@ -218,7 +213,7 @@ mod tests {
     fn recycled_queue_runs_like_fresh() {
         let mut eng = Engine::new(Recorder { seen: vec![] });
         eng.queue_mut().schedule(Time::from_millis(1), 100);
-        eng.run_to_completion();
+        eng.run_until(Time::MAX);
         let first = eng.model.seen.clone();
 
         // Recycle the queue into a second engine; the run must be
@@ -228,7 +223,7 @@ mod tests {
         assert_eq!(eng2.now(), Time::ZERO);
         assert_eq!(eng2.processed(), 0);
         eng2.queue_mut().schedule(Time::from_millis(1), 100);
-        eng2.run_to_completion();
+        eng2.run_until(Time::MAX);
         assert_eq!(eng2.model.seen, first);
     }
 
@@ -265,7 +260,7 @@ mod tests {
     fn claims_counted_in_processed() {
         let mut eng = Engine::new(Claimer { seen: vec![], claimed: 0 });
         eng.queue_mut().schedule(Time::from_millis(1), 0);
-        assert_eq!(eng.run_to_completion(), RunOutcome::Drained);
+        assert_eq!(eng.run_until(Time::MAX), RunOutcome::Drained);
         let times: Vec<_> =
             eng.model.seen.iter().map(|&(t, e)| (t.as_nanos() / 1_000_000, e)).collect();
         assert_eq!(times, vec![(1, 0), (2, 1), (3, 2), (4, 3)]);
@@ -287,7 +282,7 @@ mod tests {
         assert_eq!(eng.model.claimed, 1);
         assert_eq!(eng.now(), Time::from_micros(2_500));
         // Resuming observes the parked event and re-batches the tail.
-        assert_eq!(eng.run_to_completion(), RunOutcome::Drained);
+        assert_eq!(eng.run_until(Time::MAX), RunOutcome::Drained);
         assert_eq!(eng.model.seen.len(), 4);
         assert_eq!(eng.model.claimed, 2);
         assert_eq!(eng.processed(), 4);
@@ -305,7 +300,7 @@ mod tests {
         let mut eng = Engine::new(Looper);
         eng.event_budget = 1000;
         eng.queue_mut().schedule(Time::ZERO, ());
-        assert_eq!(eng.run_to_completion(), RunOutcome::BudgetExhausted);
+        assert_eq!(eng.run_until(Time::MAX), RunOutcome::BudgetExhausted);
         assert_eq!(eng.processed(), 1000);
     }
 }

@@ -41,7 +41,7 @@
 //! let link = Link::new(LinkConfig::shaped(12.0, Duration::from_millis(10), 64 * 1024), 0);
 //! let mut eng = Engine::new(Ping { link, got: vec![] });
 //! eng.queue_mut().schedule(Time::ZERO, Ev::Send(1500));
-//! eng.run_to_completion();
+//! eng.run_until(Time::MAX);
 //! assert_eq!(eng.model.got, vec![Time::from_millis(11)]);
 //! ```
 
@@ -60,6 +60,6 @@ pub use delivery::DeliveryQueue;
 pub use engine::{Engine, Model, RunOutcome};
 pub use link::{serialization_nanos, Link, LinkConfig, LinkStats, Verdict};
 pub use loss::{GilbertElliott, LossModel};
-pub use path::{path_seed, Path, PathConfig, LTE_ONE_WAY, SHAPED_QUEUE_BYTES, WIFI_ONE_WAY};
+pub use path::{path_seed, Path, PathConfig, LTE_ONE_WAY};
 pub use time::{dur_nanos, Time};
 pub use wheel::EventQueue;

@@ -62,20 +62,6 @@ impl GilbertElliott {
         let p_good_bad = p_bad_good * avg_loss / (1.0 - avg_loss);
         GilbertElliott { p_good_bad, p_bad_good, loss_good: 0.0, loss_bad: 1.0 }
     }
-
-    /// Stationary fraction of time spent in the bad state.
-    pub fn stationary_bad(&self) -> f64 {
-        if self.p_good_bad <= 0.0 {
-            return 0.0;
-        }
-        self.p_good_bad / (self.p_good_bad + self.p_bad_good)
-    }
-
-    /// Long-run average drop probability.
-    pub fn avg_loss(&self) -> f64 {
-        let bad = self.stationary_bad();
-        bad * self.loss_bad + (1.0 - bad) * self.loss_good
-    }
 }
 
 impl LossModel {
@@ -92,7 +78,7 @@ impl LossModel {
     /// Advance the process by one offered packet and decide whether to drop
     /// it. `bad_state` is the chain state for Gilbert–Elliott (unused by the
     /// other models).
-    pub fn drop_packet(&self, bad_state: &mut bool, rng: &mut Rng) -> bool {
+    pub(crate) fn drop_packet(&self, bad_state: &mut bool, rng: &mut Rng) -> bool {
         match *self {
             LossModel::None => false,
             LossModel::Bernoulli(p) => p > 0.0 && rng.f64() < p,
@@ -115,7 +101,9 @@ mod tests {
     #[test]
     fn bursty_parameterization_hits_targets() {
         let ge = GilbertElliott::bursty(0.02, 8.0);
-        assert!((ge.avg_loss() - 0.02).abs() < 1e-12);
+        // Every bad-state packet drops and no good-state one does, so the
+        // average loss is the stationary share of the bad state.
+        assert!((ge.p_good_bad / (ge.p_good_bad + ge.p_bad_good) - 0.02).abs() < 1e-12);
         assert!((ge.p_bad_good - 0.125).abs() < 1e-12);
         assert_eq!(ge.loss_good, 0.0);
         assert_eq!(ge.loss_bad, 1.0);

@@ -17,7 +17,7 @@ use crate::link::{Link, LinkConfig};
 
 /// WiFi one-way propagation delay (base RTT ≈ 20 ms; paper Table 2 shows
 /// 40 ms at 8.6 Mbps once queueing is included).
-pub const WIFI_ONE_WAY: Duration = Duration::from_millis(10);
+const WIFI_ONE_WAY: Duration = Duration::from_millis(10);
 /// LTE one-way propagation delay (base RTT ≈ 60 ms; Table 2 shows 105 ms at
 /// 8.6 Mbps).
 pub const LTE_ONE_WAY: Duration = Duration::from_millis(30);
@@ -27,7 +27,7 @@ pub const LTE_ONE_WAY: Duration = Duration::from_millis(30);
 /// window, penalization and RFC 2861 validation rather than drops, which is
 /// what lets the paper's Fig 11/12 windows ride at 60–350 segments and RTT
 /// inflate to the ≈1 s of Table 2 instead of sawtoothing on loss.
-pub const SHAPED_QUEUE_BYTES: u64 = 1_500_000;
+const SHAPED_QUEUE_BYTES: u64 = 1_500_000;
 
 /// Configuration of one bidirectional path.
 #[derive(Debug, Clone)]
@@ -62,13 +62,6 @@ impl PathConfig {
             fwd: LinkConfig::shaped(mbps, one_way, queue_bytes),
             rev: LinkConfig::reverse(one_way),
         }
-    }
-
-    /// Disable jitter on both directions (for exactly-reproducible unit math).
-    pub fn without_jitter(mut self) -> Self {
-        self.fwd.jitter_max = Duration::ZERO;
-        self.rev.jitter_max = Duration::ZERO;
-        self
     }
 
     /// Set the forward-direction random loss rate.
@@ -139,13 +132,6 @@ mod tests {
         let cfg = PathConfig::wifi(0.3);
         assert!(cfg.fwd.queue_limit_bytes >= 1_000_000);
         assert!(cfg.fwd.queue_limit_bytes / 1500 >= 724);
-    }
-
-    #[test]
-    fn without_jitter_clears_both_directions() {
-        let cfg = PathConfig::wifi(1.0).without_jitter();
-        assert_eq!(cfg.fwd.jitter_max, Duration::ZERO);
-        assert_eq!(cfg.rev.jitter_max, Duration::ZERO);
     }
 
     #[test]

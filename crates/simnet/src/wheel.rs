@@ -108,8 +108,9 @@ pub struct EventQueue<E> {
     /// never cross a co-sim window barrier.
     run_deadline: Time,
     len: usize,
+    /// Sequence numbers handed out so far: the number of events ever
+    /// scheduled.
     next_seq: u64,
-    scheduled_total: u64,
     cascaded_total: u64,
     peak_len: usize,
     /// Cursor advances that crossed at least one empty quantum (diagnostic).
@@ -148,7 +149,6 @@ impl<E> EventQueue<E> {
             run_deadline: Time::MAX,
             len: 0,
             next_seq: 0,
-            scheduled_total: 0,
             cascaded_total: 0,
             peak_len: 0,
             ff_jumps: 0,
@@ -166,7 +166,7 @@ impl<E> EventQueue<E> {
     /// that runs many short simulations back to back pays the slab's growth
     /// once instead of once per shard.
     ///
-    /// Diagnostics (`scheduled_total`, `cascaded_total`, `peak_len`, and the
+    /// Diagnostics (`cascaded_total`, `peak_len`, and the
     /// fast-forward/batch counters) restart from zero: after a reset the
     /// queue is indistinguishable from [`EventQueue::new`] except for its
     /// capacity.
@@ -192,7 +192,6 @@ impl<E> EventQueue<E> {
         self.run_deadline = Time::MAX;
         self.len = 0;
         self.next_seq = 0;
-        self.scheduled_total = 0;
         self.cascaded_total = 0;
         self.peak_len = 0;
         self.ff_jumps = 0;
@@ -200,11 +199,6 @@ impl<E> EventQueue<E> {
         self.batch_claims = 0;
         self.claim_streak = 0;
         self.batch_max = 0;
-    }
-
-    /// Slots currently backing the node slab (diagnostic for reuse tests).
-    pub fn slab_capacity(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Schedule `event` to fire at absolute time `at`.
@@ -234,7 +228,6 @@ impl<E> EventQueue<E> {
     pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         seq
     }
 
@@ -288,7 +281,7 @@ impl<E> EventQueue<E> {
     /// Takes `&mut self` because peeking may advance the wheel cursor and
     /// drain the next slot into the sorted `ready` buffer; the observable
     /// state (pending set and pop order) is unchanged.
-    pub fn peek_time(&mut self) -> Option<Time> {
+    pub(crate) fn peek_time(&mut self) -> Option<Time> {
         if self.ready.is_empty() {
             if self.len == 0 {
                 return None;
@@ -314,7 +307,7 @@ impl<E> EventQueue<E> {
     /// occupied slot and nothing is drained, so a queue holding only
     /// far-future events (e.g. `Time::MAX` "never" sentinels) costs O(levels
     /// × words) per call instead of a full cascade chase.
-    pub fn pop_at_or_before(&mut self, deadline: Time) -> Option<(Time, E)> {
+    pub(crate) fn pop_at_or_before(&mut self, deadline: Time) -> Option<(Time, E)> {
         if self.ready.is_empty() {
             if self.len == 0 {
                 return None;
@@ -338,15 +331,15 @@ impl<E> EventQueue<E> {
     /// batched dispatch can never cross it — in co-simulation the window
     /// barrier `run_until(k·W)` must observe every event up to `k·W` and
     /// nothing later, batched or not.
-    pub fn set_run_deadline(&mut self, deadline: Time) {
+    pub(crate) fn set_run_deadline(&mut self, deadline: Time) {
         self.run_deadline = deadline;
     }
 
     /// Attempt to dispatch the *reserved* key `(at, seq)` directly, without
     /// a schedule/pop round-trip through the wheel.
     ///
-    /// Succeeds iff `at` is within the run deadline (see
-    /// [`EventQueue::set_run_deadline`]) **and** no pending event orders
+    /// Succeeds iff `at` is within the run deadline (the engine sets it to
+    /// its current `run_until` deadline) **and** no pending event orders
     /// before `(at, seq)` — i.e. exactly when an unbatched engine's very
     /// next pop would have been this key. On success the queue state is as
     /// if the event had been filed via [`EventQueue::schedule_reserved`] and
@@ -398,7 +391,7 @@ impl<E> EventQueue<E> {
     /// the earliest occupied wheel quantum (or the overflow minimum).
     /// `None` iff the queue is empty.
     ///
-    /// Read-only — unlike [`EventQueue::peek_time`] this never moves the
+    /// Read-only — unlike [`EventQueue::pop`] this never moves the
     /// cursor or drains a slot, so a co-sim driver can poll every engine in
     /// a lockstep group without perturbing wheel state. The bound is safe
     /// for idle fast-forward: the true next event never fires before it.
@@ -443,11 +436,6 @@ impl<E> EventQueue<E> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total number of events ever scheduled (diagnostic).
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
     }
 
     /// Total number of slot cascades performed (events re-filed from a
@@ -919,11 +907,11 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.schedule_reserved(Time::from_millis(2), s, 2);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
+        assert_eq!(q.next_seq, 2);
         q.pop();
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 2);
+        assert_eq!(q.next_seq, 2);
         assert!(q.peak_len() >= 2);
     }
 
@@ -1111,7 +1099,7 @@ mod tests {
         assert_eq!(q.ff_skipped_ns(), 0);
         assert_eq!(q.batch_deliveries(), 0);
         assert_eq!(q.batch_max_len(), 0);
-        assert_eq!(q.scheduled_total(), 0);
+        assert_eq!(q.next_seq, 0);
         assert_eq!(q.cascaded_total(), 0);
         // The stale 4 s deadline must be gone: a fresh reservation claims
         // fine at 5 s on an empty queue.
@@ -1134,15 +1122,15 @@ mod tests {
         for _ in 0..20 {
             q.pop();
         }
-        let cap = q.slab_capacity();
+        let cap = q.nodes.len();
         assert!(cap > 0);
 
         q.reset();
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
-        assert_eq!(q.scheduled_total(), 0);
+        assert_eq!(q.next_seq, 0);
         assert_eq!(q.peak_len(), 0);
-        assert_eq!(q.slab_capacity(), cap, "reset must keep the slab");
+        assert_eq!(q.nodes.len(), cap, "reset must keep the slab");
 
         // Replay a schedule sequence on the reset queue and on a fresh one;
         // pops (and the seq-sensitive same-instant order) must match.
@@ -1161,7 +1149,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(q.slab_capacity(), cap, "replay within capacity must not grow");
+        assert_eq!(q.nodes.len(), cap, "replay within capacity must not grow");
     }
 
     /// A long chain of pops with re-schedules crossing every rotation

@@ -184,7 +184,7 @@ fn coalesced_delivery_equals_all_heap_scheduling() {
             for (id, &at) in offer_times.iter().enumerate() {
                 reference.queue_mut().schedule(at, RefEv::Offer(id as u32));
             }
-            reference.run_to_completion();
+            reference.run_until(Time::MAX);
 
             let mut coalesced = Engine::new(Coalesced {
                 links: make_links(mbps, jitter_ms),
@@ -195,7 +195,7 @@ fn coalesced_delivery_equals_all_heap_scheduling() {
             for (id, &at) in offer_times.iter().enumerate() {
                 coalesced.queue_mut().schedule(at, CoalEv::Offer(id as u32));
             }
-            coalesced.run_to_completion();
+            coalesced.run_until(Time::MAX);
 
             assert_eq!(
                 reference.model.delivered, coalesced.model.delivered,

@@ -125,11 +125,6 @@ impl TcpCc {
         self.cwnd
     }
 
-    /// Current slow-start threshold.
-    pub fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
-
     /// True while cwnd is below ssthresh.
     pub fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
@@ -374,7 +369,7 @@ mod tests {
 
     #[test]
     fn idle_reset_disabled_by_config() {
-        let mut c = TcpCc::new(TcpConfig { idle_reset: false, ..TcpConfig::default() });
+        let mut c = TcpCc::new(TcpConfig { idle_reset: false });
         c.rtt.on_sample(Duration::from_millis(50));
         for _ in 0..50 {
             c.on_ack_slow_start(1);
@@ -427,7 +422,7 @@ mod tests {
         assert!(c.validate_app_limited(Time::from_secs(3), 12));
         assert_eq!(c.cwnd_pkts(), (110 + 12) / 2);
         // ssthresh banked 3/4 of the forgotten window.
-        assert!(c.ssthresh() >= 0.75 * 110.0);
+        assert!(c.ssthresh >= 0.75 * 110.0);
         assert_eq!(c.stats().app_limited_decays, 1);
         // Repeated idling keeps decaying toward usage.
         assert!(c.validate_app_limited(Time::from_secs(6), 12));
@@ -452,7 +447,7 @@ mod tests {
 
     #[test]
     fn validation_respects_disable_flag() {
-        let mut c = TcpCc::new(TcpConfig { idle_reset: false, ..TcpConfig::default() });
+        let mut c = TcpCc::new(TcpConfig { idle_reset: false });
         c.rtt.on_sample(Duration::from_millis(100));
         for _ in 0..50 {
             c.on_ack_slow_start(1);
@@ -479,7 +474,7 @@ mod tests {
         }
         assert!(c.maybe_hystart_exit());
         assert!(!c.in_slow_start());
-        assert_eq!(c.ssthresh(), c.cwnd());
+        assert_eq!(c.ssthresh, c.cwnd());
         // Idempotent once exited.
         assert!(!c.maybe_hystart_exit());
     }

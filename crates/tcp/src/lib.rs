@@ -23,7 +23,7 @@ pub use rtt::RttEstimator;
 /// MSS with timestamps).
 pub const MSS: u32 = 1448;
 /// On-the-wire size of a full segment (payload + TCP/IP/MPTCP overhead).
-pub const WIRE_OVERHEAD: u32 = 52;
+const WIRE_OVERHEAD: u32 = 52;
 
 /// Wire size of a segment carrying `payload` bytes.
 pub const fn wire_size(payload: u32) -> u32 {

@@ -14,16 +14,6 @@ fn nanos(d: Duration) -> u64 {
     d.as_secs().saturating_mul(NANOS_PER_SEC).saturating_add(u64::from(d.subsec_nanos()))
 }
 
-/// `ns` as a `Duration`, with the `u64::MAX` "none yet" sentinel read back
-/// as `Duration::MAX`.
-fn duration_or_max(ns: u64) -> Duration {
-    if ns == u64::MAX {
-        Duration::MAX
-    } else {
-        Duration::from_nanos(ns)
-    }
-}
-
 /// [`RttEstimator::DEFAULT_MIN_RTO`] in nanoseconds.
 const MIN_RTO_NANOS: u64 = RttEstimator::DEFAULT_MIN_RTO.as_nanos() as u64;
 /// [`RttEstimator::DEFAULT_MAX_RTO`] in nanoseconds.
@@ -53,22 +43,15 @@ pub struct RttEstimator {
 
 impl RttEstimator {
     /// The RTO floor: Linux `TCP_RTO_MIN`, 200 ms.
-    pub const DEFAULT_MIN_RTO: Duration = Duration::from_millis(200);
+    const DEFAULT_MIN_RTO: Duration = Duration::from_millis(200);
     /// A practical RTO ceiling (RFC 6298 allows ≥ 60 s; we keep 60 s).
-    pub const DEFAULT_MAX_RTO: Duration = Duration::from_secs(60);
+    const DEFAULT_MAX_RTO: Duration = Duration::from_secs(60);
     /// RTO used before the first RTT sample (RFC 6298 §2.1 says 1 s).
-    pub const INITIAL_RTO: Duration = Duration::from_secs(1);
+    const INITIAL_RTO: Duration = Duration::from_secs(1);
 
-    /// A fresh estimator; its RTO is clamped between
-    /// [`Self::DEFAULT_MIN_RTO`] and [`Self::DEFAULT_MAX_RTO`].
+    /// A fresh estimator; its RTO is clamped between 200 ms and 60 s.
     pub fn new() -> Self {
         RttEstimator { srtt: 0, rttvar: 0, min_rtt: u64::MAX, samples: 0, hystart_thresh: u64::MAX }
-    }
-
-    /// Smallest RTT ever observed — the propagation-delay estimate HyStart
-    /// compares against (`Duration::MAX` before the first sample).
-    pub fn min_rtt(&self) -> Duration {
-        duration_or_max(self.min_rtt)
     }
 
     /// Feed one RTT measurement (RFC 6298 §2.2–2.3).
@@ -108,7 +91,7 @@ impl RttEstimator {
         self.samples
     }
 
-    /// Current RTO: SRTT + 4·RTTVAR, clamped; [`Self::INITIAL_RTO`] before
+    /// Current RTO: SRTT + 4·RTTVAR, clamped to [200 ms, 60 s]; 1 s before
     /// any sample.
     pub fn rto(&self) -> Duration {
         Duration::from_nanos(self.rto_nanos())
@@ -125,8 +108,12 @@ impl RttEstimator {
 
     /// HyStart delay-increase threshold, `min_rtt + max(min_rtt/4, 8 ms)`
     /// ([`Duration::MAX`] before any sample — compares as "never exceeded").
-    pub fn hystart_threshold(&self) -> Duration {
-        duration_or_max(self.hystart_thresh)
+    pub(crate) fn hystart_threshold(&self) -> Duration {
+        if self.hystart_thresh == u64::MAX {
+            Duration::MAX
+        } else {
+            Duration::from_nanos(self.hystart_thresh)
+        }
     }
 }
 

@@ -86,10 +86,10 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 29;
+    pub(crate) const COUNT: usize = 29;
 
     /// Every counter, in stable report order.
-    pub const ALL: [Counter; Counter::COUNT] = [
+    pub(crate) const ALL: [Counter; Counter::COUNT] = [
         Counter::Decisions,
         Counter::WaitDecisions,
         Counter::SegsSent,

@@ -70,7 +70,7 @@ fn push_decision_fields(out: &mut String, d: &SchedDecision) {
 }
 
 /// Append one event as a JSONL line (including the trailing newline).
-pub fn jsonl_line(ev: &Event, out: &mut String) {
+fn jsonl_line(ev: &Event, out: &mut String) {
     let _ = write!(out, r#"{{"t_us":{},"ev":"{}""#, ev.t_ns / 1_000, ev.label());
     match &ev.kind {
         EventKind::SchedDecision(d) => push_decision_fields(out, d),

@@ -45,7 +45,7 @@ use ring::Ring;
 /// seed 7, records 220 105 events; 2^20 keeps that run complete with
 /// room to spare. The ring grows as events arrive, so a run touches memory
 /// only for what it records (about 46 MB for that session).
-pub const DEFAULT_CAPACITY: usize = 1 << 20;
+const DEFAULT_CAPACITY: usize = 1 << 20;
 
 /// Everything an enabled handle records.
 #[derive(Debug)]
@@ -82,7 +82,8 @@ impl TelemetryHandle {
         TelemetryHandle { inner: None }
     }
 
-    /// An enabled handle with a [`DEFAULT_CAPACITY`] event ring.
+    /// An enabled handle with a 2^20-event ring, which keeps the longest
+    /// in-tree traced run (the full-effort `trace` spec) complete.
     pub fn enabled() -> TelemetryHandle {
         TelemetryHandle::with_capacity(DEFAULT_CAPACITY)
     }
@@ -155,7 +156,7 @@ impl TelemetryHandle {
         self.sink().map_or(0, |s| s.counters[c as usize])
     }
 
-    /// Snapshot of all counters in [`Counter::ALL`] order (empty when
+    /// Snapshot of every [`Counter`], in stable report order (empty when
     /// disabled).
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         self.sink().map_or_else(Vec::new, |s| {

@@ -15,9 +15,9 @@
 use crate::json::{canonical, Value};
 
 /// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A streaming FNV-1a 64-bit hasher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

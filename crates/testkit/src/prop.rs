@@ -17,13 +17,12 @@
 //!   persistence file; a regression caught once should be promoted to a
 //!   named unit test.
 //! * Generators are value-level combinators implementing [`Gen`]: integer
-//!   and float ranges, booleans, choices from a slice, fixed values,
-//!   vectors, and tuples (up to arity 6). Shrinking walks candidates from
+//!   and float ranges, booleans, choices from a slice, vectors, and tuples
+//!   (up to arity 6). Shrinking walks candidates from
 //!   each combinator greedily — smaller vectors first, then element-wise,
 //!   numbers toward the range start.
 //! * Build composite inputs from tuples/vectors of primitives and assemble
 //!   structs *inside* the property body; that keeps shrinking effective.
-//!   [`map`] exists for convenience but cannot shrink through the mapping.
 
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,29 +30,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use crate::rng::Rng;
 
 /// Environment variable that replays a single failing case.
-pub const ENV_SEED: &str = "TESTKIT_SEED";
+const ENV_SEED: &str = "TESTKIT_SEED";
 
 /// Fixed master seed: runs are deterministic unless `TESTKIT_SEED` is set.
 const MASTER_SEED: u64 = 0xECF_C0DE_2017;
 
-/// Harness configuration. [`check`] uses the defaults with an explicit case
-/// count; [`check_with`] takes the full struct.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Number of generated cases per property.
-    pub cases: u32,
-    /// Master seed the per-case seeds are drawn from.
-    pub seed: u64,
-    /// Upper bound on accepted shrink steps (each step may probe several
-    /// candidates).
-    pub max_shrink_steps: u32,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config { cases: 256, seed: MASTER_SEED, max_shrink_steps: 200 }
-    }
-}
+/// Upper bound on accepted shrink steps (each step may probe several
+/// candidates).
+const MAX_SHRINK_STEPS: u32 = 200;
 
 /// A value generator with optional shrinking.
 pub trait Gen {
@@ -70,37 +54,31 @@ pub trait Gen {
     }
 }
 
-/// Run `prop` against `cases` generated inputs (default config otherwise).
+/// Run `prop` against `cases` generated inputs.
 pub fn check<G: Gen>(cases: u32, gen: G, prop: impl Fn(G::Value)) {
-    check_with(Config { cases, ..Config::default() }, gen, prop);
-}
-
-/// Run a property with explicit configuration.
-pub fn check_with<G: Gen>(cfg: Config, gen: G, prop: impl Fn(G::Value)) {
     if let Ok(var) = std::env::var(ENV_SEED) {
         let seed: u64 =
             var.trim().parse().unwrap_or_else(|_| panic!("{ENV_SEED} must be a u64, got {var:?}"));
         let value = gen.generate(&mut Rng::seed_from_u64(seed));
         eprintln!("{ENV_SEED}={seed}: replaying single case with input {value:?}");
         if let Err(msg) = run_case(&prop, value.clone()) {
-            report_failure(&cfg, &gen, &prop, value, msg, seed, 0);
+            report_failure(&gen, &prop, value, msg, seed, 0);
         }
         return;
     }
 
-    let mut master = Rng::seed_from_u64(cfg.seed);
-    for case in 0..cfg.cases {
+    let mut master = Rng::seed_from_u64(MASTER_SEED);
+    for case in 0..cases {
         let case_seed = master.next_u64();
         let value = gen.generate(&mut Rng::seed_from_u64(case_seed));
         if let Err(msg) = run_case(&prop, value.clone()) {
-            report_failure(&cfg, &gen, &prop, value, msg, case_seed, case);
+            report_failure(&gen, &prop, value, msg, case_seed, case);
         }
     }
 }
 
 /// Shrink greedily, then panic with the replay seed and minimal input.
 fn report_failure<G: Gen>(
-    cfg: &Config,
     gen: &G,
     prop: &impl Fn(G::Value),
     value: G::Value,
@@ -111,7 +89,7 @@ fn report_failure<G: Gen>(
     let mut cur = value;
     let mut cur_msg = msg;
     let mut steps = 0u32;
-    'outer: while steps < cfg.max_shrink_steps {
+    'outer: while steps < MAX_SHRINK_STEPS {
         for cand in gen.shrink(&cur) {
             if let Err(m) = run_case(prop, cand.clone()) {
                 cur = cand;
@@ -293,24 +271,6 @@ impl<T: Clone + Debug + PartialEq> Gen for Choice<T> {
     }
 }
 
-/// Always the same value.
-pub fn just<T: Clone + Debug>(value: T) -> Just<T> {
-    Just { value }
-}
-
-/// See [`just`].
-#[derive(Debug, Clone)]
-pub struct Just<T> {
-    value: T,
-}
-
-impl<T: Clone + Debug> Gen for Just<T> {
-    type Value = T;
-    fn generate(&self, _rng: &mut Rng) -> T {
-        self.value.clone()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Composite generators
 // ---------------------------------------------------------------------------
@@ -358,25 +318,6 @@ impl<G: Gen> Gen for VecOf<G> {
             }
         }
         out
-    }
-}
-
-/// Apply `f` to generated values. Convenience only: shrinking cannot see
-/// through the mapping, so prefer assembling structs inside the property.
-pub fn map<G: Gen, T: Clone + Debug, F: Fn(G::Value) -> T>(gen: G, f: F) -> MapGen<G, F> {
-    MapGen { gen, f }
-}
-
-/// See [`map`].
-pub struct MapGen<G, F> {
-    gen: G,
-    f: F,
-}
-
-impl<G: Gen, T: Clone + Debug, F: Fn(G::Value) -> T> Gen for MapGen<G, F> {
-    type Value = T;
-    fn generate(&self, rng: &mut Rng) -> T {
-        (self.f)(self.gen.generate(rng))
     }
 }
 
@@ -494,13 +435,5 @@ mod tests {
         let cands = g.shrink(&(4, true));
         assert!(cands.contains(&(0, true)));
         assert!(cands.contains(&(4, false)));
-    }
-
-    #[test]
-    fn map_and_just_generate() {
-        let g = map((1u64..5, 1u64..5), |(a, b)| a + b);
-        let v = g.generate(&mut Rng::seed_from_u64(1));
-        assert!((2..=8).contains(&v));
-        assert_eq!(just(7u32).generate(&mut Rng::seed_from_u64(1)), 7);
     }
 }

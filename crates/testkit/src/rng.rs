@@ -9,8 +9,7 @@
 //! Vigna, so seeds with few set bits still produce well-mixed states.
 
 /// SplitMix64 step: the recommended seed expander for xoshiro generators.
-/// Exposed because a few tests use it directly as a tiny stateless mixer.
-pub fn splitmix64(state: &mut u64) -> u64 {
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -53,7 +52,7 @@ impl Rng {
     }
 
     /// Bernoulli draw: `true` with probability `p` (clamped to [0, 1]).
-    pub fn gen_bool(&mut self, p: f64) -> bool {
+    pub(crate) fn gen_bool(&mut self, p: f64) -> bool {
         self.f64() < p
     }
 
@@ -89,12 +88,6 @@ impl Rng {
             let j = self.bounded(i as u64 + 1) as usize;
             xs.swap(i, j);
         }
-    }
-
-    /// Derive an independent child generator. Consumes one draw from the
-    /// parent, so sibling forks get unrelated streams.
-    pub fn fork(&mut self) -> Rng {
-        Rng::seed_from_u64(self.next_u64())
     }
 }
 
@@ -250,13 +243,5 @@ mod tests {
         assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
         // And with 50! arrangements, not the identity.
         assert_ne!(xs, (0..50).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn forks_diverge() {
-        let mut parent = Rng::seed_from_u64(1);
-        let mut a = parent.fork();
-        let mut b = parent.fork();
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 }

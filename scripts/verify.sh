@@ -16,8 +16,13 @@ cargo build --release --offline
 echo "== tier-1: workspace tests (offline) =="
 cargo test -q --offline --workspace
 
-echo "== lint: clippy, warnings are errors (offline) =="
-cargo clippy --offline --workspace -- -D warnings
+echo "== lint: clippy on every target (tests, examples, bins), warnings are errors (offline) =="
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== docs: rustdoc, warnings are errors (offline) =="
+# A public doc that links to a private item (or to nothing) fails here: a
+# demoted item takes its doc links with it.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 
 echo "== format: the tree is rustfmt-clean (rustfmt.toml) =="
 cargo fmt --all -- --check
@@ -107,6 +112,27 @@ echo "== config knobs: pub fields of pub struct *Config =="
 # Printed, not gated: a field that only ever holds its default should be a
 # constant (scripts/knobs.sh <rev> compares against a revision).
 scripts/knobs.sh
+
+echo "== pub surface: every pub item is named outside its crate's library =="
+# scripts/pubs.sh prints the non-test pub items per crate (<rev> compares),
+# then fails on any pub item no code outside its crate's library names —
+# another crate, the crate's own tests/ or src/bin/, the facade src/,
+# examples/ or benchmark/ — nor a used item's signature. Such an item is
+# crate-local: pub(crate) or private says so, and rustc's dead_code lint
+# then sees it.
+#
+# The benchmark-only items pubs.sh counts, pub only because benchmark/ names
+# them; kept while benchmark/ is frozen, to go with it:
+#   experiments: BW_SET, parallel_map_workers, QUIC_WEB_SCHEDULERS,
+#     browse_10k_coupled, digest_units, web::CONFIGS
+#   mptcp: Connection::server_write, Receiver::take_delayed_ack,
+#     Subflow::register_send, Recorder::ooo_delays_secs
+#   testkit: digest::from_hex16, Rng::next_u64
+# and two the name scan cannot tell apart, because the other transport has
+# a method of the same name: Connection::try_send_into with Transmission
+# (mptcp), QuicConn::try_send_into with QuicTx (quic).
+scripts/pubs.sh
+scripts/pubs.sh --check
 
 echo "== every registered experiment, Full, through the CLI: results/ must not drift =="
 # `repro all` writes results/<name>.txt relative to its working directory,

@@ -12,9 +12,10 @@
 //! * [`net`] ([`simnet`]) — the deterministic discrete-event network
 //!   simulator underneath;
 //! * [`telemetry`] — zero-cost-when-off observability: scheduler decision
-//!   provenance, counters, and deterministic JSONL/CSV trace export;
+//!   provenance, counters, and deterministic JSONL trace export;
 //! * [`video`] ([`dash`]) and [`web`] ([`webload`]) — the paper's workloads;
-//! * [`experiments`] — one runner per table/figure of the paper.
+//! * [`experiments`] — one declarative spec per table/figure of the paper,
+//!   run through the cached experiment matrix.
 //!
 //! ## Quickstart
 //!
