@@ -22,19 +22,14 @@ use crate::types::{secs, Decision, SchedInput, Scheduler};
 pub struct Daps {
     /// Deficit credit per path id (indexed by `PathId.0`).
     credits: Vec<f64>,
+    /// Scratch: this call's 1/RTT weight per usable path, in input order.
+    weights: Vec<f64>,
 }
 
 impl Daps {
     /// A fresh DAPS instance.
     pub fn new() -> Self {
         Daps::default()
-    }
-
-    fn credit(&mut self, id: usize) -> &mut f64 {
-        if self.credits.len() <= id {
-            self.credits.resize(id + 1, 0.0);
-        }
-        &mut self.credits[id]
     }
 }
 
@@ -50,11 +45,21 @@ impl Daps {
             return (Decision::Blocked, crate::Why::NoCapacity);
         }
 
+        // Each usable path's weight once, and the credit table sized once,
+        // for the deposit, the designation and a rollback. The weights go
+        // to scratch kept across calls: it allocates only when a call has
+        // more usable paths than any before it.
+        self.weights.clear();
+        self.weights.extend(usable().map(|p| 1.0 / secs(p.srtt).max(1e-6)));
+        let top = usable().map(|p| p.id.0).max().expect("a usable path has space");
+        if self.credits.len() <= top {
+            self.credits.resize(top + 1, 0.0);
+        }
+
         // Deposit one segment of credit, split ∝ 1/RTT over usable paths.
-        let total_w: f64 = usable().map(|p| 1.0 / secs(p.srtt).max(1e-6)).sum();
-        for p in usable() {
-            let w = (1.0 / secs(p.srtt).max(1e-6)) / total_w;
-            *self.credit(p.id.0) += w;
+        let total_w: f64 = self.weights.iter().sum();
+        for (p, &w) in usable().zip(&self.weights) {
+            self.credits[p.id.0] += w / total_w;
         }
 
         // The most-owed path is the *designated* one for this segment. DAPS
@@ -73,15 +78,14 @@ impl Daps {
             let id = chosen.id;
             // Roll back this call's deposit so waiting does not inflate the
             // designated path's debt.
-            for p in usable() {
-                let w = (1.0 / secs(p.srtt).max(1e-6)) / total_w;
-                *self.credit(p.id.0) -= w;
+            for (p, &w) in usable().zip(&self.weights) {
+                self.credits[p.id.0] -= w / total_w;
             }
             let credit = self.credits[id.0];
             return (Decision::Wait, crate::Why::DapsHold { credit });
         }
         let id = chosen.id;
-        *self.credit(id.0) -= 1.0;
+        self.credits[id.0] -= 1.0;
         let credit = self.credits[id.0];
         (Decision::Send(id), crate::Why::DapsDesignated { credit })
     }

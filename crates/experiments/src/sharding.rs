@@ -38,7 +38,8 @@ use std::time::Instant;
 
 use ecf_core::SchedulerKind;
 use mptcp::{
-    ConnConfig, ConnSpec, Event, PerSub, RecorderConfig, RequestRecord, Testbed, TestbedConfig,
+    ConnConfig, ConnSpec, Event, OooPool, PerSub, RecorderConfig, RequestRecord, Testbed,
+    TestbedConfig,
 };
 use scenario::Scenario;
 use simnet::{EventQueue, PathConfig, RunOutcome, Time};
@@ -365,7 +366,7 @@ pub struct UnitReport {
     /// carries them so [`digest_units`] can fold them.
     pub requests: Vec<ReqSummary>,
     /// OOO delays (µs) per unit-local connection.
-    pub ooo_us_per_conn: Vec<Vec<u64>>,
+    pub ooo_us_per_conn: Vec<OooPool>,
 }
 
 fn fold_opt_time(h: &mut Fnv1a, t: Option<Time>) {
@@ -385,8 +386,8 @@ fn fold_unit(h: &mut Fnv1a, r: &UnitReport) {
     h.write_u64(r.unit as u64);
     h.write_u64(r.objects.len() as u64);
     for o in &r.objects {
-        h.write_u64(o.index as u64);
-        h.write_u64(o.bytes);
+        h.write_u64(u64::from(o.index));
+        h.write_u64(u64::from(o.bytes));
         h.write_u64(o.started.as_nanos());
         h.write_u64(o.finished.as_nanos());
     }
@@ -695,7 +696,7 @@ pub(crate) fn extract_reports(run: ShardRun) -> (Vec<UnitReport>, u64, EventQueu
                 page_load,
                 requests,
                 ooo_us_per_conn: (base..base + n)
-                    .map(|c| exact_sized(pools.get_mut(c).map(std::mem::take).unwrap_or_default()))
+                    .map(|c| pools.get_mut(c).map(std::mem::take).unwrap_or_default().exact())
                     .collect(),
             }
         })
@@ -987,13 +988,19 @@ mod tests {
             assert_eq!(u.ooo_us_per_conn.len(), 2);
             for pool in &u.ooo_us_per_conn {
                 assert!(!pool.is_empty());
-                assert_eq!(pool.capacity(), pool.len(), "unit {}", u.unit);
+                // In entry slots: a zero run is one entry for many samples.
+                assert_eq!(pool.capacity(), pool.entries(), "unit {}", u.unit);
+                assert!(pool.entries() < pool.len(), "unit {}: no zero run", u.unit);
             }
         }
         // A `RequestRecord`'s width (8-byte optional timestamps, 32-bit
         // `conn` and `segs`), with nothing on the heap for up to two
         // subflows: every unit holds these between extraction and merge.
         assert!(std::mem::size_of::<ReqSummary>() <= 104);
+        // 32-bit `index` and `bytes`: 32 B with both at 64 bits.
+        let object = std::mem::size_of::<ObjectRecord>();
+        println!("records: object={object}");
+        assert_eq!(object, 24, "ObjectRecord was 32 B with a usize index and u64 bytes");
     }
 
     #[test]

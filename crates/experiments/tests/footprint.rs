@@ -24,14 +24,17 @@
 //! response instead of by doubling: 12.1 KB (13.0 KB with doubling back,
 //! which the pool-slack test in `cosim.rs` catches). Engine records at their
 //! information size — a 16 B retransmission entry, a 40 B forward delivery
-//! slot, a 264 B subflow — 11.0 KB; the bound here sits 10 % above the
-//! reading.
+//! slot, a 264 B subflow — 11.0 KB. A run of in-order deliveries (OOO
+//! delay 0) stored as one pool entry, not one `u64` per sample, and 24 B
+//! object records: 8.8 KB; the bound here sits 10 % above the reading, so
+//! raw pools fail it.
 //!
 //! **Requested per unit, one engine each.** A sharded sweep builds and tears
 //! down an engine per unit, so anything an engine reserves on a guess is
 //! paid once per unit: the recorder's 256 request records "for a long DASH
 //! session" were 35 KB of every 107-request browse unit's 205 KB. The shard
 //! now reserves the request count its pages announce (14.5 KB): 185 KB.
+//! With zero runs stored as one entry: 139 KB.
 //!
 //! **Live per OOO sample, one streaming run.** A 600 s `fig9_grid` cell at
 //! 0.3/8.6 Mbps under ECF keeps 418 328 out-of-order samples. With OOO
@@ -59,21 +62,27 @@ static COUNTER: support::CountingAlloc = support::CountingAlloc;
 /// Requested bytes per connection over build + run + report extraction
 /// (28 450 when written, 26 280 with the request records reserved once,
 /// 26 731 with the OOO pools grown per response, 25 461 with the engine
-/// records slimmed; 37 733 with the second OOO pool back, 38 366 with a
-/// `reserve_exact` per request).
-const BYTES_PER_CONN_BOUND: u64 = 35_000;
+/// records slimmed, 18 827 with zero runs stored as one entry; 37 733 with
+/// the second OOO pool back, 38 366 with a `reserve_exact` per request).
+/// The bound was 35 000 before the zero runs, and sits 10 % above the
+/// reading.
+const BYTES_PER_CONN_BOUND: u64 = 20_700;
 /// Most bytes live at once per connection, population and merged report
 /// included (15 178 when written, 13 798 with reports built after their
 /// engine is dropped, 12 054 with 104 B request records and the pool
 /// slack rule, 12 036 with one sweep executor, 11 046 with a 16 B
-/// retransmission entry, a 40 B forward delivery slot and a 264 B subflow;
-/// the bound was 13 250 before that, and sits 10 % above the reading).
-const PEAK_LIVE_PER_CONN_BOUND: u64 = 12_150;
+/// retransmission entry, a 40 B forward delivery slot and a 264 B subflow,
+/// 8 787 with zero runs stored as one entry and 24 B object records; the
+/// bound was 13 250, then 12 150, and sits 10 % above the reading).
+const PEAK_LIVE_PER_CONN_BOUND: u64 = 9_670;
 
 /// Requested bytes per unit of a sharded sweep, one engine per unit
 /// (185 115 when written, 180 603 with the pool slack rule, 181 164 with
-/// one sweep executor, 168 978 with the engine records slimmed; 205 339 with the recorder reserving 256 records).
-const BYTES_PER_SHARDED_UNIT_BOUND: u64 = 195_000;
+/// one sweep executor, 168 978 with the engine records slimmed, 138 896
+/// with zero runs stored as one entry; 205 339 with the recorder reserving
+/// 256 records). The bound was 195 000 before the zero runs, and sits 10 %
+/// above the reading.
+const BYTES_PER_SHARDED_UNIT_BOUND: u64 = 152_800;
 
 /// Most bytes live at once per OOO sample over one streaming run, outcome
 /// included (10.5 with the pool handed over; 18.5 with a copy beside it).
@@ -115,7 +124,8 @@ fn population_footprint_per_connection_and_per_unit() {
         live_per_conn < PEAK_LIVE_PER_CONN_BOUND,
         "the run peaked at {live_per_conn} live bytes per connection (bound \
          {PEAK_LIVE_PER_CONN_BOUND}): does the merge hold a result twice — a second \
-         OOO pool, reports cloned out of engines that are still alive?"
+         OOO pool, reports cloned out of engines that are still alive — or a pool one \
+         slot per OOO sample?"
     );
 
     // The benchmark's quick `browse_sharded` body: the same 20 units on

@@ -30,7 +30,9 @@
 //! sweep, where keeping the 107 summaries of 104 B read 31 955 B. The ratio
 //! above went 1.047 → 1.064 with that change — the freed summary blocks are
 //! reused by the next engine, not returned to the OS — while both of its
-//! terms fell.
+//! terms fell. Most of what was left were OOO samples of 0: with each run
+//! of them stored as one entry (`mptcp::OooPool`) and 24 B object records
+//! a unit keeps 10 718 B, and the ratio reads 1.057.
 
 #![cfg(target_os = "linux")]
 
@@ -45,8 +47,10 @@ static COUNTER: support::CountingAlloc = support::CountingAlloc;
 /// RSS growth over the sweep / bytes live after it.
 const RSS_PER_LIVE_BOUND: f64 = 1.10;
 
-/// Bytes live after the sweep, per unit.
-const LIVE_PER_UNIT_BOUND: u64 = 23_000;
+/// Bytes live after the sweep, per unit (20 827 with raw OOO pools and
+/// 32 B object records, bound 23 000; 10 718 with zero runs stored as one
+/// entry and 24 B records, and the bound sits 10 % above that).
+const LIVE_PER_UNIT_BOUND: u64 = 11_790;
 
 /// A `kB` field of `/proc/self/status`, in bytes.
 fn status_bytes(field: &str) -> u64 {
@@ -96,6 +100,7 @@ fn sharded_sweep_rss_stays_near_its_live_bytes() {
     assert!(
         per_unit <= LIVE_PER_UNIT_BOUND,
         "the sweep keeps {per_unit} B per unit (bound {LIVE_PER_UNIT_BOUND}): does the merge \
-         still hold each unit's request summaries after folding them into the digest?"
+         still hold each unit's request summaries after folding them into the digest, or a \
+         pool one slot per OOO sample?"
     );
 }

@@ -101,6 +101,132 @@ impl RequestRecord {
     }
 }
 
+/// Bit 63 of an [`OooPool`] entry: the entry is a run of zero-delay
+/// samples, its length in the low bits. A delay derived from [`Time`] is
+/// below 2^55 µs, so no sample has this bit.
+const ZERO_RUN: u64 = 1 << 63;
+
+/// The sample a zero run yields, by reference.
+static ZERO: u64 = 0;
+
+/// Fewest entry slots a full pool grows by.
+const MIN_GROWTH: usize = 8;
+
+/// One connection's out-of-order delays (µs), in delivery order, with each
+/// run of in-order deliveries (delay 0) stored as one entry.
+///
+/// Most of a population's samples are 0, in long runs: `browse_sharded`'s
+/// 3.6M samples are 58 % zeros in 136k runs, so a raw `Vec<u64>` spent most
+/// of a unit's report on zeros (DESIGN.md §9). The pool reads as the raw
+/// sequence — [`OooPool::len`] counts samples and iteration yields every
+/// one as `&u64` — so a digest folded over it is the raw pool's.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OooPool {
+    /// Nonzero samples as themselves, zero runs as `ZERO_RUN | length`.
+    entries: Vec<u64>,
+    /// Samples held.
+    len: usize,
+}
+
+impl OooPool {
+    /// Append one sample. A full pool grows by a quarter of its capacity:
+    /// `Vec` doubling left a quarter of a population's pools empty, and a
+    /// coupled sweep keeps every engine's pools resident (DESIGN.md §9).
+    pub fn push(&mut self, us: u64) {
+        debug_assert_eq!(us & ZERO_RUN, 0, "an OOO delay of {us} µs is not from a Time");
+        self.len += 1;
+        if us == 0 {
+            if let Some(last) = self.entries.last_mut().filter(|e| **e & ZERO_RUN != 0) {
+                *last += 1;
+                return;
+            }
+        }
+        if self.entries.len() == self.entries.capacity() {
+            self.entries.reserve_exact((self.entries.capacity() / 4).max(MIN_GROWTH));
+        }
+        self.entries.push(if us == 0 { ZERO_RUN | 1 } else { us });
+    }
+
+    /// Samples held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no sample is held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Entries stored: one per nonzero sample and one per zero run.
+    pub fn entries(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Entry slots allocated.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
+    /// The samples in delivery order.
+    pub fn iter(&self) -> OooIter<'_> {
+        OooIter { entries: self.entries.iter(), zeros: 0, left: self.len }
+    }
+
+    /// The pool at capacity == entries. A pool with slack is copied into a
+    /// fresh exact-size allocation and the original freed, not shrunk in
+    /// place (`sharding::extract_reports` says why).
+    pub fn exact(self) -> OooPool {
+        if self.entries.capacity() == self.entries.len() {
+            self
+        } else {
+            OooPool { entries: self.entries.to_vec(), len: self.len }
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a OooPool {
+    type Item = &'a u64;
+    type IntoIter = OooIter<'a>;
+
+    fn into_iter(self) -> OooIter<'a> {
+        self.iter()
+    }
+}
+
+/// The samples of an [`OooPool`] in delivery order.
+#[derive(Debug)]
+pub struct OooIter<'a> {
+    entries: std::slice::Iter<'a, u64>,
+    /// Zeros still to yield from the current run.
+    zeros: u64,
+    /// Samples still to yield.
+    left: usize,
+}
+
+impl<'a> Iterator for OooIter<'a> {
+    type Item = &'a u64;
+
+    fn next(&mut self) -> Option<&'a u64> {
+        if self.zeros == 0 {
+            let e = self.entries.next()?;
+            if e & ZERO_RUN == 0 {
+                self.left -= 1;
+                return Some(e);
+            }
+            self.zeros = e & !ZERO_RUN;
+        }
+        self.zeros -= 1;
+        self.left -= 1;
+        Some(&ZERO)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for OooIter<'_> {}
+
 /// All measurements of one testbed run.
 pub struct Recorder {
     /// Collection configuration.
@@ -112,9 +238,10 @@ pub struct Recorder {
     /// samples are in `ooo_delays_us_per_conn` then, and only there — and
     /// after [`Recorder::take_ooo_secs`].
     pub ooo_delays_us: Vec<u64>,
-    /// Out-of-order delays split per connection (only filled when
-    /// [`RecorderConfig::ooo_per_conn`] is set; empty otherwise).
-    pub ooo_delays_us_per_conn: Vec<Vec<u64>>,
+    /// Out-of-order delays split per connection, each run of zeros one
+    /// entry (only filled when [`RecorderConfig::ooo_per_conn`] is set;
+    /// empty otherwise).
+    pub ooo_delays_us_per_conn: Vec<OooPool>,
     /// CWND traces `[conn][sub]` in segments, seconds on the x axis.
     pub cwnd: Vec<Vec<TimeSeries>>,
     /// Send-buffer occupancy traces `[conn][sub]` in KB.
@@ -143,7 +270,7 @@ impl Recorder {
                 0
             }),
             ooo_delays_us_per_conn: if cfg.ooo_delays && cfg.ooo_per_conn {
-                vec![Vec::new(); subflow_counts.len()]
+                vec![OooPool::default(); subflow_counts.len()]
             } else {
                 Vec::new()
             },
@@ -153,11 +280,6 @@ impl Recorder {
     }
 
     /// Register a freshly issued request; returns its id.
-    ///
-    /// Every segment of the response will leave one OOO sample, so a
-    /// per-connection pool that cannot take `segs` more grows here, by the
-    /// response or a quarter of its capacity, whichever is larger — `Vec`
-    /// doubling left a quarter of a population's pools empty (DESIGN.md §9).
     pub fn new_request(
         &mut self,
         conn: ConnId,
@@ -168,12 +290,6 @@ impl Recorder {
     ) -> ReqId {
         let id = self.requests.len() as ReqId;
         let segs = u32::try_from(segs).expect("a response is under 2^32 segments");
-        if let Some(pool) = self.ooo_delays_us_per_conn.get_mut(conn) {
-            let need = segs as usize;
-            if pool.capacity() - pool.len() < need {
-                pool.reserve_exact(need.max(pool.capacity() / 4));
-            }
-        }
         self.requests.push(RequestRecord {
             conn: u32::try_from(conn).expect("a run has under 2^32 connections"),
             bytes,
@@ -226,7 +342,7 @@ impl Recorder {
     pub fn take_ooo_secs(&mut self) -> Vec<f64> {
         let mut pool = std::mem::take(&mut self.ooo_delays_us);
         for conn in &mut self.ooo_delays_us_per_conn {
-            pool.extend(std::mem::take(conn));
+            pool.extend(&std::mem::take(conn));
         }
         pool.into_iter().map(|us| us as f64 / 1e6).collect()
     }
@@ -291,19 +407,23 @@ mod tests {
             &[2, 2, 2],
         );
         rec.note_ooo(1, Duration::from_micros(10));
+        rec.note_ooo(1, Duration::ZERO);
         rec.note_ooo(0, Duration::from_micros(20));
+        rec.note_ooo(1, Duration::ZERO);
         rec.note_ooo(1, Duration::from_micros(30));
         // Per-conn pools see their own streams regardless of how other
-        // connections interleave.
-        assert_eq!(rec.ooo_delays_us_per_conn[0], vec![20]);
-        assert_eq!(rec.ooo_delays_us_per_conn[1], vec![10, 30]);
-        assert!(rec.ooo_delays_us_per_conn[2].is_empty());
+        // connections interleave; the two in-order deliveries are one entry.
+        let samples = |pool: &OooPool| pool.iter().copied().collect::<Vec<_>>();
+        assert_eq!(samples(&rec.ooo_delays_us_per_conn[0]), vec![20]);
+        assert_eq!(samples(&rec.ooo_delays_us_per_conn[1]), vec![10, 0, 0, 30]);
+        assert_eq!(rec.ooo_delays_us_per_conn[1].entries(), 3);
+        assert!(samples(&rec.ooo_delays_us_per_conn[2]).is_empty());
         // Exactly one pool is filled: no second push, no reservation.
         assert!(rec.ooo_delays_us.is_empty());
         assert_eq!(rec.ooo_delays_us.capacity(), 0);
         // ... and the reader serves it, chained in connection order, so a
         // per-connection run never reads as "no reordering".
-        assert_eq!(rec.ooo_delays_secs(), vec![20e-6, 10e-6, 30e-6]);
+        assert_eq!(rec.ooo_delays_secs(), vec![20e-6, 10e-6, 0.0, 0.0, 30e-6]);
 
         // The shared pool is the mirror image.
         let mut rec = Recorder::new(RecorderConfig::default(), &[2, 2, 2]);
@@ -350,7 +470,7 @@ mod tests {
         let taken = rec.take_ooo_secs();
         assert_eq!(taken, vec![20e-6, 10e-6, 30e-6]);
         assert_eq!(taken, copied);
-        assert!(rec.ooo_delays_us_per_conn.iter().all(Vec::is_empty));
+        assert!(rec.ooo_delays_us_per_conn.iter().all(OooPool::is_empty));
         rec.note_ooo(2, Duration::from_micros(5));
         assert_eq!(rec.take_ooo_secs(), vec![5e-6]);
     }

@@ -1,7 +1,7 @@
 //! Property tests for the MPTCP receiver and coupled congestion control:
 //! reordering invariants must hold for *any* arrival interleaving. Also
-//! the per-subflow container against its `Vec` model and the reorder ring
-//! against its `BTreeMap` model.
+//! the per-subflow container and the run-length OOO pool against their
+//! `Vec` models, and the reorder ring against its `BTreeMap` model.
 //!
 //! Run under `testkit::prop`; replay a failure with `TESTKIT_SEED=<n>`.
 
@@ -9,10 +9,11 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use mptcp::{
-    ca_increase, CcKind, CcView, Delivered, PerSub, Receiver, ReorderRing, RxSignal, Segment,
+    ca_increase, CcKind, CcView, Delivered, OooPool, PerSub, Receiver, ReorderRing, RxSignal,
+    Segment,
 };
 use simnet::Time;
-use testkit::prop::{any_u64, bools, check, vec_of};
+use testkit::prop::{any_u64, bools, check, choice, vec_of};
 
 /// One arrival through [`Receiver::on_segment_into`], with the segments it
 /// made deliverable.
@@ -185,6 +186,56 @@ fn persub_matches_a_vec_model() {
         longer.push(poke);
         assert_ne!(longer, v);
         assert_eq!(&*PerSub::from_elem(poke, model.len()), vec![poke; model.len()].as_slice());
+    });
+}
+
+/// `OooPool` is a `Vec<u64>` of samples to every reader, whatever the mix of
+/// zero runs: iteration order (both forms), `len`, clone equality and the
+/// exact-size copy agree with the model, and it stores one entry per
+/// nonzero sample and per zero run, never more than the samples. Runs are
+/// drawn long and short; each case is mixed, all zeros or zero-free, and
+/// may be empty.
+#[test]
+fn ooo_pool_matches_a_vec_model() {
+    let runs = choice(&[0usize, 1, 2, 5, 40, 700]);
+    check(256, (0u8..3, vec_of((runs, 1u64..1 << 55), 0..24)), |(mode, parts)| {
+        let mut model = Vec::new();
+        for &(zeros, us) in &parts {
+            if mode != 2 {
+                model.extend(std::iter::repeat_n(0, zeros));
+            }
+            if mode != 1 {
+                model.push(us);
+            }
+        }
+        let mut pool = OooPool::default();
+        for (i, &us) in model.iter().enumerate() {
+            assert_eq!(pool.len(), i);
+            pool.push(us);
+        }
+        assert_eq!(pool.len(), model.len());
+        assert_eq!(pool.is_empty(), model.is_empty());
+        assert_eq!(pool.iter().len(), model.len());
+        assert_eq!(pool.iter().copied().collect::<Vec<_>>(), model);
+        let mut by_ref = Vec::new();
+        for &us in &pool {
+            by_ref.push(us);
+        }
+        assert_eq!(by_ref, model);
+
+        let zero_runs =
+            model.iter().enumerate().filter(|&(i, &us)| us == 0 && (i == 0 || model[i - 1] != 0));
+        let nonzero = model.iter().filter(|&&us| us != 0).count();
+        assert_eq!(pool.entries(), nonzero + zero_runs.count());
+        assert!(pool.entries() <= pool.len());
+        assert!(pool.capacity() >= pool.entries());
+
+        let copy = pool.clone();
+        assert_eq!(copy, pool);
+        let exact = pool.exact();
+        assert_eq!(exact.capacity(), exact.entries());
+        assert_eq!(exact, copy);
+        assert_eq!(exact.iter().copied().collect::<Vec<_>>(), model);
     });
 }
 

@@ -56,13 +56,14 @@ impl PageModel {
     }
 }
 
-/// Per-object download record.
+/// Per-object download record: 24 B, and a population's reports keep one
+/// per object of every page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectRecord {
     /// Index in the page's object list.
-    pub index: usize,
+    pub index: u32,
     /// Payload size.
-    pub bytes: u64,
+    pub bytes: u32,
     /// When the GET was issued.
     pub started: Time,
     /// When the response completed.
@@ -156,8 +157,8 @@ impl Application for BrowserApp {
             .expect("completion for unknown request");
         let (_, index, started) = self.pending.swap_remove(pos);
         self.objects.push(ObjectRecord {
-            index,
-            bytes: self.page.object_sizes[index],
+            index: u32::try_from(index).expect("a page has under 2^32 objects"),
+            bytes: u32::try_from(self.page.object_sizes[index]).expect("an object is under 4 GiB"),
             started,
             finished: now,
         });

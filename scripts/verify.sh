@@ -97,16 +97,23 @@ echo "== memory guards: RSS growth over live bytes, bytes requested and live (re
 # Both pass or fail in the workspace tests above too (debug); the release
 # run is the allocator pattern the benchmark of record sees, and the ratio,
 # the bytes a sweep keeps per unit and the four footprint readings are
-# printed so a drift towards a bound shows before it trips.
+# printed so a drift towards a bound shows before it trips. Beside them,
+# the coupled body's recorder pools: OOO entries per sample (a zero run is
+# one entry) and slots per entry (the growth rule's slack).
 mem_out="$(cargo test --release --offline -p experiments --test rss --test footprint \
     -- --nocapture 2>&1)" || { echo "$mem_out" >&2; exit 1; }
 echo "$mem_out" | grep -E "rss growth|live per unit|requested|streaming:" || true
-# The engine's per-connection records, pinned in mptcp::trace's tests: a
-# widening shows here in every log before it moves the peak above.
+pool_out="$(cargo test --release --offline -p experiments --lib -- --nocapture \
+    recorder_pools_hold_bounded_slack report_vectors_are_exact_sized 2>&1)" \
+    || { echo "$pool_out" >&2; exit 1; }
+echo "$pool_out" | grep "coupled pools:"
+# The engine's per-connection records, pinned in mptcp::trace's tests, and
+# the object record every unit report keeps one of per object, pinned in
+# sharding's: a widening shows here in every log before it moves a peak.
 rec_out="$(cargo test --release --offline -p mptcp --lib \
     engine_records_are_at_their_information_size -- --nocapture 2>&1)" \
     || { echo "$rec_out" >&2; exit 1; }
-echo "$rec_out" | grep "records:"
+echo "$(echo "$rec_out" | grep "records:") $(echo "$pool_out" | grep -o "object=[0-9]*")"
 
 echo "== config knobs: pub fields of pub struct *Config =="
 # Printed, not gated: a field that only ever holds its default should be a
