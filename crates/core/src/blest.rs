@@ -41,17 +41,15 @@ impl Blest {
     pub fn new() -> Self {
         Blest { lambda: LAMBDA0 }
     }
-
-    /// Current adaptive scale factor (diagnostic).
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
 }
 
-impl Blest {
-    /// The BLEST rule with full provenance; `select` and `select_explained`
-    /// both run through here.
-    fn decide(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {
+impl Scheduler for Blest {
+    fn name(&self) -> &'static str {
+        "blest"
+    }
+
+    /// The BLEST rule, with its terms as provenance.
+    fn select_explained(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {
         // Relax λ toward 1.
         self.lambda = 1.0 + (self.lambda - 1.0) * LAMBDA_DECAY;
 
@@ -81,20 +79,6 @@ impl Blest {
             return (Decision::Wait, crate::Why::BlestWait { projected_pkts, lambda: self.lambda });
         }
         (Decision::Send(xs.id), crate::Why::BlestFits { projected_pkts, lambda: self.lambda })
-    }
-}
-
-impl Scheduler for Blest {
-    fn name(&self) -> &'static str {
-        "blest"
-    }
-
-    fn select(&mut self, input: &SchedInput<'_>) -> Decision {
-        self.decide(input).0
-    }
-
-    fn select_explained(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {
-        self.decide(input)
     }
 
     fn on_window_blocked(&mut self) {
@@ -139,10 +123,10 @@ mod tests {
     #[test]
     fn lambda_adapts_on_blocking() {
         let mut b = Blest::new();
-        let l0 = b.lambda();
+        let l0 = b.lambda;
         b.on_window_blocked();
         b.on_window_blocked();
-        assert!(b.lambda() > l0 + 0.19);
+        assert!(b.lambda > l0 + 0.19);
         // Borderline window: 10·(10+4.5)=145 < 150 free → send without λ
         // inflation, wait with it.
         let paths = [path(0, 10, 10, 10), path(1, 100, 10, 0)];
@@ -156,14 +140,14 @@ mod tests {
         for _ in 0..10 {
             b.on_window_blocked();
         }
-        let inflated = b.lambda();
+        let inflated = b.lambda;
         let paths = [path(0, 10, 10, 0), path(1, 100, 10, 0)];
         for _ in 0..5_000 {
             b.select(&inp(&paths, 1000));
         }
-        assert!(b.lambda() < inflated * 0.2 + 1.0);
+        assert!(b.lambda < inflated * 0.2 + 1.0);
         b.reset();
-        assert_eq!(b.lambda(), 1.0);
+        assert_eq!(b.lambda, 1.0);
     }
 
     #[test]

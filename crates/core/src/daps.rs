@@ -33,10 +33,13 @@ impl Daps {
     }
 }
 
-impl Daps {
-    /// The DAPS rule with full provenance; `select` and `select_explained`
-    /// both run through here.
-    fn decide(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {
+impl Scheduler for Daps {
+    fn name(&self) -> &'static str {
+        "daps"
+    }
+
+    /// The DAPS rule, with its terms as provenance.
+    fn select_explained(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {
         // A fresh filter per pass instead of a collected `Vec`: this runs per
         // segment and must not allocate. Every pass visits paths in input
         // order, which fixes the f64 summation order.
@@ -88,20 +91,6 @@ impl Daps {
         self.credits[id.0] -= 1.0;
         let credit = self.credits[id.0];
         (Decision::Send(id), crate::Why::DapsDesignated { credit })
-    }
-}
-
-impl Scheduler for Daps {
-    fn name(&self) -> &'static str {
-        "daps"
-    }
-
-    fn select(&mut self, input: &SchedInput<'_>) -> Decision {
-        self.decide(input).0
-    }
-
-    fn select_explained(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {
-        self.decide(input)
     }
 
     fn reset(&mut self) {

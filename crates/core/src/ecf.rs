@@ -69,10 +69,15 @@ impl Ecf {
     pub(crate) fn with_config(cfg: EcfConfig) -> Self {
         Ecf { cfg, waiting: false }
     }
+}
 
-    /// Algorithm 1 with full provenance: the single implementation both
-    /// [`Scheduler::select`] and [`Scheduler::select_explained`] call.
-    fn decide(&mut self, input: &SchedInput<'_>) -> (Decision, Why) {
+impl Scheduler for Ecf {
+    fn name(&self) -> &'static str {
+        "ecf"
+    }
+
+    /// Algorithm 1, with the terms of its comparison as provenance.
+    fn select_explained(&mut self, input: &SchedInput<'_>) -> (Decision, Why) {
         // Fastest subflow by sRTT, regardless of window space.
         let Some(xf) = input.fastest() else {
             return (Decision::Blocked, Why::NoCapacity);
@@ -129,20 +134,6 @@ impl Ecf {
         // completion time. Clear the hysteresis bit.
         self.waiting = false;
         (Decision::Send(xs.id), Why::EcfBacklogSend(terms))
-    }
-}
-
-impl Scheduler for Ecf {
-    fn name(&self) -> &'static str {
-        "ecf"
-    }
-
-    fn select(&mut self, input: &SchedInput<'_>) -> Decision {
-        self.decide(input).0
-    }
-
-    fn select_explained(&mut self, input: &SchedInput<'_>) -> (Decision, Why) {
-        self.decide(input)
     }
 
     fn reset(&mut self) {

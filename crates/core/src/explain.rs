@@ -8,9 +8,9 @@
 //! `SchedDecision` events, so a trace of a run is a complete decision log.
 //!
 //! Schedulers report provenance through
-//! [`Scheduler::select_explained`](crate::Scheduler::select_explained); the
-//! default implementation returns [`Why::Unspecified`], so third-party
-//! schedulers compile unchanged and still get fully populated decision
+//! [`Scheduler::select_explained`](crate::Scheduler::select_explained), their
+//! one decision method. A third-party scheduler with no finer provenance
+//! returns [`Why::Unspecified`] and still gets fully populated decision
 //! events (inputs + verdict) for free.
 
 /// The numeric terms of ECF's two inequalities at one decision, in seconds.
@@ -46,8 +46,8 @@ pub struct EcfTerms {
 /// arithmetic without re-running the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Why {
-    /// The scheduler did not report provenance (default for third-party
-    /// implementations that only implement `select`).
+    /// The scheduler did not report provenance (for third-party
+    /// implementations with no finer rule to name).
     Unspecified,
     /// The lowest-sRTT usable path had window space, so there was nothing
     /// to decide (ECF's and BLEST's trivial case).
@@ -101,8 +101,6 @@ pub enum Why {
         /// The winning (but window-full) estimate, seconds.
         estimate_s: f64,
     },
-    /// Round-robin: it was simply this path's turn.
-    RoundRobinTurn,
     /// Single-path: traffic is pinned here.
     Pinned,
 }
@@ -124,7 +122,6 @@ impl Why {
             Why::DapsHold { .. } => "daps_hold",
             Why::SttfBest { .. } => "sttf_best",
             Why::SttfWaitBest { .. } => "sttf_wait_best",
-            Why::RoundRobinTurn => "rr_turn",
             Why::Pinned => "pinned",
         }
     }
@@ -158,7 +155,6 @@ mod tests {
             Why::DapsHold { credit: 0.0 },
             Why::SttfBest { estimate_s: 0.0 },
             Why::SttfWaitBest { estimate_s: 0.0 },
-            Why::RoundRobinTurn,
             Why::Pinned,
         ];
         let mut labels: Vec<&str> = all.iter().map(|w| w.label()).collect();

@@ -1,60 +1,8 @@
-//! Additional schedulers beyond the paper's comparison set, useful as
-//! baselines and sanity probes in the experiments:
-//!
-//! * [`RoundRobin`] — classic alternation, ignores path quality entirely;
-//! * [`SinglePath`] — pin all traffic to one path (the "WiFi-only" /
-//!   "LTE-only" single-path TCP baselines the ideal-throughput comparisons
-//!   are built from).
+//! A baseline beyond the paper's comparison set: [`SinglePath`] pins all
+//! traffic to one path (the "WiFi-only" / "LTE-only" single-path TCP
+//! baselines the ideal-throughput comparisons are built from).
 
 use crate::types::{Decision, PathId, SchedInput, Scheduler};
-
-/// Strict round-robin over usable paths with window space.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl RoundRobin {
-    /// A fresh round-robin scheduler.
-    pub fn new() -> Self {
-        RoundRobin { next: 0 }
-    }
-}
-
-impl RoundRobin {
-    fn decide(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {
-        let n = input.paths.len();
-        if n == 0 {
-            return (Decision::Blocked, crate::Why::NoCapacity);
-        }
-        for off in 0..n {
-            let idx = (self.next + off) % n;
-            if input.paths[idx].has_space() {
-                self.next = (idx + 1) % n;
-                return (Decision::Send(input.paths[idx].id), crate::Why::RoundRobinTurn);
-            }
-        }
-        (Decision::Blocked, crate::Why::NoCapacity)
-    }
-}
-
-impl Scheduler for RoundRobin {
-    fn name(&self) -> &'static str {
-        "rr"
-    }
-
-    fn select(&mut self, input: &SchedInput<'_>) -> Decision {
-        self.decide(input).0
-    }
-
-    fn select_explained(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {
-        self.decide(input)
-    }
-
-    fn reset(&mut self) {
-        self.next = 0;
-    }
-}
 
 /// Send everything on one fixed path; block if it has no space.
 #[derive(Debug, Clone, Copy)]
@@ -75,17 +23,10 @@ impl Scheduler for SinglePath {
         "single"
     }
 
-    fn select(&mut self, input: &SchedInput<'_>) -> Decision {
-        match input.paths.iter().find(|p| p.id == self.path) {
-            Some(p) if p.has_space() => Decision::Send(p.id),
-            _ => Decision::Blocked,
-        }
-    }
-
     fn select_explained(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {
-        match self.select(input) {
-            Decision::Send(id) => (Decision::Send(id), crate::Why::Pinned),
-            d => (d, crate::Why::NoCapacity),
+        match input.paths.iter().find(|p| p.id == self.path) {
+            Some(p) if p.has_space() => (Decision::Send(p.id), crate::Why::Pinned),
+            _ => (Decision::Blocked, crate::Why::NoCapacity),
         }
     }
 }
@@ -94,38 +35,6 @@ impl Scheduler for SinglePath {
 mod tests {
     use super::*;
     use crate::types::testutil::path;
-
-    #[test]
-    fn round_robin_alternates() {
-        let paths = [path(0, 10, 10, 0), path(1, 100, 10, 0)];
-        let inp = SchedInput { paths: &paths, queued_pkts: 10, send_window_free_pkts: 100 };
-        let mut rr = RoundRobin::new();
-        let seq: Vec<Decision> = (0..4).map(|_| rr.select(&inp)).collect();
-        assert_eq!(
-            seq,
-            vec![
-                Decision::Send(PathId(0)),
-                Decision::Send(PathId(1)),
-                Decision::Send(PathId(0)),
-                Decision::Send(PathId(1)),
-            ]
-        );
-    }
-
-    #[test]
-    fn round_robin_skips_full_paths() {
-        let paths = [path(0, 10, 10, 10), path(1, 100, 10, 0)];
-        let inp = SchedInput { paths: &paths, queued_pkts: 10, send_window_free_pkts: 100 };
-        let mut rr = RoundRobin::new();
-        assert_eq!(rr.select(&inp), Decision::Send(PathId(1)));
-        assert_eq!(rr.select(&inp), Decision::Send(PathId(1)));
-    }
-
-    #[test]
-    fn round_robin_empty_blocks() {
-        let inp = SchedInput { paths: &[], queued_pkts: 10, send_window_free_pkts: 100 };
-        assert_eq!(RoundRobin::new().select(&inp), Decision::Blocked);
-    }
 
     #[test]
     fn single_path_pins() {

@@ -3,7 +3,7 @@
 use crate::blest::Blest;
 use crate::daps::Daps;
 use crate::ecf::{Ecf, EcfConfig};
-use crate::extras::{RoundRobin, SinglePath};
+use crate::extras::SinglePath;
 use crate::minrtt::MinRtt;
 use crate::types::{PathId, Scheduler};
 
@@ -22,8 +22,6 @@ pub enum SchedulerKind {
     Blest,
     /// STTF (extension, Hurtig et al.).
     Sttf,
-    /// Round-robin.
-    RoundRobin,
     /// Pin to a single path.
     SinglePath(usize),
 }
@@ -38,7 +36,6 @@ impl SchedulerKind {
             SchedulerKind::Daps => Box::new(Daps::new()),
             SchedulerKind::Blest => Box::new(Blest::new()),
             SchedulerKind::Sttf => Box::new(crate::sttf::Sttf::new()),
-            SchedulerKind::RoundRobin => Box::new(RoundRobin::new()),
             SchedulerKind::SinglePath(i) => Box::new(SinglePath::new(PathId(i))),
         }
     }
@@ -52,7 +49,6 @@ impl SchedulerKind {
             SchedulerKind::Daps => "daps",
             SchedulerKind::Blest => "blest",
             SchedulerKind::Sttf => "sttf",
-            SchedulerKind::RoundRobin => "rr",
             SchedulerKind::SinglePath(_) => "single",
         }
     }

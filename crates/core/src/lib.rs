@@ -11,7 +11,7 @@
 //! | [`Blest`]   | wait when the slow path would stall the send window | Ferlin et al. 2016 |
 //! | [`Daps`]    | split traffic ∝ 1/RTT | Kuhn et al. 2014 |
 //! | [`Sttf`]    | per-segment shortest-transfer-time (extension) | Hurtig et al. 2018 |
-//! | [`RoundRobin`], [`SinglePath`] | extra baselines | — |
+//! | [`SinglePath`] | single-path baseline | — |
 //!
 //! The crate is **transport-agnostic**: schedulers consume a
 //! [`PathSnapshot`] per subflow (sRTT, RTT deviation, CWND, in-flight) and the
@@ -58,7 +58,7 @@ pub use blest::Blest;
 pub use daps::Daps;
 pub use ecf::{Ecf, EcfConfig};
 pub use explain::{EcfTerms, Why};
-pub use extras::{RoundRobin, SinglePath};
+pub use extras::SinglePath;
 pub use kind::SchedulerKind;
 pub use minrtt::MinRtt;
 pub use sttf::Sttf;

@@ -24,10 +24,6 @@ impl Scheduler for MinRtt {
         "default"
     }
 
-    fn select(&mut self, input: &SchedInput<'_>) -> Decision {
-        self.select_explained(input).0
-    }
-
     fn select_explained(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {
         match input.fastest_available() {
             Some(p) => (Decision::Send(p.id), crate::Why::FastestAvailable),

@@ -38,10 +38,6 @@ impl Scheduler for Sttf {
         "sttf"
     }
 
-    fn select(&mut self, input: &SchedInput<'_>) -> Decision {
-        self.select_explained(input).0
-    }
-
     fn select_explained(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {
         let usable = input.paths.iter().filter(|p| p.usable);
         let best = usable.min_by(|a, b| {

@@ -90,7 +90,10 @@ pub enum Decision {
 
 /// A multipath packet scheduler.
 ///
-/// `select` is called once per segment the transport wants to place. The
+/// [`Scheduler::select_explained`] is called once per segment the transport
+/// wants to place and is the one decision method a scheduler implements: it
+/// returns the verdict together with *why* it was reached (see
+/// [`crate::Why`]). [`Scheduler::select`] is the verdict alone. The
 /// scheduler may keep internal state (hysteresis bits, deficit counters);
 /// feedback hooks let the transport report events some schedulers adapt to.
 ///
@@ -101,19 +104,16 @@ pub trait Scheduler: Send {
     /// Stable short name used in reports ("default", "ecf", ...).
     fn name(&self) -> &'static str;
 
-    /// Decide where the next segment goes.
-    fn select(&mut self, input: &SchedInput<'_>) -> Decision;
+    /// Decide where the next segment goes, and report which rule decided.
+    /// A scheduler with no finer provenance reports
+    /// [`crate::Why::Unspecified`]; its decision events still carry the
+    /// full inputs.
+    fn select_explained(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why);
 
-    /// Like [`Scheduler::select`], additionally reporting *why* the verdict
-    /// was reached (see [`crate::Why`]). The transport calls this variant
-    /// when telemetry is enabled; the two must be behaviourally identical
-    /// for the same input and internal state.
-    ///
-    /// The default implementation delegates to `select` and reports
-    /// [`crate::Why::Unspecified`], so third-party schedulers keep working
-    /// and still produce decision events carrying the full inputs.
-    fn select_explained(&mut self, input: &SchedInput<'_>) -> (Decision, crate::Why) {
-        (self.select(input), crate::Why::Unspecified)
+    /// Decide where the next segment goes: [`Scheduler::select_explained`]'s
+    /// verdict without its provenance.
+    fn select(&mut self, input: &SchedInput<'_>) -> Decision {
+        self.select_explained(input).0
     }
 
     /// The transport observed a connection-level send-window stall

@@ -7,8 +7,7 @@
 use std::time::Duration;
 
 use ecf_core::{
-    Blest, Daps, Decision, Ecf, MinRtt, PathId, PathSnapshot, RoundRobin, SchedInput, Scheduler,
-    SchedulerKind,
+    Blest, Daps, Decision, Ecf, MinRtt, PathId, PathSnapshot, SchedInput, Scheduler, SchedulerKind,
 };
 use testkit::prop::{bools, check, vec_of, Gen};
 
@@ -78,7 +77,6 @@ fn structural_invariants_all_schedulers() {
                 SchedulerKind::Daps,
                 SchedulerKind::Blest,
                 SchedulerKind::Sttf,
-                SchedulerKind::RoundRobin,
             ] {
                 let mut s = kind.build();
                 // Repeat with internal state carried over: invariants must hold
@@ -182,35 +180,6 @@ fn daps_split_tracks_inverse_rtt() {
         let expected = 1.0 / (1.0 + ratio as f64);
         let got = slow as f64 / n as f64;
         assert!((got - expected).abs() < 0.02, "got {got}, expected {expected}");
-    });
-}
-
-#[test]
-fn round_robin_fair_on_homogeneous_paths() {
-    check(512, 2usize..5, |n_paths| {
-        let paths: Vec<PathSnapshot> = (0..n_paths)
-            .map(|i| PathSnapshot {
-                id: PathId(i),
-                srtt: Duration::from_millis(20),
-                rtt_dev: Duration::ZERO,
-                cwnd: u32::MAX,
-                inflight: 0,
-                in_slow_start: false,
-                usable: true,
-                queue_bytes: 0,
-            })
-            .collect();
-        let input = SchedInput { paths: &paths, queued_pkts: 10, send_window_free_pkts: 1 << 30 };
-        let mut rr = RoundRobin::new();
-        let mut counts = vec![0u32; n_paths];
-        for _ in 0..(n_paths * 100) {
-            if let Decision::Send(PathId(i)) = rr.select(&input) {
-                counts[i] += 1;
-            }
-        }
-        for &c in &counts {
-            assert_eq!(c, 100);
-        }
     });
 }
 

@@ -68,7 +68,7 @@ pub(crate) struct CellEnv {
 ///   "series":  { "chunk_throughputs": [[t, mbps], ...], ... } }
 /// ```
 pub(crate) fn execute(cfg: &Value, env: &CellEnv) -> Result<Value, String> {
-    match str_field(cfg, "workload")? {
+    match json::string(cfg, "workload")? {
         "streaming" => streaming_cell(cfg, &env.telemetry),
         "population" => population_cell(cfg, env.workers),
         "quic_web" => quic_web_cell(cfg),
@@ -129,8 +129,8 @@ fn srtt_ms(sender: &Connection) -> Value {
 fn quic_web_cell(cfg: &Value) -> Result<Value, String> {
     let wifi = rate_field(cfg, "wifi_mbps")?;
     let lte = rate_field(cfg, "lte_mbps")?;
-    let seed = uint_field(cfg, "seed")?;
-    let scheduler = parse_scheduler(field(cfg, "scheduler")?)?;
+    let seed = json::uint(cfg, "seed")?;
+    let scheduler = parse_scheduler(json::field(cfg, "scheduler")?)?;
 
     let mut result = CellResult::default();
     mptcp_page(wifi, lte, scheduler, seed)?.put("mptcp", &mut result.scalars);
@@ -160,8 +160,8 @@ fn quic_web_cell(cfg: &Value) -> Result<Value, String> {
 fn browse_cell(cfg: &Value) -> Result<Value, String> {
     let wifi = rate_field(cfg, "wifi_mbps")?;
     let lte = rate_field(cfg, "lte_mbps")?;
-    let seed = uint_field(cfg, "seed")?;
-    let scheduler = parse_scheduler(field(cfg, "scheduler")?)?;
+    let seed = json::uint(cfg, "seed")?;
+    let scheduler = parse_scheduler(json::field(cfg, "scheduler")?)?;
     let page = mptcp_page(wifi, lte, scheduler, seed)?;
     let mut result = CellResult::default();
     result.scalar("plt_s", page.plt.as_secs_f64());
@@ -221,9 +221,9 @@ impl PageLoad {
 fn wget_cell(cfg: &Value) -> Result<Value, String> {
     let wifi = rate_field(cfg, "wifi_mbps")?;
     let lte = rate_field(cfg, "lte_mbps")?;
-    let seed = uint_field(cfg, "seed")?;
-    let scheduler = parse_scheduler(field(cfg, "scheduler")?)?;
-    let bytes = uint_field(cfg, "bytes")?;
+    let seed = json::uint(cfg, "seed")?;
+    let scheduler = parse_scheduler(json::field(cfg, "scheduler")?)?;
+    let bytes = json::uint(cfg, "bytes")?;
     if bytes == 0 {
         return Err("\"bytes\" must be at least 1".to_string());
     }
@@ -241,10 +241,10 @@ fn streaming_cell(cfg: &Value, telemetry: &TelemetryHandle) -> Result<Value, Str
     let wifi = rate_field(cfg, "wifi_mbps")?;
     let lte = rate_field(cfg, "lte_mbps")?;
     let video_secs = video_field(cfg)?;
-    let seed = uint_field(cfg, "seed")?;
-    let scheduler = parse_scheduler(field(cfg, "scheduler")?)?;
-    let record_sndbuf = flag(cfg, "record_sndbuf")?;
-    let record_cwnd = flag(cfg, "record_cwnd")?;
+    let seed = json::uint(cfg, "seed")?;
+    let scheduler = parse_scheduler(json::field(cfg, "scheduler")?)?;
+    let record_sndbuf = json::flag(cfg, "record_sndbuf")?;
+    let record_cwnd = json::flag(cfg, "record_cwnd")?;
 
     let mut run_cfg = StreamingConfig::new(wifi, lte, scheduler, seed);
     run_cfg.video_secs = video_secs;
@@ -283,13 +283,13 @@ fn streaming_cell(cfg: &Value, telemetry: &TelemetryHandle) -> Result<Value, Str
     result.scalar("fast_iw_resets", out.fast_iw_resets as f64);
     result.scalar("events_processed", out.events_processed as f64);
     result.series("chunk_throughputs", points(&out.chunk_throughputs));
-    if flag(cfg, "record_progress")? {
+    if json::flag(cfg, "record_progress")? {
         result.series("download_progress", points(&out.download_progress));
     }
-    if flag(cfg, "record_gaps")? {
+    if json::flag(cfg, "record_gaps")? {
         result.series("last_packet_gaps", numbers(&out.last_packet_gaps));
     }
-    if flag(cfg, "record_ooo")? {
+    if json::flag(cfg, "record_ooo")? {
         result.series("ooo_delays", numbers(&out.ooo_delays));
     }
     if record_cwnd {
@@ -346,12 +346,12 @@ const MAX_POP_UNITS: u64 = 1_000_000;
 /// `groups`, `rounds` and `boundary_msgs` are the engine groups and the
 /// co-sim's sync rounds and boundary messages (0 when uncoupled).
 fn population_cell(cfg: &Value, workers: Option<usize>) -> Result<Value, String> {
-    let units = uint_field(cfg, "units")?;
+    let units = json::uint(cfg, "units")?;
     if !(1..=MAX_POP_UNITS).contains(&units) {
         return Err(format!("\"units\" must be in 1..={MAX_POP_UNITS}, got {units}"));
     }
     let units = units as usize;
-    let seed = uint_field(cfg, "seed")?;
+    let seed = json::uint(cfg, "seed")?;
     let backhaul =
         cfg.get("backhaul_mbps").map(|_| rate_field(cfg, "backhaul_mbps")).transpose()?;
     let (pop, max_shards) = match backhaul {
@@ -403,10 +403,10 @@ fn wild_testbed(run: u64, scheduler: SchedulerKind, seed: u64, horizon: Time) ->
     let wifi_mbps = rng.gen_range(1.0..5.0);
     let lte_mbps = rng.gen_range(7.0..10.0);
     let wifi_rtt = Duration::from_millis(WILD_WIFI_RTT_MS[run as usize % WILD_WIFI_RTT_MS.len()]);
-    let mut wifi = PathConfig::custom("wifi", wifi_mbps, wifi_rtt / 2, 1_500_000);
+    let mut wifi = PathConfig::custom(wifi_mbps, wifi_rtt / 2, 1_500_000);
     wifi.fwd.jitter_max = wifi_rtt / 8 + Duration::from_millis(2);
     let mut lte =
-        PathConfig::custom("lte", lte_mbps, Duration::from_millis(WILD_LTE_RTT_MS / 2), 1_500_000);
+        PathConfig::custom(lte_mbps, Duration::from_millis(WILD_LTE_RTT_MS / 2), 1_500_000);
     lte.fwd.jitter_max = Duration::from_millis(5);
 
     // WiFi delay random walk: ±25% steps every ~5 s.
@@ -437,11 +437,11 @@ fn wild_testbed(run: u64, scheduler: SchedulerKind, seed: u64, horizon: Time) ->
 /// sRTT) or the `browser` app (the cnn-like page over six connections:
 /// raw completion and OOO samples).
 fn wild_cell(cfg: &Value) -> Result<Value, String> {
-    let run = uint_field(cfg, "run")?;
-    let seed = uint_field(cfg, "seed")?;
-    let scheduler = parse_scheduler(field(cfg, "scheduler")?)?;
+    let run = json::uint(cfg, "run")?;
+    let seed = json::uint(cfg, "seed")?;
+    let scheduler = parse_scheduler(json::field(cfg, "scheduler")?)?;
     let mut result = CellResult::default();
-    match str_field(cfg, "app")? {
+    match json::string(cfg, "app")? {
         "dash" => {
             let video_secs = video_field(cfg)?;
             let horizon = Time::from_secs(video_secs as u64 * 6 + 120);
@@ -495,22 +495,22 @@ fn build_scenario(cfg: &Value, video_secs: f64) -> Result<Option<Scenario>, Stri
 
     let mut s = match scenario_doc {
         None => Scenario::new(),
-        Some(doc) => match str_field(doc, "kind")? {
+        Some(doc) => match json::string(doc, "kind")? {
             "static" => Scenario::new(),
             "handover" => {
                 // Outage cycles across the whole possible run, up to the
                 // run_streaming wall horizon; late events on a finished run
                 // are harmless.
-                let outage = uint_field(doc, "outage_secs")?;
+                let outage = json::uint(doc, "outage_secs")?;
                 let wall_horizon = (video_secs * 30.0) as u64 + 300;
                 handover_scenario(outage, wall_horizon)
             }
             "random_rates" => {
                 // §5.3's random-walk process on both interfaces, with the
                 // fig16/fig17 horizon formula.
-                let wifi_seed = uint_field(doc, "wifi_seed")?;
-                let lte_seed = uint_field(doc, "lte_seed")?;
-                let interval = uint_field(doc, "mean_interval_secs")?;
+                let wifi_seed = json::uint(doc, "wifi_seed")?;
+                let lte_seed = json::uint(doc, "lte_seed")?;
+                let interval = json::uint(doc, "mean_interval_secs")?;
                 if interval == 0 {
                     // A zero mean interval would generate rate changes forever.
                     return Err("\"mean_interval_secs\" must be at least 1".to_string());
@@ -534,8 +534,8 @@ fn build_scenario(cfg: &Value, video_secs: f64) -> Result<Option<Scenario>, Stri
     if let Some(doc) = loss_doc {
         // Gilbert–Elliott loss on the fast (LTE) interface from t=0, the
         // dyn_burstloss regime; zero average loss means no loss process.
-        let avg = num_field(doc, "avg")?;
-        let burst = num_field(doc, "mean_burst")?;
+        let avg = json::number(doc, "avg")?;
+        let burst = json::number(doc, "mean_burst")?;
         if avg > 0.0 {
             s = s.loss(
                 Time::ZERO,
@@ -558,7 +558,6 @@ fn parse_scheduler(v: &Value) -> Result<SchedulerKind, String> {
             "daps" => SchedulerKind::Daps,
             "blest" => SchedulerKind::Blest,
             "sttf" => SchedulerKind::Sttf,
-            "round_robin" => SchedulerKind::RoundRobin,
             other => return Err(format!("unknown scheduler {other:?}")),
         });
     }
@@ -585,7 +584,7 @@ fn parse_scheduler(v: &Value) -> Result<SchedulerKind, String> {
             }
             Ok(SchedulerKind::EcfWith(cfg))
         }
-        "single_path" => Ok(SchedulerKind::SinglePath(json::uint(params, "single_path")? as usize)),
+        "single_path" => Ok(SchedulerKind::SinglePath(json::uint(v, "single_path")? as usize)),
         _ => Err(unknown()),
     }
 }
@@ -599,38 +598,9 @@ fn parse_cc(name: &str) -> Result<CcKind, String> {
     })
 }
 
-fn field<'v>(doc: &'v Value, key: &str) -> Result<&'v Value, String> {
-    doc.get(key).ok_or_else(|| format!("cell config needs {key:?}"))
-}
-
-fn str_field<'v>(doc: &'v Value, key: &str) -> Result<&'v str, String> {
-    doc.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("cell config needs a string {key:?}"))
-}
-
-fn num_field(doc: &Value, key: &str) -> Result<f64, String> {
-    doc.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("cell config needs a number {key:?}"))
-}
-
-/// An integer field (see [`json::uint`]).
-fn uint_field(doc: &Value, key: &str) -> Result<u64, String> {
-    json::uint(field(doc, key)?, key)
-}
-
-/// An optional bool flag (absent = false).
-fn flag(doc: &Value, key: &str) -> Result<bool, String> {
-    doc.get(key)
-        .map(|v| v.as_bool().ok_or_else(|| format!("{key:?} must be a bool")))
-        .transpose()
-        .map(|v| v.unwrap_or(false))
-}
-
 /// `video_secs`: at least one DASH chunk (the player asserts it).
 fn video_field(doc: &Value) -> Result<f64, String> {
-    let video_secs = num_field(doc, "video_secs")?;
+    let video_secs = json::number(doc, "video_secs")?;
     let chunk_secs = PlayerConfig::default().chunk_secs;
     if video_secs.is_finite() && video_secs >= chunk_secs {
         Ok(video_secs)
@@ -639,15 +609,10 @@ fn video_field(doc: &Value) -> Result<f64, String> {
     }
 }
 
-/// A link rate in Mbps: finite and above zero (a zero rate would run on a
-/// 1 bps link and cache a result that measures nothing).
+/// A link rate in Mbps, under the one rate rule of [`simnet::rate_bps`].
 fn rate_field(doc: &Value, key: &str) -> Result<f64, String> {
-    let mbps = num_field(doc, key)?;
-    if mbps.is_finite() && mbps > 0.0 {
-        Ok(mbps)
-    } else {
-        Err(format!("{key:?} must be a finite rate above 0 Mbps, got {mbps}"))
-    }
+    let mbps = json::number(doc, key)?;
+    simnet::rate_bps(mbps, key).map(|_| mbps)
 }
 
 #[cfg(test)]
@@ -789,17 +754,20 @@ mod tests {
     }
 
     #[test]
-    fn rates_must_be_positive_in_every_cell_kind() {
-        // Used to run on a 1 bps link and return Ok with a meaningless result.
+    fn rates_below_one_bps_are_errors_in_every_cell_kind() {
+        // Used to run on a 1 bps link and return Ok with a meaningless
+        // result; 1e-7 Mbps truncated to such a link too.
         for workload in ["streaming", "quic_web", "browse", "wget"] {
             for field in ["wifi_mbps", "lte_mbps"] {
-                for rate in ["0", "-1", "1e999"] {
+                for rate in ["0", "-1", "1e999", "1e-7"] {
                     let err = execute_with(workload, field, rate).unwrap_err();
                     let named = err.contains(&format!("{field:?}"));
                     assert!(named, "{workload} {field}={rate}: {err}");
                 }
             }
         }
+        let err = execute_with("population", "backhaul_mbps", "1e-7").unwrap_err();
+        assert!(err.contains("\"backhaul_mbps\" must be a rate of at least 1 bps"), "{err}");
     }
 
     #[test]

@@ -56,22 +56,14 @@ impl Spec {
     /// Parse a spec document.
     pub fn from_json(text: &str) -> Result<Spec, String> {
         let doc = json::parse(text).map_err(|e| e.to_string())?;
-        let schema = doc.get("schema").and_then(Value::as_f64);
-        if schema != Some(1.0) {
-            return Err(format!("spec schema must be 1, got {schema:?}"));
+        let schema = json::number(&doc, "schema")?;
+        if schema != 1.0 {
+            return Err(format!("spec schema must be 1, got {schema}"));
         }
-        let name = doc
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("spec needs a string \"name\"")?
-            .to_string();
-        let figure = doc
-            .get("figure")
-            .and_then(Value::as_str)
-            .ok_or("spec needs a string \"figure\"")?
-            .to_string();
-        if doc.get("blocks").and_then(Value::as_array).is_none() {
-            return Err("spec needs an array \"blocks\"".to_string());
+        let name = json::string(&doc, "name")?.to_string();
+        let figure = json::string(&doc, "figure")?.to_string();
+        if json::field(&doc, "blocks")?.as_array().is_none() {
+            return Err("\"blocks\" must be an array".to_string());
         }
         Ok(Spec { name, figure, doc })
     }
@@ -179,16 +171,9 @@ pub fn expand(spec: &Spec, effort: Effort) -> Result<Expansion, String> {
             let axis_docs =
                 axis_docs.as_array().ok_or_else(|| err("\"axes\" must be an array".into()))?;
             for (ai, axis) in axis_docs.iter().enumerate() {
-                let key = axis
-                    .get("key")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| err(format!("axes[{ai}] needs a string \"key\"")))?
-                    .to_string();
-                let values = resolve(
-                    axis.get("values")
-                        .ok_or_else(|| err(format!("axes[{ai}] needs \"values\"")))?,
-                    effort,
-                );
+                let axis_err = |e: String| err(format!("axes[{ai}]: {e}"));
+                let key = json::string(axis, "key").map_err(axis_err)?.to_string();
+                let values = resolve(json::field(axis, "values").map_err(axis_err)?, effort);
                 let values = values
                     .as_array()
                     .ok_or_else(|| err(format!("axes[{ai}].values must resolve to an array")))?
@@ -205,10 +190,8 @@ pub fn expand(spec: &Spec, effort: Effort) -> Result<Expansion, String> {
             None => vec![None],
             Some(s) => {
                 let s = resolve(s, effort);
-                let uint = |key: &str| {
-                    let v = s.get(key).ok_or_else(|| err(format!("\"seeds\" needs {key:?}")))?;
-                    json::uint(v, key).map_err(|e| err(format!("\"seeds\": {e}")))
-                };
+                let uint =
+                    |key: &str| json::uint(&s, key).map_err(|e| err(format!("\"seeds\": {e}")));
                 let (base, count) = (uint("base")?, uint("count")?);
                 if count == 0 {
                     return Err(err("\"seeds\" \"count\" must be at least 1".into()));

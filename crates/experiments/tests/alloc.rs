@@ -15,8 +15,8 @@
 //!   whose cwnd is still climbing at t = 60 s, runs 140 k events on fewer
 //!   than 64 allocations (45 when written: the request plus ring, wheel
 //!   and reorder-buffer doublings);
-//! * **steady state** — a window-limited download (128-segment meta
-//!   buffers, so every ring reaches its high-water mark within seconds)
+//! * **steady state** — a window-limited download (128-segment receive
+//!   window, so every ring reaches its high-water mark within seconds)
 //!   warms for ten simulated seconds, then runs seventy more at exactly
 //!   zero allocations, on a fresh and on a recycled event queue.
 //!
@@ -54,12 +54,11 @@ fn allocs() -> u64 {
     support::snapshot().0
 }
 
-/// A 200 MB download — still in full flight at t = 80 s — whose meta send
-/// and receive buffers hold `window_segs` segments.
+/// A 200 MB download — still in full flight at t = 80 s — whose receive
+/// window holds `window_segs` segments.
 fn wget(window_segs: u64) -> (TestbedConfig, WgetApp) {
     let mut cfg = TestbedConfig::wifi_lte(8.6, 9.6, ecf_core::SchedulerKind::Ecf, 7);
     cfg.recorder = RecorderConfig { ooo_delays: false, ..RecorderConfig::default() };
-    cfg.conns[0].cfg.sndbuf_segs = window_segs;
     cfg.conns[0].cfg.rwnd_segs = window_segs;
     (cfg, WgetApp::new(200 * 1024 * 1024))
 }
@@ -104,7 +103,7 @@ fn assert_steady_state_allocates_nothing(tb: &mut Testbed<WgetApp>, what: &str) 
 /// ends; what may allocate is the one request and each ring's doublings, a
 /// count that does not scale with events.
 fn assert_growth_phase_allocates_per_doubling() {
-    let (cfg, app) = wget(mptcp::ConnConfig::default().sndbuf_segs);
+    let (cfg, app) = wget(mptcp::ConnConfig::default().rwnd_segs);
     let mut tb = Testbed::new(cfg, app);
     let start = allocs();
     tb.run_until(Time::from_secs(60));

@@ -33,7 +33,7 @@ fn steady_state_lockstep_loop_allocates_nothing() {
     // keeps both engines in full flight well past t = 30 s, so the
     // measurement window sees only the hot loop: every request (the sole
     // per-request allocation) is issued during warm-up. The connections
-    // are window-limited (64-segment meta buffers) so that every
+    // are window-limited (64-segment receive windows) so that every
     // occupancy-sized ring reaches its high-water mark inside the warm-up
     // too — the last doubling lands at t = 6 s; the 1 Mbps WiFi leg opens
     // slowly, and at 128 segments it is still doubling at t = 16 s.
@@ -44,7 +44,6 @@ fn steady_state_lockstep_loop_allocates_nothing() {
     for (u, unit) in pop.units.iter_mut().enumerate() {
         unit.page = PageModel::lognormal(3 ^ u as u64, 1, 2e8, 0.0, 200_000_000, 200_000_000);
         for conn in &mut unit.conns {
-            conn.cfg.sndbuf_segs = 64;
             conn.cfg.rwnd_segs = 64;
         }
     }

@@ -12,6 +12,7 @@ use experiments::expmatrix::QUIC_CONTRACT;
 use experiments::{run_quic_web, OpenAllApp};
 use quic::{QuicTestbed, QuicTestbedConfig};
 use simnet::Time;
+use telemetry::{Counter, TelemetryHandle};
 use testkit::digest::Fnv1a;
 use webload::PageModel;
 
@@ -86,5 +87,18 @@ fn quic_web_on_a_recycled_queue_is_bit_identical() {
     let app = OpenAllApp::new(&PageModel::cnn_like(2014));
     let mut tb = QuicTestbed::new_with_queue(cfg, app, used);
     tb.run_until(Time::from_secs(600));
+    assert_eq!(digest(&tb), golden(1));
+}
+
+/// Telemetry observes a run without perturbing it: with an enabled sink
+/// every decision is recorded, and the run is the untraced golden run.
+#[test]
+fn quic_web_with_telemetry_on_is_bit_identical() {
+    let tel = TelemetryHandle::with_capacity(1 << 12);
+    let mut cfg = QuicTestbedConfig::wifi_lte(0.3, 8.6, SchedulerKind::Ecf, 1);
+    cfg.telemetry = tel.clone();
+    let mut tb = QuicTestbed::new(cfg, OpenAllApp::new(&PageModel::cnn_like(2014)));
+    tb.run_until(Time::from_secs(600));
+    assert!(tel.counter(Counter::Decisions) > 0, "the sink saw no decision");
     assert_eq!(digest(&tb), golden(1));
 }

@@ -16,8 +16,12 @@ use crate::segment::{AckInfo, ReqId, Segment, SubId};
 use crate::subflow::Subflow;
 use crate::transport::SchedDriver;
 
+/// Send-buffer capacity in segments (≈4 MB at MSS 1448), the paper's
+/// testbed hosts' autotuned server send buffer.
+const SNDBUF_SEGS: u64 = 2896;
+
 /// Connection-level configuration. Defaults model the paper's testbed hosts:
-/// a ~4 MB autotuned server send buffer and a ~2 MB client receive window —
+/// a ~4 MB autotuned server send buffer and a ~4 MB client receive window —
 /// large enough that flow control only binds transiently (the paper's §3.2
 /// observes receive-window limits are not the bottleneck) — and LIA
 /// coupling. Both of Raiciu et al.'s mitigations, opportunistic
@@ -25,8 +29,6 @@ use crate::transport::SchedDriver;
 /// Linux MPTCP 0.89 hosts.
 #[derive(Debug, Clone, Copy)]
 pub struct ConnConfig {
-    /// Send-buffer capacity in segments (≈1 MB at MSS 1448).
-    pub sndbuf_segs: u64,
     /// Receiver reorder-buffer capacity in segments.
     pub rwnd_segs: u64,
     /// Congestion-avoidance coupling.
@@ -37,12 +39,7 @@ pub struct ConnConfig {
 
 impl Default for ConnConfig {
     fn default() -> Self {
-        ConnConfig {
-            sndbuf_segs: 2896,
-            rwnd_segs: 2896,
-            cc: CcKind::default(),
-            tcp: TcpConfig::default(),
-        }
+        ConnConfig { rwnd_segs: 2896, cc: CcKind::default(), tcp: TcpConfig::default() }
     }
 }
 
@@ -120,7 +117,7 @@ impl Connection {
         assert!(!subflow_paths.is_empty(), "a connection needs at least one subflow");
         // A subflow can never hold more unacked segments than the meta
         // buffers admit outstanding.
-        let inflight_cap = cfg.sndbuf_segs.min(cfg.rwnd_segs) as usize;
+        let inflight_cap = SNDBUF_SEGS.min(cfg.rwnd_segs) as usize;
         let subflows = subflow_paths
             .iter()
             .map(|&(path, hs_rtt)| Subflow::new(path, cfg.tcp, hs_rtt, inflight_cap))
@@ -145,8 +142,8 @@ impl Connection {
     }
 
     /// Attach a telemetry sink. With an enabled handle every scheduler
-    /// invocation goes through [`Scheduler::select_explained`] and is
-    /// recorded as a `sched_decision` event (full inputs + provenance)
+    /// invocation ([`Scheduler::select_explained`]) is recorded as a
+    /// `sched_decision` event (full inputs + provenance)
     /// stamped with connection index `conn`; transport lifecycle events
     /// (idle window resets, fast retransmits, penalizations) are recorded
     /// too. With the default (off) handle the hot path is unchanged.
@@ -203,7 +200,7 @@ impl Connection {
 
     /// Move pending application data into the send buffer while space lasts.
     fn admit(&mut self) {
-        while self.pending_app > 0 && self.sndbuf_occupancy() < self.cfg.sndbuf_segs {
+        while self.pending_app > 0 && self.sndbuf_occupancy() < SNDBUF_SEGS {
             self.buffered_end += 1;
             self.pending_app -= 1;
         }
@@ -490,18 +487,18 @@ mod tests {
     #[test]
     fn sndbuf_caps_admission() {
         let mut c = Connection::new(
-            ConnConfig { sndbuf_segs: 30, ..ConnConfig::default() },
+            ConnConfig::default(),
             SchedulerKind::Default.build(),
             &[(0, Duration::from_millis(20))],
         );
-        c.server_write(0, 100);
-        assert_eq!(c.sndbuf_occupancy(), 30);
-        assert_eq!(c.unassigned_segs(), 30);
+        c.server_write(0, SNDBUF_SEGS + 70);
+        assert_eq!(c.sndbuf_occupancy(), SNDBUF_SEGS);
+        assert_eq!(c.unassigned_segs(), SNDBUF_SEGS);
         send(&mut c, Time::ZERO);
         // Acking deliveries frees buffer and admits more.
         c.on_ack(Time::from_millis(40), 0, &ack(10, 10, 724));
-        assert_eq!(c.sndbuf_occupancy(), 30); // refilled from pending
-        assert_eq!(c.written_end(), 100);
+        assert_eq!(c.sndbuf_occupancy(), SNDBUF_SEGS); // refilled from pending
+        assert_eq!(c.written_end(), SNDBUF_SEGS + 70);
     }
 
     #[test]

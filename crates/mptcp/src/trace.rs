@@ -505,7 +505,11 @@ mod tests {
         assert_eq!(sizes[2], 40, "a forward delivery slot was 48 B");
         assert_eq!(sizes[3], 40, "RttEstimator was 120 B in Duration fields, 56 with RTO bounds");
         assert_eq!(sizes[4], 240, "Subflow was 376 B, 264 with per-instance TCP constants");
-        assert_eq!(sizes[5], 968, "ConnState was 1288 B, 1064 with per-instance TCP constants");
+        assert_eq!(
+            sizes[5],
+            960,
+            "ConnState was 1288 B, 1064 with per-instance TCP constants, 968 with a send-buffer field"
+        );
     }
 
     #[test]

@@ -39,8 +39,8 @@ use crate::trace::Recorder;
 /// Scheduler invocation + decision provenance, shared by every transport.
 ///
 /// Owns the pluggable [`Scheduler`] and the scratch snapshot buffer the
-/// transport fills before each decision. With telemetry enabled every
-/// decision goes through [`Scheduler::select_explained`] and is recorded
+/// transport fills before each decision. Every decision goes through
+/// [`Scheduler::select_explained`]; with telemetry enabled it is recorded
 /// with its full inputs, which also counts it in the decision counters.
 pub struct SchedDriver {
     /// The scheduler under evaluation.
@@ -71,11 +71,6 @@ impl SchedDriver {
         self.tel_conn = conn;
     }
 
-    /// The scheduler's stable short name ("ecf", "default", ...).
-    pub fn scheduler_name(&self) -> &'static str {
-        self.scheduler.name()
-    }
-
     /// Append the next path's snapshot to [`SchedDriver::snap_buf`], its
     /// `id` the path's position: the sender's RTT, window and slow-start
     /// state from `cc`, plus what the transport knows beside it — packets
@@ -102,23 +97,19 @@ impl SchedDriver {
 
     /// Run the scheduler over the current [`SchedDriver::snap_buf`] for one
     /// segment. With an enabled telemetry sink the decision is recorded
-    /// with full inputs and provenance; the off-handle check is one
-    /// predictable branch, so a silent run pays nothing extra.
+    /// with full inputs and provenance; a silent run drops the provenance
+    /// behind one predictable branch.
     pub fn decide(&mut self, now: Time, queued_pkts: u64, send_window_free_pkts: u64) -> Decision {
         let input = SchedInput { paths: &self.snap_buf, queued_pkts, send_window_free_pkts };
-        if self.tel.is_enabled() {
-            let (d, why) = self.scheduler.select_explained(&input);
-            self.emit_decision(now, d, why, queued_pkts, send_window_free_pkts);
-            d
-        } else {
-            self.scheduler.select(&input)
-        }
+        let (d, why) = self.scheduler.select_explained(&input);
+        self.emit_decision(now, d, why, queued_pkts, send_window_free_pkts);
+        d
     }
 
     /// Record one scheduler verdict with its full inputs (from `snap_buf`)
-    /// and provenance. Only called when the sink is enabled, and hot when it
-    /// is — one event per decision — so it stays inline-friendly and sticks
-    /// to u64 arithmetic (no `Duration::as_micros` u128 division).
+    /// and provenance; a no-op when the sink is disabled. Hot when it is
+    /// enabled — one event per decision — so it stays inline-friendly and
+    /// sticks to u64 arithmetic (no `Duration::as_micros` u128 division).
     fn emit_decision(&self, now: Time, decision: Decision, why: Why, k: u64, swnd_free: u64) {
         self.tel.emit_with(|| {
             let micros = |d: std::time::Duration| {

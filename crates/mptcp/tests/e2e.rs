@@ -4,7 +4,7 @@
 
 use ecf_core::SchedulerKind;
 use mptcp::{Api, Application, ConnConfig, ConnSpec, Testbed, TestbedConfig, Transport};
-use scenario::Scenario;
+use scenario::{LossModel, Scenario};
 use simnet::{PathConfig, Time};
 use testkit::digest::Fnv1a;
 
@@ -159,7 +159,7 @@ fn deterministic_given_seed() {
 #[test]
 fn survives_random_loss() {
     let cfg = TestbedConfig {
-        paths: vec![PathConfig::wifi(2.0).with_loss(0.02), PathConfig::lte(8.0).with_loss(0.02)],
+        paths: vec![PathConfig::wifi(2.0), PathConfig::lte(8.0)],
         conns: vec![ConnSpec {
             cfg: ConnConfig::default(),
             scheduler: SchedulerKind::Default,
@@ -169,7 +169,11 @@ fn survives_random_loss() {
         seed: 7,
         path_seeds: None,
         recorder: RecorderConfig::default(),
-        scenario: Scenario::default(),
+        scenario: Scenario::new().loss(Time::ZERO, 0, LossModel::Bernoulli(0.02)).loss(
+            Time::ZERO,
+            1,
+            LossModel::Bernoulli(0.02),
+        ),
         telemetry: Default::default(),
     };
     let mut tb = Testbed::new(cfg, SequentialDownloads::new(vec![1024 * 1024]));

@@ -428,11 +428,6 @@ impl QuicConn {
         self.stats.ptos += 1;
         true
     }
-
-    /// The scheduler's stable short name ("ecf", "default", ...).
-    pub fn scheduler_name(&self) -> &'static str {
-        self.driver.scheduler_name()
-    }
 }
 
 #[cfg(test)]

@@ -308,20 +308,12 @@ impl Scenario {
     }
 }
 
-fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("missing \"{key}\""))
-}
-
-fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
-    field(v, key)?.as_f64().ok_or_else(|| format!("\"{key}\" must be a number"))
-}
-
 /// A number in `range`, or an error naming `key` and the range.
 fn field_in<R>(v: &Value, key: &str, range: R) -> Result<f64, String>
 where
     R: std::ops::RangeBounds<f64> + std::fmt::Debug,
 {
-    let x = field_f64(v, key)?;
+    let x = json::number(v, key)?;
     if range.contains(&x) {
         Ok(x)
     } else {
@@ -334,29 +326,15 @@ fn field_time(v: &Value, key: &str) -> Result<f64, String> {
     field_in(v, key, 0.0..f64::INFINITY)
 }
 
-fn field_uint(v: &Value, key: &str) -> Result<u64, String> {
-    json::uint(field(v, key)?, key)
-}
-
-/// A rate in Mbps that is at least 1 bps once converted (a smaller one
-/// would truncate to a 0 bps link).
-fn rate_mbps(x: f64, key: &str) -> Result<f64, String> {
-    if x.is_finite() && x * 1e6 >= 1.0 {
-        Ok(x)
-    } else {
-        Err(format!("\"{key}\" must be a rate of at least 1 bps, got {x} Mbps"))
-    }
-}
-
 fn parse_event(v: &Value) -> Result<ControlEvent, String> {
     let at = Time::from_micros((field_time(v, "at_ms")? * 1e3) as u64);
-    let path = field_uint(v, "path")? as usize;
-    let action = v.get("action").and_then(Value::as_str).ok_or("missing \"action\"")?;
+    let path = json::uint(v, "path")? as usize;
+    let action = json::string(v, "action")?;
     let action = match action {
         "path_down" => Action::PathUp(false),
         "path_up" => Action::PathUp(true),
-        "rate_mbps" => Action::RateBps((rate_mbps(field_f64(v, "value")?, "value")? * 1e6) as u64),
-        "rate_bps" => match field_uint(v, "value")? {
+        "rate_mbps" => Action::RateBps(simnet::rate_bps(json::number(v, "value")?, "value")?),
+        "rate_bps" => match json::uint(v, "value")? {
             0 => return Err("\"value\" must be a rate of at least 1 bps, got 0".to_string()),
             bps => Action::RateBps(bps),
         },
@@ -379,17 +357,18 @@ fn parse_event(v: &Value) -> Result<ControlEvent, String> {
 const MAX_RATE_CHANGES: f64 = 1e6;
 
 fn parse_process(v: &Value) -> Result<Process, String> {
-    let kind = v.get("kind").and_then(Value::as_str).ok_or("missing \"kind\"")?;
+    let kind = json::string(v, "kind")?;
     match kind {
         "random_rates" => {
-            let rates = field(v, "rates_mbps")?
+            let rates = json::field(v, "rates_mbps")?
                 .as_array()
                 .ok_or("\"rates_mbps\" must be an array")?
                 .iter()
                 .enumerate()
                 .map(|(i, r)| {
                     let key = format!("rates_mbps[{i}]");
-                    rate_mbps(r.as_f64().ok_or(format!("\"{key}\" must be a number"))?, &key)
+                    let mbps = r.as_f64().ok_or(format!("{key:?} must be a number"))?;
+                    simnet::rate_bps(mbps, &key).map(|_| mbps)
                 })
                 .collect::<Result<Vec<f64>, String>>()?;
             if rates.is_empty() {
@@ -406,8 +385,8 @@ fn parse_process(v: &Value) -> Result<Process, String> {
                 ));
             }
             Ok(Process::RandomRates {
-                path: field_uint(v, "path")? as usize,
-                seed: field_uint(v, "seed")?,
+                path: json::uint(v, "path")? as usize,
+                seed: json::uint(v, "seed")?,
                 mean_interval: Duration::from_secs_f64(mean_interval),
                 rates_mbps: rates,
                 horizon: Time::from_micros((horizon * 1e6) as u64),

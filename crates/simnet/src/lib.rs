@@ -58,7 +58,7 @@ mod wheel;
 
 pub use delivery::DeliveryQueue;
 pub use engine::{Engine, Model, RunOutcome};
-pub use link::{serialization_nanos, Link, LinkConfig, LinkStats, Verdict};
+pub use link::{rate_bps, serialization_nanos, Link, LinkConfig, LinkStats, Verdict};
 pub use loss::{GilbertElliott, LossModel};
 pub use path::{path_seed, Path, PathConfig, LTE_ONE_WAY};
 pub use time::{dur_nanos, Time};

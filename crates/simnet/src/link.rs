@@ -33,20 +33,17 @@ pub struct LinkConfig {
     /// Maximum additional per-packet delay, drawn uniformly in
     /// `[0, jitter_max]`. Arrivals are clamped to stay FIFO.
     pub jitter_max: Duration,
-    /// Independent per-packet drop probability (0 disables).
-    pub loss_rate: f64,
 }
 
 impl LinkConfig {
-    /// A link shaped to `mbps` with the given propagation delay and queue, no
-    /// jitter or random loss.
+    /// A link shaped to `mbps` with the given propagation delay and queue,
+    /// no jitter.
     pub fn shaped(mbps: f64, prop_delay: Duration, queue_limit_bytes: u64) -> Self {
         LinkConfig {
             rate_bps: (mbps * 1e6) as u64,
             prop_delay,
             queue_limit_bytes,
             jitter_max: Duration::ZERO,
-            loss_rate: 0.0,
         }
     }
 
@@ -58,8 +55,20 @@ impl LinkConfig {
             prop_delay,
             queue_limit_bytes: 16 * 1024 * 1024,
             jitter_max: Duration::ZERO,
-            loss_rate: 0.0,
         }
+    }
+}
+
+/// `mbps` in bits per second, as [`LinkConfig::shaped`] converts it, or an
+/// error naming `key` when the rate is not finite or is below 1 bps. Every
+/// loader of user-typed rates goes through this one rule: a smaller rate
+/// truncates to a 0 bps link, which then runs at 1 bps and measures nothing.
+pub fn rate_bps(mbps: f64, key: &str) -> Result<u64, String> {
+    let bps = (mbps * 1e6) as u64;
+    if mbps.is_finite() && bps >= 1 {
+        Ok(bps)
+    } else {
+        Err(format!("{key:?} must be a rate of at least 1 bps, got {mbps} Mbps"))
     }
 }
 
@@ -135,8 +144,8 @@ pub struct Link {
     /// ACKs reverse), so most enqueues skip the u128 reciprocal math.
     /// `(0, ZERO)` is always a valid entry; invalidated on rate change.
     ser_memo: (u32, Duration),
-    /// Active random-loss process (seeded from `cfg.loss_rate` as a
-    /// Bernoulli model; scenarios swap in richer models at run time).
+    /// Active random-loss process: none until a scenario sets one through
+    /// [`Link::set_loss_model`].
     loss: LossModel,
     /// Gilbert–Elliott chain state (false = good). Meaningless for the
     /// other models.
@@ -161,9 +170,7 @@ impl Link {
     /// Create a link; `seed` drives jitter and random loss only.
     pub fn new(cfg: LinkConfig, seed: u64) -> Self {
         let recip_q32 = serialization_recip(cfg.rate_bps);
-        let loss =
-            if cfg.loss_rate > 0.0 { LossModel::Bernoulli(cfg.loss_rate) } else { LossModel::None };
-        let deterministic = loss.is_none() && cfg.jitter_max == Duration::ZERO;
+        let deterministic = cfg.jitter_max == Duration::ZERO;
         Link {
             cfg,
             busy_until: Time::ZERO,
@@ -172,7 +179,7 @@ impl Link {
             last_arrival: Time::ZERO,
             recip_q32,
             ser_memo: (0, Duration::ZERO),
-            loss,
+            loss: LossModel::None,
             loss_bad_state: false,
             deterministic,
             rng: Rng::seed_from_u64(seed),
@@ -476,9 +483,9 @@ mod tests {
 
     #[test]
     fn random_loss_rate_roughly_respected() {
-        let mut cfg = LinkConfig::shaped(100.0, Duration::ZERO, u64::MAX);
-        cfg.loss_rate = 0.3;
+        let cfg = LinkConfig::shaped(100.0, Duration::ZERO, u64::MAX);
         let mut l = Link::new(cfg, 42);
+        l.set_loss_model(LossModel::Bernoulli(0.3));
         let mut dropped = 0;
         for i in 0..10_000 {
             if matches!(l.enqueue(Time::from_millis(i), 100), Verdict::DropRandom) {
@@ -541,8 +548,8 @@ mod tests {
     fn lossy_jittery_verdicts_match_golden() {
         let mut cfg = LinkConfig::shaped(2.5, Duration::from_millis(15), 96 * 1024);
         cfg.jitter_max = Duration::from_millis(3);
-        cfg.loss_rate = 0.05;
         let mut l = Link::new(cfg, 2017);
+        l.set_loss_model(LossModel::Bernoulli(0.05));
         let mut d: u64 = 0xcbf2_9ce4_8422_2325;
         let fold = |d: &mut u64, x: u64| {
             for b in x.to_le_bytes() {
@@ -617,9 +624,9 @@ mod tests {
     fn deterministic_given_seed() {
         let mut cfg = LinkConfig::shaped(10.0, Duration::from_millis(10), u64::MAX);
         cfg.jitter_max = Duration::from_millis(2);
-        cfg.loss_rate = 0.01;
         let run = |seed| {
             let mut l = Link::new(cfg.clone(), seed);
+            l.set_loss_model(LossModel::Bernoulli(0.01));
             (0..500).map(|i| l.enqueue(Time::from_micros(i * 777), MTU)).collect::<Vec<_>>()
         };
         assert_eq!(run(9), run(9));

@@ -32,8 +32,6 @@ const SHAPED_QUEUE_BYTES: u64 = 1_500_000;
 /// Configuration of one bidirectional path.
 #[derive(Debug, Clone)]
 pub struct PathConfig {
-    /// Human-readable label used in reports ("wifi", "lte", ...).
-    pub name: String,
     /// Data direction (sender → receiver), shaped.
     pub fwd: LinkConfig,
     /// ACK direction (receiver → sender), delay only.
@@ -45,29 +43,22 @@ impl PathConfig {
     pub fn wifi(mbps: f64) -> Self {
         let mut fwd = LinkConfig::shaped(mbps, WIFI_ONE_WAY, SHAPED_QUEUE_BYTES);
         fwd.jitter_max = Duration::from_millis(2);
-        PathConfig { name: "wifi".into(), fwd, rev: LinkConfig::reverse(WIFI_ONE_WAY) }
+        PathConfig { fwd, rev: LinkConfig::reverse(WIFI_ONE_WAY) }
     }
 
     /// An LTE-like path shaped to `mbps` in the data direction.
     pub fn lte(mbps: f64) -> Self {
         let mut fwd = LinkConfig::shaped(mbps, LTE_ONE_WAY, SHAPED_QUEUE_BYTES);
         fwd.jitter_max = Duration::from_millis(4);
-        PathConfig { name: "lte".into(), fwd, rev: LinkConfig::reverse(LTE_ONE_WAY) }
+        PathConfig { fwd, rev: LinkConfig::reverse(LTE_ONE_WAY) }
     }
 
     /// A fully custom symmetric-delay path.
-    pub fn custom(name: &str, mbps: f64, one_way: Duration, queue_bytes: u64) -> Self {
+    pub fn custom(mbps: f64, one_way: Duration, queue_bytes: u64) -> Self {
         PathConfig {
-            name: name.into(),
             fwd: LinkConfig::shaped(mbps, one_way, queue_bytes),
             rev: LinkConfig::reverse(one_way),
         }
-    }
-
-    /// Set the forward-direction random loss rate.
-    pub fn with_loss(mut self, loss: f64) -> Self {
-        self.fwd.loss_rate = loss;
-        self
     }
 
     /// The minimum (unloaded) round-trip time of this path.
@@ -88,8 +79,6 @@ pub fn path_seed(base: u64, index: usize) -> u64 {
 
 /// A live bidirectional path instance.
 pub struct Path {
-    /// Label copied from the config.
-    pub name: String,
     /// Data-direction link.
     pub fwd: Link,
     /// ACK-direction link.
@@ -100,7 +89,6 @@ impl Path {
     /// Instantiate from a config; `seed` feeds the two links' jitter/loss RNGs.
     pub fn new(cfg: &PathConfig, seed: u64) -> Self {
         Path {
-            name: cfg.name.clone(),
             fwd: Link::new(cfg.fwd.clone(), seed.wrapping_mul(2).wrapping_add(1)),
             rev: Link::new(cfg.rev.clone(), seed.wrapping_mul(2).wrapping_add(2)),
         }
@@ -136,7 +124,7 @@ mod tests {
 
     #[test]
     fn custom_path_uses_given_values() {
-        let cfg = PathConfig::custom("p", 5.0, Duration::from_millis(15), 10_000);
+        let cfg = PathConfig::custom(5.0, Duration::from_millis(15), 10_000);
         assert_eq!(cfg.base_rtt(), Duration::from_millis(30));
         assert_eq!(cfg.fwd.rate_bps, 5_000_000);
         assert_eq!(cfg.fwd.queue_limit_bytes, 10_000);

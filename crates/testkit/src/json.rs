@@ -169,17 +169,41 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// The value of integer field `key`: a non-negative integer that `f64`
-/// holds exactly (below 2^53). Anything else is an error naming `key`:
+/// Field `key` of object `doc`, or an error naming `key` when it is
+/// missing. The typed readers below build on it, and every error they
+/// return names `key`, so a loader only prefixes where the object sits
+/// (`blocks[0]: `, `events[3]: `).
+pub fn field<'v>(doc: &'v Value, key: &str) -> Result<&'v Value, String> {
+    doc.get(key).ok_or_else(|| format!("missing {key:?}"))
+}
+
+/// String field `key` of `doc`.
+pub fn string<'v>(doc: &'v Value, key: &str) -> Result<&'v str, String> {
+    field(doc, key)?.as_str().ok_or_else(|| format!("{key:?} must be a string"))
+}
+
+/// Number field `key` of `doc`.
+pub fn number(doc: &Value, key: &str) -> Result<f64, String> {
+    field(doc, key)?.as_f64().ok_or_else(|| format!("{key:?} must be a number"))
+}
+
+/// Integer field `key` of `doc`: a non-negative integer that `f64` holds
+/// exactly (below 2^53). Anything else is an error naming `key`:
 /// truncating `-3`, `0.9` or `1e300` with `as u64` would silently run a
 /// different input than the one written (and key one run under several
 /// names in a content-addressed cache).
-pub fn uint(v: &Value, key: &str) -> Result<u64, String> {
+pub fn uint(doc: &Value, key: &str) -> Result<u64, String> {
     const EXACT: f64 = (1u64 << 53) as f64;
+    let v = field(doc, key)?;
     match v.as_f64() {
         Some(n) if (0.0..EXACT).contains(&n) && n.fract() == 0.0 => Ok(n as u64),
         _ => Err(format!("{key:?} must be a non-negative integer, got {}", canonical(v))),
     }
+}
+
+/// Optional bool field `key` of `doc`: `false` when absent.
+pub fn flag(doc: &Value, key: &str) -> Result<bool, String> {
+    doc.get(key).map_or(Ok(false), |v| v.as_bool().ok_or_else(|| format!("{key:?} must be a bool")))
 }
 
 /// Parse one complete JSON document.
@@ -370,15 +394,34 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    /// `{"<key>": <text>}`, parsed.
+    fn doc(key: &str, text: &str) -> Value {
+        parse(&format!("{{{key:?}: {text}}}")).unwrap()
+    }
+
     #[test]
     fn uint_takes_exact_non_negative_integers_only() {
         for (text, want) in [("0", 0), ("7", 7), ("4503599627370495", (1u64 << 52) - 1)] {
-            assert_eq!(uint(&parse(text).unwrap(), "n"), Ok(want), "{text}");
+            assert_eq!(uint(&doc("n", text), "n"), Ok(want), "{text}");
         }
         for text in ["-3", "0.9", "-0.5", "9007199254740992", "1e300", "\"7\"", "true", "null"] {
-            let err = uint(&parse(text).unwrap(), "seed").unwrap_err();
+            let err = uint(&doc("seed", text), "seed").unwrap_err();
             assert!(err.starts_with("\"seed\" must be a non-negative integer, got "), "{err}");
         }
+    }
+
+    #[test]
+    fn field_readers_check_the_type_and_name_the_key() {
+        let d = doc("k", "\"s\"");
+        assert_eq!(string(&d, "k"), Ok("s"));
+        assert_eq!(number(&doc("k", "2.5"), "k"), Ok(2.5));
+        assert_eq!(flag(&doc("k", "true"), "k"), Ok(true));
+        assert_eq!(flag(&d, "absent"), Ok(false));
+        assert_eq!(field(&d, "absent"), Err("missing \"absent\"".to_string()));
+        assert_eq!(string(&doc("k", "1"), "k"), Err("\"k\" must be a string".to_string()));
+        assert_eq!(number(&d, "k"), Err("\"k\" must be a number".to_string()));
+        assert_eq!(flag(&d, "k"), Err("\"k\" must be a bool".to_string()));
+        assert_eq!(uint(&d, "absent"), Err("missing \"absent\"".to_string()));
     }
 
     #[test]

@@ -25,21 +25,23 @@ impl Scheduler for StickyFastest {
         "sticky"
     }
 
-    fn select(&mut self, input: &SchedInput<'_>) -> Decision {
+    // The one decision method: the verdict plus why it was reached. A
+    // policy with no finer rule to name reports `Why::Unspecified`.
+    fn select_explained(&mut self, input: &SchedInput<'_>) -> (Decision, Why) {
         let Some(fastest) = input.fastest() else {
-            return Decision::Blocked;
+            return (Decision::Blocked, Why::Unspecified);
         };
         if fastest.has_space() {
             self.consecutive_full = 0;
-            return Decision::Send(fastest.id);
+            return (Decision::Send(fastest.id), Why::Unspecified);
         }
         self.consecutive_full += 1;
         if self.consecutive_full <= self.patience {
-            return Decision::Wait;
+            return (Decision::Wait, Why::Unspecified);
         }
         match input.fastest_available() {
-            Some(p) => Decision::Send(p.id),
-            None => Decision::Blocked,
+            Some(p) => (Decision::Send(p.id), Why::Unspecified),
+            None => (Decision::Blocked, Why::Unspecified),
         }
     }
 
@@ -85,9 +87,8 @@ fn run(spec: ConnSpec, label: &str) {
         tel.counter(Counter::WaitDecisions),
     );
     // A one-liner per decision, straight from the trace. Built-ins report
-    // *why* (which rule fired); a custom scheduler that only implements
-    // `select` shows up as "unspecified" until it overrides
-    // `select_explained`.
+    // *why* (which rule fired); the custom scheduler above names no rule, so
+    // its decisions show up as "unspecified".
     for ev in tel.events().iter().filter(|e| e.label() == "sched_decision").take(3) {
         if let EventKind::SchedDecision(d) = ev.kind {
             let verdict = match d.decision {

@@ -28,8 +28,10 @@ ITEM = re.compile(
     r"^\s*pub\s+(?:const\s+|unsafe\s+|async\s+)*(fn|struct|enum|trait|type|const|static)\s+"
     r"([A-Za-z_][A-Za-z0-9_]*)", re.M)
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# Comments and string literals are not code naming an item.
-NOISE = re.compile(r'//[^\n]*|/\*.*?\*/|r#+".*?"#+|"(?:\\.|[^"\\])*"', re.S)
+# Comments, string and char literals are not code naming an item (a `'"'`
+# read as the start of a string would hide the items after it).
+NOISE = re.compile(r'//[^\n]*|/\*.*?\*/|r#+".*?"#+|"(?:\\.|[^"\\])*"'
+                   r"|'(?:\\u\{[0-9a-fA-F]+\}|\\.|[^'\\\n])'", re.S)
 # A binding's name (`cfg: Config`) is not a name the signature exposes.
 BINDING = re.compile(r"\b[a-z_][A-Za-z0-9_]*\s*:(?!:)")
 

@@ -66,6 +66,18 @@ rings="$(nontest_rx | { grep -F 'VecDeque<Option<' || true; } | cut -d: -f1 | so
 [ "$(echo "$rings" | grep -c .)" -le 1 ] || { echo "verify.sh: VecDeque<Option< appears" \
     "in more than one file under crates/{mptcp,quic}/src:" $rings >&2; exit 1; }
 
+echo "== one scheduler decision method: schedulers implement select_explained only =="
+# `Scheduler::select` is a provided method, the verdict of `select_explained`
+# without its provenance (DESIGN.md §2). A `fn select(` in the non-test part
+# of crates/core/src outside types.rs (up to each file's `#[cfg(test)]`, as
+# scripts/loc.sh splits them) is a second decision path growing back.
+selects="$(for f in crates/core/src/*.rs; do
+    [ "$f" = crates/core/src/types.rs ] \
+        || awk -v f="$f" '/^#\[cfg\(test\)\]/ {exit} /fn select\(/ {print f}' "$f"
+done | sort -u)"
+[ -z "$selects" ] || { echo "verify.sh: fn select( is defined in the non-test part of:" \
+    $selects >&2; exit 1; }
+
 echo "== one OOO reader: single runs take the recorder's pool, none copies it =="
 # `Recorder::take_ooo_secs` hands the samples over in place (DESIGN.md §9,
 # "A streaming cell"); `ooo_delays_secs` copies them beside the pool and
