@@ -248,23 +248,7 @@ fn streaming_cell(cfg: &Value, telemetry: &TelemetryHandle) -> Result<Value, Str
 
     let mut run_cfg = StreamingConfig::new(wifi, lte, scheduler, seed);
     run_cfg.video_secs = video_secs;
-    if let Some(cc) = cfg.get("cc") {
-        run_cfg.cc = parse_cc(cc.as_str().ok_or("\"cc\" must be a string")?)?;
-    }
-    if let Some(v) = cfg.get("cwnd_conservation") {
-        run_cfg.cwnd_conservation = v.as_bool().ok_or("\"cwnd_conservation\" must be a bool")?;
-    }
-    if let Some(v) = cfg.get("subflows_per_interface") {
-        // Two interfaces' subflows must fit telemetry's per-path slots.
-        let max = (telemetry::MAX_PATHS / 2) as f64;
-        let n = v.as_f64().ok_or("\"subflows_per_interface\" must be a number")?;
-        if n.fract() != 0.0 || !(1.0..=max).contains(&n) {
-            return Err(format!(
-                "\"subflows_per_interface\" must be an integer in 1..={max}, got {n}"
-            ));
-        }
-        run_cfg.subflows_per_interface = n as usize;
-    }
+    transport_fields(cfg, &mut run_cfg)?;
     run_cfg.recorder = RecorderConfig {
         sndbuf_traces: record_sndbuf,
         cwnd_traces: record_cwnd,
@@ -589,6 +573,30 @@ fn parse_scheduler(v: &Value) -> Result<SchedulerKind, String> {
     }
 }
 
+/// The streaming cell's optional transport fields — `cc`,
+/// `cwnd_conservation`, `subflows_per_interface` — over `run_cfg`'s
+/// defaults.
+fn transport_fields(cfg: &Value, run_cfg: &mut StreamingConfig) -> Result<(), String> {
+    if let Some(cc) = json::optional(cfg, "cc", json::string)? {
+        run_cfg.cc = parse_cc(cc)?;
+    }
+    // A present flag is a bool field; absent keeps the default (on).
+    if let Some(on) = json::optional(cfg, "cwnd_conservation", json::flag)? {
+        run_cfg.cwnd_conservation = on;
+    }
+    if let Some(n) = json::optional(cfg, "subflows_per_interface", json::uint)? {
+        // Two interfaces' subflows must fit telemetry's per-path slots.
+        let max = (telemetry::MAX_PATHS / 2) as u64;
+        if !(1..=max).contains(&n) {
+            return Err(format!(
+                "\"subflows_per_interface\" must be an integer in 1..={max}, got {n}"
+            ));
+        }
+        run_cfg.subflows_per_interface = n as usize;
+    }
+    Ok(())
+}
+
 fn parse_cc(name: &str) -> Result<CcKind, String> {
     Ok(match name {
         "reno" => CcKind::Reno,
@@ -777,6 +785,35 @@ mod tests {
         for n in ["2.5", "0", "3", "-1"] {
             let err = execute_with("streaming", "subflows_per_interface", n).unwrap_err();
             assert!(err.contains("\"subflows_per_interface\""), "{n}: {err}");
+        }
+    }
+
+    #[test]
+    fn transport_fields_are_optional_and_every_error_names_its_key() {
+        let fields = |c: StreamingConfig| (c.cc, c.cwnd_conservation, c.subflows_per_interface);
+        let defaults = || StreamingConfig::new(1.0, 2.0, SchedulerKind::Ecf, 1);
+        let read = |text: &str| {
+            let mut run_cfg = defaults();
+            transport_fields(&json::parse(text).unwrap(), &mut run_cfg).map(|()| fields(run_cfg))
+        };
+        // Absent: every default stands.
+        assert_eq!(read("{}"), Ok(fields(defaults())));
+        let set = r#"{"cc": "olia", "cwnd_conservation": false, "subflows_per_interface": 2}"#;
+        assert_eq!(read(set), Ok((CcKind::Olia, false, 2)));
+        // Wrong type, then a non-integer number, for each key.
+        for (key, bad) in [
+            ("cc", ["1", "true", "0.5"]),
+            ("cwnd_conservation", ["\"yes\"", "1", "0.5"]),
+            ("subflows_per_interface", ["\"2\"", "true", "1.5"]),
+        ] {
+            for value in bad {
+                let err = read(&format!("{{{key:?}: {value}}}")).unwrap_err();
+                assert!(err.contains(&format!("{key:?} must be a")), "{key}={value}: {err}");
+            }
+        }
+        for n in ["0", "3"] {
+            let err = read(&format!("{{\"subflows_per_interface\": {n}}}")).unwrap_err();
+            assert!(err.contains("must be an integer in 1..=2"), "{n}: {err}");
         }
     }
 

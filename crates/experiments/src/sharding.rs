@@ -481,6 +481,10 @@ pub(crate) struct PopulationApp {
     units: Vec<BrowserApp>,
     /// Engine-local connection index → slot in `units`.
     owner: Vec<usize>,
+    /// Slots whose page has loaded and whose buffers are not yet given
+    /// back, in load order (reserved for every unit up front, so noting
+    /// one allocates nothing).
+    loaded: Vec<usize>,
 }
 
 impl mptcp::Application for PopulationApp {
@@ -500,7 +504,13 @@ impl mptcp::Application for PopulationApp {
         req: mptcp::ReqId,
         api: &mut mptcp::Api<'_>,
     ) {
-        self.units[self.owner[conn]].on_response_complete(now, conn, req, api);
+        let slot = self.owner[conn];
+        let unit = &mut self.units[slot];
+        let was_done = unit.done();
+        unit.on_response_complete(now, conn, req, api);
+        if !was_done && unit.done() {
+            self.loaded.push(slot);
+        }
     }
 }
 
@@ -530,7 +540,8 @@ pub(crate) struct ShardRun {
 }
 
 impl ShardRun {
-    /// Run the engine to `t` unless it has drained, timing the round.
+    /// Run the engine to `t` unless it has drained, then give back the
+    /// buffers of the units that have finished, timing both.
     pub(crate) fn advance(&mut self, t: Time) {
         if self.done {
             self.round_wall_ns = 0;
@@ -538,9 +549,30 @@ impl ShardRun {
         }
         let started = Instant::now();
         let outcome = self.tb.run_until(t);
+        self.done = matches!(outcome, RunOutcome::Drained);
+        self.release_finished();
         self.round_wall_ns = started.elapsed().as_nanos() as u64;
         self.wall_ns += self.round_wall_ns;
-        self.done = matches!(outcome, RunOutcome::Drained);
+    }
+
+    /// Give back the engine buffers of every unit whose page has loaded and
+    /// whose connections have all drained ([`mptcp::Connection::all_acked`]):
+    /// nothing will fill them again, so a finished unit holds only its
+    /// results until extraction. Only the units noted as loaded and not yet
+    /// released are checked; a unit still draining stays noted.
+    fn release_finished(&mut self) {
+        let now = self.tb.now();
+        let mut loaded = std::mem::take(&mut self.tb.app_mut().loaded);
+        let world = self.tb.world_mut();
+        loaded.retain(|&slot| {
+            let (base, n) = self.conn_ranges[slot];
+            let drained = (base..base + n).all(|c| world.sender(c).all_acked());
+            if drained {
+                world.release_conns(base..base + n, now);
+            }
+            !drained
+        });
+        self.tb.app_mut().loaded = loaded;
     }
 }
 
@@ -614,7 +646,8 @@ pub(crate) fn build_shard(
         // counters are flushed by `run_sweep` instead.
         telemetry: TelemetryHandle::off(),
     };
-    let mut tb = Testbed::new_with_queue(cfg, PopulationApp { units: apps, owner }, queue);
+    let loaded = Vec::with_capacity(apps.len());
+    let mut tb = Testbed::new_with_queue(cfg, PopulationApp { units: apps, owner, loaded }, queue);
     // A browser issues one request per page object, so the shard's request
     // count is known here; the recorder itself reserves nothing.
     let n_requests: usize = unit_idxs.iter().map(|&u| pop.units[u].page.object_sizes.len()).sum();
@@ -657,7 +690,7 @@ pub(crate) fn extract_reports(run: ShardRun) -> (Vec<UnitReport>, u64, EventQueu
     let rec = &mut tb.world_mut().recorder;
     let records = std::mem::take(&mut rec.requests);
     let mut pools = std::mem::take(&mut rec.ooo_delays_us_per_conn);
-    let PopulationApp { units, owner } = tb.app_mut();
+    let PopulationApp { units, owner, .. } = tb.app_mut();
     let owner = std::mem::take(owner);
     let outputs: Vec<(Vec<ObjectRecord>, Option<Time>)> = units
         .iter_mut()

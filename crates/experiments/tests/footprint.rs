@@ -27,7 +27,15 @@
 //! slot, a 264 B subflow — 11.0 KB. A run of in-order deliveries (OOO
 //! delay 0) stored as one pool entry, not one `u64` per sample, and 24 B
 //! object records: 8.8 KB; the bound here sits 10 % above the reading, so
-//! raw pools fail it.
+//! raw pools fail it. A finished unit's engine buffers given back as it
+//! drains: 8.2 KB.
+//!
+//! **Held after the last window.** A coupled engine group runs until its
+//! last unit is done, so a unit that finished early used to keep its
+//! retransmission and reorder rings, link FIFOs and delivery queues to the
+//! end: 8 457 B live per connection after the last window, population
+//! excluded. Given back once the unit's page has loaded and its
+//! connections have drained: 6 052 B, and the bound fails the former.
 //!
 //! **Requested per unit, one engine each.** A sharded sweep builds and tears
 //! down an engine per unit, so anything an engine reserves on a guess is
@@ -52,7 +60,7 @@ mod support;
 
 use ecf_core::SchedulerKind;
 use experiments::{
-    browse_coupled_population, browse_population, run_streaming, run_sweep, Effort,
+    browse_coupled_population, browse_population, run_streaming, run_sweep, CoupledRun, Effort,
     StreamingConfig, SweepOptions, COUPLED_BENCH_GROUPS,
 };
 
@@ -72,9 +80,16 @@ const BYTES_PER_CONN_BOUND: u64 = 20_700;
 /// engine is dropped, 12 054 with 104 B request records and the pool
 /// slack rule, 12 036 with one sweep executor, 11 046 with a 16 B
 /// retransmission entry, a 40 B forward delivery slot and a 264 B subflow,
-/// 8 787 with zero runs stored as one entry and 24 B object records; the
-/// bound was 13 250, then 12 150, and sits 10 % above the reading).
-const PEAK_LIVE_PER_CONN_BOUND: u64 = 9_670;
+/// 8 787 with zero runs stored as one entry and 24 B object records, 8 167
+/// with a finished unit's engine buffers given back; the bound was 13 250,
+/// then 12 150, then 9 670, and sits 10 % above the reading).
+const PEAK_LIVE_PER_CONN_BOUND: u64 = 8_980;
+
+/// Bytes live per connection once the coupled body's last window has run,
+/// before extraction, population excluded (8 457 while every finished
+/// unit kept its rings and queues to the end, 6 052 with them given back
+/// as the unit drains; the bound sits 10 % above the reading).
+const LAST_WINDOW_LIVE_PER_CONN_BOUND: u64 = 6_660;
 
 /// Requested bytes per unit of a sharded sweep, one engine per unit
 /// (185 115 when written, 180 603 with the pool slack rule, 181 164 with
@@ -126,6 +141,25 @@ fn population_footprint_per_connection_and_per_unit() {
          {PEAK_LIVE_PER_CONN_BOUND}): does the merge hold a result twice — a second \
          OOO pool, reports cloned out of engines that are still alive — or a pool one \
          slot per OOO sample?"
+    );
+
+    // The same body stopped after its last window, before extraction: every
+    // page has loaded and every connection drained, so what the engine
+    // groups still hold is the units' results plus what the engines keep
+    // for a finished unit.
+    let opts =
+        SweepOptions { max_shards: COUPLED_BENCH_GROUPS, workers: Some(1), ..Default::default() };
+    let live_before = support::live_and_peak().0;
+    let mut run = CoupledRun::new(&pop, &opts);
+    while run.step() {}
+    let held_per_conn = (support::live_and_peak().0 - live_before) / conns;
+    drop(run);
+    println!("after the last window: live {held_per_conn} B/conn");
+    assert!(
+        held_per_conn < LAST_WINDOW_LIVE_PER_CONN_BOUND,
+        "after its last window the coupled body held {held_per_conn} live bytes per \
+         connection (bound {LAST_WINDOW_LIVE_PER_CONN_BOUND}): does an engine keep a \
+         finished unit's rings and queues until extraction again?"
     );
 
     // The benchmark's quick `browse_sharded` body: the same 20 units on

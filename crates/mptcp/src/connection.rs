@@ -186,6 +186,19 @@ impl Connection {
         self.pending_app == 0 && self.meta_una == self.buffered_end
     }
 
+    /// Give back the spare capacity of every sender-side buffer — the
+    /// subflows' retransmission rings, the reinjection queue and the
+    /// response bounds — keeping their contents. Meant for a connection
+    /// whose traffic is over ([`Connection::all_acked`]), whose buffers are
+    /// then empty; anything that arrives later grows them back.
+    pub(crate) fn release_buffers(&mut self) {
+        for sf in self.subflows.iter_mut() {
+            sf.release_buffers();
+        }
+        self.reinject_queue.shrink_to_fit();
+        self.response_bounds.shrink_to_fit();
+    }
+
     /// The application (server) writes a response of `segs` segments for
     /// request `req`. Returns the dsn range `[first, last]` it occupies.
     pub fn server_write(&mut self, req: ReqId, segs: u64) -> (u64, u64) {
@@ -558,5 +571,144 @@ mod tests {
         let cwnd_before = c.subflows[0].cc.cwnd_pkts();
         c.on_ack(Time::from_millis(20), 0, &ack(3, 3, 724));
         assert_eq!(c.subflows[0].cc.cwnd_pkts(), cwnd_before);
+    }
+
+    /// A packet on the hand-driven wire of [`Pair`].
+    enum Pkt {
+        Data(SubId, Segment),
+        Ack(SubId, AckInfo),
+    }
+
+    /// One connection's sender and receiver, wired by hand: each packet
+    /// arrives 1 ms after the previous one, in send order, and every step
+    /// is logged.
+    struct Pair {
+        tx: Connection,
+        rx: crate::receiver::Receiver,
+        wire: std::collections::VecDeque<Pkt>,
+        now: Time,
+        log: Vec<String>,
+        /// Give both ends' buffers back before every packet, mid-flight.
+        release_always: bool,
+    }
+
+    impl Pair {
+        fn new() -> Self {
+            let rx = crate::receiver::Receiver::new(2, ConnConfig::default().rwnd_segs);
+            let wire = std::collections::VecDeque::new();
+            let (tx, now, log) = (conn(SchedulerKind::Ecf), Time::ZERO, Vec::new());
+            Pair { tx, rx, wire, now, log, release_always: false }
+        }
+
+        fn release(&mut self) {
+            self.tx.release_buffers();
+            self.rx.release_buffers();
+        }
+
+        fn send(&mut self) {
+            for t in send(&mut self.tx, self.now) {
+                self.log.push(format!("{:?} send {} {:?}", self.now, t.sub, t.seg));
+                self.wire.push_back(Pkt::Data(t.sub, t.seg));
+            }
+        }
+
+        /// Hand `seg` to the receiver on `sub` now; its ACK, if any, goes
+        /// on the wire.
+        fn arrive(&mut self, sub: SubId, seg: Segment) {
+            let mut delivered = Vec::new();
+            let sig = self.rx.on_segment_into(self.now, sub, seg, &mut delivered);
+            self.log.push(format!("{:?} rx {sub} {seg:?}: {sig:?} {delivered:?}", self.now));
+            if let Some(ack) = sig.ack {
+                self.wire.push_back(Pkt::Ack(sub, ack));
+            }
+        }
+
+        /// Run the wire dry, dropping the data segments `lose` picks.
+        fn pump(&mut self, lose: impl Fn(Segment) -> bool) {
+            while let Some(pkt) = self.wire.pop_front() {
+                if self.release_always {
+                    self.release();
+                }
+                self.now += Duration::from_millis(1);
+                match pkt {
+                    Pkt::Data(sub, seg) if lose(seg) => {
+                        self.log.push(format!("{:?} lost {sub} {seg:?}", self.now));
+                    }
+                    Pkt::Data(sub, seg) => self.arrive(sub, seg),
+                    Pkt::Ack(sub, ack) => {
+                        let retx = self.tx.on_ack(self.now, sub, &ack);
+                        self.log.push(format!("{:?} ack {sub} {ack:?}: {retx:?}", self.now));
+                        if let Some(seg) = retx {
+                            self.wire.push_back(Pkt::Data(sub, seg));
+                        }
+                        self.send();
+                    }
+                }
+            }
+        }
+
+        /// Fire both subflows' delayed-ACK and RTO timers now.
+        fn fire_timers(&mut self) {
+            for sub in 0..2 {
+                let ack = self.rx.take_delayed_ack(sub);
+                self.log.push(format!("{:?} delack {sub}: {ack:?}", self.now));
+                if let Some(ack) = ack {
+                    self.wire.push_back(Pkt::Ack(sub, ack));
+                }
+                let retx = self.tx.subflows[sub].on_rto_fire(self.now);
+                self.log.push(format!("{:?} rto {sub}: {retx:?}", self.now));
+                if let Some(seg) = retx {
+                    self.wire.push_back(Pkt::Data(sub, seg));
+                }
+            }
+        }
+
+        fn stats(&self) -> String {
+            let subs: Vec<_> = self.tx.subflows.iter().map(|sf| sf.stats()).collect();
+            format!("{:?} {subs:?} {:?}", self.tx.stats(), self.rx.stats())
+        }
+    }
+
+    #[test]
+    fn released_connection_behaves_like_its_unreleased_twin() {
+        // Identical pairs carry a response to the end; then one gives its
+        // buffers back. A late duplicate segment, delayed-ACK and RTO fires,
+        // and a second response with a loss (dupacks, a fast retransmit,
+        // reordering, an RTO with data in flight) must produce the same
+        // ACKs, retransmissions and counters in both — and in a third pair
+        // that gives its buffers back before every packet, full or not.
+        let (mut kept, mut released, mut always) = (Pair::new(), Pair::new(), Pair::new());
+        always.release_always = true;
+        for (i, p) in [&mut kept, &mut released, &mut always].into_iter().enumerate() {
+            p.tx.server_write(0, 60);
+            p.send();
+            p.pump(|_| false);
+            assert!(p.tx.all_acked(), "the first response drained");
+            if i == 1 {
+                p.release();
+            }
+            p.arrive(0, Segment { dsn: 3, ssn: 2 });
+            p.fire_timers();
+            p.pump(|_| false);
+            p.tx.server_write(1, 80);
+            p.send();
+            // Past every retransmission deadline, with the window in flight.
+            p.now += Duration::from_secs(5);
+            p.fire_timers();
+            let first_copy = std::cell::Cell::new(true);
+            p.pump(|seg| seg.dsn == 90 && first_copy.replace(false));
+            p.fire_timers();
+            p.pump(|_| false);
+            assert!(p.tx.all_acked(), "the second response drained");
+        }
+        assert!(kept.log.iter().any(|l| l.contains("lost")), "the loss never happened");
+        assert!(
+            kept.log.iter().any(|l| l.contains("rto") && l.contains(": Some")),
+            "no RTO retransmitted"
+        );
+        for twin in [&released, &always] {
+            assert_eq!(kept.log, twin.log);
+            assert_eq!(kept.stats(), twin.stats());
+        }
     }
 }

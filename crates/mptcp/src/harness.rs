@@ -156,6 +156,20 @@ impl<T: Transport> World<T> {
         }
     }
 
+    /// The transport, for upkeep between runs (buffer release).
+    pub(crate) fn transport_mut(&mut self) -> &mut T {
+        &mut self.transport
+    }
+
+    /// Give back path `path`'s spare queue capacity — both links' departure
+    /// FIFOs and both delivery queues — keeping every queued entry, at
+    /// simulated time `now` (no later than any pending event).
+    pub(crate) fn release_path(&mut self, path: usize, now: Time) {
+        self.paths[path].release_buffers(now);
+        self.fwd[path].shrink_to_fit();
+        self.rev[path].shrink_to_fit();
+    }
+
     /// Split into the transport and the context its handlers work through.
     fn split<'a>(&'a mut self, now: Time, q: &'a mut Queue<T>) -> (&'a mut T, Ctx<'a, T>) {
         let cx = Ctx {

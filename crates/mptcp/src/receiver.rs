@@ -133,6 +133,12 @@ impl<T: Copy> ReorderRing<T> {
             debug_assert!(front.is_none(), "slot 0 must be empty between calls");
         }
     }
+
+    /// Give back the spare slots, keeping every buffered entry at its
+    /// offset; the next insert past the end grows the ring back.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.slots.shrink_to_fit();
+    }
 }
 
 /// Receive state of one subflow, kept together so an arrival touches one
@@ -308,6 +314,15 @@ impl Receiver {
         } else {
             None
         }
+    }
+
+    /// Give back both reassembly levels' spare slots (see
+    /// [`ReorderRing::shrink_to_fit`]); nothing buffered moves.
+    pub(crate) fn release_buffers(&mut self) {
+        for rx in self.subs.iter_mut() {
+            rx.buf.shrink_to_fit();
+        }
+        self.meta_buf.shrink_to_fit();
     }
 
     /// Insert a dsn into the meta buffer unless already delivered/buffered.

@@ -4,6 +4,7 @@
 //! [`TestbedConfig`] it is built from and the [`Application`] trait MPTCP
 //! workloads (a DASH player, a `wget` download, a browser) implement.
 
+use std::ops::Range;
 use std::time::Duration;
 
 use ecf_core::SchedulerKind;
@@ -171,6 +172,29 @@ pub struct Mptcp {
     plan_buf: Vec<Transmission>,
     /// Scratch delivery list reused across data arrivals.
     delivered_buf: Vec<Delivered>,
+}
+
+impl World {
+    /// Give back the buffer capacity of connections `conns` and of the
+    /// paths their subflows ride, at simulated time `now` (between runs, no
+    /// later than any pending event): the subflows' retransmission rings,
+    /// both reorder levels, the reinjection queue, the response bounds, and
+    /// each path's link FIFOs and delivery queues. Only capacity moves —
+    /// every entry stays where it was, and a buffer touched again grows
+    /// back — so the run goes on exactly as it would have. Meant for
+    /// connections whose traffic is over ([`Connection::all_acked`]); a path
+    /// another connection still uses just grows back.
+    pub fn release_conns(&mut self, conns: Range<ConnId>, now: Time) {
+        for c in conns {
+            let cs = &mut self.transport_mut().conns[c];
+            cs.sender.release_buffers();
+            cs.receiver.release_buffers();
+            for sub in 0..cs.sender.subflows.len() {
+                let path = self.conns[c].sender.subflows[sub].path;
+                self.release_path(path, now);
+            }
+        }
+    }
 }
 
 /// Arm `sf`'s lazy RTO timer unless one is already pending.

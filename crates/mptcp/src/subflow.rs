@@ -139,6 +139,12 @@ impl Subflow {
         self.stats
     }
 
+    /// Give back the retransmission ring's spare slots, keeping every
+    /// unacknowledged entry in order; the next send grows it back.
+    pub(crate) fn release_buffers(&mut self) {
+        self.inflight.shrink_to_fit();
+    }
+
     /// True if any in-flight transmission on this subflow carries `dsn`.
     pub(crate) fn carries_dsn(&self, dsn: u64) -> bool {
         self.inflight.iter().any(|s| s.dsn == dsn)

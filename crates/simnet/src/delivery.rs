@@ -99,6 +99,13 @@ impl<P> DeliveryQueue<P> {
     pub fn is_empty(&self) -> bool {
         self.q.is_empty()
     }
+
+    /// Give back the spare capacity, keeping every parked delivery in
+    /// order; the next push grows the ring back. Called once the
+    /// connections on the link have drained, when it is usually empty.
+    pub fn shrink_to_fit(&mut self) {
+        self.q.shrink_to_fit();
+    }
 }
 
 #[cfg(test)]

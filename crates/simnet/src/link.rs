@@ -253,6 +253,17 @@ impl Link {
         self.queued_bytes
     }
 
+    /// Give back the departure FIFO's spare capacity once the link has gone
+    /// quiet: entries already departed by `now` are expired first (the next
+    /// enqueue or backlog read, at `now` or later, would expire them
+    /// anyway), then the ring shrinks to what is left. Contents and order
+    /// are kept, and a later enqueue grows the ring back, so no verdict or
+    /// arrival time changes.
+    pub(crate) fn release_buffers(&mut self, now: Time) {
+        self.expire(now);
+        self.in_queue.shrink_to_fit();
+    }
+
     fn expire(&mut self, now: Time) {
         while let Some(&(dep, bytes)) = self.in_queue.front() {
             if dep <= now {
@@ -397,6 +408,24 @@ mod tests {
         assert_eq!(l.enqueue(Time::ZERO, MTU), Verdict::DropQueue);
         // After 1 ms the first packet has fully serialized out.
         assert!(matches!(l.enqueue(Time::from_millis(1), MTU), Verdict::Deliver { .. }));
+    }
+
+    #[test]
+    fn released_queue_keeps_every_verdict() {
+        // Two twins fed the same offers; one gives its FIFO back twice — once
+        // mid-backlog, once long idle — and must answer every offer alike.
+        let (mut a, mut b) = (mk(12.0, 5, u64::from(MTU) * 40), mk(12.0, 5, u64::from(MTU) * 40));
+        let offers = (0..200u64).map(|i| Time::from_micros(i * 300 + (i / 50) * 40_000));
+        for (i, t) in offers.enumerate() {
+            if i == 60 || i == 150 {
+                b.release_buffers(t);
+                assert!(b.in_queue.capacity() <= a.in_queue.capacity());
+            }
+            assert_eq!(a.enqueue(t, MTU), b.enqueue(t, MTU), "offer {i}");
+            assert_eq!(a.queued_bytes(t), b.queued_bytes(t), "offer {i}");
+        }
+        b.release_buffers(Time::from_secs(10));
+        assert_eq!(b.in_queue.capacity(), 0, "a drained FIFO keeps no slots");
     }
 
     #[test]

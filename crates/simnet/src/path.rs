@@ -14,6 +14,7 @@
 use std::time::Duration;
 
 use crate::link::{Link, LinkConfig};
+use crate::time::Time;
 
 /// WiFi one-way propagation delay (base RTT ≈ 20 ms; paper Table 2 shows
 /// 40 ms at 8.6 Mbps once queueing is included).
@@ -92,6 +93,14 @@ impl Path {
             fwd: Link::new(cfg.fwd.clone(), seed.wrapping_mul(2).wrapping_add(1)),
             rev: Link::new(cfg.rev.clone(), seed.wrapping_mul(2).wrapping_add(2)),
         }
+    }
+
+    /// Give back both links' spare queue capacity (see
+    /// `Link::release_buffers`): called once the connections riding the
+    /// path have drained. Nothing observable changes.
+    pub fn release_buffers(&mut self, now: Time) {
+        self.fwd.release_buffers(now);
+        self.rev.release_buffers(now);
     }
 
     /// Attach a telemetry sink to both directions; drops will be reported

@@ -206,6 +206,20 @@ pub fn flag(doc: &Value, key: &str) -> Result<bool, String> {
     doc.get(key).map_or(Ok(false), |v| v.as_bool().ok_or_else(|| format!("{key:?} must be a bool")))
 }
 
+/// Optional field `key` of `doc`: `None` when absent, else the field read
+/// by `read` — one of the readers above, so a present but malformed value
+/// is `read`'s error, which names `key`.
+pub fn optional<'v, T>(
+    doc: &'v Value,
+    key: &str,
+    read: impl FnOnce(&'v Value, &str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match doc.get(key) {
+        Some(_) => read(doc, key).map(Some),
+        None => Ok(None),
+    }
+}
+
 /// Parse one complete JSON document.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
@@ -422,6 +436,16 @@ mod tests {
         assert_eq!(number(&d, "k"), Err("\"k\" must be a number".to_string()));
         assert_eq!(flag(&d, "k"), Err("\"k\" must be a bool".to_string()));
         assert_eq!(uint(&d, "absent"), Err("missing \"absent\"".to_string()));
+    }
+
+    #[test]
+    fn optional_is_none_when_absent_and_the_reader_otherwise() {
+        let d = doc("k", "3");
+        assert_eq!(optional(&d, "absent", uint), Ok(None));
+        assert_eq!(optional(&d, "k", uint), Ok(Some(3)));
+        assert_eq!(optional(&d, "k", string), Err("\"k\" must be a string".to_string()));
+        let err = optional(&doc("k", "0.5"), "k", uint).unwrap_err();
+        assert!(err.starts_with("\"k\" must be a non-negative integer"), "{err}");
     }
 
     #[test]

@@ -16,17 +16,29 @@
 # phases. Exits non-zero if any run is incorrect or has failures. Writes
 # nothing into the repo. 2 x N x workloads x ~27 s (~36 min at defaults).
 #
-# Usage: scripts/ab.sh <rev-a> <rev-b> [--pairs N] [--workload W]...
+# --ledger runs `benchmark trace --workload W` once per side instead and
+# prints the per-layer counts that are exact functions of config and seed —
+# simnet.engine.events, core.decide.calls, cosim.rounds,
+# cosim.boundary_msgs — as `equal`, `fewer` or `more` (b against a): a
+# change that claims to move only memory or time must read `equal`.
+# Allocation counts are left out until an A/A run shows they are exact too.
+# 2 x workloads x ~15 s.
+#
+# Usage: scripts/ab.sh <rev-a> <rev-b> [--pairs N | --ledger] [--workload W]...
 set -euo pipefail
 cd "$(dirname "$0")/.."
-usage() { echo "usage: scripts/ab.sh <rev-a> <rev-b> [--pairs N] [--workload W]..." >&2; exit 2; }
+usage() {
+    echo "usage: scripts/ab.sh <rev-a> <rev-b> [--pairs N | --ledger] [--workload W]..." >&2
+    exit 2
+}
 [ $# -ge 2 ] || usage
 revs=("$1" "$2"); shift 2
-pairs=10 workloads=""
+pairs=10 workloads="" ledger=0
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) pairs="${2:?--pairs needs a number}"; shift 2 ;;
         --workload) workloads+=" ${2:?--workload needs a name}"; shift 2 ;;
+        --ledger) ledger=1; shift ;;
         *) usage ;;
     esac
 done
@@ -39,6 +51,38 @@ for i in 0 1; do
     (cd "$tmp/src$i" && cargo build --release --offline --manifest-path benchmark/Cargo.toml)
     cp "$tmp/src$i/benchmark/target/release/benchmark" "$tmp/bench$i"
 done
+
+if [ "$ledger" -eq 1 ]; then
+python3 - "$tmp" $workloads <<'PY'
+import json, subprocess, sys
+tmp, names = sys.argv[1], sys.argv[2:]
+spec = json.load(open("BENCHMARK.json"))
+names = names or [w["name"] for w in spec["workloads"]]
+exact = ["simnet.engine.events", "core.decide.calls", "cosim.rounds", "cosim.boundary_msgs"]
+bad = False
+rows = []
+for w in names:
+    got = []
+    for side in (0, 1):
+        print(f"ab.sh: {w} trace side {'ab'[side]}", file=sys.stderr)
+        out = subprocess.run([f"{tmp}/bench{side}", "trace", "--workload", w],
+                             cwd=tmp, stdout=subprocess.PIPE, text=True).stdout
+        res = json.loads(out.splitlines()[-1])
+        if not res["correct"] or res["failed"] > 0:
+            print(f"ab.sh: BAD RUN {w} side {'ab'[side]}: correct={res['correct']} "
+                  f"failed={res['failed']}/{res['attempted']}", file=sys.stderr)
+            bad = True
+        got.append(res["metrics"])
+    for m in exact:
+        a, b = (got[side][m]["value"] for side in (0, 1))
+        rows.append((w, m, a, b, "equal" if a == b else "fewer" if b < a else "more"))
+print(f"{'workload':<15} {'metric':<22} {'a':>14} {'b':>14}  verdict")
+for w, m, a, b, verdict in rows:
+    print(f"{w:<15} {m:<22} {a:>14.0f} {b:>14.0f}  {verdict}")
+sys.exit(1 if bad else 0)
+PY
+exit
+fi
 
 python3 - "$tmp" "$pairs" $workloads <<'PY'
 import json, resource, statistics, subprocess, sys

@@ -108,13 +108,14 @@ done
 echo "== memory guards: RSS growth over live bytes, bytes requested and live (release) =="
 # Both pass or fail in the workspace tests above too (debug); the release
 # run is the allocator pattern the benchmark of record sees, and the ratio,
-# the bytes a sweep keeps per unit and the four footprint readings are
+# the bytes a sweep keeps per unit and the five footprint readings (among
+# them what the coupled body holds after its last window) are
 # printed so a drift towards a bound shows before it trips. Beside them,
 # the coupled body's recorder pools: OOO entries per sample (a zero run is
 # one entry) and slots per entry (the growth rule's slack).
 mem_out="$(cargo test --release --offline -p experiments --test rss --test footprint \
     -- --nocapture 2>&1)" || { echo "$mem_out" >&2; exit 1; }
-echo "$mem_out" | grep -E "rss growth|live per unit|requested|streaming:" || true
+echo "$mem_out" | grep -E "rss growth|live per unit|requested|last window|streaming:" || true
 pool_out="$(cargo test --release --offline -p experiments --lib -- --nocapture \
     recorder_pools_hold_bounded_slack report_vectors_are_exact_sized 2>&1)" \
     || { echo "$pool_out" >&2; exit 1; }
