@@ -25,8 +25,7 @@
 //!
 //! let wifi = PathSnapshot {
 //!     id: PathId(0), srtt: Duration::from_millis(10),
-//!     rtt_dev: Duration::from_millis(1), cwnd: 10, inflight: 10,
-//!     in_slow_start: false, usable: true, queue_bytes: 0,
+//!     rtt_dev: Duration::from_millis(1), cwnd: 10, inflight: 10, usable: true,
 //! };
 //! let lte = PathSnapshot { id: PathId(1), srtt: Duration::from_millis(100), ..wifi };
 //! let lte = PathSnapshot { inflight: 0, ..lte };

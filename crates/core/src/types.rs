@@ -14,9 +14,10 @@ pub struct PathId(pub usize);
 
 /// Everything a scheduler may know about one path at decision time.
 ///
-/// All fields mirror state a real MPTCP sender has on hand: smoothed RTT and
-/// its deviation from the RTT estimator, the congestion window and bytes in
-/// flight (in whole segments), and slow-start phase.
+/// All fields mirror state a real MPTCP sender has on hand, and they are
+/// exactly what the kernel's scheduling decision reads: smoothed RTT and its
+/// deviation from the RTT estimator, the congestion window and segments in
+/// flight (in whole segments), and whether the path may be used.
 #[derive(Debug, Clone, Copy)]
 pub struct PathSnapshot {
     /// Which path this is.
@@ -29,15 +30,8 @@ pub struct PathSnapshot {
     pub cwnd: u32,
     /// Unacknowledged segments currently in flight.
     pub inflight: u32,
-    /// True while the path's congestion controller is in slow start.
-    pub in_slow_start: bool,
     /// False when the path must not be used (not established, dead, ...).
     pub usable: bool,
-    /// Bytes sitting in the path's bottleneck (droptail) queue, as sampled
-    /// by the transport just before scheduling. A cross-layer signal no
-    /// in-paper scheduler reads — exposed for QAware-style device-queue
-    /// scheduling; 0 when the transport has no such visibility.
-    pub queue_bytes: u64,
 }
 
 impl PathSnapshot {
@@ -142,9 +136,7 @@ pub(crate) mod testutil {
             rtt_dev: Duration::ZERO,
             cwnd,
             inflight,
-            in_slow_start: false,
             usable: true,
-            queue_bytes: 0,
         }
     }
 }

@@ -11,27 +11,25 @@ use ecf_core::{
 };
 use testkit::prop::{bools, check, vec_of, Gen};
 
-/// Raw generated path state: (srtt_ms, dev_ms, cwnd, inflight, slow_start,
-/// usable). Kept primitive so shrinking stays effective; assembled into
+/// Raw generated path state: (srtt_ms, dev_ms, cwnd, inflight, usable).
+/// Kept primitive so shrinking stays effective; assembled into
 /// [`PathSnapshot`]s inside each property.
-type RawPath = (u64, u64, u32, u32, bool, bool);
+type RawPath = (u64, u64, u32, u32, bool);
 
 fn raw_paths() -> impl Gen<Value = Vec<RawPath>> {
-    vec_of((1u64..2_000, 0u64..200, 1u32..500, 0u32..600, bools(), bools()), 1..5)
+    vec_of((1u64..2_000, 0u64..200, 1u32..500, 0u32..600, bools()), 1..5)
 }
 
 fn build_paths(raw: &[RawPath]) -> Vec<PathSnapshot> {
     raw.iter()
         .enumerate()
-        .map(|(i, &(srtt_ms, dev_ms, cwnd, inflight, ss, usable))| PathSnapshot {
+        .map(|(i, &(srtt_ms, dev_ms, cwnd, inflight, usable))| PathSnapshot {
             id: PathId(i),
             srtt: Duration::from_millis(srtt_ms),
             rtt_dev: Duration::from_millis(dev_ms),
             cwnd,
             inflight,
-            in_slow_start: ss,
             usable,
-            queue_bytes: 0,
         })
         .collect()
 }
@@ -163,9 +161,7 @@ fn daps_split_tracks_inverse_rtt() {
             rtt_dev: Duration::ZERO,
             cwnd: u32::MAX,
             inflight: 0,
-            in_slow_start: false,
             usable: true,
-            queue_bytes: 0,
         };
         let paths = [mk(0, rtt_a), mk(1, rtt_b)];
         let input = SchedInput { paths: &paths, queued_pkts: 10, send_window_free_pkts: 1 << 30 };

@@ -194,8 +194,15 @@ pub struct StreamingOutcome {
     pub events_processed: u64,
 }
 
-/// Run one DASH streaming session and collect the figure inputs.
-pub fn run_streaming(cfg: &StreamingConfig) -> StreamingOutcome {
+/// The horizon, in seconds, a streaming session of `video_secs` runs to:
+/// generous, because the slowest pairs stream far below real time. A
+/// scenario that spans the whole possible run is built to it too.
+pub(crate) fn streaming_horizon_secs(video_secs: f64) -> u64 {
+    (video_secs * 30.0) as u64 + 300
+}
+
+/// The DASH streaming testbed `cfg` describes, not yet run.
+fn streaming_testbed(cfg: &StreamingConfig) -> Testbed<DashApp> {
     let per_if = cfg.subflows_per_interface.max(1);
     let mut paths = Vec::new();
     for _ in 0..per_if {
@@ -228,9 +235,14 @@ pub fn run_streaming(cfg: &StreamingConfig) -> StreamingOutcome {
         telemetry: cfg.telemetry.clone(),
     };
     let player = PlayerConfig { video_secs: cfg.video_secs, ..PlayerConfig::default() };
-    let mut tb = Testbed::new(tb_cfg, DashApp::new(player, 0));
-    // Generous horizon: the slowest pairs stream far below real time.
-    tb.run_until(Time::from_secs((cfg.video_secs * 30.0) as u64 + 300));
+    Testbed::new(tb_cfg, DashApp::new(player, 0))
+}
+
+/// Run one DASH streaming session and collect the figure inputs.
+pub fn run_streaming(cfg: &StreamingConfig) -> StreamingOutcome {
+    let per_if = cfg.subflows_per_interface.max(1);
+    let mut tb = streaming_testbed(cfg);
+    tb.run_until(Time::from_secs(streaming_horizon_secs(cfg.video_secs)));
 
     // Move the samples and traces out first: the OOO pool becomes the
     // outcome's vector in place instead of being copied beside itself.
@@ -362,6 +374,32 @@ pub fn secs(s: u64) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_traced_session_ends_with_its_last_event() {
+        // The periodic sampler must not keep a finished session alive: the
+        // traced run drains before the horizon, and its last sample falls
+        // within one sampling interval (100 ms) of the untraced twin's last
+        // event — sampling reads state, so both runs share every other event.
+        let mut cfg = StreamingConfig::new(0.3, 8.6, SchedulerKind::Ecf, 1);
+        cfg.video_secs = 60.0;
+        let horizon = Time::from_secs(streaming_horizon_secs(cfg.video_secs));
+        let mut plain = streaming_testbed(&cfg);
+        assert_eq!(plain.run_until(horizon), simnet::RunOutcome::Drained);
+        let last_event = plain.now();
+
+        cfg.recorder =
+            RecorderConfig { cwnd_traces: true, sndbuf_traces: true, ..RecorderConfig::default() };
+        let mut traced = streaming_testbed(&cfg);
+        assert_eq!(traced.run_until(horizon), simnet::RunOutcome::Drained);
+        assert!(traced.now() < horizon, "the traced run reached its horizon");
+        let rec = &traced.world().recorder;
+        for trace in rec.cwnd[0].iter().chain(&rec.sndbuf[0]) {
+            let &(last_sample, _) = trace.points.last().expect("a trace holds samples");
+            let gap = last_sample - last_event.as_secs_f64();
+            assert!((0.0..=0.1 + 1e-9).contains(&gap), "last sample {gap} s after the last event");
+        }
+    }
 
     #[test]
     fn default_workers_clamps_and_falls_back() {

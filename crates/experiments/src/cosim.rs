@@ -11,12 +11,11 @@
 //! ## Why not share the queue itself?
 //!
 //! A droptail [`simnet::Link`] spanning two engines would need *zero*
-//! lookahead: `enqueue` order determines arrivals and drops, and the
-//! cross-layer scheduler snapshot samples `queued_bytes(now)`
-//! synchronously, so either engine could affect the other at the current
-//! instant. Conservative synchronization with a zero horizon deadlocks, so
-//! literal sharing still collapses to one engine (reported, no longer
-//! silent — see [`crate::sharding::run_sweep`]).
+//! lookahead: `enqueue` order determines arrivals and drops, so either
+//! engine could affect the other at the current instant. Conservative
+//! synchronization with a zero horizon deadlocks, so literal sharing still
+//! collapses to one engine (reported, no longer silent — see
+//! [`crate::sharding::run_sweep`]).
 //!
 //! ## The coupling model
 //!

@@ -46,7 +46,10 @@ use testkit::json::{self, Value};
 use testkit::Rng;
 use webload::{BrowserApp, PageModel};
 
-use crate::common::{run_browse, run_streaming, run_wget, secs, StreamingConfig, VARIABLE_BW_SET};
+use crate::common::{
+    run_browse, run_streaming, run_wget, secs, streaming_horizon_secs, StreamingConfig,
+    VARIABLE_BW_SET,
+};
 use crate::cosim::COUPLED_BENCH_GROUPS;
 use crate::quicweb::run_quic_web;
 use crate::sharding::{browse_coupled_population, browse_population, run_sweep, SweepOptions};
@@ -276,29 +279,13 @@ fn streaming_cell(cfg: &Value, telemetry: &TelemetryHandle) -> Result<Value, Str
     if json::flag(cfg, "record_ooo")? {
         result.series("ooo_delays", numbers(&out.ooo_delays));
     }
+    let traces =
+        |ts: &[metrics::TimeSeries]| Value::Array(ts.iter().map(|t| points(&t.points)).collect());
     if record_cwnd {
-        let traces = out.cwnd_traces.iter().map(|t| points(&t.points)).collect();
-        result.series("cwnd_traces", Value::Array(traces));
+        result.series("cwnd_traces", traces(&out.cwnd_traces));
     }
     if record_sndbuf {
-        // Pre-render Fig 3's rows here: the thinning/lookup pipeline stays
-        // beside the recorder types, and the cached form is already the
-        // exact figure text (floats can round-trip, but keeping the cache
-        // in render space removes the question entirely).
-        if out.sndbuf_traces.len() < 2 {
-            return Err("sndbuf recording produced fewer than 2 traces".to_string());
-        }
-        let wifi = out.sndbuf_traces[0].thin(200);
-        let lte = &out.sndbuf_traces[1];
-        let rows = wifi
-            .points
-            .iter()
-            .map(|&(t, w)| {
-                let l = lte.value_at(t).unwrap_or(0.0);
-                Value::String(format!("{t:.1}\t{w:.1}\t{l:.1}"))
-            })
-            .collect();
-        result.series("sndbuf_rows", Value::Array(rows));
+        result.series("sndbuf_traces", traces(&out.sndbuf_traces));
     }
     Ok(result.into_value())
 }
@@ -483,11 +470,10 @@ fn build_scenario(cfg: &Value, video_secs: f64) -> Result<Option<Scenario>, Stri
             "static" => Scenario::new(),
             "handover" => {
                 // Outage cycles across the whole possible run, up to the
-                // run_streaming wall horizon; late events on a finished run
-                // are harmless.
+                // streaming horizon; late events on a finished run are
+                // harmless.
                 let outage = json::uint(doc, "outage_secs")?;
-                let wall_horizon = (video_secs * 30.0) as u64 + 300;
-                handover_scenario(outage, wall_horizon)
+                handover_scenario(outage, streaming_horizon_secs(video_secs))
             }
             "random_rates" => {
                 // §5.3's random-walk process on both interfaces, with the

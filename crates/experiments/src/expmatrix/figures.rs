@@ -571,21 +571,27 @@ fn tab2(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     Ok(s)
 }
 
+/// Cell `i`'s per-subflow traces under `key` (`cwnd_traces`,
+/// `sndbuf_traces`): at least the WiFi and the LTE one, in subflow order.
+fn subflow_traces(results: &[Value], i: usize, key: &str) -> Result<Vec<TimeSeries>, String> {
+    let per_subflow = series(results, i, key)?
+        .iter()
+        .map(|t| t.as_array().and_then(time_series))
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| format!("cell {i}: {key} holds a malformed trace"))?;
+    if per_subflow.len() < 2 {
+        return Err(format!("cell {i}: {key} holds fewer than 2 traces"));
+    }
+    Ok(per_subflow)
+}
+
 /// Figs 11 & 12: WiFi and LTE CWND traces, one column per scheduler,
 /// sampled at the first scheduler's thinned trace times.
 fn fig11(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     let grid = Grid::sole(exp, results, "fig11", 1)?;
     let mut traces = Vec::new();
     for k in 0..grid.len(0) {
-        let i = grid.cells(&[k]).start;
-        let per_subflow = series(results, i, "cwnd_traces")?
-            .iter()
-            .map(|t| t.as_array().and_then(time_series))
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| format!("cell {i}: cwnd_traces holds a malformed trace"))?;
-        if per_subflow.len() < 2 {
-            return Err(format!("cell {i}: fewer than 2 cwnd traces"));
-        }
+        let per_subflow = subflow_traces(results, grid.cells(&[k]).start, "cwnd_traces")?;
         traces.push((grid.label(&[k], "scheduler")?, per_subflow));
     }
     let mut s = String::from(
@@ -1042,26 +1048,21 @@ fn extension_sttf(exp: &Expansion, results: &[Value]) -> Result<String, String> 
     Ok(s)
 }
 
-/// Fig 3: the single sndbuf-trace cell; rows were pre-rendered by the
-/// cell executor.
+/// Fig 3: the single send-buffer-trace cell, the WiFi trace thinned to 200
+/// rows and the LTE trace read at each row's time.
 fn fig3(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     if exp.cells.len() != 1 {
         return Err(format!("fig3 expects exactly 1 cell, got {}", exp.cells.len()));
     }
-    let rows = results[0]
-        .get("series")
-        .and_then(|s| s.get("sndbuf_rows"))
-        .and_then(Value::as_array)
-        .ok_or("fig3: result lacks series.sndbuf_rows")?;
+    let traces = subflow_traces(results, 0, "sndbuf_traces")?;
     let mut s = String::from(
         "Fig 3: Send-buffer occupancy (KB, incl. in-flight), 0.3 Mbps WiFi / 8.6 Mbps LTE\n\
          (paper: LTE empties quickly and sits idle while WiFi stays occupied)\n\n\
          time_s\twifi_KB\tlte_KB\n",
     );
-    for row in rows {
-        let row = row.as_str().ok_or("fig3: sndbuf_rows entry is not a string")?;
-        s.push_str(row);
-        s.push('\n');
+    for &(t, wifi) in &traces[0].thin(200).points {
+        let lte = traces[1].value_at(t).unwrap_or(0.0);
+        s.push_str(&format!("{t:.1}\t{wifi:.1}\t{lte:.1}\n"));
     }
     Ok(s)
 }

@@ -60,7 +60,7 @@ pub(crate) const CACHE_SCHEMA: f64 = 1.0;
 
 /// Result extraction version; bump when [`cells`] extracts different or
 /// differently-shaped observables (invalidates every cached cell).
-const RESULT_SCHEMA: f64 = 1.0;
+const RESULT_SCHEMA: f64 = 2.0;
 
 /// The engine's behavioral contract: the golden digests of fully seeded
 /// reference runs, byte-identical since the PR 2 capture. The golden

@@ -367,16 +367,14 @@ impl Connection {
             // (an ACK clocking an idle sender skips it entirely): within the
             // inner loop the only snapshot-visible state that moves is the
             // chosen subflow's in-flight count (register_send pushes one
-            // segment; RTT, cwnd and slow-start state only change on ACKs),
-            // so it is updated in place below instead of re-reading every
-            // subflow per packet. Anything that can change other fields
+            // segment; RTT and cwnd only change on ACKs), so it is updated
+            // in place below instead of re-reading every subflow per packet. Anything that can change other fields
             // (penalization, idle reset, reinjection) happens outside this
             // loop, and the outer retry pass rebuilds the snapshot.
             if self.unassigned_segs() > 0 && !snap_valid {
                 self.driver.snap_buf.clear();
                 for sf in &self.subflows {
-                    let (inflight, queue) = (sf.inflight_count(), sf.link_queue_bytes);
-                    self.driver.push_path(&sf.cc, inflight, sf.usable, queue);
+                    self.driver.push_path(&sf.cc, sf.inflight_count(), sf.usable);
                 }
                 snap_valid = true;
             }

@@ -315,18 +315,6 @@ impl<T: Transport> Ctx<'_, T> {
         self.q.schedule(at, Event::Timer(timer));
     }
 
-    /// The cross-layer sample: `path`'s droptail backlog in bytes (0 when
-    /// down). `Link::queued_bytes` expires the queue at `now` first — a
-    /// mutation the next enqueue would perform anyway, so sampling cannot
-    /// change link behavior (the golden digests pin this).
-    pub fn fwd_backlog(&mut self, path: usize) -> u64 {
-        if self.path_up[path] {
-            self.paths[path].fwd.queued_bytes(self.now)
-        } else {
-            0
-        }
-    }
-
     /// Mark `req` on `conn` complete; the application hears of it when the
     /// current handler returns.
     pub fn complete(&mut self, conn: ConnId, req: ReqId) {
@@ -475,7 +463,12 @@ impl<T: Drive<A>, A> Model for Sim<T, A> {
             Event::Sample => {
                 let world = &mut self.world;
                 world.transport.sample(now, &mut world.recorder);
-                q.schedule(now + crate::trace::SAMPLE_EVERY, Event::Sample);
+                // Re-arm only while the run has something else to do: a
+                // sampler alone would keep a finished session alive to the
+                // horizon, and its traces would describe the idle tail.
+                if !q.is_empty() {
+                    q.schedule(now + crate::trace::SAMPLE_EVERY, Event::Sample);
+                }
             }
         }
     }

@@ -225,16 +225,6 @@ impl Mptcp {
     /// the wire, reusing the scratch plan buffer.
     fn pump_send(&mut self, conn: ConnId, cx: &mut Ctx<'_, Self>) {
         let sender = &mut self.conns[conn].sender;
-        // The cross-layer sample is skipped when nothing is waiting to be
-        // assigned: `link_queue_bytes` is only consulted by the phase-2
-        // scheduler select, which never runs with zero unassigned segments
-        // (reinjection reads srtt/cwnd only), so a stale sample is unread
-        // and the deferred queue expiry is performed by the next enqueue.
-        if sender.unassigned_segs() > 0 {
-            for sf in sender.subflows.iter_mut() {
-                sf.link_queue_bytes = cx.fwd_backlog(sf.path);
-            }
-        }
         let mut plan = std::mem::take(&mut self.plan_buf);
         plan.clear();
         sender.try_send_into(cx.now, &mut plan);

@@ -77,11 +77,6 @@ pub struct Subflow {
     /// False while the underlying path is down (handover, radio loss); the
     /// scheduler sees this via its snapshot and the send path skips it.
     pub usable: bool,
-    /// Bytes queued in the path's forward droptail queue, sampled by the
-    /// testbed just before each send opportunity. Pure observability: copied
-    /// into [`ecf_core::PathSnapshot::queue_bytes`] for cross-layer
-    /// (QAware-style) schedulers; nothing in-tree reads it yet.
-    pub link_queue_bytes: u64,
     stats: SubflowStats,
 }
 
@@ -108,7 +103,6 @@ impl Subflow {
             rto_scheduled: false,
             last_penalty: Time::ZERO,
             usable: true,
-            link_queue_bytes: 0,
             stats: SubflowStats::default(),
         }
     }

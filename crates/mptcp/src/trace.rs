@@ -15,7 +15,8 @@ use crate::segment::{ConnId, ReqId, SubId};
 pub(crate) const SAMPLE_EVERY: Duration = Duration::from_millis(100);
 
 /// What to collect during a run. Per-segment OOO delays are cheap; the
-/// periodic traces cost one event per 100 ms of simulated time.
+/// periodic traces cost one event per 100 ms of simulated time, and stop
+/// once nothing else is pending (the session is over).
 #[derive(Debug, Clone, Copy)]
 pub struct RecorderConfig {
     /// Collect per-segment out-of-order delays (Figs 13, 14, 21, 23).
@@ -504,11 +505,14 @@ mod tests {
         assert_eq!(sizes[1], 24, "the forward payload was a 32 B enum with the ACK");
         assert_eq!(sizes[2], 40, "a forward delivery slot was 48 B");
         assert_eq!(sizes[3], 40, "RttEstimator was 120 B in Duration fields, 56 with RTO bounds");
-        assert_eq!(sizes[4], 240, "Subflow was 376 B, 264 with per-instance TCP constants");
         assert_eq!(
-            sizes[5],
-            960,
-            "ConnState was 1288 B, 1064 with per-instance TCP constants, 968 with a send-buffer field"
+            sizes[4], 232,
+            "Subflow was 376 B, 264 with per-instance TCP constants, 240 with a queue sample"
+        );
+        assert_eq!(
+            sizes[5], 944,
+            "ConnState was 1288 B, 1064 with per-instance TCP constants, 968 with a send-buffer \
+             field, 960 with a queue sample per subflow"
         );
     }
 

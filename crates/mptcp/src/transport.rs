@@ -72,20 +72,17 @@ impl SchedDriver {
     }
 
     /// Append the next path's snapshot to [`SchedDriver::snap_buf`], its
-    /// `id` the path's position: the sender's RTT, window and slow-start
-    /// state from `cc`, plus what the transport knows beside it — packets
-    /// in flight, whether the path is up, and the bytes queued at the
-    /// path's bottleneck link (the cross-layer input).
-    pub fn push_path(&mut self, cc: &TcpCc, inflight: u32, usable: bool, queue_bytes: u64) {
+    /// `id` the path's position: the sender's RTT and window from `cc`,
+    /// plus what the transport knows beside it — packets in flight and
+    /// whether the path is up.
+    pub fn push_path(&mut self, cc: &TcpCc, inflight: u32, usable: bool) {
         self.snap_buf.push(PathSnapshot {
             id: PathId(self.snap_buf.len()),
             srtt: cc.rtt.srtt(),
             rtt_dev: cc.rtt.rttvar(),
             cwnd: cc.cwnd_pkts(),
             inflight,
-            in_slow_start: cc.in_slow_start(),
             usable,
-            queue_bytes,
         });
     }
 
@@ -127,7 +124,7 @@ impl SchedDriver {
                     rttvar_us: micros(s.rtt_dev),
                     cwnd: s.cwnd,
                     inflight: s.inflight,
-                    queue_bytes: sat32(s.queue_bytes),
+                    queue_bytes: 0,
                 };
             }
             telemetry::Event {
@@ -253,9 +250,7 @@ mod tests {
             rtt_dev: Duration::ZERO,
             cwnd,
             inflight,
-            in_slow_start: false,
             usable: true,
-            queue_bytes: 0,
         }
     }
 
@@ -271,12 +266,12 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_records_decisions_with_queue_depth() {
+    fn telemetry_records_decisions_with_their_inputs() {
         let tel = TelemetryHandle::with_capacity(16);
         let mut driver = SchedDriver::new(SchedulerKind::Ecf.build(), 2);
         driver.set_telemetry(tel.clone(), 3);
         driver.snap_buf = vec![snap(0, 20, 10, 0), snap(1, 100, 10, 0)];
-        driver.snap_buf[1].queue_bytes = 77_000;
+        driver.snap_buf[1].inflight = 7;
         let d = driver.decide(Time::from_millis(5), 10, 1000);
         assert!(matches!(d, Decision::Send(_)));
         let events = tel.events();
@@ -286,7 +281,7 @@ mod tests {
                 assert_eq!(sd.conn, 3);
                 assert_eq!(sd.scheduler, "ecf");
                 assert_eq!(sd.n_paths, 2);
-                assert_eq!(sd.paths[1].queue_bytes, 77_000);
+                assert_eq!(sd.paths[1].inflight, 7);
             }
             _ => panic!("expected a sched_decision event"),
         }

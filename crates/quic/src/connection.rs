@@ -82,9 +82,6 @@ pub(crate) struct PathSpace {
     pub rto_scheduled: bool,
     /// Path liveness (a down path is a dead radio).
     pub up: bool,
-    /// Droptail backlog of the path's forward link, sampled by the testbed
-    /// before each send opportunity (crosses into [`ecf_core::PathSnapshot`]).
-    pub link_queue_bytes: u64,
     /// NewReno-style recovery point: losses of packets numbered below this
     /// belong to an already-answered loss episode.
     recovery_until: u64,
@@ -103,7 +100,6 @@ impl PathSpace {
             rto_deadline: Time::MAX,
             rto_scheduled: false,
             up: true,
-            link_queue_bytes: 0,
             recovery_until: 0,
         }
     }
@@ -307,7 +303,7 @@ impl QuicConn {
     fn rebuild_snapshots(&mut self) {
         self.driver.snap_buf.clear();
         for p in &self.paths {
-            self.driver.push_path(&p.cc, p.inflight.len() as u32, p.up, p.link_queue_bytes);
+            self.driver.push_path(&p.cc, p.inflight.len() as u32, p.up);
         }
     }
 

@@ -128,10 +128,6 @@ impl Quic {
 
     /// Run a send opportunity and put the resulting packets on the wire.
     fn pump_send(&mut self, cx: &mut Ctx<'_, Self>) {
-        let n_paths = self.sender.paths.len();
-        for i in 0..n_paths {
-            self.sender.paths[i].link_queue_bytes = cx.fwd_backlog(i);
-        }
         self.plan_buf.clear();
         self.sender.try_send_into(cx.now, &mut self.plan_buf);
         if !self.plan_buf.is_empty() {
@@ -142,7 +138,7 @@ impl Quic {
             }
             cx.tel.add(Counter::SegsSent, self.plan_buf.len() as u64);
         }
-        for path in 0..n_paths {
+        for path in 0..self.sender.paths.len() {
             self.arm_pto(path, cx);
         }
     }

@@ -248,15 +248,15 @@ impl Link {
     }
 
     /// Bytes currently waiting in (or being serialized out of) the queue.
-    pub fn queued_bytes(&mut self, now: Time) -> u64 {
+    #[cfg(test)]
+    fn queued_bytes(&mut self, now: Time) -> u64 {
         self.expire(now);
         self.queued_bytes
     }
 
     /// Give back the departure FIFO's spare capacity once the link has gone
     /// quiet: entries already departed by `now` are expired first (the next
-    /// enqueue or backlog read, at `now` or later, would expire them
-    /// anyway), then the ring shrinks to what is left. Contents and order
+    /// enqueue, at `now` or later, would expire them anyway), then the ring shrinks to what is left. Contents and order
     /// are kept, and a later enqueue grows the ring back, so no verdict or
     /// arrival time changes.
     pub(crate) fn release_buffers(&mut self, now: Time) {

@@ -55,9 +55,9 @@ impl PathConfig {
     }
 
     /// A fully custom symmetric-delay path.
-    pub fn custom(mbps: f64, one_way: Duration, queue_bytes: u64) -> Self {
+    pub fn custom(mbps: f64, one_way: Duration, queue_limit_bytes: u64) -> Self {
         PathConfig {
-            fwd: LinkConfig::shaped(mbps, one_way, queue_bytes),
+            fwd: LinkConfig::shaped(mbps, one_way, queue_limit_bytes),
             rev: LinkConfig::reverse(one_way),
         }
     }

@@ -31,9 +31,9 @@ pub struct PathObs {
     pub cwnd: u32,
     /// Segments in flight.
     pub inflight: u32,
-    /// Bytes in the path's droptail bottleneck queue as sampled at decision
-    /// time (saturated to `u32::MAX`; in-tree queues are ≤ 1.5 MB). The
-    /// cross-layer signal for QAware-style scheduling analysis.
+    /// Always 0, and not exported: no scheduler reads a queue sample, so no
+    /// transport takes one. The field stays only because the benchmark's
+    /// rigs (`benchmark/src/rigs.rs`) construct a `PathObs` field by field.
     pub queue_bytes: u32,
 }
 
@@ -226,8 +226,8 @@ mod tests {
         // The ring stores one of these per retained event; keep the
         // footprint in check so a complete full-effort trace stays tens of
         // MB and a push touches as few cache lines as possible. (Raised from
-        // 192 when PathObs gained the 4-byte queue_bytes sample: 4 path
-        // slots × 4 bytes.)
+        // 192 when PathObs gained a fifth 4-byte field: 4 path slots × 4
+        // bytes.)
         assert!(std::mem::size_of::<Event>() <= 224, "{}", std::mem::size_of::<Event>());
     }
 

@@ -62,8 +62,8 @@ fn push_decision_fields(out: &mut String, d: &SchedDecision) {
         }
         let _ = write!(
             out,
-            r#"{{"path":{},"usable":{},"srtt_us":{},"rttvar_us":{},"cwnd":{},"inflight":{},"queue_bytes":{}}}"#,
-            p.path, p.usable, p.srtt_us, p.rttvar_us, p.cwnd, p.inflight, p.queue_bytes
+            r#"{{"path":{},"usable":{},"srtt_us":{},"rttvar_us":{},"cwnd":{},"inflight":{}}}"#,
+            p.path, p.usable, p.srtt_us, p.rttvar_us, p.cwnd, p.inflight
         );
     }
     out.push(']');
@@ -123,7 +123,7 @@ mod tests {
             rttvar_us: 3_000,
             cwnd: 10,
             inflight: 10,
-            queue_bytes: 52_000,
+            ..PathObs::default()
         };
         paths[1] = PathObs {
             path: 1,
@@ -132,7 +132,7 @@ mod tests {
             rttvar_us: 12_000,
             cwnd: 8,
             inflight: 0,
-            queue_bytes: 0,
+            ..PathObs::default()
         };
         Event {
             t_ns: 1_234_567,
@@ -166,7 +166,7 @@ mod tests {
         assert!(line.contains(r#""why":"ecf_wait""#));
         assert!(line.contains(r#""delta_s":0.012"#));
         assert!(line.contains(r#""srtt_us":25000"#));
-        assert!(line.contains(r#""queue_bytes":52000"#));
+        assert!(line.contains(r#""inflight":10}"#), "{line}");
         // Exactly n_paths entries serialized.
         assert_eq!(line.matches(r#"{"path":"#).count(), 2);
     }

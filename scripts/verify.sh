@@ -148,6 +148,9 @@ echo "== pub surface: every pub item is named outside its crate's library =="
 #   mptcp: Connection::server_write, Receiver::take_delayed_ack,
 #     Subflow::register_send, Recorder::ooo_delays_secs
 #   testkit: digest::from_hex16, Rng::next_u64
+#   telemetry: the field PathObs::queue_bytes, always written 0 (no
+#     transport samples its queues), because benchmark/src/rigs.rs builds a
+#     PathObs field by field
 # and two the name scan cannot tell apart, because the other transport has
 # a method of the same name: Connection::try_send_into with Transmission
 # (mptcp), QuicConn::try_send_into with QuicTx (quic).
