@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use dash::{DashApp, PlayerConfig};
 use ecf_core::SchedulerKind;
-use mptcp::{ConnConfig, ConnSpec, RecorderConfig, Testbed, TestbedConfig};
+use mptcp::{ConnConfig, ConnSpec, OooPool, RecorderConfig, Testbed, TestbedConfig};
 use scenario::{Action, ControlEvent, Process, Scenario};
 use simnet::{PathConfig, Time};
 use webload::{BrowserApp, PageModel, WgetApp};
@@ -177,8 +177,9 @@ pub struct StreamingOutcome {
     /// Initial-window resets (idle + RTO) of the *faster* interface's
     /// subflow(s) — Table 3's metric.
     pub fast_iw_resets: u64,
-    /// Per-segment out-of-order delays, seconds.
-    pub ooo_delays: Vec<f64>,
+    /// Per-segment out-of-order delays, seconds: the recorder's pool,
+    /// converted in place.
+    pub ooo_delays: OooPool<f64>,
     /// Per-request gap between last packets on the two interfaces, seconds
     /// (Fig 5).
     pub last_packet_gaps: Vec<f64>,

@@ -37,7 +37,7 @@ use std::time::Duration;
 use dash::{DashApp, PlayerConfig};
 use ecf_core::{EcfConfig, SchedulerKind};
 use metrics::Cdf;
-use mptcp::{CcKind, ConnSpec, Connection, RecorderConfig, Testbed, TestbedConfig};
+use mptcp::{CcKind, ConnSpec, Connection, OooPool, RecorderConfig, Testbed, TestbedConfig};
 use scenario::{GilbertElliott, LossModel, Scenario};
 use simnet::{PathConfig, Time};
 use telemetry::{Counter, TelemetryHandle};
@@ -106,8 +106,8 @@ impl CellResult {
     }
 }
 
-fn numbers(xs: &[f64]) -> Value {
-    Value::Array(xs.iter().map(|&x| Value::Number(x)).collect())
+fn numbers<'a>(xs: impl IntoIterator<Item = &'a f64>) -> Value {
+    Value::Array(xs.into_iter().map(|&x| Value::Number(x)).collect())
 }
 
 fn points(ps: &[(f64, f64)]) -> Value {
@@ -195,7 +195,7 @@ fn mptcp_page(
 /// One transport's finished page load.
 struct PageLoad {
     completions: Vec<f64>,
-    ooo: Vec<f64>,
+    ooo: OooPool<f64>,
     plt: Time,
     events: u64,
 }
@@ -203,7 +203,7 @@ struct PageLoad {
 impl PageLoad {
     fn put(self, transport: &str, scalars: &mut BTreeMap<String, Value>) {
         let obj = Cdf::from_samples(self.completions);
-        let ooo = Cdf::from_samples(self.ooo);
+        let ooo = Cdf::from_samples(self.ooo.to_vec());
         for (name, v) in [
             ("obj_mean_s", obj.mean()),
             ("obj_median_s", obj.median()),

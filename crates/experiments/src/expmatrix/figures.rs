@@ -585,8 +585,32 @@ fn subflow_traces(results: &[Value], i: usize, key: &str) -> Result<Vec<TimeSeri
     Ok(per_subflow)
 }
 
-/// Figs 11 & 12: WiFi and LTE CWND traces, one column per scheduler,
-/// sampled at the first scheduler's thinned trace times.
+/// Rows of `traces` side by side at the longest trace's times, thinned to
+/// `rows`: each column reads its own trace at the row's time, and prints
+/// `-` once that trace has ended (a run's sampler stops with its session,
+/// and [`TimeSeries::value_at`] would hold the last value past it).
+fn trace_rows(traces: &[&TimeSeries], rows: usize, precision: usize) -> String {
+    let end = |t: &TimeSeries| t.points.last().map_or(f64::NEG_INFINITY, |p| p.0);
+    let Some(longest) = traces.iter().copied().reduce(|a, b| if end(b) > end(a) { b } else { a })
+    else {
+        return String::new();
+    };
+    let mut s = String::new();
+    for &(t, _) in &longest.thin(rows).points {
+        s.push_str(&format!("{t:.1}"));
+        for trace in traces {
+            match trace.value_at(t).filter(|_| t <= end(trace)) {
+                Some(v) => s.push_str(&format!("\t{v:.precision$}")),
+                None => s.push_str("\t-"),
+            }
+        }
+        s.push('\n');
+    }
+    s
+}
+
+/// Figs 11 & 12: WiFi and LTE CWND traces, one column per scheduler, at
+/// the longest trace's thinned times.
 fn fig11(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     let grid = Grid::sole(exp, results, "fig11", 1)?;
     let mut traces = Vec::new();
@@ -604,14 +628,8 @@ fn fig11(exp: &Expansion, results: &[Value]) -> Result<String, String> {
             s.push_str(&format!("\t{label}"));
         }
         s.push('\n');
-        for &(t, v0) in &traces[0].1[idx].thin(60).points {
-            s.push_str(&format!("{t:.1}\t{v0:.0}"));
-            for (_, series) in &traces[1..] {
-                let v = series[idx].value_at(t).unwrap_or(0.0);
-                s.push_str(&format!("\t{v:.0}"));
-            }
-            s.push('\n');
-        }
+        let columns: Vec<&TimeSeries> = traces.iter().map(|(_, t)| &t[idx]).collect();
+        s.push_str(&trace_rows(&columns, 60, 0));
         // Summary: mean cwnd in the steady half of the run.
         s.push_str("mean(second half):");
         for (label, t) in &traces {
@@ -1048,8 +1066,8 @@ fn extension_sttf(exp: &Expansion, results: &[Value]) -> Result<String, String> 
     Ok(s)
 }
 
-/// Fig 3: the single send-buffer-trace cell, the WiFi trace thinned to 200
-/// rows and the LTE trace read at each row's time.
+/// Fig 3: the single send-buffer-trace cell, WiFi and LTE side by side in
+/// 200 rows.
 fn fig3(exp: &Expansion, results: &[Value]) -> Result<String, String> {
     if exp.cells.len() != 1 {
         return Err(format!("fig3 expects exactly 1 cell, got {}", exp.cells.len()));
@@ -1060,10 +1078,7 @@ fn fig3(exp: &Expansion, results: &[Value]) -> Result<String, String> {
          (paper: LTE empties quickly and sits idle while WiFi stays occupied)\n\n\
          time_s\twifi_KB\tlte_KB\n",
     );
-    for &(t, wifi) in &traces[0].thin(200).points {
-        let lte = traces[1].value_at(t).unwrap_or(0.0);
-        s.push_str(&format!("{t:.1}\t{wifi:.1}\t{lte:.1}\n"));
-    }
+    s.push_str(&trace_rows(&[&traces[0], &traces[1]], 200, 1));
     Ok(s)
 }
 
@@ -1330,6 +1345,38 @@ mod tests {
     fn render_scheds(figure: &str, lead: &str, scheds: &str, seeds: u32) -> Result<String, String> {
         let axes = format!(r#"[{lead}{{"key": "scheduler", "values": {scheds}}}]"#);
         render_fake(figure, &axes, seeds)
+    }
+
+    #[test]
+    fn fig11_prints_each_trace_only_while_it_lasts() {
+        // The first scheduler's session ends at 2 s, the second's at 5 s:
+        // rows run to the longer one, and the shorter column stops.
+        let spec = Spec::from_json(
+            r#"{"schema": 1, "name": "t", "figure": "fig11",
+                "base": {"workload": "streaming", "wifi_mbps": 0.3, "lte_mbps": 8.6},
+                "blocks": [{"axes": [{"key": "scheduler", "values": ["default", "ecf"]}],
+                            "seeds": {"base": 1, "count": 1}}]}"#,
+        )
+        .unwrap();
+        let exp = expand(&spec, Effort::Quick).unwrap();
+        let results: Vec<Value> = [(2, 10), (5, 20)]
+            .iter()
+            .map(|&(end, v)| {
+                let points: Vec<String> = (0..=end).map(|t| format!("[{t}, {}]", v + t)).collect();
+                let trace = format!("[{}]", points.join(", "));
+                testkit::json::parse(&format!(
+                    r#"{{"scalars": {{}}, "series": {{"cwnd_traces": [{trace}, {trace}]}}}}"#
+                ))
+                .unwrap()
+            })
+            .collect();
+        let report = render(&spec, &exp, &results).unwrap();
+        assert_eq!(row(&report, "time_s"), ["time_s", "default", "ecf"]);
+        assert_eq!(row(&report, "2.0"), ["2.0", "12", "22"]);
+        assert_eq!(row(&report, "3.0"), ["3.0", "-", "23"]);
+        assert_eq!(row(&report, "5.0"), ["5.0", "-", "25"]);
+        assert_eq!(report.lines().filter(|l| l.starts_with("5.0")).count(), 2, "{report}");
+        assert_eq!(row(&report, "mean(second half):")[2..], ["default=12", "ecf=24"]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Footprint regression guard: bytes requested, and bytes live at the peak,
 //! per connection — bytes requested per unit when every unit has its own
-//! engine, and bytes live per out-of-order (OOO) sample of a streaming run.
+//! engine, and bytes live and requested per out-of-order (OOO) sample of a
+//! streaming run.
 //!
 //! **Requested.** A ring buffer used as a FIFO cycles through every slot it
 //! owns, so a per-connection or per-link deque reserved to its protocol
@@ -44,17 +45,22 @@
 //! now reserves the request count its pages announce (14.5 KB): 185 KB.
 //! With zero runs stored as one entry: 139 KB.
 //!
-//! **Live per OOO sample, one streaming run.** A 600 s `fig9_grid` cell at
-//! 0.3/8.6 Mbps under ECF keeps 418 328 out-of-order samples. With OOO
-//! collection off the run peaks at 197 353 B live (engine, player, request
-//! records). The recorder's pool adds 4 194 304 B (2^19 `u64` slots after
-//! doubling). Converting it into the outcome's `Vec<f64>` as a copy, with
-//! the pool still alive, added 3 346 624 B more: 7 738 281 B, 18.5 B per
-//! sample. The pool handed over and converted in place: 4 391 657 B,
-//! 10.5 B per sample.
+//! **Live and requested per OOO sample, one streaming run.** A 600 s
+//! `fig9_grid` cell at 0.3/8.6 Mbps under ECF keeps 418 328 out-of-order
+//! samples. With OOO collection off the run peaks at 197 353 B live
+//! (engine, player, request records). A raw `Vec<u64>` pool grown by
+//! doubling added 4 194 304 B (2^19 slots); converting it into the
+//! outcome's `Vec<f64>` as a copy, with the pool still alive, added
+//! 3 346 624 B more: 18.5 B per sample. Handed over and converted in place:
+//! 10.4 B per sample live, and 20.7 B per sample requested, because every
+//! doubling requests its whole new size. The pool is now an `OooPool` from
+//! recorder to outcome: fixed segments that are never reallocated, each
+//! converted in place, and a run of in-order deliveries stored as one
+//! entry. That reads 5.9 B per sample live and 6.9 B requested; each bound
+//! sits 10 % above its reading, so the doubling pool fails both.
 //!
 //! Requested and live bytes are a pure function of the workload, so all
-//! four checks are exact, not timings.
+//! six checks are exact, not timings.
 
 mod support;
 
@@ -100,8 +106,15 @@ const LAST_WINDOW_LIVE_PER_CONN_BOUND: u64 = 6_660;
 const BYTES_PER_SHARDED_UNIT_BOUND: u64 = 152_800;
 
 /// Most bytes live at once per OOO sample over one streaming run, outcome
-/// included (10.5 with the pool handed over; 18.5 with a copy beside it).
-const STREAMING_PEAK_PER_SAMPLE_BOUND: f64 = 12.0;
+/// included (10.5 with the pool handed over; 18.5 with a copy beside it;
+/// 5.9 with the pool in segments and zero runs as one entry). The bound
+/// was 12.0, and sits 10 % above the reading.
+const STREAMING_PEAK_PER_SAMPLE_BOUND: f64 = 6.5;
+
+/// Bytes requested per OOO sample over the same run, engine and outcome
+/// included (20.7 while the pool grew by doubling, each step requesting its
+/// whole new size; 6.9 in segments). The bound sits 10 % above the reading.
+const STREAMING_BYTES_PER_SAMPLE_BOUND: f64 = 7.6;
 
 #[test]
 fn population_footprint_per_connection_and_per_unit() {
@@ -183,6 +196,7 @@ fn population_footprint_per_connection_and_per_unit() {
     // One full-length `fig9_grid` cell at its most reordered pair. Last:
     // its peak is several times the populations', so it raises the
     // high-water mark the reading depends on.
+    let bytes_before = support::snapshot().1;
     let live_before = support::live_and_peak().0;
     let cfg = StreamingConfig {
         video_secs: Effort::Full.video_secs(),
@@ -190,11 +204,23 @@ fn population_footprint_per_connection_and_per_unit() {
     };
     let out = run_streaming(&cfg);
     let peak_live = support::live_and_peak().1 - live_before;
+    let requested = support::snapshot().1 - bytes_before;
     let samples = out.ooo_delays.len() as u64;
     assert!(samples > 100_000, "{samples} OOO samples: not the long cell this guards");
     let per_sample = peak_live as f64 / samples as f64;
+    let requested_per_sample = requested as f64 / samples as f64;
     println!(
         "streaming: peak live {peak_live} B over {samples} OOO samples, {per_sample:.1} B/sample"
+    );
+    println!(
+        "streaming: requested {requested} B over {samples} OOO samples, \
+         {requested_per_sample:.1} B/sample"
+    );
+    assert!(
+        requested_per_sample <= STREAMING_BYTES_PER_SAMPLE_BOUND,
+        "a streaming run requested {requested_per_sample:.1} bytes per OOO sample (bound \
+         {STREAMING_BYTES_PER_SAMPLE_BOUND}): does the recorder's pool grow by reallocating \
+         again, copying every sample it holds at each step?"
     );
     assert!(
         per_sample <= STREAMING_PEAK_PER_SAMPLE_BOUND,

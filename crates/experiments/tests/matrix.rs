@@ -27,8 +27,8 @@ const QUICK_REPORTS: [(&str, u64); 35] = [
     ("tab2", 0x4a91_078f_7417_692f),
     ("fig9", 0x3d9e_6442_2c0b_1d91),
     ("fig10", 0x7d00_836d_dbf0_eee2),
-    ("fig11", 0x2fd3_3dd3_2dc1_a272),
-    ("fig12", 0x2fd3_3dd3_2dc1_a272),
+    ("fig11", 0x307b_ac44_6728_3409),
+    ("fig12", 0x307b_ac44_6728_3409),
     ("tab3", 0x9029_446f_e506_07fe),
     ("fig13", 0xb94f_3dee_2ed7_5ecb),
     ("fig14", 0xf747_ab6a_39e1_bb5f),

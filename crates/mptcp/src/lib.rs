@@ -57,5 +57,5 @@ pub use receiver::{Delivered, Receiver, ReceiverStats, ReorderRing, RxSignal};
 pub use segment::{segs_for_bytes, AckInfo, ConnId, ReqId, Segment, SubId};
 pub use sim::{Api, Application, ConnSpec, Event, Mptcp, Testbed, TestbedConfig, World};
 pub use subflow::{AckOutcome, Subflow, SubflowStats};
-pub use trace::{OooIter, OooPool, Recorder, RecorderConfig, RequestRecord};
+pub use trace::{OooIter, OooPool, OooSample, Recorder, RecorderConfig, RequestRecord};
 pub use transport::{Drive, SchedDriver, Transport, TransportApi, TransportApp};

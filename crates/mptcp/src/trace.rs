@@ -34,7 +34,8 @@ pub struct RecorderConfig {
     /// Exactly one of the two pools is filled: [`Recorder::ooo_delays_us`]
     /// when this is off, [`Recorder::ooo_delays_us_per_conn`] when it is on
     /// (a population run holds millions of samples; keeping each twice was
-    /// a tenth of its peak memory). [`Recorder::take_ooo_secs`] hands over
+    /// a tenth of its peak memory). Both are [`OooPool`]s, so the two differ
+    /// only in how samples are keyed. [`Recorder::take_ooo_secs`] hands over
     /// whichever pool the run filled; a reader of the raw fields must pick
     /// the one this flag selects.
     pub ooo_per_conn: bool,
@@ -104,121 +105,252 @@ impl RequestRecord {
 
 /// Bit 63 of an [`OooPool`] entry: the entry is a run of zero-delay
 /// samples, its length in the low bits. A delay derived from [`Time`] is
-/// below 2^55 µs, so no sample has this bit.
+/// below 2^55 µs, so no `u64` sample has this bit; in an `f64` it is the
+/// sign bit, and no delay is negative.
 const ZERO_RUN: u64 = 1 << 63;
 
-/// The sample a zero run yields, by reference.
-static ZERO: u64 = 0;
-
-/// Fewest entry slots a full pool grows by.
+/// Fewest entry slots a full first segment grows by.
 const MIN_GROWTH: usize = 8;
 
-/// One connection's out-of-order delays (µs), in delivery order, with each
-/// run of in-order deliveries (delay 0) stored as one entry.
+/// Entry slots per segment. The first segment grows to it; past it a full
+/// pool opens another segment, so a filled entry is never moved.
+const SEGMENT: usize = 8192;
+
+/// What an [`OooPool`] holds: the recorder's delays in µs (`u64`) or the
+/// seconds a run reports (`f64`). Either is 64 bits whose top bit no real
+/// delay sets, so a zero run is the same bits in both.
+pub trait OooSample: Copy + PartialEq + std::fmt::Debug + 'static {
+    /// The in-order sample a zero run yields, by reference.
+    fn zero() -> &'static Self;
+    /// The entry's bits.
+    fn to_bits(self) -> u64;
+    /// The entry with these bits.
+    fn from_bits(bits: u64) -> Self;
+}
+
+impl OooSample for u64 {
+    fn zero() -> &'static u64 {
+        &0
+    }
+    fn to_bits(self) -> u64 {
+        self
+    }
+    fn from_bits(bits: u64) -> u64 {
+        bits
+    }
+}
+
+impl OooSample for f64 {
+    fn zero() -> &'static f64 {
+        &0.0
+    }
+    fn to_bits(self) -> u64 {
+        f64::to_bits(self)
+    }
+    fn from_bits(bits: u64) -> f64 {
+        f64::from_bits(bits)
+    }
+}
+
+/// Out-of-order delays in delivery order — one connection's, or a run's
+/// shared pool — with each run of in-order deliveries (delay 0) stored as
+/// one entry, in segments that never move.
 ///
 /// Most of a population's samples are 0, in long runs: `browse_sharded`'s
 /// 3.6M samples are 58 % zeros in 136k runs, so a raw `Vec<u64>` spent most
-/// of a unit's report on zeros (DESIGN.md §9). The pool reads as the raw
-/// sequence — [`OooPool::len`] counts samples and iteration yields every
-/// one as `&u64` — so a digest folded over it is the raw pool's.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OooPool {
-    /// Nonzero samples as themselves, zero runs as `ZERO_RUN | length`.
-    entries: Vec<u64>,
-    /// Samples held.
+/// of a unit's report on zeros (DESIGN.md §9). A 600 s streaming run keeps
+/// 418k samples in one pool; grown as one `Vec` its last doubling copied
+/// 2 MB into a fresh 4 MB block and left the old one resident (§9). The
+/// pool reads as the raw sequence — [`OooPool::len`] counts samples and
+/// iteration yields every one as `&S` — so a digest folded over it is the
+/// raw pool's.
+///
+/// The struct is one `Vec` and a pointer, 32 B: a population keeps one per
+/// connection, and the segments past the first — which only a shared pool
+/// reaches — are boxed away with the sample count they need.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OooPool<S = u64> {
+    /// The first segment: nonzero samples as themselves, zero runs as
+    /// `ZERO_RUN | length`. All a per-connection pool ever needs.
+    first: Vec<S>,
+    /// Past the first segment: the further segments and the sample count.
+    more: Option<Box<More<S>>>,
+}
+
+/// The segments of an [`OooPool`] after its first.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct More<S> {
+    /// `SEGMENT` slots each, opened as the last fills; never empty.
+    segments: Vec<Vec<S>>,
+    /// Samples held by the whole pool.
     len: usize,
 }
 
-impl OooPool {
-    /// Append one sample. A full pool grows by a quarter of its capacity:
-    /// `Vec` doubling left a quarter of a population's pools empty, and a
-    /// coupled sweep keeps every engine's pools resident (DESIGN.md §9).
-    pub fn push(&mut self, us: u64) {
-        debug_assert_eq!(us & ZERO_RUN, 0, "an OOO delay of {us} µs is not from a Time");
-        self.len += 1;
-        if us == 0 {
-            if let Some(last) = self.entries.last_mut().filter(|e| **e & ZERO_RUN != 0) {
-                *last += 1;
+impl<S> Default for OooPool<S> {
+    fn default() -> Self {
+        OooPool { first: Vec::new(), more: None }
+    }
+}
+
+impl<S: OooSample> OooPool<S> {
+    /// Append one sample. A full first segment grows by a quarter of its
+    /// capacity, up to `SEGMENT`: `Vec` doubling left a quarter of a
+    /// population's pools empty, and a coupled sweep keeps every engine's
+    /// pools resident (DESIGN.md §9). Past it a new segment opens.
+    pub fn push(&mut self, sample: S) {
+        let bits = sample.to_bits();
+        debug_assert_eq!(bits & ZERO_RUN, 0, "an OOO delay of {sample:?} is not from a Time");
+        if let Some(more) = &mut self.more {
+            more.len += 1;
+        }
+        let tail =
+            self.more.as_mut().and_then(|m| m.segments.last_mut()).unwrap_or(&mut self.first);
+        if bits == 0 {
+            if let Some(last) = tail.last_mut().filter(|e| e.to_bits() & ZERO_RUN != 0) {
+                *last = S::from_bits(last.to_bits() + 1);
                 return;
             }
         }
-        if self.entries.len() == self.entries.capacity() {
-            self.entries.reserve_exact((self.entries.capacity() / 4).max(MIN_GROWTH));
+        let entry = if bits == 0 { S::from_bits(ZERO_RUN | 1) } else { sample };
+        if tail.len() == tail.capacity() {
+            if tail.capacity() >= SEGMENT {
+                let mut segment = Vec::with_capacity(SEGMENT);
+                segment.push(entry);
+                match &mut self.more {
+                    Some(more) => more.segments.push(segment),
+                    None => {
+                        let len = samples(&self.first) + 1;
+                        self.more = Some(Box::new(More { segments: vec![segment], len }));
+                    }
+                }
+                return;
+            }
+            let growth = (tail.capacity() / 4).max(MIN_GROWTH);
+            tail.reserve_exact(growth.min(SEGMENT - tail.capacity()));
         }
-        self.entries.push(if us == 0 { ZERO_RUN | 1 } else { us });
+        tail.push(entry);
     }
 
-    /// Samples held.
+    /// Samples held. Counted over the entries while the pool is one
+    /// segment (at most `SEGMENT` of them), kept once it is more.
     pub fn len(&self) -> usize {
-        self.len
+        self.more.as_ref().map_or_else(|| samples(&self.first), |m| m.len)
     }
 
     /// True when no sample is held.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.first.is_empty()
     }
 
     /// Entries stored: one per nonzero sample and one per zero run.
     pub fn entries(&self) -> usize {
-        self.entries.len()
+        self.segments().map(Vec::len).sum()
     }
 
     /// Entry slots allocated.
     pub fn capacity(&self) -> usize {
-        self.entries.capacity()
+        self.segments().map(Vec::capacity).sum()
     }
 
     /// The samples in delivery order.
-    pub fn iter(&self) -> OooIter<'_> {
-        OooIter { entries: self.entries.iter(), zeros: 0, left: self.len }
+    pub fn iter(&self) -> OooIter<'_, S> {
+        let rest = self.more.as_ref().map_or(&[][..], |m| &m.segments);
+        OooIter { entries: self.first.iter(), rest: rest.iter(), zeros: 0, left: self.len() }
     }
 
-    /// The pool at capacity == entries. A pool with slack is copied into a
-    /// fresh exact-size allocation and the original freed, not shrunk in
-    /// place (`sharding::extract_reports` says why).
-    pub fn exact(self) -> OooPool {
-        if self.entries.capacity() == self.entries.len() {
-            self
-        } else {
-            OooPool { entries: self.entries.to_vec(), len: self.len }
+    /// The samples as one raw vector (a copy).
+    pub fn to_vec(&self) -> Vec<S> {
+        self.iter().copied().collect()
+    }
+
+    /// The pool at capacity == entries. Only the last segment can have
+    /// slack; if it has, it is copied into a fresh exact-size allocation and
+    /// the original freed, not shrunk in place (`sharding::extract_reports`
+    /// says why).
+    pub fn exact(mut self) -> OooPool<S> {
+        let tail =
+            self.more.as_mut().and_then(|m| m.segments.last_mut()).unwrap_or(&mut self.first);
+        if tail.capacity() != tail.len() {
+            *tail = tail.to_vec();
+        }
+        self
+    }
+
+    fn segments(&self) -> impl Iterator<Item = &Vec<S>> {
+        std::iter::once(&self.first).chain(self.more.iter().flat_map(|m| &m.segments))
+    }
+}
+
+/// Samples held by a segment's entries.
+fn samples<S: OooSample>(segment: &[S]) -> usize {
+    let run = |bits: u64| if bits & ZERO_RUN == 0 { 1 } else { (bits & !ZERO_RUN) as usize };
+    segment.iter().map(|e| run(e.to_bits())).sum()
+}
+
+impl OooPool<u64> {
+    /// The pool in seconds, each segment converted in place: `u64` and
+    /// `f64` have one size and alignment, so every collect reuses its
+    /// segment's allocation instead of holding a copy beside it (a 600 s
+    /// streaming run's samples are most of its peak memory, DESIGN.md §9).
+    /// A zero run keeps its bits.
+    pub fn into_secs(self) -> OooPool<f64> {
+        fn secs(segment: Vec<u64>) -> Vec<f64> {
+            segment
+                .into_iter()
+                .map(|e| if e & ZERO_RUN == 0 { e as f64 / 1e6 } else { f64::from_bits(e) })
+                .collect()
+        }
+        OooPool {
+            first: secs(self.first),
+            more: self.more.map(|m| {
+                Box::new(More { segments: m.segments.into_iter().map(secs).collect(), len: m.len })
+            }),
         }
     }
 }
 
-impl<'a> IntoIterator for &'a OooPool {
-    type Item = &'a u64;
-    type IntoIter = OooIter<'a>;
+impl<'a, S: OooSample> IntoIterator for &'a OooPool<S> {
+    type Item = &'a S;
+    type IntoIter = OooIter<'a, S>;
 
-    fn into_iter(self) -> OooIter<'a> {
+    fn into_iter(self) -> OooIter<'a, S> {
         self.iter()
     }
 }
 
 /// The samples of an [`OooPool`] in delivery order.
 #[derive(Debug)]
-pub struct OooIter<'a> {
-    entries: std::slice::Iter<'a, u64>,
+pub struct OooIter<'a, S = u64> {
+    /// The current segment's entries still to read.
+    entries: std::slice::Iter<'a, S>,
+    /// The segments after it.
+    rest: std::slice::Iter<'a, Vec<S>>,
     /// Zeros still to yield from the current run.
     zeros: u64,
     /// Samples still to yield.
     left: usize,
 }
 
-impl<'a> Iterator for OooIter<'a> {
-    type Item = &'a u64;
+impl<'a, S: OooSample> Iterator for OooIter<'a, S> {
+    type Item = &'a S;
 
-    fn next(&mut self) -> Option<&'a u64> {
+    fn next(&mut self) -> Option<&'a S> {
         if self.zeros == 0 {
-            let e = self.entries.next()?;
-            if e & ZERO_RUN == 0 {
+            let e = loop {
+                match self.entries.next() {
+                    Some(e) => break e,
+                    None => self.entries = self.rest.next()?.iter(),
+                }
+            };
+            if e.to_bits() & ZERO_RUN == 0 {
                 self.left -= 1;
                 return Some(e);
             }
-            self.zeros = e & !ZERO_RUN;
+            self.zeros = e.to_bits() & !ZERO_RUN;
         }
         self.zeros -= 1;
         self.left -= 1;
-        Some(&ZERO)
+        Some(S::zero())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -226,9 +358,11 @@ impl<'a> Iterator for OooIter<'a> {
     }
 }
 
-impl ExactSizeIterator for OooIter<'_> {}
+impl<S: OooSample> ExactSizeIterator for OooIter<'_, S> {}
 
-/// All measurements of one testbed run.
+/// All measurements of one testbed run. Its OOO delays land in one pool
+/// type, [`OooPool`], whether pooled across connections or kept per
+/// connection.
 pub struct Recorder {
     /// Collection configuration.
     pub cfg: RecorderConfig,
@@ -238,10 +372,9 @@ pub struct Recorder {
     /// order. Empty when [`RecorderConfig::ooo_per_conn`] is set — the
     /// samples are in `ooo_delays_us_per_conn` then, and only there — and
     /// after [`Recorder::take_ooo_secs`].
-    pub ooo_delays_us: Vec<u64>,
-    /// Out-of-order delays split per connection, each run of zeros one
-    /// entry (only filled when [`RecorderConfig::ooo_per_conn`] is set;
-    /// empty otherwise).
+    pub ooo_delays_us: OooPool,
+    /// Out-of-order delays split per connection (only filled when
+    /// [`RecorderConfig::ooo_per_conn`] is set; empty otherwise).
     pub ooo_delays_us_per_conn: Vec<OooPool>,
     /// CWND traces `[conn][sub]` in segments, seconds on the x axis.
     pub cwnd: Vec<Vec<TimeSeries>>,
@@ -265,11 +398,7 @@ impl Recorder {
             // it; a guess here was paid by every engine of a population
             // (DESIGN.md §9).
             requests: Vec::new(),
-            ooo_delays_us: Vec::with_capacity(if cfg.ooo_delays && !cfg.ooo_per_conn {
-                4096
-            } else {
-                0
-            }),
+            ooo_delays_us: OooPool::default(),
             ooo_delays_us_per_conn: if cfg.ooo_delays && cfg.ooo_per_conn {
                 vec![OooPool::default(); subflow_counts.len()]
             } else {
@@ -316,7 +445,8 @@ impl Recorder {
     /// Record one delivered segment's reordering delay on `conn`.
     pub fn note_ooo(&mut self, conn: ConnId, delay: Duration) {
         if self.cfg.ooo_delays {
-            let us = u64::try_from(delay.as_micros()).unwrap_or(u64::MAX);
+            // Saturates below the zero-run marker.
+            let us = delay.as_micros().min(u128::from(!ZERO_RUN)) as u64;
             if self.cfg.ooo_per_conn {
                 self.ooo_delays_us_per_conn[conn].push(us);
             } else {
@@ -333,30 +463,24 @@ impl Recorder {
     /// OOO delays as seconds, for CDF construction, moved out of whichever
     /// pool the run filled: the shared pool in arrival order, or — with
     /// [`RecorderConfig::ooo_per_conn`] — the per-connection pools chained
-    /// in connection order. The same multiset either way, and the pools are
-    /// empty afterwards.
-    ///
-    /// A shared pool becomes the result in place: `u64` and `f64` have one
-    /// size and alignment, so the collect reuses the pool's allocation
-    /// instead of holding a copy beside it (a 600 s streaming run's samples
-    /// are most of its peak memory, DESIGN.md §9).
-    pub fn take_ooo_secs(&mut self) -> Vec<f64> {
+    /// in connection order. The same sequence either way, and the pools are
+    /// empty afterwards. A shared pool becomes the result in place
+    /// ([`OooPool::into_secs`]).
+    pub fn take_ooo_secs(&mut self) -> OooPool<f64> {
         let mut pool = std::mem::take(&mut self.ooo_delays_us);
         for conn in &mut self.ooo_delays_us_per_conn {
-            pool.extend(&std::mem::take(conn));
+            std::mem::take(conn).iter().for_each(|&us| pool.push(us));
         }
-        pool.into_iter().map(|us| us as f64 / 1e6).collect()
+        pool.into_secs()
     }
 
     /// [`Recorder::take_ooo_secs`] as a copy, leaving the pools in place.
     /// Kept only for the benchmark's traced runner (`benchmark/src/traced.rs`);
     /// every in-tree reader takes the pool instead.
-    pub fn ooo_delays_secs(&self) -> Vec<f64> {
-        self.ooo_delays_us
-            .iter()
-            .chain(self.ooo_delays_us_per_conn.iter().flatten())
-            .map(|&us| us as f64 / 1e6)
-            .collect()
+    pub fn ooo_delays_secs(&self) -> OooPool<f64> {
+        let mut pool = self.ooo_delays_us.clone();
+        self.ooo_delays_us_per_conn.iter().flatten().for_each(|&us| pool.push(us));
+        pool.into_secs()
     }
 }
 
@@ -396,7 +520,7 @@ mod tests {
 
         let mut rec = Recorder::new(RecorderConfig::default(), &[1]);
         rec.note_ooo(0, Duration::from_millis(5));
-        assert_eq!(rec.ooo_delays_secs(), vec![0.005]);
+        assert_eq!(rec.ooo_delays_secs().to_vec(), vec![0.005]);
         // Per-conn pools are off by default.
         assert!(rec.ooo_delays_us_per_conn.is_empty());
     }
@@ -424,37 +548,46 @@ mod tests {
         assert_eq!(rec.ooo_delays_us.capacity(), 0);
         // ... and the reader serves it, chained in connection order, so a
         // per-connection run never reads as "no reordering".
-        assert_eq!(rec.ooo_delays_secs(), vec![20e-6, 10e-6, 0.0, 0.0, 30e-6]);
+        assert_eq!(rec.ooo_delays_secs().to_vec(), vec![20e-6, 10e-6, 0.0, 0.0, 30e-6]);
 
         // The shared pool is the mirror image.
         let mut rec = Recorder::new(RecorderConfig::default(), &[2, 2, 2]);
         rec.note_ooo(1, Duration::from_micros(10));
         rec.note_ooo(0, Duration::from_micros(20));
-        assert_eq!(rec.ooo_delays_us, vec![10, 20]);
+        assert_eq!(samples(&rec.ooo_delays_us), vec![10, 20]);
         assert!(rec.ooo_delays_us_per_conn.is_empty());
-        assert_eq!(rec.ooo_delays_secs(), vec![10e-6, 20e-6]);
+        assert_eq!(rec.ooo_delays_secs().to_vec(), vec![10e-6, 20e-6]);
     }
 
     #[test]
-    fn take_ooo_secs_hands_over_the_pool_in_place() {
-        // Past the initial reservation, so the pool has grown and has slack.
+    fn take_ooo_secs_converts_every_segment_in_place() {
+        // The grown first segment, a full second one and part of a third,
+        // zero runs among the samples, and a delay that saturates.
         let mut rec = Recorder::new(RecorderConfig::default(), &[2]);
-        for i in 0..5_000u64 {
-            rec.note_ooo(0, Duration::from_micros(i * i * 7 % 3_000_001));
+        for i in 0..3 * SEGMENT as u64 {
+            let us = if i % 5 < 2 { 0 } else { i * i * 7 % 3_000_001 };
+            rec.note_ooo(0, Duration::from_micros(us));
         }
         rec.note_ooo(0, Duration::MAX);
+        fn slots<S>(p: &OooPool<S>) -> Vec<(usize, usize)> {
+            let rest = &p.more.as_ref().expect("past the first segment").segments;
+            let outer = (rest.as_ptr() as usize, rest.capacity());
+            let segments = std::iter::once(&p.first).chain(rest);
+            segments.map(|s| (s.as_ptr() as usize, s.capacity())).chain([outer]).collect()
+        }
+        let pool = &rec.ooo_delays_us;
+        let further = pool.more.as_ref().map_or(0, |m| m.segments.len());
+        assert_eq!((pool.first.capacity(), further), (SEGMENT, 2));
+        let before = slots(pool);
         let copied = rec.ooo_delays_secs();
-        let ptr = rec.ooo_delays_us.as_ptr() as usize;
-        let cap = rec.ooo_delays_us.capacity();
         let taken = rec.take_ooo_secs();
-        // The pool's allocation is the result: if std stops collecting in
+        // Every allocation is the result's: if std stops collecting in
         // place, this fails rather than a streaming run's memory doubling.
-        assert_eq!(taken.as_ptr() as usize, ptr);
-        assert_eq!(taken.capacity(), cap);
-        assert_eq!(
-            taken.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            copied.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
+        assert_eq!(slots(&taken), before);
+        assert_eq!(taken.len(), 3 * SEGMENT + 1);
+        let bits = |p: &OooPool<f64>| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&taken), bits(&copied));
+        assert_eq!(taken.iter().last(), Some(&(!ZERO_RUN as f64 / 1e6)));
         assert!(rec.ooo_delays_us.is_empty());
         assert!(rec.take_ooo_secs().is_empty());
 
@@ -469,11 +602,11 @@ mod tests {
         rec.note_ooo(1, Duration::from_micros(30));
         let copied = rec.ooo_delays_secs();
         let taken = rec.take_ooo_secs();
-        assert_eq!(taken, vec![20e-6, 10e-6, 30e-6]);
+        assert_eq!(taken.to_vec(), vec![20e-6, 10e-6, 30e-6]);
         assert_eq!(taken, copied);
         assert!(rec.ooo_delays_us_per_conn.iter().all(OooPool::is_empty));
         rec.note_ooo(2, Duration::from_micros(5));
-        assert_eq!(rec.take_ooo_secs(), vec![5e-6]);
+        assert_eq!(rec.take_ooo_secs().to_vec(), vec![5e-6]);
     }
 
     #[test]
@@ -483,6 +616,15 @@ mod tests {
         // and 32-bit `conn`/`segs`, the record is 104 B and nothing on the
         // heap (a wider container raised `browse_sharded` RSS, DESIGN.md §9).
         assert!(std::mem::size_of::<RequestRecord>() <= 104);
+    }
+
+    #[test]
+    fn an_ooo_pool_is_one_vec_and_a_pointer() {
+        // A population keeps one pool per connection: the segments past the
+        // first are boxed, so the pool costs what a single `Vec` and a
+        // sample count did (56 B with the segment list inline).
+        assert_eq!(std::mem::size_of::<OooPool>(), 32);
+        assert_eq!(std::mem::size_of::<OooPool<f64>>(), 32);
     }
 
     #[test]

@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use mptcp::{
-    ca_increase, CcKind, CcView, Delivered, OooPool, PerSub, Receiver, ReorderRing, RxSignal,
-    Segment,
+    ca_increase, CcKind, CcView, Delivered, OooPool, OooSample, PerSub, Receiver, ReorderRing,
+    RxSignal, Segment,
 };
 use simnet::Time;
 use testkit::prop::{any_u64, bools, check, choice, vec_of};
@@ -236,6 +236,63 @@ fn ooo_pool_matches_a_vec_model() {
         assert_eq!(exact.capacity(), exact.entries());
         assert_eq!(exact, copy);
         assert_eq!(exact.iter().copied().collect::<Vec<_>>(), model);
+    });
+}
+
+/// Entry slots per `OooPool` segment past the first.
+const OOO_SEGMENT: usize = 8192;
+
+/// `pool` yields exactly `model`, bit for bit, by both iteration forms.
+fn reads_as<S: OooSample>(pool: &OooPool<S>, model: &[S]) {
+    assert_eq!(pool.len(), model.len());
+    assert_eq!(pool.iter().len(), model.len());
+    let bits = |xs: &mut dyn Iterator<Item = &S>| xs.map(|x| x.to_bits()).collect::<Vec<_>>();
+    let want = bits(&mut model.iter());
+    assert!(bits(&mut pool.iter()) == want, "the pool does not read as its model");
+    assert!(bits(&mut pool.into_iter()) == want, "`&pool` does not read as its model");
+}
+
+/// Past its first segment `OooPool` still reads as a `Vec<u64>`, and its
+/// seconds form as that vector mapped through `us as f64 / 1e6`, bit for
+/// bit. Each case fills up to three segments and stops a few entries short
+/// of (or exactly at) every boundary it reaches to push a zero run there,
+/// short or far longer than a segment, so runs straddle the boundaries.
+/// Only the last segment may have slack, and `exact()` removes it.
+#[test]
+fn ooo_pool_across_segments_matches_a_vec_model() {
+    let runs = choice(&[1usize, 2, 9, 20_000]);
+    check(48, vec_of((0usize..3, runs, 1u64..1 << 55), 1..4), |parts| {
+        let mut model = Vec::new();
+        let mut entries = 0;
+        let mut us = 1u64;
+        for (j, &(short, zeros, seed)) in parts.iter().enumerate() {
+            while entries < (j + 1) * OOO_SEGMENT - short {
+                us = (us.wrapping_mul(6364136223846793005).wrapping_add(seed) % (1 << 55)) | 1;
+                model.push(us);
+                entries += 1;
+            }
+            model.extend(std::iter::repeat_n(0, zeros));
+            model.push(seed);
+            entries += 2;
+        }
+        let mut pool = OooPool::default();
+        model.iter().for_each(|&us| pool.push(us));
+        reads_as(&pool, &model);
+        assert_eq!(pool.entries(), entries);
+        assert!(pool.capacity() >= pool.entries());
+        assert!(pool.capacity() - pool.entries() < OOO_SEGMENT, "slack beyond the last segment");
+
+        let copy = pool.clone();
+        let exact = copy.clone().exact();
+        assert_eq!(exact.capacity(), exact.entries());
+        assert_eq!(exact, copy);
+        reads_as(&exact, &model);
+
+        let shape = (pool.entries(), pool.capacity());
+        let secs = pool.into_secs();
+        let secs_model: Vec<f64> = model.iter().map(|&us| us as f64 / 1e6).collect();
+        reads_as(&secs, &secs_model);
+        assert_eq!((secs.entries(), secs.capacity()), shape);
     });
 }
 

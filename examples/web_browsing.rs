@@ -37,7 +37,7 @@ fn main() {
         assert!(tb.app().done(), "page load did not finish");
 
         let completions = Cdf::from_samples(tb.app().completion_times_secs());
-        let ooo = Cdf::from_samples(tb.world_mut().recorder.take_ooo_secs());
+        let ooo = Cdf::from_samples(tb.world_mut().recorder.take_ooo_secs().to_vec());
         println!(
             "{:>10} {:>8.2} s {:>8.3} s {:>8.3} s {:>12.1} {:>12.1}",
             kind.label(),

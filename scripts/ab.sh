@@ -3,15 +3,17 @@
 # and build each one's benchmark/ in a temp dir, run N pairs in the
 # BENCHMARK.json driver form (one seed per pair, first side alternating) and
 # print, per workload x end-to-end metric, both medians, the delta, how many
-# pairs <rev-b> won, <rev-a>'s inter-quartile range and each side's best run
+# pairs <rev-b> won, both sides' inter-quartile ranges and each side's best run
 # (a side's fastest run repeats far better than its median on a box whose
 # medians drift between sessions; it informs, it decides nothing). Each
 # workload also gets a `cpu_us_per_op` row: the run's child CPU time (user +
 # sys, from getrusage(RUSAGE_CHILDREN) around it) over its attempted
 # operations, a diagnostic beside the BENCHMARK.json metrics, under the same
-# verdict rule (an A/A run is `ab.sh REV REV`). `resolved` needs
-# >= 10 pairs, one side winning >= 9/10 of them and a median gap wider than
-# that IQR; `equal` means every pair tied (simulated-time metrics);
+# verdict rule (an A/A run is `ab.sh --aa REV`, shorthand for `ab.sh REV
+# REV`). `resolved` needs >= 10 pairs, one side winning >= 9/10 of them and
+# a median gap wider than the IQR of either side (an A/A run resolved a
+# time metric that way while the gap was within one side's IQR only);
+# `equal` means every pair tied (simulated-time metrics);
 # everything else is `unresolved` — the box drifts 10-20 % in 10-60 s
 # phases. Exits non-zero if any run is incorrect or has failures. Writes
 # nothing into the repo. 2 x N x workloads x ~27 s (~36 min at defaults).
@@ -25,14 +27,21 @@
 # 2 x workloads x ~15 s.
 #
 # Usage: scripts/ab.sh <rev-a> <rev-b> [--pairs N | --ledger] [--workload W]...
+#        scripts/ab.sh --aa <rev> [--pairs N | --ledger] [--workload W]...
 set -euo pipefail
 cd "$(dirname "$0")/.."
 usage() {
-    echo "usage: scripts/ab.sh <rev-a> <rev-b> [--pairs N | --ledger] [--workload W]..." >&2
+    echo "usage: scripts/ab.sh {<rev-a> <rev-b> | --aa <rev>} [--pairs N | --ledger]" \
+        "[--workload W]..." >&2
     exit 2
 }
 [ $# -ge 2 ] || usage
-revs=("$1" "$2"); shift 2
+if [ "$1" = --aa ]; then
+    revs=("$2" "$2")
+else
+    revs=("$1" "$2")
+fi
+shift 2
 pairs=10 workloads="" ledger=0
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -117,24 +126,27 @@ for w in names:
                 cpu_s * 1e6 / max(res["attempted"], 1))
 lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
 lower["cpu_us_per_op"] = True
+def iqr(xs):
+    q = statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
+    return q[2] - q[0]
 print(f"{'workload':<15} {'metric':<13} {'median a':>12} {'median b':>12} {'delta':>8} "
-      f"{'b wins':>7} {'IQR a':>10} {'best a':>12} {'best b':>12}  verdict")
+      f"{'b wins':>7} {'IQR a':>10} {'IQR b':>10} {'best a':>12} {'best b':>12}  verdict")
 for (w, m), (a, b) in got.items():
     med_a, med_b = statistics.median(a), statistics.median(b)
-    q = statistics.quantiles(a, n=4) if len(a) > 1 else [med_a] * 3
-    iqr = q[2] - q[0]
+    iqr_a, iqr_b = iqr(a), iqr(b)
     wins = sum((y < x) if lower[m] else (y > x) for x, y in zip(a, b))
     ties = sum(x == y for x, y in zip(a, b))
     if ties == pairs:
         verdict = "equal"
     elif (pairs >= 10 and max(wins, pairs - ties - wins) >= 0.9 * pairs
-          and abs(med_b - med_a) > iqr):
+          and abs(med_b - med_a) > max(iqr_a, iqr_b)):
         verdict = "resolved"
     else:
         verdict = "unresolved"
     delta = (med_b - med_a) / med_a * 100 if med_a else 0.0
     best = min if lower[m] else max
     print(f"{w:<15} {m:<13} {med_a:>12.6g} {med_b:>12.6g} {delta:>+7.1f}% "
-          f"{wins:>4}/{pairs:<2} {iqr:>10.3g} {best(a):>12.6g} {best(b):>12.6g}  {verdict}")
+          f"{wins:>4}/{pairs:<2} {iqr_a:>10.3g} {iqr_b:>10.3g} {best(a):>12.6g} {best(b):>12.6g}"
+          f"  {verdict}")
 sys.exit(1 if bad else 0)
 PY

@@ -108,8 +108,9 @@ done
 echo "== memory guards: RSS growth over live bytes, bytes requested and live (release) =="
 # Both pass or fail in the workspace tests above too (debug); the release
 # run is the allocator pattern the benchmark of record sees, and the ratio,
-# the bytes a sweep keeps per unit and the five footprint readings (among
-# them what the coupled body holds after its last window) are
+# the bytes a sweep keeps per unit and the six footprint readings (among
+# them what the coupled body holds after its last window, and the bytes a
+# streaming run requests per OOO sample) are
 # printed so a drift towards a bound shows before it trips. Beside them,
 # the coupled body's recorder pools: OOO entries per sample (a zero run is
 # one entry) and slots per entry (the growth rule's slack).

@@ -63,7 +63,7 @@ fn ecf_reduces_out_of_order_delay() {
     // Figs 13/14: the reordering tail shrinks under ECF at 0.3/8.6.
     let mean = |kind| {
         let xs = stream(0.3, 8.6, kind, 4).world_mut().recorder.take_ooo_secs();
-        metrics::mean(&xs)
+        metrics::mean(&xs.to_vec())
     };
     let (e, d) = (mean(SchedulerKind::Ecf), mean(SchedulerKind::Default));
     assert!(e < d, "mean OOO delay: ecf {e:.4}s vs default {d:.4}s");
